@@ -24,10 +24,9 @@ from .model import (
     UndefinedRatioError,
     moments,
     sample_channel,
-    sample_realization,
     spec_moments,
 )
-from .montecarlo import derive_seed
+from .montecarlo import derive_seed, trial_rates
 from . import rates
 
 
@@ -119,6 +118,16 @@ def _config_for(template: ConfigSource, n: int) -> NetworkConfig:
     return replace(template, n_relays=n)
 
 
+def _fixed_limit(scheme: str, cfg: NetworkConfig, mom: MomentSet):
+    """Moment-form limit of the scheme's rate, or None when the limit is the
+    per-realization cut-set bound."""
+    if scheme == "df":
+        return float(np.min(rates.df_rates_asymptotic(cfg, mom)))
+    if scheme == "af" and cfg.m_conf == cfg.n_relays - 1:
+        return None  # complete conferencing tracks the realized bound
+    return rates.capacity_upper_asymptotic(cfg, mom)
+
+
 def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
                  trials: int, seed: int) -> list[TracePoint]:
     """Mean rate and mean |rate - limit| per network size for one scheme.
@@ -137,31 +146,13 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
     for n in ns:
         cfg = _config_for(template, n)
         mom = moments(cfg)
-        if scheme == "upper":
-            fixed_target = rates.capacity_upper_asymptotic(cfg, mom)
-        elif scheme == "df":
-            fixed_target = float(np.min(rates.df_rates_asymptotic(cfg, mom)))
-        elif cfg.m_conf == cfg.n_relays - 1:
-            fixed_target = None  # complete conferencing tracks the realized bound
-        else:
-            fixed_target = rates.capacity_upper_asymptotic(cfg, mom)
-        rate_sum = 0.0
-        gap_sum = 0.0
-        for t in range(trials):
-            real = sample_realization(cfg, derive_seed(seed, t))
-            if scheme == "upper":
-                r = rates.capacity_upper_bound(real, cfg)
-            elif scheme == "df":
-                r = rates.df_rate(real, cfg, mom)
-            else:
-                r = rates.af_rate(real, cfg, mom)
-            target = fixed_target
-            if target is None:
-                target = rates.capacity_upper_bound(real, cfg)
-            rate_sum += r
-            gap_sum += abs(r - target)
-        out.append(TracePoint(n_relays=n, mean_rate=rate_sum / trials,
-                              mean_abs_gap=gap_sum / trials))
+        target = _fixed_limit(scheme, cfg, mom)
+        values = trial_rates(cfg, mom, trials, seed,
+                             (scheme,) if target is not None else (scheme, "upper"))
+        r = values[scheme]
+        gaps = np.abs(r - (values["upper"] if target is None else target))
+        out.append(TracePoint(n_relays=n, mean_rate=float(np.sum(r)) / trials,
+                              mean_abs_gap=float(np.sum(gaps)) / trials))
     return out
 
 

@@ -80,7 +80,8 @@ class RunParams:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """One fully parsed invocation."""
+    """One fully parsed invocation; ``workers`` is accepted for compatibility
+    and ignored."""
 
     command: str
     config_path: str
@@ -239,9 +240,9 @@ def emit_csv(result: SweepResult, sink) -> None:
             )) + "\n")
 
 
-def _single_result(cfg: NetworkConfig, params: RunParams, workers: int) -> SweepResult:
+def _single_result(cfg: NetworkConfig, params: RunParams) -> SweepResult:
     """Wrap one run_point as a one-entry sweep for uniform CSV emission."""
-    res = run_point(cfg, params.trials, params.seed, params.schemes, workers)
+    res = run_point(cfg, params.trials, params.seed, params.schemes)
     pc_db = 10.0 * math.log10(cfg.p_c / cfg.n_0) if cfg.p_c > 0 else -math.inf
     point = SweepPoint(axis_value=0.0, n_relays=cfg.n_relays, m_conf=cfg.m_conf,
                        p_effective=cfg.p_effective, pc_over_n0_db=pc_db,
@@ -327,7 +328,7 @@ def dispatch(manifest: RunManifest) -> int:
 
         def produce(sink):
             if manifest.command == "single":
-                result = _single_result(cfg, params, manifest.workers)
+                result = _single_result(cfg, params)
                 _fail_on_scheme_errors(result)
                 emit_csv(result, sink)
             elif manifest.command in _SWEEP_AXES:
@@ -336,7 +337,7 @@ def dispatch(manifest: RunManifest) -> int:
                 spec = SweepSpec(base=cfg, axis=_SWEEP_AXES[manifest.command],
                                  values=manifest.axis, trials=params.trials,
                                  base_seed=params.seed, schemes=params.schemes)
-                result = sweep(spec, manifest.workers)
+                result = sweep(spec)
                 _fail_on_scheme_errors(result)
                 emit_csv(result, sink)
             elif manifest.command == "oracle":
@@ -398,7 +399,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sp.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
         sp.add_argument("--workers", type=int, default=1,
-                        help="worker threads (results are identical for any count)")
+                        help="accepted for compatibility and ignored; trials "
+                             "run in one thread")
         if name in _SWEEP_AXES or name == "diagnose":
             sp.add_argument("--axis", required=True,
                             help="comma-separated axis values")

@@ -19,9 +19,11 @@ objects can be shared freely across threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -55,9 +57,9 @@ class Cscg:
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0:
+        if not 0.0 < self.variance < math.inf:
             raise ConfigurationError(
-                f"cscg variance must be positive, got {self.variance}"
+                f"cscg variance must be finite and positive, got {self.variance}"
             )
 
 
@@ -69,6 +71,9 @@ class PointMass:
 
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
+        if not cmath.isfinite(self.value):
+            raise ConfigurationError(
+                f"point_mass value must be finite, got {self.value}")
         if abs(self.value) == 0:
             raise ConfigurationError("point_mass value must be nonzero")
 
@@ -89,6 +94,15 @@ class PerIndex:
                     "per_index entries must be cscg or point_mass laws"
                 )
 
+    @cached_property
+    def _layout(self):
+        """Relay indices and scales of the Gaussian entries, and the rest."""
+        gauss = [i for i, s in enumerate(self.specs) if isinstance(s, Cscg)]
+        mass = [i for i, s in enumerate(self.specs) if isinstance(s, PointMass)]
+        scale = np.array([math.sqrt(self.specs[i].variance / 2.0) for i in gauss])
+        values = np.array([self.specs[i].value for i in mass], dtype=complex)
+        return np.array(gauss, dtype=np.intp), scale, np.array(mass, dtype=np.intp), values
+
 
 DistributionSpec = Union[Cscg, PointMass, PerIndex]
 
@@ -102,10 +116,7 @@ def spec_moments(spec: DistributionSpec, n: int) -> tuple[np.ndarray, np.ndarray
         m2 = np.full(n, abs(spec.value) ** 2, dtype=float)
         return m2, m2 * m2
     if isinstance(spec, PerIndex):
-        if len(spec.specs) != n:
-            raise ConfigurationError(
-                f"per_index length {len(spec.specs)} does not match {n} relays"
-            )
+        _check_length(spec, n)
         pairs = [spec_moments(s, 1) for s in spec.specs]
         m2 = np.array([p[0][0] for p in pairs])
         m4 = np.array([p[1][0] for p in pairs])
@@ -113,27 +124,56 @@ def spec_moments(spec: DistributionSpec, n: int) -> tuple[np.ndarray, np.ndarray
     raise ConfigurationError(f"unsupported distribution spec: {spec!r}")
 
 
+def _check_length(spec: DistributionSpec, n: int) -> None:
+    if isinstance(spec, PerIndex) and len(spec.specs) != n:
+        raise ConfigurationError(
+            f"per_index length {len(spec.specs)} does not match {n} relays"
+        )
+
+
+def _normal_count(spec: DistributionSpec, n: int) -> int:
+    """Standard normals one draw of ``n`` gains from ``spec`` consumes."""
+    if isinstance(spec, Cscg):
+        return 2 * n
+    if isinstance(spec, PointMass):
+        return 0
+    if isinstance(spec, PerIndex):
+        return 2 * len(spec._layout[0])
+    raise ConfigurationError(f"unsupported distribution spec: {spec!r}")
+
+
+def _from_normals(spec: DistributionSpec, n: int, z: np.ndarray) -> np.ndarray:
+    """Gains of ``spec`` from standard normals ``z`` of shape (..., count).
+
+    A ``Cscg`` law takes its ``n`` real parts first, then its ``n`` imaginary
+    parts; a ``PerIndex`` law takes one (real, imaginary) pair per Gaussian
+    entry, in relay order.  Each part is N(0, variance/2).
+    """
+    out = np.empty(z.shape[:-1] + (n,), dtype=complex)
+    if isinstance(spec, Cscg):
+        scale = math.sqrt(spec.variance / 2.0)
+        np.multiply(scale, z[..., :n], out=out.real)
+        np.multiply(scale, z[..., n:], out=out.imag)
+    elif isinstance(spec, PointMass):
+        out[...] = spec.value
+    else:
+        gauss, scale, mass, values = spec._layout
+        out.real[..., gauss] = scale * z[..., 0::2]
+        out.imag[..., gauss] = scale * z[..., 1::2]
+        out[..., mass] = values
+    return out
+
+
 def sample_channel(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` independent complex gains from ``spec``.
 
     Gaussian entries consume the real components first, then the imaginary
-    components, each N(0, variance/2); point masses consume no randomness.
+    components, each N(0, variance/2); a ``PerIndex`` law draws one (real,
+    imaginary) pair per Gaussian entry in relay order; point masses consume
+    no randomness.
     """
-    if isinstance(spec, Cscg):
-        scale = math.sqrt(spec.variance / 2.0)
-        return rng.normal(0.0, scale, n) + 1j * rng.normal(0.0, scale, n)
-    if isinstance(spec, PointMass):
-        return np.full(n, spec.value, dtype=complex)
-    if isinstance(spec, PerIndex):
-        if len(spec.specs) != n:
-            raise ConfigurationError(
-                f"per_index length {len(spec.specs)} does not match {n} relays"
-            )
-        out = np.empty(n, dtype=complex)
-        for i, s in enumerate(spec.specs):
-            out[i] = sample_channel(s, 1, rng)[0]
-        return out
-    raise ConfigurationError(f"unsupported distribution spec: {spec!r}")
+    _check_length(spec, n)
+    return _from_normals(spec, n, rng.standard_normal(_normal_count(spec, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +266,16 @@ class NetworkConfig:
                 "conferencing must be a Portion or Neighbors value"
             )
         for name in ("p_s", "p_r", "p_c"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be nonnegative")
-        if not self.n_0 > 0:
-            raise ConfigurationError(f"n_0 must be positive, got {self.n_0}")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and nonnegative, got {value}")
+        if not 0.0 < self.n_0 < math.inf:
+            raise ConfigurationError(f"n_0 must be finite and positive, got {self.n_0}")
         if np.isscalar(self.conf_gain):
-            if not self.conf_gain > 0:
-                raise ConfigurationError("conf_gain must be positive")
+            if not 0.0 < self.conf_gain < math.inf:
+                raise ConfigurationError(
+                    f"conf_gain must be finite and positive, got {self.conf_gain}")
             object.__setattr__(self, "conf_gain", float(self.conf_gain))
         else:
             gains = np.asarray(self.conf_gain, dtype=float)
@@ -241,8 +284,9 @@ class NetworkConfig:
                     f"conf_gain array must have shape "
                     f"({self.n_relays}, {self.m_conf}), got {gains.shape}"
                 )
-            if not np.all(gains > 0):
-                raise ConfigurationError("conf_gain entries must all be positive")
+            if not np.all((gains > 0) & np.isfinite(gains)):
+                raise ConfigurationError(
+                    "conf_gain entries must all be finite and positive")
             gains.flags.writeable = False
             object.__setattr__(self, "conf_gain", gains)
         for label, dist in (("h_dist", self.h_dist), ("g_dist", self.g_dist)):
@@ -328,14 +372,16 @@ class ChannelRealization:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g", g)
         if np.isscalar(self.f):
-            if not self.f > 0:
-                raise ConfigurationError("conferencing gain must be positive")
+            if not 0.0 < self.f < math.inf:
+                raise ConfigurationError("conferencing gain must be finite and positive")
             object.__setattr__(self, "f", float(self.f))
         else:
             f = np.asarray(self.f, dtype=float)
-            if f.ndim != 2 or f.shape[0] != len(h) or not np.all(f > 0):
+            if (f.ndim != 2 or f.shape[0] != len(h)
+                    or not np.all((f > 0) & np.isfinite(f))):
                 raise ConfigurationError(
-                    "conferencing gain array must be (N, M) with positive entries"
+                    "conferencing gain array must be (N, M) with finite "
+                    "positive entries"
                 )
             f.flags.writeable = False
             object.__setattr__(self, "f", f)
@@ -345,6 +391,21 @@ class ChannelRealization:
         return len(self.h)
 
 
+def sample_realizations(config: NetworkConfig,
+                        seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """First- and second-hop gains of one realization per seed, as (len(seeds), N)
+    arrays; row ``r`` is the realization :func:`sample_realization` draws for
+    ``seeds[r]``."""
+    n = config.n_relays
+    count_h = _normal_count(config.h_dist, n)
+    z = np.empty((len(seeds), count_h + _normal_count(config.g_dist, n)))
+    if z.shape[1]:
+        for row, seed in zip(z, seeds):
+            np.random.default_rng(int(seed) & MASK64).standard_normal(out=row)
+    return (_from_normals(config.h_dist, n, z[:, :count_h]),
+            _from_normals(config.g_dist, n, z[:, count_h:]))
+
+
 def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:
     """Deterministically draw one channel realization.
 
@@ -352,7 +413,5 @@ def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:
     gains are drawn before the second-hop gains, and conferencing gains are
     copied from the configuration (they are deterministic constants).
     """
-    rng = np.random.default_rng(int(seed) & MASK64)
-    h = sample_channel(config.h_dist, config.n_relays, rng)
-    g = sample_channel(config.g_dist, config.n_relays, rng)
-    return ChannelRealization(h=h, g=g, f=config.conf_gain)
+    h, g = sample_realizations(config, (seed,))
+    return ChannelRealization(h=h[0], g=g[0], f=config.conf_gain)

@@ -4,9 +4,12 @@ Determinism contract
 --------------------
 Every result is a pure function of its arguments.  The realization used for
 trial ``t`` is seeded with ``derive_seed(base_seed, t)``, a SplitMix64-style
-mixer, so a run can be sharded across threads in any order and still produce
-bit-identical statistics: per-trial rates land in an index-addressed array and
-the aggregation always reads that array in index order.
+mixer, so which realization a trial sees never depends on how trials are
+grouped: per-trial rates land in an index-addressed array and the aggregation
+always reads that array in index order.  Trials are evaluated in one thread,
+in blocks whose size follows from the network size alone; the ``workers``
+argument of :func:`run_point` and :func:`sweep` is accepted for compatibility
+and is ignored.
 
 The signal-level oracles validate the closed-form SINR expressions without
 using them: they push unit-power symbols and freshly drawn receiver,
@@ -19,7 +22,6 @@ statistical error left is in the noise-power estimate.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -34,7 +36,7 @@ from .model import (
     Portion,
     PreconditionError,
     moments,
-    sample_realization,
+    sample_realizations,
 )
 from . import rates
 
@@ -46,6 +48,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _ORACLE_CHUNK = 16384
+
+# Realizations times relays evaluated at once by the trial engine; bounds its
+# working memory independently of the network size.
+_BLOCK_ELEMENTS = 2 ** 14
 
 
 def derive_seed(base_seed: int, trial: int) -> int:
@@ -150,18 +156,25 @@ def scheme_precondition_error(cfg: NetworkConfig, scheme: str) -> Optional[str]:
     return None
 
 
-def _trial_rates(cfg: NetworkConfig, mom: MomentSet, seed: int,
-                 schemes: Sequence[str]) -> dict:
-    real = sample_realization(cfg, seed)
-    out = {}
-    for s in schemes:
-        if s == "upper":
-            out[s] = rates.capacity_upper_bound(real, cfg)
-        elif s == "df":
-            out[s] = rates.df_rate(real, cfg, mom)
-        else:
-            out[s] = rates.af_rate(real, cfg, mom)
-    return out
+def trial_rates(cfg: NetworkConfig, mom: MomentSet, trials: int, base_seed: int,
+                schemes: Sequence[str]) -> dict:
+    """Rate of each scheme in every trial, as one float64[trials] array per scheme.
+
+    Entry ``t`` is the rate on ``sample_realization(cfg, derive_seed(base_seed,
+    t))``.  The per-configuration invariants are computed once; realizations
+    are drawn and evaluated in blocks of ``max(1, _BLOCK_ELEMENTS // N)``
+    trials, and each trial's rate does not depend on the block it falls in.
+    """
+    kernels = rates.scheme_kernels(cfg, mom, schemes)
+    values = {s: np.empty(trials) for s in kernels}
+    block = max(1, _BLOCK_ELEMENTS // cfg.n_relays)
+    for lo in range(0, trials, block):
+        hi = min(lo + block, trials)
+        seeds = [derive_seed(base_seed, t) for t in range(lo, hi)]
+        h2, g2 = (np.abs(x) ** 2 for x in sample_realizations(cfg, seeds))
+        for s, kernel in kernels.items():
+            values[s][lo:hi] = kernel(h2, g2)
+    return values
 
 
 def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
@@ -169,7 +182,8 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
     """Monte Carlo statistics of the requested schemes at one configuration.
 
     Scheme precondition failures are reported in ``errors`` and do not stop
-    the remaining schemes.  Results do not depend on ``workers``.
+    the remaining schemes.  ``workers`` is accepted for compatibility and is
+    ignored.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
@@ -184,24 +198,7 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
             errors[s] = msg
     stats = {}
     if runnable:
-        mom = moments(cfg)
-        values = {s: np.empty(trials) for s in runnable}
-
-        def run_block(lo: int, hi: int):
-            for t in range(lo, hi):
-                for s, r in _trial_rates(cfg, mom, derive_seed(base_seed, t),
-                                         runnable).items():
-                    values[s][t] = r
-
-        if workers <= 1 or trials == 1:
-            run_block(0, trials)
-        else:
-            block = math.ceil(trials / workers)
-            spans = [(lo, min(lo + block, trials))
-                     for lo in range(0, trials, block)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for fut in [pool.submit(run_block, lo, hi) for lo, hi in spans]:
-                    fut.result()
+        values = trial_rates(cfg, moments(cfg), trials, base_seed, runnable)
         for s in runnable:
             v = values[s]
             if np.all(v == v[0]):
@@ -231,7 +228,10 @@ def apply_axis(base: NetworkConfig, axis: str, value: float) -> NetworkConfig:
 
 
 def sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Run one point per axis value; all points share the same base seed."""
+    """Run one point per axis value; all points share the same base seed.
+
+    ``workers`` is accepted for compatibility and is ignored.
+    """
     points = []
     for v in spec.values:
         cfg = apply_axis(spec.base, spec.axis, v)

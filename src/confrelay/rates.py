@@ -21,12 +21,19 @@ Index convention: relay ``i`` receives conferenced signals from the M relays
 ``i-1, ..., i-M`` (mod N).  The conferencing transmit normalization always
 uses the second moment of the *sending* relay's source link, which is what
 makes the forwarded signal respect the conferencing power budget.
+
+Every formula is written once, as a kernel over the last axis of arrays of
+squared gains ``|h|^2`` and ``|g|^2``: leading axes index realizations.  The
+per-realization functions call the kernels on one realization, the moment
+forms call them on the second moments, and :func:`scheme_kernels` binds the
+per-configuration invariants once for the batched Monte Carlo engine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,38 +62,64 @@ class RateReport:
 
 
 # ---------------------------------------------------------------------------
-# Cyclic window sums
+# Cyclic window sums (along the last axis)
 # ---------------------------------------------------------------------------
 
+def _cumsum2(v: np.ndarray) -> np.ndarray:
+    """Running sums of v repeated twice along the last axis, with a leading 0."""
+    cs = np.zeros(v.shape[:-1] + (2 * v.shape[-1] + 1,))
+    np.cumsum(np.concatenate((v, v), axis=-1), axis=-1, out=cs[..., 1:])
+    return cs
+
+
 def _win_back(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """out[i] = sum_{k=lo..hi} v[(i - k) mod n], for 0 <= lo <= hi <= n."""
-    n = len(v)
+    """out[..., i] = sum_{k=lo..hi} v[..., (i - k) mod n], for 0 <= lo <= hi <= n."""
+    n = v.shape[-1]
     if hi < lo:
-        return np.zeros(n)
-    cs = np.concatenate(([0.0], np.cumsum(np.concatenate((v, v)))))
-    idx = np.arange(n) + n
-    return cs[idx - lo + 1] - cs[idx - hi]
+        return np.zeros(v.shape)
+    cs = _cumsum2(v)
+    return cs[..., n - lo + 1:2 * n - lo + 1] - cs[..., n - hi:2 * n - hi]
 
 
 def _win_fwd(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """out[i] = sum_{k=lo..hi} v[(i + k) mod n], for 0 <= lo <= hi <= n."""
-    n = len(v)
+    """out[..., i] = sum_{k=lo..hi} v[..., (i + k) mod n], for 0 <= lo <= hi <= n."""
+    n = v.shape[-1]
     if hi < lo:
-        return np.zeros(n)
-    cs = np.concatenate(([0.0], np.cumsum(np.concatenate((v, v)))))
-    idx = np.arange(n)
-    return cs[idx + hi + 1] - cs[idx + lo]
+        return np.zeros(v.shape)
+    cs = _cumsum2(v)
+    return cs[..., hi + 1:n + hi + 1] - cs[..., lo:n + lo]
 
 
-def _sender_gain_col(f, k: int):
-    """Gains of the links ending at each relay i with lag k (sender i - k).
+# ---------------------------------------------------------------------------
+# Lagged conferencing sums
+# ---------------------------------------------------------------------------
 
-    Returns a scalar for uniform gains, else the length-N column aligned so
-    that entry i is the gain of the link (i-k) -> i.
+def _lag_weights(term: Callable, m2_sender: np.ndarray, f, m: int):
+    """Weights ``term(E|h_j|^2, f_{j,j+k}^2)`` of the conferencing links j -> j+k.
+
+    With a uniform gain the weight depends on the sender only and is returned
+    as one sender-indexed vector.  With an (N, M) gain matrix it is returned
+    as an (M, N) stack whose row k-1 is aligned to the receiver of lag k.
+    ``None`` without conferencing.
     """
+    if m == 0:
+        return None
     if np.isscalar(f):
-        return f
-    return np.roll(f[:, k - 1], k)
+        return term(m2_sender, f ** 2)
+    return np.stack([term(np.roll(m2_sender, k), np.roll(f[:, k - 1], k) ** 2)
+                     for k in range(1, m + 1)])
+
+
+def _lagged(w, v: np.ndarray, m: int) -> np.ndarray:
+    """out[..., i] = sum_{k=1..m} w(link i-k -> i) * v[..., (i - k) mod n]."""
+    if m == 0:
+        return np.zeros(v.shape)
+    if w.ndim == 1:
+        return _win_back(w * v, 1, m)
+    out = w[0] * np.roll(v, 1, axis=-1)
+    for k in range(2, m + 1):
+        out += w[k - 1] * np.roll(v, k, axis=-1)
+    return out
 
 
 def _require_conferencing_power(cfg: NetworkConfig):
@@ -97,58 +130,86 @@ def _require_conferencing_power(cfg: NetworkConfig):
         )
 
 
+def _rate(snr):
+    """Half-duplex Gaussian rate 0.5*log2(1 + snr), elementwise."""
+    return 0.5 * np.log1p(snr) / LOG2
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    return np.abs(x) ** 2
+
+
 # ---------------------------------------------------------------------------
 # Cut-set upper bound
 # ---------------------------------------------------------------------------
 
+def _upper_rates(h2: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
+    return _rate(cfg.p_s / cfg.n_0 * np.sum(h2, axis=-1))
+
+
 def capacity_upper_bound(real: ChannelRealization, cfg: NetworkConfig) -> float:
     """Broadcast cut-set bound 0.5*log2(1 + (p_s/n_0) * sum_i |h_i|^2)."""
-    snr = cfg.p_s / cfg.n_0 * float(np.sum(np.abs(real.h) ** 2))
-    return 0.5 * math.log1p(snr) / LOG2
+    return float(_upper_rates(_abs2(real.h), cfg))
 
 
 def capacity_upper_asymptotic(cfg: NetworkConfig, mom: MomentSet) -> float:
     """Moment form of the cut-set bound, the large-N concentration target."""
-    snr = cfg.p_s / cfg.n_0 * float(np.sum(mom.m2_h))
-    return 0.5 * math.log1p(snr) / LOG2
+    return float(_upper_rates(mom.m2_h, cfg))
 
 
 # ---------------------------------------------------------------------------
 # Decode-and-forward
 # ---------------------------------------------------------------------------
 
-def _df_conferencing_snr(real: ChannelRealization, cfg: NetworkConfig,
-                         mom: MomentSet) -> np.ndarray:
-    """Per-relay sum of conferenced-observation SNR terms (p_s/n_0 factored out).
+def _df_fractions(cfg: NetworkConfig, mom: MomentSet, f):
+    """SNR fraction g_j*f^2 / (g_j*f^2 + 1) a conferenced copy keeps.
 
     The copy of the source symbol relayed from j = i-k arrives at relay i
     with SNR gain g_j*f^2*|h_j|^2 / (g_j*f^2 + 1) where
     g_j = p_c / (p_s*E|h_j|^2 + n_0) is the conferencing transmit
     normalization of the sending relay.
     """
-    m = cfg.m_conf
-    n = cfg.n_relays
-    if m == 0:
-        return np.zeros(n)
     _require_conferencing_power(cfg)
-    abs_h2 = np.abs(real.h) ** 2
-    gamma = cfg.p_c / (cfg.p_s * mom.m2_h + cfg.n_0)
-    if np.isscalar(real.f):
-        gf2 = gamma * real.f ** 2
-        return _win_back(gf2 * abs_h2 / (gf2 + 1.0), 1, m)
-    total = np.zeros(n)
-    for k in range(1, m + 1):
-        gf2 = np.roll(gamma, k) * _sender_gain_col(real.f, k) ** 2
-        total += gf2 * np.roll(abs_h2, k) / (gf2 + 1.0)
-    return total
+
+    def fraction(m2, f2):
+        gf2 = cfg.p_c / (cfg.p_s * m2 + cfg.n_0) * f2
+        return gf2 / (gf2 + 1.0)
+    return _lag_weights(fraction, mom.m2_h, f, cfg.m_conf)
+
+
+def _df_relay_rates(h2: np.ndarray, cfg: NetworkConfig, frac) -> np.ndarray:
+    """Per-relay first-hop rate: direct plus conferenced observation SNR."""
+    return _rate(cfg.p_s / cfg.n_0 * (h2 + _lagged(frac, h2, cfg.m_conf)))
+
+
+def _mac_weights(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
+    return np.sqrt(cfg.p_r / mom.m2_g)
+
+
+def _mac_gain(g2: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.sum(w * g2, axis=-1)
+
+
+def _mac_rates(g2: np.ndarray, cfg: NetworkConfig, w: np.ndarray) -> np.ndarray:
+    q0 = _mac_gain(g2, w)
+    return _rate(q0 * q0 / cfg.n_0)
+
+
+def _df_from_hops(relay_rates: np.ndarray, mac_rates: np.ndarray) -> np.ndarray:
+    """Every relay must decode, so the slowest relay and the second hop both
+    bound the DF rate."""
+    return np.minimum(np.min(relay_rates, axis=-1), mac_rates)
+
+
+def _df_rates(h2: np.ndarray, g2: np.ndarray, cfg: NetworkConfig, frac,
+              w: np.ndarray) -> np.ndarray:
+    return _df_from_hops(_df_relay_rates(h2, cfg, frac), _mac_rates(g2, cfg, w))
 
 
 def df_relay_rates(real: ChannelRealization, cfg: NetworkConfig,
                    mom: MomentSet) -> np.ndarray:
     """First-hop decoding rate supported at every relay."""
-    abs_h2 = np.abs(real.h) ** 2
-    snr = cfg.p_s / cfg.n_0 * (abs_h2 + _df_conferencing_snr(real, cfg, mom))
-    return 0.5 * np.log1p(snr) / LOG2
+    return _df_relay_rates(_abs2(real.h), cfg, _df_fractions(cfg, mom, real.f))
 
 
 def df_relay_rate(i: int, real: ChannelRealization, cfg: NetworkConfig,
@@ -160,43 +221,25 @@ def df_relay_rate(i: int, real: ChannelRealization, cfg: NetworkConfig,
 def df_mac_gain(real: ChannelRealization, cfg: NetworkConfig,
                 mom: MomentSet) -> float:
     """Coherent second-hop amplitude q0 = sum_i sqrt(p_r/E|g_i|^2)*|g_i|^2."""
-    return float(np.sum(np.sqrt(cfg.p_r / mom.m2_g) * np.abs(real.g) ** 2))
+    return float(_mac_gain(_abs2(real.g), _mac_weights(cfg, mom)))
 
 
 def df_mac_rate(real: ChannelRealization, cfg: NetworkConfig,
                 mom: MomentSet) -> float:
     """Second-hop rate 0.5*log2(1 + q0^2/n_0) of the coherent relay sum."""
-    q0 = df_mac_gain(real, cfg, mom)
-    return 0.5 * math.log1p(q0 * q0 / cfg.n_0) / LOG2
+    return float(_mac_rates(_abs2(real.g), cfg, _mac_weights(cfg, mom)))
 
 
 def df_rate(real: ChannelRealization, cfg: NetworkConfig, mom: MomentSet) -> float:
     """DF rate: every relay must decode, so the minimum relay rate and the
     second-hop rate both bound it."""
-    return min(float(np.min(df_relay_rates(real, cfg, mom))),
-               df_mac_rate(real, cfg, mom))
+    return float(_df_rates(_abs2(real.h), _abs2(real.g), cfg,
+                           _df_fractions(cfg, mom, real.f), _mac_weights(cfg, mom)))
 
 
 def df_rates_asymptotic(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
     """Moment form of every relay's first-hop rate (concentration target)."""
-    m = cfg.m_conf
-    n = cfg.n_relays
-    if m == 0:
-        conf = np.zeros(n)
-    else:
-        _require_conferencing_power(cfg)
-        if np.isscalar(cfg.conf_gain):
-            f2 = cfg.conf_gain ** 2
-            term = cfg.p_c * f2 * mom.m2_h / (cfg.p_c * f2 + cfg.p_s * mom.m2_h + cfg.n_0)
-            conf = _win_back(term, 1, m)
-        else:
-            conf = np.zeros(n)
-            for k in range(1, m + 1):
-                f2 = _sender_gain_col(cfg.conf_gain, k) ** 2
-                m2 = np.roll(mom.m2_h, k)
-                conf += cfg.p_c * f2 * m2 / (cfg.p_c * f2 + cfg.p_s * m2 + cfg.n_0)
-    snr = cfg.p_s / cfg.n_0 * (mom.m2_h + conf)
-    return 0.5 * np.log1p(snr) / LOG2
+    return _df_relay_rates(mom.m2_h, cfg, _df_fractions(cfg, mom, cfg.conf_gain))
 
 
 def df_rate_asymptotic(cfg: NetworkConfig, mom: MomentSet, i: int) -> float:
@@ -211,6 +254,13 @@ def df_rate_asymptotic(cfg: NetworkConfig, mom: MomentSet, i: int) -> float:
 # ---------------------------------------------------------------------------
 # Amplify-and-forward
 # ---------------------------------------------------------------------------
+
+def _q3_weights(cfg: NetworkConfig, mom: MomentSet, f):
+    """(p_s*E|h_j|^2 + n_0) / (p_c*f^2): conferencing noise power forwarded
+    per unit |h_j|^2 over the link from sender j."""
+    return _lag_weights(lambda m2, f2: (cfg.p_s * m2 + cfg.n_0) / (cfg.p_c * f2),
+                        mom.m2_h, f, cfg.m_conf)
+
 
 def af_power_factors(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
     """Per-relay power control factor a_i of the AF combining scheme.
@@ -231,17 +281,7 @@ def af_power_factors(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
     win4 = _win_back(mom.m4_h, 0, m)
     win2sq = _win_back(mom.m2_h ** 2, 0, m)
     mean_square = win4 + win2 * win2 - win2sq
-    if m == 0:
-        conf = 0.0
-    elif np.isscalar(cfg.conf_gain):
-        u = (cfg.p_s * mom.m2_h + cfg.n_0) * mom.m2_h / (cfg.p_c * cfg.conf_gain ** 2)
-        conf = _win_back(u, 1, m)
-    else:
-        conf = np.zeros(cfg.n_relays)
-        for k in range(1, m + 1):
-            m2 = np.roll(mom.m2_h, k)
-            f2 = _sender_gain_col(cfg.conf_gain, k) ** 2
-            conf += (cfg.p_s * m2 + cfg.n_0) * m2 / (cfg.p_c * f2)
+    conf = _lagged(_q3_weights(cfg, mom, cfg.conf_gain), mom.m2_h, m)
     bracket = cfg.p_s * mean_square + win2 + conf
     return 1.0 / np.sqrt(mom.m2_g * bracket)
 
@@ -249,6 +289,28 @@ def af_power_factors(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
 def af_power_factor(i: int, cfg: NetworkConfig, mom: MomentSet) -> float:
     """Power control factor of relay ``i``."""
     return float(af_power_factors(cfg, mom)[i])
+
+
+def _af_q_terms(h2: np.ndarray, g2: np.ndarray, m: int, a: np.ndarray, q3w):
+    ag2 = a * g2
+    q1 = np.sum(ag2 * _win_back(h2, 0, m), axis=-1)
+    fwd = _win_fwd(ag2, 0, m)
+    q2 = np.sum(fwd * fwd * h2, axis=-1)
+    q3 = np.sum(ag2 * ag2 * _lagged(q3w, h2, m), axis=-1)
+    return q1, q2, q3
+
+
+def _af_sinr(q1, q2, q3, cfg: NetworkConfig):
+    return cfg.p_s * cfg.p_r * q1 * q1 / ((cfg.p_r * (q2 + q3) + 1.0) * cfg.n_0)
+
+
+def _af_rates(h2: np.ndarray, g2: np.ndarray, cfg: NetworkConfig,
+              a: np.ndarray, q3w) -> np.ndarray:
+    return _rate(_af_sinr(*_af_q_terms(h2, g2, cfg.m_conf, a, q3w), cfg))
+
+
+def _af_invariants(cfg: NetworkConfig, mom: MomentSet, f):
+    return af_power_factors(cfg, mom), _q3_weights(cfg, mom, f)
 
 
 def af_q_terms(real: ChannelRealization, cfg: NetworkConfig,
@@ -259,37 +321,20 @@ def af_q_terms(real: ChannelRealization, cfg: NetworkConfig,
     q3 the aggregated conferencing noise power; q3 is zero without
     conferencing.
     """
-    a = af_power_factors(cfg, mom)
-    m = cfg.m_conf
-    abs_h2 = np.abs(real.h) ** 2
-    abs_g2 = np.abs(real.g) ** 2
-    q1 = float(np.sum(a * abs_g2 * _win_back(abs_h2, 0, m)))
-    fwd = _win_fwd(a * abs_g2, 0, m)
-    q2 = float(np.sum(fwd * fwd * abs_h2))
-    if m == 0:
-        q3 = 0.0
-    elif np.isscalar(real.f):
-        w = (cfg.p_s * mom.m2_h + cfg.n_0) * abs_h2 / (cfg.p_c * real.f ** 2)
-        q3 = float(np.sum(a * a * abs_g2 * abs_g2 * _win_back(w, 1, m)))
-    else:
-        q3 = 0.0
-        for k in range(1, m + 1):
-            m2 = np.roll(mom.m2_h, k)
-            f2 = _sender_gain_col(real.f, k) ** 2
-            w = (cfg.p_s * m2 + cfg.n_0) * np.roll(abs_h2, k) / (cfg.p_c * f2)
-            q3 += float(np.sum(a * a * abs_g2 * abs_g2 * w))
-    return q1, q2, q3
+    q = _af_q_terms(_abs2(real.h), _abs2(real.g), cfg.m_conf,
+                    *_af_invariants(cfg, mom, real.f))
+    return tuple(float(x) for x in q)
 
 
 def af_sinr(real: ChannelRealization, cfg: NetworkConfig, mom: MomentSet) -> float:
     """Destination SINR p_s*p_r*q1^2 / ((p_r*(q2 + q3) + 1) * n_0)."""
-    q1, q2, q3 = af_q_terms(real, cfg, mom)
-    return cfg.p_s * cfg.p_r * q1 * q1 / ((cfg.p_r * (q2 + q3) + 1.0) * cfg.n_0)
+    return float(_af_sinr(*af_q_terms(real, cfg, mom), cfg))
 
 
 def af_rate(real: ChannelRealization, cfg: NetworkConfig, mom: MomentSet) -> float:
     """AF rate 0.5*log2(1 + SINR) for one realization."""
-    return 0.5 * math.log1p(af_sinr(real, cfg, mom)) / LOG2
+    return float(_af_rates(_abs2(real.h), _abs2(real.g), cfg,
+                           *_af_invariants(cfg, mom, real.f)))
 
 
 def af_expected_q_terms(cfg: NetworkConfig,
@@ -300,24 +345,13 @@ def af_expected_q_terms(cfg: NetworkConfig,
     second-hop draws into fourth-moment diagonal terms plus second-moment
     cross terms.
     """
-    a = af_power_factors(cfg, mom)
+    a, q3w = _af_invariants(cfg, mom, cfg.conf_gain)
     m = cfg.m_conf
     eq1 = float(np.sum(a * mom.m2_g * _win_back(mom.m2_h, 0, m)))
     lin = _win_fwd(a * mom.m2_g, 0, m)
     quad = _win_fwd(a * a * mom.m4_g, 0, m) - _win_fwd((a * mom.m2_g) ** 2, 0, m)
     eq2 = float(np.sum((lin * lin + quad) * mom.m2_h))
-    if m == 0:
-        eq3 = 0.0
-    elif np.isscalar(cfg.conf_gain):
-        u = (cfg.p_s * mom.m2_h + cfg.n_0) * mom.m2_h / (cfg.p_c * cfg.conf_gain ** 2)
-        eq3 = float(np.sum(a * a * mom.m4_g * _win_back(u, 1, m)))
-    else:
-        eq3 = 0.0
-        for k in range(1, m + 1):
-            m2 = np.roll(mom.m2_h, k)
-            f2 = _sender_gain_col(cfg.conf_gain, k) ** 2
-            u = (cfg.p_s * m2 + cfg.n_0) * m2 / (cfg.p_c * f2)
-            eq3 += float(np.sum(a * a * mom.m4_g * u))
+    eq3 = float(np.sum(a * a * mom.m4_g * _lagged(q3w, mom.m2_h, m)))
     return eq1, eq2, eq3
 
 
@@ -338,9 +372,7 @@ def af_mu_terms(cfg: NetworkConfig, mom: MomentSet) -> tuple[float, float, float
 
 def af_rate_expected_q(cfg: NetworkConfig, mom: MomentSet) -> float:
     """AF rate with every q-term replaced by its expectation."""
-    eq1, eq2, eq3 = af_expected_q_terms(cfg, mom)
-    sinr = cfg.p_s * cfg.p_r * eq1 * eq1 / ((cfg.p_r * (eq2 + eq3) + 1.0) * cfg.n_0)
-    return 0.5 * math.log1p(sinr) / LOG2
+    return float(_rate(_af_sinr(*af_expected_q_terms(cfg, mom), cfg)))
 
 
 def af_rate_asymptotic(cfg: NetworkConfig, mom: MomentSet) -> float:
@@ -351,24 +383,51 @@ def af_rate_asymptotic(cfg: NetworkConfig, mom: MomentSet) -> float:
     destination noise.
     """
     mu1, mu2, _ = af_mu_terms(cfg, mom)
-    snr = cfg.n_relays * (mu1 * mu1 / mu2) * cfg.p_s / cfg.n_0
-    return 0.5 * math.log1p(snr) / LOG2
+    return float(_rate(cfg.n_relays * (mu1 * mu1 / mu2) * cfg.p_s / cfg.n_0))
+
+
+# ---------------------------------------------------------------------------
+# All schemes
+# ---------------------------------------------------------------------------
+
+def scheme_kernels(cfg: NetworkConfig, mom: MomentSet,
+                   schemes: Sequence[str]) -> dict:
+    """Rate kernel of each scheme, with its per-configuration invariants
+    (AF power factors, DF conferencing fractions, q3 and second-hop weights)
+    computed once.
+
+    Each kernel maps |h|^2 and |g|^2 arrays of shape (..., N), one
+    realization per leading index, to the rates of shape (...).
+    """
+    kernels = {}
+    for s in schemes:
+        if s == "upper":
+            kernels[s] = lambda h2, g2: _upper_rates(h2, cfg)
+        elif s == "df":
+            frac, w = _df_fractions(cfg, mom, cfg.conf_gain), _mac_weights(cfg, mom)
+            kernels[s] = lambda h2, g2: _df_rates(h2, g2, cfg, frac, w)
+        elif s == "af":
+            a, q3w = _af_invariants(cfg, mom, cfg.conf_gain)
+            kernels[s] = lambda h2, g2: _af_rates(h2, g2, cfg, a, q3w)
+        else:
+            raise ValueError(f"unknown scheme {s!r}")
+    return kernels
 
 
 def rate_report(real: ChannelRealization, cfg: NetworkConfig,
                 mom: MomentSet) -> RateReport:
     """Evaluate every scheme on one realization."""
-    relay_rates = df_relay_rates(real, cfg, mom)
-    mac = df_mac_rate(real, cfg, mom)
-    q1, q2, q3 = af_q_terms(real, cfg, mom)
-    sinr = cfg.p_s * cfg.p_r * q1 * q1 / ((cfg.p_r * (q2 + q3) + 1.0) * cfg.n_0)
+    h2, g2 = _abs2(real.h), _abs2(real.g)
+    relay_rates = _df_relay_rates(h2, cfg, _df_fractions(cfg, mom, real.f))
+    mac = _mac_rates(g2, cfg, _mac_weights(cfg, mom))
+    q1, q2, q3 = _af_q_terms(h2, g2, cfg.m_conf, *_af_invariants(cfg, mom, real.f))
     return RateReport(
-        c_upper=capacity_upper_bound(real, cfg),
+        c_upper=float(_upper_rates(h2, cfg)),
         df_relay_rates=relay_rates,
-        df_mac_rate=mac,
-        df_rate=min(float(np.min(relay_rates)), mac),
-        af_q1=q1,
-        af_q2=q2,
-        af_q3=q3,
-        af_rate=0.5 * math.log1p(sinr) / LOG2,
+        df_mac_rate=float(mac),
+        df_rate=float(_df_from_hops(relay_rates, mac)),
+        af_q1=float(q1),
+        af_q2=float(q2),
+        af_q3=float(q3),
+        af_rate=float(_rate(_af_sinr(q1, q2, q3, cfg))),
     )

@@ -5,14 +5,52 @@ arithmetic, straight from the rate definitions, so the vectorized library
 code can be checked against an independently structured evaluation.
 """
 
+import math
+
 import numpy as np
 
-from confrelay import mod_index
+from confrelay import Cscg, PointMass, mod_index
+
+
+def sample_channel(spec, n, rng):
+    """Per-entry sampler: one pair of generator calls per Gaussian law.
+
+    Fixes the draw order every sampler must reproduce: real parts before
+    imaginary parts, relay by relay for per-index laws, and no randomness
+    consumed by point masses.
+    """
+    if isinstance(spec, Cscg):
+        scale = math.sqrt(spec.variance / 2.0)
+        return rng.normal(0.0, scale, n) + 1j * rng.normal(0.0, scale, n)
+    if isinstance(spec, PointMass):
+        return np.full(n, spec.value, dtype=complex)
+    out = np.empty(n, dtype=complex)
+    for i, s in enumerate(spec.specs):
+        out[i] = sample_channel(s, 1, rng)[0]
+    return out
 
 
 def pair_gain(f, sender: int, k: int) -> float:
     """Gain of the conferencing link sender -> sender + k."""
     return float(f) if np.isscalar(f) else float(f[sender, k - 1])
+
+
+def capacity_upper_bound(real, cfg) -> float:
+    snr = cfg.p_s / cfg.n_0 * sum(abs(x) ** 2 for x in real.h)
+    return 0.5 * np.log2(1.0 + snr)
+
+
+def df_rate(real, cfg, mom) -> float:
+    n = cfg.n_relays
+    q0 = sum(np.sqrt(cfg.p_r / mom.m2_g[i]) * abs(real.g[i]) ** 2 for i in range(n))
+    mac = 0.5 * np.log2(1.0 + q0 * q0 / cfg.n_0)
+    return min(min(df_relay_rate(i, real, cfg, mom) for i in range(n)), mac)
+
+
+def af_rate(real, cfg, mom) -> float:
+    q1, q2, q3 = af_q_terms(real, cfg, mom)
+    sinr = cfg.p_s * cfg.p_r * q1 * q1 / ((cfg.p_r * (q2 + q3) + 1.0) * cfg.n_0)
+    return 0.5 * np.log2(1.0 + sinr)
 
 
 def df_relay_rate(i, real, cfg, mom) -> float:

@@ -8,6 +8,7 @@ states another count; every tolerance is written into the assertion.
 import math
 
 import numpy as np
+import pytest
 
 from confrelay import (
     Cscg,
@@ -17,12 +18,14 @@ from confrelay import (
     Portion,
     SweepSpec,
     af_rate,
+    af_rate_expected_q,
     analytic_af_sinr,
     capacity_upper_bound,
     conferencing_noise_ratio,
     convergence_trace,
     derive_seed,
     df_rate,
+    df_rates_asymptotic,
     lemma1_gap,
     moments,
     rate_report,
@@ -156,6 +159,30 @@ def test_criterion_07_conferencing_snr_trends():
               + ", ".join(f"{k}={v:.4f}" for k, v in sorted(shares.items())))
     print(("PASS" if ok else "FAIL") + f" criterion 7: {detail}")
     assert ok, detail
+
+
+def test_known_shortfall_af_portion_gap():
+    # Pins criterion 6's shortfall without sampling, so that a regression in
+    # the AF formulas shows here even while criterion 6 stays red.
+    def rate(p):
+        cfg = NetworkConfig(n_relays=100, conferencing=Portion(p))
+        return af_rate_expected_q(cfg, moments(cfg))
+
+    assert rate(0.3) == pytest.approx(3.21491, abs=1e-4)
+    assert rate(1.0) == pytest.approx(3.28750, abs=1e-4)
+    assert rate(1.0) - rate(0.3) == pytest.approx(0.0726, abs=1e-4)
+
+
+def test_known_shortfall_df_snr_share():
+    # Pins criterion 7's shortfall without sampling: the per-relay DF share
+    # of the 5 dB rate in the 20 dB rate is set by the combining fraction.
+    def rates(db):
+        cfg = NetworkConfig(n_relays=100, conferencing=Portion(0.1),
+                            p_c=10.0 ** (db / 10.0))
+        return df_rates_asymptotic(cfg, moments(cfg))
+
+    share = rates(5) / rates(20)
+    assert share == pytest.approx(np.full(100, 0.84672), abs=1e-4)
 
 
 def test_criterion_08_complete_conferencing_convergence():

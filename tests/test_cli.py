@@ -235,6 +235,15 @@ class TestExitCodes:
         cfg = write(tmp_path, "c.cfg", "N=4\np=0.5\nM=2\n")
         assert main(["single", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("override", ["Ps=nan", "Pc=inf", "f=inf",
+                                          "h_dist=cscg:inf"])
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys, override):
+        cfg = write(tmp_path, "c.cfg", "N=4\np=0.5\ntrials=3\n")
+        assert main(["single", "--config", cfg, "--set", override]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err
+
     def test_precondition_error(self, tmp_path):
         cfg = write(tmp_path, "c.cfg", "N=4\np=0.5\nPc=0\n")
         assert main(["single", "--config", cfg]) == 3

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from confrelay import (
     ChannelRealization,
     ConfigurationError,
@@ -154,6 +155,31 @@ class TestSampling:
         with pytest.raises(ValueError):
             real.h[0] = 0
 
+    @pytest.mark.parametrize("spec", [
+        Cscg(1.3),
+        PointMass(0.6 + 0.8j),
+        PerIndex(tuple(Cscg(0.4 + 0.2 * i) for i in range(7))),
+        PerIndex((Cscg(1.0), PointMass(2), Cscg(0.5), PointMass(1j),
+                  PointMass(-1), Cscg(3.0), Cscg(0.7))),
+    ], ids=["cscg", "point_mass", "per_index_cscg", "per_index_mixed"])
+    def test_draws_equal_per_entry_reference(self, spec):
+        for seed in range(6):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(sample_channel(spec, 7, fast),
+                                  reference.sample_channel(spec, 7, slow))
+            # Both consumed the same amount of the stream.
+            assert fast.random() == slow.random()
+
+    def test_realization_draws_h_before_g(self):
+        h_dist = PerIndex((Cscg(1.0), PointMass(2), Cscg(0.5)))
+        cfg = NetworkConfig(n_relays=3, conferencing=Neighbors(1),
+                            h_dist=h_dist, g_dist=Cscg(2.0))
+        for seed in (0, 5, 2 ** 64 - 1):
+            real = sample_realization(cfg, seed)
+            rng = np.random.default_rng(seed)
+            assert np.array_equal(real.h, reference.sample_channel(h_dist, 3, rng))
+            assert np.array_equal(real.g, reference.sample_channel(Cscg(2.0), 3, rng))
+
 
 class TestConfigValidation:
     def test_rejects_zero_noise(self):
@@ -188,3 +214,28 @@ class TestConfigValidation:
     def test_realization_requires_positive_gains(self):
         with pytest.raises(ConfigurationError):
             ChannelRealization(h=np.ones(2), g=np.ones(2), f=0.0)
+        with pytest.raises(ConfigurationError):
+            ChannelRealization(h=np.ones(2), g=np.ones(2), f=math.inf)
+
+    @pytest.mark.parametrize("field", ["p_s", "p_r", "p_c", "n_0", "conf_gain"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        with pytest.raises(ConfigurationError):
+            NetworkConfig(n_relays=3, conferencing=Neighbors(1), **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_gain_entries(self, value):
+        gains = np.ones((3, 1))
+        gains[1, 0] = value
+        with pytest.raises(ConfigurationError):
+            NetworkConfig(n_relays=3, conferencing=Neighbors(1), conf_gain=gains)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Cscg(math.inf),
+        lambda: Cscg(math.nan),
+        lambda: PointMass(math.nan),
+        lambda: PointMass(complex(1.0, math.inf)),
+    ], ids=["cscg_inf", "cscg_nan", "point_mass_nan", "point_mass_inf"])
+    def test_rejects_non_finite_laws(self, make):
+        with pytest.raises(ConfigurationError):
+            make()

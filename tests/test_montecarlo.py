@@ -9,6 +9,7 @@ from confrelay import (
     Cscg,
     Neighbors,
     NetworkConfig,
+    PerIndex,
     PointMass,
     Portion,
     PreconditionError,
@@ -26,6 +27,31 @@ from confrelay import (
     signal_oracle_df_mac,
     sweep,
 )
+from confrelay import montecarlo
+from confrelay.montecarlo import SCHEMES, trial_rates
+
+
+def _engine_cases():
+    rng = np.random.default_rng(12)
+    mixed = PerIndex(tuple(PointMass(1.2) if i % 4 == 1 else Cscg(float(v))
+                           for i, v in enumerate(rng.uniform(0.5, 2.0, 9))))
+    return {
+        "uniform": NetworkConfig(n_relays=20, conferencing=Portion(0.3),
+                                 p_s=1.5, p_c=0.8, n_0=0.9, conf_gain=0.7),
+        "gain_matrix": NetworkConfig(n_relays=9, conferencing=Neighbors(3),
+                                     conf_gain=rng.uniform(0.5, 1.5, (9, 3))),
+        "per_index": NetworkConfig(n_relays=9, conferencing=Neighbors(2),
+                                   p_c=2.0, h_dist=mixed, g_dist=Cscg(0.6)),
+        "no_conferencing": NetworkConfig(n_relays=7, conferencing=Neighbors(0),
+                                         g_dist=Cscg(1.7)),
+        "complete": NetworkConfig(n_relays=8, conferencing=Neighbors(7),
+                                  conf_gain=rng.uniform(0.5, 1.5, (8, 7)),
+                                  g_dist=PerIndex(tuple(Cscg(0.5 + 0.2 * i)
+                                                        for i in range(8)))),
+    }
+
+
+ENGINE_CASES = _engine_cases()
 
 
 class TestSeedDerivation:
@@ -90,6 +116,39 @@ class TestRunPoint:
         cfg = NetworkConfig(n_relays=2, conferencing=Neighbors(0))
         with pytest.raises(ConfigurationError):
             run_point(cfg, 0, 0, ("upper",))
+
+
+class TestTrialEngine:
+    @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+    def test_matches_per_realization_functions(self, name):
+        cfg = ENGINE_CASES[name]
+        mom = moments(cfg)
+        got = trial_rates(cfg, mom, 11, 77, SCHEMES)
+        for t in range(11):
+            real = sample_realization(cfg, derive_seed(77, t))
+            want = {"upper": capacity_upper_bound(real, cfg),
+                    "df": df_rate(real, cfg, mom),
+                    "af": af_rate(real, cfg, mom)}
+            for s in SCHEMES:
+                assert math.isclose(got[s][t], want[s], rel_tol=1e-12), (s, t)
+
+    @pytest.mark.parametrize("name", ["uniform", "gain_matrix", "per_index"])
+    def test_block_size_does_not_change_results(self, monkeypatch, name):
+        cfg = ENGINE_CASES[name]
+        mom = moments(cfg)
+        default = montecarlo._BLOCK_ELEMENTS
+        assert default // cfg.n_relays > 23
+        outcomes = []
+        for block in (1, 7, None):
+            budget = default if block is None else block * cfg.n_relays
+            monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", budget)
+            outcomes.append((trial_rates(cfg, mom, 23, 4, SCHEMES),
+                             run_point(cfg, 23, 4, SCHEMES)))
+        (want, point), rest = outcomes[0], outcomes[1:]
+        for got, other in rest:
+            for s in SCHEMES:
+                assert np.array_equal(got[s], want[s])
+                assert other.stats[s] == point.stats[s]
 
 
 class TestSweep:

@@ -31,10 +31,12 @@ from confrelay import (
     df_rate_asymptotic,
     df_relay_rate,
     df_relay_rates,
+    derive_seed,
     moments,
     rate_report,
     sample_realization,
 )
+from confrelay.montecarlo import SCHEMES, trial_rates
 
 REL = 1e-9
 
@@ -45,8 +47,11 @@ def relclose(a, b, tol=REL):
 
 @st.composite
 def random_networks(draw):
+    """A random network and seed; the conferencing gains are either one
+    uniform gain or an (N, M) matrix."""
     n = draw(st.integers(1, 10))
     m = draw(st.integers(0, n - 1))
+    gain = st.floats(0.2, 3.0)
     cfg = NetworkConfig(
         n_relays=n,
         conferencing=Neighbors(m),
@@ -54,12 +59,22 @@ def random_networks(draw):
         p_r=draw(st.floats(0.0, 4.0)),
         p_c=draw(st.floats(0.05, 4.0)),
         n_0=draw(st.floats(0.2, 2.0)),
-        conf_gain=draw(st.floats(0.2, 3.0)),
+        conf_gain=draw(gain | st.lists(gain, min_size=n * m, max_size=n * m)
+                       .map(lambda v: np.reshape(v, (n, m)))),
         h_dist=Cscg(draw(st.floats(0.2, 3.0))),
         g_dist=Cscg(draw(st.floats(0.2, 3.0))),
     )
     seed = draw(st.integers(0, 2 ** 32 - 1))
     return cfg, seed
+
+
+def with_neighbors(cfg, m):
+    """``cfg`` with M = m >= its own M; a gain matrix gets unit gains on the
+    added lags."""
+    gains = cfg.conf_gain
+    if not np.isscalar(gains):
+        gains = np.hstack((gains, np.ones((cfg.n_relays, m - cfg.m_conf))))
+    return replace(cfg, conferencing=Neighbors(m), conf_gain=gains)
 
 
 class TestCapacityUpperBound:
@@ -334,6 +349,22 @@ class TestInvariants:
         assert float(np.min(df_relay_rates(real, cfg, mom))) <= slack
         assert df_rate(real, cfg, mom) <= slack
 
+    @settings(derandomize=True, max_examples=40)
+    @given(random_networks())
+    def test_trial_engine_matches_loop_reference(self, case):
+        cfg, seed = case
+        mom = moments(cfg)
+        got = trial_rates(cfg, mom, 3, seed, SCHEMES)
+        for t in range(3):
+            real = sample_realization(cfg, derive_seed(seed, t))
+            upper = reference.capacity_upper_bound(real, cfg)
+            assert relclose(got["upper"][t], upper, tol=1e-12)
+            assert relclose(got["df"][t], reference.df_rate(real, cfg, mom), tol=1e-12)
+            assert relclose(got["af"][t], reference.af_rate(real, cfg, mom), tol=1e-12)
+            slack = got["upper"][t] * (1 + 1e-9) + 1e-12
+            assert got["af"][t] <= slack
+            assert got["df"][t] <= slack
+
     @settings(derandomize=True, max_examples=30)
     @given(random_networks())
     def test_df_nondecreasing_in_conferencing_power(self, case):
@@ -352,15 +383,15 @@ class TestInvariants:
             return
         mom = moments(cfg)
         real = sample_realization(cfg, seed)
-        wider = replace(cfg, conferencing=Neighbors(cfg.m_conf + 1))
-        assert (df_relay_rates(real, wider, mom)
+        wider = with_neighbors(cfg, cfg.m_conf + 1)
+        assert (df_relay_rates(sample_realization(wider, seed), wider, mom)
                 >= df_relay_rates(real, cfg, mom) - 1e-12).all()
 
     @settings(derandomize=True, max_examples=30)
     @given(random_networks())
     def test_complete_conferencing_factorizations(self, case):
         cfg, seed = case
-        cfg = replace(cfg, conferencing=Neighbors(cfg.n_relays - 1))
+        cfg = with_neighbors(cfg, cfg.n_relays - 1)
         mom = moments(cfg)
         real = sample_realization(cfg, seed)
         q1, q2, q3 = af_q_terms(real, cfg, mom)
