@@ -22,12 +22,14 @@ from .model import (
     ChannelRealization,
     PreconditionError,
     UndefinedRatioError,
+    _from_normals,
+    _normal_count,
+    _seeded_normals,
     moments,
-    sample_channel,
     spec_moments,
 )
-from .montecarlo import derive_seed, trial_rates
-from . import rates
+from .montecarlo import _derive_seeds, trial_rates
+from . import montecarlo, rates
 
 
 @dataclass(frozen=True)
@@ -77,11 +79,13 @@ def lemma1_gap(dist: DistributionSpec, n: int, trials: int, seed: int) -> float:
         raise ValueError("n and trials must both be >= 1")
     m2, _ = spec_moments(dist, n)
     expected = math.log1p(float(np.sum(m2))) / math.log(2.0)
+    count = _normal_count(dist, n)
+    block = max(1, montecarlo._BLOCK_ELEMENTS // n)
     total = 0.0
-    for t in range(trials):
-        rng = np.random.default_rng(derive_seed(seed, t))
-        x = np.abs(sample_channel(dist, n, rng)) ** 2
-        total += abs(math.log1p(float(np.sum(x))) / math.log(2.0) - expected)
+    for lo in range(0, trials, block):
+        z = _seeded_normals(_derive_seeds(seed, lo, min(lo + block, trials)), count)
+        for x in np.abs(_from_normals(dist, n, z)) ** 2:
+            total += abs(math.log1p(float(np.sum(x))) / math.log(2.0) - expected)
     return total / trials
 
 

@@ -25,6 +25,7 @@ inputs reproduces it exactly, regardless of ``--workers``.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -379,7 +380,10 @@ def _parse_axis(text: str, integral: bool) -> tuple:
     return tuple(values)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call
+    of :func:`main` (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="confrelay",
         description="Rate simulator for two-hop relay networks with "
@@ -407,7 +411,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if name == "oracle":
             sp.add_argument("--draws", type=int, default=100_000,
                             help="symbol draws for the oracle")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         axis = None
         if getattr(args, "axis", None) is not None:

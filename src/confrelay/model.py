@@ -15,6 +15,14 @@ sample estimates.
 Everything here is immutable after construction and
 :func:`sample_realization` is a pure function of ``(config, seed)``, so all
 objects can be shared freely across threads.
+
+The realization for ``seed`` is the one ``np.random.default_rng(seed mod 2**64)``
+draws, first-hop gains before second-hop gains.  :func:`sample_realizations`
+reproduces those draws for a block of seeds without building a generator per
+seed: it runs NumPy's SeedSequence hash and PCG64 seeding over all seeds at
+once and reseeds one generator per row.  This relies on NumPy's fixed
+SeedSequence/PCG64 seeding algorithm, which the tests check against
+``default_rng`` seed by seed.
 """
 
 from __future__ import annotations
@@ -391,6 +399,98 @@ class ChannelRealization:
         return len(self.h)
 
 
+# ---------------------------------------------------------------------------
+# Seeded standard normals
+# ---------------------------------------------------------------------------
+
+def _hash_steps(init: int, mult: int, count: int) -> list[tuple[int, int]]:
+    """(xor, multiplier) pairs of ``count`` successive SeedSequence hash steps;
+    the running hash constant starts at ``init`` and is multiplied by ``mult``
+    between the xor and the multiply of each step."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return list(zip(consts[:-1], consts[1:]))
+
+
+def _columns(steps: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Xors and multipliers of ``steps`` as (len(steps), 1) uint32 columns."""
+    xor, mul = zip(*steps)
+    return np.array(xor, np.uint32)[:, None], np.array(mul, np.uint32)[:, None]
+
+
+# NumPy's SeedSequence over its pool of 4 words.  Hash steps 0-3 fill the pool
+# and steps 4-15 mix each source word s into the other words in index order;
+# _MIX_HASH[s] lists the steps for words s+1, s+2, s+3 (mod 4), the order in
+# which a pool rotated to put word s first holds them.  8 steps of a second
+# hash draw the output words.
+_POOL_HASH = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+_FILL_HASH = _columns(_POOL_HASH[:4])
+_MIX_HASH = tuple(
+    _columns([_POOL_HASH[4 + 3 * s + d - (d > s)]
+              for d in ((s + 1) % 4, (s + 2) % 4, (s + 3) % 4)])
+    for s in range(4))
+_OUT_HASH = _columns(_hash_steps(0x8B51F9DD, 0x58F38DED, 8))
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ (v >> _SHIFT)
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) that ``np.random.PCG64(seed)`` starts from, per uint64 seed."""
+    # The entropy is the seed's low and high 32-bit words; the rest of the
+    # pool hashes zeros.
+    pool = np.zeros((4, len(seeds)), np.uint32)
+    pool[0] = seeds & np.uint64(0xFFFFFFFF)
+    pool[1] = seeds >> np.uint64(32)
+    pool = _hashmix(pool, *_FILL_HASH)
+    for xor, mul in _MIX_HASH:
+        # Mix the first word into the other three, then rotate the next source
+        # word to the front; four steps restore index order.
+        x = _MIX_L * pool[1:] - _MIX_R * _hashmix(pool[0], xor, mul)
+        pool = np.concatenate((x ^ (x >> _SHIFT), pool[:1]))
+    out = _hashmix(np.concatenate((pool, pool)), *_OUT_HASH).astype(np.uint64)
+    # Little-endian pairs of output words give PCG64's four 64-bit seed words:
+    # the initial state w0:w1 and the stream w2:w3, applied by two LCG steps
+    # from state 0.
+    states = []
+    for w0, w1, w2, w3 in (out[0::2] | out[1::2] << np.uint64(32)).T.tolist():
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        states.append(((((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _seeded_normals(seeds: Sequence[int], count: int) -> np.ndarray:
+    """(len(seeds), count) standard normals whose row ``r`` equals
+    ``np.random.default_rng(int(seeds[r]) & MASK64).standard_normal(count)``.
+
+    The SeedSequence hash and the PCG64 seeding run over all seeds at once,
+    and one generator draws every row from its reseeded state.
+    """
+    z = np.empty((len(seeds), count))
+    if not z.size:
+        return z
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        words = seeds
+    else:
+        words = np.array([int(s) & MASK64 for s in seeds], dtype=np.uint64)
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    for row, (s, inc) in zip(z, _pcg64_states(words)):
+        state["state"] = {"state": s, "inc": inc}
+        bitgen.state = state
+        gen.standard_normal(out=row)
+    return z
+
+
 def sample_realizations(config: NetworkConfig,
                         seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """First- and second-hop gains of one realization per seed, as (len(seeds), N)
@@ -398,10 +498,7 @@ def sample_realizations(config: NetworkConfig,
     ``seeds[r]``."""
     n = config.n_relays
     count_h = _normal_count(config.h_dist, n)
-    z = np.empty((len(seeds), count_h + _normal_count(config.g_dist, n)))
-    if z.shape[1]:
-        for row, seed in zip(z, seeds):
-            np.random.default_rng(int(seed) & MASK64).standard_normal(out=row)
+    z = _seeded_normals(seeds, count_h + _normal_count(config.g_dist, n))
     return (_from_normals(config.h_dist, n, z[:, :count_h]),
             _from_normals(config.g_dist, n, z[:, count_h:]))
 

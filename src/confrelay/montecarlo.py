@@ -69,6 +69,19 @@ def derive_seed(base_seed: int, trial: int) -> int:
     return z
 
 
+def _derive_seeds(base_seed: int, lo: int, hi: int) -> np.ndarray:
+    """``derive_seed(base_seed, t)`` for every trial ``lo <= t < hi``, as a
+    uint64 array; the array arithmetic wraps modulo 2**64 like the masks."""
+    z = (np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+         + np.uint64(int(base_seed) & MASK64))
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 # ---------------------------------------------------------------------------
 # Point and sweep execution
 # ---------------------------------------------------------------------------
@@ -170,8 +183,8 @@ def trial_rates(cfg: NetworkConfig, mom: MomentSet, trials: int, base_seed: int,
     block = max(1, _BLOCK_ELEMENTS // cfg.n_relays)
     for lo in range(0, trials, block):
         hi = min(lo + block, trials)
-        seeds = [derive_seed(base_seed, t) for t in range(lo, hi)]
-        h2, g2 = (np.abs(x) ** 2 for x in sample_realizations(cfg, seeds))
+        h2, g2 = (np.abs(x) ** 2 for x in
+                  sample_realizations(cfg, _derive_seeds(base_seed, lo, hi)))
         for s, kernel in kernels.items():
             values[s][lo:hi] = kernel(h2, g2)
     return values

@@ -106,8 +106,13 @@ def _lag_weights(term: Callable, m2_sender: np.ndarray, f, m: int):
         return None
     if np.isscalar(f):
         return term(m2_sender, f ** 2)
-    return np.stack([term(np.roll(m2_sender, k), np.roll(f[:, k - 1], k) ** 2)
-                     for k in range(1, m + 1)])
+    # Receiver i of lag k reads sender (i - k) mod n: entry n - k + i of the
+    # sender arrays repeated twice.
+    n = len(m2_sender)
+    lag = np.arange(1, m + 1)[:, None]
+    sender = n - lag + np.arange(n)
+    return term(np.concatenate((m2_sender, m2_sender))[sender],
+                np.concatenate((f, f))[sender, lag - 1] ** 2)
 
 
 def _lagged(w, v: np.ndarray, m: int) -> np.ndarray:
@@ -116,9 +121,11 @@ def _lagged(w, v: np.ndarray, m: int) -> np.ndarray:
         return np.zeros(v.shape)
     if w.ndim == 1:
         return _win_back(w * v, 1, m)
-    out = w[0] * np.roll(v, 1, axis=-1)
+    n = v.shape[-1]
+    vv = np.concatenate((v, v), axis=-1)
+    out = w[0] * vv[..., n - 1:2 * n - 1]
     for k in range(2, m + 1):
-        out += w[k - 1] * np.roll(v, k, axis=-1)
+        out += w[k - 1] * vv[..., n - k:2 * n - k]
     return out
 
 

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from confrelay import Cscg, PointMass, mod_index
+from confrelay import Cscg, PointMass, derive_seed, mod_index
+from confrelay.model import spec_moments
 
 
 def sample_channel(spec, n, rng):
@@ -28,6 +29,31 @@ def sample_channel(spec, n, rng):
     for i, s in enumerate(spec.specs):
         out[i] = sample_channel(s, 1, rng)[0]
     return out
+
+
+def sample_realizations(cfg, seeds):
+    """One generator per seed: ``default_rng(seed mod 2**64)`` draws the
+    first-hop gains, then the second-hop gains."""
+    n = cfg.n_relays
+    h = np.empty((len(seeds), n), dtype=complex)
+    g = np.empty((len(seeds), n), dtype=complex)
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        h[r] = sample_channel(cfg.h_dist, n, rng)
+        g[r] = sample_channel(cfg.g_dist, n, rng)
+    return h, g
+
+
+def lemma1_gap(dist, n, trials, seed) -> float:
+    """Per-trial generator loop: trial t draws from default_rng(derive_seed(seed, t))."""
+    m2, _ = spec_moments(dist, n)
+    expected = math.log1p(float(np.sum(m2))) / math.log(2.0)
+    total = 0.0
+    for t in range(trials):
+        rng = np.random.default_rng(derive_seed(seed, t))
+        x = np.abs(sample_channel(dist, n, rng)) ** 2
+        total += abs(math.log1p(float(np.sum(x))) / math.log(2.0) - expected)
+    return total / trials
 
 
 def pair_gain(f, sender: int, k: int) -> float:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import reference
+
 from confrelay import (
     ConferencingNoiseRatio,
     Cscg,
@@ -22,6 +24,7 @@ from confrelay import (
     sample_realization,
     scaling_fit,
 )
+from confrelay import montecarlo
 from confrelay.model import ChannelRealization
 
 
@@ -37,6 +40,19 @@ class TestLemma1Gap:
     def test_single_trial_finite(self):
         gap = lemma1_gap(Cscg(0.5), 3, 1, 0)
         assert gap >= 0.0 and math.isfinite(gap)
+
+    @pytest.mark.parametrize("dist,n,trials,seed", [
+        (Cscg(1.0), 10, 40, 17),
+        (Cscg(0.5), 3, 1, 0),
+        (PerIndex((Cscg(1.0), PointMass(2), Cscg(3.0))), 3, 25, 2 ** 64 - 1),
+    ])
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_equals_per_trial_generator_loop(self, monkeypatch, dist, n, trials,
+                                             seed, block):
+        if block is not None:
+            monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", block * n)
+        assert lemma1_gap(dist, n, trials, seed) == reference.lemma1_gap(
+            dist, n, trials, seed)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

@@ -149,6 +149,15 @@ class TestCsvOutput:
                      "--out", str(out2), "--workers", "4"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_repeated_calls_see_only_their_own_overrides(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", FIXTURE_CFG)
+        assert main(["single", "--config", cfg, "--set", "trials=7"]) == 0
+        first = capsys.readouterr().out.splitlines()[1].split(",")
+        assert main(["single", "--config", cfg, "--set", "seed=5"]) == 0
+        second = capsys.readouterr().out.splitlines()[1].split(",")
+        assert (first[9], first[10]) == ("7", "0")
+        assert (second[9], second[10]) == ("3", "5")
+
     def test_sweep_points_keep_bound_on_top(self, tmp_path, capsys):
         # Achievable schemes never beat the bound at any sweep point.
         cfg = write(tmp_path, "c.cfg", "N=10\np=0.2\ntrials=50\n")

@@ -20,6 +20,7 @@ from confrelay import (
     sample_channel,
     sample_realization,
 )
+from confrelay.model import MASK64, _seeded_normals, sample_realizations
 
 
 class TestConferencingSize:
@@ -179,6 +180,48 @@ class TestSampling:
             rng = np.random.default_rng(seed)
             assert np.array_equal(real.h, reference.sample_channel(h_dist, 3, rng))
             assert np.array_equal(real.g, reference.sample_channel(Cscg(2.0), 3, rng))
+
+
+class TestSeededNormals:
+    EDGE_SEEDS = [0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1,
+                  -1, -(2 ** 40) - 3, 2 ** 64, 2 ** 70 + 5, 3 * 2 ** 96 + 17]
+
+    @staticmethod
+    def _want(seeds, count):
+        return np.array([np.random.default_rng(int(s) & MASK64).standard_normal(count)
+                         for s in seeds]).reshape(len(seeds), count)
+
+    def test_rows_equal_one_generator_per_seed(self):
+        rng = np.random.default_rng(2024)
+        seeds = (self.EDGE_SEEDS
+                 + [int(s) for s in rng.integers(0, 2 ** 32, 150)]
+                 + [int(s) for s in rng.integers(0, 2 ** 64, 250, dtype=np.uint64)])
+        assert np.array_equal(_seeded_normals(seeds, 5), self._want(seeds, 5))
+
+    def test_uint64_array_seeds(self):
+        seeds = np.array([s & MASK64 for s in self.EDGE_SEEDS], dtype=np.uint64)
+        assert np.array_equal(_seeded_normals(seeds, 3), self._want(self.EDGE_SEEDS, 3))
+
+    def test_single_seed_and_empty_shapes(self):
+        assert np.array_equal(_seeded_normals([2 ** 64 - 1], 9),
+                              self._want([2 ** 64 - 1], 9))
+        assert _seeded_normals([1, 2], 0).shape == (2, 0)
+        assert _seeded_normals([], 4).shape == (0, 4)
+
+    @pytest.mark.parametrize("h_dist,g_dist", [
+        (Cscg(1.3), Cscg(0.4)),
+        (PointMass(0.6 + 0.8j), Cscg(2.0)),
+        (PerIndex((Cscg(1.0), PointMass(2), Cscg(0.5), PointMass(1j), Cscg(3.0))),
+         PerIndex((PointMass(-1), Cscg(0.7), Cscg(1.1), Cscg(0.2), PointMass(1)))),
+        (PointMass(1), PointMass(2j)),
+    ], ids=["cscg", "point_mass_h", "per_index_mixed", "point_mass_both"])
+    @pytest.mark.parametrize("seeds", [[12345], [0, 2 ** 64 - 1, 7, 2 ** 32, -1]],
+                             ids=["one", "block"])
+    def test_realizations_equal_per_seed_reference(self, h_dist, g_dist, seeds):
+        cfg = NetworkConfig(n_relays=5, conferencing=Neighbors(1),
+                            h_dist=h_dist, g_dist=g_dist)
+        got, want = sample_realizations(cfg, seeds), reference.sample_realizations(cfg, seeds)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestConfigValidation:

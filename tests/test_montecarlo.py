@@ -71,6 +71,13 @@ class TestSeedDerivation:
             assert 0 <= s < 2 ** 64
 
 
+    @pytest.mark.parametrize("base", [0, 1, 12345, 2 ** 63, 2 ** 64 - 1])
+    def test_block_derivation_matches_scalar(self, base):
+        for lo, hi in ((0, 60), (1000, 1013), (7, 8)):
+            assert (montecarlo._derive_seeds(base, lo, hi).tolist()
+                    == [derive_seed(base, t) for t in range(lo, hi)])
+
+
 class TestRunPoint:
     def test_point_mass_mean_equals_single_shot(self, two_relay_point_mass):
         cfg, mom, real = two_relay_point_mass
