@@ -173,17 +173,16 @@ def convergence_trace(scheme: str, template: ConfigSource,
 
 def conferencing_noise_ratio(real: ChannelRealization, cfg: NetworkConfig,
                              mom: MomentSet) -> ConferencingNoiseRatio:
-    """Share q3/q2 of conferencing noise relative to forwarded receiver noise.
+    """Share q3/q2 of conferencing noise relative to forwarded receiver noise,
+    with the conferencing gains of ``cfg``.
 
     Decays as the network grows, which is why low-power conferencing links
     suffice in large networks.
     """
     if cfg.m_conf < 1:
         raise PreconditionError("noise ratio requires at least one conferencing neighbor")
-    q1, q2, q3 = rates.af_q_terms(real, cfg, mom)
-    del q1
+    _, q2, q3 = rates.af_q_terms(real, cfg, mom)
     if q2 == 0.0:
         raise UndefinedRatioError("q2 is zero; the noise ratio is undefined")
-    eq1, eq2, eq3 = rates.af_expected_q_terms(cfg, mom)
-    del eq1
+    _, eq2, eq3 = rates.af_expected_q_terms(cfg, mom)
     return ConferencingNoiseRatio(realized=q3 / q2, expected=eq3 / eq2)

@@ -18,8 +18,8 @@ h_dist=g_dist=cscg:1.0, schemes=af,df,upper.  Distributions are written
 e.g. ``1`` or ``0.6+0.8j``).
 
 All output is CSV and byte-stable: rerunning the same command with the same
-inputs reproduces it exactly, regardless of ``--workers``.  Exit codes:
-0 success, 2 configuration error, 3 runtime precondition error.
+inputs reproduces it exactly.  Exit codes: 0 success, 2 configuration error,
+3 runtime precondition error.
 """
 
 from __future__ import annotations
@@ -46,16 +46,15 @@ from .model import (
 )
 from .montecarlo import (
     SCHEMES,
-    SweepPoint,
     SweepResult,
     SweepSpec,
     analytic_af_sinr,
     analytic_df_mac_snr,
     derive_seed,
-    run_point,
     signal_oracle_af,
     signal_oracle_df_mac,
     sweep,
+    sweep_point,
 )
 from .asymptotics import scaling_fit, trace_points
 
@@ -81,15 +80,13 @@ class RunParams:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """One fully parsed invocation; ``workers`` is accepted for compatibility
-    and ignored."""
+    """One fully parsed invocation."""
 
     command: str
     config_path: str
     overrides: tuple = ()
     output_path: Optional[str] = None
     axis: Optional[tuple] = None
-    workers: int = 1
     draws: int = 100_000
 
 
@@ -243,11 +240,7 @@ def emit_csv(result: SweepResult, sink) -> None:
 
 def _single_result(cfg: NetworkConfig, params: RunParams) -> SweepResult:
     """Wrap one run_point as a one-entry sweep for uniform CSV emission."""
-    res = run_point(cfg, params.trials, params.seed, params.schemes)
-    pc_db = 10.0 * math.log10(cfg.p_c / cfg.n_0) if cfg.p_c > 0 else -math.inf
-    point = SweepPoint(axis_value=0.0, n_relays=cfg.n_relays, m_conf=cfg.m_conf,
-                       p_effective=cfg.p_effective, pc_over_n0_db=pc_db,
-                       result=res)
+    point = sweep_point(cfg, 0.0, params.trials, params.seed, params.schemes)
     return SweepResult(axis="single", points=(point,), trials=params.trials,
                        base_seed=params.seed)
 
@@ -430,7 +423,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         overrides=tuple(args.overrides),
         output_path=args.out,
         axis=axis,
-        workers=max(1, args.workers),
         draws=getattr(args, "draws", 100_000),
     )
     return dispatch(manifest)

@@ -4,7 +4,8 @@ A single source talks to a single destination through ``n_relays`` half-duplex
 relays; there is no direct source-destination link.  Relays are indexed
 ``0 .. n_relays - 1`` and all neighbor arithmetic wraps cyclically: relay
 ``i`` forwards its first-hop observation to relays ``i+1, ..., i+M`` (mod N)
-over out-of-band conferencing links with fixed positive gains.
+over out-of-band conferencing links with fixed positive gains.  These do not
+fade: they are stored only in the configuration (``NetworkConfig.conf_gain``).
 
 Receivers on the first hop, the conferencing links, and the second hop all see
 additive circularly symmetric complex Gaussian noise at the same spectral
@@ -360,15 +361,16 @@ def moments(config: NetworkConfig) -> MomentSet:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """One draw of all fading coefficients plus the fixed conferencing gains.
+    """One draw of the fading coefficients.
 
-    ``h[i]`` is the source-to-relay gain, ``g[i]`` the relay-to-destination
-    gain, and ``f`` follows the :class:`NetworkConfig.conf_gain` convention.
+    ``h[i]`` is the source-to-relay gain and ``g[i]`` the relay-to-destination
+    gain.  The conferencing links do not fade: their gains are read from
+    :attr:`NetworkConfig.conf_gain` of the configuration a realization is
+    evaluated under.
     """
 
     h: np.ndarray
     g: np.ndarray
-    f: Union[float, np.ndarray]
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=complex)
@@ -379,20 +381,6 @@ class ChannelRealization:
         g.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g", g)
-        if np.isscalar(self.f):
-            if not 0.0 < self.f < math.inf:
-                raise ConfigurationError("conferencing gain must be finite and positive")
-            object.__setattr__(self, "f", float(self.f))
-        else:
-            f = np.asarray(self.f, dtype=float)
-            if (f.ndim != 2 or f.shape[0] != len(h)
-                    or not np.all((f > 0) & np.isfinite(f))):
-                raise ConfigurationError(
-                    "conferencing gain array must be (N, M) with finite "
-                    "positive entries"
-                )
-            f.flags.writeable = False
-            object.__setattr__(self, "f", f)
 
     @property
     def n(self) -> int:
@@ -507,8 +495,7 @@ def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:
     """Deterministically draw one channel realization.
 
     The generator is seeded with the 64-bit value of ``seed``; the first-hop
-    gains are drawn before the second-hop gains, and conferencing gains are
-    copied from the configuration (they are deterministic constants).
+    gains are drawn before the second-hop gains.
     """
     h, g = sample_realizations(config, (seed,))
-    return ChannelRealization(h=h[0], g=g[0], f=config.conf_gain)
+    return ChannelRealization(h=h[0], g=g[0])

@@ -7,9 +7,10 @@ trial ``t`` is seeded with ``derive_seed(base_seed, t)``, a SplitMix64-style
 mixer, so which realization a trial sees never depends on how trials are
 grouped: per-trial rates land in an index-addressed array and the aggregation
 always reads that array in index order.  Trials are evaluated in one thread,
-in blocks whose size follows from the network size alone; the ``workers``
-argument of :func:`run_point` and :func:`sweep` is accepted for compatibility
-and is ignored.
+in blocks whose size follows from the network size alone.
+
+A realization carries only the fading gains ``h`` and ``g``; every rate and
+oracle reads the conferencing gains from the configuration it is given.
 
 The signal-level oracles validate the closed-form SINR expressions without
 using them: they push unit-power symbols and freshly drawn receiver,
@@ -34,13 +35,12 @@ from .model import (
     MomentSet,
     NetworkConfig,
     Portion,
-    PreconditionError,
     moments,
     sample_realizations,
 )
 from . import rates
 
-SCHEMES = ("af", "df", "upper")
+SCHEMES = rates.SCHEMES
 AXES = ("n_relays", "portion", "conf_snr_db")
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -159,16 +159,6 @@ class SweepResult:
     base_seed: int
 
 
-def scheme_precondition_error(cfg: NetworkConfig, scheme: str) -> Optional[str]:
-    """Reason the scheme cannot run under ``cfg``, or None."""
-    if scheme not in SCHEMES:
-        return f"unknown scheme {scheme!r}"
-    if scheme in ("af", "df") and cfg.m_conf >= 1 and cfg.p_c == 0:
-        return (f"scheme {scheme!r} needs p_c > 0 when conferencing is "
-                f"enabled (M = {cfg.m_conf})")
-    return None
-
-
 def trial_rates(cfg: NetworkConfig, mom: MomentSet, trials: int, base_seed: int,
                 schemes: Sequence[str]) -> dict:
     """Rate of each scheme in every trial, as one float64[trials] array per scheme.
@@ -191,24 +181,17 @@ def trial_rates(cfg: NetworkConfig, mom: MomentSet, trials: int, base_seed: int,
 
 
 def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
-              schemes: Sequence[str] = SCHEMES, workers: int = 1) -> PointResult:
+              schemes: Sequence[str] = SCHEMES) -> PointResult:
     """Monte Carlo statistics of the requested schemes at one configuration.
 
-    Scheme precondition failures are reported in ``errors`` and do not stop
-    the remaining schemes.  ``workers`` is accepted for compatibility and is
-    ignored.
+    Scheme precondition failures (:func:`rates.scheme_precondition_error`)
+    are reported in ``errors`` and do not stop the remaining schemes.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    requested = tuple(sorted(set(schemes)))
-    errors = {}
-    runnable = []
-    for s in requested:
-        msg = scheme_precondition_error(cfg, s)
-        if msg is None:
-            runnable.append(s)
-        else:
-            errors[s] = msg
+    reasons = {s: rates.scheme_precondition_error(cfg, s) for s in sorted(set(schemes))}
+    errors = {s: msg for s, msg in reasons.items() if msg is not None}
+    runnable = [s for s, msg in reasons.items() if msg is None]
     stats = {}
     if runnable:
         values = trial_rates(cfg, moments(cfg), trials, base_seed, runnable)
@@ -240,26 +223,22 @@ def apply_axis(base: NetworkConfig, axis: str, value: float) -> NetworkConfig:
     raise ConfigurationError(f"unknown sweep axis {axis!r}")
 
 
-def sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Run one point per axis value; all points share the same base seed.
+def sweep_point(cfg: NetworkConfig, axis_value: float, trials: int,
+                base_seed: int, schemes: Sequence[str]) -> SweepPoint:
+    """Run one point and record its resolved parameters."""
+    pc_db = 10.0 * math.log10(cfg.p_c / cfg.n_0) if cfg.p_c > 0 else -math.inf
+    return SweepPoint(axis_value=axis_value, n_relays=cfg.n_relays,
+                      m_conf=cfg.m_conf, p_effective=cfg.p_effective,
+                      pc_over_n0_db=pc_db,
+                      result=run_point(cfg, trials, base_seed, schemes))
 
-    ``workers`` is accepted for compatibility and is ignored.
-    """
-    points = []
-    for v in spec.values:
-        cfg = apply_axis(spec.base, spec.axis, v)
-        result = run_point(cfg, spec.trials, spec.base_seed, spec.schemes, workers)
-        pc_db = (10.0 * math.log10(cfg.p_c / cfg.n_0)
-                 if cfg.p_c > 0 else -math.inf)
-        points.append(SweepPoint(
-            axis_value=v,
-            n_relays=cfg.n_relays,
-            m_conf=cfg.m_conf,
-            p_effective=cfg.p_effective,
-            pc_over_n0_db=pc_db,
-            result=result,
-        ))
-    return SweepResult(axis=spec.axis, points=tuple(points),
+
+def sweep(spec: SweepSpec) -> SweepResult:
+    """Run one point per axis value; all points share the same base seed."""
+    points = tuple(sweep_point(apply_axis(spec.base, spec.axis, v), v,
+                               spec.trials, spec.base_seed, spec.schemes)
+                   for v in spec.values)
+    return SweepResult(axis=spec.axis, points=points,
                        trials=spec.trials, base_seed=spec.base_seed)
 
 
@@ -292,7 +271,8 @@ def _af_destination(real: ChannelRealization, cfg: NetworkConfig,
     combined = np.conj(real.h)[None, :] * first_hop
     for k in range(1, m + 1):
         m2_sender = np.roll(mom.m2_h, k)
-        f_link = real.f if np.isscalar(real.f) else np.roll(real.f[:, k - 1], k)
+        f_link = (cfg.conf_gain if np.isscalar(cfg.conf_gain)
+                  else np.roll(cfg.conf_gain[:, k - 1], k))
         tx_scale = np.sqrt(cfg.p_c / (cfg.p_s * m2_sender + cfg.n_0))
         conf_rx = tx_scale * f_link * np.roll(first_hop, k, axis=1) + conf_noise[:, :, k - 1]
         undo = np.sqrt((cfg.p_s * m2_sender + cfg.n_0) / cfg.p_c) / f_link
@@ -308,13 +288,11 @@ def signal_oracle_af(real: ChannelRealization, cfg: NetworkConfig,
 
     ``noise_n0`` overrides the power of the drawn noise only (the chain's
     normalization constants keep using the configured level); passing 0
-    exercises the infinite-SINR guard.
+    exercises the infinite-SINR guard.  Without conferencing power the AF
+    power factors raise :class:`PreconditionError`.
     """
     if symbol_trials < 1:
         raise ConfigurationError("symbol_trials must be >= 1")
-    if cfg.m_conf >= 1 and cfg.p_c == 0:
-        raise PreconditionError(
-            "AF oracle needs p_c > 0 when conferencing is enabled")
     n = cfg.n_relays
     m = cfg.m_conf
     level = cfg.n_0 if noise_n0 is None else float(noise_n0)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -129,14 +129,6 @@ def _lagged(w, v: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _require_conferencing_power(cfg: NetworkConfig):
-    if cfg.m_conf >= 1 and cfg.p_c == 0:
-        raise PreconditionError(
-            f"M = {cfg.m_conf} conferencing neighbors configured but p_c = 0; "
-            "conferencing-based combining is undefined without link power"
-        )
-
-
 def _rate(snr):
     """Half-duplex Gaussian rate 0.5*log2(1 + snr), elementwise."""
     return 0.5 * np.log1p(snr) / LOG2
@@ -168,7 +160,7 @@ def capacity_upper_asymptotic(cfg: NetworkConfig, mom: MomentSet) -> float:
 # Decode-and-forward
 # ---------------------------------------------------------------------------
 
-def _df_fractions(cfg: NetworkConfig, mom: MomentSet, f):
+def _df_fractions(cfg: NetworkConfig, mom: MomentSet):
     """SNR fraction g_j*f^2 / (g_j*f^2 + 1) a conferenced copy keeps.
 
     The copy of the source symbol relayed from j = i-k arrives at relay i
@@ -176,12 +168,12 @@ def _df_fractions(cfg: NetworkConfig, mom: MomentSet, f):
     g_j = p_c / (p_s*E|h_j|^2 + n_0) is the conferencing transmit
     normalization of the sending relay.
     """
-    _require_conferencing_power(cfg)
+    _require_scheme(cfg, "df")
 
     def fraction(m2, f2):
         gf2 = cfg.p_c / (cfg.p_s * m2 + cfg.n_0) * f2
         return gf2 / (gf2 + 1.0)
-    return _lag_weights(fraction, mom.m2_h, f, cfg.m_conf)
+    return _lag_weights(fraction, mom.m2_h, cfg.conf_gain, cfg.m_conf)
 
 
 def _df_relay_rates(h2: np.ndarray, cfg: NetworkConfig, frac) -> np.ndarray:
@@ -216,13 +208,7 @@ def _df_rates(h2: np.ndarray, g2: np.ndarray, cfg: NetworkConfig, frac,
 def df_relay_rates(real: ChannelRealization, cfg: NetworkConfig,
                    mom: MomentSet) -> np.ndarray:
     """First-hop decoding rate supported at every relay."""
-    return _df_relay_rates(_abs2(real.h), cfg, _df_fractions(cfg, mom, real.f))
-
-
-def df_relay_rate(i: int, real: ChannelRealization, cfg: NetworkConfig,
-                  mom: MomentSet) -> float:
-    """First-hop decoding rate supported at relay ``i``."""
-    return float(df_relay_rates(real, cfg, mom)[i])
+    return _df_relay_rates(_abs2(real.h), cfg, _df_fractions(cfg, mom))
 
 
 def df_mac_gain(real: ChannelRealization, cfg: NetworkConfig,
@@ -241,32 +227,28 @@ def df_rate(real: ChannelRealization, cfg: NetworkConfig, mom: MomentSet) -> flo
     """DF rate: every relay must decode, so the minimum relay rate and the
     second-hop rate both bound it."""
     return float(_df_rates(_abs2(real.h), _abs2(real.g), cfg,
-                           _df_fractions(cfg, mom, real.f), _mac_weights(cfg, mom)))
+                           _df_fractions(cfg, mom), _mac_weights(cfg, mom)))
 
 
 def df_rates_asymptotic(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
-    """Moment form of every relay's first-hop rate (concentration target)."""
-    return _df_relay_rates(mom.m2_h, cfg, _df_fractions(cfg, mom, cfg.conf_gain))
+    """Moment form of every relay's first-hop rate (concentration target).
 
-
-def df_rate_asymptotic(cfg: NetworkConfig, mom: MomentSet, i: int) -> float:
-    """Moment form of relay ``i``'s first-hop rate.
-
-    Equals 0.5*log2(1 + (M+1)*(p_s/n_0)*mu) where mu averages the direct
-    second moment and the conferencing SNR fractions over the neighborhood.
+    Entry i equals 0.5*log2(1 + (M+1)*(p_s/n_0)*mu_i) where mu_i averages the
+    direct second moment and the conferencing SNR fractions over relay i's
+    neighborhood.
     """
-    return float(df_rates_asymptotic(cfg, mom)[i])
+    return _df_relay_rates(mom.m2_h, cfg, _df_fractions(cfg, mom))
 
 
 # ---------------------------------------------------------------------------
 # Amplify-and-forward
 # ---------------------------------------------------------------------------
 
-def _q3_weights(cfg: NetworkConfig, mom: MomentSet, f):
+def _q3_weights(cfg: NetworkConfig, mom: MomentSet):
     """(p_s*E|h_j|^2 + n_0) / (p_c*f^2): conferencing noise power forwarded
     per unit |h_j|^2 over the link from sender j."""
     return _lag_weights(lambda m2, f2: (cfg.p_s * m2 + cfg.n_0) / (cfg.p_c * f2),
-                        mom.m2_h, f, cfg.m_conf)
+                        mom.m2_h, cfg.conf_gain, cfg.m_conf)
 
 
 def af_power_factors(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
@@ -282,20 +264,15 @@ def af_power_factors(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
     with k ranging over the conferencing window 0..M and the squared-sum
     expectation expanded through independence of the per-index draws.
     """
-    _require_conferencing_power(cfg)
+    _require_scheme(cfg, "af")
     m = cfg.m_conf
     win2 = _win_back(mom.m2_h, 0, m)
     win4 = _win_back(mom.m4_h, 0, m)
     win2sq = _win_back(mom.m2_h ** 2, 0, m)
     mean_square = win4 + win2 * win2 - win2sq
-    conf = _lagged(_q3_weights(cfg, mom, cfg.conf_gain), mom.m2_h, m)
+    conf = _lagged(_q3_weights(cfg, mom), mom.m2_h, m)
     bracket = cfg.p_s * mean_square + win2 + conf
     return 1.0 / np.sqrt(mom.m2_g * bracket)
-
-
-def af_power_factor(i: int, cfg: NetworkConfig, mom: MomentSet) -> float:
-    """Power control factor of relay ``i``."""
-    return float(af_power_factors(cfg, mom)[i])
 
 
 def _af_q_terms(h2: np.ndarray, g2: np.ndarray, m: int, a: np.ndarray, q3w):
@@ -316,8 +293,8 @@ def _af_rates(h2: np.ndarray, g2: np.ndarray, cfg: NetworkConfig,
     return _rate(_af_sinr(*_af_q_terms(h2, g2, cfg.m_conf, a, q3w), cfg))
 
 
-def _af_invariants(cfg: NetworkConfig, mom: MomentSet, f):
-    return af_power_factors(cfg, mom), _q3_weights(cfg, mom, f)
+def _af_invariants(cfg: NetworkConfig, mom: MomentSet):
+    return af_power_factors(cfg, mom), _q3_weights(cfg, mom)
 
 
 def af_q_terms(real: ChannelRealization, cfg: NetworkConfig,
@@ -329,7 +306,7 @@ def af_q_terms(real: ChannelRealization, cfg: NetworkConfig,
     conferencing.
     """
     q = _af_q_terms(_abs2(real.h), _abs2(real.g), cfg.m_conf,
-                    *_af_invariants(cfg, mom, real.f))
+                    *_af_invariants(cfg, mom))
     return tuple(float(x) for x in q)
 
 
@@ -341,7 +318,7 @@ def af_sinr(real: ChannelRealization, cfg: NetworkConfig, mom: MomentSet) -> flo
 def af_rate(real: ChannelRealization, cfg: NetworkConfig, mom: MomentSet) -> float:
     """AF rate 0.5*log2(1 + SINR) for one realization."""
     return float(_af_rates(_abs2(real.h), _abs2(real.g), cfg,
-                           *_af_invariants(cfg, mom, real.f)))
+                           *_af_invariants(cfg, mom)))
 
 
 def af_expected_q_terms(cfg: NetworkConfig,
@@ -352,7 +329,7 @@ def af_expected_q_terms(cfg: NetworkConfig,
     second-hop draws into fourth-moment diagonal terms plus second-moment
     cross terms.
     """
-    a, q3w = _af_invariants(cfg, mom, cfg.conf_gain)
+    a, q3w = _af_invariants(cfg, mom)
     m = cfg.m_conf
     eq1 = float(np.sum(a * mom.m2_g * _win_back(mom.m2_h, 0, m)))
     lin = _win_fwd(a * mom.m2_g, 0, m)
@@ -397,6 +374,26 @@ def af_rate_asymptotic(cfg: NetworkConfig, mom: MomentSet) -> float:
 # All schemes
 # ---------------------------------------------------------------------------
 
+SCHEMES = ("af", "df", "upper")
+
+
+def scheme_precondition_error(cfg: NetworkConfig, scheme: str) -> Optional[str]:
+    """Reason ``scheme`` cannot run under ``cfg``, or None.  AF and DF combine
+    the conferenced copies, so they need p_c > 0 whenever M >= 1."""
+    if scheme not in SCHEMES:
+        return f"unknown scheme {scheme!r}"
+    if scheme != "upper" and cfg.m_conf >= 1 and cfg.p_c == 0:
+        return (f"scheme {scheme!r} needs p_c > 0 when conferencing is "
+                f"enabled (M = {cfg.m_conf})")
+    return None
+
+
+def _require_scheme(cfg: NetworkConfig, scheme: str) -> None:
+    msg = scheme_precondition_error(cfg, scheme)
+    if msg is not None:
+        raise PreconditionError(msg)
+
+
 def scheme_kernels(cfg: NetworkConfig, mom: MomentSet,
                    schemes: Sequence[str]) -> dict:
     """Rate kernel of each scheme, with its per-configuration invariants
@@ -411,10 +408,10 @@ def scheme_kernels(cfg: NetworkConfig, mom: MomentSet,
         if s == "upper":
             kernels[s] = lambda h2, g2: _upper_rates(h2, cfg)
         elif s == "df":
-            frac, w = _df_fractions(cfg, mom, cfg.conf_gain), _mac_weights(cfg, mom)
+            frac, w = _df_fractions(cfg, mom), _mac_weights(cfg, mom)
             kernels[s] = lambda h2, g2: _df_rates(h2, g2, cfg, frac, w)
         elif s == "af":
-            a, q3w = _af_invariants(cfg, mom, cfg.conf_gain)
+            a, q3w = _af_invariants(cfg, mom)
             kernels[s] = lambda h2, g2: _af_rates(h2, g2, cfg, a, q3w)
         else:
             raise ValueError(f"unknown scheme {s!r}")
@@ -425,9 +422,9 @@ def rate_report(real: ChannelRealization, cfg: NetworkConfig,
                 mom: MomentSet) -> RateReport:
     """Evaluate every scheme on one realization."""
     h2, g2 = _abs2(real.h), _abs2(real.g)
-    relay_rates = _df_relay_rates(h2, cfg, _df_fractions(cfg, mom, real.f))
+    relay_rates = _df_relay_rates(h2, cfg, _df_fractions(cfg, mom))
     mac = _mac_rates(g2, cfg, _mac_weights(cfg, mom))
-    q1, q2, q3 = _af_q_terms(h2, g2, cfg.m_conf, *_af_invariants(cfg, mom, real.f))
+    q1, q2, q3 = _af_q_terms(h2, g2, cfg.m_conf, *_af_invariants(cfg, mom))
     return RateReport(
         c_upper=float(_upper_rates(h2, cfg)),
         df_relay_rates=relay_rates,

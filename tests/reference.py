@@ -86,7 +86,7 @@ def df_relay_rate(i, real, cfg, mom) -> float:
     for k in range(1, m + 1):
         j = mod_index(i, -k, n)
         gamma = cfg.p_c / (cfg.p_s * mom.m2_h[j] + cfg.n_0)
-        gf2 = gamma * pair_gain(real.f, j, k) ** 2
+        gf2 = gamma * pair_gain(cfg.conf_gain, j, k) ** 2
         snr += cfg.p_s / cfg.n_0 * gf2 * h2[j] / (gf2 + 1.0)
     return 0.5 * np.log2(1.0 + snr)
 
@@ -121,7 +121,7 @@ def af_q_terms(real, cfg, mom):
         for k in range(1, m + 1):
             j = mod_index(i, -k, n)
             q3 += (a[i] ** 2 * (cfg.p_s * mom.m2_h[j] + cfg.n_0)
-                   / (cfg.p_c * pair_gain(real.f, j, k) ** 2) * g2[i] ** 2 * h2[j])
+                   / (cfg.p_c * pair_gain(cfg.conf_gain, j, k) ** 2) * g2[i] ** 2 * h2[j])
     return q1, q2, q3
 
 

@@ -184,6 +184,6 @@ class TestConferencingNoiseRatio:
         cfg = NetworkConfig(n_relays=3, conferencing=Neighbors(1))
         mom = moments(cfg)
         real = ChannelRealization(h=np.zeros(3, dtype=complex),
-                                  g=np.ones(3, dtype=complex), f=1.0)
+                                  g=np.ones(3, dtype=complex))
         with pytest.raises(UndefinedRatioError):
             conferencing_noise_ratio(real, cfg, mom)

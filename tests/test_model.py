@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -156,6 +157,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             real.h[0] = 0
 
+    def test_realization_holds_fading_gains_only(self):
+        # The conferencing gains live on the configuration alone.
+        assert [f.name for f in fields(ChannelRealization)] == ["h", "g"]
+        with pytest.raises(ConfigurationError):
+            ChannelRealization(h=np.ones(2), g=np.ones(3))
+
     @pytest.mark.parametrize("spec", [
         Cscg(1.3),
         PointMass(0.6 + 0.8j),
@@ -253,12 +260,6 @@ class TestConfigValidation:
         cfg = NetworkConfig(n_relays=100, conferencing=Portion(0.1))
         assert cfg.m_conf == 9
         assert cfg.p_effective == 0.1
-
-    def test_realization_requires_positive_gains(self):
-        with pytest.raises(ConfigurationError):
-            ChannelRealization(h=np.ones(2), g=np.ones(2), f=0.0)
-        with pytest.raises(ConfigurationError):
-            ChannelRealization(h=np.ones(2), g=np.ones(2), f=math.inf)
 
     @pytest.mark.parametrize("field", ["p_s", "p_r", "p_c", "n_0", "conf_gain"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -90,13 +90,6 @@ class TestRunPoint:
             assert st.std_error == 0.0
             assert st.trials == 7
 
-    def test_serial_and_parallel_agree_bitwise(self):
-        cfg = NetworkConfig(n_relays=12, conferencing=Portion(0.5))
-        serial = run_point(cfg, 64, 11, ("af", "df", "upper"), workers=1)
-        parallel = run_point(cfg, 64, 11, ("af", "df", "upper"), workers=5)
-        for s in ("af", "df", "upper"):
-            assert serial.stats[s] == parallel.stats[s]
-
     def test_scheme_errors_do_not_block_others(self):
         cfg = NetworkConfig(n_relays=6, conferencing=Portion(0.5), p_c=0.0)
         res = run_point(cfg, 4, 0, ("af", "df", "upper"))

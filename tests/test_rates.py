@@ -15,7 +15,6 @@ from confrelay import (
     PointMass,
     Portion,
     PreconditionError,
-    af_power_factor,
     af_power_factors,
     af_q_terms,
     af_rate,
@@ -28,8 +27,7 @@ from confrelay import (
     df_mac_gain,
     df_mac_rate,
     df_rate,
-    df_rate_asymptotic,
-    df_relay_rate,
+    df_rates_asymptotic,
     df_relay_rates,
     derive_seed,
     moments,
@@ -114,15 +112,15 @@ class TestCapacityUpperBound:
 class TestDecodeForward:
     def test_fixture_relay_rate(self, two_relay_point_mass):
         cfg, mom, real = two_relay_point_mass
-        assert relclose(df_relay_rate(0, real, cfg, mom), 0.5 * math.log2(7 / 3))
-        assert relclose(df_relay_rate(1, real, cfg, mom), 0.5 * math.log2(7 / 3))
+        assert relclose(df_relay_rates(real, cfg, mom)[0], 0.5 * math.log2(7 / 3))
+        assert relclose(df_relay_rates(real, cfg, mom)[1], 0.5 * math.log2(7 / 3))
 
     def test_no_conferencing_reduces_to_direct_link(self):
         cfg = NetworkConfig(n_relays=1, conferencing=Neighbors(0),
                             h_dist=PointMass(1), g_dist=PointMass(1))
         mom = moments(cfg)
         real = sample_realization(cfg, 0)
-        assert relclose(df_relay_rate(0, real, cfg, mom), 0.5)
+        assert relclose(df_relay_rates(real, cfg, mom)[0], 0.5)
 
     def test_infinite_conferencing_power_limit(self):
         cfg = NetworkConfig(n_relays=6, conferencing=Neighbors(3), p_c=1e9)
@@ -132,7 +130,7 @@ class TestDecodeForward:
         for i in range(6):
             window = sum(h2[(i - k) % 6] for k in range(4))
             limit = 0.5 * math.log2(1 + window * cfg.p_s / cfg.n_0)
-            assert relclose(df_relay_rate(i, real, cfg, mom), limit, tol=1e-6)
+            assert relclose(df_relay_rates(real, cfg, mom)[i], limit, tol=1e-6)
 
     def test_degenerate_conferencing_rejected(self):
         cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(2), p_c=0.0)
@@ -167,7 +165,7 @@ class TestDecodeForward:
         cfg = NetworkConfig(n_relays=2, conferencing=Neighbors(0),
                             h_dist=PointMass(1), g_dist=PointMass(1))
         mom = moments(cfg)
-        real = ChannelRealization(h=np.array([0j, 1 + 0j]), g=np.ones(2), f=1.0)
+        real = ChannelRealization(h=np.array([0j, 1 + 0j]), g=np.ones(2))
         assert df_rate(real, cfg, mom) == 0.0
 
     def test_zero_source_power(self, two_relay_point_mass):
@@ -192,13 +190,13 @@ class TestDecodeForward:
 class TestDecodeForwardAsymptotic:
     def test_fixture_equals_exact_for_deterministic_channels(self, two_relay_point_mass):
         cfg, mom, _ = two_relay_point_mass
-        assert relclose(df_rate_asymptotic(cfg, mom, 0), 0.5 * math.log2(7 / 3))
-        assert relclose(df_rate_asymptotic(cfg, mom, 1), 0.5 * math.log2(7 / 3))
+        assert relclose(df_rates_asymptotic(cfg, mom)[0], 0.5 * math.log2(7 / 3))
+        assert relclose(df_rates_asymptotic(cfg, mom)[1], 0.5 * math.log2(7 / 3))
 
     def test_symmetric_across_relays_for_iid(self):
         cfg = NetworkConfig(n_relays=8, conferencing=Portion(0.5))
         mom = moments(cfg)
-        vals = [df_rate_asymptotic(cfg, mom, i) for i in range(8)]
+        vals = [df_rates_asymptotic(cfg, mom)[i] for i in range(8)]
         assert max(vals) - min(vals) < 1e-12
 
     def test_infinite_conferencing_power_limit(self):
@@ -208,18 +206,18 @@ class TestDecodeForwardAsymptotic:
         for i in range(5):
             window = sum(mom.m2_h[(i - k) % 5] for k in range(3))
             limit = 0.5 * math.log2(1 + window * cfg.p_s / cfg.n_0)
-            assert relclose(df_rate_asymptotic(cfg, mom, i), limit, tol=1e-6)
+            assert relclose(df_rates_asymptotic(cfg, mom)[i], limit, tol=1e-6)
 
 
 class TestAmplifyForwardPowerFactor:
     def test_no_conferencing_unit_channels(self):
         cfg = NetworkConfig(n_relays=1, conferencing=Neighbors(0),
                             h_dist=PointMass(1), g_dist=PointMass(1))
-        assert relclose(af_power_factor(0, cfg, moments(cfg)), 1 / math.sqrt(2))
+        assert relclose(af_power_factors(cfg, moments(cfg))[0], 1 / math.sqrt(2))
 
     def test_fixture_value(self, two_relay_point_mass):
         cfg, mom, _ = two_relay_point_mass
-        assert relclose(af_power_factor(0, cfg, mom) ** 2, 1 / 8)
+        assert relclose(af_power_factors(cfg, mom)[0] ** 2, 1 / 8)
 
     def test_scales_inversely_with_second_hop_strength(self):
         base = NetworkConfig(n_relays=4, conferencing=Neighbors(1), g_dist=Cscg(1.0))
@@ -266,7 +264,7 @@ class TestAmplifyForwardQTerms:
         cfg = NetworkConfig(n_relays=3, conferencing=Neighbors(1))
         mom = moments(cfg)
         real = ChannelRealization(h=np.zeros(3, dtype=complex),
-                                  g=np.ones(3, dtype=complex), f=1.0)
+                                  g=np.ones(3, dtype=complex))
         assert af_q_terms(real, cfg, mom) == (0.0, 0.0, 0.0)
 
     def test_matches_loop_reference(self):
@@ -336,6 +334,29 @@ class TestAmplifyForwardRate:
         assert gaps[2] < 0.02
 
 
+class TestGainsFromConfiguration:
+    """A realization drawn under one configuration and evaluated under another
+    sees the conferencing gains of the second."""
+
+    @pytest.mark.parametrize("matrix", [False, True], ids=["scalar", "matrix"])
+    def test_replaced_gains_match_trial_engine(self, matrix):
+        rng = np.random.default_rng(3)
+        n, m = 12, 3
+        cfg = NetworkConfig(n_relays=n, conferencing=Neighbors(m),
+                            conf_gain=rng.uniform(0.5, 1.5, (n, m)) if matrix else 1.0)
+        lowered = replace(cfg, conf_gain=rng.uniform(0.05, 0.2, (n, m)) if matrix else 0.1)
+        mom = moments(cfg)
+        want = trial_rates(lowered, mom, 4, 19, SCHEMES)
+        for t in range(4):
+            real = sample_realization(cfg, derive_seed(19, t))
+            rep = rate_report(real, lowered, mom)
+            for got, scheme in ((af_rate(real, lowered, mom), "af"),
+                                (df_rate(real, lowered, mom), "df"),
+                                (rep.af_rate, "af"), (rep.df_rate, "df"),
+                                (rep.c_upper, "upper")):
+                assert relclose(got, want[scheme][t], tol=1e-12), (scheme, t)
+
+
 class TestInvariants:
     @settings(derandomize=True, max_examples=50)
     @given(random_networks())
@@ -384,7 +405,7 @@ class TestInvariants:
         mom = moments(cfg)
         real = sample_realization(cfg, seed)
         wider = with_neighbors(cfg, cfg.m_conf + 1)
-        assert (df_relay_rates(sample_realization(wider, seed), wider, mom)
+        assert (df_relay_rates(real, wider, mom)
                 >= df_relay_rates(real, cfg, mom) - 1e-12).all()
 
     @settings(derandomize=True, max_examples=30)
