@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
 import sys
 from dataclasses import dataclass
@@ -319,35 +320,37 @@ def dispatch(manifest: RunManifest) -> int:
         except OSError as exc:
             raise ConfigurationError(f"cannot read config: {exc}") from exc
         cfg, params = parse_config(text, manifest.overrides)
-
-        def produce(sink):
-            if manifest.command == "single":
-                result = _single_result(cfg, params)
-                _fail_on_scheme_errors(result)
-                emit_csv(result, sink)
-            elif manifest.command in _SWEEP_AXES:
-                if not manifest.axis:
-                    raise ConfigurationError("sweep commands need --axis")
-                spec = SweepSpec(base=cfg, axis=_SWEEP_AXES[manifest.command],
-                                 values=manifest.axis, trials=params.trials,
-                                 base_seed=params.seed, schemes=params.schemes)
-                result = sweep(spec)
-                _fail_on_scheme_errors(result)
-                emit_csv(result, sink)
-            elif manifest.command == "oracle":
-                _emit_oracle(cfg, params, manifest.draws, sink)
-            elif manifest.command == "diagnose":
-                if not manifest.axis:
-                    raise ConfigurationError("diagnose needs --axis")
-                _emit_diagnose(cfg, params, manifest.axis, sink)
-            else:
-                raise ConfigurationError(f"unknown command {manifest.command!r}")
-
-        if manifest.output_path is None:
-            produce(sys.stdout)
+        # Built in full before --out is opened: a failed run leaves it alone.
+        sink = io.StringIO()
+        if manifest.command == "single":
+            result = _single_result(cfg, params)
+            _fail_on_scheme_errors(result)
+            emit_csv(result, sink)
+        elif manifest.command in _SWEEP_AXES:
+            if not manifest.axis:
+                raise ConfigurationError("sweep commands need --axis")
+            spec = SweepSpec(base=cfg, axis=_SWEEP_AXES[manifest.command],
+                             values=manifest.axis, trials=params.trials,
+                             base_seed=params.seed, schemes=params.schemes)
+            result = sweep(spec)
+            _fail_on_scheme_errors(result)
+            emit_csv(result, sink)
+        elif manifest.command == "oracle":
+            _emit_oracle(cfg, params, manifest.draws, sink)
+        elif manifest.command == "diagnose":
+            if not manifest.axis:
+                raise ConfigurationError("diagnose needs --axis")
+            _emit_diagnose(cfg, params, manifest.axis, sink)
         else:
+            raise ConfigurationError(f"unknown command {manifest.command!r}")
+        if manifest.output_path is None:
+            sys.stdout.write(sink.getvalue())
+            return 0
+        try:
             with open(manifest.output_path, "w", encoding="utf-8", newline="") as fh:
-                produce(fh)
+                fh.write(sink.getvalue())
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write output: {exc}") from exc
         return 0
     except ConfigurationError as exc:
         print(f"confrelay: configuration error: {exc}", file=sys.stderr)

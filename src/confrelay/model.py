@@ -347,10 +347,6 @@ class MomentSet:
             if not np.all(m4 >= m2 * m2 * (1.0 - 1e-12)):
                 raise ConfigurationError("fourth moments must dominate squared second moments")
 
-    @property
-    def n(self) -> int:
-        return len(self.m2_h)
-
 
 def moments(config: NetworkConfig) -> MomentSet:
     """Analytic moment set of the configured fading laws."""
@@ -381,10 +377,6 @@ class ChannelRealization:
         g.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g", g)
-
-    @property
-    def n(self) -> int:
-        return len(self.h)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,7 @@ def signal_oracle_af(real: ChannelRealization, cfg: NetworkConfig,
     """
     if symbol_trials < 1:
         raise ConfigurationError("symbol_trials must be >= 1")
+    rates._squared_gains(real, cfg)
     n = cfg.n_relays
     m = cfg.m_conf
     level = cfg.n_0 if noise_n0 is None else float(noise_n0)
@@ -329,6 +330,7 @@ def signal_oracle_df_mac(real: ChannelRealization, cfg: NetworkConfig,
     """Empirical received SNR of the coherent second hop."""
     if symbol_trials < 1:
         raise ConfigurationError("symbol_trials must be >= 1")
+    rates._squared_gains(real, cfg)
     level = cfg.n_0 if noise_n0 is None else float(noise_n0)
     weights = np.sqrt(cfg.p_r / mom.m2_g) * np.conj(real.g)
     coef = complex(weights @ real.g)

@@ -134,3 +134,29 @@ def af_q1_reindexed(real, cfg, mom) -> float:
     return sum(sum(a[mod_index(j, k, n)] * g2[mod_index(j, k, n)]
                    for k in range(m + 1)) * h2[j]
                for j in range(n))
+
+
+def af_expected_q_terms(cfg, mom):
+    """Expected AF coefficients from independence of the per-index draws: a
+    repeated index contributes its fourth moment, distinct indices the
+    product of their second moments."""
+    n, m = cfg.n_relays, cfg.m_conf
+    a = [af_power_factor(i, cfg, mom) for i in range(n)]
+    eq1 = sum(a[i] * mom.m2_g[i] * mom.m2_h[mod_index(i, -k, n)]
+              for i in range(n) for k in range(m + 1))
+    eq2 = 0.0
+    for j in range(n):
+        window = [mod_index(j, k, n) for k in range(m + 1)]
+        square = 0.0
+        for u in window:
+            for v in window:
+                square += a[u] * a[v] * (mom.m4_g[u] if u == v
+                                         else mom.m2_g[u] * mom.m2_g[v])
+        eq2 += square * mom.m2_h[j]
+    eq3 = 0.0
+    for i in range(n):
+        for k in range(1, m + 1):
+            j = mod_index(i, -k, n)
+            eq3 += (a[i] ** 2 * mom.m4_g[i] * (cfg.p_s * mom.m2_h[j] + cfg.n_0)
+                    / (cfg.p_c * pair_gain(cfg.conf_gain, j, k) ** 2) * mom.m2_h[j])
+    return eq1, eq2, eq3

@@ -257,6 +257,21 @@ class TestExitCodes:
         cfg = write(tmp_path, "c.cfg", "N=4\np=0.5\nPc=0\n")
         assert main(["single", "--config", cfg]) == 3
 
+    def test_failed_run_leaves_existing_output(self, tmp_path):
+        cfg = write(tmp_path, "c.cfg", "N=4\np=0.5\nPc=0\n")
+        out = tmp_path / "existing.csv"
+        out.write_text("earlier output\n")
+        assert main(["single", "--config", cfg, "--out", str(out)]) == 3
+        assert out.read_text() == "earlier output\n"
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", FIXTURE_CFG)
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert main(["single", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write output" in captured.err
+
     def test_dispatch_manifest_directly(self, tmp_path):
         path = write(tmp_path, "c.cfg", FIXTURE_CFG)
         out = tmp_path / "out.csv"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import reference
 from confrelay import (
     ChannelRealization,
+    ConfigurationError,
     Cscg,
     Neighbors,
     NetworkConfig,
@@ -20,6 +21,7 @@ from confrelay import (
     af_rate,
     af_rate_asymptotic,
     af_rate_expected_q,
+    af_expected_q_terms,
     af_mu_terms,
     af_sinr,
     capacity_upper_asymptotic,
@@ -34,7 +36,12 @@ from confrelay import (
     rate_report,
     sample_realization,
 )
-from confrelay.montecarlo import SCHEMES, trial_rates
+from confrelay.montecarlo import (
+    SCHEMES,
+    signal_oracle_af,
+    signal_oracle_df_mac,
+    trial_rates,
+)
 
 REL = 1e-9
 
@@ -332,6 +339,60 @@ class TestAmplifyForwardRate:
                         - af_rate_asymptotic(cfg, mom))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 0.02
+
+
+class TestAmplifyForwardExpectedQTerms:
+    @settings(derandomize=True, max_examples=30)
+    @given(random_networks())
+    def test_matches_loop_reference(self, case):
+        self.check(case[0])
+
+    def test_mixed_per_index_laws_match_loop_reference(self):
+        n, m = 7, 3
+        cfg = NetworkConfig(
+            n_relays=n, conferencing=Neighbors(m), p_s=1.3, p_r=0.7, p_c=0.4,
+            n_0=0.9, conf_gain=np.random.default_rng(4).uniform(0.3, 2.0, (n, m)),
+            h_dist=PerIndex((Cscg(1.0), PointMass(2), Cscg(0.5), PointMass(1j),
+                             Cscg(2.0), PointMass(0.6 + 0.8j), Cscg(0.3))),
+            g_dist=PerIndex((PointMass(0.5), Cscg(1.5), Cscg(0.8), PointMass(1.2),
+                             Cscg(0.4), Cscg(2.5), PointMass(-1))))
+        self.check(cfg)
+
+    @staticmethod
+    def check(cfg):
+        mom = moments(cfg)
+        for fast, slow in zip(af_expected_q_terms(cfg, mom),
+                              reference.af_expected_q_terms(cfg, mom)):
+            assert relclose(fast, slow, tol=1e-12)
+
+
+class TestRealizationLength:
+    """A realization drawn for N=10 and evaluated under an N=12 configuration
+    is rejected, not evaluated as a 10-relay network."""
+
+    EVALUATE = {
+        "capacity_upper_bound": lambda real, cfg, mom: capacity_upper_bound(real, cfg),
+        "df_rate": df_rate,
+        "df_relay_rates": df_relay_rates,
+        "df_mac_gain": df_mac_gain,
+        "df_mac_rate": df_mac_rate,
+        "af_q_terms": af_q_terms,
+        "af_sinr": af_sinr,
+        "af_rate": af_rate,
+        "rate_report": rate_report,
+        "signal_oracle_af":
+            lambda real, cfg, mom: signal_oracle_af(real, cfg, mom, 10, 0),
+        "signal_oracle_df_mac":
+            lambda real, cfg, mom: signal_oracle_df_mac(real, cfg, mom, 10, 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EVALUATE))
+    def test_wrong_length_is_configuration_error(self, name):
+        drawn = NetworkConfig(n_relays=10, conferencing=Neighbors(2))
+        cfg = replace(drawn, n_relays=12)
+        real = sample_realization(drawn, 1)
+        with pytest.raises(ConfigurationError, match="10 relays"):
+            self.EVALUATE[name](real, cfg, moments(cfg))
 
 
 class TestGainsFromConfiguration:
