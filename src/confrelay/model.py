@@ -24,6 +24,13 @@ seed: it runs NumPy's SeedSequence hash and PCG64 seeding over all seeds at
 once and reseeds one generator per row.  This relies on NumPy's fixed
 SeedSequence/PCG64 seeding algorithm, which the tests check against
 ``default_rng`` seed by seed.
+
+The trial engine reads ``|h|^2`` and ``|g|^2`` straight from the same normals
+(:func:`_sampled_squares`) and never builds the complex gains.  When no rate
+it evaluates reads ``g`` (the cut-set bound alone), it draws only each row's
+first-hop normals.  A generator draws normals in sequence, so those are a
+prefix of the full draw; ``test_first_hop_prefix_matches_full_draw`` checks
+it.
 """
 
 from __future__ import annotations
@@ -112,6 +119,14 @@ class PerIndex:
         values = np.array([self.specs[i].value for i in mass], dtype=complex)
         return np.array(gauss, dtype=np.intp), scale, np.array(mass, dtype=np.intp), values
 
+    @cached_property
+    def _powers(self):
+        """Half variances of the Gaussian entries and |value|^2 of the point
+        masses, in the order of :attr:`_layout`."""
+        gauss, _, _, values = self._layout
+        half = np.array([self.specs[i].variance / 2.0 for i in gauss])
+        return half, _abs2(values)
+
 
 DistributionSpec = Union[Cscg, PointMass, PerIndex]
 
@@ -170,6 +185,33 @@ def _from_normals(spec: DistributionSpec, n: int, z: np.ndarray) -> np.ndarray:
         out.real[..., gauss] = scale * z[..., 0::2]
         out.imag[..., gauss] = scale * z[..., 1::2]
         out[..., mass] = values
+    return out
+
+
+def _abs2(values: np.ndarray) -> np.ndarray:
+    """|v|^2 of complex ``values``, rounded as ``np.abs(array) ** 2`` rounds it."""
+    return np.abs(np.asarray(values, dtype=complex)) ** 2
+
+
+def _squares_from_normals(spec: DistributionSpec, n: int,
+                          z: np.ndarray) -> np.ndarray:
+    """|x|^2 of the gains ``_from_normals(spec, n, z)`` builds, from the same
+    normals without building them; squares ``z`` in place.
+
+    A Gaussian entry gives variance/2 * (re^2 + im^2), a point mass |v|^2.
+    """
+    if isinstance(spec, PointMass):
+        return np.full(z.shape[:-1] + (n,), _abs2([spec.value])[0])
+    np.square(z, out=z)
+    if isinstance(spec, Cscg):
+        out = z[..., :n] + z[..., n:]
+        out *= spec.variance / 2.0
+        return out
+    gauss, _, mass, _ = spec._layout
+    half, mass_power = spec._powers
+    out = np.empty(z.shape[:-1] + (n,))
+    out[..., gauss] = half * (z[..., 0::2] + z[..., 1::2])
+    out[..., mass] = mass_power
     return out
 
 
@@ -481,6 +523,24 @@ def sample_realizations(config: NetworkConfig,
     z = _seeded_normals(seeds, count_h + _normal_count(config.g_dist, n))
     return (_from_normals(config.h_dist, n, z[:, :count_h]),
             _from_normals(config.g_dist, n, z[:, count_h:]))
+
+
+def _sampled_squares(config: NetworkConfig, seeds: Sequence[int],
+                     second_hop: bool = True):
+    """|h|^2 and |g|^2 of the realizations :func:`sample_realizations` draws
+    for ``seeds``, squared straight from the normals.
+
+    Without ``second_hop``, g is not drawn (None is returned in its place) and
+    each row draws only its first-hop normals, a prefix of the full draw.
+    """
+    n = config.n_relays
+    count_h = _normal_count(config.h_dist, n)
+    count_g = _normal_count(config.g_dist, n) if second_hop else 0
+    z = _seeded_normals(seeds, count_h + count_g)
+    h2 = _squares_from_normals(config.h_dist, n, z[:, :count_h])
+    if not second_hop:
+        return h2, None
+    return h2, _squares_from_normals(config.g_dist, n, z[:, count_h:])
 
 
 def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:

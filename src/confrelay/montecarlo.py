@@ -35,8 +35,8 @@ from .model import (
     MomentSet,
     NetworkConfig,
     Portion,
+    _sampled_squares,
     moments,
-    sample_realizations,
 )
 from . import rates
 
@@ -169,12 +169,13 @@ def trial_rates(cfg: NetworkConfig, mom: MomentSet, trials: int, base_seed: int,
     trials, and each trial's rate does not depend on the block it falls in.
     """
     kernels = rates.scheme_kernels(cfg, mom, schemes)
+    second_hop = rates.reads_second_hop(kernels)
     values = {s: np.empty(trials) for s in kernels}
     block = max(1, _BLOCK_ELEMENTS // cfg.n_relays)
     for lo in range(0, trials, block):
         hi = min(lo + block, trials)
-        h2, g2 = (np.abs(x) ** 2 for x in
-                  sample_realizations(cfg, _derive_seeds(base_seed, lo, hi)))
+        h2, g2 = _sampled_squares(cfg, _derive_seeds(base_seed, lo, hi),
+                                  second_hop)
         for s, kernel in kernels.items():
             values[s][lo:hi] = kernel(h2, g2)
     return values
@@ -332,7 +333,7 @@ def signal_oracle_df_mac(real: ChannelRealization, cfg: NetworkConfig,
         raise ConfigurationError("symbol_trials must be >= 1")
     rates._squared_gains(real, cfg)
     level = cfg.n_0 if noise_n0 is None else float(noise_n0)
-    weights = np.sqrt(cfg.p_r / mom.m2_g) * np.conj(real.g)
+    weights = rates._mac_weights(cfg, mom) * np.conj(real.g)
     coef = complex(weights @ real.g)
     signal_power = abs(coef) ** 2
     rng = np.random.default_rng(int(seed) & MASK64)

@@ -69,24 +69,28 @@ class RateReport:
 # Keep the doubled array in _cumsum2: the bench reference (relative 1e-12)
 # pins this summation order, and one prefix sum of length n + 1 plus the total
 # moved the DF gap of ``diagnose`` at N=2000 by 1.61e-12 relative.
-def _cumsum2(v: np.ndarray) -> np.ndarray:
-    """Running sums of v repeated twice along the last axis, with a leading 0."""
-    cs = np.zeros(v.shape[:-1] + (2 * v.shape[-1] + 1,))
-    np.cumsum(np.concatenate((v, v), axis=-1), axis=-1, out=cs[..., 1:])
-    return cs
+def _cumsum2(v: np.ndarray, count: int) -> np.ndarray:
+    """Leading 0, then the running sums of the first ``count`` entries of v
+    repeated twice along the last axis (n <= count <= 2n)."""
+    n = v.shape[-1]
+    cs = np.empty(v.shape[:-1] + (count + 1,))
+    cs[..., 0] = 0.0
+    cs[..., 1:n + 1] = v
+    cs[..., n + 1:] = v[..., :count - n]
+    return np.cumsum(cs, axis=-1, out=cs)
 
 
 def _win_back(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """out[..., i] = sum_{k=lo..hi} v[..., (i - k) mod n], for 0 <= lo <= hi <= n."""
     n = v.shape[-1]
-    cs = _cumsum2(v)
+    cs = _cumsum2(v, 2 * n - lo)
     return cs[..., n - lo + 1:2 * n - lo + 1] - cs[..., n - hi:2 * n - hi]
 
 
 def _win_fwd(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """out[..., i] = sum_{k=lo..hi} v[..., (i + k) mod n], for 0 <= lo <= hi <= n."""
     n = v.shape[-1]
-    cs = _cumsum2(v)
+    cs = _cumsum2(v, n + hi)
     return cs[..., hi + 1:n + hi + 1] - cs[..., lo:n + lo]
 
 
@@ -143,6 +147,14 @@ def _squared_gains(real: ChannelRealization, cfg: NetworkConfig):
     return np.abs(real.h) ** 2, np.abs(real.g) ** 2
 
 
+def _check_moments(cfg: NetworkConfig, mom: MomentSet) -> None:
+    """A moment set must describe ``cfg``'s relays, one entry per relay."""
+    if len(mom.m2_h) != cfg.n_relays:
+        raise ConfigurationError(
+            f"moment set has {len(mom.m2_h)} relays, the configuration "
+            f"{cfg.n_relays}")
+
+
 # ---------------------------------------------------------------------------
 # Cut-set upper bound
 # ---------------------------------------------------------------------------
@@ -158,6 +170,7 @@ def capacity_upper_bound(real: ChannelRealization, cfg: NetworkConfig) -> float:
 
 def capacity_upper_asymptotic(cfg: NetworkConfig, mom: MomentSet) -> float:
     """Moment form of the cut-set bound, the large-N concentration target."""
+    _check_moments(cfg, mom)
     return float(_upper_rates(mom.m2_h, cfg))
 
 
@@ -174,6 +187,7 @@ def _df_fractions(cfg: NetworkConfig, mom: MomentSet):
     normalization of the sending relay.
     """
     _require_scheme(cfg, "df")
+    _check_moments(cfg, mom)
 
     def fraction(m2, f2):
         gf2 = cfg.p_c / (cfg.p_s * m2 + cfg.n_0) * f2
@@ -181,12 +195,18 @@ def _df_fractions(cfg: NetworkConfig, mom: MomentSet):
     return _lag_weights(fraction, mom.m2_h, cfg.conf_gain, cfg.m_conf)
 
 
+def _df_relay_snr(h2: np.ndarray, cfg: NetworkConfig, frac) -> np.ndarray:
+    """Per-relay first-hop SNR: the direct plus the conferenced observations."""
+    return cfg.p_s / cfg.n_0 * (h2 + _lagged(frac, h2, cfg.m_conf))
+
+
 def _df_relay_rates(h2: np.ndarray, cfg: NetworkConfig, frac) -> np.ndarray:
-    """Per-relay first-hop rate: direct plus conferenced observation SNR."""
-    return _rate(cfg.p_s / cfg.n_0 * (h2 + _lagged(frac, h2, cfg.m_conf)))
+    """Per-relay first-hop rate."""
+    return _rate(_df_relay_snr(h2, cfg, frac))
 
 
 def _mac_weights(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
+    _check_moments(cfg, mom)
     return np.sqrt(cfg.p_r / mom.m2_g)
 
 
@@ -199,15 +219,14 @@ def _mac_rates(g2: np.ndarray, cfg: NetworkConfig, w: np.ndarray) -> np.ndarray:
     return _rate(q0 * q0 / cfg.n_0)
 
 
-def _df_from_hops(relay_rates: np.ndarray, mac_rates: np.ndarray) -> np.ndarray:
-    """Every relay must decode, so the slowest relay and the second hop both
-    bound the DF rate."""
-    return np.minimum(np.min(relay_rates, axis=-1), mac_rates)
-
-
 def _df_rates(h2: np.ndarray, g2: np.ndarray, cfg: NetworkConfig, frac,
               w: np.ndarray) -> np.ndarray:
-    return _df_from_hops(_df_relay_rates(h2, cfg, frac), _mac_rates(g2, cfg, w))
+    """Every relay must decode, so the slowest relay and the second hop both
+    bound the DF rate."""
+    # _rate is monotone, so the slowest relay's rate is the rate of the least
+    # SNR, bit for bit: one log per realization, not N.
+    slowest = _rate(np.min(_df_relay_snr(h2, cfg, frac), axis=-1))
+    return np.minimum(slowest, _mac_rates(g2, cfg, w))
 
 
 def df_relay_rates(real: ChannelRealization, cfg: NetworkConfig,
@@ -272,6 +291,7 @@ def af_power_factors(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
     expectation expanded through independence of the per-index draws.
     """
     _require_scheme(cfg, "af")
+    _check_moments(cfg, mom)
     m = cfg.m_conf
     win2 = _win_back(mom.m2_h, 0, m)
     mean_square = win2 * win2 + _win_back(mom.m4_h - mom.m2_h ** 2, 0, m)
@@ -384,6 +404,12 @@ def af_rate_asymptotic(cfg: NetworkConfig, mom: MomentSet) -> float:
 SCHEMES = ("af", "df", "upper")
 
 
+def reads_second_hop(schemes: Sequence[str]) -> bool:
+    """Whether any kernel of ``schemes`` reads |g|^2; the cut-set bound alone
+    does not."""
+    return any(s != "upper" for s in schemes)
+
+
 def scheme_precondition_error(cfg: NetworkConfig, scheme: str) -> Optional[str]:
     """Reason ``scheme`` cannot run under ``cfg``, or None.  AF and DF combine
     the conferenced copies, so they need p_c > 0 whenever M >= 1."""
@@ -408,8 +434,10 @@ def scheme_kernels(cfg: NetworkConfig, mom: MomentSet,
     computed once.
 
     Each kernel maps |h|^2 and |g|^2 arrays of shape (..., N), one
-    realization per leading index, to the rates of shape (...).
+    realization per leading index, to the rates of shape (...).  When
+    :func:`reads_second_hop` is false for ``schemes``, |g|^2 may be None.
     """
+    _check_moments(cfg, mom)
     kernels = {}
     for s in schemes:
         if s == "upper":
@@ -436,7 +464,7 @@ def rate_report(real: ChannelRealization, cfg: NetworkConfig,
         c_upper=float(_upper_rates(h2, cfg)),
         df_relay_rates=relay_rates,
         df_mac_rate=float(mac),
-        df_rate=float(_df_from_hops(relay_rates, mac)),
+        df_rate=float(np.minimum(np.min(relay_rates), mac)),
         af_q1=float(q1),
         af_q2=float(q2),
         af_q3=float(q3),

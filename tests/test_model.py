@@ -21,7 +21,24 @@ from confrelay import (
     sample_channel,
     sample_realization,
 )
-from confrelay.model import MASK64, _seeded_normals, sample_realizations
+from confrelay.model import (
+    MASK64,
+    _from_normals,
+    _normal_count,
+    _sampled_squares,
+    _seeded_normals,
+    _squares_from_normals,
+    sample_realizations,
+)
+
+LAWS = {
+    "cscg": Cscg(1.3),
+    "point_mass": PointMass(-7.77 + 1e-5j),
+    "per_index_mixed": PerIndex((Cscg(1.0), PointMass(2), Cscg(0.5), PointMass(1j),
+                                 PointMass(-7.77 + 1e-5j), Cscg(3.0), Cscg(0.7))),
+    "per_index_point_masses": PerIndex(tuple(PointMass(0.3 * k + 0.1j)
+                                             for k in range(1, 8))),
+}
 
 
 class TestConferencingSize:
@@ -229,6 +246,52 @@ class TestSeededNormals:
                             h_dist=h_dist, g_dist=g_dist)
         got, want = sample_realizations(cfg, seeds), reference.sample_realizations(cfg, seeds)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+class TestSquaresFromNormals:
+    """The trial engine squares the normals; the complex API builds gains."""
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_equal_abs_squared_of_built_gains(self, name):
+        spec = LAWS[name]
+        z = np.random.default_rng(8).standard_normal((40, _normal_count(spec, 7)))
+        want = np.abs(_from_normals(spec, 7, z)) ** 2
+        got = _squares_from_normals(spec, 7, z.copy())
+        assert got.shape == want.shape == (40, 7)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["point_mass", "per_index_mixed"])
+    def test_point_masses_are_exact(self, name):
+        spec = LAWS[name]
+        mass = [i for i in range(7)
+                if isinstance(spec, PointMass) or isinstance(spec.specs[i], PointMass)]
+        z = np.random.default_rng(9).standard_normal((3, _normal_count(spec, 7)))
+        want = np.abs(_from_normals(spec, 7, z)) ** 2
+        assert np.array_equal(_squares_from_normals(spec, 7, z)[:, mass],
+                              want[:, mass])
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_sampled_squares_match_sampled_gains(self, name):
+        cfg = NetworkConfig(n_relays=7, conferencing=Neighbors(2),
+                            h_dist=LAWS[name], g_dist=Cscg(0.4))
+        seeds = [0, 2 ** 64 - 1, 7, 2 ** 32, 31337]
+        for got, gains in zip(_sampled_squares(cfg, seeds),
+                              sample_realizations(cfg, seeds)):
+            np.testing.assert_allclose(got, np.abs(gains) ** 2, rtol=1e-15, atol=0.0)
+
+    def test_first_hop_prefix_matches_full_draw(self):
+        # A generator draws normals in sequence, so a shorter request returns a
+        # prefix of a longer one; the engine draws only the first hop when no
+        # scheme reads the second.
+        seeds = [0, 1, 2 ** 63, 2 ** 64 - 1, 99]
+        assert np.array_equal(_seeded_normals(seeds, 7),
+                              _seeded_normals(seeds, 20)[:, :7])
+        for name in sorted(LAWS):
+            cfg = NetworkConfig(n_relays=7, conferencing=Neighbors(1),
+                                h_dist=LAWS[name], g_dist=Cscg(2.0))
+            h2, g2 = _sampled_squares(cfg, seeds, second_hop=False)
+            assert g2 is None
+            assert np.array_equal(h2, _sampled_squares(cfg, seeds)[0])
 
 
 class TestConfigValidation:

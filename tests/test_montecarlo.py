@@ -151,6 +151,26 @@ class TestTrialEngine:
                 assert other.stats[s] == point.stats[s]
 
 
+    @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
+    @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+    def test_upper_alone_equals_all_schemes_column(self, monkeypatch, name, block):
+        # Alone, the cut-set bound draws only each trial's first-hop normals.
+        cfg = ENGINE_CASES[name]
+        mom = moments(cfg)
+        if block is not None:
+            monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", block * cfg.n_relays)
+        alone = trial_rates(cfg, mom, 23, 4, ("upper",))
+        assert list(alone) == ["upper"]
+        assert np.array_equal(alone["upper"], trial_rates(cfg, mom, 23, 4, SCHEMES)["upper"])
+
+    @pytest.mark.parametrize("schemes", [("upper",), SCHEMES], ids=["upper", "all"])
+    def test_moment_set_of_other_size_is_configuration_error(self, schemes):
+        cfg = NetworkConfig(n_relays=12, conferencing=Neighbors(2))
+        mom = moments(replace(cfg, n_relays=10))
+        with pytest.raises(ConfigurationError, match="moment set has 10 relays"):
+            trial_rates(cfg, mom, 3, 0, schemes)
+
+
 class TestSweep:
     def test_single_value_axis_equals_run_point(self):
         base = NetworkConfig(n_relays=6, conferencing=Portion(0.5))

@@ -36,6 +36,9 @@ from confrelay import (
     rate_report,
     sample_realization,
 )
+from confrelay import rates
+from confrelay.asymptotics import conferencing_noise_ratio
+from confrelay.model import sample_realizations
 from confrelay.montecarlo import (
     SCHEMES,
     signal_oracle_af,
@@ -395,6 +398,71 @@ class TestRealizationLength:
             self.EVALUATE[name](real, cfg, moments(cfg))
 
 
+class TestMomentSetLength:
+    """A moment set computed for N=10 and used under an N=12 configuration is
+    rejected, not read as the moments of a 10-relay network."""
+
+    EVALUATE = {
+        "capacity_upper_asymptotic":
+            lambda real, cfg, mom: capacity_upper_asymptotic(cfg, mom),
+        "df_rates_asymptotic": lambda real, cfg, mom: df_rates_asymptotic(cfg, mom),
+        "af_power_factors": lambda real, cfg, mom: af_power_factors(cfg, mom),
+        "af_expected_q_terms": lambda real, cfg, mom: af_expected_q_terms(cfg, mom),
+        "af_mu_terms": lambda real, cfg, mom: af_mu_terms(cfg, mom),
+        "af_rate_expected_q": lambda real, cfg, mom: af_rate_expected_q(cfg, mom),
+        "af_rate_asymptotic": lambda real, cfg, mom: af_rate_asymptotic(cfg, mom),
+        "scheme_kernels_upper":
+            lambda real, cfg, mom: rates.scheme_kernels(cfg, mom, ("upper",)),
+        "scheme_kernels_all":
+            lambda real, cfg, mom: rates.scheme_kernels(cfg, mom, SCHEMES),
+        "df_relay_rates": df_relay_rates,
+        "df_mac_gain": df_mac_gain,
+        "df_mac_rate": df_mac_rate,
+        "df_rate": df_rate,
+        "af_q_terms": af_q_terms,
+        "af_rate": af_rate,
+        "rate_report": rate_report,
+        "conferencing_noise_ratio": conferencing_noise_ratio,
+        "signal_oracle_af":
+            lambda real, cfg, mom: signal_oracle_af(real, cfg, mom, 10, 0),
+        "signal_oracle_df_mac":
+            lambda real, cfg, mom: signal_oracle_df_mac(real, cfg, mom, 10, 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EVALUATE))
+    def test_wrong_length_is_configuration_error(self, name):
+        cfg = NetworkConfig(n_relays=12, conferencing=Neighbors(2))
+        mom = moments(replace(cfg, n_relays=10))
+        real = sample_realization(cfg, 1)
+        with pytest.raises(ConfigurationError, match="moment set has 10 relays"):
+            self.EVALUATE[name](real, cfg, mom)
+
+
+class TestCyclicWindows:
+    """The window sums read a prefix sum built in place; it must equal a
+    literal concatenate-then-cumsum bit for bit."""
+
+    @staticmethod
+    def literal_cumsum2(v):
+        doubled = np.concatenate((v, v), axis=-1)
+        return np.concatenate((np.zeros(v.shape[:-1] + (1,)),
+                               np.cumsum(doubled, axis=-1)), axis=-1)
+
+    @pytest.mark.parametrize("shape", [(1,), (6,), (3, 9), (2, 4, 5)])
+    def test_prefix_sums_and_windows_equal_literal(self, shape):
+        v = np.random.default_rng(sum(shape)).exponential(size=shape)
+        n = shape[-1]
+        cs = self.literal_cumsum2(v)
+        for count in range(n, 2 * n + 1):
+            assert np.array_equal(rates._cumsum2(v, count), cs[..., :count + 1])
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                back = cs[..., n - lo + 1:2 * n - lo + 1] - cs[..., n - hi:2 * n - hi]
+                fwd = cs[..., hi + 1:n + hi + 1] - cs[..., lo:n + lo]
+                assert np.array_equal(rates._win_back(v, lo, hi), back), (lo, hi)
+                assert np.array_equal(rates._win_fwd(v, lo, hi), fwd), (lo, hi)
+
+
 class TestGainsFromConfiguration:
     """A realization drawn under one configuration and evaluated under another
     sees the conferencing gains of the second."""
@@ -486,6 +554,24 @@ class TestInvariants:
             rewritten = 0.5 * math.log2(
                 1 + cfg.p_s * sum_h / ((1 + (cfg.p_r * q3 + 1) / (cfg.p_r * q2)) * cfg.n_0))
             assert relclose(af_rate(real, cfg, mom), rewritten, tol=1e-12)
+
+    @settings(derandomize=True, max_examples=50)
+    @given(random_networks())
+    def test_df_kernel_is_min_of_hop_rates(self, case):
+        # The kernel takes the least relay SNR before its one log; that must
+        # equal the least per-relay rate bit for bit.
+        cfg, seed = case
+        mom = moments(cfg)
+        frac, w = rates._df_fractions(cfg, mom), rates._mac_weights(cfg, mom)
+        seeds = [derive_seed(seed, t) for t in range(4)]
+        block = rates._df_rates(*(np.abs(x) ** 2 for x in sample_realizations(cfg, seeds)),
+                                cfg, frac, w)
+        for r, s in enumerate(seeds):
+            real = sample_realization(cfg, s)
+            want = np.minimum(np.min(df_relay_rates(real, cfg, mom)),
+                              df_mac_rate(real, cfg, mom))
+            assert block[r] == want
+            assert df_rate(real, cfg, mom) == want
 
     def test_report_consistency(self, two_relay_point_mass):
         cfg, mom, real = two_relay_point_mass
