@@ -16,6 +16,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .model import (
+    ConfigurationError,
     DistributionSpec,
     MomentSet,
     NetworkConfig,
@@ -40,9 +41,6 @@ class ScalingFit:
     intercept: float
     residual_rms: float
     points: tuple
-
-    def predict(self, n: int) -> float:
-        return self.slope * math.log2(n) + self.intercept
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
         raise ValueError(f"unknown scheme {scheme!r}")
     ns = [int(n) for n in n_values]
     if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("network sizes must be strictly increasing")
+        raise ConfigurationError("network sizes must be strictly increasing")
     out = []
     for n in ns:
         cfg = _config_for(template, n)

@@ -18,12 +18,14 @@ Everything here is immutable after construction and
 objects can be shared freely across threads.
 
 The realization for ``seed`` is the one ``np.random.default_rng(seed mod 2**64)``
-draws, first-hop gains before second-hop gains.  :func:`sample_realizations`
-reproduces those draws for a block of seeds without building a generator per
-seed: it runs NumPy's SeedSequence hash and PCG64 seeding over all seeds at
-once and reseeds one generator per row.  This relies on NumPy's fixed
-SeedSequence/PCG64 seeding algorithm, which the tests check against
-``default_rng`` seed by seed.
+draws, first-hop gains before second-hop gains, and :func:`sample_realization`
+draws it with that generator.  The trial engine reproduces those draws for a
+block of seeds without building a generator per seed (:func:`_seeded_normals`):
+it runs NumPy's SeedSequence hash and PCG64 seeding over all seeds at once and
+reseeds one generator per row.  This relies on NumPy's fixed SeedSequence/PCG64
+seeding algorithm; ``TestSeededNormals`` checks the rows against ``default_rng``
+seed by seed, and ``test_sampled_squares_match_sampled_gains`` checks the
+engine's squares against ``sample_realization``.
 
 The trial engine reads ``|h|^2`` and ``|g|^2`` straight from the same normals
 (:func:`_sampled_squares`) and never builds the complex gains.  When no rate
@@ -270,13 +272,6 @@ def conferencing_size(p: float, n: int) -> int:
     return max(0, min(m, n - 1))
 
 
-def mod_index(i: int, offset: int, n: int) -> int:
-    """Cyclic relay index (i + offset) mod n, nonnegative for any offset."""
-    if n < 1:
-        raise ConfigurationError(f"number of relays must be >= 1, got {n}")
-    return (i + offset) % n
-
-
 # ---------------------------------------------------------------------------
 # Configuration and derived objects
 # ---------------------------------------------------------------------------
@@ -513,22 +508,10 @@ def _seeded_normals(seeds: Sequence[int], count: int) -> np.ndarray:
     return z
 
 
-def sample_realizations(config: NetworkConfig,
-                        seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """First- and second-hop gains of one realization per seed, as (len(seeds), N)
-    arrays; row ``r`` is the realization :func:`sample_realization` draws for
-    ``seeds[r]``."""
-    n = config.n_relays
-    count_h = _normal_count(config.h_dist, n)
-    z = _seeded_normals(seeds, count_h + _normal_count(config.g_dist, n))
-    return (_from_normals(config.h_dist, n, z[:, :count_h]),
-            _from_normals(config.g_dist, n, z[:, count_h:]))
-
-
 def _sampled_squares(config: NetworkConfig, seeds: Sequence[int],
                      second_hop: bool = True):
-    """|h|^2 and |g|^2 of the realizations :func:`sample_realizations` draws
-    for ``seeds``, squared straight from the normals.
+    """|h|^2 and |g|^2 of the realizations :func:`sample_realization` draws
+    for ``seeds``, as (len(seeds), N) arrays squared straight from the normals.
 
     Without ``second_hop``, g is not drawn (None is returned in its place) and
     each row draws only its first-hop normals, a prefix of the full draw.
@@ -546,8 +529,10 @@ def _sampled_squares(config: NetworkConfig, seeds: Sequence[int],
 def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:
     """Deterministically draw one channel realization.
 
-    The generator is seeded with the 64-bit value of ``seed``; the first-hop
-    gains are drawn before the second-hop gains.
+    The generator is ``np.random.default_rng`` seeded with the 64-bit value of
+    ``seed``; the first-hop gains are drawn before the second-hop gains.
     """
-    h, g = sample_realizations(config, (seed,))
-    return ChannelRealization(h=h[0], g=g[0])
+    rng = np.random.default_rng(int(seed) & MASK64)
+    n = config.n_relays
+    return ChannelRealization(h=sample_channel(config.h_dist, n, rng),
+                              g=sample_channel(config.g_dist, n, rng))

@@ -22,6 +22,7 @@ statistical error left is in the noise-power estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -256,10 +257,41 @@ class OracleResult:
     draws: int
 
 
-def _cn_noise(rng: np.random.Generator, shape, level: float) -> np.ndarray:
-    """Circularly symmetric complex Gaussian noise of power ``level``."""
+def _oracle(chain, noise_shapes: Sequence[tuple], symbol_trials: int,
+            seed: int, level: float) -> OracleResult:
+    """Empirical SINR at the output of the linear relaying ``chain(x, *noises)``.
+
+    ``noise_shapes`` lists the per-symbol shape of each noise block the chain
+    adds.  The symbol coefficient is the chain's output for x = 1 without
+    noise.  Each chunk draws its unit-modulus symbols, then each noise block in
+    turn as circularly symmetric complex Gaussian noise of power ``level``
+    (real parts, then imaginary parts); what is left of the output after the
+    symbol's share is the noise at the destination.
+    """
+    coef = complex(chain(np.ones(1, dtype=complex),
+                         *(np.zeros((1,) + s, dtype=complex) for s in noise_shapes))[0])
+    signal_power = abs(coef) ** 2
     scale = math.sqrt(level / 2.0)
-    return rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
+    rng = np.random.default_rng(int(seed) & MASK64)
+    w_sum = 0.0
+    w_sq_sum = 0.0
+    for lo in range(0, symbol_trials, _ORACLE_CHUNK):
+        c = min(_ORACLE_CHUNK, symbol_trials - lo)
+        x = np.exp(2j * np.pi * rng.random(c))
+        noises = [rng.normal(0.0, scale, (c,) + s)
+                  + 1j * rng.normal(0.0, scale, (c,) + s) for s in noise_shapes]
+        w = np.abs(chain(x, *noises) - coef * x) ** 2
+        w_sum += float(np.sum(w))
+        w_sq_sum += float(np.sum(w * w))
+    noise_power = w_sum / symbol_trials
+    # Residue far below the double-precision floor of the signal is the
+    # chain's own round-off, not simulated noise.
+    if noise_power <= signal_power * 1e-25:
+        return OracleResult(sinr=math.inf, std_error=0.0, draws=symbol_trials)
+    sinr = signal_power / noise_power
+    var_w = max(w_sq_sum / symbol_trials - noise_power * noise_power, 0.0)
+    se = sinr * math.sqrt(var_w) / (math.sqrt(symbol_trials) * noise_power)
+    return OracleResult(sinr=sinr, std_error=se, draws=symbol_trials)
 
 
 def _af_destination(real: ChannelRealization, cfg: NetworkConfig,
@@ -295,34 +327,10 @@ def signal_oracle_af(real: ChannelRealization, cfg: NetworkConfig,
     if symbol_trials < 1:
         raise ConfigurationError("symbol_trials must be >= 1")
     rates._squared_gains(real, cfg)
-    n = cfg.n_relays
-    m = cfg.m_conf
-    level = cfg.n_0 if noise_n0 is None else float(noise_n0)
-    factors = rates.af_power_factors(cfg, mom)
-    unit = np.ones(1, dtype=complex)
-    zeros_nm = np.zeros((1, n, m), dtype=complex)
-    coef = _af_destination(real, cfg, mom, factors, unit,
-                           np.zeros((1, n), dtype=complex), zeros_nm,
-                           np.zeros(1, dtype=complex))[0]
-    signal_power = abs(coef) ** 2
-    rng = np.random.default_rng(int(seed) & MASK64)
-    w_sum = 0.0
-    w_sq_sum = 0.0
-    done = 0
-    while done < symbol_trials:
-        c = min(_ORACLE_CHUNK, symbol_trials - done)
-        x = np.exp(2j * np.pi * rng.random(c))
-        relay_noise = _cn_noise(rng, (c, n), level)
-        conf_noise = (_cn_noise(rng, (c, n, m), level) if m
-                      else np.zeros((c, n, 0), dtype=complex))
-        dest_noise = _cn_noise(rng, (c,), level)
-        y = _af_destination(real, cfg, mom, factors, x, relay_noise,
-                            conf_noise, dest_noise)
-        w = np.abs(y - coef * x) ** 2
-        w_sum += float(np.sum(w))
-        w_sq_sum += float(np.sum(w * w))
-        done += c
-    return _oracle_stats(signal_power, w_sum, w_sq_sum, symbol_trials)
+    chain = functools.partial(_af_destination, real, cfg, mom,
+                              rates.af_power_factors(cfg, mom))
+    return _oracle(chain, ((cfg.n_relays,), (cfg.n_relays, cfg.m_conf), ()),
+                   symbol_trials, seed, cfg.n_0 if noise_n0 is None else float(noise_n0))
 
 
 def signal_oracle_df_mac(real: ChannelRealization, cfg: NetworkConfig,
@@ -332,37 +340,13 @@ def signal_oracle_df_mac(real: ChannelRealization, cfg: NetworkConfig,
     if symbol_trials < 1:
         raise ConfigurationError("symbol_trials must be >= 1")
     rates._squared_gains(real, cfg)
-    level = cfg.n_0 if noise_n0 is None else float(noise_n0)
     weights = rates._mac_weights(cfg, mom) * np.conj(real.g)
-    coef = complex(weights @ real.g)
-    signal_power = abs(coef) ** 2
-    rng = np.random.default_rng(int(seed) & MASK64)
-    w_sum = 0.0
-    w_sq_sum = 0.0
-    done = 0
-    while done < symbol_trials:
-        c = min(_ORACLE_CHUNK, symbol_trials - done)
-        x = np.exp(2j * np.pi * rng.random(c))
-        dest_noise = _cn_noise(rng, (c,), level)
-        y = (weights[None, :] * x[:, None]) @ real.g + dest_noise
-        w = np.abs(y - coef * x) ** 2
-        w_sum += float(np.sum(w))
-        w_sq_sum += float(np.sum(w * w))
-        done += c
-    return _oracle_stats(signal_power, w_sum, w_sq_sum, symbol_trials)
 
+    def chain(x, dest_noise):
+        return (weights[None, :] * x[:, None]) @ real.g + dest_noise
 
-def _oracle_stats(signal_power: float, w_sum: float, w_sq_sum: float,
-                  draws: int) -> OracleResult:
-    noise_power = w_sum / draws
-    # Residue far below the double-precision floor of the signal is the
-    # chain's own round-off, not simulated noise.
-    if noise_power <= signal_power * 1e-25:
-        return OracleResult(sinr=math.inf, std_error=0.0, draws=draws)
-    sinr = signal_power / noise_power
-    var_w = max(w_sq_sum / draws - noise_power * noise_power, 0.0)
-    se = sinr * math.sqrt(var_w) / (math.sqrt(draws) * noise_power)
-    return OracleResult(sinr=sinr, std_error=se, draws=draws)
+    return _oracle(chain, ((),), symbol_trials, seed,
+                   cfg.n_0 if noise_n0 is None else float(noise_n0))
 
 
 def analytic_af_sinr(real: ChannelRealization, cfg: NetworkConfig,

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from confrelay import Cscg, PointMass, derive_seed, mod_index
+from confrelay import Cscg, PointMass, derive_seed
 from confrelay.model import spec_moments
 
 
@@ -84,7 +84,7 @@ def df_relay_rate(i, real, cfg, mom) -> float:
     h2 = np.abs(real.h) ** 2
     snr = h2[i] * cfg.p_s / cfg.n_0
     for k in range(1, m + 1):
-        j = mod_index(i, -k, n)
+        j = (i - k) % n
         gamma = cfg.p_c / (cfg.p_s * mom.m2_h[j] + cfg.n_0)
         gf2 = gamma * pair_gain(cfg.conf_gain, j, k) ** 2
         snr += cfg.p_s / cfg.n_0 * gf2 * h2[j] / (gf2 + 1.0)
@@ -93,14 +93,14 @@ def df_relay_rate(i, real, cfg, mom) -> float:
 
 def af_power_factor(i, cfg, mom) -> float:
     n, m = cfg.n_relays, cfg.m_conf
-    window = [mod_index(i, -k, n) for k in range(m + 1)]
+    window = [(i - k) % n for k in range(m + 1)]
     mean_square = 0.0
     for a in window:
         for b in window:
             mean_square += mom.m4_h[a] if a == b else mom.m2_h[a] * mom.m2_h[b]
     bracket = cfg.p_s * mean_square + sum(mom.m2_h[j] for j in window)
     for k in range(1, m + 1):
-        j = mod_index(i, -k, n)
+        j = (i - k) % n
         f = pair_gain(cfg.conf_gain, j, k)
         bracket += (cfg.p_s * mom.m2_h[j] + cfg.n_0) / (cfg.p_c * f ** 2) * mom.m2_h[j]
     return 1.0 / np.sqrt(mom.m2_g[i] * bracket)
@@ -111,15 +111,15 @@ def af_q_terms(real, cfg, mom):
     a = [af_power_factor(i, cfg, mom) for i in range(n)]
     h2 = np.abs(real.h) ** 2
     g2 = np.abs(real.g) ** 2
-    q1 = sum(a[i] * g2[i] * sum(h2[mod_index(i, -k, n)] for k in range(m + 1))
+    q1 = sum(a[i] * g2[i] * sum(h2[(i - k) % n] for k in range(m + 1))
              for i in range(n))
-    q2 = sum(sum(a[mod_index(i, k, n)] * g2[mod_index(i, k, n)]
+    q2 = sum(sum(a[(i + k) % n] * g2[(i + k) % n]
                  for k in range(m + 1)) ** 2 * h2[i]
              for i in range(n))
     q3 = 0.0
     for i in range(n):
         for k in range(1, m + 1):
-            j = mod_index(i, -k, n)
+            j = (i - k) % n
             q3 += (a[i] ** 2 * (cfg.p_s * mom.m2_h[j] + cfg.n_0)
                    / (cfg.p_c * pair_gain(cfg.conf_gain, j, k) ** 2) * g2[i] ** 2 * h2[j])
     return q1, q2, q3
@@ -131,7 +131,7 @@ def af_q1_reindexed(real, cfg, mom) -> float:
     a = [af_power_factor(i, cfg, mom) for i in range(n)]
     h2 = np.abs(real.h) ** 2
     g2 = np.abs(real.g) ** 2
-    return sum(sum(a[mod_index(j, k, n)] * g2[mod_index(j, k, n)]
+    return sum(sum(a[(j + k) % n] * g2[(j + k) % n]
                    for k in range(m + 1)) * h2[j]
                for j in range(n))
 
@@ -142,11 +142,11 @@ def af_expected_q_terms(cfg, mom):
     product of their second moments."""
     n, m = cfg.n_relays, cfg.m_conf
     a = [af_power_factor(i, cfg, mom) for i in range(n)]
-    eq1 = sum(a[i] * mom.m2_g[i] * mom.m2_h[mod_index(i, -k, n)]
+    eq1 = sum(a[i] * mom.m2_g[i] * mom.m2_h[(i - k) % n]
               for i in range(n) for k in range(m + 1))
     eq2 = 0.0
     for j in range(n):
-        window = [mod_index(j, k, n) for k in range(m + 1)]
+        window = [(j + k) % n for k in range(m + 1)]
         square = 0.0
         for u in window:
             for v in window:
@@ -156,7 +156,7 @@ def af_expected_q_terms(cfg, mom):
     eq3 = 0.0
     for i in range(n):
         for k in range(1, m + 1):
-            j = mod_index(i, -k, n)
+            j = (i - k) % n
             eq3 += (a[i] ** 2 * mom.m4_g[i] * (cfg.p_s * mom.m2_h[j] + cfg.n_0)
                     / (cfg.p_c * pair_gain(cfg.conf_gain, j, k) ** 2) * mom.m2_h[j])
     return eq1, eq2, eq3

@@ -38,7 +38,6 @@ from confrelay import (
 )
 from confrelay import rates
 from confrelay.asymptotics import conferencing_noise_ratio
-from confrelay.model import sample_realizations
 from confrelay.montecarlo import (
     SCHEMES,
     signal_oracle_af,
@@ -563,11 +562,10 @@ class TestInvariants:
         cfg, seed = case
         mom = moments(cfg)
         frac, w = rates._df_fractions(cfg, mom), rates._mac_weights(cfg, mom)
-        seeds = [derive_seed(seed, t) for t in range(4)]
-        block = rates._df_rates(*(np.abs(x) ** 2 for x in sample_realizations(cfg, seeds)),
-                                cfg, frac, w)
-        for r, s in enumerate(seeds):
-            real = sample_realization(cfg, s)
+        reals = [sample_realization(cfg, derive_seed(seed, t)) for t in range(4)]
+        block = rates._df_rates(np.abs([r.h for r in reals]) ** 2,
+                                np.abs([r.g for r in reals]) ** 2, cfg, frac, w)
+        for r, real in enumerate(reals):
             want = np.minimum(np.min(df_relay_rates(real, cfg, mom)),
                               df_mac_rate(real, cfg, mom))
             assert block[r] == want

@@ -1,0 +1,120 @@
+"""Invalid input fails at the configuration boundary.
+
+One table of library calls, each of which raises ``ConfigurationError``, and
+one of command lines, each of which exits with code 2, reports a configuration
+error on stderr and leaves an existing ``--out`` file alone.
+"""
+
+import numpy as np
+import pytest
+
+from confrelay import (
+    ConfigurationError,
+    Cscg,
+    MomentSet,
+    Neighbors,
+    NetworkConfig,
+    PerIndex,
+    Portion,
+    SweepSpec,
+    conferencing_size,
+    moments,
+    sample_realization,
+    signal_oracle_af,
+    signal_oracle_df_mac,
+)
+from confrelay.cli import main
+from confrelay.montecarlo import apply_axis
+
+BASE = NetworkConfig(n_relays=4, conferencing=Neighbors(1))
+
+
+def _oracle_without_draws(oracle):
+    # A realization of the wrong length and, for AF, no conferencing power:
+    # the draw count is still the first thing rejected.
+    cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(1), p_c=0.0)
+    real = sample_realization(NetworkConfig(n_relays=3, conferencing=Neighbors(0)), 0)
+    oracle(real, cfg, moments(BASE), 0, 0)
+
+
+LIBRARY_CASES = {
+    "n_relays_fractional": (lambda: NetworkConfig(n_relays=2.5, conferencing=Neighbors(0)),
+                            "n_relays"),
+    "n_relays_zero": (lambda: NetworkConfig(n_relays=0, conferencing=Neighbors(0)),
+                      "n_relays"),
+    "conferencing_not_topology": (lambda: NetworkConfig(n_relays=3, conferencing=0.5),
+                                  "conferencing"),
+    "h_dist_not_law": (lambda: NetworkConfig(n_relays=3, conferencing=Neighbors(0),
+                                             h_dist="cscg:1"),
+                       "h_dist"),
+    "per_index_empty": (lambda: PerIndex(()), "per_index"),
+    "per_index_entry_not_law": (lambda: PerIndex((Cscg(1.0), 1.0)), "per_index"),
+    "portion_zero": (lambda: Portion(0), "portion"),
+    "portion_above_one": (lambda: Portion(1.5), "portion"),
+    "neighbors_negative": (lambda: Neighbors(-1), "neighbor"),
+    "conferencing_size_no_relays": (lambda: conferencing_size(0.5, 0), "relays"),
+    "moments_unequal_lengths": (lambda: MomentSet(np.ones(2), np.ones(3) * 2,
+                                                  np.ones(2), np.ones(2) * 2),
+                                "length"),
+    "moments_not_positive": (lambda: MomentSet(np.array([1.0, 0.0]), np.full(2, 2.0),
+                                               np.ones(2), np.full(2, 2.0)),
+                             "positive"),
+    "moments_m4_below_m2_squared": (lambda: MomentSet(np.full(2, 2.0), np.full(2, 3.0),
+                                                      np.ones(2), np.full(2, 2.0)),
+                                    "fourth moments"),
+    "sweep_no_values": (lambda: SweepSpec(base=BASE, axis="portion", values=(),
+                                          trials=1, base_seed=0),
+                        "at least one"),
+    "sweep_zero_trials": (lambda: SweepSpec(base=BASE, axis="portion", values=(0.5,),
+                                            trials=0, base_seed=0),
+                          "trials"),
+    "sweep_unknown_scheme": (lambda: SweepSpec(base=BASE, axis="portion", values=(0.5,),
+                                               trials=1, base_seed=0,
+                                               schemes=("af", "cf")),
+                             "schemes"),
+    "sweep_fractional_n_relays": (lambda: apply_axis(BASE, "n_relays", 2.5), "n_relays"),
+    "af_oracle_no_draws": (lambda: _oracle_without_draws(signal_oracle_af),
+                           "symbol_trials"),
+    "df_oracle_no_draws": (lambda: _oracle_without_draws(signal_oracle_df_mac),
+                           "symbol_trials"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_CASES))
+def test_library_rejects(name):
+    call, message = LIBRARY_CASES[name]
+    with pytest.raises(ConfigurationError, match=message):
+        call()
+
+
+CONFIG = "N=4\np=0.5\ntrials=2\n"
+
+CLI_CASES = {
+    "zero_trials": (CONFIG, ["single", "--set", "trials=0"], "trials"),
+    "bad_point_mass": (CONFIG, ["single", "--set", "h_dist=point_mass:abc"],
+                       "point_mass"),
+    "line_without_equals": ("N=4\np=0.5\nbogus\n", ["single"], "key=value"),
+    "axis_not_a_number": (CONFIG, ["sweep-n", "--axis", "1,x"], "--axis"),
+    "axis_empty": (CONFIG, ["sweep-n", "--axis", ","], "--axis"),
+    "oracle_no_draws": (CONFIG, ["oracle", "--draws", "0"], "symbol_trials"),
+    "oracle_upper_only": (CONFIG, ["oracle", "--set", "schemes=upper"], "oracle"),
+    "diagnose_unordered_sizes": (CONFIG, ["diagnose", "--axis", "100,50,200"],
+                                 "strictly increasing"),
+    "diagnose_repeated_sizes": (CONFIG, ["diagnose", "--axis", "100,100,200"],
+                                "strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_rejects(name, tmp_path, capsys):
+    text, argv, message = CLI_CASES[name]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "existing.csv"
+    out.write_text("earlier output\n")
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("confrelay: configuration error:")
+    assert message in captured.err
+    assert out.read_text() == "earlier output\n"
