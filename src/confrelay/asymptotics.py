@@ -74,7 +74,7 @@ def lemma1_gap(dist: DistributionSpec, n: int, trials: int, seed: int) -> float:
     function used by the Monte Carlo engine.
     """
     if n < 1 or trials < 1:
-        raise ValueError("n and trials must both be >= 1")
+        raise ConfigurationError("n and trials must both be >= 1")
     m2, _ = spec_moments(dist, n)
     expected = math.log1p(float(np.sum(m2))) / math.log(2.0)
     count = _normal_count(dist, n)
@@ -94,11 +94,10 @@ def scaling_fit(points: Sequence[tuple[int, float]]) -> ScalingFit:
     are sorted by increasing N in the returned fit.
     """
     pts = sorted((int(n), float(r)) for n, r in points)
-    if len(pts) < 3:
-        raise ValueError(f"scaling fit needs at least 3 points, got {len(pts)}")
     ns = np.array([p[0] for p in pts], dtype=float)
-    if len(np.unique(ns)) != len(ns):
-        raise ValueError("scaling fit needs distinct network sizes")
+    if len(np.unique(ns)) != len(ns) or len(ns) < 3:
+        raise ConfigurationError("scaling fit needs at least 3 points with distinct "
+                                 f"network sizes, got sizes {[p[0] for p in pts]}")
     x = np.log2(ns)
     y = np.array([p[1] for p in pts])
     slope, intercept = np.polyfit(x, y, 1)
@@ -140,7 +139,7 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
     the smallest per-relay moment-form rate.
     """
     if scheme not in ("af", "df", "upper"):
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise ConfigurationError(f"unknown scheme {scheme!r}")
     ns = [int(n) for n in n_values]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigurationError("network sizes must be strictly increasing")

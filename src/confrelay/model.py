@@ -143,10 +143,10 @@ def spec_moments(spec: DistributionSpec, n: int) -> tuple[np.ndarray, np.ndarray
         return m2, m2 * m2
     if isinstance(spec, PerIndex):
         _check_length(spec, n)
-        pairs = [spec_moments(s, 1) for s in spec.specs]
-        m2 = np.array([p[0][0] for p in pairs])
-        m4 = np.array([p[1][0] for p in pairs])
-        return m2, m4
+        gauss = np.array([isinstance(s, Cscg) for s in spec.specs])
+        m2 = np.array([s.variance if isinstance(s, Cscg) else abs(s.value) ** 2
+                       for s in spec.specs], dtype=float)
+        return m2, np.where(gauss, 2.0 * m2 * m2, m2 * m2)
     raise ConfigurationError(f"unsupported distribution spec: {spec!r}")
 
 

@@ -98,6 +98,21 @@ def _win_fwd(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
 # Lagged conferencing sums
 # ---------------------------------------------------------------------------
 
+def _lag_view(v: np.ndarray, m: int) -> np.ndarray:
+    """Read-only (..., M, N) view whose [..., k-1, i] entry is v[..., (i - k) mod n]:
+    from entry n - 1 of v repeated twice, back one entry per lag and forward
+    one per receiver."""
+    # Not as_strided: this form checks the strides against the buffer, and
+    # as_strided's array-interface route keeps about 1 MB allocated across calls.
+    n = v.shape[-1]
+    vv = np.concatenate((v, v), axis=-1)
+    step = vv.strides[-1]
+    view = np.ndarray(v.shape[:-1] + (m, n), vv.dtype, vv, (n - 1) * step,
+                      vv.strides[:-1] + (-step, step))
+    view.flags.writeable = False
+    return view
+
+
 def _lag_weights(term: Callable, m2_sender: np.ndarray, f, m: int):
     """Weights ``term(E|h_j|^2, f_{j,j+k}^2)`` of the conferencing links j -> j+k.
 
@@ -110,27 +125,22 @@ def _lag_weights(term: Callable, m2_sender: np.ndarray, f, m: int):
         return None
     if np.isscalar(f):
         return term(m2_sender, f ** 2)
-    # Receiver i of lag k reads sender (i - k) mod n: entry n - k + i of the
-    # sender arrays repeated twice.
-    n = len(m2_sender)
-    lag = np.arange(1, m + 1)[:, None]
-    sender = n - lag + np.arange(n)
-    return term(np.concatenate((m2_sender, m2_sender))[sender],
-                np.concatenate((f, f))[sender, lag - 1] ** 2)
+    # Row k-1 of the gains by receiver is lag k of column k-1 of f.
+    gains = np.einsum("kki->ki", _lag_view(f.T, m))
+    return term(_lag_view(m2_sender, m), gains ** 2)
 
 
 def _lagged(w, v: np.ndarray, m: int) -> np.ndarray:
-    """out[..., i] = sum_{k=1..m} w(link i-k -> i) * v[..., (i - k) mod n]."""
+    """out[..., i] = sum_{k=1..m} w(link i-k -> i) * v[..., (i - k) mod n].
+
+    Sender-indexed weights go through one backward window; an (M, N) stack is
+    contracted with :func:`_lag_view` of v, summing the lags in order k = 1..m.
+    """
     if m == 0:
         return np.zeros(v.shape)
     if w.ndim == 1:
         return _win_back(w * v, 1, m)
-    n = v.shape[-1]
-    vv = np.concatenate((v, v), axis=-1)
-    out = w[0] * vv[..., n - 1:2 * n - 1]
-    for k in range(2, m + 1):
-        out += w[k - 1] * vv[..., n - k:2 * n - k]
-    return out
+    return np.einsum("...ki,ki->...i", _lag_view(v, m), w)
 
 
 def _rate(snr):
@@ -200,11 +210,6 @@ def _df_relay_snr(h2: np.ndarray, cfg: NetworkConfig, frac) -> np.ndarray:
     return cfg.p_s / cfg.n_0 * (h2 + _lagged(frac, h2, cfg.m_conf))
 
 
-def _df_relay_rates(h2: np.ndarray, cfg: NetworkConfig, frac) -> np.ndarray:
-    """Per-relay first-hop rate."""
-    return _rate(_df_relay_snr(h2, cfg, frac))
-
-
 def _mac_weights(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
     _check_moments(cfg, mom)
     return np.sqrt(cfg.p_r / mom.m2_g)
@@ -232,8 +237,8 @@ def _df_rates(h2: np.ndarray, g2: np.ndarray, cfg: NetworkConfig, frac,
 def df_relay_rates(real: ChannelRealization, cfg: NetworkConfig,
                    mom: MomentSet) -> np.ndarray:
     """First-hop decoding rate supported at every relay."""
-    return _df_relay_rates(_squared_gains(real, cfg)[0], cfg,
-                           _df_fractions(cfg, mom))
+    return _rate(_df_relay_snr(_squared_gains(real, cfg)[0], cfg,
+                                _df_fractions(cfg, mom)))
 
 
 def df_mac_gain(real: ChannelRealization, cfg: NetworkConfig,
@@ -263,19 +268,12 @@ def df_rates_asymptotic(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
     direct second moment and the conferencing SNR fractions over relay i's
     neighborhood.
     """
-    return _df_relay_rates(mom.m2_h, cfg, _df_fractions(cfg, mom))
+    return _rate(_df_relay_snr(mom.m2_h, cfg, _df_fractions(cfg, mom)))
 
 
 # ---------------------------------------------------------------------------
 # Amplify-and-forward
 # ---------------------------------------------------------------------------
-
-def _q3_weights(cfg: NetworkConfig, mom: MomentSet):
-    """(p_s*E|h_j|^2 + n_0) / (p_c*f^2): conferencing noise power forwarded
-    per unit |h_j|^2 over the link from sender j."""
-    return _lag_weights(lambda m2, f2: (cfg.p_s * m2 + cfg.n_0) / (cfg.p_c * f2),
-                        mom.m2_h, cfg.conf_gain, cfg.m_conf)
-
 
 def af_power_factors(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
     """Per-relay power control factor a_i of the AF combining scheme.
@@ -290,14 +288,7 @@ def af_power_factors(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
     with k ranging over the conferencing window 0..M and the squared-sum
     expectation expanded through independence of the per-index draws.
     """
-    _require_scheme(cfg, "af")
-    _check_moments(cfg, mom)
-    m = cfg.m_conf
-    win2 = _win_back(mom.m2_h, 0, m)
-    mean_square = win2 * win2 + _win_back(mom.m4_h - mom.m2_h ** 2, 0, m)
-    conf = _lagged(_q3_weights(cfg, mom), mom.m2_h, m)
-    bracket = cfg.p_s * mean_square + win2 + conf
-    return 1.0 / np.sqrt(mom.m2_g * bracket)
+    return _af_invariants(cfg, mom)[0]
 
 
 def _af_q_terms(h2: np.ndarray, g2: np.ndarray, m: int, a: np.ndarray, q3w):
@@ -320,7 +311,17 @@ def _af_rates(h2: np.ndarray, g2: np.ndarray, cfg: NetworkConfig,
 
 
 def _af_invariants(cfg: NetworkConfig, mom: MomentSet):
-    return af_power_factors(cfg, mom), _q3_weights(cfg, mom)
+    """AF power factors and the q3 weights (p_s*E|h_j|^2 + n_0) / (p_c*f^2):
+    conferencing noise power forwarded per unit |h_j|^2 over the link from j."""
+    _require_scheme(cfg, "af")
+    _check_moments(cfg, mom)
+    m = cfg.m_conf
+    q3w = _lag_weights(lambda m2, f2: (cfg.p_s * m2 + cfg.n_0) / (cfg.p_c * f2),
+                       mom.m2_h, cfg.conf_gain, m)
+    win2 = _win_back(mom.m2_h, 0, m)
+    mean_square = win2 * win2 + _win_back(mom.m4_h - mom.m2_h ** 2, 0, m)
+    bracket = cfg.p_s * mean_square + win2 + _lagged(q3w, mom.m2_h, m)
+    return 1.0 / np.sqrt(mom.m2_g * bracket), q3w
 
 
 def af_q_terms(real: ChannelRealization, cfg: NetworkConfig,
@@ -449,7 +450,7 @@ def scheme_kernels(cfg: NetworkConfig, mom: MomentSet,
             a, q3w = _af_invariants(cfg, mom)
             kernels[s] = lambda h2, g2: _af_rates(h2, g2, cfg, a, q3w)
         else:
-            raise ValueError(f"unknown scheme {s!r}")
+            raise ConfigurationError(f"unknown scheme {s!r}")
     return kernels
 
 
@@ -457,7 +458,7 @@ def rate_report(real: ChannelRealization, cfg: NetworkConfig,
                 mom: MomentSet) -> RateReport:
     """Evaluate every scheme on one realization."""
     h2, g2 = _squared_gains(real, cfg)
-    relay_rates = _df_relay_rates(h2, cfg, _df_fractions(cfg, mom))
+    relay_rates = _rate(_df_relay_snr(h2, cfg, _df_fractions(cfg, mom)))
     mac = _mac_rates(g2, cfg, _mac_weights(cfg, mom))
     q1, q2, q3 = _af_q_terms(h2, g2, cfg.m_conf, *_af_invariants(cfg, mom))
     return RateReport(

@@ -61,6 +61,27 @@ def pair_gain(f, sender: int, k: int) -> float:
     return float(f) if np.isscalar(f) else float(f[sender, k - 1])
 
 
+def lagged(w, v, m):
+    """Per-lag loop: out[..., i] = sum_{k=1..m} w[k-1, i] * v[..., (i - k) mod n],
+    one rolled copy of v per lag, added in order k = 1..m."""
+    out = w[0] * np.roll(v, 1, axis=-1)
+    for k in range(2, m + 1):
+        out = out + w[k - 1] * np.roll(v, k, axis=-1)
+    return out
+
+
+def lag_weights(term, m2_sender, f, m):
+    """Per-link loop: entry [k-1, i] is the weight of link (i - k) mod n -> i."""
+    n = len(m2_sender)
+    w = np.empty((m, n))
+    for k in range(1, m + 1):
+        for i in range(n):
+            j = (i - k) % n
+            gain = pair_gain(f, j, k)
+            w[k - 1, i] = term(m2_sender[j], gain * gain)
+    return w
+
+
 def capacity_upper_bound(real, cfg) -> float:
     snr = cfg.p_s / cfg.n_0 * sum(abs(x) ** 2 for x in real.h)
     return 0.5 * np.log2(1.0 + snr)

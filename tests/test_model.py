@@ -27,6 +27,7 @@ from confrelay.model import (
     _sampled_squares,
     _seeded_normals,
     _squares_from_normals,
+    spec_moments,
 )
 
 LAWS = {
@@ -111,8 +112,26 @@ class TestMoments:
         cfg = NetworkConfig(n_relays=3, conferencing=Neighbors(0),
                             h_dist=spec, g_dist=Cscg(1.0))
         mom = moments(cfg)
-        assert np.allclose(mom.m2_h, [1.0, 4.0, 0.5])
-        assert np.allclose(mom.m4_h, [2.0, 16.0, 0.5])
+        assert np.array_equal(mom.m2_h, [1.0, 4.0, 0.5])
+        assert np.array_equal(mom.m4_h, [2.0, 16.0, 0.5])
+
+    def test_per_index_equals_per_entry_moments(self):
+        # Python's abs(complex) and np.abs round |v| differently for many of
+        # these point masses; every entry keeps the rounding of its own law.
+        rng = np.random.default_rng(11)
+        specs = []
+        for _ in range(3000):
+            if rng.random() < 0.2:
+                specs.append(Cscg(float(10.0 ** rng.uniform(-3, 3))))
+            else:
+                re, im = 10.0 ** rng.uniform(-3, 3, 2) * rng.choice([-1.0, 1.0], 2)
+                specs.append(PointMass(complex(re, im)))
+        m2, m4 = spec_moments(PerIndex(tuple(specs)), len(specs))
+        single = [spec_moments(s, 1) for s in specs]
+        assert np.array_equal(m2, [p[0][0] for p in single])
+        assert np.array_equal(m4, [p[1][0] for p in single])
+        values = np.array([s.value for s in specs if isinstance(s, PointMass)])
+        assert np.any(np.abs(values) ** 2 != [abs(v) ** 2 for v in values])
 
     def test_rejects_zero_point_mass(self):
         with pytest.raises(ConfigurationError):

@@ -1,3 +1,5 @@
+import cmath
+import functools
 import math
 from dataclasses import replace
 
@@ -52,10 +54,27 @@ def relclose(a, b, tol=REL):
     return math.isclose(a, b, rel_tol=tol, abs_tol=1e-15)
 
 
+def mixed_law(sizes, masses):
+    """Per-relay law: entry i is a point mass of magnitude sizes[i] and phase
+    i when bit i of ``masses`` is set, else Cscg(sizes[i])."""
+    return PerIndex(tuple(PointMass(cmath.rect(x, i)) if masses >> i & 1 else Cscg(x)
+                          for i, x in enumerate(sizes)))
+
+
+@functools.lru_cache(maxsize=None)
+def fading_laws(n):
+    """One Cscg law for every relay, or a per-relay mix of Cscg laws and
+    point masses."""
+    size = st.floats(0.2, 3.0)
+    return size.map(Cscg) | st.builds(
+        mixed_law, st.lists(size, min_size=n, max_size=n), st.integers(0, 2 ** n - 1))
+
+
 @st.composite
 def random_networks(draw):
     """A random network and seed; the conferencing gains are either one
-    uniform gain or an (N, M) matrix."""
+    uniform gain or an (N, M) matrix, and each hop's fading law is either
+    i.i.d. Cscg or a per-relay mix of Cscg laws and point masses."""
     n = draw(st.integers(1, 10))
     m = draw(st.integers(0, n - 1))
     gain = st.floats(0.2, 3.0)
@@ -68,8 +87,8 @@ def random_networks(draw):
         n_0=draw(st.floats(0.2, 2.0)),
         conf_gain=draw(gain | st.lists(gain, min_size=n * m, max_size=n * m)
                        .map(lambda v: np.reshape(v, (n, m)))),
-        h_dist=Cscg(draw(st.floats(0.2, 3.0))),
-        g_dist=Cscg(draw(st.floats(0.2, 3.0))),
+        h_dist=draw(fading_laws(n)),
+        g_dist=draw(fading_laws(n)),
     )
     seed = draw(st.integers(0, 2 ** 32 - 1))
     return cfg, seed
@@ -460,6 +479,34 @@ class TestCyclicWindows:
                 fwd = cs[..., hi + 1:n + hi + 1] - cs[..., lo:n + lo]
                 assert np.array_equal(rates._win_back(v, lo, hi), back), (lo, hi)
                 assert np.array_equal(rates._win_fwd(v, lo, hi), fwd), (lo, hi)
+
+
+class TestLaggedSums:
+    """With an (N, M) gain matrix the lag sums contract a strided view and the
+    weights are read through it; both must equal literal loops bit for bit."""
+
+    @pytest.mark.parametrize("lead", [(), (1,), (5,), (163,)],
+                             ids=["N", "1xN", "BxN", "block"])
+    @pytest.mark.parametrize("n, m", [(2, 1), (7, 1), (7, 6), (12, 5), (30, 29),
+                                      (100, 29)])
+    def test_sums_equal_per_lag_loop(self, lead, n, m):
+        rng = np.random.default_rng(100 * n + m + len(lead))
+        w = 10.0 ** rng.uniform(-8, 8, (m, n))
+        v = 10.0 ** rng.uniform(-8, 8, lead + (n,))
+        got = rates._lagged(w, v, m)
+        assert got.shape == v.shape
+        assert np.array_equal(got, reference.lagged(w, v, m))
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (7, 6), (12, 5)])
+    def test_weights_equal_per_link_loop(self, n, m):
+        rng = np.random.default_rng(n + m)
+        m2 = 10.0 ** rng.uniform(-4, 4, n)
+        f = 10.0 ** rng.uniform(-3, 3, (n, m))
+
+        def term(m2, f2):
+            return (1.3 * m2 + 0.7) / (0.4 * f2)
+        assert np.array_equal(rates._lag_weights(term, m2, f, m),
+                              reference.lag_weights(term, m2, f, m))
 
 
 class TestGainsFromConfiguration:

@@ -23,6 +23,8 @@ from confrelay import (
     signal_oracle_af,
     signal_oracle_df_mac,
 )
+from confrelay import rates
+from confrelay.asymptotics import lemma1_gap, scaling_fit, trace_points
 from confrelay.cli import main
 from confrelay.montecarlo import apply_axis
 
@@ -77,6 +79,17 @@ LIBRARY_CASES = {
                            "symbol_trials"),
     "df_oracle_no_draws": (lambda: _oracle_without_draws(signal_oracle_df_mac),
                            "symbol_trials"),
+    "trace_points_unknown_scheme": (lambda: trace_points("cf", BASE, (4, 8), 1, 0),
+                                    "unknown scheme"),
+    "lemma1_gap_no_relays": (lambda: lemma1_gap(Cscg(1.0), 0, 1, 0), "n and trials"),
+    "lemma1_gap_no_trials": (lambda: lemma1_gap(Cscg(1.0), 4, 0, 0), "n and trials"),
+    "scaling_fit_two_points": (lambda: scaling_fit([(4, 1.0), (8, 2.0)]),
+                               "at least 3 points"),
+    "scaling_fit_repeated_sizes": (lambda: scaling_fit([(4, 1.0), (4, 2.0), (8, 3.0)]),
+                                   "distinct network sizes"),
+    "scheme_kernels_unknown_scheme": (lambda: rates.scheme_kernels(BASE, moments(BASE),
+                                                                   ("cf",)),
+                                      "unknown scheme"),
 }
 
 
