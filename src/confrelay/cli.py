@@ -30,7 +30,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .model import (
     MASK64,
@@ -279,6 +279,16 @@ def _emit_diagnose(cfg: NetworkConfig, params: RunParams, axis: tuple,
         raise ConfigurationError("diagnose needs at least 3 network sizes")
     traces = {s: trace_points(s, cfg, ns, params.trials, params.seed)
               for s in params.schemes}
+    for scheme in params.schemes:
+        for tp in traces[scheme]:
+            _require_finite(lambda: f"{scheme} trace at N={tp.n_relays}",
+                            mean_rate=tp.mean_rate, mean_abs_gap=tp.mean_abs_gap)
+    fits = {s: scaling_fit([(tp.n_relays, tp.mean_rate) for tp in traces[s]])
+            for s in params.schemes}
+    for scheme in params.schemes:
+        fit = fits[scheme]
+        _require_finite(lambda: f"{scheme} scaling fit", slope=fit.slope,
+                        intercept=fit.intercept, residual_rms=fit.residual_rms)
     sink.write(TRACE_HEADER + "\n")
     for scheme in params.schemes:
         for tp in traces[scheme]:
@@ -288,11 +298,23 @@ def _emit_diagnose(cfg: NetworkConfig, params: RunParams, axis: tuple,
             )) + "\n")
     sink.write("\n" + FIT_HEADER + "\n")
     for scheme in params.schemes:
-        fit = scaling_fit([(tp.n_relays, tp.mean_rate) for tp in traces[scheme]])
+        fit = fits[scheme]
         sink.write(",".join((
             scheme, _fmt(fit.slope), _fmt(fit.intercept),
             _fmt(fit.residual_rms), str(len(fit.points)),
         )) + "\n")
+
+
+def _require_finite(where: Callable[[], str], **values: float) -> None:
+    """Reject a result row with a non-finite value: the configuration drove
+    the rate arithmetic out of floating-point range.  ``where`` names the row
+    and is called only then."""
+    bad = [f"{name}={value}" for name, value in values.items()
+           if not math.isfinite(value)]
+    if bad:
+        raise ConfigurationError(
+            f"{where()}: not finite ({', '.join(bad)}); the configuration "
+            f"overflows the rate arithmetic")
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +325,20 @@ _SWEEP_AXES = {"sweep-n": "n_relays", "sweep-p": "portion",
                "sweep-snr": "conf_snr_db"}
 
 
-def _fail_on_scheme_errors(result: SweepResult):
+def _check_points(result: SweepResult):
+    """Raise for a scheme that failed its preconditions, then for a row with a
+    non-finite mean rate or standard error."""
     for pt in result.points:
         if pt.result.errors:
             detail = "; ".join(f"{s}: {msg}" for s, msg in
                                sorted(pt.result.errors.items()))
             raise PreconditionError(detail)
+    for pt in result.points:
+        for scheme in sorted(pt.result.stats):
+            st = pt.result.stats[scheme]
+            _require_finite(lambda: (scheme if result.axis == "single" else
+                                     f"{scheme} at {result.axis}={pt.axis_value:g}"),
+                            mean_rate=st.mean_rate, std_error=st.std_error)
 
 
 def dispatch(manifest: RunManifest) -> int:
@@ -324,7 +354,7 @@ def dispatch(manifest: RunManifest) -> int:
         sink = io.StringIO()
         if manifest.command == "single":
             result = _single_result(cfg, params)
-            _fail_on_scheme_errors(result)
+            _check_points(result)
             emit_csv(result, sink)
         elif manifest.command in _SWEEP_AXES:
             if not manifest.axis:
@@ -333,7 +363,7 @@ def dispatch(manifest: RunManifest) -> int:
                              values=manifest.axis, trials=params.trials,
                              base_seed=params.seed, schemes=params.schemes)
             result = sweep(spec)
-            _fail_on_scheme_errors(result)
+            _check_points(result)
             emit_csv(result, sink)
         elif manifest.command == "oracle":
             _emit_oracle(cfg, params, manifest.draws, sink)

@@ -21,11 +21,18 @@ The realization for ``seed`` is the one ``np.random.default_rng(seed mod 2**64)`
 draws, first-hop gains before second-hop gains, and :func:`sample_realization`
 draws it with that generator.  The trial engine reproduces those draws for a
 block of seeds without building a generator per seed (:func:`_seeded_normals`):
-it runs NumPy's SeedSequence hash and PCG64 seeding over all seeds at once and
-reseeds one generator per row.  This relies on NumPy's fixed SeedSequence/PCG64
-seeding algorithm; ``TestSeededNormals`` checks the rows against ``default_rng``
-seed by seed, and ``test_sampled_squares_match_sampled_gains`` checks the
-engine's squares against ``sample_realization``.
+it runs NumPy's SeedSequence hash and PCG64 seeding over all seeds at once.
+Each thread keeps one PCG64 generator, and before each row the row's 128-bit
+state and increment are written as four 64-bit words straight into that
+generator's state memory.  The words' memory order depends on how NumPy was
+built (a native 128-bit integer or an emulated one, high word first); the first
+call in a process reads it back from a probe state set through the public
+``state`` setter and raises ``RuntimeError`` if the words read back are not
+the ones written.  This relies on NumPy's fixed SeedSequence/PCG64 seeding
+algorithm and its PCG64 state layout; ``TestSeededNormals`` checks the rows
+against ``default_rng`` seed by seed, and
+``test_sampled_squares_match_sampled_gains`` checks the engine's squares
+against ``sample_realization``.
 
 The trial engine reads ``|h|^2`` and ``|g|^2`` straight from the same normals
 (:func:`_sampled_squares`) and never builds the complex gains.  When no rate
@@ -39,8 +46,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Sequence, Union
 
 import numpy as np
@@ -318,11 +327,17 @@ class NetworkConfig:
                     f"{name} must be finite and nonnegative, got {value}")
         if not 0.0 < self.n_0 < math.inf:
             raise ConfigurationError(f"n_0 must be finite and positive, got {self.n_0}")
+        # The rates read the squared gains, so a gain whose square underflows
+        # to 0 or overflows to inf is rejected too.
         if np.isscalar(self.conf_gain):
             if not 0.0 < self.conf_gain < math.inf:
                 raise ConfigurationError(
                     f"conf_gain must be finite and positive, got {self.conf_gain}")
-            object.__setattr__(self, "conf_gain", float(self.conf_gain))
+            gain = float(self.conf_gain)
+            if not 0.0 < gain * gain < math.inf:
+                raise ConfigurationError(
+                    f"conf_gain squared must be finite and nonzero, got {self.conf_gain}")
+            object.__setattr__(self, "conf_gain", gain)
         else:
             gains = np.asarray(self.conf_gain, dtype=float)
             if gains.shape != (self.n_relays, self.m_conf):
@@ -333,6 +348,11 @@ class NetworkConfig:
             if not np.all((gains > 0) & np.isfinite(gains)):
                 raise ConfigurationError(
                     "conf_gain entries must all be finite and positive")
+            with np.errstate(over="ignore"):
+                squares = gains * gains
+            if not np.all((squares > 0) & np.isfinite(squares)):
+                raise ConfigurationError(
+                    "conf_gain entries squared must all be finite and nonzero")
             gains.flags.writeable = False
             object.__setattr__(self, "conf_gain", gains)
         for label, dist in (("h_dist", self.h_dist), ("g_dist", self.g_dist)):
@@ -367,22 +387,22 @@ class MomentSet:
     m4_g: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("m2_h", "m4_h", "m2_g", "m4_g"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.flags.writeable = False
-            arrays[name] = a
-            object.__setattr__(self, name, a)
-        n = len(arrays["m2_h"])
-        if any(len(a) != n for a in arrays.values()):
+        names = ("m2_h", "m4_h", "m2_g", "m4_g")
+        arrays = [np.asarray(getattr(self, name), dtype=float) for name in names]
+        n = len(arrays[0])
+        if any(len(a) != n for a in arrays):
             raise ConfigurationError("moment arrays must share one length")
-        for name, a in arrays.items():
-            if not np.all(a > 0):
-                raise ConfigurationError(f"{name} entries must be strictly positive")
-        for m2, m4 in ((arrays["m2_h"], arrays["m4_h"]),
-                       (arrays["m2_g"], arrays["m4_g"])):
-            if not np.all(m4 >= m2 * m2 * (1.0 - 1e-12)):
-                raise ConfigurationError("fourth moments must dominate squared second moments")
+        for name, a in zip(names, arrays):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        # One pass over the four arrays stacked as rows m2_h, m4_h, m2_g, m4_g.
+        stacked = np.array(arrays)
+        if not (stacked > 0).all():
+            first = next(name for name, a in zip(names, arrays) if not (a > 0).all())
+            raise ConfigurationError(f"{first} entries must be strictly positive")
+        m2, m4 = stacked[0::2], stacked[1::2]
+        if not (m4 >= m2 * m2 * (1.0 - 1e-12)).all():
+            raise ConfigurationError("fourth moments must dominate squared second moments")
 
 
 def moments(config: NetworkConfig) -> MomentSet:
@@ -460,8 +480,10 @@ def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     return v ^ (v >> _SHIFT)
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """(state, inc) that ``np.random.PCG64(seed)`` starts from, per uint64 seed."""
+def _pcg64_states(seeds: np.ndarray, order: Sequence[int]) -> list[tuple[int, ...]]:
+    """The four 64-bit words of the (state, inc) that ``np.random.PCG64(seed)``
+    starts from, per uint64 seed, in the memory ``order`` of
+    :func:`_word_order`."""
     # The entropy is the seed's low and high 32-bit words; the rest of the
     # pool hashes zeros.
     pool = np.zeros((4, len(seeds)), np.uint32)
@@ -477,20 +499,51 @@ def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
     # Little-endian pairs of output words give PCG64's four 64-bit seed words:
     # the initial state w0:w1 and the stream w2:w3, applied by two LCG steps
     # from state 0.
+    pick = itemgetter(*order)
     states = []
     for w0, w1, w2, w3 in (out[0::2] | out[1::2] << np.uint64(32)).T.tolist():
         inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        states.append(((((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+        state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128
+        states.append(pick((state >> 64, state & MASK64, inc >> 64, inc & MASK64)))
     return states
+
+
+# A (state, inc) pair as its words (state high, state low, inc high, inc low).
+# The bit patterns differ in every byte, so no two words read back alike.
+_PROBE_WORDS = (0x243F6A8885A308D3, 0x13198A2E03707344,
+                0xA4093822299F31D0, 0x082EFA98EC4E6C89)
+_MEMORY_ORDER = None
+_THREAD = threading.local()
+
+
+def _word_order(read_back: Sequence[int]) -> tuple[int, ...]:
+    """Memory order of PCG64's four state words, from the words ``read_back``
+    from its state memory after the public setter stored ``_PROBE_WORDS``.
+
+    Entry ``j`` is the index in (state high, state low, inc high, inc low) of
+    the word at memory slot ``j``: (1, 0, 3, 2) where the build has a native
+    128-bit integer on a little-endian machine, (0, 1, 2, 3) where it emulates
+    one high word first.
+    """
+    read_back = tuple(read_back)
+    if sorted(read_back) != sorted(_PROBE_WORDS):
+        raise RuntimeError(
+            "PCG64 state memory does not hold the state and increment words "
+            f"the generator was given: read {[hex(w) for w in read_back]}")
+    return tuple(_PROBE_WORDS.index(w) for w in read_back)
 
 
 def _seeded_normals(seeds: Sequence[int], count: int) -> np.ndarray:
     """(len(seeds), count) standard normals whose row ``r`` equals
     ``np.random.default_rng(int(seeds[r]) & MASK64).standard_normal(count)``.
 
-    The SeedSequence hash and the PCG64 seeding run over all seeds at once,
-    and one generator draws every row from its reseeded state.
+    The SeedSequence hash and the PCG64 seeding run over all seeds at once.
+    Each thread keeps one generator; before each row its 128-bit state and
+    increment are written straight into the generator's state memory, in the
+    word order that the first call in the process read back from a probe
+    state set through the public ``state`` setter.
     """
+    global _MEMORY_ORDER
     z = np.empty((len(seeds), count))
     if not z.size:
         return z
@@ -498,12 +551,26 @@ def _seeded_normals(seeds: Sequence[int], count: int) -> np.ndarray:
         words = seeds
     else:
         words = np.array([int(s) & MASK64 for s in seeds], dtype=np.uint64)
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    for row, (s, inc) in zip(z, _pcg64_states(words)):
-        state["state"] = {"state": s, "inc": inc}
-        bitgen.state = state
+    try:
+        gen, memory = _THREAD.draw
+    except AttributeError:
+        import ctypes
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        # bitgen.ctypes.state_address points at NumPy's pcg64_state, whose
+        # first field points at the (state, inc) pair.
+        pcg_state = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+        memory = (ctypes.c_uint64 * 4).from_address(pcg_state)
+        if _MEMORY_ORDER is None:
+            probe = bitgen.state
+            hi_s, lo_s, hi_inc, lo_inc = _PROBE_WORDS
+            probe["state"] = {"state": hi_s << 64 | lo_s, "inc": hi_inc << 64 | lo_inc}
+            bitgen.state = probe
+            _MEMORY_ORDER = _word_order(memory)
+        # gen holds bitgen, which owns the memory the view writes to.
+        _THREAD.draw = gen, memory
+    for row, state in zip(z, _pcg64_states(words, _MEMORY_ORDER)):
+        memory[:] = state
         gen.standard_normal(out=row)
     return z
 

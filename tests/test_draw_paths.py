@@ -5,6 +5,11 @@
 and ``montecarlo._oracle`` draws the signal oracles' symbols and noise.  A
 second sampler or oracle loop would have to use ``numpy.random`` somewhere
 else, and these tests fail when it does.
+
+``model._seeded_normals`` also writes each row's seed state straight into its
+generator's memory.  That is the library's only use of ``ctypes`` (its word
+order helper, ``model._word_order``, is a pure function of the words read
+back), and a test fails when ``ctypes`` appears anywhere else.
 """
 
 import ast
@@ -45,23 +50,44 @@ def _is_numpy_random(node):
     return False
 
 
-def random_uses(source):
-    """Top-level function (None outside one) of each use of ``numpy.random``
-    in ``source``, type annotations aside."""
+def _is_ctypes(node):
+    """The ``ctypes`` module, an array's or bit generator's ``.ctypes``
+    interface, or ``numpy.ctypeslib``."""
+    if isinstance(node, ast.Name):
+        return node.id == "ctypes"
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("ctypes", "ctypeslib")
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "ctypes" or a.name == "numpy.ctypeslib"
+                   for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return (module.split(".")[0] == "ctypes" or module == "numpy.ctypeslib"
+                or (module == "numpy" and any(a.name == "ctypeslib" for a in node.names)))
+    return False
+
+
+def uses(source, detect):
+    """Top-level function (None outside one) of each node of ``source`` that
+    ``detect`` flags, type annotations aside."""
     tree = ast.parse(source)
     skip = _annotation_ids(tree)
-    uses = []
+    found = []
     for stmt in tree.body:
         owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-        uses += [owner for node in ast.walk(stmt)
-                 if id(node) not in skip and _is_numpy_random(node)]
-    return uses
+        found += [owner for node in ast.walk(stmt)
+                  if id(node) not in skip and detect(node)]
+    return found
 
 
-def library_uses():
+def random_uses(source):
+    return uses(source, _is_numpy_random)
+
+
+def library_uses(detect=_is_numpy_random, src=SRC):
     return {(path.stem, owner)
-            for path in sorted(SRC.glob("*.py"))
-            for owner in random_uses(path.read_text(encoding="utf-8"))}
+            for path in sorted(src.glob("*.py"))
+            for owner in uses(path.read_text(encoding="utf-8"), detect)}
 
 
 def test_draws_stay_on_their_paths():
@@ -70,6 +96,22 @@ def test_draws_stay_on_their_paths():
 
 def test_every_draw_path_draws():
     assert DRAW_PATHS - library_uses() == set()
+
+
+def test_ctypes_only_in_the_seeded_normals():
+    assert library_uses(_is_ctypes) == {("model", "_seeded_normals")}
+
+
+def test_ctypes_check_fails_on_a_copy_with_ctypes_elsewhere(tmp_path):
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"),
+                                          encoding="utf-8")
+    rates = tmp_path / "rates.py"
+    rates.write_text(rates.read_text(encoding="utf-8")
+                     + "\n\ndef _peek(a):\n    return a.ctypes.data\n",
+                     encoding="utf-8")
+    assert library_uses(_is_ctypes, tmp_path) == {("model", "_seeded_normals"),
+                                                  ("rates", "_peek")}
 
 
 def test_detector_sees_calls_aliases_and_imports_but_not_annotations():
@@ -84,3 +126,18 @@ def test_detector_sees_calls_aliases_and_imports_but_not_annotations():
         "    return rng.random(3)\n"
     )
     assert random_uses(source) == [None, None, "sampler"]
+
+
+def test_ctypes_detector_sees_modules_interfaces_and_imports():
+    source = (
+        "import ctypes\n"
+        "from ctypes import c_uint64\n"
+        "import numpy as np\n"
+        "def view(bitgen):\n"
+        "    return bitgen.ctypes.state_address\n"
+        "def wrap(a):\n"
+        "    return np.ctypeslib.as_array(a)\n"
+        "def typed(a: ctypes.c_void_p):\n"
+        "    return a\n"
+    )
+    assert uses(source, _is_ctypes) == [None, None, "view", "wrap"]

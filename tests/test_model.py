@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -22,11 +24,13 @@ from confrelay import (
 )
 from confrelay.model import (
     MASK64,
+    _PROBE_WORDS,
     _from_normals,
     _normal_count,
     _sampled_squares,
     _seeded_normals,
     _squares_from_normals,
+    _word_order,
     spec_moments,
 )
 
@@ -237,6 +241,70 @@ class TestSeededNormals:
                               self._want([2 ** 64 - 1], 9))
         assert _seeded_normals([1, 2], 0).shape == (2, 0)
         assert _seeded_normals([], 4).shape == (0, 4)
+
+    @pytest.mark.parametrize("count", [1, 100, 16000])
+    @pytest.mark.parametrize("block", [1, 163, 655])
+    def test_rows_at_engine_block_sizes(self, block, count):
+        # The engine draws blocks of 655 and 163 rows at N = 25 and N = 100;
+        # 100 and 16000 normals are one draw at N = 25 and N = 4000.
+        seeds = np.random.default_rng(block * 100003 + count).integers(
+            0, 2 ** 64, block, dtype=np.uint64)
+        got = _seeded_normals(seeds, count)
+        assert got.shape == (block, count)
+        for row, seed in zip(got, seeds.tolist()):
+            assert np.array_equal(row, np.random.default_rng(seed).standard_normal(count))
+
+    def test_sample_realization_between_blocks_changes_no_row(self):
+        seeds = [3, 2 ** 64 - 1, 12345, 0]
+        first = _seeded_normals(seeds, 50)
+        sample_realization(NetworkConfig(n_relays=5, conferencing=Neighbors(1)), 99)
+        again = _seeded_normals(seeds, 50)
+        assert np.array_equal(first, self._want(seeds, 50))
+        assert np.array_equal(again, first)
+
+    def test_threads_drawing_at_once_get_their_own_rows(self):
+        seeds = {k: [k * 7919 + t for t in range(30)] for k in range(2)}
+        start = threading.Barrier(2)
+        got, errors = {}, []
+
+        def draw(k):
+            try:
+                start.wait(timeout=10)
+                got[k] = [_seeded_normals(seeds[k], 3000) for _ in range(4)]
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(k,)) for k in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for k in seeds:
+            want = self._want(seeds[k], 3000)
+            assert all(np.array_equal(z, want) for z in got[k])
+
+    def test_word_order_native_128_bit(self):
+        hi_s, lo_s, hi_inc, lo_inc = _PROBE_WORDS
+        assert _word_order([lo_s, hi_s, lo_inc, hi_inc]) == (1, 0, 3, 2)
+
+    def test_word_order_high_word_first(self):
+        assert _word_order(list(_PROBE_WORDS)) == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("read_back", [
+        [_PROBE_WORDS[1], _PROBE_WORDS[0], _PROBE_WORDS[3], 0],
+        [_PROBE_WORDS[1], _PROBE_WORDS[1], _PROBE_WORDS[3], _PROBE_WORDS[2]],
+        [0, 0, 0, 0],
+    ], ids=["foreign_word", "repeated_word", "zeros"])
+    def test_word_order_rejects_a_non_permutation(self, read_back):
+        with pytest.raises(RuntimeError, match="PCG64 state memory"):
+            _word_order(read_back)
 
     @pytest.mark.parametrize("h_dist,g_dist", [
         (Cscg(1.3), Cscg(0.4)),

@@ -90,6 +90,20 @@ LIBRARY_CASES = {
     "scheme_kernels_unknown_scheme": (lambda: rates.scheme_kernels(BASE, moments(BASE),
                                                                    ("cf",)),
                                       "unknown scheme"),
+    "conf_gain_square_underflows": (lambda: NetworkConfig(n_relays=4, conferencing=Neighbors(1),
+                                                          conf_gain=1e-200),
+                                    "conf_gain squared"),
+    "conf_gain_square_overflows": (lambda: NetworkConfig(n_relays=4, conferencing=Neighbors(1),
+                                                         conf_gain=1e200),
+                                   "conf_gain squared"),
+    "conf_gain_entry_square_underflows": (
+        lambda: NetworkConfig(n_relays=4, conferencing=Neighbors(1),
+                              conf_gain=np.array([[1.0], [1e-200], [1.0], [1.0]])),
+        "conf_gain entries squared"),
+    "conf_gain_entry_square_overflows": (
+        lambda: NetworkConfig(n_relays=4, conferencing=Neighbors(1),
+                              conf_gain=np.array([[1.0], [1.0], [1.0], [1e200]])),
+        "conf_gain entries squared"),
 }
 
 
@@ -115,9 +129,23 @@ CLI_CASES = {
                                  "strictly increasing"),
     "diagnose_repeated_sizes": (CONFIG, ["diagnose", "--axis", "100,100,200"],
                                 "strictly increasing"),
+    # Rates out of floating-point range: no nan or inf row exits 0.
+    "source_power_overflows": (CONFIG, ["single", "--set", "Ps=1e308"], "not finite"),
+    "noise_level_underflows": (CONFIG, ["single", "--set", "N0=1e-320"], "not finite"),
+    "conf_gain_square_underflows": (CONFIG, ["single", "--set", "f=1e-200"],
+                                    "conf_gain squared"),
+    "conf_gain_square_overflows": (CONFIG, ["single", "--set", "f=1e200"],
+                                   "conf_gain squared"),
+    "sweep_rate_overflows": (CONFIG, ["sweep-n", "--axis", "4,8", "--set", "N0=1e-320"],
+                             "not finite"),
+    "diagnose_trace_overflows": (CONFIG, ["diagnose", "--axis", "4,8,16",
+                                          "--set", "Ps=1e308"], "not finite"),
 }
 
 
+# The overflow cases drive NumPy past its float range on purpose.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_rejects(name, tmp_path, capsys):
     text, argv, message = CLI_CASES[name]
