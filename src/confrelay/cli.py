@@ -261,6 +261,12 @@ def _emit_oracle(cfg: NetworkConfig, params: RunParams, draws: int, sink) -> Non
         rows.append(("df", ana, emp))
     if not rows:
         raise ConfigurationError("oracle needs 'af' or 'df' among the schemes")
+    # An infinite empirical SINR with a zero standard error is the oracle's
+    # round-off guard, and the relative gap is nan by definition where the
+    # closed form is 0; the closed form and the standard error must be finite.
+    for scheme, ana, emp in rows:
+        _require_finite(lambda: f"{scheme} oracle", analytic_sinr=ana,
+                        std_error=emp.std_error)
     sink.write(ORACLE_HEADER + "\n")
     for scheme, ana, emp in rows:
         gap = abs(emp.sinr - ana) / ana if ana > 0 else math.nan

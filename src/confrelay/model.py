@@ -50,7 +50,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -101,13 +101,36 @@ class PointMass:
         if not cmath.isfinite(self.value):
             raise ConfigurationError(
                 f"point_mass value must be finite, got {self.value}")
-        if abs(self.value) == 0:
+        if self.value == 0:
             raise ConfigurationError("point_mass value must be nonzero")
+        # The moments read |value|^2, so a value whose square underflows to 0
+        # or overflows is rejected too.
+        if not 0.0 < _abs_squared(self.value) < math.inf:
+            raise ConfigurationError(
+                f"point_mass value squared must be finite and nonzero, got {self.value}")
+
+
+class _PerIndexTable(NamedTuple):
+    """What the moments and the samplers read of a :class:`PerIndex` law."""
+
+    gauss: np.ndarray       # relay indices of the Gaussian entries
+    half: np.ndarray        # their variance / 2
+    scale: np.ndarray       # their sqrt(variance / 2)
+    mass: np.ndarray        # relay indices of the point masses
+    values: np.ndarray      # their values
+    power: np.ndarray       # their |value|^2, rounded as NumPy rounds it
+    m2: np.ndarray          # E|h|^2 per relay
+    m4: np.ndarray          # E|h|^4 per relay
 
 
 @dataclass(frozen=True)
 class PerIndex:
-    """Independent, non-identical law per relay index."""
+    """Independent, non-identical law per relay index.
+
+    Everything the moments and the samplers read of the law is one table,
+    built on first use in one pass over ``specs`` (and one over the point
+    masses' values) and cached; the moment arrays it hands out are read-only.
+    """
 
     specs: tuple
 
@@ -122,28 +145,34 @@ class PerIndex:
                 )
 
     @cached_property
-    def _layout(self):
-        """Relay indices and scales of the Gaussian entries, and the rest."""
-        gauss = [i for i, s in enumerate(self.specs) if isinstance(s, Cscg)]
-        mass = [i for i, s in enumerate(self.specs) if isinstance(s, PointMass)]
-        scale = np.array([math.sqrt(self.specs[i].variance / 2.0) for i in gauss])
-        values = np.array([self.specs[i].value for i in mass], dtype=complex)
-        return np.array(gauss, dtype=np.intp), scale, np.array(mass, dtype=np.intp), values
-
-    @cached_property
-    def _powers(self):
-        """Half variances of the Gaussian entries and |value|^2 of the point
-        masses, in the order of :attr:`_layout`."""
-        gauss, _, _, values = self._layout
-        half = np.array([self.specs[i].variance / 2.0 for i in gauss])
-        return half, _abs2(values)
+    def _table(self) -> _PerIndexTable:
+        # One pass over the specs gives each entry's E|h|^2 with the rounding
+        # of its own law in spec_moments: the variance, or Python's
+        # abs(value) ** 2 negated for a point mass.  Both laws reject a power
+        # that is not positive, so the sign tells the kinds apart.
+        signed = np.array([s.variance if isinstance(s, Cscg) else -(abs(s.value) ** 2)
+                           for s in self.specs])
+        is_gauss = signed > 0
+        m2 = np.abs(signed)
+        gauss, mass = is_gauss.nonzero()[0], (~is_gauss).nonzero()[0]
+        half = m2[gauss] / 2.0
+        values = np.array([self.specs[i].value for i in mass.tolist()], dtype=complex)
+        # (2 * m2) * m2 for a Gaussian entry, (1 * m2) * m2 = m2 * m2 for a
+        # point mass, as spec_moments rounds them.
+        m4 = np.where(is_gauss, 2.0, 1.0) * m2 * m2
+        m2.flags.writeable = m4.flags.writeable = False
+        return _PerIndexTable(gauss=gauss, half=half, scale=np.sqrt(half), mass=mass,
+                              values=values, power=_abs2(values), m2=m2, m4=m4)
 
 
 DistributionSpec = Union[Cscg, PointMass, PerIndex]
 
 
 def spec_moments(spec: DistributionSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic (E|h|^2, E|h|^4) per index for a channel of length ``n``."""
+    """Analytic (E|h|^2, E|h|^4) per index for a channel of length ``n``.
+
+    For a ``PerIndex`` law these are the read-only arrays of its table.
+    """
     if isinstance(spec, Cscg):
         m2 = np.full(n, spec.variance, dtype=float)
         return m2, 2.0 * m2 * m2
@@ -152,10 +181,7 @@ def spec_moments(spec: DistributionSpec, n: int) -> tuple[np.ndarray, np.ndarray
         return m2, m2 * m2
     if isinstance(spec, PerIndex):
         _check_length(spec, n)
-        gauss = np.array([isinstance(s, Cscg) for s in spec.specs])
-        m2 = np.array([s.variance if isinstance(s, Cscg) else abs(s.value) ** 2
-                       for s in spec.specs], dtype=float)
-        return m2, np.where(gauss, 2.0 * m2 * m2, m2 * m2)
+        return spec._table.m2, spec._table.m4
     raise ConfigurationError(f"unsupported distribution spec: {spec!r}")
 
 
@@ -173,7 +199,7 @@ def _normal_count(spec: DistributionSpec, n: int) -> int:
     if isinstance(spec, PointMass):
         return 0
     if isinstance(spec, PerIndex):
-        return 2 * len(spec._layout[0])
+        return 2 * len(spec._table.gauss)
     raise ConfigurationError(f"unsupported distribution spec: {spec!r}")
 
 
@@ -192,11 +218,19 @@ def _from_normals(spec: DistributionSpec, n: int, z: np.ndarray) -> np.ndarray:
     elif isinstance(spec, PointMass):
         out[...] = spec.value
     else:
-        gauss, scale, mass, values = spec._layout
-        out.real[..., gauss] = scale * z[..., 0::2]
-        out.imag[..., gauss] = scale * z[..., 1::2]
-        out[..., mass] = values
+        t = spec._table
+        out.real[..., t.gauss] = t.scale * z[..., 0::2]
+        out.imag[..., t.gauss] = t.scale * z[..., 1::2]
+        out[..., t.mass] = t.values
     return out
+
+
+def _abs_squared(value: complex) -> float:
+    """Python's ``abs(value) ** 2``, or inf where that overflows."""
+    try:
+        return abs(value) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _abs2(values: np.ndarray) -> np.ndarray:
@@ -218,11 +252,10 @@ def _squares_from_normals(spec: DistributionSpec, n: int,
         out = z[..., :n] + z[..., n:]
         out *= spec.variance / 2.0
         return out
-    gauss, _, mass, _ = spec._layout
-    half, mass_power = spec._powers
+    t = spec._table
     out = np.empty(z.shape[:-1] + (n,))
-    out[..., gauss] = half * (z[..., 0::2] + z[..., 1::2])
-    out[..., mass] = mass_power
+    out[..., t.gauss] = t.half * (z[..., 0::2] + z[..., 1::2])
+    out[..., t.mass] = t.power
     return out
 
 
@@ -364,9 +397,9 @@ class NetworkConfig:
             elif not isinstance(dist, (Cscg, PointMass, PerIndex)):
                 raise ConfigurationError(f"{label} is not a distribution spec")
 
-    @property
+    @cached_property
     def m_conf(self) -> int:
-        """Derived conferencing neighbor count M."""
+        """Derived conferencing neighbor count M, computed once per config."""
         if isinstance(self.conferencing, Neighbors):
             return self.conferencing.m
         return conferencing_size(self.conferencing.p, self.n_relays)

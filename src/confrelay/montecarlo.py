@@ -5,9 +5,10 @@ Determinism contract
 Every result is a pure function of its arguments.  The realization used for
 trial ``t`` is seeded with ``derive_seed(base_seed, t)``, a SplitMix64-style
 mixer, so which realization a trial sees never depends on how trials are
-grouped: per-trial rates land in an index-addressed array and the aggregation
-always reads that array in index order.  Trials are evaluated in one thread,
-in blocks whose size follows from the network size alone.
+grouped: per-trial rates land in one index-addressed (scheme, trial) array,
+and the aggregation reduces all of its rows at once, each in index order, to
+the bits ``np.mean`` and ``np.std`` give row by row.  Trials are evaluated in
+one thread, in blocks whose size follows from the network size alone.
 
 A realization carries only the fading gains ``h`` and ``g``; every rate and
 oracle reads the conferencing gains from the configuration it is given.
@@ -36,6 +37,7 @@ from .model import (
     MomentSet,
     NetworkConfig,
     Portion,
+    _abs_squared,
     _sampled_squares,
     moments,
 )
@@ -160,32 +162,45 @@ class SweepResult:
     base_seed: int
 
 
-def trial_rates(cfg: NetworkConfig, mom: MomentSet, trials: int, base_seed: int,
-                schemes: Sequence[str]) -> dict:
-    """Rate of each scheme in every trial, as one float64[trials] array per scheme.
-
-    Entry ``t`` is the rate on ``sample_realization(cfg, derive_seed(base_seed,
-    t))``.  The per-configuration invariants are computed once; realizations
-    are drawn and evaluated in blocks of ``max(1, _BLOCK_ELEMENTS // N)``
-    trials, and each trial's rate does not depend on the block it falls in.
-    """
+def _rate_table(cfg: NetworkConfig, mom: MomentSet, trials: int,
+                base_seed: int, schemes: Sequence[str]) -> tuple[tuple, np.ndarray]:
+    """The distinct schemes in order, and one float64 array of shape
+    (schemes, trials) whose row ``i`` holds the rates of scheme ``i``; see
+    :func:`trial_rates`."""
     kernels = rates.scheme_kernels(cfg, mom, schemes)
     second_hop = rates.reads_second_hop(kernels)
-    values = {s: np.empty(trials) for s in kernels}
+    values = np.empty((len(kernels), trials))
     block = max(1, _BLOCK_ELEMENTS // cfg.n_relays)
     for lo in range(0, trials, block):
         hi = min(lo + block, trials)
         h2, g2 = _sampled_squares(cfg, _derive_seeds(base_seed, lo, hi),
                                   second_hop)
-        for s, kernel in kernels.items():
-            values[s][lo:hi] = kernel(h2, g2)
-    return values
+        for row, kernel in zip(values, kernels.values()):
+            row[lo:hi] = kernel(h2, g2)
+    return tuple(kernels), values
+
+
+def trial_rates(cfg: NetworkConfig, mom: MomentSet, trials: int, base_seed: int,
+                schemes: Sequence[str]) -> dict:
+    """Rate of each scheme in every trial, as a float64[trials] row per scheme.
+
+    The rows are those of one (schemes, trials) array.  Entry ``t`` is
+    the rate on ``sample_realization(cfg, derive_seed(base_seed, t))``.  The
+    per-configuration invariants are computed once; realizations are drawn
+    and evaluated in blocks of ``max(1, _BLOCK_ELEMENTS // N)`` trials, and
+    each trial's rate does not depend on the block it falls in.
+    """
+    names, values = _rate_table(cfg, mom, trials, base_seed, schemes)
+    return dict(zip(names, values))
 
 
 def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
               schemes: Sequence[str] = SCHEMES) -> PointResult:
     """Monte Carlo statistics of the requested schemes at one configuration.
 
+    All schemes are reduced in one stacked pass over the trial rates, in place
+    on their array; each mean and standard error equals ``np.mean`` and
+    ``np.std(ddof=1) / sqrt(trials)`` of the scheme's own rates, bit for bit.
     Scheme precondition failures (:func:`rates.scheme_precondition_error`)
     are reported in ``errors`` and do not stop the remaining schemes.
     """
@@ -194,20 +209,27 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
     reasons = {s: rates.scheme_precondition_error(cfg, s) for s in sorted(set(schemes))}
     errors = {s: msg for s, msg in reasons.items() if msg is not None}
     runnable = [s for s, msg in reasons.items() if msg is None]
+    if not runnable:
+        return PointResult(stats={}, errors=errors)
+    names, v = _rate_table(cfg, moments(cfg), trials, base_seed, runnable)
+    first = v[:, 0].tolist()
+    constant = (v == v[:, :1]).all(axis=1).tolist()
+    mean = np.add.reduce(v, axis=1) / trials
+    if trials > 1 and not all(constant):
+        # np.std's steps, in place: squared deviations from the mean, their
+        # sum over trials - 1 degrees of freedom, the square root.
+        v -= mean[:, None]
+        np.square(v, out=v)
+        se = (np.sqrt(np.add.reduce(v, axis=1) / (trials - 1))
+              / math.sqrt(trials)).tolist()
+    else:
+        se = [0.0] * len(names)
     stats = {}
-    if runnable:
-        values = trial_rates(cfg, moments(cfg), trials, base_seed, runnable)
-        for s in runnable:
-            v = values[s]
-            if np.all(v == v[0]):
-                # Deterministic configurations reproduce the single-shot rate
-                # exactly, without summation round-off.
-                stats[s] = SchemeStats(mean_rate=float(v[0]), std_error=0.0,
-                                       trials=trials)
-                continue
-            se = float(np.std(v, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-            stats[s] = SchemeStats(mean_rate=float(np.mean(v)), std_error=se,
-                                   trials=trials)
+    for s, f, c, m, e in zip(names, first, constant, mean.tolist(), se):
+        # Deterministic configurations reproduce the single-shot rate
+        # exactly, without summation round-off.
+        stats[s] = SchemeStats(mean_rate=f if c else m,
+                               std_error=0.0 if c else e, trials=trials)
     return PointResult(stats=stats, errors=errors)
 
 
@@ -270,7 +292,7 @@ def _oracle(chain, noise_shapes: Sequence[tuple], symbol_trials: int,
     """
     coef = complex(chain(np.ones(1, dtype=complex),
                          *(np.zeros((1,) + s, dtype=complex) for s in noise_shapes))[0])
-    signal_power = abs(coef) ** 2
+    signal_power = _abs_squared(coef)
     scale = math.sqrt(level / 2.0)
     rng = np.random.default_rng(int(seed) & MASK64)
     w_sum = 0.0

@@ -1,7 +1,8 @@
 import math
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -41,6 +42,19 @@ LAWS = {
                                  PointMass(-7.77 + 1e-5j), Cscg(3.0), Cscg(0.7))),
     "per_index_point_masses": PerIndex(tuple(PointMass(0.3 * k + 0.1j)
                                              for k in range(1, 8))),
+    "per_index_mass_first": PerIndex((PointMass(-0.4 + 1.3j),)
+                                     + tuple(Cscg(0.2 + 0.3 * k) for k in range(6))),
+    "per_index_mass_last": PerIndex(tuple(Cscg(1.9 - 0.25 * k) for k in range(6))
+                                    + (PointMass(2.2 - 0.7j),)),
+    "per_index_cscg": PerIndex(tuple(Cscg(0.4 + 0.2 * k) for k in range(7))),
+}
+
+# Where a PerIndex law of n entries holds its point masses.
+MASS_LAYOUTS = {
+    "first": lambda i, n: i == 0,
+    "last": lambda i, n: i == n - 1,
+    "every": lambda i, n: True,
+    "none": lambda i, n: False,
 }
 
 
@@ -123,19 +137,41 @@ class TestMoments:
         # Python's abs(complex) and np.abs round |v| differently for many of
         # these point masses; every entry keeps the rounding of its own law.
         rng = np.random.default_rng(11)
-        specs = []
-        for _ in range(3000):
-            if rng.random() < 0.2:
-                specs.append(Cscg(float(10.0 ** rng.uniform(-3, 3))))
-            else:
-                re, im = 10.0 ** rng.uniform(-3, 3, 2) * rng.choice([-1.0, 1.0], 2)
-                specs.append(PointMass(complex(re, im)))
-        m2, m4 = spec_moments(PerIndex(tuple(specs)), len(specs))
-        single = [spec_moments(s, 1) for s in specs]
-        assert np.array_equal(m2, [p[0][0] for p in single])
-        assert np.array_equal(m4, [p[1][0] for p in single])
-        values = np.array([s.value for s in specs if isinstance(s, PointMass)])
+
+        def random_law(is_mass, n):
+            specs = []
+            for i in range(n):
+                if not is_mass(i, n):
+                    specs.append(Cscg(float(10.0 ** rng.uniform(-3, 3))))
+                else:
+                    re, im = 10.0 ** rng.uniform(-3, 3, 2) * rng.choice([-1.0, 1.0], 2)
+                    specs.append(PointMass(complex(re, im)))
+            return specs
+
+        mixed = random_law(lambda i, n: rng.random() >= 0.2, 3000)
+        values = np.array([s.value for s in mixed if isinstance(s, PointMass)])
         assert np.any(np.abs(values) ** 2 != [abs(v) ** 2 for v in values])
+        for specs in [mixed] + [random_law(at, 300) for at in MASS_LAYOUTS.values()]:
+            m2, m4 = spec_moments(PerIndex(tuple(specs)), len(specs))
+            single = [spec_moments(s, 1) for s in specs]
+            assert np.array_equal(m2, [p[0][0] for p in single])
+            assert np.array_equal(m4, [p[1][0] for p in single])
+
+    def test_second_moments_call_reuses_the_law_table(self, monkeypatch):
+        builds = []
+        build = PerIndex._table.func
+        counted = cached_property(lambda law: builds.append(law) or build(law))
+        counted.__set_name__(PerIndex, "_table")
+        monkeypatch.setattr(PerIndex, "_table", counted)
+        law = PerIndex(LAWS["per_index_mixed"].specs)
+        cfg = NetworkConfig(n_relays=7, conferencing=Neighbors(2), h_dist=law,
+                            g_dist=PerIndex(law.specs[::-1]))
+        first = moments(cfg)
+        assert len(builds) == 2
+        second = moments(cfg)
+        assert len(builds) == 2
+        for name in ("m2_h", "m4_h", "m2_g", "m4_g"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
 
     def test_rejects_zero_point_mass(self):
         with pytest.raises(ConfigurationError):
@@ -196,7 +232,11 @@ class TestSampling:
         PerIndex(tuple(Cscg(0.4 + 0.2 * i) for i in range(7))),
         PerIndex((Cscg(1.0), PointMass(2), Cscg(0.5), PointMass(1j),
                   PointMass(-1), Cscg(3.0), Cscg(0.7))),
-    ], ids=["cscg", "point_mass", "per_index_cscg", "per_index_mixed"])
+        LAWS["per_index_mass_first"],
+        LAWS["per_index_mass_last"],
+        LAWS["per_index_point_masses"],
+    ], ids=["cscg", "point_mass", "per_index_cscg", "per_index_mixed",
+            "per_index_mass_first", "per_index_mass_last", "per_index_point_masses"])
     def test_draws_equal_per_entry_reference(self, spec):
         for seed in range(6):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -335,7 +375,9 @@ class TestSquaresFromNormals:
         assert got.shape == want.shape == (40, 7)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("name", ["point_mass", "per_index_mixed"])
+    @pytest.mark.parametrize("name", ["point_mass", "per_index_mixed",
+                                      "per_index_mass_first", "per_index_mass_last",
+                                      "per_index_point_masses"])
     def test_point_masses_are_exact(self, name):
         spec = LAWS[name]
         mass = [i for i in range(7)
@@ -344,6 +386,24 @@ class TestSquaresFromNormals:
         want = np.abs(_from_normals(spec, 7, z)) ** 2
         assert np.array_equal(_squares_from_normals(spec, 7, z)[:, mass],
                               want[:, mass])
+
+    @pytest.mark.parametrize("name", sorted(n for n in LAWS if n.startswith("per_index")))
+    def test_per_index_equals_per_entry_laws(self, name):
+        # Column i of a PerIndex law's gains and squares is what entry i's own
+        # law gives from the same normals, bit for bit.
+        law = LAWS[name]
+        z = np.random.default_rng(10).standard_normal((30, _normal_count(law, 7)))
+        gains = _from_normals(law, 7, z)
+        squares = _squares_from_normals(law, 7, z.copy())
+        k = 0
+        for i, spec in enumerate(law.specs):
+            count = _normal_count(spec, 1)
+            part = z[:, k:k + count]
+            k += count
+            assert np.array_equal(gains[:, i], _from_normals(spec, 1, part)[:, 0])
+            assert np.array_equal(squares[:, i],
+                                  _squares_from_normals(spec, 1, part.copy())[:, 0])
+        assert k == z.shape[1]
 
     @pytest.mark.parametrize("name", sorted(LAWS))
     def test_sampled_squares_match_sampled_gains(self, name):
@@ -398,6 +458,21 @@ class TestConfigValidation:
         cfg = NetworkConfig(n_relays=100, conferencing=Portion(0.1))
         assert cfg.m_conf == 9
         assert cfg.p_effective == 0.1
+
+    @pytest.mark.parametrize("base", [Portion(0.1), Neighbors(3)], ids=["portion", "neighbors"])
+    def test_neighbor_count_follows_replaced_fields(self, base):
+        # M is computed once per config; a replaced config computes its own.
+        cfg = NetworkConfig(n_relays=100, conferencing=base)
+        before = cfg.m_conf
+        for changes in ({"n_relays": 37}, {"n_relays": 5},
+                        {"conferencing": Portion(0.55)}, {"conferencing": Neighbors(4)}):
+            other = replace(cfg, **changes)
+            topo = other.conferencing
+            want = (topo.m if isinstance(topo, Neighbors)
+                    else conferencing_size(topo.p, other.n_relays))
+            assert other.m_conf == want
+            assert other.p_effective == (want + 1) / other.n_relays
+        assert cfg.m_conf == before
 
     @pytest.mark.parametrize("field", ["p_s", "p_r", "p_c", "n_0", "conf_gain"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -117,6 +117,31 @@ class TestRunPoint:
         with pytest.raises(ConfigurationError):
             run_point(cfg, 0, 0, ("upper",))
 
+    # The cut-set bound reads only the first hop, so under a point-mass h it
+    # is constant while AF and DF vary: the stacked reduction mixes both.
+    @pytest.mark.parametrize("name", sorted(ENGINE_CASES) + ["point_mass_h"])
+    @pytest.mark.parametrize("trials", [1, 2, 127, 128, 129, 8193])
+    def test_stacked_reduction_equals_per_scheme_numpy(self, name, trials):
+        cfg = ENGINE_CASES.get(name) or NetworkConfig(
+            n_relays=6, conferencing=Neighbors(2), h_dist=PointMass(0.8 + 0.3j),
+            g_dist=Cscg(1.1))
+        rows = trial_rates(cfg, moments(cfg), trials, 5, SCHEMES)
+        table = rows["af"].base
+        assert table.shape == (len(SCHEMES), trials)
+        assert all(row.base is table for row in rows.values())
+        point = run_point(cfg, trials, 5, SCHEMES)
+        for s in SCHEMES:
+            row, st = rows[s], point.stats[s]
+            assert st.trials == trials
+            if np.all(row == row[0]):
+                assert st.mean_rate == float(row[0]) and st.std_error == 0.0
+                continue
+            assert st.mean_rate == float(np.mean(row))
+            assert st.std_error == float(np.std(row, ddof=1) / math.sqrt(trials))
+        # One trial is constant in every scheme.
+        constant = name == "point_mass_h" or trials == 1
+        assert constant == (point.stats["upper"].std_error == 0.0)
+
 
 class TestTrialEngine:
     @pytest.mark.parametrize("name", sorted(ENGINE_CASES))

@@ -15,6 +15,7 @@ from confrelay import (
     Neighbors,
     NetworkConfig,
     PerIndex,
+    PointMass,
     Portion,
     SweepSpec,
     conferencing_size,
@@ -100,6 +101,11 @@ LIBRARY_CASES = {
         lambda: NetworkConfig(n_relays=4, conferencing=Neighbors(1),
                               conf_gain=np.array([[1.0], [1e-200], [1.0], [1.0]])),
         "conf_gain entries squared"),
+    "point_mass_square_underflows": (lambda: PointMass(1e-200),
+                                     "point_mass value squared"),
+    "point_mass_square_overflows": (lambda: PointMass(1e200), "point_mass value squared"),
+    "point_mass_modulus_overflows": (lambda: PointMass(complex(1.5e308, 1.5e308)),
+                                     "point_mass value squared"),
     "conf_gain_entry_square_overflows": (
         lambda: NetworkConfig(n_relays=4, conferencing=Neighbors(1),
                               conf_gain=np.array([[1.0], [1.0], [1.0], [1e200]])),
@@ -136,6 +142,16 @@ CLI_CASES = {
                                     "conf_gain squared"),
     "conf_gain_square_overflows": (CONFIG, ["single", "--set", "f=1e200"],
                                    "conf_gain squared"),
+    "point_mass_square_underflows": (CONFIG, ["single", "--set", "h_dist=point_mass:1e-200"],
+                                     "point_mass"),
+    "point_mass_square_overflows": (CONFIG, ["single", "--set", "g_dist=point_mass:1e200"],
+                                    "point_mass"),
+    "oracle_source_power_overflows": (CONFIG, ["oracle", "--draws", "2000",
+                                               "--set", "Ps=1e308"], "not finite"),
+    "oracle_noise_level_underflows": (CONFIG, ["oracle", "--draws", "2000",
+                                               "--set", "N0=1e-320"], "not finite"),
+    "oracle_relay_power_overflows": (CONFIG, ["oracle", "--draws", "2000",
+                                              "--set", "Pr=1e308"], "not finite"),
     "sweep_rate_overflows": (CONFIG, ["sweep-n", "--axis", "4,8", "--set", "N0=1e-320"],
                              "not finite"),
     "diagnose_trace_overflows": (CONFIG, ["diagnose", "--axis", "4,8,16",
