@@ -103,16 +103,20 @@ def parse_distribution(text: str, where: str) -> DistributionSpec:
         raise ConfigurationError(
             f"{where}: distribution must be 'cscg:<variance>' or "
             f"'point_mass:<complex>', got {text!r}")
+    # Only the number is parsed under the "bad ..." message; a law that
+    # rejects its parameter raises its own ConfigurationError.
     if kind == "cscg":
         try:
-            return Cscg(float(arg))
+            variance = float(arg)
         except ValueError as exc:
             raise ConfigurationError(f"{where}: bad cscg variance {arg!r}") from exc
+        return Cscg(variance)
     if kind == "point_mass":
         try:
-            return PointMass(complex(arg))
+            value = complex(arg)
         except ValueError as exc:
             raise ConfigurationError(f"{where}: bad point_mass value {arg!r}") from exc
+        return PointMass(value)
     raise ConfigurationError(f"{where}: unknown distribution kind {kind!r}")
 
 

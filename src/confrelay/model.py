@@ -21,18 +21,21 @@ The realization for ``seed`` is the one ``np.random.default_rng(seed mod 2**64)`
 draws, first-hop gains before second-hop gains, and :func:`sample_realization`
 draws it with that generator.  The trial engine reproduces those draws for a
 block of seeds without building a generator per seed (:func:`_seeded_normals`):
-it runs NumPy's SeedSequence hash and PCG64 seeding over all seeds at once.
-Each thread keeps one PCG64 generator, and before each row the row's 128-bit
-state and increment are written as four 64-bit words straight into that
-generator's state memory.  The words' memory order depends on how NumPy was
-built (a native 128-bit integer or an emulated one, high word first); the first
-call in a process reads it back from a probe state set through the public
-``state`` setter and raises ``RuntimeError`` if the words read back are not
-the ones written.  This relies on NumPy's fixed SeedSequence/PCG64 seeding
-algorithm and its PCG64 state layout; ``TestSeededNormals`` checks the rows
-against ``default_rng`` seed by seed, and
-``test_sampled_squares_match_sampled_gains`` checks the engine's squares
-against ``sample_realization``.
+it runs NumPy's SeedSequence hash and PCG64 seeding over all seeds at once, in
+uint64 lanes (a 128-bit number is a high and a low 64-bit word; products are
+built from 32-bit halves and carries from bit operations), and keeps the states
+of the last 32 seed blocks (:func:`_block_states`, at most 16 MiB of states at
+the engine's block size).  Each thread keeps one PCG64 generator, and before
+each row the row's 128-bit state and increment are written as four 64-bit
+words straight into that generator's state memory.  The words' memory order
+depends on how NumPy was built (a native 128-bit integer or an emulated one,
+high word first); the first call in a process reads it back from a probe state
+set through the public ``state`` setter and raises ``RuntimeError`` if the
+words read back are not the ones written.  This relies on NumPy's fixed
+SeedSequence/PCG64 seeding algorithm and its PCG64 state layout;
+``TestSeededNormals`` checks the states against ``PCG64`` and the rows against
+``default_rng`` seed by seed, and ``test_sampled_squares_match_sampled_gains``
+checks the engine's squares against ``sample_realization``.
 
 The trial engine reads ``|h|^2`` and ``|g|^2`` straight from the same normals
 (:func:`_sampled_squares`) and never builds the complex gains.  When no rate
@@ -48,8 +51,7 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -78,7 +80,8 @@ class Cscg:
     """Circularly symmetric complex Gaussian with E|h|^2 = variance.
 
     Real and imaginary parts are independent N(0, variance/2).  The magnitude
-    moments are E|h|^2 = variance and E|h|^4 = 2 * variance^2.
+    moments are E|h|^2 = variance and E|h|^4 = 2 * variance^2; a variance
+    whose fourth moment underflows to 0 or overflows is rejected.
     """
 
     variance: float
@@ -88,6 +91,11 @@ class Cscg:
             raise ConfigurationError(
                 f"cscg variance must be finite and positive, got {self.variance}"
             )
+        variance = float(self.variance)
+        if not 0.0 < 2.0 * variance * variance < math.inf:
+            raise ConfigurationError(
+                "cscg fourth moment 2 * variance^2 must be finite and positive, "
+                f"got variance {self.variance}")
 
 
 @dataclass(frozen=True)
@@ -103,11 +111,16 @@ class PointMass:
                 f"point_mass value must be finite, got {self.value}")
         if self.value == 0:
             raise ConfigurationError("point_mass value must be nonzero")
-        # The moments read |value|^2, so a value whose square underflows to 0
-        # or overflows is rejected too.
-        if not 0.0 < _abs_squared(self.value) < math.inf:
+        # The moments read |value|^2 and |value|^4, so a value whose square or
+        # fourth power underflows to 0 or overflows is rejected too.
+        power = _abs_squared(self.value)
+        if not 0.0 < power < math.inf:
             raise ConfigurationError(
                 f"point_mass value squared must be finite and nonzero, got {self.value}")
+        if not 0.0 < power * power < math.inf:
+            raise ConfigurationError(
+                "point_mass value to the fourth power must be finite and nonzero, "
+                f"got {self.value}")
 
 
 class _PerIndexTable(NamedTuple):
@@ -504,8 +517,17 @@ _OUT_HASH = _columns(_hash_steps(0x8B51F9DD, 0x58F38DED, 8))
 _MIX_L = np.uint32(0xCA01F9DD)
 _MIX_R = np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+# PCG64's LCG multiplier M as its high and low 64-bit words, with a column of
+# the low words of M and M + 1 (M is odd, so adding 1 does not carry) and the
+# 32-bit halves of that column.
+_PCG_MULT_HI = np.uint64(2549297995355413924)
+_PCG_MULT_LO = np.array([[4865540595714422341], [4865540595714422342]], np.uint64)
+_PCG_MULT_LO_HALVES = (_PCG_MULT_LO & _LO32, _PCG_MULT_LO >> _U32)
+_ONE = np.uint64(1)
+_U63 = np.uint64(63)
+_ALL = np.uint64(MASK64)
 
 
 def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -513,15 +535,25 @@ def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     return v ^ (v >> _SHIFT)
 
 
-def _pcg64_states(seeds: np.ndarray, order: Sequence[int]) -> list[tuple[int, ...]]:
+def _mul_hi(a: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products of the uint64 arrays ``a`` and
+    ``b1:b0``, given as 32-bit halves, from the four 32 x 32-bit products of
+    the halves; no sum overflows 64 bits."""
+    a0, a1 = a & _LO32, a >> _U32
+    mid = a0 * b1 + (a0 * b0 >> _U32)
+    low_carry = a1 * b0 + (mid & _LO32)
+    return a1 * b1 + (mid >> _U32) + (low_carry >> _U32)
+
+
+def _pcg64_states(seeds: np.ndarray, order: Sequence[int]) -> np.ndarray:
     """The four 64-bit words of the (state, inc) that ``np.random.PCG64(seed)``
-    starts from, per uint64 seed, in the memory ``order`` of
-    :func:`_word_order`."""
+    starts from, per uint64 seed, as a read-only (len(seeds), 4) uint64 array
+    whose columns are in the memory ``order`` of :func:`_word_order`."""
     # The entropy is the seed's low and high 32-bit words; the rest of the
     # pool hashes zeros.
     pool = np.zeros((4, len(seeds)), np.uint32)
-    pool[0] = seeds & np.uint64(0xFFFFFFFF)
-    pool[1] = seeds >> np.uint64(32)
+    pool[0] = seeds & _LO32
+    pool[1] = seeds >> _U32
     pool = _hashmix(pool, *_FILL_HASH)
     for xor, mul in _MIX_HASH:
         # Mix the first word into the other three, then rotate the next source
@@ -530,14 +562,31 @@ def _pcg64_states(seeds: np.ndarray, order: Sequence[int]) -> list[tuple[int, ..
         pool = np.concatenate((x ^ (x >> _SHIFT), pool[:1]))
     out = _hashmix(np.concatenate((pool, pool)), *_OUT_HASH).astype(np.uint64)
     # Little-endian pairs of output words give PCG64's four 64-bit seed words:
-    # the initial state w0:w1 and the stream w2:w3, applied by two LCG steps
-    # from state 0.
-    pick = itemgetter(*order)
-    states = []
-    for w0, w1, w2, w3 in (out[0::2] | out[1::2] << np.uint64(32)).T.tolist():
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state = (((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128
-        states.append(pick((state >> 64, state & MASK64, inc >> 64, inc & MASK64)))
+    # the initial state w0:w1 and the stream w2:w3.  The increment is
+    # inc = (w2:w3 << 1) | 1, and two LCG steps from state 0 give the state
+    # (w0:w1 + inc) * M + inc = w0:w1 * M + inc * (M + 1) mod 2**128.  Rows
+    # (w0, w1, w2, w3) become (init high, init low, inc high, inc low).
+    words = out[0::2] | out[1::2] << _U32
+    top = words[3] >> _U63
+    words[2:] <<= _ONE
+    words[2] |= top
+    words[3] |= _ONE
+    high, low = words[0::2], words[1::2]
+    # The low words of init * M and inc * (M + 1) and of their sum; the high
+    # word sums both products' high words, the cross terms and the carry out
+    # of the low sum (the top bit of both addends, or of one where the sum's
+    # top bit is clear).  Bit operations rather than a compare: the seed
+    # mixer already runs every uint64 loop used here, and the first uint64
+    # compare in a process maps about 0.15 MB more of NumPy's code.
+    prod = low * _PCG_MULT_LO
+    state_lo = prod[0] + prod[1]
+    carry = (prod[0] & prod[1] | (prod[0] | prod[1]) & (state_lo ^ _ALL)) >> _U63
+    high_sum = (_mul_hi(low, *_PCG_MULT_LO_HALVES) + low * _PCG_MULT_HI
+                + high * _PCG_MULT_LO)
+    state_hi = high_sum[0] + high_sum[1] + carry
+    columns = (state_hi, state_lo, words[2], words[3])
+    states = np.stack([columns[i] for i in order], axis=1)
+    states.flags.writeable = False
     return states
 
 
@@ -566,15 +615,32 @@ def _word_order(read_back: Sequence[int]) -> tuple[int, ...]:
     return tuple(_PROBE_WORDS.index(w) for w in read_back)
 
 
+@lru_cache(maxsize=32)
+def _block_states(seeds: bytes, order: tuple[int, ...]) -> np.ndarray:
+    """:func:`_pcg64_states` of the uint64 seeds whose bytes are ``seeds``.
+
+    Every point of a sweep, every scheme of a ``diagnose`` call and both
+    portions of a heterogeneous point draw the same seed blocks, so each
+    block's states are derived once per process.  The library's callers draw
+    blocks of at most ``montecarlo._BLOCK_ELEMENTS`` = 2**14 rows, so the 32
+    entries hold at most 32 * 2**14 rows * (32 B of states + 8 B of key)
+    = 20 MiB, 16 MiB of it states.  32 entries cover the 18 distinct blocks
+    that a ``diagnose`` call over N = 500..4000 with 40 trials draws for each
+    scheme.
+    """
+    return _pcg64_states(np.frombuffer(seeds, np.uint64), order)
+
+
 def _seeded_normals(seeds: Sequence[int], count: int) -> np.ndarray:
     """(len(seeds), count) standard normals whose row ``r`` equals
     ``np.random.default_rng(int(seeds[r]) & MASK64).standard_normal(count)``.
 
-    The SeedSequence hash and the PCG64 seeding run over all seeds at once.
-    Each thread keeps one generator; before each row its 128-bit state and
-    increment are written straight into the generator's state memory, in the
-    word order that the first call in the process read back from a probe
-    state set through the public ``state`` setter.
+    The SeedSequence hash and the PCG64 seeding run over all seeds at once,
+    in uint64 lanes, and :func:`_block_states` keeps the result per seed
+    block.  Each thread keeps one generator; before each row its 128-bit
+    state and increment are written straight into the generator's state
+    memory, in the word order that the first call in the process read back
+    from a probe state set through the public ``state`` setter.
     """
     global _MEMORY_ORDER
     z = np.empty((len(seeds), count))
@@ -602,7 +668,7 @@ def _seeded_normals(seeds: Sequence[int], count: int) -> np.ndarray:
             _MEMORY_ORDER = _word_order(memory)
         # gen holds bitgen, which owns the memory the view writes to.
         _THREAD.draw = gen, memory
-    for row, state in zip(z, _pcg64_states(words, _MEMORY_ORDER)):
+    for row, state in zip(z, _block_states(words.tobytes(), _MEMORY_ORDER).tolist()):
         memory[:] = state
         gen.standard_normal(out=row)
     return z

@@ -23,11 +23,15 @@ from confrelay import (
     sample_channel,
     sample_realization,
 )
+from confrelay import model, montecarlo
+from confrelay.asymptotics import trace_points
 from confrelay.model import (
     MASK64,
     _PROBE_WORDS,
+    _block_states,
     _from_normals,
     _normal_count,
+    _pcg64_states,
     _sampled_squares,
     _seeded_normals,
     _squares_from_normals,
@@ -345,6 +349,62 @@ class TestSeededNormals:
     def test_word_order_rejects_a_non_permutation(self, read_back):
         with pytest.raises(RuntimeError, match="PCG64 state memory"):
             _word_order(read_back)
+
+    @pytest.mark.parametrize("order", [(1, 0, 3, 2), (0, 1, 2, 3)],
+                             ids=["native_128_bit", "high_word_first"])
+    def test_states_equal_pcg64_seeding(self, order):
+        seeds = np.concatenate((
+            np.array([s & MASK64 for s in self.EDGE_SEEDS], dtype=np.uint64),
+            np.random.default_rng(4096).integers(0, 2 ** 64, 4096, dtype=np.uint64)))
+        got = _pcg64_states(seeds, order)
+        assert got.shape == (len(seeds), 4) and got.dtype == np.uint64
+        assert not got.flags.writeable
+        want = []
+        for seed in seeds.tolist():
+            st = np.random.PCG64(seed).state["state"]
+            words = (st["state"] >> 64, st["state"] & MASK64,
+                     st["inc"] >> 64, st["inc"] & MASK64)
+            want.append([words[i] for i in order])
+        assert got.tolist() == want
+
+    def test_cache_miss_and_hit_give_the_same_rows(self):
+        seeds = self.EDGE_SEEDS + [977, 2 ** 40 + 1]
+        _block_states.cache_clear()
+        first = _seeded_normals(seeds, 6)
+        assert _block_states.cache_info()[:2] == (0, 1)  # (hits, misses)
+        again = _seeded_normals(seeds, 6)
+        assert _block_states.cache_info()[:2] == (1, 1)
+        assert np.array_equal(first, self._want(seeds, 6))
+        assert np.array_equal(again, first)
+
+    def test_cache_bound(self):
+        # The engine's largest block (N = 1) has _BLOCK_ELEMENTS rows, so the
+        # cache holds at most maxsize * _BLOCK_ELEMENTS * 32 B = 16 MiB of
+        # states; older blocks are evicted.
+        maxsize = _block_states.cache_info().maxsize
+        assert maxsize * montecarlo._BLOCK_ELEMENTS * 32 == 16 * 2 ** 20
+        _block_states.cache_clear()
+        cfg = NetworkConfig(n_relays=1, conferencing=Neighbors(0))
+        trials = montecarlo._BLOCK_ELEMENTS + 5
+        montecarlo.trial_rates(cfg, moments(cfg), trials, 3, ("upper",))
+        largest = _block_states(
+            montecarlo._derive_seeds(3, 0, montecarlo._BLOCK_ELEMENTS).tobytes(),
+            model._MEMORY_ORDER)
+        assert _block_states.cache_info()[:2] == (1, 2)
+        assert largest.nbytes == montecarlo._BLOCK_ELEMENTS * 32
+        for k in range(maxsize + 8):
+            _seeded_normals([k, 2 ** 63 + k], 1)
+        assert _block_states.cache_info().currsize == maxsize
+
+    def test_cache_covers_a_diagnose_call(self):
+        # diagnose's trace over N = 500..4000 with 40 trials draws 20 blocks
+        # per scheme, 18 of them distinct (trials 32-39 are one block at
+        # N = 500, 1000 and 2000); every later draw of a block hits.
+        cfg = NetworkConfig(n_relays=500, conferencing=Portion(0.2))
+        _block_states.cache_clear()
+        for scheme in ("af", "df", "upper"):
+            trace_points(scheme, cfg, (500, 1000, 2000, 4000), 40, 11)
+        assert _block_states.cache_info()[:2] == (42, 18)
 
     @pytest.mark.parametrize("h_dist,g_dist", [
         (Cscg(1.3), Cscg(0.4)),

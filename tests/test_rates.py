@@ -38,7 +38,7 @@ from confrelay import (
     rate_report,
     sample_realization,
 )
-from confrelay import rates
+from confrelay import montecarlo, rates
 from confrelay.asymptotics import conferencing_noise_ratio
 from confrelay.montecarlo import (
     SCHEMES,
@@ -385,6 +385,27 @@ class TestAmplifyForwardExpectedQTerms:
         for fast, slow in zip(af_expected_q_terms(cfg, mom),
                               reference.af_expected_q_terms(cfg, mom)):
             assert relclose(fast, slow, tol=1e-12)
+
+
+class TestAmplifyForwardChain:
+    @settings(derandomize=True, max_examples=50)
+    @given(random_networks())
+    def test_impulse_coefficients_give_the_closed_form_sinr(self, case):
+        # The literal AF chain is linear in the symbol and its N + N*M + 1
+        # noise sources (relays, conferencing links, destination).  Row r
+        # pushes a unit impulse on source r alone through it, so output r is
+        # that source's coefficient at the destination, row 0 the symbol's,
+        # and the SINR follows exactly, without drawing anything.
+        cfg, seed = case
+        mom = moments(cfg)
+        real = sample_realization(cfg, seed)
+        n, m = cfg.n_relays, cfg.m_conf
+        unit = np.eye(2 + n + n * m, dtype=complex)
+        c = montecarlo._af_destination(
+            real, cfg, mom, af_power_factors(cfg, mom), unit[:, 0], unit[:, 1:1 + n],
+            unit[:, 1 + n:1 + n + n * m].reshape(len(unit), n, m), unit[:, -1])
+        sinr = abs(c[0]) ** 2 / (cfg.n_0 * float(np.sum(np.abs(c[1:]) ** 2)))
+        assert relclose(sinr, af_sinr(real, cfg, mom), tol=1e-12)
 
 
 class TestRealizationLength:

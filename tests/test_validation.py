@@ -5,6 +5,8 @@ one of command lines, each of which exits with code 2, reports a configuration
 error on stderr and leaves an existing ``--out`` file alone.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,14 @@ LIBRARY_CASES = {
         lambda: NetworkConfig(n_relays=4, conferencing=Neighbors(1),
                               conf_gain=np.array([[1.0], [1.0], [1.0], [1e200]])),
         "conf_gain entries squared"),
+    # The moments read E|h|^4 too: 2 * variance^2 for a Cscg law, |v|^4 for a
+    # point mass.
+    "cscg_fourth_moment_underflows": (lambda: Cscg(1e-200), "cscg fourth moment"),
+    "cscg_fourth_moment_overflows": (lambda: Cscg(1e200), "cscg fourth moment"),
+    "point_mass_fourth_power_underflows": (lambda: PointMass(1e-160),
+                                           "point_mass value to the fourth power"),
+    "point_mass_fourth_power_overflows": (lambda: PointMass(1e100j),
+                                          "point_mass value to the fourth power"),
 }
 
 
@@ -143,9 +153,19 @@ CLI_CASES = {
     "conf_gain_square_overflows": (CONFIG, ["single", "--set", "f=1e200"],
                                    "conf_gain squared"),
     "point_mass_square_underflows": (CONFIG, ["single", "--set", "h_dist=point_mass:1e-200"],
-                                     "point_mass"),
+                                     "point_mass value squared"),
     "point_mass_square_overflows": (CONFIG, ["single", "--set", "g_dist=point_mass:1e200"],
-                                    "point_mass"),
+                                    "point_mass value squared"),
+    # A law's own message, not only "bad ... value", reaches stderr.
+    "cscg_variance_negative": (CONFIG, ["single", "--set", "h_dist=cscg:-1"],
+                               "cscg variance must be finite and positive"),
+    "cscg_fourth_moment_underflows": (CONFIG, ["single", "--set", "h_dist=cscg:1e-200"],
+                                      "cscg fourth moment"),
+    "cscg_fourth_moment_overflows": (CONFIG, ["single", "--set", "g_dist=cscg:1e200"],
+                                     "cscg fourth moment"),
+    "point_mass_fourth_power_underflows": (CONFIG, ["single", "--set",
+                                                    "h_dist=point_mass:1e-160"],
+                                           "point_mass value to the fourth power"),
     "oracle_source_power_overflows": (CONFIG, ["oracle", "--draws", "2000",
                                                "--set", "Ps=1e308"], "not finite"),
     "oracle_noise_level_underflows": (CONFIG, ["oracle", "--draws", "2000",
@@ -175,3 +195,17 @@ def test_cli_rejects(name, tmp_path, capsys):
     assert captured.err.startswith("confrelay: configuration error:")
     assert message in captured.err
     assert out.read_text() == "earlier output\n"
+
+
+@pytest.mark.parametrize("law", ["h_dist=point_mass:1e200", "h_dist=cscg:-1",
+                                 "g_dist=cscg:1e200"])
+def test_cli_law_errors_pass_unchanged_without_warnings(law, tmp_path, capsys):
+    # The law's ConfigurationError is not rewrapped as a parse error, and a
+    # law rejected at parse time leaves no arithmetic to overflow.
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["single", "--config", str(cfg), "--set", law]) == 2
+    assert caught == []
+    assert "bad " not in capsys.readouterr().err
