@@ -25,11 +25,12 @@ from .model import (
     UndefinedRatioError,
     _from_normals,
     _normal_count,
+    _TrialSeeds,
     _seeded_normals,
     moments,
     spec_moments,
 )
-from .montecarlo import _derive_seeds, trial_rates
+from .montecarlo import trial_rates
 from . import montecarlo, rates
 
 
@@ -81,7 +82,7 @@ def lemma1_gap(dist: DistributionSpec, n: int, trials: int, seed: int) -> float:
     block = max(1, montecarlo._BLOCK_ELEMENTS // n)
     total = 0.0
     for lo in range(0, trials, block):
-        z = _seeded_normals(_derive_seeds(seed, lo, min(lo + block, trials)), count)
+        z = _seeded_normals(_TrialSeeds(seed, lo, min(lo + block, trials), trials), count)
         for x in np.abs(_from_normals(dist, n, z)) ** 2:
             total += abs(math.log1p(float(np.sum(x))) / math.log(2.0) - expected)
     return total / trials

@@ -103,21 +103,21 @@ def parse_distribution(text: str, where: str) -> DistributionSpec:
         raise ConfigurationError(
             f"{where}: distribution must be 'cscg:<variance>' or "
             f"'point_mass:<complex>', got {text!r}")
-    # Only the number is parsed under the "bad ..." message; a law that
-    # rejects its parameter raises its own ConfigurationError.
-    if kind == "cscg":
-        try:
-            variance = float(arg)
-        except ValueError as exc:
-            raise ConfigurationError(f"{where}: bad cscg variance {arg!r}") from exc
-        return Cscg(variance)
-    if kind == "point_mass":
-        try:
-            value = complex(arg)
-        except ValueError as exc:
-            raise ConfigurationError(f"{where}: bad point_mass value {arg!r}") from exc
-        return PointMass(value)
-    raise ConfigurationError(f"{where}: unknown distribution kind {kind!r}")
+    laws = {"cscg": (float, Cscg, "cscg variance"),
+            "point_mass": (complex, PointMass, "point_mass value")}
+    if kind not in laws:
+        raise ConfigurationError(f"{where}: unknown distribution kind {kind!r}")
+    parse, law, what = laws[kind]
+    try:
+        value = parse(arg)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: bad {what} {arg!r}") from exc
+    # A law that rejects its parameter keeps its own message, after the
+    # location it came from.
+    try:
+        return law(value)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def _parse_entry(raw: str, where: str, entries: dict, origins: dict,

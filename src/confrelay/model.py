@@ -23,15 +23,18 @@ draws it with that generator.  The trial engine reproduces those draws for a
 block of seeds without building a generator per seed (:func:`_seeded_normals`):
 it runs NumPy's SeedSequence hash and PCG64 seeding over all seeds at once, in
 uint64 lanes (a 128-bit number is a high and a low 64-bit word; products are
-built from 32-bit halves and carries from bit operations), and keeps the states
-of the last 32 seed blocks (:func:`_block_states`, at most 16 MiB of states at
-the engine's block size).  Each thread keeps one PCG64 generator, and before
-each row the row's 128-bit state and increment are written as four 64-bit
-words straight into that generator's state memory.  The words' memory order
-depends on how NumPy was built (a native 128-bit integer or an emulated one,
-high word first); the first call in a process reads it back from a probe state
-set through the public ``state`` setter and raises ``RuntimeError`` if the
-words read back are not the ones written.  This relies on NumPy's fixed
+built from 32-bit halves and carries from bit operations).  The engine's
+blocks are trial ranges of a run (:class:`_TrialSeeds`), whose states are
+derived per chunk of 2**14 trials, and the last chunk is cached
+(:func:`_trial_states`, at most 512 KiB of states), so the points, sizes and
+schemes of a run of up to 2**14 trials share them whatever their block
+sizes.  Each thread keeps one PCG64 generator, and before each row the row's
+128-bit state and increment are written as four 64-bit words straight into
+that generator's state memory.  The words' memory order depends on how NumPy
+was built (a native 128-bit integer or an emulated one, high word first); the
+first call in a process reads it back from a probe state set through the
+public ``state`` setter and raises ``RuntimeError`` if the words read back
+are not the ones written.  This relies on NumPy's fixed
 SeedSequence/PCG64 seeding algorithm and its PCG64 state layout;
 ``TestSeededNormals`` checks the states against ``PCG64`` and the rows against
 ``default_rng`` seed by seed, and ``test_sampled_squares_match_sampled_gains``
@@ -521,10 +524,12 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 # PCG64's LCG multiplier M as its high and low 64-bit words, with a column of
 # the low words of M and M + 1 (M is odd, so adding 1 does not carry) and the
-# 32-bit halves of that column.
+# 32-bit halves of that column, built from Python ints.
 _PCG_MULT_HI = np.uint64(2549297995355413924)
-_PCG_MULT_LO = np.array([[4865540595714422341], [4865540595714422342]], np.uint64)
-_PCG_MULT_LO_HALVES = (_PCG_MULT_LO & _LO32, _PCG_MULT_LO >> _U32)
+_PCG_MULT_LOWS = (4865540595714422341, 4865540595714422342)
+_PCG_MULT_LO = np.array([[w] for w in _PCG_MULT_LOWS], np.uint64)
+_PCG_MULT_LO_HALVES = (np.array([[w & 0xFFFFFFFF] for w in _PCG_MULT_LOWS], np.uint64),
+                       np.array([[w >> 32] for w in _PCG_MULT_LOWS], np.uint64))
 _ONE = np.uint64(1)
 _U63 = np.uint64(63)
 _ALL = np.uint64(MASK64)
@@ -615,41 +620,96 @@ def _word_order(read_back: Sequence[int]) -> tuple[int, ...]:
     return tuple(_PROBE_WORDS.index(w) for w in read_back)
 
 
-@lru_cache(maxsize=32)
-def _block_states(seeds: bytes, order: tuple[int, ...]) -> np.ndarray:
-    """:func:`_pcg64_states` of the uint64 seeds whose bytes are ``seeds``.
+# SplitMix64 constants of the trial seed mixer (``montecarlo.derive_seed``).
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
-    Every point of a sweep, every scheme of a ``diagnose`` call and both
-    portions of a heterogeneous point draw the same seed blocks, so each
-    block's states are derived once per process.  The library's callers draw
-    blocks of at most ``montecarlo._BLOCK_ELEMENTS`` = 2**14 rows, so the 32
-    entries hold at most 32 * 2**14 rows * (32 B of states + 8 B of key)
-    = 20 MiB, 16 MiB of it states.  32 entries cover the 18 distinct blocks
-    that a ``diagnose`` call over N = 500..4000 with 40 trials draws for each
-    scheme.
+
+def _derive_seeds(base_seed: int, lo: int, hi: int) -> np.ndarray:
+    """``derive_seed(base_seed, t)`` for every trial ``lo <= t < hi``, as a
+    uint64 array; the array arithmetic wraps modulo 2**64 like the masks."""
+    z = (np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+         + np.uint64(int(base_seed) & MASK64))
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+@dataclass(frozen=True)
+class _TrialSeeds:
+    """The seeds ``derive_seed(base_seed, t)`` of the trials ``lo <= t < hi``
+    of a run of ``trials`` trials, for :func:`_seeded_normals` to take their
+    states from the run's cached trial chunks (:func:`_trial_states`)."""
+
+    base_seed: int
+    lo: int
+    hi: int
+    trials: int
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+
+# Trials per chunk of PCG64 states; the cache keeps the last chunk.
+_STATE_CHUNK = 2 ** 14
+
+
+@lru_cache(maxsize=1)
+def _chunk_states(base_seed: int, lo: int, hi: int, order: tuple[int, ...]) -> np.ndarray:
+    """:func:`_pcg64_states` of the seeds of trials ``lo <= t < hi``."""
+    return _pcg64_states(_derive_seeds(base_seed, lo, hi), order)
+
+
+def _trial_states(seeds: _TrialSeeds, order: tuple[int, ...]) -> list[np.ndarray]:
+    """The states of ``seeds``, as consecutive slices of its run's chunks.
+
+    Chunk ``k`` of a run holds the trials ``k * _STATE_CHUNK`` up to the
+    next multiple or the run's end, whichever comes first, so the chunks
+    depend on the base seed and the trial count only, not on the block
+    sizes that draw from them.  Every point of a sweep, every network size
+    and scheme of a ``diagnose`` call and both portions of a heterogeneous
+    point run the same trials from the same base seed, one after another,
+    so a run of at most 2**14 trials derives its one chunk once.  The cache
+    keeps only the last chunk, at most 2**14 rows * 32 B = 512 KiB of
+    states.  A longer run derives each chunk once per point, since a point's
+    blocks go through the chunks in order, but the next point starts again
+    from chunk 0.
     """
-    return _pcg64_states(np.frombuffer(seeds, np.uint64), order)
+    base_seed = int(seeds.base_seed) & MASK64
+    pieces = []
+    lo = seeds.lo
+    while lo < seeds.hi:
+        start = lo - lo % _STATE_CHUNK
+        end = min(start + _STATE_CHUNK, seeds.trials)
+        stop = min(end, seeds.hi)
+        chunk = _chunk_states(base_seed, start, end, order)
+        pieces.append(chunk[lo - start:stop - start])
+        lo = stop
+    return pieces
 
 
-def _seeded_normals(seeds: Sequence[int], count: int) -> np.ndarray:
+def _seeded_normals(seeds: Union[Sequence[int], _TrialSeeds],
+                    count: int) -> np.ndarray:
     """(len(seeds), count) standard normals whose row ``r`` equals
-    ``np.random.default_rng(int(seeds[r]) & MASK64).standard_normal(count)``.
+    ``np.random.default_rng(s & MASK64).standard_normal(count)`` for the
+    ``r``-th seed ``s``.
 
     The SeedSequence hash and the PCG64 seeding run over all seeds at once,
-    in uint64 lanes, and :func:`_block_states` keeps the result per seed
-    block.  Each thread keeps one generator; before each row its 128-bit
-    state and increment are written straight into the generator's state
-    memory, in the word order that the first call in the process read back
-    from a probe state set through the public ``state`` setter.
+    in uint64 lanes; the states of :class:`_TrialSeeds` come from the cache
+    of their run's trial chunks (:func:`_trial_states`).  Each thread keeps
+    one generator; before each row its 128-bit state and increment are
+    written straight into the generator's state memory, in the word order
+    that the first call in the process read back from a probe state set
+    through the public ``state`` setter.
     """
     global _MEMORY_ORDER
     z = np.empty((len(seeds), count))
     if not z.size:
         return z
-    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
-        words = seeds
-    else:
-        words = np.array([int(s) & MASK64 for s in seeds], dtype=np.uint64)
     try:
         gen, memory = _THREAD.draw
     except AttributeError:
@@ -668,13 +728,21 @@ def _seeded_normals(seeds: Sequence[int], count: int) -> np.ndarray:
             _MEMORY_ORDER = _word_order(memory)
         # gen holds bitgen, which owns the memory the view writes to.
         _THREAD.draw = gen, memory
-    for row, state in zip(z, _block_states(words.tobytes(), _MEMORY_ORDER).tolist()):
+    if isinstance(seeds, _TrialSeeds):
+        pieces = _trial_states(seeds, _MEMORY_ORDER)
+    else:
+        if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+            seeds = np.array([int(s) & MASK64 for s in seeds], dtype=np.uint64)
+        pieces = [_pcg64_states(seeds, _MEMORY_ORDER)]
+    states = (state for piece in pieces for state in piece.tolist())
+    for row, state in zip(z, states):
         memory[:] = state
         gen.standard_normal(out=row)
     return z
 
 
-def _sampled_squares(config: NetworkConfig, seeds: Sequence[int],
+def _sampled_squares(config: NetworkConfig,
+                     seeds: Union[Sequence[int], _TrialSeeds],
                      second_hop: bool = True):
     """|h|^2 and |g|^2 of the realizations :func:`sample_realization` draws
     for ``seeds``, as (len(seeds), N) arrays squared straight from the normals.

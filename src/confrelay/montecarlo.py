@@ -32,11 +32,15 @@ import numpy as np
 
 from .model import (
     MASK64,
+    _GOLDEN,
+    _MIX1,
+    _MIX2,
     ChannelRealization,
     ConfigurationError,
     MomentSet,
     NetworkConfig,
     Portion,
+    _TrialSeeds,
     _abs_squared,
     _sampled_squares,
     moments,
@@ -45,10 +49,6 @@ from . import rates
 
 SCHEMES = rates.SCHEMES
 AXES = ("n_relays", "portion", "conf_snr_db")
-
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
 _ORACLE_CHUNK = 16384
 
@@ -69,19 +69,6 @@ def derive_seed(base_seed: int, trial: int) -> int:
     z ^= z >> 27
     z = (z * _MIX2) & MASK64
     z ^= z >> 31
-    return z
-
-
-def _derive_seeds(base_seed: int, lo: int, hi: int) -> np.ndarray:
-    """``derive_seed(base_seed, t)`` for every trial ``lo <= t < hi``, as a
-    uint64 array; the array arithmetic wraps modulo 2**64 like the masks."""
-    z = (np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-         + np.uint64(int(base_seed) & MASK64))
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
     return z
 
 
@@ -173,7 +160,7 @@ def _rate_table(cfg: NetworkConfig, mom: MomentSet, trials: int,
     block = max(1, _BLOCK_ELEMENTS // cfg.n_relays)
     for lo in range(0, trials, block):
         hi = min(lo + block, trials)
-        h2, g2 = _sampled_squares(cfg, _derive_seeds(base_seed, lo, hi),
+        h2, g2 = _sampled_squares(cfg, _TrialSeeds(base_seed, lo, hi, trials),
                                   second_hop)
         for row, kernel in zip(values, kernels.values()):
             row[lo:hi] = kernel(h2, g2)

@@ -23,12 +23,14 @@ from confrelay import (
     sample_channel,
     sample_realization,
 )
-from confrelay import model, montecarlo
+from confrelay import derive_seed, model, montecarlo
 from confrelay.asymptotics import trace_points
 from confrelay.model import (
     MASK64,
     _PROBE_WORDS,
-    _block_states,
+    _STATE_CHUNK,
+    _TrialSeeds,
+    _chunk_states,
     _from_normals,
     _normal_count,
     _pcg64_states,
@@ -367,44 +369,61 @@ class TestSeededNormals:
             want.append([words[i] for i in order])
         assert got.tolist() == want
 
-    def test_cache_miss_and_hit_give_the_same_rows(self):
-        seeds = self.EDGE_SEEDS + [977, 2 ** 40 + 1]
-        _block_states.cache_clear()
+    @pytest.mark.parametrize("lo,hi,trials", [
+        (0, 7, 7), (3, 9, 40), (_STATE_CHUNK - 3, _STATE_CHUNK + 4, _STATE_CHUNK + 10)],
+        ids=["whole_run", "inside_a_chunk", "across_two_chunks"])
+    def test_trial_seeds_miss_and_hit_give_the_same_rows(self, lo, hi, trials):
+        base = 2 ** 64 - 5
+        seeds = _TrialSeeds(base, lo, hi, trials)
+        want = self._want([derive_seed(base, t) for t in range(lo, hi)], 6)
+        chunks = len(range(lo // _STATE_CHUNK, (hi - 1) // _STATE_CHUNK + 1))
+        _chunk_states.cache_clear()
         first = _seeded_normals(seeds, 6)
-        assert _block_states.cache_info()[:2] == (0, 1)  # (hits, misses)
+        assert _chunk_states.cache_info()[:2] == (0, chunks)  # (hits, misses)
         again = _seeded_normals(seeds, 6)
-        assert _block_states.cache_info()[:2] == (1, 1)
-        assert np.array_equal(first, self._want(seeds, 6))
+        # The cache keeps one chunk, so a block across two derives both again.
+        hits = 1 if chunks == 1 else 0
+        assert _chunk_states.cache_info()[:2] == (hits, 2 * chunks - hits)
+        assert np.array_equal(first, want)
         assert np.array_equal(again, first)
 
     def test_cache_bound(self):
-        # The engine's largest block (N = 1) has _BLOCK_ELEMENTS rows, so the
-        # cache holds at most maxsize * _BLOCK_ELEMENTS * 32 B = 16 MiB of
-        # states; older blocks are evicted.
-        maxsize = _block_states.cache_info().maxsize
-        assert maxsize * montecarlo._BLOCK_ELEMENTS * 32 == 16 * 2 ** 20
-        _block_states.cache_clear()
-        cfg = NetworkConfig(n_relays=1, conferencing=Neighbors(0))
-        trials = montecarlo._BLOCK_ELEMENTS + 5
+        # A chunk holds at most _STATE_CHUNK trials and the cache keeps one,
+        # so it holds at most _STATE_CHUNK * 32 B = 512 KiB of states,
+        # whatever the network size.
+        assert _chunk_states.cache_info().maxsize == 1
+        assert _STATE_CHUNK * 32 == 512 * 2 ** 10
+        _chunk_states.cache_clear()
+        cfg = NetworkConfig(n_relays=3, conferencing=Neighbors(0))
+        trials = 2 * _STATE_CHUNK + 5
         montecarlo.trial_rates(cfg, moments(cfg), trials, 3, ("upper",))
-        largest = _block_states(
-            montecarlo._derive_seeds(3, 0, montecarlo._BLOCK_ELEMENTS).tobytes(),
-            model._MEMORY_ORDER)
-        assert _block_states.cache_info()[:2] == (1, 2)
-        assert largest.nbytes == montecarlo._BLOCK_ELEMENTS * 32
-        for k in range(maxsize + 8):
-            _seeded_normals([k, 2 ** 63 + k], 1)
-        assert _block_states.cache_info().currsize == maxsize
+        # Blocks of 5461 trials at N = 3 cross both chunk boundaries, and
+        # each of the three chunks is derived once; the last one stays.
+        info = _chunk_states.cache_info()
+        assert info[1:] == (3, 1, 1)  # (misses, maxsize, currsize)
+        last = _chunk_states(3, 2 * _STATE_CHUNK, trials, model._MEMORY_ORDER)
+        assert _chunk_states.cache_info().hits == info.hits + 1
+        assert last.shape == (5, 4)
+        first = _chunk_states(3, 0, _STATE_CHUNK, model._MEMORY_ORDER)
+        assert first.nbytes == _STATE_CHUNK * 32
 
-    def test_cache_covers_a_diagnose_call(self):
-        # diagnose's trace over N = 500..4000 with 40 trials draws 20 blocks
-        # per scheme, 18 of them distinct (trials 32-39 are one block at
-        # N = 500, 1000 and 2000); every later draw of a block hits.
-        cfg = NetworkConfig(n_relays=500, conferencing=Portion(0.2))
-        _block_states.cache_clear()
-        for scheme in ("af", "df", "upper"):
-            trace_points(scheme, cfg, (500, 1000, 2000, 4000), 40, 11)
-        assert _block_states.cache_info()[:2] == (42, 18)
+    @pytest.mark.parametrize("calls,lookups", [
+        # diagnose over N = 500..4000 with 40 trials: blocks of 32, 16, 8
+        # and 4 trials, 20 per scheme.
+        ([(scheme, Portion(0.2), (500, 1000, 2000, 4000), 40)
+          for scheme in ("af", "df", "upper")], 60),
+        # sweep-n over N = 25, 50, 100 with more trials than a block at
+        # N = 100 (163).
+        ([("upper", Portion(0.2), (25, 50, 100), 300)], 4),
+    ], ids=["diagnose", "sweep_n"])
+    def test_cache_is_shared_across_sizes_and_schemes(self, calls, lookups):
+        # Chunks follow the trials, not the block sizes, so every size and
+        # scheme of a run draws from the one chunk its first block derived.
+        _chunk_states.cache_clear()
+        for scheme, conferencing, sizes, trials in calls:
+            cfg = NetworkConfig(n_relays=sizes[0], conferencing=conferencing)
+            trace_points(scheme, cfg, sizes, trials, 11)
+        assert _chunk_states.cache_info()[:2] == (lookups - 1, 1)
 
     @pytest.mark.parametrize("h_dist,g_dist", [
         (Cscg(1.3), Cscg(0.4)),

@@ -27,7 +27,7 @@ from confrelay import (
     signal_oracle_df_mac,
     sweep,
 )
-from confrelay import montecarlo
+from confrelay import model, montecarlo
 from confrelay.montecarlo import SCHEMES, trial_rates
 
 
@@ -74,7 +74,7 @@ class TestSeedDerivation:
     @pytest.mark.parametrize("base", [0, 1, 12345, 2 ** 63, 2 ** 64 - 1])
     def test_block_derivation_matches_scalar(self, base):
         for lo, hi in ((0, 60), (1000, 1013), (7, 8)):
-            assert (montecarlo._derive_seeds(base, lo, hi).tolist()
+            assert (model._derive_seeds(base, lo, hi).tolist()
                     == [derive_seed(base, t) for t in range(lo, hi)])
 
 

@@ -199,13 +199,25 @@ def test_cli_rejects(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("law", ["h_dist=point_mass:1e200", "h_dist=cscg:-1",
                                  "g_dist=cscg:1e200"])
-def test_cli_law_errors_pass_unchanged_without_warnings(law, tmp_path, capsys):
-    # The law's ConfigurationError is not rewrapped as a parse error, and a
-    # law rejected at parse time leaves no arithmetic to overflow.
+def test_cli_law_errors_keep_their_message_and_location(law, tmp_path, capsys):
+    # The law's ConfigurationError is not rewrapped as a parse error but
+    # names the override it came from, and a law rejected at parse time
+    # leaves no arithmetic to overflow.
     cfg = tmp_path / "c.cfg"
     cfg.write_text(CONFIG)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["single", "--config", str(cfg), "--set", law]) == 2
     assert caught == []
-    assert "bad " not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"override 1 ({law}): " in err
+    assert "bad " not in err
+
+
+def test_cli_law_error_in_a_config_line_names_the_line(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG + "h_dist=point_mass:1e-160\n")
+    assert main(["single", "--config", str(cfg)]) == 2
+    line = len(CONFIG.splitlines()) + 1
+    assert (f"line {line}: point_mass value to the fourth power"
+            in capsys.readouterr().err)
