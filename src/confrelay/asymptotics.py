@@ -139,8 +139,7 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
     limit is the per-realization cut-set bound itself; ``df`` converges to
     the smallest per-relay moment-form rate.
     """
-    if scheme not in ("af", "df", "upper"):
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
+    rates.scheme_names((scheme,))
     ns = [int(n) for n in n_values]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigurationError("network sizes must be strictly increasing")

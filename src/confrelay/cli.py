@@ -18,8 +18,11 @@ h_dist=g_dist=cscg:1.0, schemes=af,df,upper.  Distributions are written
 e.g. ``1`` or ``0.6+0.8j``).
 
 All output is CSV and byte-stable: rerunning the same command with the same
-inputs reproduces it exactly.  Exit codes: 0 success, 2 configuration error,
-3 runtime precondition error.
+inputs reproduces it exactly.  Every command builds its rows as typed values,
+and one check runs over all of them before anything is written: every float
+field must be finite, except ``Pc_over_N0_db``, which is ``-inf`` exactly when
+Pc = 0.  Exit codes: 0 success, 2 configuration error (a non-finite result
+included), 3 runtime precondition error.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import (
     MASK64,
@@ -49,7 +52,6 @@ from .montecarlo import (
     SCHEMES,
     SweepResult,
     SweepSpec,
-    analytic_af_sinr,
     analytic_df_mac_snr,
     derive_seed,
     signal_oracle_af,
@@ -58,6 +60,7 @@ from .montecarlo import (
     sweep_point,
 )
 from .asymptotics import scaling_fit, trace_points
+from .rates import af_sinr, scheme_names
 
 CONFIG_KEYS = ("N", "p", "M", "Ps", "Pr", "Pc", "N0", "f", "trials", "seed",
                "h_dist", "g_dist", "schemes")
@@ -68,6 +71,9 @@ ORACLE_HEADER = ("scheme,analytic_sinr,empirical_sinr,rel_gap,std_error,"
                  "symbol_draws,seed")
 TRACE_HEADER = "scheme,n_relays,mean_rate_bits,mean_abs_gap,trials"
 FIT_HEADER = "scheme,slope,intercept,residual_rms,n_points"
+
+# Symbol draws per oracle row unless --draws says otherwise.
+ORACLE_DRAWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,7 @@ class RunManifest:
     overrides: tuple = ()
     output_path: Optional[str] = None
     axis: Optional[tuple] = None
-    draws: int = 100_000
+    draws: int = ORACLE_DRAWS
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +196,10 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[NetworkConfi
     )
 
     def parse_schemes(value):
-        names = tuple(sorted({s.strip() for s in value.split(",") if s.strip()}))
-        unknown = [s for s in names if s not in SCHEMES]
-        if unknown or not names:
-            raise ConfigurationError(
-                f"{origins['schemes']}: schemes must be a nonempty subset of "
-                f"{','.join(SCHEMES)}")
-        return names
+        try:
+            return scheme_names(s.strip() for s in value.split(",") if s.strip())
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{origins['schemes']}: {exc}") from exc
 
     trials = take("trials", int, 1000)
     if trials < 1:
@@ -210,78 +213,51 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[NetworkConfi
 
 
 # ---------------------------------------------------------------------------
-# CSV emission
+# Output tables
 # ---------------------------------------------------------------------------
+# A table is a header line and its rows; a row is a tuple of str, int and
+# float values in the header's column order.
 
-def _fmt(x: float) -> str:
-    """Fixed 13-significant-digit scientific form, byte-stable."""
-    return f"{float(x):.12e}"
+def _sweep_tables(result: SweepResult) -> list:
+    """One row per (point, scheme), ordered by axis value then scheme name.
 
-
-def emit_csv(result: SweepResult, sink) -> None:
-    """Serialize a sweep (or single-point) result.
-
-    One row per (point, scheme), ordered by axis value then scheme name;
-    schemes that failed their preconditions have no rows.
+    Raises :class:`PreconditionError` when a scheme failed its preconditions
+    at any point.
     """
-    sink.write(CSV_HEADER + "\n")
     for pt in result.points:
-        for scheme in sorted(pt.result.stats):
-            st = pt.result.stats[scheme]
-            sink.write(",".join((
-                result.axis,
-                _fmt(pt.axis_value),
-                str(pt.n_relays),
-                str(pt.m_conf),
-                _fmt(pt.p_effective),
-                _fmt(pt.pc_over_n0_db),
-                scheme,
-                _fmt(st.mean_rate),
-                _fmt(st.std_error),
-                str(st.trials),
-                str(result.base_seed),
-            )) + "\n")
+        if pt.result.errors:
+            raise PreconditionError("; ".join(f"{s}: {msg}" for s, msg in
+                                              sorted(pt.result.errors.items())))
+    return [(CSV_HEADER, [
+        (result.axis, pt.axis_value, pt.n_relays, pt.m_conf, pt.p_effective,
+         pt.pc_over_n0_db, scheme, st.mean_rate, st.std_error, st.trials,
+         result.base_seed)
+        for pt in result.points for scheme, st in sorted(pt.result.stats.items())])]
 
 
-def _single_result(cfg: NetworkConfig, params: RunParams) -> SweepResult:
-    """Wrap one run_point as a one-entry sweep for uniform CSV emission."""
-    point = sweep_point(cfg, 0.0, params.trials, params.seed, params.schemes)
-    return SweepResult(axis="single", points=(point,), trials=params.trials,
-                       base_seed=params.seed)
-
-
-def _emit_oracle(cfg: NetworkConfig, params: RunParams, draws: int, sink) -> None:
+def _oracle_tables(cfg: NetworkConfig, params: RunParams, draws: int) -> list:
+    """Closed-form against empirical SINR of the AF chain and of the DF
+    second hop, on realization 0 of the run's seed."""
     mom = moments(cfg)
     real = sample_realization(cfg, derive_seed(params.seed, 0))
     symbol_seed = derive_seed(params.seed, 1)
+    oracles = {"af": (af_sinr, signal_oracle_af),
+               "df": (analytic_df_mac_snr, signal_oracle_df_mac)}
     rows = []
-    if "af" in params.schemes:
-        ana = analytic_af_sinr(real, cfg, mom)
-        emp = signal_oracle_af(real, cfg, mom, draws, symbol_seed)
-        rows.append(("af", ana, emp))
-    if "df" in params.schemes:
-        ana = analytic_df_mac_snr(real, cfg, mom)
-        emp = signal_oracle_df_mac(real, cfg, mom, draws, symbol_seed)
-        rows.append(("df", ana, emp))
+    for scheme in (s for s in params.schemes if s in oracles):
+        closed_form, oracle = oracles[scheme]
+        ana = closed_form(real, cfg, mom)
+        emp = oracle(real, cfg, mom, draws, symbol_seed)
+        gap = abs(emp.sinr - ana) / ana if ana > 0 else math.nan
+        rows.append((scheme, ana, emp.sinr, gap, emp.std_error, emp.draws,
+                     params.seed))
     if not rows:
         raise ConfigurationError("oracle needs 'af' or 'df' among the schemes")
-    # An infinite empirical SINR with a zero standard error is the oracle's
-    # round-off guard, and the relative gap is nan by definition where the
-    # closed form is 0; the closed form and the standard error must be finite.
-    for scheme, ana, emp in rows:
-        _require_finite(lambda: f"{scheme} oracle", analytic_sinr=ana,
-                        std_error=emp.std_error)
-    sink.write(ORACLE_HEADER + "\n")
-    for scheme, ana, emp in rows:
-        gap = abs(emp.sinr - ana) / ana if ana > 0 else math.nan
-        sink.write(",".join((
-            scheme, _fmt(ana), _fmt(emp.sinr), _fmt(gap), _fmt(emp.std_error),
-            str(emp.draws), str(params.seed),
-        )) + "\n")
+    return [(ORACLE_HEADER, rows)]
 
 
-def _emit_diagnose(cfg: NetworkConfig, params: RunParams, axis: tuple,
-                   sink) -> None:
+def _diagnose_tables(cfg: NetworkConfig, params: RunParams, axis: tuple) -> list:
+    """Per-size trace rows of every scheme, then one log2(N) fit per scheme."""
     ns = [int(v) for v in axis]
     if any(float(v) != int(v) for v in axis):
         raise ConfigurationError("diagnose axis values must be integers")
@@ -289,42 +265,50 @@ def _emit_diagnose(cfg: NetworkConfig, params: RunParams, axis: tuple,
         raise ConfigurationError("diagnose needs at least 3 network sizes")
     traces = {s: trace_points(s, cfg, ns, params.trials, params.seed)
               for s in params.schemes}
-    for scheme in params.schemes:
-        for tp in traces[scheme]:
-            _require_finite(lambda: f"{scheme} trace at N={tp.n_relays}",
-                            mean_rate=tp.mean_rate, mean_abs_gap=tp.mean_abs_gap)
-    fits = {s: scaling_fit([(tp.n_relays, tp.mean_rate) for tp in traces[s]])
-            for s in params.schemes}
-    for scheme in params.schemes:
-        fit = fits[scheme]
-        _require_finite(lambda: f"{scheme} scaling fit", slope=fit.slope,
-                        intercept=fit.intercept, residual_rms=fit.residual_rms)
-    sink.write(TRACE_HEADER + "\n")
-    for scheme in params.schemes:
-        for tp in traces[scheme]:
-            sink.write(",".join((
-                scheme, str(tp.n_relays), _fmt(tp.mean_rate),
-                _fmt(tp.mean_abs_gap), str(params.trials),
-            )) + "\n")
-    sink.write("\n" + FIT_HEADER + "\n")
-    for scheme in params.schemes:
-        fit = fits[scheme]
-        sink.write(",".join((
-            scheme, _fmt(fit.slope), _fmt(fit.intercept),
-            _fmt(fit.residual_rms), str(len(fit.points)),
-        )) + "\n")
+    fits = {s: scaling_fit([(tp.n_relays, tp.mean_rate) for tp in pts])
+            for s, pts in traces.items()}
+    return [(TRACE_HEADER, [(s, tp.n_relays, tp.mean_rate, tp.mean_abs_gap,
+                             params.trials)
+                            for s, pts in traces.items() for tp in pts]),
+            (FIT_HEADER, [(s, fit.slope, fit.intercept, fit.residual_rms,
+                           len(fit.points)) for s, fit in fits.items()])]
 
 
-def _require_finite(where: Callable[[], str], **values: float) -> None:
-    """Reject a result row with a non-finite value: the configuration drove
-    the rate arithmetic out of floating-point range.  ``where`` names the row
-    and is called only then."""
-    bad = [f"{name}={value}" for name, value in values.items()
-           if not math.isfinite(value)]
-    if bad:
-        raise ConfigurationError(
-            f"{where()}: not finite ({', '.join(bad)}); the configuration "
-            f"overflows the rate arithmetic")
+# Columns that name a row in an error message.
+_KEY_COLUMNS = ("axis", "axis_value", "scheme", "n_relays")
+
+
+def _require_finite(tables: list) -> None:
+    """The one output rule: every float field is finite, except
+    ``Pc_over_N0_db``, which is ``-inf`` exactly when Pc = 0.
+
+    A row that breaks it comes from a configuration that drove the arithmetic
+    out of floating-point range; the error names the row by its key fields
+    and each bad field by its column.
+    """
+    for header, rows in tables:
+        columns = header.split(",")
+        for row in rows:
+            bad = [f"{name}={value}" for name, value in zip(columns, row)
+                   if isinstance(value, float) and not math.isfinite(value)
+                   and not (name == "Pc_over_N0_db" and value == -math.inf)]
+            if bad:
+                key = ", ".join(f"{name}={value}" for name, value in zip(columns, row)
+                                if name in _KEY_COLUMNS)
+                raise ConfigurationError(
+                    f"{key}: not finite ({', '.join(bad)}); the configuration "
+                    f"takes the results out of floating-point range")
+
+
+def emit_csv(tables: list, sink) -> None:
+    """Write each table as its header and one line per row, with a blank line
+    between tables.  Floats are printed as ``%.12e`` (13 significant digits,
+    byte-stable); ints and text as ``str``."""
+    for i, (header, rows) in enumerate(tables):
+        sink.write(("\n" if i else "") + header + "\n")
+        for row in rows:
+            sink.write(",".join(f"{v:.12e}" if isinstance(v, float) else str(v)
+                                for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -333,22 +317,6 @@ def _require_finite(where: Callable[[], str], **values: float) -> None:
 
 _SWEEP_AXES = {"sweep-n": "n_relays", "sweep-p": "portion",
                "sweep-snr": "conf_snr_db"}
-
-
-def _check_points(result: SweepResult):
-    """Raise for a scheme that failed its preconditions, then for a row with a
-    non-finite mean rate or standard error."""
-    for pt in result.points:
-        if pt.result.errors:
-            detail = "; ".join(f"{s}: {msg}" for s, msg in
-                               sorted(pt.result.errors.items()))
-            raise PreconditionError(detail)
-    for pt in result.points:
-        for scheme in sorted(pt.result.stats):
-            st = pt.result.stats[scheme]
-            _require_finite(lambda: (scheme if result.axis == "single" else
-                                     f"{scheme} at {result.axis}={pt.axis_value:g}"),
-                            mean_rate=st.mean_rate, std_error=st.std_error)
 
 
 def dispatch(manifest: RunManifest) -> int:
@@ -360,29 +328,29 @@ def dispatch(manifest: RunManifest) -> int:
         except OSError as exc:
             raise ConfigurationError(f"cannot read config: {exc}") from exc
         cfg, params = parse_config(text, manifest.overrides)
-        # Built in full before --out is opened: a failed run leaves it alone.
-        sink = io.StringIO()
         if manifest.command == "single":
-            result = _single_result(cfg, params)
-            _check_points(result)
-            emit_csv(result, sink)
+            point = sweep_point(cfg, 0.0, params.trials, params.seed, params.schemes)
+            tables = _sweep_tables(SweepResult(axis="single", points=(point,),
+                                               trials=params.trials,
+                                               base_seed=params.seed))
         elif manifest.command in _SWEEP_AXES:
             if not manifest.axis:
                 raise ConfigurationError("sweep commands need --axis")
-            spec = SweepSpec(base=cfg, axis=_SWEEP_AXES[manifest.command],
-                             values=manifest.axis, trials=params.trials,
-                             base_seed=params.seed, schemes=params.schemes)
-            result = sweep(spec)
-            _check_points(result)
-            emit_csv(result, sink)
+            tables = _sweep_tables(sweep(SweepSpec(
+                base=cfg, axis=_SWEEP_AXES[manifest.command], values=manifest.axis,
+                trials=params.trials, base_seed=params.seed, schemes=params.schemes)))
         elif manifest.command == "oracle":
-            _emit_oracle(cfg, params, manifest.draws, sink)
+            tables = _oracle_tables(cfg, params, manifest.draws)
         elif manifest.command == "diagnose":
             if not manifest.axis:
                 raise ConfigurationError("diagnose needs --axis")
-            _emit_diagnose(cfg, params, manifest.axis, sink)
+            tables = _diagnose_tables(cfg, params, manifest.axis)
         else:
             raise ConfigurationError(f"unknown command {manifest.command!r}")
+        _require_finite(tables)
+        # Written in full before --out is opened: a failed run leaves it alone.
+        sink = io.StringIO()
+        emit_csv(tables, sink)
         if manifest.output_path is None:
             sys.stdout.write(sink.getvalue())
             return 0
@@ -445,7 +413,7 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--axis", required=True,
                             help="comma-separated axis values")
         if name == "oracle":
-            sp.add_argument("--draws", type=int, default=100_000,
+            sp.add_argument("--draws", type=int, default=ORACLE_DRAWS,
                             help="symbol draws for the oracle")
     return parser
 
@@ -466,7 +434,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         overrides=tuple(args.overrides),
         output_path=args.out,
         axis=axis,
-        draws=getattr(args, "draws", 100_000),
+        draws=getattr(args, "draws", ORACLE_DRAWS),
     )
     return dispatch(manifest)
 

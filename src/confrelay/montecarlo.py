@@ -119,11 +119,7 @@ class SweepSpec:
         object.__setattr__(self, "values", vals)
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
-        schemes = tuple(sorted(set(self.schemes)))
-        unknown = [s for s in schemes if s not in SCHEMES]
-        if unknown or not schemes:
-            raise ConfigurationError(f"schemes must be a nonempty subset of {SCHEMES}")
-        object.__setattr__(self, "schemes", schemes)
+        object.__setattr__(self, "schemes", rates.scheme_names(self.schemes))
         object.__setattr__(self, "base_seed", int(self.base_seed) & MASK64)
 
 
@@ -189,11 +185,13 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
     on their array; each mean and standard error equals ``np.mean`` and
     ``np.std(ddof=1) / sqrt(trials)`` of the scheme's own rates, bit for bit.
     Scheme precondition failures (:func:`rates.scheme_precondition_error`)
-    are reported in ``errors`` and do not stop the remaining schemes.
+    are reported in ``errors`` and do not stop the remaining schemes; an
+    unknown scheme name raises :class:`ConfigurationError`.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
-    reasons = {s: rates.scheme_precondition_error(cfg, s) for s in sorted(set(schemes))}
+    reasons = {s: rates.scheme_precondition_error(cfg, s)
+               for s in rates.scheme_names(schemes)}
     errors = {s: msg for s, msg in reasons.items() if msg is not None}
     runnable = [s for s, msg in reasons.items() if msg is None]
     if not runnable:
@@ -237,7 +235,13 @@ def apply_axis(base: NetworkConfig, axis: str, value: float) -> NetworkConfig:
 def sweep_point(cfg: NetworkConfig, axis_value: float, trials: int,
                 base_seed: int, schemes: Sequence[str]) -> SweepPoint:
     """Run one point and record its resolved parameters."""
-    pc_db = 10.0 * math.log10(cfg.p_c / cfg.n_0) if cfg.p_c > 0 else -math.inf
+    ratio = cfg.p_c / cfg.n_0
+    if cfg.p_c == 0:
+        pc_db = -math.inf
+    elif 0 < ratio < math.inf:
+        pc_db = 10.0 * math.log10(ratio)
+    else:  # a ratio out of floating-point range is still a finite dB value
+        pc_db = 10.0 * (math.log10(cfg.p_c) - math.log10(cfg.n_0))
     return SweepPoint(axis_value=axis_value, n_relays=cfg.n_relays,
                       m_conf=cfg.m_conf, p_effective=cfg.p_effective,
                       pc_over_n0_db=pc_db,
@@ -356,12 +360,6 @@ def signal_oracle_df_mac(real: ChannelRealization, cfg: NetworkConfig,
 
     return _oracle(chain, ((),), symbol_trials, seed,
                    cfg.n_0 if noise_n0 is None else float(noise_n0))
-
-
-def analytic_af_sinr(real: ChannelRealization, cfg: NetworkConfig,
-                     mom: MomentSet) -> float:
-    """Closed-form AF SINR the oracle is compared against."""
-    return rates.af_sinr(real, cfg, mom)
 
 
 def analytic_df_mac_snr(real: ChannelRealization, cfg: NetworkConfig,

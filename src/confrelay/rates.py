@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -405,6 +405,18 @@ def af_rate_asymptotic(cfg: NetworkConfig, mom: MomentSet) -> float:
 SCHEMES = ("af", "df", "upper")
 
 
+def scheme_names(names: Iterable[str]) -> tuple:
+    """The distinct names of ``names`` in sorted order; raises
+    :class:`ConfigurationError` for an unknown name or for none at all."""
+    out = tuple(sorted(set(names)))
+    unknown = [s for s in out if s not in SCHEMES]
+    if unknown or not out:
+        raise ConfigurationError(
+            f"schemes must be a nonempty subset of {','.join(SCHEMES)}"
+            + (f"; unknown scheme {unknown[0]!r}" if unknown else ""))
+    return out
+
+
 def reads_second_hop(schemes: Sequence[str]) -> bool:
     """Whether any kernel of ``schemes`` reads |g|^2; the cut-set bound alone
     does not."""
@@ -414,8 +426,6 @@ def reads_second_hop(schemes: Sequence[str]) -> bool:
 def scheme_precondition_error(cfg: NetworkConfig, scheme: str) -> Optional[str]:
     """Reason ``scheme`` cannot run under ``cfg``, or None.  AF and DF combine
     the conferenced copies, so they need p_c > 0 whenever M >= 1."""
-    if scheme not in SCHEMES:
-        return f"unknown scheme {scheme!r}"
     if scheme != "upper" and cfg.m_conf >= 1 and cfg.p_c == 0:
         return (f"scheme {scheme!r} needs p_c > 0 when conferencing is "
                 f"enabled (M = {cfg.m_conf})")
@@ -430,9 +440,9 @@ def _require_scheme(cfg: NetworkConfig, scheme: str) -> None:
 
 def scheme_kernels(cfg: NetworkConfig, mom: MomentSet,
                    schemes: Sequence[str]) -> dict:
-    """Rate kernel of each scheme, with its per-configuration invariants
-    (AF power factors, DF conferencing fractions, q3 and second-hop weights)
-    computed once.
+    """Rate kernel of each distinct scheme, in sorted order, with its
+    per-configuration invariants (AF power factors, DF conferencing
+    fractions, q3 and second-hop weights) computed once.
 
     Each kernel maps |h|^2 and |g|^2 arrays of shape (..., N), one
     realization per leading index, to the rates of shape (...).  When
@@ -440,17 +450,15 @@ def scheme_kernels(cfg: NetworkConfig, mom: MomentSet,
     """
     _check_moments(cfg, mom)
     kernels = {}
-    for s in schemes:
+    for s in scheme_names(schemes):
         if s == "upper":
             kernels[s] = lambda h2, g2: _upper_rates(h2, cfg)
         elif s == "df":
             frac, w = _df_fractions(cfg, mom), _mac_weights(cfg, mom)
             kernels[s] = lambda h2, g2: _df_rates(h2, g2, cfg, frac, w)
-        elif s == "af":
+        else:
             a, q3w = _af_invariants(cfg, mom)
             kernels[s] = lambda h2, g2: _af_rates(h2, g2, cfg, a, q3w)
-        else:
-            raise ConfigurationError(f"unknown scheme {s!r}")
     return kernels
 
 

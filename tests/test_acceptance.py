@@ -19,7 +19,7 @@ from confrelay import (
     SweepSpec,
     af_rate,
     af_rate_expected_q,
-    analytic_af_sinr,
+    af_sinr,
     capacity_upper_bound,
     conferencing_noise_ratio,
     convergence_trace,
@@ -66,7 +66,7 @@ def test_criterion_02_oracle_equivalence():
         cfg = NetworkConfig(n_relays=n, conferencing=Portion(p))
         mom = moments(cfg)
         real = sample_realization(cfg, derive_seed(20250810, r))
-        analytic = analytic_af_sinr(real, cfg, mom)
+        analytic = af_sinr(real, cfg, mom)
         emp = signal_oracle_af(real, cfg, mom, 100_000, derive_seed(555, r))
         tol = max(0.02 * analytic, 3 * emp.std_error)
         assert abs(emp.sinr - analytic) <= tol, (n, p, emp.sinr, analytic, tol)

@@ -15,7 +15,7 @@ from confrelay import (
     PreconditionError,
     SweepSpec,
     af_rate,
-    analytic_af_sinr,
+    af_sinr,
     analytic_df_mac_snr,
     capacity_upper_bound,
     derive_seed,
@@ -28,7 +28,7 @@ from confrelay import (
     sweep,
 )
 from confrelay import model, montecarlo
-from confrelay.montecarlo import SCHEMES, trial_rates
+from confrelay.montecarlo import SCHEMES, sweep_point, trial_rates
 
 
 def _engine_cases():
@@ -230,6 +230,15 @@ class TestSweep:
         res = sweep(spec)
         assert [p.pc_over_n0_db for p in res.points] == [-10.0, 0.0, 10.0]
 
+    @pytest.mark.parametrize("p_c, n_0, db", [(0.0, 1.0, -math.inf),
+                                              (1e-300, 1e300, -6000.0),
+                                              (1e300, 1e-300, 6000.0)])
+    def test_conferencing_snr_in_db(self, p_c, n_0, db):
+        # -inf only at Pc = 0; a ratio that under- or overflows a double is
+        # still a finite number of dB.
+        cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(1), p_c=p_c, n_0=n_0)
+        assert sweep_point(cfg, 0.0, 2, 0, ("upper",)).pc_over_n0_db == db
+
     def test_portion_axis_recomputes_neighbors(self):
         base = NetworkConfig(n_relays=100, conferencing=Portion(0.5))
         spec = SweepSpec(base=base, axis="portion", values=(0.05, 0.2, 1.0),
@@ -262,7 +271,7 @@ class TestSignalOracles:
         cfg = NetworkConfig(n_relays=5, conferencing=Portion(1.0))
         mom = moments(cfg)
         real = sample_realization(cfg, 42)
-        ana = analytic_af_sinr(real, cfg, mom)
+        ana = af_sinr(real, cfg, mom)
         res = signal_oracle_af(real, cfg, mom, 100_000, 9)
         assert abs(res.sinr - ana) <= max(0.02 * ana, 3 * res.std_error)
 
@@ -311,6 +320,6 @@ class TestSignalOracles:
                             h_dist=Cscg(1.0), g_dist=Cscg(1.0))
         mom = moments(cfg)
         real = sample_realization(cfg, 13)
-        ana = analytic_af_sinr(real, cfg, mom)
+        ana = af_sinr(real, cfg, mom)
         res = signal_oracle_af(real, cfg, mom, 100_000, 2)
         assert abs(res.sinr - ana) <= max(0.02 * ana, 3 * res.std_error)

@@ -22,6 +22,7 @@ from confrelay import (
     SweepSpec,
     conferencing_size,
     moments,
+    run_point,
     sample_realization,
     signal_oracle_af,
     signal_oracle_df_mac,
@@ -82,6 +83,8 @@ LIBRARY_CASES = {
                            "symbol_trials"),
     "df_oracle_no_draws": (lambda: _oracle_without_draws(signal_oracle_df_mac),
                            "symbol_trials"),
+    "run_point_unknown_scheme": (lambda: run_point(BASE, 1, 0, ("af", "cf")),
+                                 "unknown scheme 'cf'"),
     "trace_points_unknown_scheme": (lambda: trace_points("cf", BASE, (4, 8), 1, 0),
                                     "unknown scheme"),
     "lemma1_gap_no_relays": (lambda: lemma1_gap(Cscg(1.0), 0, 1, 0), "n and trials"),
@@ -172,6 +175,18 @@ CLI_CASES = {
                                                "--set", "N0=1e-320"], "not finite"),
     "oracle_relay_power_overflows": (CONFIG, ["oracle", "--draws", "2000",
                                               "--set", "Pr=1e308"], "not finite"),
+    # The oracle's round-off guard reports an infinite SINR, and the relative
+    # gap to a zero closed form is nan: neither is a row.
+    "oracle_noise_below_round_off": (CONFIG, ["oracle", "--draws", "2000",
+                                              "--set", "N0=1e-30"], "not finite"),
+    "oracle_source_power_zero": (CONFIG, ["oracle", "--draws", "2000",
+                                          "--set", "Ps=0"], "not finite"),
+    "oracle_relay_power_zero": (CONFIG, ["oracle", "--draws", "2000",
+                                         "--set", "Pr=0"], "not finite"),
+    # Pc/N0 underflows a double (it used to crash math.log10); the AF rate
+    # has no finite value there.
+    "conf_snr_ratio_underflows": (CONFIG, ["single", "--set", "Pc=1e-300",
+                                           "--set", "N0=1e300"], "not finite"),
     "sweep_rate_overflows": (CONFIG, ["sweep-n", "--axis", "4,8", "--set", "N0=1e-320"],
                              "not finite"),
     "diagnose_trace_overflows": (CONFIG, ["diagnose", "--axis", "4,8,16",
