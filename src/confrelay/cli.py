@@ -307,8 +307,8 @@ def emit_csv(tables: list, sink) -> None:
     for i, (header, rows) in enumerate(tables):
         sink.write(("\n" if i else "") + header + "\n")
         for row in rows:
-            sink.write(",".join(f"{v:.12e}" if isinstance(v, float) else str(v)
-                                for v in row) + "\n")
+            sink.write(",".join([f"{v:.12e}" if isinstance(v, float) else str(v)
+                                 for v in row]) + "\n")
 
 
 # ---------------------------------------------------------------------------
