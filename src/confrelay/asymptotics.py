@@ -25,13 +25,12 @@ from .model import (
     UndefinedRatioError,
     _from_normals,
     _normal_count,
-    _TrialSeeds,
-    _seeded_normals,
+    _trial_normals,
     moments,
     spec_moments,
 )
 from .montecarlo import trial_rates
-from . import montecarlo, rates
+from . import rates
 
 
 @dataclass(frozen=True)
@@ -71,18 +70,16 @@ class ConferencingNoiseRatio(NamedTuple):
 def lemma1_gap(dist: DistributionSpec, n: int, trials: int, seed: int) -> float:
     """Mean |log2(1 + sum X_i) - log2(1 + sum E X_i)| with X_i = |h_i|^2.
 
-    The per-trial draw seeds derive from ``seed`` through the same mixing
-    function used by the Monte Carlo engine.
+    Trial ``t`` draws the gains ``sample_channel`` draws from
+    ``default_rng(derive_seed(seed, t))``, in the Monte Carlo engine's blocks
+    (``model._trial_normals``).
     """
     if n < 1 or trials < 1:
         raise ConfigurationError("n and trials must both be >= 1")
     m2, _ = spec_moments(dist, n)
     expected = math.log1p(float(np.sum(m2))) / math.log(2.0)
-    count = _normal_count(dist, n)
-    block = max(1, montecarlo._BLOCK_ELEMENTS // n)
     total = 0.0
-    for lo in range(0, trials, block):
-        z = _seeded_normals(_TrialSeeds(seed, lo, min(lo + block, trials), trials), count)
+    for _, _, z in _trial_normals(seed, trials, n, _normal_count(dist, n)):
         for x in np.abs(_from_normals(dist, n, z)) ** 2:
             total += abs(math.log1p(float(np.sum(x))) / math.log(2.0) - expected)
     return total / trials

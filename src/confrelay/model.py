@@ -19,13 +19,17 @@ objects can be shared freely across threads.
 
 The realization for ``seed`` is the one ``np.random.default_rng(seed mod 2**64)``
 draws, first-hop gains before second-hop gains, and :func:`sample_realization`
-draws it with that generator.  The trial engine reproduces those draws for a
-block of seeds without building a generator per seed (:func:`_seeded_normals`):
-it runs NumPy's SeedSequence hash and PCG64 seeding over all seeds at once, in
+draws it with that generator.  Trial ``t`` of a run seeded with ``base_seed``
+draws the realization for :func:`derive_seed` ``(base_seed, t)``, a SplitMix64
+mixer.  This module owns the one path from a run's base seed and trial range
+to its normals: :func:`_trial_normals` walks a run in blocks of
+``max(1, _BLOCK_ELEMENTS // N)`` trials, and :func:`_trial_squares` gives the
+trial engine each block's ``|h|^2`` and ``|g|^2``.  A block's normals
+(:func:`_seeded_normals`) are drawn without building a generator per trial:
+NumPy's SeedSequence hash and PCG64 seeding run over all seeds at once, in
 uint64 lanes (a 128-bit number is a high and a low 64-bit word; products are
-built from 32-bit halves and carries from bit operations).  The engine's
-blocks are trial ranges of a run (:class:`_TrialSeeds`), whose states are
-derived per chunk of 2**14 trials, and the last chunk is cached
+built from 32-bit halves and carries from bit operations).  The states are
+derived per chunk of 2**14 trials of a run, and the last chunk is cached
 (:func:`_trial_states`, at most 512 KiB of states), so the points, sizes and
 schemes of a run of up to 2**14 trials share them whatever their block
 sizes.  Each thread keeps one PCG64 generator, and before each row the row's
@@ -37,15 +41,15 @@ public ``state`` setter and raises ``RuntimeError`` if the words read back
 are not the ones written.  This relies on NumPy's fixed
 SeedSequence/PCG64 seeding algorithm and its PCG64 state layout;
 ``TestSeededNormals`` checks the states against ``PCG64`` and the rows against
-``default_rng`` seed by seed, and ``test_sampled_squares_match_sampled_gains``
-checks the engine's squares against ``sample_realization``.
+``default_rng(derive_seed(base_seed, t))`` trial by trial, and
+``test_sampled_squares_match_sampled_gains`` checks the engine's squares
+against ``sample_realization``.
 
 The trial engine reads ``|h|^2`` and ``|g|^2`` straight from the same normals
-(:func:`_sampled_squares`) and never builds the complex gains.  When no rate
-it evaluates reads ``g`` (the cut-set bound alone), it draws only each row's
-first-hop normals.  A generator draws normals in sequence, so those are a
-prefix of the full draw; ``test_first_hop_prefix_matches_full_draw`` checks
-it.
+and never builds the complex gains.  When no rate it evaluates reads ``g``
+(the cut-set bound alone), it draws only each row's first-hop normals.  A
+generator draws normals in sequence, so those are a prefix of the full draw;
+``test_first_hop_prefix_matches_full_draw`` checks it.
 """
 
 from __future__ import annotations
@@ -620,7 +624,7 @@ def _word_order(read_back: Sequence[int]) -> tuple[int, ...]:
     return tuple(_PROBE_WORDS.index(w) for w in read_back)
 
 
-# SplitMix64 constants of the trial seed mixer (``montecarlo.derive_seed``).
+# SplitMix64 constants of the trial seed mixer.
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -629,8 +633,9 @@ _MIX2 = 0x94D049BB133111EB
 def _derive_seeds(base_seed: int, lo: int, hi: int) -> np.ndarray:
     """``derive_seed(base_seed, t)`` for every trial ``lo <= t < hi``, as a
     uint64 array; the array arithmetic wraps modulo 2**64 like the masks."""
-    z = (np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-         + np.uint64(int(base_seed) & MASK64))
+    z = np.arange(hi - lo, dtype=np.uint64) + np.uint64((lo + 1) & MASK64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(int(base_seed) & MASK64)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
@@ -639,23 +644,23 @@ def _derive_seeds(base_seed: int, lo: int, hi: int) -> np.ndarray:
     return z
 
 
-@dataclass(frozen=True)
-class _TrialSeeds:
-    """The seeds ``derive_seed(base_seed, t)`` of the trials ``lo <= t < hi``
-    of a run of ``trials`` trials, for :func:`_seeded_normals` to take their
-    states from the run's cached trial chunks (:func:`_trial_states`)."""
+def derive_seed(base_seed: int, trial: int) -> int:
+    """Mix (base_seed, trial) into a 64-bit realization seed.
 
-    base_seed: int
-    lo: int
-    hi: int
-    trials: int
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
+    SplitMix64 finalizer over base_seed + GOLDEN*(trial+1) mod 2**64, the
+    seed :func:`_derive_seeds` gives trial ``trial``; fixed here so the
+    grouping of trials can never change which realization a trial sees.
+    """
+    trial = int(trial)
+    return int(_derive_seeds(base_seed, trial, trial + 1)[0])
 
 
 # Trials per chunk of PCG64 states; the cache keeps the last chunk.
 _STATE_CHUNK = 2 ** 14
+
+# Realizations times relays drawn at once by the trial engine; bounds its
+# working memory independently of the network size.
+_BLOCK_ELEMENTS = 2 ** 14
 
 
 @lru_cache(maxsize=1)
@@ -664,8 +669,10 @@ def _chunk_states(base_seed: int, lo: int, hi: int, order: tuple[int, ...]) -> n
     return _pcg64_states(_derive_seeds(base_seed, lo, hi), order)
 
 
-def _trial_states(seeds: _TrialSeeds, order: tuple[int, ...]) -> list[np.ndarray]:
-    """The states of ``seeds``, as consecutive slices of its run's chunks.
+def _trial_states(base_seed: int, trials: int, lo: int, hi: int,
+                  order: tuple[int, ...]) -> list[np.ndarray]:
+    """The states of trials ``lo <= t < hi`` of a run of ``trials`` trials,
+    as consecutive slices of the run's chunks.
 
     Chunk ``k`` of a run holds the trials ``k * _STATE_CHUNK`` up to the
     next multiple or the run's end, whichever comes first, so the chunks
@@ -679,35 +686,33 @@ def _trial_states(seeds: _TrialSeeds, order: tuple[int, ...]) -> list[np.ndarray
     blocks go through the chunks in order, but the next point starts again
     from chunk 0.
     """
-    base_seed = int(seeds.base_seed) & MASK64
+    base_seed = int(base_seed) & MASK64
     pieces = []
-    lo = seeds.lo
-    while lo < seeds.hi:
+    while lo < hi:
         start = lo - lo % _STATE_CHUNK
-        end = min(start + _STATE_CHUNK, seeds.trials)
-        stop = min(end, seeds.hi)
+        end = min(start + _STATE_CHUNK, trials)
+        stop = min(end, hi)
         chunk = _chunk_states(base_seed, start, end, order)
         pieces.append(chunk[lo - start:stop - start])
         lo = stop
     return pieces
 
 
-def _seeded_normals(seeds: Union[Sequence[int], _TrialSeeds],
+def _seeded_normals(base_seed: int, trials: int, lo: int, hi: int,
                     count: int) -> np.ndarray:
-    """(len(seeds), count) standard normals whose row ``r`` equals
-    ``np.random.default_rng(s & MASK64).standard_normal(count)`` for the
-    ``r``-th seed ``s``.
+    """(hi - lo, count) standard normals whose row ``r`` equals
+    ``np.random.default_rng(derive_seed(base_seed, lo + r)).standard_normal(count)``,
+    for trials ``lo <= t < hi`` of a run of ``trials`` trials.
 
-    The SeedSequence hash and the PCG64 seeding run over all seeds at once,
-    in uint64 lanes; the states of :class:`_TrialSeeds` come from the cache
-    of their run's trial chunks (:func:`_trial_states`).  Each thread keeps
-    one generator; before each row its 128-bit state and increment are
-    written straight into the generator's state memory, in the word order
-    that the first call in the process read back from a probe state set
-    through the public ``state`` setter.
+    The states come from the cache of the run's trial chunks
+    (:func:`_trial_states`).  Each thread keeps one generator; before each
+    row its 128-bit state and increment are written straight into the
+    generator's state memory, in the word order that the first call in the
+    process read back from a probe state set through the public ``state``
+    setter.
     """
     global _MEMORY_ORDER
-    z = np.empty((len(seeds), count))
+    z = np.empty((hi - lo, count))
     if not z.size:
         return z
     try:
@@ -728,12 +733,7 @@ def _seeded_normals(seeds: Union[Sequence[int], _TrialSeeds],
             _MEMORY_ORDER = _word_order(memory)
         # gen holds bitgen, which owns the memory the view writes to.
         _THREAD.draw = gen, memory
-    if isinstance(seeds, _TrialSeeds):
-        pieces = _trial_states(seeds, _MEMORY_ORDER)
-    else:
-        if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
-            seeds = np.array([int(s) & MASK64 for s in seeds], dtype=np.uint64)
-        pieces = [_pcg64_states(seeds, _MEMORY_ORDER)]
+    pieces = _trial_states(base_seed, trials, lo, hi, _MEMORY_ORDER)
     states = (state for piece in pieces for state in piece.tolist())
     for row, state in zip(z, states):
         memory[:] = state
@@ -741,23 +741,35 @@ def _seeded_normals(seeds: Union[Sequence[int], _TrialSeeds],
     return z
 
 
-def _sampled_squares(config: NetworkConfig,
-                     seeds: Union[Sequence[int], _TrialSeeds],
-                     second_hop: bool = True):
-    """|h|^2 and |g|^2 of the realizations :func:`sample_realization` draws
-    for ``seeds``, as (len(seeds), N) arrays squared straight from the normals.
+def _trial_normals(base_seed: int, trials: int, n: int, count: int):
+    """Yield ``(lo, hi, z)`` over the trials of a run, in blocks of
+    ``max(1, _BLOCK_ELEMENTS // n)`` trials, with ``z`` the block's
+    :func:`_seeded_normals`, ``count`` per trial."""
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, trials, block):
+        hi = min(lo + block, trials)
+        yield lo, hi, _seeded_normals(base_seed, trials, lo, hi, count)
 
-    Without ``second_hop``, g is not drawn (None is returned in its place) and
-    each row draws only its first-hop normals, a prefix of the full draw.
+
+def _trial_squares(config: NetworkConfig, base_seed: int, trials: int,
+                   second_hop: bool = True):
+    """Yield ``(lo, hi, h2, g2)`` over the blocks of :func:`_trial_normals`:
+    |h|^2 and |g|^2 of the realizations :func:`sample_realization` draws for
+    trials ``lo <= t < hi``, as (hi - lo, N) arrays squared straight from the
+    normals.
+
+    Without ``second_hop``, g is not drawn (``g2`` is None) and each row
+    draws only its first-hop normals, a prefix of the full draw.
     """
     n = config.n_relays
     count_h = _normal_count(config.h_dist, n)
     count_g = _normal_count(config.g_dist, n) if second_hop else 0
-    z = _seeded_normals(seeds, count_h + count_g)
-    h2 = _squares_from_normals(config.h_dist, n, z[:, :count_h])
-    if not second_hop:
-        return h2, None
-    return h2, _squares_from_normals(config.g_dist, n, z[:, count_h:])
+    for lo, hi, z in _trial_normals(base_seed, trials, n, count_h + count_g):
+        h2 = _squares_from_normals(config.h_dist, n, z[:, :count_h])
+        g2 = _squares_from_normals(config.g_dist, n, z[:, count_h:]) if second_hop else None
+        # Free the block's normals before the caller's kernels run.
+        del z
+        yield lo, hi, h2, g2
 
 
 def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:

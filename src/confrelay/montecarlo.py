@@ -3,12 +3,13 @@
 Determinism contract
 --------------------
 Every result is a pure function of its arguments.  The realization used for
-trial ``t`` is seeded with ``derive_seed(base_seed, t)``, a SplitMix64-style
-mixer, so which realization a trial sees never depends on how trials are
-grouped: per-trial rates land in one index-addressed (scheme, trial) array,
-and the aggregation reduces all of its rows at once, each in index order, to
-the bits ``np.mean`` and ``np.std`` give row by row.  Trials are evaluated in
-one thread, in blocks whose size follows from the network size alone.
+trial ``t`` is seeded with ``derive_seed(base_seed, t)``, a SplitMix64 mixer
+defined in :mod:`confrelay.model` and exported here, so which realization a
+trial sees never depends on how trials are grouped: per-trial rates land in
+one index-addressed (scheme, trial) array, and the aggregation reduces all of
+its rows at once, each in index order, to the bits ``np.mean`` and ``np.std``
+give row by row.  Trials are drawn by ``model._trial_squares`` and evaluated
+in one thread, in blocks whose size follows from the network size alone.
 
 A realization carries only the fading gains ``h`` and ``g``; every rate and
 oracle reads the conferencing gains from the configuration it is given.
@@ -32,17 +33,14 @@ import numpy as np
 
 from .model import (
     MASK64,
-    _GOLDEN,
-    _MIX1,
-    _MIX2,
     ChannelRealization,
     ConfigurationError,
     MomentSet,
     NetworkConfig,
     Portion,
-    _TrialSeeds,
     _abs_squared,
-    _sampled_squares,
+    _trial_squares,
+    derive_seed,  # re-exported: confrelay.montecarlo.derive_seed
     moments,
 )
 from . import rates
@@ -51,25 +49,6 @@ SCHEMES = rates.SCHEMES
 AXES = ("n_relays", "portion", "conf_snr_db")
 
 _ORACLE_CHUNK = 16384
-
-# Realizations times relays evaluated at once by the trial engine; bounds its
-# working memory independently of the network size.
-_BLOCK_ELEMENTS = 2 ** 14
-
-
-def derive_seed(base_seed: int, trial: int) -> int:
-    """Mix (base_seed, trial) into a 64-bit realization seed.
-
-    SplitMix64 finalizer over base_seed + GOLDEN*(trial+1); fixed here so
-    parallel scheduling can never change which realization a trial sees.
-    """
-    z = (int(base_seed) + _GOLDEN * (int(trial) + 1)) & MASK64
-    z ^= z >> 30
-    z = (z * _MIX1) & MASK64
-    z ^= z >> 27
-    z = (z * _MIX2) & MASK64
-    z ^= z >> 31
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +130,9 @@ def _rate_table(cfg: NetworkConfig, mom: MomentSet, trials: int,
     (schemes, trials) whose row ``i`` holds the rates of scheme ``i``; see
     :func:`trial_rates`."""
     kernels = rates.scheme_kernels(cfg, mom, schemes)
-    second_hop = rates.reads_second_hop(kernels)
     values = np.empty((len(kernels), trials))
-    block = max(1, _BLOCK_ELEMENTS // cfg.n_relays)
-    for lo in range(0, trials, block):
-        hi = min(lo + block, trials)
-        h2, g2 = _sampled_squares(cfg, _TrialSeeds(base_seed, lo, hi, trials),
-                                  second_hop)
+    for lo, hi, h2, g2 in _trial_squares(cfg, base_seed, trials,
+                                         rates.reads_second_hop(kernels)):
         for row, kernel in zip(values, kernels.values()):
             row[lo:hi] = kernel(h2, g2)
     return tuple(kernels), values
@@ -170,8 +145,9 @@ def trial_rates(cfg: NetworkConfig, mom: MomentSet, trials: int, base_seed: int,
     The rows are those of one (schemes, trials) array.  Entry ``t`` is
     the rate on ``sample_realization(cfg, derive_seed(base_seed, t))``.  The
     per-configuration invariants are computed once; realizations are drawn
-    and evaluated in blocks of ``max(1, _BLOCK_ELEMENTS // N)`` trials, and
-    each trial's rate does not depend on the block it falls in.
+    by ``model._trial_squares`` and evaluated in its blocks of
+    ``max(1, model._BLOCK_ELEMENTS // N)`` trials, and each trial's rate does
+    not depend on the block it falls in.
     """
     names, values = _rate_table(cfg, mom, trials, base_seed, schemes)
     return dict(zip(names, values))
@@ -228,7 +204,17 @@ def apply_axis(base: NetworkConfig, axis: str, value: float) -> NetworkConfig:
     if axis == "portion":
         return replace(base, conferencing=Portion(float(value)))
     if axis == "conf_snr_db":
-        return replace(base, p_c=base.n_0 * 10.0 ** (float(value) / 10.0))
+        db = float(value)
+        try:
+            p_c = base.n_0 * 10.0 ** (db / 10.0)
+        except OverflowError:
+            p_c = math.inf
+        # -inf dB is Pc = 0; a finite dB must give a positive, finite Pc.
+        if math.isfinite(db) and not 0.0 < p_c < math.inf:
+            raise ConfigurationError(
+                f"conf_snr_db axis value {value} dB puts p_c = n_0 * 10^(dB/10) "
+                "out of floating-point range")
+        return replace(base, p_c=p_c)
     raise ConfigurationError(f"unknown sweep axis {axis!r}")
 
 

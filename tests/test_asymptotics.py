@@ -24,7 +24,7 @@ from confrelay import (
     sample_realization,
     scaling_fit,
 )
-from confrelay import montecarlo
+from confrelay import model
 from confrelay.model import ChannelRealization
 
 
@@ -50,9 +50,12 @@ class TestLemma1Gap:
     def test_equals_per_trial_generator_loop(self, monkeypatch, dist, n, trials,
                                              seed, block):
         if block is not None:
-            monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", block * n)
-        assert lemma1_gap(dist, n, trials, seed) == reference.lemma1_gap(
-            dist, n, trials, seed)
+            monkeypatch.setattr(model, "_BLOCK_ELEMENTS", block * n)
+        # State chunks of 5 trials: blocks cross chunk boundaries.
+        for chunk in (model._STATE_CHUNK, 5):
+            monkeypatch.setattr(model, "_STATE_CHUNK", chunk)
+            assert lemma1_gap(dist, n, trials, seed) == reference.lemma1_gap(
+                dist, n, trials, seed)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,11 @@ else, and these tests fail when it does.
 generator's memory.  That is the library's only use of ``ctypes`` (its word
 order helper, ``model._word_order``, is a pure function of the words read
 back), and a test fails when ``ctypes`` appears anywhere else.
+
+Which normals trial ``t`` of a run draws, and in which blocks, is decided in
+``model`` alone: no other module may name ``_seeded_normals``, the block
+constant ``_BLOCK_ELEMENTS`` or the SplitMix64 seed mixer's constants, by name
+or written out as numbers.
 """
 
 import ast
@@ -67,6 +72,26 @@ def _is_ctypes(node):
     return False
 
 
+# What only ``model`` may refer to: the block sampler, the block size and the
+# seed mixer's constants, by name, and the constants' values.
+TRIAL_DRAW_NAMES = {"_seeded_normals", "_BLOCK_ELEMENTS", "_GOLDEN", "_MIX1", "_MIX2"}
+SPLITMIX64 = {0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
+
+
+def _is_trial_draw_internal(node):
+    """A name, attribute or import of ``TRIAL_DRAW_NAMES``, or an integer
+    literal equal to a SplitMix64 constant."""
+    if isinstance(node, ast.Name):
+        return node.id in TRIAL_DRAW_NAMES
+    if isinstance(node, ast.Attribute):
+        return node.attr in TRIAL_DRAW_NAMES
+    if isinstance(node, ast.alias):
+        return node.name in TRIAL_DRAW_NAMES
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int and node.value in SPLITMIX64
+    return False
+
+
 def uses(source, detect):
     """Top-level function (None outside one) of each node of ``source`` that
     ``detect`` flags, type annotations aside."""
@@ -112,6 +137,24 @@ def test_ctypes_check_fails_on_a_copy_with_ctypes_elsewhere(tmp_path):
                      encoding="utf-8")
     assert library_uses(_is_ctypes, tmp_path) == {("model", "_seeded_normals"),
                                                   ("rates", "_peek")}
+
+
+def test_trial_draw_internals_stay_in_model():
+    assert {module for module, _ in library_uses(_is_trial_draw_internal)} == {"model"}
+
+
+def test_trial_draw_check_fails_on_a_copy_that_reads_them(tmp_path):
+    added = {
+        "asymptotics": "\n\ndef _block(n):\n    return max(1, model._BLOCK_ELEMENTS // n)\n",
+        "montecarlo": "\n\ndef _mix(z):\n    return z * 0xBF58476D1CE4E5B9 & MASK64\n",
+        "rates": "\nfrom .model import _seeded_normals as _draw\n",
+    }
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8")
+                                          + added.get(path.stem, ""), encoding="utf-8")
+    found = library_uses(_is_trial_draw_internal, tmp_path)
+    assert {(m, owner) for m, owner in found if m != "model"} == {
+        ("asymptotics", "_block"), ("montecarlo", "_mix"), ("rates", None)}
 
 
 def test_detector_sees_calls_aliases_and_imports_but_not_annotations():

@@ -29,14 +29,13 @@ from confrelay.model import (
     MASK64,
     _PROBE_WORDS,
     _STATE_CHUNK,
-    _TrialSeeds,
     _chunk_states,
     _from_normals,
     _normal_count,
     _pcg64_states,
-    _sampled_squares,
     _seeded_normals,
     _squares_from_normals,
+    _trial_squares,
     _word_order,
     spec_moments,
 )
@@ -68,6 +67,19 @@ def stacked_realizations(cfg, seeds):
     """``sample_realization`` per seed, stacked into (len(seeds), N) h and g."""
     reals = [sample_realization(cfg, s) for s in seeds]
     return np.array([r.h for r in reals]), np.array([r.g for r in reals])
+
+
+def stacked_squares(cfg, base, trials, second_hop=True):
+    """The blocks ``_trial_squares`` yields for a run, stacked into (trials, N)
+    h2 and g2 (None without ``second_hop``), after checking that the blocks
+    are the run's consecutive trials in blocks of ``_BLOCK_ELEMENTS // N``."""
+    blocks = list(_trial_squares(cfg, base, trials, second_hop))
+    size = max(1, model._BLOCK_ELEMENTS // cfg.n_relays)
+    assert [(lo, hi) for lo, hi, _, _ in blocks] == [
+        (lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    assert all((b[3] is None) == (not second_hop) for b in blocks)
+    h2 = np.concatenate([b[2] for b in blocks])
+    return h2, np.concatenate([b[3] for b in blocks]) if second_hop else None
 
 
 class TestConferencingSize:
@@ -263,67 +275,63 @@ class TestSampling:
 
 
 class TestSeededNormals:
+    # Edge cases of the lane arithmetic: the base seeds of the trial ranges
+    # below and the seeds test_states_equal_pcg64_seeding seeds PCG64 with.
     EDGE_SEEDS = [0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1,
                   -1, -(2 ** 40) - 3, 2 ** 64, 2 ** 70 + 5, 3 * 2 ** 96 + 17]
 
     @staticmethod
-    def _want(seeds, count):
-        return np.array([np.random.default_rng(int(s) & MASK64).standard_normal(count)
-                         for s in seeds]).reshape(len(seeds), count)
+    def _want(base, lo, hi, count):
+        """Row per trial ``lo <= t < hi``: one generator per trial seed."""
+        return np.array([np.random.default_rng(derive_seed(base, t)).standard_normal(count)
+                         for t in range(lo, hi)]).reshape(hi - lo, count)
 
     def test_rows_equal_one_generator_per_seed(self):
-        rng = np.random.default_rng(2024)
-        seeds = (self.EDGE_SEEDS
-                 + [int(s) for s in rng.integers(0, 2 ** 32, 150)]
-                 + [int(s) for s in rng.integers(0, 2 ** 64, 250, dtype=np.uint64)])
-        assert np.array_equal(_seeded_normals(seeds, 5), self._want(seeds, 5))
-
-    def test_uint64_array_seeds(self):
-        seeds = np.array([s & MASK64 for s in self.EDGE_SEEDS], dtype=np.uint64)
-        assert np.array_equal(_seeded_normals(seeds, 3), self._want(self.EDGE_SEEDS, 3))
+        for base in self.EDGE_SEEDS:
+            assert np.array_equal(_seeded_normals(base, 50, 3, 40, 5),
+                                  self._want(base, 3, 40, 5))
 
     def test_single_seed_and_empty_shapes(self):
-        assert np.array_equal(_seeded_normals([2 ** 64 - 1], 9),
-                              self._want([2 ** 64 - 1], 9))
-        assert _seeded_normals([1, 2], 0).shape == (2, 0)
-        assert _seeded_normals([], 4).shape == (0, 4)
+        assert np.array_equal(_seeded_normals(2 ** 64 - 1, 10, 9, 10, 9),
+                              self._want(2 ** 64 - 1, 9, 10, 9))
+        assert _seeded_normals(1, 5, 0, 2, 0).shape == (2, 0)
+        assert _seeded_normals(1, 5, 3, 3, 4).shape == (0, 4)
 
     @pytest.mark.parametrize("count", [1, 100, 16000])
     @pytest.mark.parametrize("block", [1, 163, 655])
     def test_rows_at_engine_block_sizes(self, block, count):
         # The engine draws blocks of 655 and 163 rows at N = 25 and N = 100;
-        # 100 and 16000 normals are one draw at N = 25 and N = 4000.
-        seeds = np.random.default_rng(block * 100003 + count).integers(
-            0, 2 ** 64, block, dtype=np.uint64)
-        got = _seeded_normals(seeds, count)
+        # 100 and 16000 normals are one draw at N = 25 and N = 4000.  This
+        # is a run's second block.
+        base = int(np.random.default_rng(block * 100003 + count).integers(
+            0, 2 ** 64, dtype=np.uint64))
+        got = _seeded_normals(base, 2 * block + 3, block, 2 * block, count)
         assert got.shape == (block, count)
-        for row, seed in zip(got, seeds.tolist()):
-            assert np.array_equal(row, np.random.default_rng(seed).standard_normal(count))
+        assert np.array_equal(got, self._want(base, block, 2 * block, count))
 
     def test_sample_realization_between_blocks_changes_no_row(self):
-        seeds = [3, 2 ** 64 - 1, 12345, 0]
-        first = _seeded_normals(seeds, 50)
+        first = _seeded_normals(12345, 10, 2, 6, 50)
         sample_realization(NetworkConfig(n_relays=5, conferencing=Neighbors(1)), 99)
-        again = _seeded_normals(seeds, 50)
-        assert np.array_equal(first, self._want(seeds, 50))
+        again = _seeded_normals(12345, 10, 2, 6, 50)
+        assert np.array_equal(first, self._want(12345, 2, 6, 50))
         assert np.array_equal(again, first)
 
     def test_threads_drawing_at_once_get_their_own_rows(self):
-        seeds = {k: [k * 7919 + t for t in range(30)] for k in range(2)}
+        bases = {k: k * 7919 for k in range(2)}
         start = threading.Barrier(2)
         got, errors = {}, []
 
         def draw(k):
             try:
                 start.wait(timeout=10)
-                got[k] = [_seeded_normals(seeds[k], 3000) for _ in range(4)]
+                got[k] = [_seeded_normals(bases[k], 30, 0, 30, 3000) for _ in range(4)]
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=draw, args=(k,)) for k in seeds]
+            threads = [threading.Thread(target=draw, args=(k,)) for k in bases]
             for t in threads:
                 t.start()
             for t in threads:
@@ -332,8 +340,8 @@ class TestSeededNormals:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        for k in seeds:
-            want = self._want(seeds[k], 3000)
+        for k in bases:
+            want = self._want(bases[k], 0, 30, 3000)
             assert all(np.array_equal(z, want) for z in got[k])
 
     def test_word_order_native_128_bit(self):
@@ -374,13 +382,12 @@ class TestSeededNormals:
         ids=["whole_run", "inside_a_chunk", "across_two_chunks"])
     def test_trial_seeds_miss_and_hit_give_the_same_rows(self, lo, hi, trials):
         base = 2 ** 64 - 5
-        seeds = _TrialSeeds(base, lo, hi, trials)
-        want = self._want([derive_seed(base, t) for t in range(lo, hi)], 6)
+        want = self._want(base, lo, hi, 6)
         chunks = len(range(lo // _STATE_CHUNK, (hi - 1) // _STATE_CHUNK + 1))
         _chunk_states.cache_clear()
-        first = _seeded_normals(seeds, 6)
+        first = _seeded_normals(base, trials, lo, hi, 6)
         assert _chunk_states.cache_info()[:2] == (0, chunks)  # (hits, misses)
-        again = _seeded_normals(seeds, 6)
+        again = _seeded_normals(base, trials, lo, hi, 6)
         # The cache keeps one chunk, so a block across two derives both again.
         hits = 1 if chunks == 1 else 0
         assert _chunk_states.cache_info()[:2] == (hits, 2 * chunks - hits)
@@ -488,24 +495,26 @@ class TestSquaresFromNormals:
     def test_sampled_squares_match_sampled_gains(self, name):
         cfg = NetworkConfig(n_relays=7, conferencing=Neighbors(2),
                             h_dist=LAWS[name], g_dist=Cscg(0.4))
-        seeds = [0, 2 ** 64 - 1, 7, 2 ** 32, 31337]
-        for got, gains in zip(_sampled_squares(cfg, seeds),
-                              stacked_realizations(cfg, seeds)):
-            np.testing.assert_allclose(got, np.abs(gains) ** 2, rtol=1e-15, atol=0.0)
+        for base in (31337, 2 ** 64 - 1):
+            seeds = [derive_seed(base, t) for t in range(5)]
+            for got, gains in zip(stacked_squares(cfg, base, 5),
+                                  stacked_realizations(cfg, seeds)):
+                np.testing.assert_allclose(got, np.abs(gains) ** 2, rtol=1e-15, atol=0.0)
 
-    def test_first_hop_prefix_matches_full_draw(self):
+    def test_first_hop_prefix_matches_full_draw(self, monkeypatch):
         # A generator draws normals in sequence, so a shorter request returns a
         # prefix of a longer one; the engine draws only the first hop when no
         # scheme reads the second.
-        seeds = [0, 1, 2 ** 63, 2 ** 64 - 1, 99]
-        assert np.array_equal(_seeded_normals(seeds, 7),
-                              _seeded_normals(seeds, 20)[:, :7])
+        assert np.array_equal(_seeded_normals(99, 8, 1, 6, 7),
+                              _seeded_normals(99, 8, 1, 6, 20)[:, :7])
+        # Blocks of 2 trials: the last block of the run holds one.
+        monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 14)
         for name in sorted(LAWS):
             cfg = NetworkConfig(n_relays=7, conferencing=Neighbors(1),
                                 h_dist=LAWS[name], g_dist=Cscg(2.0))
-            h2, g2 = _sampled_squares(cfg, seeds, second_hop=False)
+            h2, g2 = stacked_squares(cfg, 99, 5, second_hop=False)
             assert g2 is None
-            assert np.array_equal(h2, _sampled_squares(cfg, seeds)[0])
+            assert np.array_equal(h2, stacked_squares(cfg, 99, 5)[0])
 
 
 class TestConfigValidation:

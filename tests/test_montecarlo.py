@@ -77,6 +77,36 @@ class TestSeedDerivation:
             assert (model._derive_seeds(base, lo, hi).tolist()
                     == [derive_seed(base, t) for t in range(lo, hi)])
 
+    # derive_seed(base, t) for t = 0, 1, 7 and 1012, as the mixer gave them
+    # before it was merged with the block derivation; a base is read modulo
+    # 2**64.
+    PINNED = {
+        0: (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0xC584133AC916AB3C, 0xAF273E82D37541BC),
+        1: (0x910A2DEC89025CC1, 0xBEEB8DA1658EEC67, 0x85E7BB0F12278575, 0x8EE64FF144808A90),
+        12345: (0x22118258A9D111A0, 0x346EDCE5F713F8ED, 0x6E7411B06820371C,
+                0xD6A86D9033D44597),
+        2 ** 63: (0x481EC0A212A9F3DB, 0xC46FA638A6309012, 0x6250485B3CDEFBBD,
+                  0x4785E8B639738A96),
+        2 ** 64 - 1: (0xE4D971771B652C20, 0xE99FF867DBF682C9, 0x405DA438A39E8064,
+                      0xDAE86727ECECC67B),
+        -7: (0x6C1E186443822970, 0x7A87F4DABCF192AA, 0x01B4B0D3E2ABD63B, 0x852E66AF35DD3AB5),
+        2 ** 64 + 12345: (0x22118258A9D111A0, 0x346EDCE5F713F8ED, 0x6E7411B06820371C,
+                          0xD6A86D9033D44597),
+    }
+
+    @pytest.mark.parametrize("base", sorted(PINNED))
+    def test_pinned_values(self, base):
+        want = list(self.PINNED[base])
+        assert [derive_seed(base, t) for t in (0, 1, 7, 1012)] == want
+        assert model._derive_seeds(base, 0, 1013)[[0, 1, 7, 1012]].tolist() == want
+
+    def test_trial_is_read_modulo_2_64(self):
+        # Trial t mixes base + GOLDEN * (t + 1) mod 2**64, for any int t.
+        assert derive_seed(12345, -1) == derive_seed(12345, 2 ** 64 - 1) == 0xF36CF1164265DD51
+        assert derive_seed(12345, 2 ** 64 + 7) == self.PINNED[12345][2]
+        assert model._derive_seeds(12345, -2, 2).tolist() == [
+            0x161DD8CDEA9AC2D8, 0xF36CF1164265DD51, *self.PINNED[12345][:2]]
+
 
 class TestRunPoint:
     def test_point_mass_mean_equals_single_shot(self, two_relay_point_mass):
@@ -161,14 +191,17 @@ class TestTrialEngine:
     def test_block_size_does_not_change_results(self, monkeypatch, name):
         cfg = ENGINE_CASES[name]
         mom = moments(cfg)
-        default = montecarlo._BLOCK_ELEMENTS
+        default = model._BLOCK_ELEMENTS
         assert default // cfg.n_relays > 23
         outcomes = []
-        for block in (1, 7, None):
-            budget = default if block is None else block * cfg.n_relays
-            monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", budget)
-            outcomes.append((trial_rates(cfg, mom, 23, 4, SCHEMES),
-                             run_point(cfg, 23, 4, SCHEMES)))
+        # State chunks of 5 trials: blocks cross chunk boundaries.
+        for chunk in (model._STATE_CHUNK, 5):
+            monkeypatch.setattr(model, "_STATE_CHUNK", chunk)
+            for block in (1, 7, None):
+                budget = default if block is None else block * cfg.n_relays
+                monkeypatch.setattr(model, "_BLOCK_ELEMENTS", budget)
+                outcomes.append((trial_rates(cfg, mom, 23, 4, SCHEMES),
+                                 run_point(cfg, 23, 4, SCHEMES)))
         (want, point), rest = outcomes[0], outcomes[1:]
         for got, other in rest:
             for s in SCHEMES:
@@ -183,7 +216,7 @@ class TestTrialEngine:
         cfg = ENGINE_CASES[name]
         mom = moments(cfg)
         if block is not None:
-            monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", block * cfg.n_relays)
+            monkeypatch.setattr(model, "_BLOCK_ELEMENTS", block * cfg.n_relays)
         alone = trial_rates(cfg, mom, 23, 4, ("upper",))
         assert list(alone) == ["upper"]
         assert np.array_equal(alone["upper"], trial_rates(cfg, mom, 23, 4, SCHEMES)["upper"])
@@ -229,6 +262,11 @@ class TestSweep:
                          trials=5, base_seed=0, schemes=("df",))
         res = sweep(spec)
         assert [p.pc_over_n0_db for p in res.points] == [-10.0, 0.0, 10.0]
+
+    def test_snr_axis_minus_inf_is_zero_power(self):
+        base = NetworkConfig(n_relays=4, conferencing=Neighbors(1))
+        assert montecarlo.apply_axis(base, "conf_snr_db", -math.inf).p_c == 0.0
+        assert montecarlo.apply_axis(base, "conf_snr_db", -3000.0).p_c > 0.0
 
     @pytest.mark.parametrize("p_c, n_0, db", [(0.0, 1.0, -math.inf),
                                               (1e-300, 1e300, -6000.0),

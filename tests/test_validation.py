@@ -6,6 +6,7 @@ error on stderr and leaves an existing ``--out`` file alone.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,6 +80,13 @@ LIBRARY_CASES = {
                                                schemes=("af", "cf")),
                              "schemes"),
     "sweep_fractional_n_relays": (lambda: apply_axis(BASE, "n_relays", 2.5), "n_relays"),
+    "snr_axis_power_overflows": (lambda: apply_axis(BASE, "conf_snr_db", 4000.0),
+                                 "axis value 4000.0 dB"),
+    "snr_axis_power_underflows": (lambda: apply_axis(BASE, "conf_snr_db", -4000.0),
+                                  "axis value -4000.0 dB"),
+    "snr_axis_power_overflows_with_noise": (
+        lambda: apply_axis(replace(BASE, n_0=1e300), "conf_snr_db", 100.0),
+        "axis value 100.0 dB"),
     "af_oracle_no_draws": (lambda: _oracle_without_draws(signal_oracle_af),
                            "symbol_trials"),
     "df_oracle_no_draws": (lambda: _oracle_without_draws(signal_oracle_df_mac),
@@ -187,6 +195,11 @@ CLI_CASES = {
     # has no finite value there.
     "conf_snr_ratio_underflows": (CONFIG, ["single", "--set", "Pc=1e-300",
                                            "--set", "N0=1e300"], "not finite"),
+    # A finite dB whose Pc = N0 * 10^(dB/10) leaves the range of a double.
+    "snr_axis_power_overflows": (CONFIG, ["sweep-snr", "--axis=4000"],
+                                 "axis value 4000.0 dB"),
+    "snr_axis_power_underflows": (CONFIG, ["sweep-snr", "--axis=-4000"],
+                                  "axis value -4000.0 dB"),
     "sweep_rate_overflows": (CONFIG, ["sweep-n", "--axis", "4,8", "--set", "N0=1e-320"],
                              "not finite"),
     "diagnose_trace_overflows": (CONFIG, ["diagnose", "--axis", "4,8,16",
