@@ -45,6 +45,7 @@ from .model import (
     PointMass,
     Portion,
     PreconditionError,
+    derive_seed,
     moments,
     sample_realization,
 )
@@ -53,7 +54,6 @@ from .montecarlo import (
     SweepResult,
     SweepSpec,
     analytic_df_mac_snr,
-    derive_seed,
     signal_oracle_af,
     signal_oracle_df_mac,
     sweep,

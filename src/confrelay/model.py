@@ -632,7 +632,9 @@ _MIX2 = 0x94D049BB133111EB
 
 def _derive_seeds(base_seed: int, lo: int, hi: int) -> np.ndarray:
     """``derive_seed(base_seed, t)`` for every trial ``lo <= t < hi``, as a
-    uint64 array; the array arithmetic wraps modulo 2**64 like the masks."""
+    uint64 array.  The base seed and ``lo + 1`` are masked to 64 bits and the
+    array arithmetic wraps modulo 2**64, so any int base seed or trial index
+    works."""
     z = np.arange(hi - lo, dtype=np.uint64) + np.uint64((lo + 1) & MASK64)
     z *= np.uint64(_GOLDEN)
     z += np.uint64(int(base_seed) & MASK64)

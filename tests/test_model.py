@@ -72,7 +72,7 @@ def stacked_realizations(cfg, seeds):
 def stacked_squares(cfg, base, trials, second_hop=True):
     """The blocks ``_trial_squares`` yields for a run, stacked into (trials, N)
     h2 and g2 (None without ``second_hop``), after checking that the blocks
-    are the run's consecutive trials in blocks of ``_BLOCK_ELEMENTS // N``."""
+    are the run's consecutive trials in blocks of ``max(1, _BLOCK_ELEMENTS // N)``."""
     blocks = list(_trial_squares(cfg, base, trials, second_hop))
     size = max(1, model._BLOCK_ELEMENTS // cfg.n_relays)
     assert [(lo, hi) for lo, hi, _, _ in blocks] == [
