@@ -77,9 +77,8 @@ class TestSeedDerivation:
             assert (model._derive_seeds(base, lo, hi).tolist()
                     == [derive_seed(base, t) for t in range(lo, hi)])
 
-    # derive_seed(base, t) for t = 0, 1, 7 and 1012, as the mixer gave them
-    # before it was merged with the block derivation; a base is read modulo
-    # 2**64.
+    # derive_seed(base, t) for t = 0, 1, 7 and 1012, recorded from a
+    # Python-int SplitMix64 mixer; a base is read modulo 2**64.
     PINNED = {
         0: (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0xC584133AC916AB3C, 0xAF273E82D37541BC),
         1: (0x910A2DEC89025CC1, 0xBEEB8DA1658EEC67, 0x85E7BB0F12278575, 0x8EE64FF144808A90),
