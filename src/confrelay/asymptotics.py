@@ -9,7 +9,6 @@ by ordinary least squares.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -19,15 +18,12 @@ from .model import (
     ConfigurationError,
     DistributionSpec,
     MomentSet,
+    Neighbors,
     NetworkConfig,
     ChannelRealization,
     PreconditionError,
     UndefinedRatioError,
-    _from_normals,
-    _normal_count,
-    _trial_normals,
     moments,
-    spec_moments,
 )
 from .montecarlo import trial_rates
 from . import rates
@@ -70,19 +66,16 @@ class ConferencingNoiseRatio(NamedTuple):
 def lemma1_gap(dist: DistributionSpec, n: int, trials: int, seed: int) -> float:
     """Mean |log2(1 + sum X_i) - log2(1 + sum E X_i)| with X_i = |h_i|^2.
 
-    Trial ``t`` draws the gains ``sample_channel`` draws from
-    ``default_rng(derive_seed(seed, t))``, in the Monte Carlo engine's blocks
-    (``model._trial_normals``).
+    At p_s = n_0 this is twice the gap between the cut-set rate and its
+    moment form, so it is twice the ``upper`` trace of a network of ``n``
+    relays with first-hop law ``dist`` (:func:`trace_points`): trial ``t``
+    reads the first-hop gains of ``sample_realization`` at
+    ``derive_seed(seed, t)``, through the Monte Carlo engine.
     """
     if n < 1 or trials < 1:
         raise ConfigurationError("n and trials must both be >= 1")
-    m2, _ = spec_moments(dist, n)
-    expected = math.log1p(float(np.sum(m2))) / math.log(2.0)
-    total = 0.0
-    for _, _, z in _trial_normals(seed, trials, n, _normal_count(dist, n)):
-        for x in np.abs(_from_normals(dist, n, z)) ** 2:
-            total += abs(math.log1p(float(np.sum(x))) / math.log(2.0) - expected)
-    return total / trials
+    cfg = NetworkConfig(n, Neighbors(0), h_dist=dist)
+    return 2.0 * trace_points("upper", cfg, (n,), trials, seed)[0].mean_abs_gap
 
 
 def scaling_fit(points: Sequence[tuple[int, float]]) -> ScalingFit:
@@ -137,7 +130,7 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
     the smallest per-relay moment-form rate.
     """
     rates.scheme_names((scheme,))
-    ns = [int(n) for n in n_values]
+    ns = list(n_values)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigurationError("network sizes must be strictly increasing")
     out = []
@@ -149,7 +142,7 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
                              (scheme,) if target is not None else (scheme, "upper"))
         r = values[scheme]
         gaps = np.abs(r - (values["upper"] if target is None else target))
-        out.append(TracePoint(n_relays=n, mean_rate=float(np.sum(r)) / trials,
+        out.append(TracePoint(n_relays=cfg.n_relays, mean_rate=float(np.sum(r)) / trials,
                               mean_abs_gap=float(np.sum(gaps)) / trials))
     return out
 

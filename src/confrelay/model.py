@@ -21,24 +21,25 @@ The realization for ``seed`` is the one ``np.random.default_rng(seed mod 2**64)`
 draws, first-hop gains before second-hop gains, and :func:`sample_realization`
 draws it with that generator.  Trial ``t`` of a run seeded with ``base_seed``
 draws the realization for :func:`derive_seed` ``(base_seed, t)``, a SplitMix64
-mixer.  This module owns the one path from a run's base seed and trial range
-to its normals: :func:`_trial_normals` walks a run in blocks of
-``max(1, _BLOCK_ELEMENTS // N)`` trials, and :func:`_trial_squares` gives the
-trial engine each block's ``|h|^2`` and ``|g|^2``.  A block's normals
-(:func:`_seeded_normals`) are drawn without building a generator per trial:
-NumPy's SeedSequence hash and PCG64 seeding run over all seeds at once, in
-uint64 lanes (a 128-bit number is a high and a low 64-bit word; products are
-built from 32-bit halves and carries from bit operations).  The states are
-derived per chunk of 2**14 trials of a run, and the last chunk is cached
-(:func:`_trial_states`, at most 512 KiB of states), so the points, sizes and
-schemes of a run of up to 2**14 trials share them whatever their block
-sizes.  Each thread keeps one PCG64 generator, and before each row the row's
-128-bit state and increment are written as four 64-bit words straight into
-that generator's state memory.  The words' memory order depends on how NumPy
-was built (a native 128-bit integer or an emulated one, high word first); the
-first call in a process reads it back from a probe state set through the
-public ``state`` setter and raises ``RuntimeError`` if the words read back
-are not the ones written.  This relies on NumPy's fixed
+mixer.  This module owns the one path from a run's base seed and trial count
+to its normals: :func:`_trial_normals` walks a run chunk by chunk, then block
+by block, and :func:`_trial_squares` gives the trial engine each block's
+``|h|^2`` and ``|g|^2``.  The PCG64 states of a chunk of 2**14 trials are
+derived without building a generator per trial: NumPy's SeedSequence hash
+and PCG64 seeding run over all seeds at once, in uint64 lanes (a 128-bit
+number is a high and a low 64-bit word; products are built from 32-bit
+halves and carries from bit operations).  The last chunk is cached
+(:func:`_chunk_states`, at most 512 KiB of states), so the points, sizes and
+schemes of a run of up to 2**14 trials share it whatever their block sizes.
+A chunk's blocks of ``max(1, _BLOCK_ELEMENTS // N)`` trials draw from slices
+of its states and never span two chunks.  Each thread keeps one PCG64
+generator (:func:`_thread_generator`), and before each row the row's 128-bit
+state and increment are written as four 64-bit words straight into that
+generator's state memory (:func:`_seeded_normals`).  The words' memory order
+depends on how NumPy was built (a native 128-bit integer or an emulated one,
+high word first); each thread's first draw reads it back from a probe state
+set through the public ``state`` setter and raises ``RuntimeError`` if the
+words read back are not the ones written.  This relies on NumPy's fixed
 SeedSequence/PCG64 seeding algorithm and its PCG64 state layout;
 ``TestSeededNormals`` checks the states against ``PCG64`` and the rows against
 ``default_rng(derive_seed(base_seed, t))`` trial by trial, and
@@ -76,6 +77,19 @@ class PreconditionError(RuntimeError):
 
 class UndefinedRatioError(PreconditionError):
     """A diagnostic ratio has a zero denominator."""
+
+
+def _integer(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int; :class:`ConfigurationError` unless it is a whole
+    number of at least ``minimum`` (1 or 0)."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < minimum:
+        kind = "positive" if minimum == 1 else "nonnegative"
+        raise ConfigurationError(f"{name} must be a {kind} integer, got {value}")
+    return whole
 
 
 # ---------------------------------------------------------------------------
@@ -223,28 +237,6 @@ def _normal_count(spec: DistributionSpec, n: int) -> int:
     raise ConfigurationError(f"unsupported distribution spec: {spec!r}")
 
 
-def _from_normals(spec: DistributionSpec, n: int, z: np.ndarray) -> np.ndarray:
-    """Gains of ``spec`` from standard normals ``z`` of shape (..., count).
-
-    A ``Cscg`` law takes its ``n`` real parts first, then its ``n`` imaginary
-    parts; a ``PerIndex`` law takes one (real, imaginary) pair per Gaussian
-    entry, in relay order.  Each part is N(0, variance/2).
-    """
-    out = np.empty(z.shape[:-1] + (n,), dtype=complex)
-    if isinstance(spec, Cscg):
-        scale = math.sqrt(spec.variance / 2.0)
-        np.multiply(scale, z[..., :n], out=out.real)
-        np.multiply(scale, z[..., n:], out=out.imag)
-    elif isinstance(spec, PointMass):
-        out[...] = spec.value
-    else:
-        t = spec._table
-        out.real[..., t.gauss] = t.scale * z[..., 0::2]
-        out.imag[..., t.gauss] = t.scale * z[..., 1::2]
-        out[..., t.mass] = t.values
-    return out
-
-
 def _abs_squared(value: complex) -> float:
     """Python's ``abs(value) ** 2``, or inf where that overflows."""
     try:
@@ -260,8 +252,8 @@ def _abs2(values: np.ndarray) -> np.ndarray:
 
 def _squares_from_normals(spec: DistributionSpec, n: int,
                           z: np.ndarray) -> np.ndarray:
-    """|x|^2 of the gains ``_from_normals(spec, n, z)`` builds, from the same
-    normals without building them; squares ``z`` in place.
+    """|x|^2 of the gains :func:`sample_channel` builds from normals ``z`` of
+    shape (..., count), without building them; squares ``z`` in place.
 
     A Gaussian entry gives variance/2 * (re^2 + im^2), a point mass |v|^2.
     """
@@ -282,13 +274,27 @@ def _squares_from_normals(spec: DistributionSpec, n: int,
 def sample_channel(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` independent complex gains from ``spec``.
 
-    Gaussian entries consume the real components first, then the imaginary
-    components, each N(0, variance/2); a ``PerIndex`` law draws one (real,
-    imaginary) pair per Gaussian entry in relay order; point masses consume
-    no randomness.
+    One call of ``rng.standard_normal`` draws every normal the law needs.  A
+    ``Cscg`` law takes its ``n`` real parts first, then its ``n`` imaginary
+    parts; a ``PerIndex`` law takes one (real, imaginary) pair per Gaussian
+    entry, in relay order.  Each part is N(0, variance/2); point masses
+    consume no randomness.
     """
     _check_length(spec, n)
-    return _from_normals(spec, n, rng.standard_normal(_normal_count(spec, n)))
+    z = rng.standard_normal(_normal_count(spec, n))
+    out = np.empty(n, dtype=complex)
+    if isinstance(spec, Cscg):
+        scale = math.sqrt(spec.variance / 2.0)
+        np.multiply(scale, z[:n], out=out.real)
+        np.multiply(scale, z[n:], out=out.imag)
+    elif isinstance(spec, PointMass):
+        out[:] = spec.value
+    else:
+        t = spec._table
+        out.real[t.gauss] = t.scale * z[0::2]
+        out.imag[t.gauss] = t.scale * z[1::2]
+        out[t.mass] = t.values
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +321,7 @@ class Neighbors:
     m: int
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ConfigurationError(f"neighbor count must be >= 0, got {self.m}")
+        object.__setattr__(self, "m", _integer(self.m, "neighbor count", 0))
 
 
 def conferencing_size(p: float, n: int) -> int:
@@ -328,8 +333,7 @@ def conferencing_size(p: float, n: int) -> int:
     """
     if not 0.0 < p <= 1.0:
         raise ConfigurationError(f"conferencing portion must be in (0, 1], got {p}")
-    if n < 1:
-        raise ConfigurationError(f"number of relays must be >= 1, got {n}")
+    n = _integer(n, "number of relays")
     m = int(math.floor(p * n + 0.5)) - 1
     return max(0, min(m, n - 1))
 
@@ -358,11 +362,7 @@ class NetworkConfig:
     g_dist: DistributionSpec = Cscg(1.0)
 
     def __post_init__(self):
-        if int(self.n_relays) != self.n_relays or self.n_relays < 1:
-            raise ConfigurationError(
-                f"n_relays must be a positive integer, got {self.n_relays}"
-            )
-        object.__setattr__(self, "n_relays", int(self.n_relays))
+        object.__setattr__(self, "n_relays", _integer(self.n_relays, "n_relays"))
         if isinstance(self.conferencing, Neighbors):
             if self.conferencing.m > self.n_relays - 1:
                 raise ConfigurationError(
@@ -603,7 +603,6 @@ def _pcg64_states(seeds: np.ndarray, order: Sequence[int]) -> np.ndarray:
 # The bit patterns differ in every byte, so no two words read back alike.
 _PROBE_WORDS = (0x243F6A8885A308D3, 0x13198A2E03707344,
                 0xA4093822299F31D0, 0x082EFA98EC4E6C89)
-_MEMORY_ORDER = None
 _THREAD = threading.local()
 
 
@@ -671,86 +670,74 @@ def _chunk_states(base_seed: int, lo: int, hi: int, order: tuple[int, ...]) -> n
     return _pcg64_states(_derive_seeds(base_seed, lo, hi), order)
 
 
-def _trial_states(base_seed: int, trials: int, lo: int, hi: int,
-                  order: tuple[int, ...]) -> list[np.ndarray]:
-    """The states of trials ``lo <= t < hi`` of a run of ``trials`` trials,
-    as consecutive slices of the run's chunks.
+def _thread_generator():
+    """This thread's PCG64 generator, a ctypes view of the four 64-bit words
+    of its (state, inc) pair, and their memory order (:func:`_word_order`).
 
-    Chunk ``k`` of a run holds the trials ``k * _STATE_CHUNK`` up to the
-    next multiple or the run's end, whichever comes first, so the chunks
-    depend on the base seed and the trial count only, not on the block
-    sizes that draw from them.  Every point of a sweep, every network size
-    and scheme of a ``diagnose`` call and both portions of a heterogeneous
-    point run the same trials from the same base seed, one after another,
-    so a run of at most 2**14 trials derives its one chunk once.  The cache
-    keeps only the last chunk, at most 2**14 rows * 32 B = 512 KiB of
-    states.  A longer run derives each chunk once per point, since a point's
-    blocks go through the chunks in order, but the next point starts again
-    from chunk 0.
+    Made on the thread's first call, which sets a probe state through the
+    public ``state`` setter and reads its words back through the view.
     """
-    base_seed = int(base_seed) & MASK64
-    pieces = []
-    while lo < hi:
-        start = lo - lo % _STATE_CHUNK
-        end = min(start + _STATE_CHUNK, trials)
-        stop = min(end, hi)
-        chunk = _chunk_states(base_seed, start, end, order)
-        pieces.append(chunk[lo - start:stop - start])
-        lo = stop
-    return pieces
+    try:
+        return _THREAD.draw
+    except AttributeError:
+        pass
+    import ctypes
+    bitgen = np.random.PCG64(0)
+    # bitgen.ctypes.state_address points at NumPy's pcg64_state, whose first
+    # field points at the (state, inc) pair.
+    pcg_state = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    memory = (ctypes.c_uint64 * 4).from_address(pcg_state)
+    probe = bitgen.state
+    hi_s, lo_s, hi_inc, lo_inc = _PROBE_WORDS
+    probe["state"] = {"state": hi_s << 64 | lo_s, "inc": hi_inc << 64 | lo_inc}
+    bitgen.state = probe
+    # The generator holds bitgen, which owns the memory the view writes to.
+    _THREAD.draw = np.random.Generator(bitgen), memory, _word_order(memory)
+    return _THREAD.draw
 
 
-def _seeded_normals(base_seed: int, trials: int, lo: int, hi: int,
-                    count: int) -> np.ndarray:
-    """(hi - lo, count) standard normals whose row ``r`` equals
-    ``np.random.default_rng(derive_seed(base_seed, lo + r)).standard_normal(count)``,
-    for trials ``lo <= t < hi`` of a run of ``trials`` trials.
-
-    The states come from the cache of the run's trial chunks
-    (:func:`_trial_states`).  Each thread keeps one generator; before each
-    row its 128-bit state and increment are written straight into the
-    generator's state memory, in the word order that the first call in the
-    process read back from a probe state set through the public ``state``
-    setter.
-    """
-    global _MEMORY_ORDER
-    z = np.empty((hi - lo, count))
+def _seeded_normals(states: np.ndarray, count: int) -> np.ndarray:
+    """(len(states), count) standard normals whose row ``r`` is what PCG64
+    started from ``states[r]`` draws, the state's words in this thread's
+    memory order.  Before each row its words are written straight into this
+    thread's generator."""
+    z = np.empty((len(states), count))
     if not z.size:
         return z
-    try:
-        gen, memory = _THREAD.draw
-    except AttributeError:
-        import ctypes
-        bitgen = np.random.PCG64(0)
-        gen = np.random.Generator(bitgen)
-        # bitgen.ctypes.state_address points at NumPy's pcg64_state, whose
-        # first field points at the (state, inc) pair.
-        pcg_state = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
-        memory = (ctypes.c_uint64 * 4).from_address(pcg_state)
-        if _MEMORY_ORDER is None:
-            probe = bitgen.state
-            hi_s, lo_s, hi_inc, lo_inc = _PROBE_WORDS
-            probe["state"] = {"state": hi_s << 64 | lo_s, "inc": hi_inc << 64 | lo_inc}
-            bitgen.state = probe
-            _MEMORY_ORDER = _word_order(memory)
-        # gen holds bitgen, which owns the memory the view writes to.
-        _THREAD.draw = gen, memory
-    pieces = _trial_states(base_seed, trials, lo, hi, _MEMORY_ORDER)
-    states = (state for piece in pieces for state in piece.tolist())
-    for row, state in zip(z, states):
+    gen, memory, _ = _thread_generator()
+    for row, state in zip(z, states.tolist()):
         memory[:] = state
         gen.standard_normal(out=row)
     return z
 
 
 def _trial_normals(base_seed: int, trials: int, n: int, count: int):
-    """Yield ``(lo, hi, z)`` over the trials of a run, in blocks of
-    ``max(1, _BLOCK_ELEMENTS // n)`` trials, with ``z`` the block's
-    :func:`_seeded_normals`, ``count`` per trial."""
+    """Yield ``(lo, hi, z)`` over the trials of a run, with ``z`` the
+    (hi - lo, count) normals whose row ``r`` is
+    ``np.random.default_rng(derive_seed(base_seed, lo + r)).standard_normal(count)``.
+
+    The run is walked chunk by chunk, then block by block.  Chunk ``k``
+    holds the trials ``k * _STATE_CHUNK`` up to the next multiple or the
+    run's end, whichever comes first, and its states are looked up once in
+    :func:`_chunk_states`; its blocks of ``max(1, _BLOCK_ELEMENTS // n)``
+    trials draw from slices of them, so no block spans two chunks.  The
+    chunks depend on the base seed and the trial count only.  Every point
+    of a sweep, every network size and scheme of a ``diagnose`` call and
+    both portions of a heterogeneous point run the same trials from the
+    same base seed, one after another, so a run of at most 2**14 trials
+    derives its one chunk once.  The cache keeps only the last chunk, at
+    most 2**14 rows * 32 B = 512 KiB of states.  A longer run derives each
+    chunk once per point.
+    """
+    base_seed = int(base_seed) & MASK64
+    order = _thread_generator()[2]
     block = max(1, _BLOCK_ELEMENTS // n)
-    for lo in range(0, trials, block):
-        hi = min(lo + block, trials)
-        yield lo, hi, _seeded_normals(base_seed, trials, lo, hi, count)
+    for start in range(0, trials, _STATE_CHUNK):
+        end = min(start + _STATE_CHUNK, trials)
+        states = _chunk_states(base_seed, start, end, order)
+        for lo in range(start, end, block):
+            hi = min(lo + block, end)
+            yield lo, hi, _seeded_normals(states[lo - start:hi - start], count)
 
 
 def _trial_squares(config: NetworkConfig, base_seed: int, trials: int,

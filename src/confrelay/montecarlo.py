@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .model import (
     NetworkConfig,
     Portion,
     _abs_squared,
+    _integer,
     _trial_squares,
     derive_seed,  # re-exported: confrelay.montecarlo.derive_seed
     moments,
@@ -96,8 +97,7 @@ class SweepSpec:
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ConfigurationError("axis values must be strictly increasing")
         object.__setattr__(self, "values", vals)
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
         object.__setattr__(self, "schemes", rates.scheme_names(self.schemes))
         object.__setattr__(self, "base_seed", int(self.base_seed) & MASK64)
 
@@ -145,11 +145,11 @@ def trial_rates(cfg: NetworkConfig, mom: MomentSet, trials: int, base_seed: int,
     The rows are those of one (schemes, trials) array.  Entry ``t`` is
     the rate on ``sample_realization(cfg, derive_seed(base_seed, t))``.  The
     per-configuration invariants are computed once; realizations are drawn
-    by ``model._trial_squares`` and evaluated in its blocks of
+    by ``model._trial_squares`` and evaluated in its blocks of at most
     ``max(1, model._BLOCK_ELEMENTS // N)`` trials, and each trial's rate does
     not depend on the block it falls in.
     """
-    names, values = _rate_table(cfg, mom, trials, base_seed, schemes)
+    names, values = _rate_table(cfg, mom, _integer(trials, "trials"), base_seed, schemes)
     return dict(zip(names, values))
 
 
@@ -164,8 +164,7 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
     are reported in ``errors`` and do not stop the remaining schemes; an
     unknown scheme name raises :class:`ConfigurationError`.
     """
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
+    trials = _integer(trials, "trials")
     reasons = {s: rates.scheme_precondition_error(cfg, s)
                for s in rates.scheme_names(schemes)}
     errors = {s: msg for s, msg in reasons.items() if msg is not None}
@@ -314,14 +313,11 @@ def _af_destination(real: ChannelRealization, cfg: NetworkConfig,
 
 
 def signal_oracle_af(real: ChannelRealization, cfg: NetworkConfig,
-                     mom: MomentSet, symbol_trials: int, seed: int,
-                     noise_n0: Optional[float] = None) -> OracleResult:
+                     mom: MomentSet, symbol_trials: int, seed: int) -> OracleResult:
     """Empirical AF destination SINR from a full signal-path simulation.
 
-    ``noise_n0`` overrides the power of the drawn noise only (the chain's
-    normalization constants keep using the configured level); passing 0
-    exercises the infinite-SINR guard.  Without conferencing power the AF
-    power factors raise :class:`PreconditionError`.
+    Without conferencing power the AF power factors raise
+    :class:`PreconditionError`.
     """
     if symbol_trials < 1:
         raise ConfigurationError("symbol_trials must be >= 1")
@@ -329,12 +325,11 @@ def signal_oracle_af(real: ChannelRealization, cfg: NetworkConfig,
     chain = functools.partial(_af_destination, real, cfg, mom,
                               rates.af_power_factors(cfg, mom))
     return _oracle(chain, ((cfg.n_relays,), (cfg.n_relays, cfg.m_conf), ()),
-                   symbol_trials, seed, cfg.n_0 if noise_n0 is None else float(noise_n0))
+                   symbol_trials, seed, cfg.n_0)
 
 
 def signal_oracle_df_mac(real: ChannelRealization, cfg: NetworkConfig,
-                         mom: MomentSet, symbol_trials: int, seed: int,
-                         noise_n0: Optional[float] = None) -> OracleResult:
+                         mom: MomentSet, symbol_trials: int, seed: int) -> OracleResult:
     """Empirical received SNR of the coherent second hop."""
     if symbol_trials < 1:
         raise ConfigurationError("symbol_trials must be >= 1")
@@ -344,8 +339,7 @@ def signal_oracle_df_mac(real: ChannelRealization, cfg: NetworkConfig,
     def chain(x, dest_noise):
         return (weights[None, :] * x[:, None]) @ real.g + dest_noise
 
-    return _oracle(chain, ((),), symbol_trials, seed,
-                   cfg.n_0 if noise_n0 is None else float(noise_n0))
+    return _oracle(chain, ((),), symbol_trials, seed, cfg.n_0)
 
 
 def analytic_df_mac_snr(real: ChannelRealization, cfg: NetworkConfig,

@@ -1,20 +1,22 @@
 """The library draws randomness on three paths only.
 
 ``model.sample_realization`` draws one realization from its seed,
-``model._seeded_normals`` draws the trial engine's blocks of seeded normals,
-and ``montecarlo._oracle`` draws the signal oracles' symbols and noise.  A
-second sampler or oracle loop would have to use ``numpy.random`` somewhere
-else, and these tests fail when it does.
+``model._thread_generator`` makes the generator that draws the trial engine's
+blocks of seeded normals, and ``montecarlo._oracle`` draws the signal
+oracles' symbols and noise.  A second sampler or oracle loop would have to
+use ``numpy.random`` somewhere else, and these tests fail when it does.
 
-``model._seeded_normals`` also writes each row's seed state straight into its
-generator's memory.  That is the library's only use of ``ctypes`` (its word
-order helper, ``model._word_order``, is a pure function of the words read
-back), and a test fails when ``ctypes`` appears anywhere else.
+``model._thread_generator`` also makes the view through which each row's
+seed state is written straight into its generator's memory.  That is the
+library's only use of ``ctypes`` (its word order helper,
+``model._word_order``, is a pure function of the words read back), and a
+test fails when ``ctypes`` appears anywhere else.
 
 Which normals trial ``t`` of a run draws, and in which blocks, is decided in
-``model`` alone: no other module may name ``_seeded_normals``, the block
-constant ``_BLOCK_ELEMENTS`` or the SplitMix64 seed mixer's constants, by name
-or written out as numbers.
+``model`` alone: no other module may name the run walk ``_trial_normals``,
+the block sampler ``_seeded_normals``, its generator, the chunk and block
+constants ``_STATE_CHUNK`` and ``_BLOCK_ELEMENTS`` or the SplitMix64 seed
+mixer's constants, by name or written out as numbers.
 """
 
 import ast
@@ -22,7 +24,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "confrelay"
 
-DRAW_PATHS = {("model", "sample_realization"), ("model", "_seeded_normals"),
+DRAW_PATHS = {("model", "sample_realization"), ("model", "_thread_generator"),
               ("montecarlo", "_oracle")}
 
 
@@ -72,9 +74,11 @@ def _is_ctypes(node):
     return False
 
 
-# What only ``model`` may refer to: the block sampler, the block size and the
-# seed mixer's constants, by name, and the constants' values.
-TRIAL_DRAW_NAMES = {"_seeded_normals", "_BLOCK_ELEMENTS", "_GOLDEN", "_MIX1", "_MIX2"}
+# What only ``model`` may refer to: the run walk, the block sampler and its
+# generator, the chunk and block sizes and the seed mixer's constants, by
+# name, and the constants' values.
+TRIAL_DRAW_NAMES = {"_trial_normals", "_seeded_normals", "_thread_generator",
+                    "_STATE_CHUNK", "_BLOCK_ELEMENTS", "_GOLDEN", "_MIX1", "_MIX2"}
 SPLITMIX64 = {0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
 
 
@@ -124,7 +128,7 @@ def test_every_draw_path_draws():
 
 
 def test_ctypes_only_in_the_seeded_normals():
-    assert library_uses(_is_ctypes) == {("model", "_seeded_normals")}
+    assert library_uses(_is_ctypes) == {("model", "_thread_generator")}
 
 
 def test_ctypes_check_fails_on_a_copy_with_ctypes_elsewhere(tmp_path):
@@ -135,7 +139,7 @@ def test_ctypes_check_fails_on_a_copy_with_ctypes_elsewhere(tmp_path):
     rates.write_text(rates.read_text(encoding="utf-8")
                      + "\n\ndef _peek(a):\n    return a.ctypes.data\n",
                      encoding="utf-8")
-    assert library_uses(_is_ctypes, tmp_path) == {("model", "_seeded_normals"),
+    assert library_uses(_is_ctypes, tmp_path) == {("model", "_thread_generator"),
                                                   ("rates", "_peek")}
 
 
@@ -148,13 +152,16 @@ def test_trial_draw_check_fails_on_a_copy_that_reads_them(tmp_path):
         "asymptotics": "\n\ndef _block(n):\n    return max(1, model._BLOCK_ELEMENTS // n)\n",
         "montecarlo": "\n\ndef _mix(z):\n    return z * 0xBF58476D1CE4E5B9 & MASK64\n",
         "rates": "\nfrom .model import _seeded_normals as _draw\n",
+        "cli": ("\nfrom .model import _STATE_CHUNK\n\n\ndef _walk(seed):\n"
+                "    return list(model._trial_normals(seed, 3, 4, 8))\n"),
     }
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8")
                                           + added.get(path.stem, ""), encoding="utf-8")
     found = library_uses(_is_trial_draw_internal, tmp_path)
     assert {(m, owner) for m, owner in found if m != "model"} == {
-        ("asymptotics", "_block"), ("montecarlo", "_mix"), ("rates", None)}
+        ("asymptotics", "_block"), ("montecarlo", "_mix"), ("rates", None),
+        ("cli", None), ("cli", "_walk")}
 
 
 def test_detector_sees_calls_aliases_and_imports_but_not_annotations():

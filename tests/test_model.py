@@ -30,11 +30,10 @@ from confrelay.model import (
     _PROBE_WORDS,
     _STATE_CHUNK,
     _chunk_states,
-    _from_normals,
     _normal_count,
     _pcg64_states,
-    _seeded_normals,
     _squares_from_normals,
+    _trial_normals,
     _trial_squares,
     _word_order,
     spec_moments,
@@ -69,14 +68,33 @@ def stacked_realizations(cfg, seeds):
     return np.array([r.h for r in reals]), np.array([r.g for r in reals])
 
 
+def block_ranges(trials, n):
+    """(lo, hi) of each block of a run: every chunk of ``_STATE_CHUNK`` trials
+    in blocks of ``max(1, _BLOCK_ELEMENTS // n)``."""
+    size = max(1, model._BLOCK_ELEMENTS // n)
+    ranges = []
+    for start in range(0, trials, model._STATE_CHUNK):
+        end = min(start + model._STATE_CHUNK, trials)
+        ranges += [(lo, min(lo + size, end)) for lo in range(start, end, size)]
+    return ranges
+
+
+def stacked_normals(base, trials, n, count):
+    """The blocks ``_trial_normals`` yields for a run, stacked into one
+    (trials, count) array, after checking that they are the run's
+    consecutive trials in the blocks of :func:`block_ranges`."""
+    blocks = list(_trial_normals(base, trials, n, count))
+    assert [(lo, hi) for lo, hi, _ in blocks] == block_ranges(trials, n)
+    assert all(z.shape == (hi - lo, count) for lo, hi, z in blocks)
+    return np.concatenate([z for _, _, z in blocks]).reshape(trials, count)
+
+
 def stacked_squares(cfg, base, trials, second_hop=True):
     """The blocks ``_trial_squares`` yields for a run, stacked into (trials, N)
     h2 and g2 (None without ``second_hop``), after checking that the blocks
-    are the run's consecutive trials in blocks of ``max(1, _BLOCK_ELEMENTS // N)``."""
+    are the run's consecutive trials in the blocks of :func:`block_ranges`."""
     blocks = list(_trial_squares(cfg, base, trials, second_hop))
-    size = max(1, model._BLOCK_ELEMENTS // cfg.n_relays)
-    assert [(lo, hi) for lo, hi, _, _ in blocks] == [
-        (lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    assert [(lo, hi) for lo, hi, _, _ in blocks] == block_ranges(trials, cfg.n_relays)
     assert all((b[3] is None) == (not second_hop) for b in blocks)
     h2 = np.concatenate([b[2] for b in blocks])
     return h2, np.concatenate([b[3] for b in blocks]) if second_hop else None
@@ -275,8 +293,11 @@ class TestSampling:
 
 
 class TestSeededNormals:
-    # Edge cases of the lane arithmetic: the base seeds of the trial ranges
-    # below and the seeds test_states_equal_pcg64_seeding seeds PCG64 with.
+    """The normals ``_trial_normals`` draws for a run, chunk by chunk and
+    block by block, against one generator per trial seed."""
+
+    # Edge cases of the lane arithmetic: the base seeds of the runs below
+    # and the seeds test_states_equal_pcg64_seeding seeds PCG64 with.
     EDGE_SEEDS = [0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1,
                   -1, -(2 ** 40) - 3, 2 ** 64, 2 ** 70 + 5, 3 * 2 ** 96 + 17]
 
@@ -286,34 +307,51 @@ class TestSeededNormals:
         return np.array([np.random.default_rng(derive_seed(base, t)).standard_normal(count)
                          for t in range(lo, hi)]).reshape(hi - lo, count)
 
-    def test_rows_equal_one_generator_per_seed(self):
-        for base in self.EDGE_SEEDS:
-            assert np.array_equal(_seeded_normals(base, 50, 3, 40, 5),
-                                  self._want(base, 3, 40, 5))
+    def test_rows_equal_one_generator_per_seed(self, monkeypatch):
+        # Blocks of 16 trials: 16, 16 and 8 rows; then in chunks of 5 trials,
+        # so every block stops at a chunk's end.
+        for chunk in (_STATE_CHUNK, 5):
+            monkeypatch.setattr(model, "_STATE_CHUNK", chunk)
+            for base in self.EDGE_SEEDS:
+                assert np.array_equal(
+                    stacked_normals(base, 40, model._BLOCK_ELEMENTS // 16, 5),
+                    self._want(base, 0, 40, 5))
 
     def test_single_seed_and_empty_shapes(self):
-        assert np.array_equal(_seeded_normals(2 ** 64 - 1, 10, 9, 10, 9),
-                              self._want(2 ** 64 - 1, 9, 10, 9))
-        assert _seeded_normals(1, 5, 0, 2, 0).shape == (2, 0)
-        assert _seeded_normals(1, 5, 3, 3, 4).shape == (0, 4)
+        assert np.array_equal(stacked_normals(2 ** 64 - 1, 1, 3, 9),
+                              self._want(2 ** 64 - 1, 0, 1, 9))
+        assert stacked_normals(1, 2, 3, 0).shape == (2, 0)
+        assert list(_trial_normals(1, 0, 3, 4)) == []
 
     @pytest.mark.parametrize("count", [1, 100, 16000])
     @pytest.mark.parametrize("block", [1, 163, 655])
     def test_rows_at_engine_block_sizes(self, block, count):
-        # The engine draws blocks of 655 and 163 rows at N = 25 and N = 100;
-        # 100 and 16000 normals are one draw at N = 25 and N = 4000.  This
-        # is a run's second block.
+        # The engine draws blocks of 655, 163 and 1 rows at N = 25, 100 and
+        # 2**14; 100 and 16000 normals are one draw at N = 25 and N = 4000.
+        # A run of a full block, then a block of at most 3 rows.
+        n = {1: 2 ** 14, 163: 100, 655: 25}[block]
+        end = block + min(block, 3)
         base = int(np.random.default_rng(block * 100003 + count).integers(
             0, 2 ** 64, dtype=np.uint64))
-        got = _seeded_normals(base, 2 * block + 3, block, 2 * block, count)
-        assert got.shape == (block, count)
-        assert np.array_equal(got, self._want(base, block, 2 * block, count))
+        blocks = _trial_normals(base, end, n, count)
+        lo, hi, got = next(blocks)
+        assert (lo, hi) == (0, block) and got.shape == (block, count)
+        assert np.array_equal(got, self._want(base, 0, block, count))
+        del got
+        lo, hi, got = next(blocks)
+        assert (lo, hi) == (block, end) and got.shape == (end - block, count)
+        assert np.array_equal(got, self._want(base, block, end, count))
+        assert next(blocks, None) is None
 
     def test_sample_realization_between_blocks_changes_no_row(self):
-        first = _seeded_normals(12345, 10, 2, 6, 50)
-        sample_realization(NetworkConfig(n_relays=5, conferencing=Neighbors(1)), 99)
-        again = _seeded_normals(12345, 10, 2, 6, 50)
-        assert np.array_equal(first, self._want(12345, 2, 6, 50))
+        # Blocks of 2 trials, with a realization drawn after each.
+        rows = []
+        for _, _, z in _trial_normals(12345, 6, model._BLOCK_ELEMENTS // 2, 50):
+            rows.append(z)
+            sample_realization(NetworkConfig(n_relays=5, conferencing=Neighbors(1)), 99)
+        first = np.concatenate(rows)
+        again = stacked_normals(12345, 6, model._BLOCK_ELEMENTS // 2, 50)
+        assert np.array_equal(first, self._want(12345, 0, 6, 50))
         assert np.array_equal(again, first)
 
     def test_threads_drawing_at_once_get_their_own_rows(self):
@@ -324,7 +362,8 @@ class TestSeededNormals:
         def draw(k):
             try:
                 start.wait(timeout=10)
-                got[k] = [_seeded_normals(bases[k], 30, 0, 30, 3000) for _ in range(4)]
+                # Blocks of 5 trials.
+                got[k] = [stacked_normals(bases[k], 30, 3000, 3000) for _ in range(4)]
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -377,21 +416,25 @@ class TestSeededNormals:
             want.append([words[i] for i in order])
         assert got.tolist() == want
 
-    @pytest.mark.parametrize("lo,hi,trials", [
-        (0, 7, 7), (3, 9, 40), (_STATE_CHUNK - 3, _STATE_CHUNK + 4, _STATE_CHUNK + 10)],
+    @pytest.mark.parametrize("trials,n,lo,hi", [
+        (7, 1, 0, 7), (40, model._BLOCK_ELEMENTS // 6, 3, 9),
+        (_STATE_CHUNK + 10, 7, _STATE_CHUNK - 3, _STATE_CHUNK + 4)],
         ids=["whole_run", "inside_a_chunk", "across_two_chunks"])
-    def test_trial_seeds_miss_and_hit_give_the_same_rows(self, lo, hi, trials):
+    def test_trial_seeds_miss_and_hit_give_the_same_rows(self, trials, n, lo, hi):
+        # Rows lo <= t < hi of the run are checked against one generator per
+        # trial: in one block, across blocks of 6 trials, across two chunks.
         base = 2 ** 64 - 5
         want = self._want(base, lo, hi, 6)
-        chunks = len(range(lo // _STATE_CHUNK, (hi - 1) // _STATE_CHUNK + 1))
+        chunks = len(range(0, trials, _STATE_CHUNK))
         _chunk_states.cache_clear()
-        first = _seeded_normals(base, trials, lo, hi, 6)
+        first = stacked_normals(base, trials, n, 6)
         assert _chunk_states.cache_info()[:2] == (0, chunks)  # (hits, misses)
-        again = _seeded_normals(base, trials, lo, hi, 6)
-        # The cache keeps one chunk, so a block across two derives both again.
+        again = stacked_normals(base, trials, n, 6)
+        # One lookup per chunk per run; the cache keeps one chunk, so a run
+        # of two derives both again.
         hits = 1 if chunks == 1 else 0
         assert _chunk_states.cache_info()[:2] == (hits, 2 * chunks - hits)
-        assert np.array_equal(first, want)
+        assert np.array_equal(first[lo:hi], want)
         assert np.array_equal(again, first)
 
     def test_cache_bound(self):
@@ -404,28 +447,30 @@ class TestSeededNormals:
         cfg = NetworkConfig(n_relays=3, conferencing=Neighbors(0))
         trials = 2 * _STATE_CHUNK + 5
         montecarlo.trial_rates(cfg, moments(cfg), trials, 3, ("upper",))
-        # Blocks of 5461 trials at N = 3 cross both chunk boundaries, and
+        # Blocks of 5461 trials at N = 3 stop at both chunk boundaries, and
         # each of the three chunks is derived once; the last one stays.
         info = _chunk_states.cache_info()
         assert info[1:] == (3, 1, 1)  # (misses, maxsize, currsize)
-        last = _chunk_states(3, 2 * _STATE_CHUNK, trials, model._MEMORY_ORDER)
+        order = model._thread_generator()[2]
+        last = _chunk_states(3, 2 * _STATE_CHUNK, trials, order)
         assert _chunk_states.cache_info().hits == info.hits + 1
         assert last.shape == (5, 4)
-        first = _chunk_states(3, 0, _STATE_CHUNK, model._MEMORY_ORDER)
+        first = _chunk_states(3, 0, _STATE_CHUNK, order)
         assert first.nbytes == _STATE_CHUNK * 32
 
     @pytest.mark.parametrize("calls,lookups", [
-        # diagnose over N = 500..4000 with 40 trials: blocks of 32, 16, 8
-        # and 4 trials, 20 per scheme.
+        # diagnose over N = 500..4000 with 40 trials: one run per size and
+        # scheme.
         ([(scheme, Portion(0.2), (500, 1000, 2000, 4000), 40)
-          for scheme in ("af", "df", "upper")], 60),
+          for scheme in ("af", "df", "upper")], 12),
         # sweep-n over N = 25, 50, 100 with more trials than a block at
         # N = 100 (163).
-        ([("upper", Portion(0.2), (25, 50, 100), 300)], 4),
+        ([("upper", Portion(0.2), (25, 50, 100), 300)], 3),
     ], ids=["diagnose", "sweep_n"])
     def test_cache_is_shared_across_sizes_and_schemes(self, calls, lookups):
-        # Chunks follow the trials, not the block sizes, so every size and
-        # scheme of a run draws from the one chunk its first block derived.
+        # Chunks follow the trials, not the block sizes, and a run looks up
+        # each of its chunks once, so every size and scheme draws from the
+        # one chunk the first run derived.
         _chunk_states.cache_clear()
         for scheme, conferencing, sizes, trials in calls:
             cfg = NetworkConfig(n_relays=sizes[0], conferencing=conferencing)
@@ -449,6 +494,22 @@ class TestSeededNormals:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+class _Normals:
+    """Stands in for a generator: ``standard_normal`` hands out ``z``."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, count):
+        assert count == len(self.z)
+        return self.z
+
+
+def built_gains(spec, n, z):
+    """The gains ``sample_channel`` builds from each row of normals ``z``."""
+    return np.array([sample_channel(spec, n, _Normals(row)) for row in z]).reshape(len(z), n)
+
+
 class TestSquaresFromNormals:
     """The trial engine squares the normals; the complex API builds gains."""
 
@@ -456,7 +517,7 @@ class TestSquaresFromNormals:
     def test_equal_abs_squared_of_built_gains(self, name):
         spec = LAWS[name]
         z = np.random.default_rng(8).standard_normal((40, _normal_count(spec, 7)))
-        want = np.abs(_from_normals(spec, 7, z)) ** 2
+        want = np.abs(built_gains(spec, 7, z)) ** 2
         got = _squares_from_normals(spec, 7, z.copy())
         assert got.shape == want.shape == (40, 7)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
@@ -469,7 +530,7 @@ class TestSquaresFromNormals:
         mass = [i for i in range(7)
                 if isinstance(spec, PointMass) or isinstance(spec.specs[i], PointMass)]
         z = np.random.default_rng(9).standard_normal((3, _normal_count(spec, 7)))
-        want = np.abs(_from_normals(spec, 7, z)) ** 2
+        want = np.abs(built_gains(spec, 7, z)) ** 2
         assert np.array_equal(_squares_from_normals(spec, 7, z)[:, mass],
                               want[:, mass])
 
@@ -479,14 +540,14 @@ class TestSquaresFromNormals:
         # law gives from the same normals, bit for bit.
         law = LAWS[name]
         z = np.random.default_rng(10).standard_normal((30, _normal_count(law, 7)))
-        gains = _from_normals(law, 7, z)
+        gains = built_gains(law, 7, z)
         squares = _squares_from_normals(law, 7, z.copy())
         k = 0
         for i, spec in enumerate(law.specs):
             count = _normal_count(spec, 1)
             part = z[:, k:k + count]
             k += count
-            assert np.array_equal(gains[:, i], _from_normals(spec, 1, part)[:, 0])
+            assert np.array_equal(gains[:, i], built_gains(spec, 1, part)[:, 0])
             assert np.array_equal(squares[:, i],
                                   _squares_from_normals(spec, 1, part.copy())[:, 0])
         assert k == z.shape[1]
@@ -505,8 +566,8 @@ class TestSquaresFromNormals:
         # A generator draws normals in sequence, so a shorter request returns a
         # prefix of a longer one; the engine draws only the first hop when no
         # scheme reads the second.
-        assert np.array_equal(_seeded_normals(99, 8, 1, 6, 7),
-                              _seeded_normals(99, 8, 1, 6, 20)[:, :7])
+        assert np.array_equal(stacked_normals(99, 8, 3, 7),
+                              stacked_normals(99, 8, 3, 20)[:, :7])
         # Blocks of 2 trials: the last block of the run holds one.
         monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 14)
         for name in sorted(LAWS):

@@ -29,7 +29,7 @@ from confrelay import (
     signal_oracle_df_mac,
 )
 from confrelay import rates
-from confrelay.asymptotics import lemma1_gap, scaling_fit, trace_points
+from confrelay.asymptotics import convergence_trace, lemma1_gap, scaling_fit, trace_points
 from confrelay.cli import main
 from confrelay.montecarlo import apply_axis
 
@@ -60,6 +60,25 @@ LIBRARY_CASES = {
     "portion_above_one": (lambda: Portion(1.5), "portion"),
     "neighbors_negative": (lambda: Neighbors(-1), "neighbor"),
     "conferencing_size_no_relays": (lambda: conferencing_size(0.5, 0), "relays"),
+    # Counts are whole numbers: a fractional or nonpositive one is rejected
+    # where it enters, not truncated or left to fail in NumPy.
+    "neighbors_fractional": (lambda: Neighbors(1.5), "neighbor count"),
+    "conferencing_size_fractional_relays": (lambda: conferencing_size(0.5, 2.5),
+                                            "number of relays"),
+    "run_point_fractional_trials": (lambda: run_point(BASE, 2.5, 0), "trials"),
+    "sweep_fractional_trials": (lambda: SweepSpec(base=BASE, axis="portion", values=(0.5,),
+                                                  trials=2.5, base_seed=0),
+                                "trials"),
+    "trace_points_zero_trials": (lambda: trace_points("upper", BASE, (4, 8), 0, 0),
+                                 "trials"),
+    "trace_points_negative_trials": (lambda: trace_points("upper", BASE, (4, 8), -2, 0),
+                                     "trials"),
+    "trace_points_fractional_size": (lambda: trace_points("upper", BASE, (4.5, 8), 1, 0),
+                                     "n_relays"),
+    "convergence_trace_zero_trials": (lambda: convergence_trace("upper", BASE, (4, 8), 0, 0),
+                                      "trials"),
+    "convergence_trace_negative_trials": (
+        lambda: convergence_trace("upper", BASE, (4, 8), -2, 0), "trials"),
     "moments_unequal_lengths": (lambda: MomentSet(np.ones(2), np.ones(3) * 2,
                                                   np.ones(2), np.ones(2) * 2),
                                 "length"),
