@@ -196,10 +196,7 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
 def apply_axis(base: NetworkConfig, axis: str, value: float) -> NetworkConfig:
     """Configuration at one sweep point."""
     if axis == "n_relays":
-        n = int(value)
-        if n != value or n < 1:
-            raise ConfigurationError(f"n_relays axis values must be positive integers, got {value}")
-        return replace(base, n_relays=n)
+        return replace(base, n_relays=value)
     if axis == "portion":
         return replace(base, conferencing=Portion(float(value)))
     if axis == "conf_snr_db":

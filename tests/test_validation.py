@@ -99,6 +99,9 @@ LIBRARY_CASES = {
                                                schemes=("af", "cf")),
                              "schemes"),
     "sweep_fractional_n_relays": (lambda: apply_axis(BASE, "n_relays", 2.5), "n_relays"),
+    "sweep_infinite_n_relays": (lambda: apply_axis(BASE, "n_relays", float("inf")),
+                                "n_relays"),
+    "sweep_nan_n_relays": (lambda: apply_axis(BASE, "n_relays", float("nan")), "n_relays"),
     "snr_axis_power_overflows": (lambda: apply_axis(BASE, "conf_snr_db", 4000.0),
                                  "axis value 4000.0 dB"),
     "snr_axis_power_underflows": (lambda: apply_axis(BASE, "conf_snr_db", -4000.0),
