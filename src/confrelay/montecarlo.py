@@ -316,8 +316,7 @@ def signal_oracle_af(real: ChannelRealization, cfg: NetworkConfig,
     Without conferencing power the AF power factors raise
     :class:`PreconditionError`.
     """
-    if symbol_trials < 1:
-        raise ConfigurationError("symbol_trials must be >= 1")
+    symbol_trials = _integer(symbol_trials, "symbol_trials")
     rates._squared_gains(real, cfg)
     chain = functools.partial(_af_destination, real, cfg, mom,
                               rates.af_power_factors(cfg, mom))
@@ -328,8 +327,7 @@ def signal_oracle_af(real: ChannelRealization, cfg: NetworkConfig,
 def signal_oracle_df_mac(real: ChannelRealization, cfg: NetworkConfig,
                          mom: MomentSet, symbol_trials: int, seed: int) -> OracleResult:
     """Empirical received SNR of the coherent second hop."""
-    if symbol_trials < 1:
-        raise ConfigurationError("symbol_trials must be >= 1")
+    symbol_trials = _integer(symbol_trials, "symbol_trials")
     rates._squared_gains(real, cfg)
     weights = rates._mac_weights(cfg, mom) * np.conj(real.g)
 

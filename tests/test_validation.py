@@ -36,12 +36,12 @@ from confrelay.montecarlo import apply_axis
 BASE = NetworkConfig(n_relays=4, conferencing=Neighbors(1))
 
 
-def _oracle_without_draws(oracle):
+def _oracle_without_draws(oracle, draws=0):
     # A realization of the wrong length and, for AF, no conferencing power:
     # the draw count is still the first thing rejected.
     cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(1), p_c=0.0)
     real = sample_realization(NetworkConfig(n_relays=3, conferencing=Neighbors(0)), 0)
-    oracle(real, cfg, moments(BASE), 0, 0)
+    oracle(real, cfg, moments(BASE), draws, 0)
 
 
 LIBRARY_CASES = {
@@ -113,6 +113,10 @@ LIBRARY_CASES = {
                            "symbol_trials"),
     "df_oracle_no_draws": (lambda: _oracle_without_draws(signal_oracle_df_mac),
                            "symbol_trials"),
+    "af_oracle_fractional_draws": (lambda: _oracle_without_draws(signal_oracle_af, 2.5),
+                                   "symbol_trials"),
+    "df_oracle_fractional_draws": (lambda: _oracle_without_draws(signal_oracle_df_mac, 2.5),
+                                   "symbol_trials"),
     "run_point_unknown_scheme": (lambda: run_point(BASE, 1, 0, ("af", "cf")),
                                  "unknown scheme 'cf'"),
     "trace_points_unknown_scheme": (lambda: trace_points("cf", BASE, (4, 8), 1, 0),
