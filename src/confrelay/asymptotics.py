@@ -23,9 +23,10 @@ from .model import (
     ChannelRealization,
     PreconditionError,
     UndefinedRatioError,
+    _integer,
     moments,
 )
-from .montecarlo import trial_rates
+from .montecarlo import _rate_table
 from . import rates
 
 
@@ -128,20 +129,31 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
     the moment form of the cut-set bound; with complete conferencing the AF
     limit is the per-realization cut-set bound itself; ``df`` converges to
     the smallest per-relay moment-form rate.
+
+    Every size runs the same trials from ``seed`` in one walk of the Monte
+    Carlo engine: trial ``t`` is drawn once, at the widest size's count of
+    normals, and each size reads a prefix of that row, which is exactly its
+    own draw.  Each size's rates are kept until the walk ends, at most
+    2 * trials float64 per size.
     """
     rates.scheme_names((scheme,))
     ns = list(n_values)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigurationError("network sizes must be strictly increasing")
-    out = []
+    trials = _integer(trials, "trials")
+    points, targets = [], []
     for n in ns:
         cfg = _config_for(template, n)
         mom = moments(cfg)
         target = _fixed_limit(scheme, cfg, mom)
-        values = trial_rates(cfg, mom, trials, seed,
-                             (scheme,) if target is not None else (scheme, "upper"))
-        r = values[scheme]
-        gaps = np.abs(r - (values["upper"] if target is None else target))
+        points.append((cfg, mom, (scheme,) if target is not None else (scheme, "upper")))
+        targets.append(target)
+    out = []
+    for (cfg, _, _), target, (names, values) in zip(points, targets,
+                                                     _rate_table(points, trials, seed)):
+        rows = dict(zip(names, values))
+        r = rows[scheme]
+        gaps = np.abs(r - (rows["upper"] if target is None else target))
         out.append(TracePoint(n_relays=cfg.n_relays, mean_rate=float(np.sum(r)) / trials,
                               mean_abs_gap=float(np.sum(gaps)) / trials))
     return out

@@ -24,12 +24,15 @@ draws the realization for :func:`derive_seed` ``(base_seed, t)``, a SplitMix64
 mixer.  This module owns the one path from a run's base seed and trial count
 to its normals: :func:`_trial_normals` walks a run chunk by chunk, then block
 by block, and :func:`_trial_squares` gives the trial engine each block's
-``|h|^2`` and ``|g|^2``.  The PCG64 states of a chunk of 2**14 trials are
-derived without building a generator per trial: NumPy's SeedSequence hash
-and PCG64 seeding run over all seeds at once, in uint64 lanes (a 128-bit
-number is a high and a low 64-bit word; products are built from 32-bit
-halves and carries from bit operations).  The last chunk is cached
-(:func:`_chunk_states`, at most 512 KiB of states), so the points, sizes and
+``|h|^2`` and ``|g|^2`` under each of the configs that share the walk.  Those
+configs (the network sizes of a trace) draw each trial's row once, at the
+widest config's count of normals, in blocks sized by their largest N, and
+each reads a prefix of the row.  The PCG64 states of a chunk of 2**14
+trials are derived without building a generator per trial: NumPy's
+SeedSequence hash and PCG64 seeding run over all seeds at once, in uint64
+lanes (a 128-bit number is a high and a low 64-bit word; products are built
+from 32-bit halves and carries from bit operations).  The last chunk is cached
+(:func:`_chunk_states`, at most 512 KiB of states), so the points and
 schemes of a run of up to 2**14 trials share it whatever their block sizes.
 A chunk's blocks of ``max(1, _BLOCK_ELEMENTS // N)`` trials draw from slices
 of its states and never span two chunks.  Each thread keeps one PCG64
@@ -47,10 +50,12 @@ SeedSequence/PCG64 seeding algorithm and its PCG64 state layout;
 against ``sample_realization``.
 
 The trial engine reads ``|h|^2`` and ``|g|^2`` straight from the same normals
-and never builds the complex gains.  When no rate it evaluates reads ``g``
-(the cut-set bound alone), it draws only each row's first-hop normals.  A
-generator draws normals in sequence, so those are a prefix of the full draw;
-``test_first_hop_prefix_matches_full_draw`` checks it.
+and never builds the complex gains; each block's normals are squared once,
+in place.  When no rate it evaluates reads ``g`` (the cut-set bound alone),
+it draws only each row's first-hop normals.  A generator draws normals in
+sequence, so those are a prefix of the full draw, as is a smaller network's
+draw of a wider row; ``test_first_hop_prefix_matches_full_draw`` and
+``TestSharedDraw`` in ``tests/test_asymptotics.py`` check it.
 """
 
 from __future__ import annotations
@@ -251,22 +256,22 @@ def _abs2(values: np.ndarray) -> np.ndarray:
 
 
 def _squares_from_normals(spec: DistributionSpec, n: int,
-                          z: np.ndarray) -> np.ndarray:
-    """|x|^2 of the gains :func:`sample_channel` builds from normals ``z`` of
-    shape (..., count), without building them; squares ``z`` in place.
+                          z2: np.ndarray) -> np.ndarray:
+    """|x|^2 of the gains :func:`sample_channel` builds from normals ``z``,
+    read from their squares ``z2 = z**2`` of shape (..., count), without
+    building the gains; ``z2`` is only read.
 
     A Gaussian entry gives variance/2 * (re^2 + im^2), a point mass |v|^2.
     """
     if isinstance(spec, PointMass):
-        return np.full(z.shape[:-1] + (n,), _abs2([spec.value])[0])
-    np.square(z, out=z)
+        return np.full(z2.shape[:-1] + (n,), _abs2([spec.value])[0])
     if isinstance(spec, Cscg):
-        out = z[..., :n] + z[..., n:]
+        out = z2[..., :n] + z2[..., n:]
         out *= spec.variance / 2.0
         return out
     t = spec._table
-    out = np.empty(z.shape[:-1] + (n,))
-    out[..., t.gauss] = t.half * (z[..., 0::2] + z[..., 1::2])
+    out = np.empty(z2.shape[:-1] + (n,))
+    out[..., t.gauss] = t.half * (z2[..., 0::2] + z2[..., 1::2])
     out[..., t.mass] = t.power
     return out
 
@@ -722,12 +727,13 @@ def _trial_normals(base_seed: int, trials: int, n: int, count: int):
     :func:`_chunk_states`; its blocks of ``max(1, _BLOCK_ELEMENTS // n)``
     trials draw from slices of them, so no block spans two chunks.  The
     chunks depend on the base seed and the trial count only.  Every point
-    of a sweep, every network size and scheme of a ``diagnose`` call and
-    both portions of a heterogeneous point run the same trials from the
-    same base seed, one after another, so a run of at most 2**14 trials
-    derives its one chunk once.  The cache keeps only the last chunk, at
-    most 2**14 rows * 32 B = 512 KiB of states.  A longer run derives each
-    chunk once per point.
+    of a sweep, every scheme of a ``diagnose`` call and both portions of a
+    heterogeneous point run the same trials from the same base seed, one
+    walk after another, and the sizes of a ``diagnose`` trace share one walk
+    (:func:`_trial_squares`), so a run of at most 2**14 trials derives its
+    one chunk once.  The cache keeps only the last chunk, at most
+    2**14 rows * 32 B = 512 KiB of states.  A longer run derives each chunk
+    once per walk.
     """
     base_seed = int(base_seed) & MASK64
     order = _thread_generator()[2]
@@ -740,25 +746,45 @@ def _trial_normals(base_seed: int, trials: int, n: int, count: int):
             yield lo, hi, _seeded_normals(states[lo - start:hi - start], count)
 
 
-def _trial_squares(config: NetworkConfig, base_seed: int, trials: int,
+def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int,
                    second_hop: bool = True):
-    """Yield ``(lo, hi, h2, g2)`` over the blocks of :func:`_trial_normals`:
-    |h|^2 and |g|^2 of the realizations :func:`sample_realization` draws for
-    trials ``lo <= t < hi``, as (hi - lo, N) arrays squared straight from the
-    normals.
+    """Yield ``(i, lo, hi, h2, g2)`` over the blocks of one
+    :func:`_trial_normals` walk shared by ``configs``: |h|^2 and |g|^2 of the
+    realizations :func:`sample_realization` draws under ``configs[i]`` for
+    trials ``lo <= t < hi``, as (hi - lo, N_i) arrays squared straight from
+    the normals.
+
+    Each trial's row is drawn once, at the widest config's count of normals,
+    and every config reads a prefix of it: a generator draws normals in
+    sequence, so that prefix is what the config's own draw gives.  Blocks
+    hold ``max(1, _BLOCK_ELEMENTS // N)`` trials for the largest N of
+    ``configs``.  A block's normals are squared once, in place; each config's
+    squares are built from them just before they are yielded, and the
+    normals are freed before the last config's are yielded, so the caller's
+    kernels for config ``i`` run before config ``i + 1``'s squares exist.
 
     Without ``second_hop``, g is not drawn (``g2`` is None) and each row
     draws only its first-hop normals, a prefix of the full draw.
     """
-    n = config.n_relays
-    count_h = _normal_count(config.h_dist, n)
-    count_g = _normal_count(config.g_dist, n) if second_hop else 0
-    for lo, hi, z in _trial_normals(base_seed, trials, n, count_h + count_g):
-        h2 = _squares_from_normals(config.h_dist, n, z[:, :count_h])
-        g2 = _squares_from_normals(config.g_dist, n, z[:, count_h:]) if second_hop else None
-        # Free the block's normals before the caller's kernels run.
-        del z
-        yield lo, hi, h2, g2
+    if not configs:
+        return
+    counts = [(_normal_count(c.h_dist, c.n_relays),
+               _normal_count(c.g_dist, c.n_relays) if second_hop else 0)
+              for c in configs]
+    width = max(h + g for h, g in counts)
+    largest = max(c.n_relays for c in configs)
+    last = len(configs) - 1
+    for lo, hi, z in _trial_normals(base_seed, trials, largest, width):
+        np.square(z, out=z)
+        for i, (cfg, (count_h, count_g)) in enumerate(zip(configs, counts)):
+            n = cfg.n_relays
+            h2 = _squares_from_normals(cfg.h_dist, n, z[:, :count_h])
+            g2 = (_squares_from_normals(cfg.g_dist, n, z[:, count_h:count_h + count_g])
+                  if second_hop else None)
+            if i == last:
+                # Free the block's normals before the last config's kernels.
+                del z
+            yield i, lo, hi, h2, g2
 
 
 def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:

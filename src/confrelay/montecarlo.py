@@ -9,7 +9,8 @@ trial sees never depends on how trials are grouped: per-trial rates land in
 one index-addressed (scheme, trial) array, and the aggregation reduces all of
 its rows at once, each in index order, to the bits ``np.mean`` and ``np.std``
 give row by row.  Trials are drawn by ``model._trial_squares`` and evaluated
-in one thread, in blocks whose size follows from the network size alone.
+in one thread, in blocks whose size follows from the largest network size of
+the configurations that share the walk (one, for a point).
 
 A realization carries only the fading gains ``h`` and ``g``; every rate and
 oracle reads the conferencing gains from the configuration it is given.
@@ -124,18 +125,24 @@ class SweepResult:
     base_seed: int
 
 
-def _rate_table(cfg: NetworkConfig, mom: MomentSet, trials: int,
-                base_seed: int, schemes: Sequence[str]) -> tuple[tuple, np.ndarray]:
-    """The distinct schemes in order, and one float64 array of shape
-    (schemes, trials) whose row ``i`` holds the rates of scheme ``i``; see
-    :func:`trial_rates`."""
-    kernels = rates.scheme_kernels(cfg, mom, schemes)
-    values = np.empty((len(kernels), trials))
-    for lo, hi, h2, g2 in _trial_squares(cfg, base_seed, trials,
-                                         rates.reads_second_hop(kernels)):
-        for row, kernel in zip(values, kernels.values()):
+def _rate_table(points: Sequence[tuple[NetworkConfig, MomentSet, Sequence[str]]],
+                trials: int, base_seed: int) -> list[tuple[tuple, np.ndarray]]:
+    """Per ``(cfg, mom, schemes)`` point, its distinct schemes in order and one
+    float64 array of shape (schemes, trials) whose row ``i`` holds the rates
+    of scheme ``i``; see :func:`trial_rates`.
+
+    The points share one walk of ``model._trial_squares``: each block's
+    normals are drawn once for all of them, and each point's kernels run on
+    its squares before the next point's are built.
+    """
+    kernels = [rates.scheme_kernels(cfg, mom, schemes) for cfg, mom, schemes in points]
+    tables = [np.empty((len(k), trials)) for k in kernels]
+    second_hop = any(rates.reads_second_hop(k) for k in kernels)
+    for i, lo, hi, h2, g2 in _trial_squares([cfg for cfg, _, _ in points],
+                                            base_seed, trials, second_hop):
+        for row, kernel in zip(tables[i], kernels[i].values()):
             row[lo:hi] = kernel(h2, g2)
-    return tuple(kernels), values
+    return [(tuple(k), v) for k, v in zip(kernels, tables)]
 
 
 def trial_rates(cfg: NetworkConfig, mom: MomentSet, trials: int, base_seed: int,
@@ -145,11 +152,12 @@ def trial_rates(cfg: NetworkConfig, mom: MomentSet, trials: int, base_seed: int,
     The rows are those of one (schemes, trials) array.  Entry ``t`` is
     the rate on ``sample_realization(cfg, derive_seed(base_seed, t))``.  The
     per-configuration invariants are computed once; realizations are drawn
-    by ``model._trial_squares`` and evaluated in its blocks of at most
-    ``max(1, model._BLOCK_ELEMENTS // N)`` trials, and each trial's rate does
-    not depend on the block it falls in.
+    by ``model._trial_squares`` and evaluated in its blocks, and each
+    trial's rate does not depend on the block it falls in or on the other
+    configurations that share the walk.
     """
-    names, values = _rate_table(cfg, mom, _integer(trials, "trials"), base_seed, schemes)
+    [(names, values)] = _rate_table([(cfg, mom, schemes)],
+                                    _integer(trials, "trials"), base_seed)
     return dict(zip(names, values))
 
 
@@ -171,7 +179,7 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
     runnable = [s for s, msg in reasons.items() if msg is None]
     if not runnable:
         return PointResult(stats={}, errors=errors)
-    names, v = _rate_table(cfg, moments(cfg), trials, base_seed, runnable)
+    [(names, v)] = _rate_table([(cfg, moments(cfg), runnable)], trials, base_seed)
     first = v[:, 0].tolist()
     constant = (v == v[:, :1]).all(axis=1).tolist()
     mean = np.add.reduce(v, axis=1) / trials
@@ -268,13 +276,20 @@ def _oracle(chain, noise_shapes: Sequence[tuple], symbol_trials: int,
     signal_power = _abs_squared(coef)
     scale = math.sqrt(level / 2.0)
     rng = np.random.default_rng(int(seed) & MASK64)
+
+    def normals(shape):
+        # rng.normal(0.0, scale, shape) bit for bit, without its loc + scale * z
+        # per element: standard normals, scaled in place.
+        z = rng.standard_normal(shape)
+        z *= scale
+        return z
+
     w_sum = 0.0
     w_sq_sum = 0.0
     for lo in range(0, symbol_trials, _ORACLE_CHUNK):
         c = min(_ORACLE_CHUNK, symbol_trials - lo)
         x = np.exp(2j * np.pi * rng.random(c))
-        noises = [rng.normal(0.0, scale, (c,) + s)
-                  + 1j * rng.normal(0.0, scale, (c,) + s) for s in noise_shapes]
+        noises = [normals((c,) + s) + 1j * normals((c,) + s) for s in noise_shapes]
         w = np.abs(chain(x, *noises) - coef * x) ** 2
         w_sum += float(np.sum(w))
         w_sq_sum += float(np.sum(w * w))

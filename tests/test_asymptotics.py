@@ -24,7 +24,8 @@ from confrelay import (
     sample_realization,
     scaling_fit,
 )
-from confrelay import model
+from confrelay import asymptotics, model
+from confrelay.asymptotics import trace_points
 from confrelay.model import ChannelRealization
 
 
@@ -145,6 +146,87 @@ class TestConvergenceTrace:
         cfg = NetworkConfig(n_relays=4, conferencing=Portion(0.5))
         with pytest.raises(ValueError):
             convergence_trace("cf", cfg, (4, 8), 5, 0)
+
+
+def _uneven_draw(n):
+    """A network whose count of normals per trial is not monotone in N:
+    16 at N = 4, 4 at N = 6 and 10 at N = 9."""
+    gauss = {4: (range(4), range(4)), 6: ((2,), (5,)), 9: (range(0, 9, 2), ())}[n]
+    h = PerIndex(tuple(Cscg(0.5 + i / n) if i in gauss[0] else PointMass(1 - 0.5j)
+                       for i in range(n)))
+    g = PerIndex(tuple(Cscg(1.5 - i / n) if i in gauss[1] else PointMass(0.8)
+                       for i in range(n)))
+    return NetworkConfig(n_relays=n, conferencing=Portion(0.5), h_dist=h, g_dist=g)
+
+
+SHARED_DRAW_CASES = {
+    # name: (template, sizes, trials, block elements or None, state chunk or None)
+    "cscg": (NetworkConfig(n_relays=5, conferencing=Portion(0.2)), (5, 10, 20, 40),
+             30, None, None),
+    "per_index_uneven": (_uneven_draw, (4, 6, 9), 30, None, None),
+    "point_mass_first_hop": (NetworkConfig(n_relays=3, conferencing=Portion(0.5),
+                                           h_dist=PointMass(1 + 1j), g_dist=Cscg(0.7)),
+                             (3, 7, 12), 20, None, None),
+    "complete_conferencing": (NetworkConfig(n_relays=3, conferencing=Portion(1.0)),
+                              (3, 6, 11), 25, None, None),
+    # Blocks of 3 trials at N = 16, 6 at N = 8 and 12 at N = 4.
+    "blocks": (NetworkConfig(n_relays=4, conferencing=Portion(0.25)), (4, 8, 16),
+               29, 3 * 16, None),
+    # State chunks of 4 trials: every walk looks up 5 chunks.
+    "chunks": (NetworkConfig(n_relays=4, conferencing=Portion(0.25)), (4, 8, 16),
+               19, None, 4),
+}
+
+
+class TestSharedDraw:
+    """A trace draws each trial once, at its widest size, and every size reads
+    a prefix of that row: each size's point is what a trace of that size
+    alone gives, bit for bit."""
+
+    @staticmethod
+    def _patch(monkeypatch, block, chunk):
+        if block is not None:
+            monkeypatch.setattr(model, "_BLOCK_ELEMENTS", block)
+        if chunk is not None:
+            monkeypatch.setattr(model, "_STATE_CHUNK", chunk)
+
+    @pytest.mark.parametrize("scheme", ["af", "df", "upper"])
+    @pytest.mark.parametrize("case", sorted(SHARED_DRAW_CASES))
+    def test_each_size_equals_its_own_trace(self, monkeypatch, case, scheme):
+        template, sizes, trials, block, chunk = SHARED_DRAW_CASES[case]
+        self._patch(monkeypatch, block, chunk)
+        shared = trace_points(scheme, template, sizes, trials, 2 ** 64 - 7)
+        assert [p.n_relays for p in shared] == list(sizes)
+        for n, point in zip(sizes, shared):
+            assert point == trace_points(scheme, template, (n,), trials, 2 ** 64 - 7)[0]
+
+    @pytest.mark.parametrize("scheme", ["af", "df", "upper"])
+    @pytest.mark.parametrize("case", sorted(SHARED_DRAW_CASES))
+    def test_each_trial_row_is_drawn_once_at_the_widest_count(self, monkeypatch,
+                                                              case, scheme):
+        template, sizes, trials, block, chunk = SHARED_DRAW_CASES[case]
+        self._patch(monkeypatch, block, chunk)
+        draws = []
+        seeded_normals = model._seeded_normals
+
+        def counted(states, count):
+            draws.append((states.copy(), count))
+            return seeded_normals(states, count)
+
+        monkeypatch.setattr(model, "_seeded_normals", counted)
+        trace_points(scheme, template, sizes, trials, 5)
+        widest = 0
+        for n in sizes:
+            cfg = asymptotics._config_for(template, n)
+            count = model._normal_count(cfg.h_dist, n)
+            if scheme != "upper":
+                count += model._normal_count(cfg.g_dist, n)
+            widest = max(widest, count)
+        # One row per trial, in trial order, each at the widest count.
+        assert {count for _, count in draws} == {widest}
+        order = model._thread_generator()[2]
+        want = model._pcg64_states(model._derive_seeds(5, 0, trials), order)
+        assert np.array_equal(np.concatenate([s for s, _ in draws]), want)
 
 
 class TestConferencingNoiseRatio:

@@ -93,11 +93,12 @@ def stacked_squares(cfg, base, trials, second_hop=True):
     """The blocks ``_trial_squares`` yields for a run, stacked into (trials, N)
     h2 and g2 (None without ``second_hop``), after checking that the blocks
     are the run's consecutive trials in the blocks of :func:`block_ranges`."""
-    blocks = list(_trial_squares(cfg, base, trials, second_hop))
-    assert [(lo, hi) for lo, hi, _, _ in blocks] == block_ranges(trials, cfg.n_relays)
-    assert all((b[3] is None) == (not second_hop) for b in blocks)
-    h2 = np.concatenate([b[2] for b in blocks])
-    return h2, np.concatenate([b[3] for b in blocks]) if second_hop else None
+    blocks = list(_trial_squares([cfg], base, trials, second_hop))
+    assert [(i, lo, hi) for i, lo, hi, _, _ in blocks] == [
+        (0, lo, hi) for lo, hi in block_ranges(trials, cfg.n_relays)]
+    assert all((b[4] is None) == (not second_hop) for b in blocks)
+    h2 = np.concatenate([b[3] for b in blocks])
+    return h2, np.concatenate([b[4] for b in blocks]) if second_hop else None
 
 
 class TestConferencingSize:
@@ -458,23 +459,25 @@ class TestSeededNormals:
         first = _chunk_states(3, 0, _STATE_CHUNK, order)
         assert first.nbytes == _STATE_CHUNK * 32
 
-    @pytest.mark.parametrize("calls,lookups", [
-        # diagnose over N = 500..4000 with 40 trials: one run per size and
-        # scheme.
-        ([(scheme, Portion(0.2), (500, 1000, 2000, 4000), 40)
-          for scheme in ("af", "df", "upper")], 12),
+    @pytest.mark.parametrize("run,sizes,trials,lookups", [
+        # diagnose over N = 500..4000 with 40 trials: one walk per scheme,
+        # shared by every size.
+        (lambda cfg, sizes, trials: [trace_points(s, cfg, sizes, trials, 11)
+                                     for s in ("af", "df", "upper")],
+         (500, 1000, 2000, 4000), 40, 3),
         # sweep-n over N = 25, 50, 100 with more trials than a block at
-        # N = 100 (163).
-        ([("upper", Portion(0.2), (25, 50, 100), 300)], 3),
+        # N = 100 (163): one walk per point.
+        (lambda cfg, sizes, trials: [montecarlo.run_point(replace(cfg, n_relays=n),
+                                                          trials, 11, ("upper",))
+                                     for n in sizes],
+         (25, 50, 100), 300, 3),
     ], ids=["diagnose", "sweep_n"])
-    def test_cache_is_shared_across_sizes_and_schemes(self, calls, lookups):
-        # Chunks follow the trials, not the block sizes, and a run looks up
-        # each of its chunks once, so every size and scheme draws from the
-        # one chunk the first run derived.
+    def test_cache_is_shared_across_sizes_and_schemes(self, run, sizes, trials, lookups):
+        # Chunks follow the trials, not the block sizes, and a walk looks up
+        # each of its chunks once, so every walk draws from the one chunk
+        # the first walk derived.
         _chunk_states.cache_clear()
-        for scheme, conferencing, sizes, trials in calls:
-            cfg = NetworkConfig(n_relays=sizes[0], conferencing=conferencing)
-            trace_points(scheme, cfg, sizes, trials, 11)
+        run(NetworkConfig(n_relays=sizes[0], conferencing=Portion(0.2)), sizes, trials)
         assert _chunk_states.cache_info()[:2] == (lookups - 1, 1)
 
     @pytest.mark.parametrize("h_dist,g_dist", [
@@ -518,7 +521,7 @@ class TestSquaresFromNormals:
         spec = LAWS[name]
         z = np.random.default_rng(8).standard_normal((40, _normal_count(spec, 7)))
         want = np.abs(built_gains(spec, 7, z)) ** 2
-        got = _squares_from_normals(spec, 7, z.copy())
+        got = _squares_from_normals(spec, 7, np.square(z))
         assert got.shape == want.shape == (40, 7)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
@@ -531,7 +534,7 @@ class TestSquaresFromNormals:
                 if isinstance(spec, PointMass) or isinstance(spec.specs[i], PointMass)]
         z = np.random.default_rng(9).standard_normal((3, _normal_count(spec, 7)))
         want = np.abs(built_gains(spec, 7, z)) ** 2
-        assert np.array_equal(_squares_from_normals(spec, 7, z)[:, mass],
+        assert np.array_equal(_squares_from_normals(spec, 7, np.square(z))[:, mass],
                               want[:, mass])
 
     @pytest.mark.parametrize("name", sorted(n for n in LAWS if n.startswith("per_index")))
@@ -541,7 +544,7 @@ class TestSquaresFromNormals:
         law = LAWS[name]
         z = np.random.default_rng(10).standard_normal((30, _normal_count(law, 7)))
         gains = built_gains(law, 7, z)
-        squares = _squares_from_normals(law, 7, z.copy())
+        squares = _squares_from_normals(law, 7, np.square(z))
         k = 0
         for i, spec in enumerate(law.specs):
             count = _normal_count(spec, 1)
@@ -549,7 +552,7 @@ class TestSquaresFromNormals:
             k += count
             assert np.array_equal(gains[:, i], built_gains(spec, 1, part)[:, 0])
             assert np.array_equal(squares[:, i],
-                                  _squares_from_normals(spec, 1, part.copy())[:, 0])
+                                  _squares_from_normals(spec, 1, np.square(part))[:, 0])
         assert k == z.shape[1]
 
     @pytest.mark.parametrize("name", sorted(LAWS))
