@@ -26,7 +26,7 @@ from .model import (
     _integer,
     moments,
 )
-from .montecarlo import _rate_table
+from .montecarlo import _fold, _rate_chunks
 from . import rates
 
 
@@ -133,8 +133,9 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
     Every size runs the same trials from ``seed`` in one walk of the Monte
     Carlo engine: trial ``t`` is drawn once, at the widest size's count of
     normals, and each size reads a prefix of that row, which is exactly its
-    own draw.  Each size's rates are kept until the walk ends, at most
-    2 * trials float64 per size.
+    own draw.  Each state chunk's rate row and |rate - limit| row of every
+    size are reduced as soon as the walk finishes the chunk, so the rows a
+    trace keeps do not grow with ``trials``.
     """
     rates.scheme_names((scheme,))
     ns = list(n_values)
@@ -146,17 +147,20 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
         cfg = _config_for(template, n)
         mom = moments(cfg)
         target = _fixed_limit(scheme, cfg, mom)
-        points.append((cfg, mom, (scheme,) if target is not None else (scheme, "upper")))
+        schemes = (scheme,) if target is not None else (scheme, "upper")
+        points.append((cfg, rates.scheme_kernels(cfg, mom, schemes)))
         targets.append(target)
-    out = []
-    for (cfg, _, _), target, (names, values) in zip(points, targets,
-                                                     _rate_table(points, trials, seed)):
-        rows = dict(zip(names, values))
-        r = rows[scheme]
-        gaps = np.abs(r - (rows["upper"] if target is None else target))
-        out.append(TracePoint(n_relays=cfg.n_relays, mean_rate=float(np.sum(r)) / trials,
-                              mean_abs_gap=float(np.sum(gaps)) / trials))
-    return out
+
+    def rate_and_gap(tables):
+        for (_, kernels), table, target in zip(points, tables, targets):
+            rows = dict(zip(kernels, table))
+            r = rows[scheme]
+            yield np.stack((r, np.abs(r - (rows["upper"] if target is None else target))))
+
+    moms = _fold(map(rate_and_gap, _rate_chunks(points, trials, seed)))
+    return [TracePoint(n_relays=cfg.n_relays, mean_rate=float(m.total[0]) / trials,
+                       mean_abs_gap=float(m.total[1]) / trials)
+            for (cfg, _), m in zip(points, moms)]
 
 
 def convergence_trace(scheme: str, template: ConfigSource,

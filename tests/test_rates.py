@@ -582,6 +582,22 @@ class TestInvariants:
             assert got["af"][t] <= slack
             assert got["df"][t] <= slack
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "rates._win_fwd and rates._win_back take each window as the difference "
+        "of two running sums (_cumsum2), which cancels when a window is small "
+        "next to its prefix: with first-hop variances alternating 1e-4 and 1e4 "
+        "the engine misses the loop reference by up to 8.05e-5 relative for AF "
+        "and 9.86e-11 for DF"))
+    def test_trial_engine_matches_loop_reference_across_eight_decades(self):
+        cfg = NetworkConfig(n_relays=8, conferencing=Neighbors(0), h_dist=PerIndex(
+            tuple(Cscg(1e-4 if i % 2 == 0 else 1e4) for i in range(8))))
+        mom = moments(cfg)
+        got = trial_rates(cfg, mom, 20, 3, ("af", "df"))
+        for t in range(20):
+            real = sample_realization(cfg, derive_seed(3, t))
+            assert relclose(got["df"][t], reference.df_rate(real, cfg, mom), tol=1e-12)
+            assert relclose(got["af"][t], reference.af_rate(real, cfg, mom), tol=1e-12)
+
     @settings(derandomize=True, max_examples=30)
     @given(random_networks())
     def test_df_nondecreasing_in_conferencing_power(self, case):
