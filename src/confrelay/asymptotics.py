@@ -26,7 +26,7 @@ from .model import (
     _integer,
     moments,
 )
-from .montecarlo import _fold, _rate_chunks
+from .montecarlo import _rate_table, _reduce_rows
 from . import rates
 
 
@@ -133,9 +133,8 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
     Every size runs the same trials from ``seed`` in one walk of the Monte
     Carlo engine: trial ``t`` is drawn once, at the widest size's count of
     normals, and each size reads a prefix of that row, which is exactly its
-    own draw.  Each state chunk's rate row and |rate - limit| row of every
-    size are reduced as soon as the walk finishes the chunk, so the rows a
-    trace keeps do not grow with ``trials``.
+    own draw.  Each size's rates are kept until the walk ends, at most
+    2 * trials float64 per size.
     """
     rates.scheme_names((scheme,))
     ns = list(n_values)
@@ -147,20 +146,21 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
         cfg = _config_for(template, n)
         mom = moments(cfg)
         target = _fixed_limit(scheme, cfg, mom)
-        schemes = (scheme,) if target is not None else (scheme, "upper")
-        points.append((cfg, rates.scheme_kernels(cfg, mom, schemes)))
+        points.append((cfg, mom, (scheme,) if target is not None else (scheme, "upper")))
         targets.append(target)
-
-    def rate_and_gap(tables):
-        for (_, kernels), table, target in zip(points, tables, targets):
-            rows = dict(zip(kernels, table))
-            r = rows[scheme]
-            yield np.stack((r, np.abs(r - (rows["upper"] if target is None else target))))
-
-    moms = _fold(map(rate_and_gap, _rate_chunks(points, trials, seed)))
-    return [TracePoint(n_relays=cfg.n_relays, mean_rate=float(m.total[0]) / trials,
-                       mean_abs_gap=float(m.total[1]) / trials)
-            for (cfg, _), m in zip(points, moms)]
+    out = []
+    for (cfg, _, _), target, (_, v) in zip(points, targets, _rate_table(points, trials, seed)):
+        # Row 0 holds the scheme's rates and, when the limit is the realized
+        # cut-set bound, row 1 holds it: once the rates are summed,
+        # |rate - limit| is written over the last row and summed in turn.
+        rate_sum = _reduce_rows(v, spread=False)[0][0]
+        gap = v[-1:]
+        np.subtract(v[0], v[1] if target is None else target, out=gap[0])
+        np.abs(gap, out=gap)
+        gap_sum = _reduce_rows(gap, spread=False)[0][0]
+        out.append(TracePoint(n_relays=cfg.n_relays, mean_rate=float(rate_sum) / trials,
+                              mean_abs_gap=float(gap_sum) / trials))
+    return out
 
 
 def convergence_trace(scheme: str, template: ConfigSource,

@@ -24,9 +24,7 @@ draws the realization for :func:`derive_seed` ``(base_seed, t)``, a SplitMix64
 mixer.  This module owns the one path from a run's base seed and trial count
 to its normals: :func:`_trial_normals` walks a run chunk by chunk, then block
 by block, and :func:`_trial_squares` gives the trial engine each block's
-``|h|^2`` and ``|g|^2`` under each of the configs that share the walk, with
-the bounds of the block's chunk, so the engine reduces a run chunk by chunk
-with no constant of its own.  Those
+``|h|^2`` and ``|g|^2`` under each of the configs that share the walk.  Those
 configs (the network sizes of a trace) draw each trial's row once, at the
 widest config's count of normals, in blocks sized by their largest N, and
 each reads a prefix of the row.  The PCG64 states of a chunk of 2**14
@@ -719,10 +717,9 @@ def _seeded_normals(states: np.ndarray, count: int) -> np.ndarray:
 
 
 def _trial_normals(base_seed: int, trials: int, n: int, count: int):
-    """Yield ``((start, end), lo, hi, z)`` over the trials of a run, with
-    ``z`` the (hi - lo, count) normals whose row ``r`` is
-    ``np.random.default_rng(derive_seed(base_seed, lo + r)).standard_normal(count)``
-    and ``start <= lo < hi <= end`` the bounds of the block's chunk.
+    """Yield ``(lo, hi, z)`` over the trials of a run, with ``z`` the
+    (hi - lo, count) normals whose row ``r`` is
+    ``np.random.default_rng(derive_seed(base_seed, lo + r)).standard_normal(count)``.
 
     The run is walked chunk by chunk, then block by block.  Chunk ``k``
     holds the trials ``k * _STATE_CHUNK`` up to the next multiple or the
@@ -746,18 +743,16 @@ def _trial_normals(base_seed: int, trials: int, n: int, count: int):
         states = _chunk_states(base_seed, start, end, order)
         for lo in range(start, end, block):
             hi = min(lo + block, end)
-            yield (start, end), lo, hi, _seeded_normals(states[lo - start:hi - start], count)
+            yield lo, hi, _seeded_normals(states[lo - start:hi - start], count)
 
 
 def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int,
                    second_hop: bool = True):
-    """Yield ``(i, chunk, lo, hi, h2, g2)`` over the blocks of one
+    """Yield ``(i, lo, hi, h2, g2)`` over the blocks of one
     :func:`_trial_normals` walk shared by ``configs``: |h|^2 and |g|^2 of the
     realizations :func:`sample_realization` draws under ``configs[i]`` for
     trials ``lo <= t < hi``, as (hi - lo, N_i) arrays squared straight from
-    the normals, and the ``(start, end)`` bounds of the block's state chunk.
-    The last block of a chunk ends at ``end``, so the engine can reduce each
-    chunk's rates as soon as its last config's block is yielded.
+    the normals.
 
     Each trial's row is drawn once, at the widest config's count of normals,
     and every config reads a prefix of it: a generator draws normals in
@@ -779,7 +774,7 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     width = max(h + g for h, g in counts)
     largest = max(c.n_relays for c in configs)
     last = len(configs) - 1
-    for chunk, lo, hi, z in _trial_normals(base_seed, trials, largest, width):
+    for lo, hi, z in _trial_normals(base_seed, trials, largest, width):
         np.square(z, out=z)
         for i, (cfg, (count_h, count_g)) in enumerate(zip(configs, counts)):
             n = cfg.n_relays
@@ -789,7 +784,7 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
             if i == last:
                 # Free the block's normals before the last config's kernels.
                 del z
-            yield i, chunk, lo, hi, h2, g2
+            yield i, lo, hi, h2, g2
 
 
 def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:

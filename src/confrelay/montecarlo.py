@@ -5,17 +5,12 @@ Determinism contract
 Every result is a pure function of its arguments.  The realization used for
 trial ``t`` is seeded with ``derive_seed(base_seed, t)``, a SplitMix64 mixer
 defined in :mod:`confrelay.model` and exported here, so which realization a
-trial sees never depends on how trials are grouped.  Trials are drawn by
-``model._trial_squares`` and evaluated in one thread, in blocks whose size
-follows from the largest network size of the configurations that share the
-walk (one, for a point).  Per-trial rates land in one index-addressed
-(scheme, trial) array per state chunk of the walk, whose bounds the walk
-gives with each block.  Statistics are reduced chunk by chunk in trial
-order, each chunk's rows as soon as its last block is evaluated, and chunks
-are combined by the pairwise update of Chan, Golub & LeVeque (1979).  A run
-of one chunk is reduced to the bits ``np.mean`` and ``np.std`` give row by
-row, and the rates a run keeps do not grow with its length: per point, the
-chunk the walk is filling and at most the one before it.
+trial sees never depends on how trials are grouped: per-trial rates land in
+one index-addressed (scheme, trial) array, and the aggregation reduces all of
+its rows at once, each in index order, to the bits ``np.mean`` and ``np.std``
+give row by row.  Trials are drawn by ``model._trial_squares`` and evaluated
+in one thread, in blocks whose size follows from the largest network size of
+the configurations that share the walk (one, for a point).
 
 A realization carries only the fading gains ``h`` and ``g``; every rate and
 oracle reads the conferencing gains from the configuration it is given.
@@ -33,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,105 +125,73 @@ class SweepResult:
     base_seed: int
 
 
-def _rate_chunks(points: Sequence[tuple[NetworkConfig, dict]], trials: int,
-                 base_seed: int):
-    """Yield, per state chunk of one ``model._trial_squares`` walk shared by
-    ``points`` and in trial order, one float64 array per ``(cfg, kernels)``
-    point, of shape (kernels, trials in the chunk), whose row ``i`` holds
-    the rates of the point's ``i``-th kernel (:func:`rates.scheme_kernels`).
+def _rate_table(points: Sequence[tuple[NetworkConfig, MomentSet, Sequence[str]]],
+                trials: int, base_seed: int) -> list[tuple[tuple, np.ndarray]]:
+    """Per ``(cfg, mom, schemes)`` point, its distinct schemes in order and one
+    float64 array of shape (schemes, trials) whose row ``i`` holds the rates
+    of scheme ``i``; see :func:`trial_rates`.
 
-    Each block's normals are drawn once for all points, and each point's
-    kernels run on its squares before the next point's are built.  A chunk's
-    arrays are yielded as soon as its last block is evaluated, and the walk
-    drops them when it allocates the next chunk's.
+    The points share one walk of ``model._trial_squares``: each block's
+    normals are drawn once for all of them, and each point's kernels run on
+    its squares before the next point's are built.
     """
-    second_hop = any(rates.reads_second_hop(kernels) for _, kernels in points)
-    last = len(points) - 1
-    for i, (start, end), lo, hi, h2, g2 in _trial_squares(
-            [cfg for cfg, _ in points], base_seed, trials, second_hop):
-        if i == 0 and lo == start:
-            tables = [np.empty((len(kernels), end - start)) for _, kernels in points]
-        for row, kernel in zip(tables[i], points[i][1].values()):
-            row[lo - start:hi - start] = kernel(h2, g2)
-        if i == last and hi == end:
-            yield tables
+    kernels = [rates.scheme_kernels(cfg, mom, schemes) for cfg, mom, schemes in points]
+    tables = [np.empty((len(k), trials)) for k in kernels]
+    second_hop = any(rates.reads_second_hop(k) for k in kernels)
+    for i, lo, hi, h2, g2 in _trial_squares([cfg for cfg, _, _ in points],
+                                            base_seed, trials, second_hop):
+        for row, kernel in zip(tables[i], kernels[i].values()):
+            row[lo:hi] = kernel(h2, g2)
+    return [(tuple(k), v) for k, v in zip(kernels, tables)]
 
 
-class _Moments(NamedTuple):
-    """Per row of a run of ``n`` trials: the sum, the sum of squared
-    deviations from the mean, the first value, and whether every value
-    equals the first."""
+def _reduce_rows(v: np.ndarray, spread: bool = True) -> tuple:
+    """Per row of a (rows, trials) rate table, reduced all at once, each in
+    index order with the steps of ``np.mean`` and ``np.std`` row by row:
+    ``(total, m2, first, constant)``, the sums, the sums of squared
+    deviations from the row means, the first values, and whether every value
+    of a row equals its first.
 
-    n: int
-    total: np.ndarray
-    m2: np.ndarray
-    first: np.ndarray
-    constant: np.ndarray
-
-
-def _chunk_moments(v: np.ndarray) -> _Moments:
-    """:class:`_Moments` of the rows of one chunk's (rows, trials) array,
-    reduced in place on it with the steps of ``np.mean`` and ``np.std``."""
+    With ``spread`` the squared deviations are taken in place on ``v``;
+    without it, or when every row is constant or holds one value, ``m2`` is
+    zero and ``v`` is left as it is.
+    """
     n = v.shape[1]
     total = np.add.reduce(v, axis=1)
     first = v[:, 0].copy()
     constant = (v == first[:, None]).all(axis=1)
     m2 = np.zeros(len(v))
-    if n > 1 and not constant.all():
+    if spread and n > 1 and not constant.all():
         v -= (total / n)[:, None]
         np.square(v, out=v)
         m2 = np.add.reduce(v, axis=1)
-    return _Moments(n, total, m2, first, constant)
-
-
-def _merge(a: _Moments, b: _Moments) -> _Moments:
-    """Moments of the run ``a`` followed by the run ``b`` (Chan, Golub &
-    LeVeque, 1979): the deviations of each run are from its own mean."""
-    n = a.n + b.n
-    delta = b.total / b.n - a.total / a.n
-    return _Moments(n, a.total + b.total, a.m2 + b.m2 + delta * delta * (a.n * b.n / n),
-                    a.first, a.constant & b.constant & (b.first == a.first))
-
-
-def _fold(chunks) -> list:
-    """Per point, the :class:`_Moments` of its rows over ``chunks``, which
-    yields in trial order one (rows, trials in the chunk) array per point.
-    Each array is reduced in place; a run of one chunk is reduced to the
-    bits ``np.mean`` and ``np.std`` give row by row."""
-    moms = None
-    for arrays in chunks:
-        new = [_chunk_moments(v) for v in arrays]
-        moms = new if moms is None else [_merge(a, b) for a, b in zip(moms, new)]
-    return moms
+    return total, m2, first, constant
 
 
 def trial_rates(cfg: NetworkConfig, mom: MomentSet, trials: int, base_seed: int,
                 schemes: Sequence[str]) -> dict:
     """Rate of each scheme in every trial, as a float64[trials] row per scheme.
 
-    The rows are those of one (schemes, trials) array, the engine's chunks
-    joined in trial order.  Entry ``t`` is the rate on
-    ``sample_realization(cfg, derive_seed(base_seed, t))``.  The
+    The rows are those of one (schemes, trials) array.  Entry ``t`` is
+    the rate on ``sample_realization(cfg, derive_seed(base_seed, t))``.  The
     per-configuration invariants are computed once; realizations are drawn
     by ``model._trial_squares`` and evaluated in its blocks, and each
     trial's rate does not depend on the block it falls in or on the other
     configurations that share the walk.
     """
-    trials = _integer(trials, "trials")
-    kernels = rates.scheme_kernels(cfg, mom, schemes)
-    chunks = [table for [table] in _rate_chunks([(cfg, kernels)], trials, base_seed)]
-    return dict(zip(kernels, np.concatenate(chunks, axis=1)))
+    [(names, values)] = _rate_table([(cfg, mom, schemes)],
+                                    _integer(trials, "trials"), base_seed)
+    return dict(zip(names, values))
 
 
 def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
               schemes: Sequence[str] = SCHEMES) -> PointResult:
     """Monte Carlo statistics of the requested schemes at one configuration.
 
-    The trial rates are reduced chunk by chunk as the walk gives them
-    (:func:`_fold`), so the rates a point keeps do not grow with ``trials``.  In
-    a run of one chunk (at most 2**14 trials) each mean and standard error
-    equals ``np.mean`` and ``np.std(ddof=1) / sqrt(trials)`` of the scheme's
-    own rates, bit for bit; over several chunks, to within rounding.
+    All schemes are reduced in one stacked pass over the trial rates, in place
+    on their array (:func:`_reduce_rows`); each mean and standard error equals
+    ``np.mean`` and ``np.std(ddof=1) / sqrt(trials)`` of the scheme's own
+    rates, bit for bit.
     Scheme precondition failures (:func:`rates.scheme_precondition_error`)
     are reported in ``errors`` and do not stop the remaining schemes; an
     unknown scheme name raises :class:`ConfigurationError`.
@@ -240,17 +203,18 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
     runnable = [s for s, msg in reasons.items() if msg is None]
     if not runnable:
         return PointResult(stats={}, errors=errors)
-    kernels = rates.scheme_kernels(cfg, moments(cfg), runnable)
-    [m] = _fold(_rate_chunks([(cfg, kernels)], trials, base_seed))
-    se = [0.0] * len(kernels)
-    if trials > 1 and not m.constant.all():
-        se = (np.sqrt(m.m2 / (trials - 1)) / math.sqrt(trials)).tolist()
+    [(names, v)] = _rate_table([(cfg, moments(cfg), runnable)], trials, base_seed)
+    total, m2, first, constant = _reduce_rows(v)
+    # np.std's last steps: the sum over trials - 1 degrees of freedom, the
+    # square root (m2 is zero when a single trial or constant rows leave
+    # nothing to spread).
+    se = np.sqrt(m2 / max(trials - 1, 1)) / math.sqrt(trials)
     stats = {}
-    for s, f, c, mean, e in zip(kernels, m.first.tolist(), m.constant.tolist(),
-                                (m.total / trials).tolist(), se):
+    for s, f, c, m, e in zip(names, first.tolist(), constant.tolist(),
+                             (total / trials).tolist(), se.tolist()):
         # Deterministic configurations reproduce the single-shot rate
         # exactly, without summation round-off.
-        stats[s] = SchemeStats(mean_rate=f if c else mean,
+        stats[s] = SchemeStats(mean_rate=f if c else m,
                                std_error=0.0 if c else e, trials=trials)
     return PointResult(stats=stats, errors=errors)
 

@@ -229,35 +229,25 @@ class TestSharedDraw:
         want = model._pcg64_states(model._derive_seeds(5, 0, trials), order)
         assert np.array_equal(np.concatenate([s for s, _ in draws]), want)
 
-
-class TestStreamedTrace:
-    """A trace reduces each state chunk's rate and |rate - limit| rows as the
-    walk finishes it.  With chunks of 8 trials, each size's means are
-    checked against numpy on the same trial rates: equal within one chunk,
-    within 1e-15 relative beyond it."""
-
-    @pytest.mark.parametrize("trials", [1, 8, 29])
+    @pytest.mark.parametrize("one_trial", [False, True])
     @pytest.mark.parametrize("scheme", ["af", "df", "upper"])
-    @pytest.mark.parametrize("case", ["cscg", "complete_conferencing",
-                                      "point_mass_first_hop"])
-    def test_means_equal_numpy_over_chunks(self, monkeypatch, case, scheme, trials):
-        monkeypatch.setattr(model, "_STATE_CHUNK", 8)
-        template, sizes = SHARED_DRAW_CASES[case][:2]
+    @pytest.mark.parametrize("case", sorted(SHARED_DRAW_CASES))
+    def test_means_equal_numpy_on_the_same_rates(self, monkeypatch, case, scheme,
+                                                 one_trial):
+        template, sizes, trials, block, chunk = SHARED_DRAW_CASES[case]
+        self._patch(monkeypatch, block, chunk)
+        trials = 1 if one_trial else trials
         for n, point in zip(sizes, trace_points(scheme, template, sizes, trials, 13)):
             cfg = asymptotics._config_for(template, n)
             mom = moments(cfg)
             rows = trial_rates(cfg, mom, trials, 13, (scheme, "upper"))
             limit = asymptotics._fixed_limit(scheme, cfg, mom)
-            # Complete conferencing: AF's target is the realized cut-set bound.
+            # Complete conferencing: AF's limit is the realized cut-set bound.
             assert (limit is None) == (case == "complete_conferencing" and scheme == "af")
             rate = rows[scheme]
             gap = np.abs(rate - (rows["upper"] if limit is None else limit))
-            want = (float(np.mean(rate)), float(np.mean(gap)))
-            got = (point.mean_rate, point.mean_abs_gap)
-            if trials <= 8:
-                assert got == want
-            else:
-                assert all(math.isclose(g, w, rel_tol=1e-15) for g, w in zip(got, want))
+            assert (point.mean_rate, point.mean_abs_gap) == (float(np.mean(rate)),
+                                                             float(np.mean(gap)))
 
 
 class TestConferencingNoiseRatio:

@@ -69,37 +69,36 @@ def stacked_realizations(cfg, seeds):
 
 
 def block_ranges(trials, n):
-    """(chunk, lo, hi) of each block of a run: every chunk (start, end) of
-    ``_STATE_CHUNK`` trials in blocks of ``max(1, _BLOCK_ELEMENTS // n)``."""
+    """(lo, hi) of each block of a run: every chunk of ``_STATE_CHUNK`` trials
+    in blocks of ``max(1, _BLOCK_ELEMENTS // n)``."""
     size = max(1, model._BLOCK_ELEMENTS // n)
     ranges = []
     for start in range(0, trials, model._STATE_CHUNK):
         end = min(start + model._STATE_CHUNK, trials)
-        ranges += [((start, end), lo, min(lo + size, end)) for lo in range(start, end, size)]
+        ranges += [(lo, min(lo + size, end)) for lo in range(start, end, size)]
     return ranges
 
 
 def stacked_normals(base, trials, n, count):
     """The blocks ``_trial_normals`` yields for a run, stacked into one
     (trials, count) array, after checking that they are the run's
-    consecutive trials in the chunks and blocks of :func:`block_ranges`."""
+    consecutive trials in the blocks of :func:`block_ranges`."""
     blocks = list(_trial_normals(base, trials, n, count))
-    assert [(chunk, lo, hi) for chunk, lo, hi, _ in blocks] == block_ranges(trials, n)
-    assert all(z.shape == (hi - lo, count) for _, lo, hi, z in blocks)
-    return np.concatenate([z for _, _, _, z in blocks]).reshape(trials, count)
+    assert [(lo, hi) for lo, hi, _ in blocks] == block_ranges(trials, n)
+    assert all(z.shape == (hi - lo, count) for lo, hi, z in blocks)
+    return np.concatenate([z for _, _, z in blocks]).reshape(trials, count)
 
 
 def stacked_squares(cfg, base, trials, second_hop=True):
     """The blocks ``_trial_squares`` yields for a run, stacked into (trials, N)
     h2 and g2 (None without ``second_hop``), after checking that the blocks
-    are the run's consecutive trials in the chunks and blocks of
-    :func:`block_ranges`."""
+    are the run's consecutive trials in the blocks of :func:`block_ranges`."""
     blocks = list(_trial_squares([cfg], base, trials, second_hop))
-    assert [(i, chunk, lo, hi) for i, chunk, lo, hi, _, _ in blocks] == [
-        (0, chunk, lo, hi) for chunk, lo, hi in block_ranges(trials, cfg.n_relays)]
-    assert all((b[5] is None) == (not second_hop) for b in blocks)
-    h2 = np.concatenate([b[4] for b in blocks])
-    return h2, np.concatenate([b[5] for b in blocks]) if second_hop else None
+    assert [(i, lo, hi) for i, lo, hi, _, _ in blocks] == [
+        (0, lo, hi) for lo, hi in block_ranges(trials, cfg.n_relays)]
+    assert all((b[4] is None) == (not second_hop) for b in blocks)
+    h2 = np.concatenate([b[3] for b in blocks])
+    return h2, np.concatenate([b[4] for b in blocks]) if second_hop else None
 
 
 class TestConferencingSize:
@@ -336,19 +335,19 @@ class TestSeededNormals:
         base = int(np.random.default_rng(block * 100003 + count).integers(
             0, 2 ** 64, dtype=np.uint64))
         blocks = _trial_normals(base, end, n, count)
-        chunk, lo, hi, got = next(blocks)
-        assert (chunk, lo, hi) == ((0, end), 0, block) and got.shape == (block, count)
+        lo, hi, got = next(blocks)
+        assert (lo, hi) == (0, block) and got.shape == (block, count)
         assert np.array_equal(got, self._want(base, 0, block, count))
         del got
-        chunk, lo, hi, got = next(blocks)
-        assert (chunk, lo, hi) == ((0, end), block, end) and got.shape == (end - block, count)
+        lo, hi, got = next(blocks)
+        assert (lo, hi) == (block, end) and got.shape == (end - block, count)
         assert np.array_equal(got, self._want(base, block, end, count))
         assert next(blocks, None) is None
 
     def test_sample_realization_between_blocks_changes_no_row(self):
         # Blocks of 2 trials, with a realization drawn after each.
         rows = []
-        for _, _, _, z in _trial_normals(12345, 6, model._BLOCK_ELEMENTS // 2, 50):
+        for _, _, z in _trial_normals(12345, 6, model._BLOCK_ELEMENTS // 2, 50):
             rows.append(z)
             sample_realization(NetworkConfig(n_relays=5, conferencing=Neighbors(1)), 99)
         first = np.concatenate(rows)

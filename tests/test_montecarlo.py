@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +26,6 @@ from confrelay import (
     signal_oracle_af,
     signal_oracle_df_mac,
     sweep,
-    trace_points,
 )
 from confrelay import model, montecarlo
 from confrelay.montecarlo import SCHEMES, sweep_point, trial_rates
@@ -54,11 +52,6 @@ def _engine_cases():
 
 
 ENGINE_CASES = _engine_cases()
-
-# The cut-set bound reads only the first hop, so under a point-mass h it is
-# constant while AF and DF vary.
-POINT_MASS_H = NetworkConfig(n_relays=6, conferencing=Neighbors(2),
-                             h_dist=PointMass(0.8 + 0.3j), g_dist=Cscg(1.1))
 
 
 class TestSeedDerivation:
@@ -153,11 +146,14 @@ class TestRunPoint:
         with pytest.raises(ConfigurationError):
             run_point(cfg, 0, 0, ("upper",))
 
-    # The stacked reduction mixes constant and varying rows under POINT_MASS_H.
+    # The cut-set bound reads only the first hop, so under a point-mass h it
+    # is constant while AF and DF vary: the stacked reduction mixes both.
     @pytest.mark.parametrize("name", sorted(ENGINE_CASES) + ["point_mass_h"])
     @pytest.mark.parametrize("trials", [1, 2, 127, 128, 129, 8193])
     def test_stacked_reduction_equals_per_scheme_numpy(self, name, trials):
-        cfg = ENGINE_CASES.get(name) or POINT_MASS_H
+        cfg = ENGINE_CASES.get(name) or NetworkConfig(
+            n_relays=6, conferencing=Neighbors(2), h_dist=PointMass(0.8 + 0.3j),
+            g_dist=Cscg(1.1))
         rows = trial_rates(cfg, moments(cfg), trials, 5, SCHEMES)
         table = rows["af"].base
         assert table.shape == (len(SCHEMES), trials)
@@ -174,6 +170,38 @@ class TestRunPoint:
         # One trial is constant in every scheme.
         constant = name == "point_mass_h" or trials == 1
         assert constant == (point.stats["upper"].std_error == 0.0)
+
+
+class TestReduceRows:
+    """``montecarlo._reduce_rows``, the one reduction of a rate table."""
+
+    @staticmethod
+    def _table():
+        rng = np.random.default_rng(4)
+        v = rng.exponential(size=(3, 1001))
+        v[1] = 0.75  # a constant row among varying ones
+        return v
+
+    def test_steps_of_numpy_row_by_row(self):
+        v = self._table()
+        want = [(np.add.reduce(row), np.add.reduce(np.square(row - np.mean(row))))
+                for row in v]
+        total, m2, first, constant = montecarlo._reduce_rows(v.copy())
+        assert first.tolist() == v[:, 0].tolist()
+        assert constant.tolist() == [False, True, False]
+        assert total.tolist() == [t for t, _ in want]
+        assert m2.tolist() == [m for _, m in want]
+
+    @pytest.mark.parametrize("shape", [(3, 1001), (2, 1)])
+    def test_without_spread_leaves_the_table_as_it_is(self, shape):
+        v = self._table()[:shape[0], :shape[1]].copy()
+        kept = v.copy()
+        total, m2, first, constant = montecarlo._reduce_rows(v, spread=False)
+        assert np.array_equal(v, kept)
+        assert m2.tolist() == [0.0] * shape[0]
+        want = montecarlo._reduce_rows(kept)
+        assert (total.tolist(), first.tolist(), constant.tolist()) == (
+            want[0].tolist(), want[2].tolist(), want[3].tolist())
 
 
 class TestTrialEngine:
@@ -196,21 +224,17 @@ class TestTrialEngine:
         mom = moments(cfg)
         default = model._BLOCK_ELEMENTS
         assert default // cfg.n_relays > 23
-        outcomes = {}
+        outcomes = []
         # State chunks of 5 trials: blocks cross chunk boundaries.
-        chunks = (model._STATE_CHUNK, 5)
-        for chunk in chunks:
+        for chunk in (model._STATE_CHUNK, 5):
             monkeypatch.setattr(model, "_STATE_CHUNK", chunk)
             for block in (1, 7, None):
                 budget = default if block is None else block * cfg.n_relays
                 monkeypatch.setattr(model, "_BLOCK_ELEMENTS", budget)
-                outcomes[chunk, block] = (trial_rates(cfg, mom, 23, 4, SCHEMES),
-                                          run_point(cfg, 23, 4, SCHEMES))
-        want, _ = outcomes[chunks[0], 1]
-        for (chunk, _), (got, other) in outcomes.items():
-            # Statistics are reduced chunk by chunk, so only the chunk size
-            # may move their last bits (TestStreamedReduction).
-            point = outcomes[chunk, 1][1]
+                outcomes.append((trial_rates(cfg, mom, 23, 4, SCHEMES),
+                                 run_point(cfg, 23, 4, SCHEMES)))
+        (want, point), rest = outcomes[0], outcomes[1:]
+        for got, other in rest:
             for s in SCHEMES:
                 assert np.array_equal(got[s], want[s])
                 assert other.stats[s] == point.stats[s]
@@ -234,71 +258,6 @@ class TestTrialEngine:
         mom = moments(replace(cfg, n_relays=10))
         with pytest.raises(ConfigurationError, match="moment set has 10 relays"):
             trial_rates(cfg, mom, 3, 0, schemes)
-
-
-class TestStreamedReduction:
-    """``run_point`` and ``trace_points`` reduce each state chunk as soon as
-    the walk finishes it.  With chunks of 8 trials, runs of one, two and
-    many chunks are checked against numpy on the same trial rates: equal
-    within one chunk, within 1e-15 relative beyond it."""
-
-    CHUNK = 8
-
-    @pytest.mark.parametrize("name", sorted(ENGINE_CASES) + ["point_mass_h"])
-    @pytest.mark.parametrize("trials", [1, 2, 8, 9, 16, 61])
-    def test_run_point_equals_numpy_over_chunks(self, monkeypatch, name, trials):
-        monkeypatch.setattr(model, "_STATE_CHUNK", self.CHUNK)
-        cfg = ENGINE_CASES.get(name) or POINT_MASS_H
-        rows = trial_rates(cfg, moments(cfg), trials, 5, SCHEMES)
-        point = run_point(cfg, trials, 5, SCHEMES)
-        for s in SCHEMES:
-            row, st = rows[s], point.stats[s]
-            assert st.trials == trials
-            if np.all(row == row[0]):
-                assert st.mean_rate == float(row[0]) and st.std_error == 0.0
-                continue
-            mean = float(np.mean(row))
-            se = float(np.std(row, ddof=1) / math.sqrt(trials))
-            if trials <= self.CHUNK:
-                assert st.mean_rate == mean and st.std_error == se
-            else:
-                assert math.isclose(st.mean_rate, mean, rel_tol=1e-15)
-                assert math.isclose(st.std_error, se, rel_tol=1e-15)
-        assert (point.stats["upper"].std_error == 0.0) == (name == "point_mass_h"
-                                                           or trials == 1)
-
-    @pytest.mark.parametrize("trials", [1, 9, 61])
-    def test_point_mass_is_exact_over_chunks(self, monkeypatch, two_relay_point_mass,
-                                             trials):
-        monkeypatch.setattr(model, "_STATE_CHUNK", self.CHUNK)
-        cfg, mom, real = two_relay_point_mass
-        point = run_point(cfg, trials, 3, SCHEMES)
-        assert {s: (st.mean_rate, st.std_error) for s, st in point.stats.items()} == {
-            "af": (af_rate(real, cfg, mom), 0.0), "df": (df_rate(real, cfg, mom), 0.0),
-            "upper": (capacity_upper_bound(real, cfg), 0.0)}
-
-    @staticmethod
-    def _peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    def test_working_set_does_not_grow_with_chunks(self, monkeypatch):
-        # Chunks of 512 trials: 4 chunks against 32.  The peak may not grow
-        # by one chunk's rows: (schemes, 512) for a point, a rate and a gap
-        # row per size for a trace of 3 sizes.
-        chunk = 2 ** 9
-        monkeypatch.setattr(model, "_STATE_CHUNK", chunk)
-        cfg = NetworkConfig(n_relays=4, conferencing=Portion(0.5))
-        runs = {"run_point": (lambda t: run_point(cfg, t, 3, SCHEMES), len(SCHEMES)),
-                "trace": (lambda t: trace_points("af", cfg, (2, 4, 8), t, 3), 3 * 2)}
-        for name, (run, rows) in runs.items():
-            run(chunk)  # warm the caches of the walk and the kernels
-            small, large = (self._peak(lambda: run(k * chunk)) for k in (4, 32))
-            assert large - small <= rows * chunk * 8, name
 
 
 class TestSweep:
