@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .model import (
-    MASK64,
     Cscg,
     ConfigurationError,
     DistributionSpec,
@@ -45,6 +44,7 @@ from .model import (
     PointMass,
     Portion,
     PreconditionError,
+    _seed,
     derive_seed,
     moments,
     sample_realization,
@@ -206,7 +206,7 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[NetworkConfi
         raise ConfigurationError(f"{origins.get('trials', 'config')}: trials must be >= 1")
     params = RunParams(
         trials=trials,
-        seed=take("seed", int, 0) & MASK64,
+        seed=_seed(take("seed", int, 0), "seed"),
         schemes=take("schemes", parse_schemes, SCHEMES),
     )
     return cfg, params

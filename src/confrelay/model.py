@@ -49,6 +49,14 @@ SeedSequence/PCG64 seeding algorithm and its PCG64 state layout;
 ``test_sampled_squares_match_sampled_gains`` checks the engine's squares
 against ``sample_realization``.
 
+How a fading law lays out its normals is written in one place, :func:`_law`:
+a ``Cscg`` draw is its N real parts, then its N imaginary parts, a
+``PerIndex`` draw one (real, imaginary) pair per Gaussian entry in relay
+order, and a point mass draws nothing.  :func:`spec_moments`,
+:func:`sample_channel` and the trial engine's :func:`_squares_from_normals`
+read the :class:`_Law` it gives and never the law's kind.  A seed is any
+whole number, read modulo 2**64 (:func:`_seed`).
+
 The trial engine reads ``|h|^2`` and ``|g|^2`` straight from the same normals
 and never builds the complex gains; each block's normals are squared once,
 in place.  When no rate it evaluates reads ``g`` (the cut-set bound alone),
@@ -62,6 +70,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -84,17 +93,40 @@ class UndefinedRatioError(PreconditionError):
     """A diagnostic ratio has a zero denominator."""
 
 
-def _integer(value, name: str, minimum: int = 1) -> int:
-    """``value`` as an int; :class:`ConfigurationError` unless it is a whole
-    number of at least ``minimum`` (1 or 0)."""
+def _whole(value) -> int | None:
+    """``value`` as an int if it is a whole number, else None."""
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != value or whole < minimum:
+        return None
+    return whole if whole == value else None
+
+
+def _integer(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int; :class:`ConfigurationError` unless it is a whole
+    number of at least ``minimum`` (1 or 0)."""
+    whole = _whole(value)
+    if whole is None or whole < minimum:
         kind = "positive" if minimum == 1 else "nonnegative"
         raise ConfigurationError(f"{name} must be a {kind} integer, got {value}")
     return whole
+
+
+def _seed(value, name: str) -> int:
+    """``value`` modulo 2**64; :class:`ConfigurationError` unless it is a
+    whole number, of any sign and size."""
+    whole = _whole(value)
+    if whole is None:
+        raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
+    return whole & MASK64
+
+
+def _number(value, name: str, kind: type = numbers.Real):
+    """``value``; :class:`ConfigurationError` unless it is a ``kind`` number."""
+    if not isinstance(value, kind):
+        what = "real" if kind is numbers.Real else "complex"
+        raise ConfigurationError(f"{name} must be a {what} number, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +145,7 @@ class Cscg:
     variance: float
 
     def __post_init__(self):
-        if not 0.0 < self.variance < math.inf:
+        if not 0.0 < _number(self.variance, "cscg variance") < math.inf:
             raise ConfigurationError(
                 f"cscg variance must be finite and positive, got {self.variance}"
             )
@@ -131,7 +163,8 @@ class PointMass:
     value: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
+        object.__setattr__(self, "value",
+                           complex(_number(self.value, "point_mass value", numbers.Complex)))
         if not cmath.isfinite(self.value):
             raise ConfigurationError(
                 f"point_mass value must be finite, got {self.value}")
@@ -149,17 +182,24 @@ class PointMass:
                 f"got {self.value}")
 
 
-class _PerIndexTable(NamedTuple):
-    """What the moments and the samplers read of a :class:`PerIndex` law."""
+class _Law(NamedTuple):
+    """A fading law over ``n`` relays, as the moments and both samplers read
+    it.  One draw takes ``count`` standard normals ``z``; the Gaussian entry
+    ``gauss[j]`` (relay ``j`` when ``gauss`` is None) is
+    ``scale[j] * (z[re][j] + 1j * z[im][j])`` and the point mass ``mass[k]``
+    is ``values[k]``."""
 
-    gauss: np.ndarray       # relay indices of the Gaussian entries
-    half: np.ndarray        # their variance / 2
-    scale: np.ndarray       # their sqrt(variance / 2)
-    mass: np.ndarray        # relay indices of the point masses
-    values: np.ndarray      # their values
-    power: np.ndarray       # their |value|^2, rounded as NumPy rounds it
-    m2: np.ndarray          # E|h|^2 per relay
-    m4: np.ndarray          # E|h|^4 per relay
+    count: int                 # standard normals one draw consumes
+    re: slice                  # the draw's real parts of the Gaussian entries
+    im: slice                  # and their imaginary parts
+    half: np.ndarray | float   # variance / 2 of the Gaussian entries
+    scale: np.ndarray | float  # their sqrt(variance / 2)
+    gauss: np.ndarray | None   # relay indices of the Gaussian entries
+    mass: np.ndarray           # relay indices of the point masses
+    values: np.ndarray         # their values
+    power: np.ndarray          # their |value|^2, rounded as NumPy rounds it
+    m2: np.ndarray             # E|h|^2 per relay
+    m4: np.ndarray             # E|h|^4 per relay
 
 
 @dataclass(frozen=True)
@@ -184,11 +224,11 @@ class PerIndex:
                 )
 
     @cached_property
-    def _table(self) -> _PerIndexTable:
+    def _table(self) -> _Law:
         # One pass over the specs gives each entry's E|h|^2 with the rounding
-        # of its own law in spec_moments: the variance, or Python's
-        # abs(value) ** 2 negated for a point mass.  Both laws reject a power
-        # that is not positive, so the sign tells the kinds apart.
+        # of its own law in _law: the variance, or Python's abs(value) ** 2
+        # negated for a point mass.  Both laws reject a power that is not
+        # positive, so the sign tells the kinds apart.
         signed = np.array([s.variance if isinstance(s, Cscg) else -(abs(s.value) ** 2)
                            for s in self.specs])
         is_gauss = signed > 0
@@ -197,14 +237,47 @@ class PerIndex:
         half = m2[gauss] / 2.0
         values = np.array([self.specs[i].value for i in mass.tolist()], dtype=complex)
         # (2 * m2) * m2 for a Gaussian entry, (1 * m2) * m2 = m2 * m2 for a
-        # point mass, as spec_moments rounds them.
+        # point mass, as _law rounds them.
         m4 = np.where(is_gauss, 2.0, 1.0) * m2 * m2
         m2.flags.writeable = m4.flags.writeable = False
-        return _PerIndexTable(gauss=gauss, half=half, scale=np.sqrt(half), mass=mass,
-                              values=values, power=_abs2(values), m2=m2, m4=m4)
+        # One (real, imaginary) pair of normals per Gaussian entry.
+        return _Law(2 * len(gauss), slice(0, None, 2), slice(1, None, 2), half,
+                    np.sqrt(half), gauss if len(mass) else None, mass, values,
+                    _abs2(values), m2, m4)
 
 
 DistributionSpec = Union[Cscg, PointMass, PerIndex]
+
+
+# No entries: an empty index, value or moment array.
+_NONE = np.empty(0, dtype=np.intp)
+_NONE.flags.writeable = False
+
+
+def _law(spec: DistributionSpec, n: int) -> _Law:
+    """The :class:`_Law` of ``spec`` over ``n`` relays, the one place that
+    reads a law's kind.
+
+    A ``Cscg`` draw is its ``n`` real parts, then its ``n`` imaginary parts;
+    a ``PerIndex`` draw is one (real, imaginary) pair per Gaussian entry, in
+    relay order, and its law is its cached table; a point mass draws nothing.
+    """
+    if isinstance(spec, PerIndex):
+        if len(spec.specs) != n:
+            raise ConfigurationError(
+                f"per_index length {len(spec.specs)} does not match {n} relays")
+        return spec._table
+    if isinstance(spec, Cscg):
+        # E|h|^4 is (2 * variance) * variance, rounded as PerIndex._table rounds it.
+        v = float(spec.variance)
+        return _Law(2 * n, slice(0, n), slice(n, 2 * n), v / 2.0, math.sqrt(v / 2.0), None,
+                    _NONE, _NONE, _NONE, np.full(n, v), np.full(n, 2.0 * v * v))
+    if isinstance(spec, PointMass):
+        values = np.full(n, spec.value)
+        m2 = np.full(n, abs(spec.value) ** 2)
+        return _Law(0, slice(0, 0), slice(0, 0), _NONE, _NONE, _NONE, np.arange(n),
+                    values, _abs2(values), m2, m2 * m2)
+    raise ConfigurationError(f"unsupported distribution spec: {spec!r}")
 
 
 def spec_moments(spec: DistributionSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,34 +285,8 @@ def spec_moments(spec: DistributionSpec, n: int) -> tuple[np.ndarray, np.ndarray
 
     For a ``PerIndex`` law these are the read-only arrays of its table.
     """
-    if isinstance(spec, Cscg):
-        m2 = np.full(n, spec.variance, dtype=float)
-        return m2, 2.0 * m2 * m2
-    if isinstance(spec, PointMass):
-        m2 = np.full(n, abs(spec.value) ** 2, dtype=float)
-        return m2, m2 * m2
-    if isinstance(spec, PerIndex):
-        _check_length(spec, n)
-        return spec._table.m2, spec._table.m4
-    raise ConfigurationError(f"unsupported distribution spec: {spec!r}")
-
-
-def _check_length(spec: DistributionSpec, n: int) -> None:
-    if isinstance(spec, PerIndex) and len(spec.specs) != n:
-        raise ConfigurationError(
-            f"per_index length {len(spec.specs)} does not match {n} relays"
-        )
-
-
-def _normal_count(spec: DistributionSpec, n: int) -> int:
-    """Standard normals one draw of ``n`` gains from ``spec`` consumes."""
-    if isinstance(spec, Cscg):
-        return 2 * n
-    if isinstance(spec, PointMass):
-        return 0
-    if isinstance(spec, PerIndex):
-        return 2 * len(spec._table.gauss)
-    raise ConfigurationError(f"unsupported distribution spec: {spec!r}")
+    law = _law(spec, n)
+    return law.m2, law.m4
 
 
 def _abs_squared(value: complex) -> float:
@@ -255,50 +302,38 @@ def _abs2(values: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(values, dtype=complex)) ** 2
 
 
-def _squares_from_normals(spec: DistributionSpec, n: int,
-                          z2: np.ndarray) -> np.ndarray:
-    """|x|^2 of the gains :func:`sample_channel` builds from normals ``z``,
-    read from their squares ``z2 = z**2`` of shape (..., count), without
-    building the gains; ``z2`` is only read.
+def _squares_from_normals(law: _Law, z2: np.ndarray) -> np.ndarray:
+    """|x|^2 of the gains :func:`sample_channel` builds from normals ``z``
+    under ``law``, read from their squares ``z2 = z**2`` of shape
+    (..., count), without building the gains; ``z2`` is only read.
 
-    A Gaussian entry gives variance/2 * (re^2 + im^2), a point mass |v|^2.
+    A Gaussian entry gives variance/2 * (re^2 + im^2), a point mass |v|^2;
+    only a law with point masses scatters its entries into place.
     """
-    if isinstance(spec, PointMass):
-        return np.full(z2.shape[:-1] + (n,), _abs2([spec.value])[0])
-    if isinstance(spec, Cscg):
-        out = z2[..., :n] + z2[..., n:]
-        out *= spec.variance / 2.0
-        return out
-    t = spec._table
-    out = np.empty(z2.shape[:-1] + (n,))
-    out[..., t.gauss] = t.half * (z2[..., 0::2] + z2[..., 1::2])
-    out[..., t.mass] = t.power
+    s = z2[..., law.re] + z2[..., law.im]
+    s *= law.half
+    if law.gauss is None:
+        return s
+    out = np.empty(z2.shape[:-1] + law.m2.shape)
+    out[..., law.gauss] = s
+    out[..., law.mass] = law.power
     return out
 
 
 def sample_channel(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` independent complex gains from ``spec``.
 
-    One call of ``rng.standard_normal`` draws every normal the law needs.  A
-    ``Cscg`` law takes its ``n`` real parts first, then its ``n`` imaginary
-    parts; a ``PerIndex`` law takes one (real, imaginary) pair per Gaussian
-    entry, in relay order.  Each part is N(0, variance/2); point masses
+    One call of ``rng.standard_normal`` draws every normal the law needs, laid
+    out as :func:`_law` says.  Each part is N(0, variance/2); point masses
     consume no randomness.
     """
-    _check_length(spec, n)
-    z = rng.standard_normal(_normal_count(spec, n))
+    law = _law(spec, n)
+    z = rng.standard_normal(law.count)
     out = np.empty(n, dtype=complex)
-    if isinstance(spec, Cscg):
-        scale = math.sqrt(spec.variance / 2.0)
-        np.multiply(scale, z[:n], out=out.real)
-        np.multiply(scale, z[n:], out=out.imag)
-    elif isinstance(spec, PointMass):
-        out[:] = spec.value
-    else:
-        t = spec._table
-        out.real[t.gauss] = t.scale * z[0::2]
-        out.imag[t.gauss] = t.scale * z[1::2]
-        out[t.mass] = t.values
+    gauss = slice(None) if law.gauss is None else law.gauss
+    out.real[gauss] = law.scale * z[law.re]
+    out.imag[gauss] = law.scale * z[law.im]
+    out[law.mass] = law.values
     return out
 
 
@@ -313,7 +348,7 @@ class Portion:
     p: float
 
     def __post_init__(self):
-        if not 0.0 < self.p <= 1.0:
+        if not 0.0 < _number(self.p, "conferencing portion") <= 1.0:
             raise ConfigurationError(
                 f"conferencing portion must be in (0, 1], got {self.p}"
             )
@@ -379,16 +414,16 @@ class NetworkConfig:
                 "conferencing must be a Portion or Neighbors value"
             )
         for name in ("p_s", "p_r", "p_c"):
-            value = getattr(self, name)
+            value = _number(getattr(self, name), name)
             if not 0.0 <= value < math.inf:
                 raise ConfigurationError(
                     f"{name} must be finite and nonnegative, got {value}")
-        if not 0.0 < self.n_0 < math.inf:
+        if not 0.0 < _number(self.n_0, "n_0") < math.inf:
             raise ConfigurationError(f"n_0 must be finite and positive, got {self.n_0}")
         # The rates read the squared gains, so a gain whose square underflows
         # to 0 or overflows to inf is rejected too.
         if np.isscalar(self.conf_gain):
-            if not 0.0 < self.conf_gain < math.inf:
+            if not 0.0 < _number(self.conf_gain, "conf_gain") < math.inf:
                 raise ConfigurationError(
                     f"conf_gain must be finite and positive, got {self.conf_gain}")
             gain = float(self.conf_gain)
@@ -636,12 +671,12 @@ _MIX2 = 0x94D049BB133111EB
 
 def _derive_seeds(base_seed: int, lo: int, hi: int) -> np.ndarray:
     """``derive_seed(base_seed, t)`` for every trial ``lo <= t < hi``, as a
-    uint64 array.  The base seed and ``lo + 1`` are masked to 64 bits and the
-    array arithmetic wraps modulo 2**64, so any int base seed or trial index
-    works."""
+    uint64 array.  The base seed (:func:`_seed`) and ``lo + 1`` are masked to
+    64 bits and the array arithmetic wraps modulo 2**64, so any whole base
+    seed or int trial index works."""
     z = np.arange(hi - lo, dtype=np.uint64) + np.uint64((lo + 1) & MASK64)
     z *= np.uint64(_GOLDEN)
-    z += np.uint64(int(base_seed) & MASK64)
+    z += np.uint64(_seed(base_seed, "base_seed"))
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
@@ -657,7 +692,7 @@ def derive_seed(base_seed: int, trial: int) -> int:
     seed :func:`_derive_seeds` gives trial ``trial``; fixed here so the
     grouping of trials can never change which realization a trial sees.
     """
-    trial = int(trial)
+    trial = _seed(trial, "trial")
     return int(_derive_seeds(base_seed, trial, trial + 1)[0])
 
 
@@ -735,7 +770,7 @@ def _trial_normals(base_seed: int, trials: int, n: int, count: int):
     2**14 rows * 32 B = 512 KiB of states.  A longer run derives each chunk
     once per walk.
     """
-    base_seed = int(base_seed) & MASK64
+    base_seed = _seed(base_seed, "seed")
     order = _thread_generator()[2]
     block = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, trials, _STATE_CHUNK):
@@ -768,18 +803,17 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     """
     if not configs:
         return
-    counts = [(_normal_count(c.h_dist, c.n_relays),
-               _normal_count(c.g_dist, c.n_relays) if second_hop else 0)
-              for c in configs]
-    width = max(h + g for h, g in counts)
+    # Resolved once per walk, not per block: a Cscg law builds its moment arrays.
+    laws = [(_law(c.h_dist, c.n_relays), _law(c.g_dist, c.n_relays) if second_hop else None)
+            for c in configs]
+    width = max(h.count + (g.count if second_hop else 0) for h, g in laws)
     largest = max(c.n_relays for c in configs)
     last = len(configs) - 1
     for lo, hi, z in _trial_normals(base_seed, trials, largest, width):
         np.square(z, out=z)
-        for i, (cfg, (count_h, count_g)) in enumerate(zip(configs, counts)):
-            n = cfg.n_relays
-            h2 = _squares_from_normals(cfg.h_dist, n, z[:, :count_h])
-            g2 = (_squares_from_normals(cfg.g_dist, n, z[:, count_h:count_h + count_g])
+        for i, (h, g) in enumerate(laws):
+            h2 = _squares_from_normals(h, z[:, :h.count])
+            g2 = (_squares_from_normals(g, z[:, h.count:h.count + g.count])
                   if second_hop else None)
             if i == last:
                 # Free the block's normals before the last config's kernels.
@@ -793,7 +827,7 @@ def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:
     The generator is ``np.random.default_rng`` seeded with the 64-bit value of
     ``seed``; the first-hop gains are drawn before the second-hop gains.
     """
-    rng = np.random.default_rng(int(seed) & MASK64)
+    rng = np.random.default_rng(_seed(seed, "seed"))
     n = config.n_relays
     return ChannelRealization(h=sample_channel(config.h_dist, n, rng),
                               g=sample_channel(config.g_dist, n, rng))

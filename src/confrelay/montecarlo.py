@@ -33,7 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
-    MASK64,
     ChannelRealization,
     ConfigurationError,
     MomentSet,
@@ -41,6 +40,7 @@ from .model import (
     Portion,
     _abs_squared,
     _integer,
+    _seed,
     _trial_squares,
     derive_seed,  # re-exported: confrelay.montecarlo.derive_seed
     moments,
@@ -100,7 +100,7 @@ class SweepSpec:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "trials", _integer(self.trials, "trials"))
         object.__setattr__(self, "schemes", rates.scheme_names(self.schemes))
-        object.__setattr__(self, "base_seed", int(self.base_seed) & MASK64)
+        object.__setattr__(self, "base_seed", _seed(self.base_seed, "base_seed"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +197,7 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
     unknown scheme name raises :class:`ConfigurationError`.
     """
     trials = _integer(trials, "trials")
+    base_seed = _seed(base_seed, "base_seed")
     reasons = {s: rates.scheme_precondition_error(cfg, s)
                for s in rates.scheme_names(schemes)}
     errors = {s: msg for s, msg in reasons.items() if msg is not None}
@@ -293,7 +294,7 @@ def _oracle(chain, noise_shapes: Sequence[tuple], symbol_trials: int,
                          *(np.zeros((1,) + s, dtype=complex) for s in noise_shapes))[0])
     signal_power = _abs_squared(coef)
     scale = math.sqrt(level / 2.0)
-    rng = np.random.default_rng(int(seed) & MASK64)
+    rng = np.random.default_rng(_seed(seed, "seed"))
 
     def normals(shape):
         # rng.normal(0.0, scale, shape) bit for bit, without its loc + scale * z
@@ -327,15 +328,18 @@ def _af_destination(real: ChannelRealization, cfg: NetworkConfig,
                     relay_noise: np.ndarray, conf_noise: np.ndarray,
                     dest_noise: np.ndarray) -> np.ndarray:
     """Literal AF chain: first hop, conference, combine, scale, second hop."""
-    m = cfg.m_conf
+    n, m = cfg.n_relays, cfg.m_conf
     first_hop = math.sqrt(cfg.p_s) * real.h[None, :] * x[:, None] + relay_noise
     combined = np.conj(real.h)[None, :] * first_hop
+    # Lag k of the first hop, np.roll(first_hop, k, axis=1), is the slice of
+    # columns n - k to 2n - k of the block doubled along the relays.
+    doubled = np.concatenate((first_hop, first_hop), axis=1)
     for k in range(1, m + 1):
         m2_sender = np.roll(mom.m2_h, k)
         f_link = (cfg.conf_gain if np.isscalar(cfg.conf_gain)
                   else np.roll(cfg.conf_gain[:, k - 1], k))
         tx_scale = np.sqrt(cfg.p_c / (cfg.p_s * m2_sender + cfg.n_0))
-        conf_rx = tx_scale * f_link * np.roll(first_hop, k, axis=1) + conf_noise[:, :, k - 1]
+        conf_rx = tx_scale * f_link * doubled[:, n - k:2 * n - k] + conf_noise[:, :, k - 1]
         undo = np.sqrt((cfg.p_s * m2_sender + cfg.n_0) / cfg.p_c) / f_link
         combined = combined + undo * np.conj(np.roll(real.h, k))[None, :] * conf_rx
     relay_tx = factors[None, :] * math.sqrt(cfg.p_r) * np.conj(real.g)[None, :] * combined

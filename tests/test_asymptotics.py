@@ -219,9 +219,9 @@ class TestSharedDraw:
         widest = 0
         for n in sizes:
             cfg = asymptotics._config_for(template, n)
-            count = model._normal_count(cfg.h_dist, n)
+            count = model._law(cfg.h_dist, n).count
             if scheme != "upper":
-                count += model._normal_count(cfg.g_dist, n)
+                count += model._law(cfg.g_dist, n).count
             widest = max(widest, count)
         # One row per trial, in trial order, each at the widest count.
         assert {count for _, count in draws} == {widest}

@@ -30,7 +30,7 @@ from confrelay.model import (
     _PROBE_WORDS,
     _STATE_CHUNK,
     _chunk_states,
-    _normal_count,
+    _law,
     _pcg64_states,
     _squares_from_normals,
     _trial_normals,
@@ -519,9 +519,9 @@ class TestSquaresFromNormals:
     @pytest.mark.parametrize("name", sorted(LAWS))
     def test_equal_abs_squared_of_built_gains(self, name):
         spec = LAWS[name]
-        z = np.random.default_rng(8).standard_normal((40, _normal_count(spec, 7)))
+        z = np.random.default_rng(8).standard_normal((40, _law(spec, 7).count))
         want = np.abs(built_gains(spec, 7, z)) ** 2
-        got = _squares_from_normals(spec, 7, np.square(z))
+        got = _squares_from_normals(_law(spec, 7), np.square(z))
         assert got.shape == want.shape == (40, 7)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
@@ -532,9 +532,9 @@ class TestSquaresFromNormals:
         spec = LAWS[name]
         mass = [i for i in range(7)
                 if isinstance(spec, PointMass) or isinstance(spec.specs[i], PointMass)]
-        z = np.random.default_rng(9).standard_normal((3, _normal_count(spec, 7)))
+        z = np.random.default_rng(9).standard_normal((3, _law(spec, 7).count))
         want = np.abs(built_gains(spec, 7, z)) ** 2
-        assert np.array_equal(_squares_from_normals(spec, 7, np.square(z))[:, mass],
+        assert np.array_equal(_squares_from_normals(_law(spec, 7), np.square(z))[:, mass],
                               want[:, mass])
 
     @pytest.mark.parametrize("name", sorted(n for n in LAWS if n.startswith("per_index")))
@@ -542,17 +542,17 @@ class TestSquaresFromNormals:
         # Column i of a PerIndex law's gains and squares is what entry i's own
         # law gives from the same normals, bit for bit.
         law = LAWS[name]
-        z = np.random.default_rng(10).standard_normal((30, _normal_count(law, 7)))
+        z = np.random.default_rng(10).standard_normal((30, _law(law, 7).count))
         gains = built_gains(law, 7, z)
-        squares = _squares_from_normals(law, 7, np.square(z))
+        squares = _squares_from_normals(_law(law, 7), np.square(z))
         k = 0
         for i, spec in enumerate(law.specs):
-            count = _normal_count(spec, 1)
+            count = _law(spec, 1).count
             part = z[:, k:k + count]
             k += count
             assert np.array_equal(gains[:, i], built_gains(spec, 1, part)[:, 0])
             assert np.array_equal(squares[:, i],
-                                  _squares_from_normals(spec, 1, np.square(part))[:, 0])
+                                  _squares_from_normals(_law(spec, 1), np.square(part))[:, 0])
         assert k == z.shape[1]
 
     @pytest.mark.parametrize("name", sorted(LAWS))

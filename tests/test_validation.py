@@ -22,6 +22,7 @@ from confrelay import (
     Portion,
     SweepSpec,
     conferencing_size,
+    derive_seed,
     moments,
     run_point,
     sample_realization,
@@ -34,6 +35,11 @@ from confrelay.cli import main
 from confrelay.montecarlo import apply_axis
 
 BASE = NetworkConfig(n_relays=4, conferencing=Neighbors(1))
+
+
+def _oracle_with_seed(oracle, seed):
+    real = sample_realization(BASE, 0)
+    oracle(real, BASE, moments(BASE), 100, seed)
 
 
 def _oracle_without_draws(oracle, draws=0):
@@ -157,6 +163,48 @@ LIBRARY_CASES = {
                                            "point_mass value to the fourth power"),
     "point_mass_fourth_power_overflows": (lambda: PointMass(1e100j),
                                           "point_mass value to the fourth power"),
+    # A seed is a whole number of any sign and size, read modulo 2**64;
+    # anything else is rejected where it enters, not truncated or left to
+    # fail in int().
+    "run_point_fractional_seed": (lambda: run_point(BASE, 3, 1.5), "seed"),
+    "run_point_nan_seed": (lambda: run_point(BASE, 3, float("nan")), "seed"),
+    "run_point_infinite_seed": (lambda: run_point(BASE, 3, float("inf")), "seed"),
+    "run_point_no_seed": (lambda: run_point(BASE, 3, None), "seed"),
+    "run_point_text_seed": (lambda: run_point(BASE, 3, "7"), "seed"),
+    "run_point_nan_seed_no_runnable_scheme": (
+        lambda: run_point(replace(BASE, p_c=0.0), 3, float("nan"), ("af",)), "seed"),
+    "trace_points_nan_seed": (lambda: trace_points("af", BASE, (4, 8), 2, float("nan")),
+                              "seed"),
+    "sweep_nan_seed": (lambda: SweepSpec(base=BASE, axis="portion", values=(0.5,),
+                                         trials=1, base_seed=float("nan")),
+                       "base_seed"),
+    "sample_realization_nan_seed": (lambda: sample_realization(BASE, float("nan")), "seed"),
+    "sample_realization_text_seed": (lambda: sample_realization(BASE, "7"), "seed"),
+    "derive_seed_nan_base": (lambda: derive_seed(float("nan"), 0), "base_seed"),
+    "derive_seed_fractional_trial": (lambda: derive_seed(0, 1.5), "trial"),
+    "lemma1_gap_nan_seed": (lambda: lemma1_gap(Cscg(1.0), 4, 2, float("nan")), "seed"),
+    "af_oracle_nan_seed": (lambda: _oracle_with_seed(signal_oracle_af, float("nan")),
+                           "seed"),
+    "df_oracle_nan_seed": (lambda: _oracle_with_seed(signal_oracle_df_mac, float("nan")),
+                           "seed"),
+    # Real parameters are numbers before their ranges are checked.
+    "cscg_variance_none": (lambda: Cscg(None), "cscg variance must be a real number"),
+    "cscg_variance_complex": (lambda: Cscg(1 + 0j), "cscg variance must be a real number"),
+    "point_mass_value_text": (lambda: PointMass("x"), "point_mass value must be a complex"),
+    "portion_text": (lambda: Portion("0.5"), "conferencing portion must be a real number"),
+    "portion_none": (lambda: Portion(None), "conferencing portion must be a real number"),
+    "source_power_text": (lambda: NetworkConfig(n_relays=4, conferencing=Neighbors(1),
+                                                p_s="1"),
+                          "p_s must be a real number"),
+    "noise_level_none": (lambda: NetworkConfig(n_relays=4, conferencing=Neighbors(1),
+                                               n_0=None),
+                         "n_0 must be a real number"),
+    "conf_gain_text": (lambda: NetworkConfig(n_relays=4, conferencing=Neighbors(1),
+                                             conf_gain="2"),
+                       "conf_gain must be a real number"),
+    "conf_gain_complex": (lambda: NetworkConfig(n_relays=4, conferencing=Neighbors(1),
+                                                conf_gain=1 + 1j),
+                          "conf_gain must be a real number"),
 }
 
 
@@ -165,6 +213,26 @@ def test_library_rejects(name):
     call, message = LIBRARY_CASES[name]
     with pytest.raises(ConfigurationError, match=message):
         call()
+
+
+# (seed, the seed in [0, 2**64) it stands for)
+WHOLE_SEEDS = [(2 ** 64 + 5, 5), (-3, 2 ** 64 - 3), (-(2 ** 70) - 1, 2 ** 64 - 1),
+               (np.uint64(2 ** 64 - 1), 2 ** 64 - 1), (2.0, 2), (np.float64(7.0), 7)]
+
+
+@pytest.mark.parametrize("seed, reduced", WHOLE_SEEDS)
+def test_whole_seeds_draw_what_their_value_modulo_2_64_draws(seed, reduced):
+    real, want = sample_realization(BASE, seed), sample_realization(BASE, reduced)
+    assert np.array_equal(real.h, want.h) and np.array_equal(real.g, want.g)
+    assert run_point(BASE, 5, seed).stats == run_point(BASE, 5, reduced).stats
+    assert (trace_points("af", BASE, (4, 8), 3, seed)
+            == trace_points("af", BASE, (4, 8), 3, reduced))
+    assert derive_seed(seed, 3.0) == derive_seed(reduced, 3)
+    assert SweepSpec(base=BASE, axis="portion", values=(0.5,), trials=1,
+                     base_seed=seed).base_seed == reduced
+    mom = moments(BASE)
+    assert (signal_oracle_df_mac(real, BASE, mom, 100, seed)
+            == signal_oracle_df_mac(real, BASE, mom, 100, reduced))
 
 
 CONFIG = "N=4\np=0.5\ntrials=2\n"
