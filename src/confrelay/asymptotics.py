@@ -73,8 +73,6 @@ def lemma1_gap(dist: DistributionSpec, n: int, trials: int, seed: int) -> float:
     reads the first-hop gains of ``sample_realization`` at
     ``derive_seed(seed, t)``, through the Monte Carlo engine.
     """
-    if n < 1 or trials < 1:
-        raise ConfigurationError("n and trials must both be >= 1")
     cfg = NetworkConfig(n, Neighbors(0), h_dist=dist)
     return 2.0 * trace_points("upper", cfg, (n,), trials, seed)[0].mean_abs_gap
 
@@ -85,7 +83,7 @@ def scaling_fit(points: Sequence[tuple[int, float]]) -> ScalingFit:
     Requires at least three points with distinct network sizes; the points
     are sorted by increasing N in the returned fit.
     """
-    pts = sorted((int(n), float(r)) for n, r in points)
+    pts = sorted((_integer(n, "network size"), float(r)) for n, r in points)
     ns = np.array([p[0] for p in pts], dtype=float)
     if len(np.unique(ns)) != len(ns) or len(ns) < 3:
         raise ConfigurationError("scaling fit needs at least 3 points with distinct "
@@ -137,13 +135,12 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
     2 * trials float64 per size.
     """
     rates.scheme_names((scheme,))
-    ns = list(n_values)
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigurationError("network sizes must be strictly increasing")
     trials = _integer(trials, "trials")
+    configs = [_config_for(template, n) for n in n_values]
+    if any(b.n_relays <= a.n_relays for a, b in zip(configs, configs[1:])):
+        raise ConfigurationError("network sizes must be strictly increasing")
     points, targets = [], []
-    for n in ns:
-        cfg = _config_for(template, n)
+    for cfg in configs:
         mom = moments(cfg)
         target = _fixed_limit(scheme, cfg, mom)
         points.append((cfg, mom, (scheme,) if target is not None else (scheme, "upper")))

@@ -44,6 +44,7 @@ from .model import (
     PointMass,
     Portion,
     PreconditionError,
+    _integer,
     _seed,
     derive_seed,
     moments,
@@ -201,11 +202,8 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[NetworkConfi
         except ConfigurationError as exc:
             raise ConfigurationError(f"{origins['schemes']}: {exc}") from exc
 
-    trials = take("trials", int, 1000)
-    if trials < 1:
-        raise ConfigurationError(f"{origins.get('trials', 'config')}: trials must be >= 1")
     params = RunParams(
-        trials=trials,
+        trials=_integer(take("trials", int, 1000), f"{origins.get('trials', 'config')}: trials"),
         seed=_seed(take("seed", int, 0), "seed"),
         schemes=take("schemes", parse_schemes, SCHEMES),
     )

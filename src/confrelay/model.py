@@ -52,10 +52,12 @@ against ``sample_realization``.
 How a fading law lays out its normals is written in one place, :func:`_law`:
 a ``Cscg`` draw is its N real parts, then its N imaginary parts, a
 ``PerIndex`` draw one (real, imaginary) pair per Gaussian entry in relay
-order, and a point mass draws nothing.  :func:`spec_moments`,
-:func:`sample_channel` and the trial engine's :func:`_squares_from_normals`
-read the :class:`_Law` it gives and never the law's kind.  A seed is any
-whole number, read modulo 2**64 (:func:`_seed`).
+order, and a point mass draws nothing.  A :class:`NetworkConfig` resolves
+its two laws through it once, when it is built; :func:`moments`,
+:func:`sample_realization` and the trial engine read those two :class:`_Law`
+records, and :func:`spec_moments` and :func:`sample_channel` resolve the law
+they are given.  None of them reads the law's kind.  A seed is any whole
+number, read modulo 2**64 (:func:`_seed`).
 
 The trial engine reads ``|h|^2`` and ``|g|^2`` straight from the same normals
 and never builds the complex gains; each block's normals are squared once,
@@ -207,8 +209,9 @@ class PerIndex:
     """Independent, non-identical law per relay index.
 
     Everything the moments and the samplers read of the law is one table,
-    built on first use in one pass over ``specs`` (and one over the point
-    masses' values) and cached; the moment arrays it hands out are read-only.
+    built in one pass over ``specs`` (and one over the point masses' values)
+    when the first :class:`NetworkConfig` using the law is constructed, and
+    cached; the moment arrays it hands out are read-only.
     """
 
     specs: tuple
@@ -327,9 +330,13 @@ def sample_channel(spec: DistributionSpec, n: int, rng: np.random.Generator) -> 
     out as :func:`_law` says.  Each part is N(0, variance/2); point masses
     consume no randomness.
     """
-    law = _law(spec, n)
+    return _draw(_law(spec, n), rng)
+
+
+def _draw(law: _Law, rng: np.random.Generator) -> np.ndarray:
+    """The gains :func:`sample_channel` draws under ``law`` from ``rng``."""
     z = rng.standard_normal(law.count)
-    out = np.empty(n, dtype=complex)
+    out = np.empty(len(law.m2), dtype=complex)
     gauss = slice(None) if law.gauss is None else law.gauss
     out.real[gauss] = law.scale * z[law.re]
     out.imag[gauss] = law.scale * z[law.im]
@@ -371,8 +378,7 @@ def conferencing_size(p: float, n: int) -> int:
     whenever p*n is an integer, and p == 1 always gives complete conferencing
     (M = n - 1).
     """
-    if not 0.0 < p <= 1.0:
-        raise ConfigurationError(f"conferencing portion must be in (0, 1], got {p}")
+    p = Portion(p).p
     n = _integer(n, "number of relays")
     m = int(math.floor(p * n + 0.5)) - 1
     return max(0, min(m, n - 1))
@@ -389,6 +395,10 @@ class NetworkConfig:
     ``conf_gain`` is either a single positive float (uniform link gain, the
     default) or an (N, M) array whose ``[i, k-1]`` entry is the gain of the
     ordered conferencing link from relay ``i`` to relay ``i+k``.
+
+    ``h_dist`` and ``g_dist`` are resolved (:func:`_law`) once, here; the
+    moments and both samplers read the two :class:`_Law` records kept in
+    ``_laws``, which is not a field.
     """
 
     n_relays: int
@@ -432,7 +442,11 @@ class NetworkConfig:
                     f"conf_gain squared must be finite and nonzero, got {self.conf_gain}")
             object.__setattr__(self, "conf_gain", gain)
         else:
-            gains = np.asarray(self.conf_gain, dtype=float)
+            gains = np.asarray(self.conf_gain)
+            if gains.dtype.kind not in "iuf":
+                raise ConfigurationError(
+                    f"conf_gain array entries must be real numbers, got dtype {gains.dtype}")
+            gains = np.asarray(gains, dtype=float)
             if gains.shape != (self.n_relays, self.m_conf):
                 raise ConfigurationError(
                     f"conf_gain array must have shape "
@@ -448,14 +462,13 @@ class NetworkConfig:
                     "conf_gain entries squared must all be finite and nonzero")
             gains.flags.writeable = False
             object.__setattr__(self, "conf_gain", gains)
-        for label, dist in (("h_dist", self.h_dist), ("g_dist", self.g_dist)):
-            if isinstance(dist, PerIndex) and len(dist.specs) != self.n_relays:
-                raise ConfigurationError(
-                    f"{label} per_index length {len(dist.specs)} does not "
-                    f"match {self.n_relays} relays"
-                )
-            elif not isinstance(dist, (Cscg, PointMass, PerIndex)):
-                raise ConfigurationError(f"{label} is not a distribution spec")
+        laws = []
+        for label in ("h_dist", "g_dist"):
+            try:
+                laws.append(_law(getattr(self, label), self.n_relays))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{label}: {exc}") from exc
+        object.__setattr__(self, "_laws", tuple(laws))
 
     @cached_property
     def m_conf(self) -> int:
@@ -500,9 +513,8 @@ class MomentSet:
 
 def moments(config: NetworkConfig) -> MomentSet:
     """Analytic moment set of the configured fading laws."""
-    m2_h, m4_h = spec_moments(config.h_dist, config.n_relays)
-    m2_g, m4_g = spec_moments(config.g_dist, config.n_relays)
-    return MomentSet(m2_h=m2_h, m4_h=m4_h, m2_g=m2_g, m4_g=m4_g)
+    h, g = config._laws
+    return MomentSet(m2_h=h.m2, m4_h=h.m4, m2_g=g.m2, m4_g=g.m4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -803,9 +815,7 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     """
     if not configs:
         return
-    # Resolved once per walk, not per block: a Cscg law builds its moment arrays.
-    laws = [(_law(c.h_dist, c.n_relays), _law(c.g_dist, c.n_relays) if second_hop else None)
-            for c in configs]
+    laws = [c._laws for c in configs]
     width = max(h.count + (g.count if second_hop else 0) for h, g in laws)
     largest = max(c.n_relays for c in configs)
     last = len(configs) - 1
@@ -828,6 +838,5 @@ def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:
     ``seed``; the first-hop gains are drawn before the second-hop gains.
     """
     rng = np.random.default_rng(_seed(seed, "seed"))
-    n = config.n_relays
-    return ChannelRealization(h=sample_channel(config.h_dist, n, rng),
-                              g=sample_channel(config.g_dist, n, rng))
+    h, g = config._laws
+    return ChannelRealization(h=_draw(h, rng), g=_draw(g, rng))

@@ -40,6 +40,7 @@ from .model import (
     Portion,
     _abs_squared,
     _integer,
+    _number,
     _seed,
     _trial_squares,
     derive_seed,  # re-exported: confrelay.montecarlo.derive_seed
@@ -92,7 +93,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ConfigurationError(f"unknown sweep axis {self.axis!r}")
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(float(_number(v, "sweep axis value")) for v in self.values)
         if not vals:
             raise ConfigurationError("sweep needs at least one axis value")
         if any(b <= a for a, b in zip(vals, vals[1:])):

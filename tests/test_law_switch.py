@@ -2,10 +2,10 @@
 
 ``model._law`` turns a ``Cscg``, ``PointMass`` or ``PerIndex`` law into the
 one description, ``model._Law``, that the moments and both samplers read.
-Besides it, only the laws' own constructors, ``PerIndex._table`` (which
-builds a ``PerIndex`` law's description from its entries) and
-``NetworkConfig.__post_init__`` (which checks a configuration's laws) may ask
-``isinstance`` about a law class.  A second switch on the law's kind fails
+Besides it, only the laws' own constructors and ``PerIndex._table`` (which
+builds a ``PerIndex`` law's description from its entries) may ask
+``isinstance`` about a law class; ``NetworkConfig`` checks its laws by
+resolving them through ``_law``.  A second switch on the law's kind fails
 these tests.
 """
 
@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "confrelay"
 LAWS = {"Cscg", "PointMass", "PerIndex"}
 SWITCHES = {("model", "_law"), ("model", "Cscg.__post_init__"),
             ("model", "PointMass.__post_init__"), ("model", "PerIndex.__post_init__"),
-            ("model", "PerIndex._table"), ("model", "NetworkConfig.__post_init__")}
+            ("model", "PerIndex._table")}
 
 
 def _is_law_switch(node):

@@ -581,6 +581,34 @@ class TestSquaresFromNormals:
             assert np.array_equal(h2, stacked_squares(cfg, 99, 5)[0])
 
 
+class TestLawResolution:
+    """A config resolves its two laws once, when it is built; the moments,
+    the sampler and the trial engine read what it resolved."""
+
+    def test_laws_are_resolved_only_when_a_config_is_built(self, monkeypatch):
+        calls = []
+
+        def counting_law(spec, n):
+            calls.append(spec)
+            return _law(spec, n)
+
+        monkeypatch.setattr(model, "_law", counting_law)
+        configs = [NetworkConfig(n_relays=7, conferencing=Neighbors(2), h_dist=law,
+                                 g_dist=LAWS["per_index_mixed"])
+                   for law in LAWS.values()]
+        configs.append(replace(configs[0], n_relays=14, g_dist=Cscg(0.8)))
+        assert len(calls) == 2 * len(configs)
+        calls.clear()
+        for cfg in configs:
+            moments(cfg)
+            sample_realization(cfg, 3)
+            montecarlo.run_point(cfg, 5, 1)
+        by_size = {cfg.n_relays: cfg for cfg in (configs[0], configs[-1])}
+        for scheme in montecarlo.SCHEMES:
+            trace_points(scheme, by_size.__getitem__, (7, 14), 3, 2)
+        assert calls == []
+
+
 class TestConfigValidation:
     def test_rejects_zero_noise(self):
         with pytest.raises(ConfigurationError):

@@ -127,8 +127,8 @@ LIBRARY_CASES = {
                                  "unknown scheme 'cf'"),
     "trace_points_unknown_scheme": (lambda: trace_points("cf", BASE, (4, 8), 1, 0),
                                     "unknown scheme"),
-    "lemma1_gap_no_relays": (lambda: lemma1_gap(Cscg(1.0), 0, 1, 0), "n and trials"),
-    "lemma1_gap_no_trials": (lambda: lemma1_gap(Cscg(1.0), 4, 0, 0), "n and trials"),
+    "lemma1_gap_no_relays": (lambda: lemma1_gap(Cscg(1.0), 0, 1, 0), "n_relays"),
+    "lemma1_gap_no_trials": (lambda: lemma1_gap(Cscg(1.0), 4, 0, 0), "trials"),
     "scaling_fit_two_points": (lambda: scaling_fit([(4, 1.0), (8, 2.0)]),
                                "at least 3 points"),
     "scaling_fit_repeated_sizes": (lambda: scaling_fit([(4, 1.0), (4, 2.0), (8, 3.0)]),
@@ -205,6 +205,34 @@ LIBRARY_CASES = {
     "conf_gain_complex": (lambda: NetworkConfig(n_relays=4, conferencing=Neighbors(1),
                                                 conf_gain=1 + 1j),
                           "conf_gain must be a real number"),
+    # Each value is checked by the type that owns it: a size by NetworkConfig
+    # or _integer, a portion by Portion, an axis value as a real number.
+    "lemma1_gap_no_size": (lambda: lemma1_gap(Cscg(1.0), None, 1, 0), "n_relays"),
+    "lemma1_gap_text_trials": (lambda: lemma1_gap(Cscg(1.0), 4, "2", 0), "trials"),
+    "trace_points_no_size": (lambda: trace_points("upper", BASE, (None, 4), 1, 0),
+                             "n_relays"),
+    "scaling_fit_fractional_size": (lambda: scaling_fit([(2.5, 1.0), (4, 2.0), (8, 3.0)]),
+                                    "network size"),
+    "conferencing_size_text_portion": (lambda: conferencing_size("0.5", 4),
+                                       "conferencing portion must be a real number"),
+    "sweep_no_axis_value": (lambda: SweepSpec(base=BASE, axis="portion", values=(None,),
+                                              trials=1, base_seed=0),
+                            "sweep axis value must be a real number"),
+    "sweep_word_axis_value": (lambda: SweepSpec(base=BASE, axis="portion", values=("x",),
+                                                trials=1, base_seed=0),
+                              "sweep axis value must be a real number"),
+    "sweep_text_axis_value": (lambda: SweepSpec(base=BASE, axis="portion", values=("0.5",),
+                                                trials=1, base_seed=0),
+                              "sweep axis value must be a real number"),
+    "conf_gain_entries_text": (lambda: NetworkConfig(n_relays=2, conferencing=Neighbors(1),
+                                                     conf_gain=[["2"], ["3"]]),
+                               "conf_gain array entries must be real numbers"),
+    "conf_gain_entries_bool": (lambda: NetworkConfig(n_relays=2, conferencing=Neighbors(1),
+                                                     conf_gain=np.ones((2, 1), dtype=bool)),
+                               "conf_gain array entries must be real numbers"),
+    "g_dist_per_index_length": (lambda: NetworkConfig(n_relays=4, conferencing=Neighbors(1),
+                                                      g_dist=PerIndex((Cscg(1.0),) * 3)),
+                                "g_dist: per_index length 3 does not match 4 relays"),
 }
 
 
