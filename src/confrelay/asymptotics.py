@@ -17,16 +17,15 @@ import numpy as np
 from .model import (
     ConfigurationError,
     DistributionSpec,
-    MomentSet,
     Neighbors,
     NetworkConfig,
     ChannelRealization,
     PreconditionError,
     UndefinedRatioError,
     _integer,
-    moments,
+    _number,
 )
-from .montecarlo import _rate_table, _reduce_rows
+from .montecarlo import _rate_table
 from . import rates
 
 
@@ -83,7 +82,8 @@ def scaling_fit(points: Sequence[tuple[int, float]]) -> ScalingFit:
     Requires at least three points with distinct network sizes; the points
     are sorted by increasing N in the returned fit.
     """
-    pts = sorted((_integer(n, "network size"), float(r)) for n, r in points)
+    pts = sorted((_integer(n, "network size"), float(_number(r, "rate")))
+                 for n, r in points)
     ns = np.array([p[0] for p in pts], dtype=float)
     if len(np.unique(ns)) != len(ns) or len(ns) < 3:
         raise ConfigurationError("scaling fit needs at least 3 points with distinct "
@@ -109,14 +109,14 @@ def _config_for(template: ConfigSource, n: int) -> NetworkConfig:
     return replace(template, n_relays=n)
 
 
-def _fixed_limit(scheme: str, cfg: NetworkConfig, mom: MomentSet):
+def _fixed_limit(scheme: str, cfg: NetworkConfig):
     """Moment-form limit of the scheme's rate, or None when the limit is the
     per-realization cut-set bound."""
     if scheme == "df":
-        return float(np.min(rates.df_rates_asymptotic(cfg, mom)))
+        return float(np.min(rates.df_rates_asymptotic(cfg)))
     if scheme == "af" and cfg.m_conf == cfg.n_relays - 1:
         return None  # complete conferencing tracks the realized bound
-    return rates.capacity_upper_asymptotic(cfg, mom)
+    return rates.capacity_upper_asymptotic(cfg)
 
 
 def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
@@ -139,24 +139,20 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
     configs = [_config_for(template, n) for n in n_values]
     if any(b.n_relays <= a.n_relays for a, b in zip(configs, configs[1:])):
         raise ConfigurationError("network sizes must be strictly increasing")
-    points, targets = [], []
-    for cfg in configs:
-        mom = moments(cfg)
-        target = _fixed_limit(scheme, cfg, mom)
-        points.append((cfg, mom, (scheme,) if target is not None else (scheme, "upper")))
-        targets.append(target)
+    targets = [_fixed_limit(scheme, cfg) for cfg in configs]
+    points = [(cfg, (scheme,) if target is not None else (scheme, "upper"))
+              for cfg, target in zip(configs, targets)]
     out = []
-    for (cfg, _, _), target, (_, v) in zip(points, targets, _rate_table(points, trials, seed)):
+    for cfg, target, (_, v) in zip(configs, targets, _rate_table(points, trials, seed)):
         # Row 0 holds the scheme's rates and, when the limit is the realized
         # cut-set bound, row 1 holds it: once the rates are summed,
         # |rate - limit| is written over the last row and summed in turn.
-        rate_sum = _reduce_rows(v, spread=False)[0][0]
-        gap = v[-1:]
-        np.subtract(v[0], v[1] if target is None else target, out=gap[0])
+        rate_sum = np.add.reduce(v[0])
+        gap = v[-1]
+        np.subtract(v[0], v[1] if target is None else target, out=gap)
         np.abs(gap, out=gap)
-        gap_sum = _reduce_rows(gap, spread=False)[0][0]
         out.append(TracePoint(n_relays=cfg.n_relays, mean_rate=float(rate_sum) / trials,
-                              mean_abs_gap=float(gap_sum) / trials))
+                              mean_abs_gap=float(np.add.reduce(gap)) / trials))
     return out
 
 
@@ -171,8 +167,8 @@ def convergence_trace(scheme: str, template: ConfigSource,
     )
 
 
-def conferencing_noise_ratio(real: ChannelRealization, cfg: NetworkConfig,
-                             mom: MomentSet) -> ConferencingNoiseRatio:
+def conferencing_noise_ratio(real: ChannelRealization,
+                             cfg: NetworkConfig) -> ConferencingNoiseRatio:
     """Share q3/q2 of conferencing noise relative to forwarded receiver noise,
     with the conferencing gains of ``cfg``.
 
@@ -181,8 +177,8 @@ def conferencing_noise_ratio(real: ChannelRealization, cfg: NetworkConfig,
     """
     if cfg.m_conf < 1:
         raise PreconditionError("noise ratio requires at least one conferencing neighbor")
-    _, q2, q3 = rates.af_q_terms(real, cfg, mom)
+    _, q2, q3 = rates.af_q_terms(real, cfg)
     if q2 == 0.0:
         raise UndefinedRatioError("q2 is zero; the noise ratio is undefined")
-    _, eq2, eq3 = rates.af_expected_q_terms(cfg, mom)
+    _, eq2, eq3 = rates.af_expected_q_terms(cfg)
     return ConferencingNoiseRatio(realized=q3 / q2, expected=eq3 / eq2)

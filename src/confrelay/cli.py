@@ -47,7 +47,6 @@ from .model import (
     _integer,
     _seed,
     derive_seed,
-    moments,
     sample_realization,
 )
 from .montecarlo import (
@@ -236,7 +235,6 @@ def _sweep_tables(result: SweepResult) -> list:
 def _oracle_tables(cfg: NetworkConfig, params: RunParams, draws: int) -> list:
     """Closed-form against empirical SINR of the AF chain and of the DF
     second hop, on realization 0 of the run's seed."""
-    mom = moments(cfg)
     real = sample_realization(cfg, derive_seed(params.seed, 0))
     symbol_seed = derive_seed(params.seed, 1)
     oracles = {"af": (af_sinr, signal_oracle_af),
@@ -244,8 +242,8 @@ def _oracle_tables(cfg: NetworkConfig, params: RunParams, draws: int) -> list:
     rows = []
     for scheme in (s for s in params.schemes if s in oracles):
         closed_form, oracle = oracles[scheme]
-        ana = closed_form(real, cfg, mom)
-        emp = oracle(real, cfg, mom, draws, symbol_seed)
+        ana = closed_form(real, cfg)
+        emp = oracle(real, cfg, draws, symbol_seed)
         gap = abs(emp.sinr - ana) / ana if ana > 0 else math.nan
         rows.append((scheme, ana, emp.sinr, gap, emp.std_error, emp.draws,
                      params.seed))

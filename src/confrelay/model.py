@@ -11,7 +11,9 @@ Receivers on the first hop, the conferencing links, and the second hop all see
 additive circularly symmetric complex Gaussian noise at the same spectral
 level ``n_0``.  Channel moments are analytic properties of the configured
 distributions (the relaying schemes use them as known system constants), never
-sample estimates.
+sample estimates.  A config builds its one :class:`MomentSet` when it is built,
+and every rate, oracle and engine function reads it through :func:`moments`;
+none takes a moment set as an argument.
 
 Everything here is immutable after construction and
 :func:`sample_realization` is a pure function of ``(config, seed)``, so all
@@ -53,11 +55,11 @@ How a fading law lays out its normals is written in one place, :func:`_law`:
 a ``Cscg`` draw is its N real parts, then its N imaginary parts, a
 ``PerIndex`` draw one (real, imaginary) pair per Gaussian entry in relay
 order, and a point mass draws nothing.  A :class:`NetworkConfig` resolves
-its two laws through it once, when it is built; :func:`moments`,
-:func:`sample_realization` and the trial engine read those two :class:`_Law`
-records, and :func:`spec_moments` and :func:`sample_channel` resolve the law
-they are given.  None of them reads the law's kind.  A seed is any whole
-number, read modulo 2**64 (:func:`_seed`).
+its two laws through it once, when it is built, and takes its moment set from
+them; :func:`sample_realization` and the trial engine read those two
+:class:`_Law` records, and :func:`spec_moments` and :func:`sample_channel`
+resolve the law they are given.  None of them reads the law's kind.  A seed
+is any whole number, read modulo 2**64 (:func:`_seed`).
 
 The trial engine reads ``|h|^2`` and ``|g|^2`` straight from the same normals
 and never builds the complex gains; each block's normals are squared once,
@@ -396,9 +398,10 @@ class NetworkConfig:
     default) or an (N, M) array whose ``[i, k-1]`` entry is the gain of the
     ordered conferencing link from relay ``i`` to relay ``i+k``.
 
-    ``h_dist`` and ``g_dist`` are resolved (:func:`_law`) once, here; the
-    moments and both samplers read the two :class:`_Law` records kept in
-    ``_laws``, which is not a field.
+    ``h_dist`` and ``g_dist`` are resolved (:func:`_law`) once, here; both
+    samplers read the two :class:`_Law` records kept in ``_laws``, and
+    :func:`moments` the :class:`MomentSet` built from them and kept in
+    ``_moments``.  Neither is a field.
     """
 
     n_relays: int
@@ -469,6 +472,10 @@ class NetworkConfig:
             except ConfigurationError as exc:
                 raise ConfigurationError(f"{label}: {exc}") from exc
         object.__setattr__(self, "_laws", tuple(laws))
+        h, g = laws
+        for a in (h.m2, h.m4, g.m2, g.m4):
+            a.flags.writeable = False
+        object.__setattr__(self, "_moments", MomentSet(h.m2, h.m4, g.m2, g.m4))
 
     @cached_property
     def m_conf(self) -> int:
@@ -485,36 +492,19 @@ class NetworkConfig:
 
 @dataclass(frozen=True, eq=False)
 class MomentSet:
-    """Analytic second and fourth magnitude moments per relay index."""
+    """Analytic second and fourth magnitude moments per relay index, as
+    read-only arrays; each :class:`NetworkConfig` builds its own."""
 
     m2_h: np.ndarray
     m4_h: np.ndarray
     m2_g: np.ndarray
     m4_g: np.ndarray
 
-    def __post_init__(self):
-        names = ("m2_h", "m4_h", "m2_g", "m4_g")
-        arrays = [np.asarray(getattr(self, name), dtype=float) for name in names]
-        n = len(arrays[0])
-        if any(len(a) != n for a in arrays):
-            raise ConfigurationError("moment arrays must share one length")
-        for name, a in zip(names, arrays):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-        # One pass over the four arrays stacked as rows m2_h, m4_h, m2_g, m4_g.
-        stacked = np.array(arrays)
-        if not (stacked > 0).all():
-            first = next(name for name, a in zip(names, arrays) if not (a > 0).all())
-            raise ConfigurationError(f"{first} entries must be strictly positive")
-        m2, m4 = stacked[0::2], stacked[1::2]
-        if not (m4 >= m2 * m2 * (1.0 - 1e-12)).all():
-            raise ConfigurationError("fourth moments must dominate squared second moments")
-
 
 def moments(config: NetworkConfig) -> MomentSet:
-    """Analytic moment set of the configured fading laws."""
-    h, g = config._laws
-    return MomentSet(m2_h=h.m2, m4_h=h.m4, m2_g=g.m2, m4_g=g.m4)
+    """Analytic moment set of the configured fading laws, built with the
+    config."""
+    return config._moments
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,9 @@ in one thread, in blocks whose size follows from the largest network size of
 the configurations that share the walk (one, for a point).
 
 A realization carries only the fading gains ``h`` and ``g``; every rate and
-oracle reads the conferencing gains from the configuration it is given.
+oracle reads the conferencing gains and the channel moments
+(``model.moments(cfg)``, built with the configuration) from the configuration
+it is given.
 
 The signal-level oracles validate the closed-form SINR expressions without
 using them: they push unit-power symbols and freshly drawn receiver,
@@ -35,7 +37,6 @@ import numpy as np
 from .model import (
     ChannelRealization,
     ConfigurationError,
-    MomentSet,
     NetworkConfig,
     Portion,
     _abs_squared,
@@ -126,9 +127,9 @@ class SweepResult:
     base_seed: int
 
 
-def _rate_table(points: Sequence[tuple[NetworkConfig, MomentSet, Sequence[str]]],
+def _rate_table(points: Sequence[tuple[NetworkConfig, Sequence[str]]],
                 trials: int, base_seed: int) -> list[tuple[tuple, np.ndarray]]:
-    """Per ``(cfg, mom, schemes)`` point, its distinct schemes in order and one
+    """Per ``(cfg, schemes)`` point, its distinct schemes in order and one
     float64 array of shape (schemes, trials) whose row ``i`` holds the rates
     of scheme ``i``; see :func:`trial_rates`.
 
@@ -136,40 +137,39 @@ def _rate_table(points: Sequence[tuple[NetworkConfig, MomentSet, Sequence[str]]]
     normals are drawn once for all of them, and each point's kernels run on
     its squares before the next point's are built.
     """
-    kernels = [rates.scheme_kernels(cfg, mom, schemes) for cfg, mom, schemes in points]
+    kernels = [rates.scheme_kernels(cfg, schemes) for cfg, schemes in points]
     tables = [np.empty((len(k), trials)) for k in kernels]
     second_hop = any(rates.reads_second_hop(k) for k in kernels)
-    for i, lo, hi, h2, g2 in _trial_squares([cfg for cfg, _, _ in points],
+    for i, lo, hi, h2, g2 in _trial_squares([cfg for cfg, _ in points],
                                             base_seed, trials, second_hop):
         for row, kernel in zip(tables[i], kernels[i].values()):
             row[lo:hi] = kernel(h2, g2)
     return [(tuple(k), v) for k, v in zip(kernels, tables)]
 
 
-def _reduce_rows(v: np.ndarray, spread: bool = True) -> tuple:
+def _reduce_rows(v: np.ndarray) -> tuple:
     """Per row of a (rows, trials) rate table, reduced all at once, each in
     index order with the steps of ``np.mean`` and ``np.std`` row by row:
     ``(total, m2, first, constant)``, the sums, the sums of squared
     deviations from the row means, the first values, and whether every value
     of a row equals its first.
 
-    With ``spread`` the squared deviations are taken in place on ``v``;
-    without it, or when every row is constant or holds one value, ``m2`` is
-    zero and ``v`` is left as it is.
+    The squared deviations are taken in place on ``v``; when every row is
+    constant or holds one value, ``m2`` is zero and ``v`` is left as it is.
     """
     n = v.shape[1]
     total = np.add.reduce(v, axis=1)
     first = v[:, 0].copy()
     constant = (v == first[:, None]).all(axis=1)
     m2 = np.zeros(len(v))
-    if spread and n > 1 and not constant.all():
+    if n > 1 and not constant.all():
         v -= (total / n)[:, None]
         np.square(v, out=v)
         m2 = np.add.reduce(v, axis=1)
     return total, m2, first, constant
 
 
-def trial_rates(cfg: NetworkConfig, mom: MomentSet, trials: int, base_seed: int,
+def trial_rates(cfg: NetworkConfig, trials: int, base_seed: int,
                 schemes: Sequence[str]) -> dict:
     """Rate of each scheme in every trial, as a float64[trials] row per scheme.
 
@@ -180,7 +180,7 @@ def trial_rates(cfg: NetworkConfig, mom: MomentSet, trials: int, base_seed: int,
     trial's rate does not depend on the block it falls in or on the other
     configurations that share the walk.
     """
-    [(names, values)] = _rate_table([(cfg, mom, schemes)],
+    [(names, values)] = _rate_table([(cfg, schemes)],
                                     _integer(trials, "trials"), base_seed)
     return dict(zip(names, values))
 
@@ -205,7 +205,7 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
     runnable = [s for s, msg in reasons.items() if msg is None]
     if not runnable:
         return PointResult(stats={}, errors=errors)
-    [(names, v)] = _rate_table([(cfg, moments(cfg), runnable)], trials, base_seed)
+    [(names, v)] = _rate_table([(cfg, runnable)], trials, base_seed)
     total, m2, first, constant = _reduce_rows(v)
     # np.std's last steps: the sum over trials - 1 degrees of freedom, the
     # square root (m2 is zero when a single trial or constant rows leave
@@ -223,6 +223,7 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
 
 def apply_axis(base: NetworkConfig, axis: str, value: float) -> NetworkConfig:
     """Configuration at one sweep point."""
+    value = _number(value, "sweep axis value")
     if axis == "n_relays":
         return replace(base, n_relays=value)
     if axis == "portion":
@@ -325,7 +326,7 @@ def _oracle(chain, noise_shapes: Sequence[tuple], symbol_trials: int,
 
 
 def _af_destination(real: ChannelRealization, cfg: NetworkConfig,
-                    mom: MomentSet, factors: np.ndarray, x: np.ndarray,
+                    factors: np.ndarray, x: np.ndarray,
                     relay_noise: np.ndarray, conf_noise: np.ndarray,
                     dest_noise: np.ndarray) -> np.ndarray:
     """Literal AF chain: first hop, conference, combine, scale, second hop."""
@@ -335,8 +336,9 @@ def _af_destination(real: ChannelRealization, cfg: NetworkConfig,
     # Lag k of the first hop, np.roll(first_hop, k, axis=1), is the slice of
     # columns n - k to 2n - k of the block doubled along the relays.
     doubled = np.concatenate((first_hop, first_hop), axis=1)
+    m2_h = moments(cfg).m2_h
     for k in range(1, m + 1):
-        m2_sender = np.roll(mom.m2_h, k)
+        m2_sender = np.roll(m2_h, k)
         f_link = (cfg.conf_gain if np.isscalar(cfg.conf_gain)
                   else np.roll(cfg.conf_gain[:, k - 1], k))
         tx_scale = np.sqrt(cfg.p_c / (cfg.p_s * m2_sender + cfg.n_0))
@@ -348,7 +350,7 @@ def _af_destination(real: ChannelRealization, cfg: NetworkConfig,
 
 
 def signal_oracle_af(real: ChannelRealization, cfg: NetworkConfig,
-                     mom: MomentSet, symbol_trials: int, seed: int) -> OracleResult:
+                     symbol_trials: int, seed: int) -> OracleResult:
     """Empirical AF destination SINR from a full signal-path simulation.
 
     Without conferencing power the AF power factors raise
@@ -356,18 +358,17 @@ def signal_oracle_af(real: ChannelRealization, cfg: NetworkConfig,
     """
     symbol_trials = _integer(symbol_trials, "symbol_trials")
     rates._squared_gains(real, cfg)
-    chain = functools.partial(_af_destination, real, cfg, mom,
-                              rates.af_power_factors(cfg, mom))
+    chain = functools.partial(_af_destination, real, cfg, rates.af_power_factors(cfg))
     return _oracle(chain, ((cfg.n_relays,), (cfg.n_relays, cfg.m_conf), ()),
                    symbol_trials, seed, cfg.n_0)
 
 
 def signal_oracle_df_mac(real: ChannelRealization, cfg: NetworkConfig,
-                         mom: MomentSet, symbol_trials: int, seed: int) -> OracleResult:
+                         symbol_trials: int, seed: int) -> OracleResult:
     """Empirical received SNR of the coherent second hop."""
     symbol_trials = _integer(symbol_trials, "symbol_trials")
     rates._squared_gains(real, cfg)
-    weights = rates._mac_weights(cfg, mom) * np.conj(real.g)
+    weights = rates._mac_weights(cfg) * np.conj(real.g)
 
     def chain(x, dest_noise):
         return (weights[None, :] * x[:, None]) @ real.g + dest_noise
@@ -375,8 +376,7 @@ def signal_oracle_df_mac(real: ChannelRealization, cfg: NetworkConfig,
     return _oracle(chain, ((),), symbol_trials, seed, cfg.n_0)
 
 
-def analytic_df_mac_snr(real: ChannelRealization, cfg: NetworkConfig,
-                        mom: MomentSet) -> float:
+def analytic_df_mac_snr(real: ChannelRealization, cfg: NetworkConfig) -> float:
     """Closed-form second-hop SNR the oracle is compared against."""
-    q0 = rates.df_mac_gain(real, cfg, mom)
+    q0 = rates.df_mac_gain(real, cfg)
     return q0 * q0 / cfg.n_0

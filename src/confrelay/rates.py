@@ -26,7 +26,9 @@ Every formula is written once, as a kernel over the last axis of arrays of
 squared gains ``|h|^2`` and ``|g|^2``: leading axes index realizations.  The
 per-realization functions call the kernels on one realization, the moment
 forms call them on the second moments, and :func:`scheme_kernels` binds the
-per-configuration invariants once for the batched Monte Carlo engine.
+per-configuration invariants once for the batched Monte Carlo engine.  Every
+function reads the moments of the configuration it is given,
+``model.moments(cfg)``, which the configuration built; none takes a moment set.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ import numpy as np
 from .model import (
     ChannelRealization,
     ConfigurationError,
-    MomentSet,
     NetworkConfig,
     PreconditionError,
+    moments,
 )
 
 LOG2 = math.log(2.0)
@@ -87,11 +89,11 @@ def _win_back(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return cs[..., n - lo + 1:2 * n - lo + 1] - cs[..., n - hi:2 * n - hi]
 
 
-def _win_fwd(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """out[..., i] = sum_{k=lo..hi} v[..., (i + k) mod n], for 0 <= lo <= hi <= n."""
+def _win_fwd(v: np.ndarray, hi: int) -> np.ndarray:
+    """out[..., i] = sum_{k=0..hi} v[..., (i + k) mod n], for 0 <= hi <= n."""
     n = v.shape[-1]
     cs = _cumsum2(v, n + hi)
-    return cs[..., hi + 1:n + hi + 1] - cs[..., lo:n + lo]
+    return cs[..., hi + 1:n + hi + 1] - cs[..., :n]
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +159,6 @@ def _squared_gains(real: ChannelRealization, cfg: NetworkConfig):
     return np.abs(real.h) ** 2, np.abs(real.g) ** 2
 
 
-def _check_moments(cfg: NetworkConfig, mom: MomentSet) -> None:
-    """A moment set must describe ``cfg``'s relays, one entry per relay."""
-    if len(mom.m2_h) != cfg.n_relays:
-        raise ConfigurationError(
-            f"moment set has {len(mom.m2_h)} relays, the configuration "
-            f"{cfg.n_relays}")
-
-
 # ---------------------------------------------------------------------------
 # Cut-set upper bound
 # ---------------------------------------------------------------------------
@@ -178,17 +172,16 @@ def capacity_upper_bound(real: ChannelRealization, cfg: NetworkConfig) -> float:
     return float(_upper_rates(_squared_gains(real, cfg)[0], cfg))
 
 
-def capacity_upper_asymptotic(cfg: NetworkConfig, mom: MomentSet) -> float:
+def capacity_upper_asymptotic(cfg: NetworkConfig) -> float:
     """Moment form of the cut-set bound, the large-N concentration target."""
-    _check_moments(cfg, mom)
-    return float(_upper_rates(mom.m2_h, cfg))
+    return float(_upper_rates(moments(cfg).m2_h, cfg))
 
 
 # ---------------------------------------------------------------------------
 # Decode-and-forward
 # ---------------------------------------------------------------------------
 
-def _df_fractions(cfg: NetworkConfig, mom: MomentSet):
+def _df_fractions(cfg: NetworkConfig):
     """SNR fraction g_j*f^2 / (g_j*f^2 + 1) a conferenced copy keeps.
 
     The copy of the source symbol relayed from j = i-k arrives at relay i
@@ -197,12 +190,11 @@ def _df_fractions(cfg: NetworkConfig, mom: MomentSet):
     normalization of the sending relay.
     """
     _require_scheme(cfg, "df")
-    _check_moments(cfg, mom)
 
     def fraction(m2, f2):
         gf2 = cfg.p_c / (cfg.p_s * m2 + cfg.n_0) * f2
         return gf2 / (gf2 + 1.0)
-    return _lag_weights(fraction, mom.m2_h, cfg.conf_gain, cfg.m_conf)
+    return _lag_weights(fraction, moments(cfg).m2_h, cfg.conf_gain, cfg.m_conf)
 
 
 def _df_relay_snr(h2: np.ndarray, cfg: NetworkConfig, frac) -> np.ndarray:
@@ -210,9 +202,8 @@ def _df_relay_snr(h2: np.ndarray, cfg: NetworkConfig, frac) -> np.ndarray:
     return cfg.p_s / cfg.n_0 * (h2 + _lagged(frac, h2, cfg.m_conf))
 
 
-def _mac_weights(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
-    _check_moments(cfg, mom)
-    return np.sqrt(cfg.p_r / mom.m2_g)
+def _mac_weights(cfg: NetworkConfig) -> np.ndarray:
+    return np.sqrt(cfg.p_r / moments(cfg).m2_g)
 
 
 def _mac_gain(g2: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -234,48 +225,43 @@ def _df_rates(h2: np.ndarray, g2: np.ndarray, cfg: NetworkConfig, frac,
     return np.minimum(slowest, _mac_rates(g2, cfg, w))
 
 
-def df_relay_rates(real: ChannelRealization, cfg: NetworkConfig,
-                   mom: MomentSet) -> np.ndarray:
+def df_relay_rates(real: ChannelRealization, cfg: NetworkConfig) -> np.ndarray:
     """First-hop decoding rate supported at every relay."""
-    return _rate(_df_relay_snr(_squared_gains(real, cfg)[0], cfg,
-                                _df_fractions(cfg, mom)))
+    return _rate(_df_relay_snr(_squared_gains(real, cfg)[0], cfg, _df_fractions(cfg)))
 
 
-def df_mac_gain(real: ChannelRealization, cfg: NetworkConfig,
-                mom: MomentSet) -> float:
+def df_mac_gain(real: ChannelRealization, cfg: NetworkConfig) -> float:
     """Coherent second-hop amplitude q0 = sum_i sqrt(p_r/E|g_i|^2)*|g_i|^2."""
-    return float(_mac_gain(_squared_gains(real, cfg)[1], _mac_weights(cfg, mom)))
+    return float(_mac_gain(_squared_gains(real, cfg)[1], _mac_weights(cfg)))
 
 
-def df_mac_rate(real: ChannelRealization, cfg: NetworkConfig,
-                mom: MomentSet) -> float:
+def df_mac_rate(real: ChannelRealization, cfg: NetworkConfig) -> float:
     """Second-hop rate 0.5*log2(1 + q0^2/n_0) of the coherent relay sum."""
-    return float(_mac_rates(_squared_gains(real, cfg)[1], cfg,
-                            _mac_weights(cfg, mom)))
+    return float(_mac_rates(_squared_gains(real, cfg)[1], cfg, _mac_weights(cfg)))
 
 
-def df_rate(real: ChannelRealization, cfg: NetworkConfig, mom: MomentSet) -> float:
+def df_rate(real: ChannelRealization, cfg: NetworkConfig) -> float:
     """DF rate: every relay must decode, so the minimum relay rate and the
     second-hop rate both bound it."""
     return float(_df_rates(*_squared_gains(real, cfg), cfg,
-                           _df_fractions(cfg, mom), _mac_weights(cfg, mom)))
+                           _df_fractions(cfg), _mac_weights(cfg)))
 
 
-def df_rates_asymptotic(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
+def df_rates_asymptotic(cfg: NetworkConfig) -> np.ndarray:
     """Moment form of every relay's first-hop rate (concentration target).
 
     Entry i equals 0.5*log2(1 + (M+1)*(p_s/n_0)*mu_i) where mu_i averages the
     direct second moment and the conferencing SNR fractions over relay i's
     neighborhood.
     """
-    return _rate(_df_relay_snr(mom.m2_h, cfg, _df_fractions(cfg, mom)))
+    return _rate(_df_relay_snr(moments(cfg).m2_h, cfg, _df_fractions(cfg)))
 
 
 # ---------------------------------------------------------------------------
 # Amplify-and-forward
 # ---------------------------------------------------------------------------
 
-def af_power_factors(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
+def af_power_factors(cfg: NetworkConfig) -> np.ndarray:
     """Per-relay power control factor a_i of the AF combining scheme.
 
     a_i^2 normalizes the combined signal to the relay power budget:
@@ -288,13 +274,13 @@ def af_power_factors(cfg: NetworkConfig, mom: MomentSet) -> np.ndarray:
     with k ranging over the conferencing window 0..M and the squared-sum
     expectation expanded through independence of the per-index draws.
     """
-    return _af_invariants(cfg, mom)[0]
+    return _af_invariants(cfg)[0]
 
 
 def _af_q_terms(h2: np.ndarray, g2: np.ndarray, m: int, a: np.ndarray, q3w):
     # q1, grouped by first-hop index, shares q2's forward window.
     ag2 = a * g2
-    fwd = _win_fwd(ag2, 0, m)
+    fwd = _win_fwd(ag2, m)
     q1 = np.sum(fwd * h2, axis=-1)
     q2 = np.sum(fwd * fwd * h2, axis=-1)
     q3 = np.sum(ag2 * ag2 * _lagged(q3w, h2, m), axis=-1)
@@ -310,11 +296,11 @@ def _af_rates(h2: np.ndarray, g2: np.ndarray, cfg: NetworkConfig,
     return _rate(_af_sinr(*_af_q_terms(h2, g2, cfg.m_conf, a, q3w), cfg))
 
 
-def _af_invariants(cfg: NetworkConfig, mom: MomentSet):
+def _af_invariants(cfg: NetworkConfig):
     """AF power factors and the q3 weights (p_s*E|h_j|^2 + n_0) / (p_c*f^2):
     conferencing noise power forwarded per unit |h_j|^2 over the link from j."""
     _require_scheme(cfg, "af")
-    _check_moments(cfg, mom)
+    mom = moments(cfg)
     m = cfg.m_conf
     q3w = _lag_weights(lambda m2, f2: (cfg.p_s * m2 + cfg.n_0) / (cfg.p_c * f2),
                        mom.m2_h, cfg.conf_gain, m)
@@ -324,32 +310,28 @@ def _af_invariants(cfg: NetworkConfig, mom: MomentSet):
     return 1.0 / np.sqrt(mom.m2_g * bracket), q3w
 
 
-def af_q_terms(real: ChannelRealization, cfg: NetworkConfig,
-               mom: MomentSet) -> tuple[float, float, float]:
+def af_q_terms(real: ChannelRealization, cfg: NetworkConfig) -> tuple[float, float, float]:
     """AF destination coefficients (q1, q2, q3) for one realization.
 
     q1 scales the source symbol, q2 the aggregated first-hop noise power, and
     q3 the aggregated conferencing noise power; q3 is zero without
     conferencing.
     """
-    q = _af_q_terms(*_squared_gains(real, cfg), cfg.m_conf,
-                    *_af_invariants(cfg, mom))
+    q = _af_q_terms(*_squared_gains(real, cfg), cfg.m_conf, *_af_invariants(cfg))
     return tuple(float(x) for x in q)
 
 
-def af_sinr(real: ChannelRealization, cfg: NetworkConfig, mom: MomentSet) -> float:
+def af_sinr(real: ChannelRealization, cfg: NetworkConfig) -> float:
     """Destination SINR p_s*p_r*q1^2 / ((p_r*(q2 + q3) + 1) * n_0)."""
-    return float(_af_sinr(*af_q_terms(real, cfg, mom), cfg))
+    return float(_af_sinr(*af_q_terms(real, cfg), cfg))
 
 
-def af_rate(real: ChannelRealization, cfg: NetworkConfig, mom: MomentSet) -> float:
+def af_rate(real: ChannelRealization, cfg: NetworkConfig) -> float:
     """AF rate 0.5*log2(1 + SINR) for one realization."""
-    return float(_af_rates(*_squared_gains(real, cfg), cfg,
-                           *_af_invariants(cfg, mom)))
+    return float(_af_rates(*_squared_gains(real, cfg), cfg, *_af_invariants(cfg)))
 
 
-def af_expected_q_terms(cfg: NetworkConfig,
-                        mom: MomentSet) -> tuple[float, float, float]:
+def af_expected_q_terms(cfg: NetworkConfig) -> tuple[float, float, float]:
     """Expectations (E q1, E q2, E q3) over the fading laws.
 
     E q1 and E q2 are grouped by the first-hop index, over the forward
@@ -357,23 +339,24 @@ def af_expected_q_terms(cfg: NetworkConfig,
     window in E q2 is that window squared plus a window of the variances
     a^2*(E|g|^4 - (E|g|^2)^2).
     """
-    a, q3w = _af_invariants(cfg, mom)
+    mom = moments(cfg)
+    a, q3w = _af_invariants(cfg)
     m = cfg.m_conf
-    lin = _win_fwd(a * mom.m2_g, 0, m)
-    quad = _win_fwd(a * a * (mom.m4_g - mom.m2_g ** 2), 0, m)
+    lin = _win_fwd(a * mom.m2_g, m)
+    quad = _win_fwd(a * a * (mom.m4_g - mom.m2_g ** 2), m)
     eq1 = float(np.sum(lin * mom.m2_h))
     eq2 = float(np.sum((lin * lin + quad) * mom.m2_h))
     eq3 = float(np.sum(a * a * mom.m4_g * _lagged(q3w, mom.m2_h, m)))
     return eq1, eq2, eq3
 
 
-def af_mu_terms(cfg: NetworkConfig, mom: MomentSet) -> tuple[float, float, float]:
+def af_mu_terms(cfg: NetworkConfig) -> tuple[float, float, float]:
     """Bounded per-network averages (mu1, mu2, mu3) of the expected q-terms.
 
     E q1 = N(M+1)*mu1, E q2 = N(M+1)^2*mu2, E q3 = N*M*mu3; mu3 is reported
     as 0 when conferencing is disabled.
     """
-    eq1, eq2, eq3 = af_expected_q_terms(cfg, mom)
+    eq1, eq2, eq3 = af_expected_q_terms(cfg)
     n = cfg.n_relays
     m = cfg.m_conf
     mu1 = eq1 / (n * (m + 1))
@@ -382,19 +365,19 @@ def af_mu_terms(cfg: NetworkConfig, mom: MomentSet) -> tuple[float, float, float
     return mu1, mu2, mu3
 
 
-def af_rate_expected_q(cfg: NetworkConfig, mom: MomentSet) -> float:
+def af_rate_expected_q(cfg: NetworkConfig) -> float:
     """AF rate with every q-term replaced by its expectation."""
-    return float(_rate(_af_sinr(*af_expected_q_terms(cfg, mom), cfg)))
+    return float(_rate(_af_sinr(*af_expected_q_terms(cfg), cfg)))
 
 
-def af_rate_asymptotic(cfg: NetworkConfig, mom: MomentSet) -> float:
+def af_rate_asymptotic(cfg: NetworkConfig) -> float:
     """Large-N limit 0.5*log2(1 + N*(mu1^2/mu2)*(p_s/n_0)) of the AF rate.
 
     The conferencing noise term grows on a smaller order than the forwarded
     receiver noise, so it is dropped here together with the order-one
     destination noise.
     """
-    mu1, mu2, _ = af_mu_terms(cfg, mom)
+    mu1, mu2, _ = af_mu_terms(cfg)
     return float(_rate(cfg.n_relays * (mu1 * mu1 / mu2) * cfg.p_s / cfg.n_0))
 
 
@@ -438,8 +421,7 @@ def _require_scheme(cfg: NetworkConfig, scheme: str) -> None:
         raise PreconditionError(msg)
 
 
-def scheme_kernels(cfg: NetworkConfig, mom: MomentSet,
-                   schemes: Sequence[str]) -> dict:
+def scheme_kernels(cfg: NetworkConfig, schemes: Sequence[str]) -> dict:
     """Rate kernel of each distinct scheme, in sorted order, with its
     per-configuration invariants (AF power factors, DF conferencing
     fractions, q3 and second-hop weights) computed once.
@@ -448,27 +430,25 @@ def scheme_kernels(cfg: NetworkConfig, mom: MomentSet,
     realization per leading index, to the rates of shape (...).  When
     :func:`reads_second_hop` is false for ``schemes``, |g|^2 may be None.
     """
-    _check_moments(cfg, mom)
     kernels = {}
     for s in scheme_names(schemes):
         if s == "upper":
             kernels[s] = lambda h2, g2: _upper_rates(h2, cfg)
         elif s == "df":
-            frac, w = _df_fractions(cfg, mom), _mac_weights(cfg, mom)
+            frac, w = _df_fractions(cfg), _mac_weights(cfg)
             kernels[s] = lambda h2, g2: _df_rates(h2, g2, cfg, frac, w)
         else:
-            a, q3w = _af_invariants(cfg, mom)
+            a, q3w = _af_invariants(cfg)
             kernels[s] = lambda h2, g2: _af_rates(h2, g2, cfg, a, q3w)
     return kernels
 
 
-def rate_report(real: ChannelRealization, cfg: NetworkConfig,
-                mom: MomentSet) -> RateReport:
+def rate_report(real: ChannelRealization, cfg: NetworkConfig) -> RateReport:
     """Evaluate every scheme on one realization."""
     h2, g2 = _squared_gains(real, cfg)
-    relay_rates = _rate(_df_relay_snr(h2, cfg, _df_fractions(cfg, mom)))
-    mac = _mac_rates(g2, cfg, _mac_weights(cfg, mom))
-    q1, q2, q3 = _af_q_terms(h2, g2, cfg.m_conf, *_af_invariants(cfg, mom))
+    relay_rates = _rate(_df_relay_snr(h2, cfg, _df_fractions(cfg)))
+    mac = _mac_rates(g2, cfg, _mac_weights(cfg))
+    q1, q2, q3 = _af_q_terms(h2, g2, cfg.m_conf, *_af_invariants(cfg))
     return RateReport(
         c_upper=float(_upper_rates(h2, cfg)),
         df_relay_rates=relay_rates,

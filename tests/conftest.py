@@ -1,6 +1,6 @@
 import pytest
 
-from confrelay import Neighbors, NetworkConfig, PointMass, moments, sample_realization
+from confrelay import Neighbors, NetworkConfig, PointMass, sample_realization
 
 
 @pytest.fixture
@@ -8,6 +8,5 @@ def two_relay_point_mass():
     """Two relays, one conferencing neighbor, all-unit deterministic channels."""
     cfg = NetworkConfig(n_relays=2, conferencing=Neighbors(1),
                         h_dist=PointMass(1), g_dist=PointMass(1))
-    mom = moments(cfg)
     real = sample_realization(cfg, 0)
-    return cfg, mom, real
+    return cfg, real

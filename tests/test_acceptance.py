@@ -27,7 +27,6 @@ from confrelay import (
     df_rate,
     df_rates_asymptotic,
     lemma1_gap,
-    moments,
     rate_report,
     sample_realization,
     scaling_fit,
@@ -42,8 +41,8 @@ def passed(n, detail):
 
 
 def test_criterion_01_fixture_exactness(two_relay_point_mass):
-    cfg, mom, real = two_relay_point_mass
-    rep = rate_report(real, cfg, mom)
+    cfg, real = two_relay_point_mass
+    rep = rate_report(real, cfg)
     expected = {
         "c_upper": 0.5 * math.log2(3),
         "df_rate": 0.5 * math.log2(7 / 3),
@@ -64,10 +63,9 @@ def test_criterion_02_oracle_equivalence():
     for r in range(20):
         n, p = grid[r % len(grid)]
         cfg = NetworkConfig(n_relays=n, conferencing=Portion(p))
-        mom = moments(cfg)
         real = sample_realization(cfg, derive_seed(20250810, r))
-        analytic = af_sinr(real, cfg, mom)
-        emp = signal_oracle_af(real, cfg, mom, 100_000, derive_seed(555, r))
+        analytic = af_sinr(real, cfg)
+        emp = signal_oracle_af(real, cfg, 100_000, derive_seed(555, r))
         tol = max(0.02 * analytic, 3 * emp.std_error)
         assert abs(emp.sinr - analytic) <= tol, (n, p, emp.sinr, analytic, tol)
         checked += 1
@@ -78,13 +76,12 @@ def test_criterion_02_oracle_equivalence():
 
 def test_criterion_03_dominance_invariants():
     cfg = NetworkConfig(n_relays=100, conferencing=Portion(0.1))
-    mom = moments(cfg)
     for t in range(1000):
         real = sample_realization(cfg, derive_seed(33, t))
         upper = capacity_upper_bound(real, cfg)
         slack = upper * (1 + 1e-9)
-        assert af_rate(real, cfg, mom) <= slack, t
-        assert df_rate(real, cfg, mom) <= slack, t
+        assert af_rate(real, cfg) <= slack, t
+        assert df_rate(real, cfg) <= slack, t
     passed(3, "AF and DF never exceed the cut-set bound over 1000 trials")
 
 
@@ -166,7 +163,7 @@ def test_known_shortfall_af_portion_gap():
     # the AF formulas shows here even while criterion 6 stays red.
     def rate(p):
         cfg = NetworkConfig(n_relays=100, conferencing=Portion(p))
-        return af_rate_expected_q(cfg, moments(cfg))
+        return af_rate_expected_q(cfg)
 
     assert rate(0.3) == pytest.approx(3.21491, abs=1e-4)
     assert rate(1.0) == pytest.approx(3.28750, abs=1e-4)
@@ -179,7 +176,7 @@ def test_known_shortfall_df_snr_share():
     def rates(db):
         cfg = NetworkConfig(n_relays=100, conferencing=Portion(0.1),
                             p_c=10.0 ** (db / 10.0))
-        return df_rates_asymptotic(cfg, moments(cfg))
+        return df_rates_asymptotic(cfg)
 
     share = rates(5) / rates(20)
     assert share == pytest.approx(np.full(100, 0.84672), abs=1e-4)
@@ -212,9 +209,8 @@ def test_criterion_10_conferencing_noise_fades_with_size():
     means = {}
     for n in (50, 400):
         cfg = NetworkConfig(n_relays=n, conferencing=Portion(0.2))
-        mom = moments(cfg)
         vals = [conferencing_noise_ratio(
-            sample_realization(cfg, derive_seed(4, t)), cfg, mom).realized
+            sample_realization(cfg, derive_seed(4, t)), cfg).realized
             for t in range(200)]
         means[n] = float(np.mean(vals))
     assert means[400] < means[50], means

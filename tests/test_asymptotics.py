@@ -20,7 +20,6 @@ from confrelay import (
     convergence_trace,
     derive_seed,
     lemma1_gap,
-    moments,
     sample_realization,
     scaling_fit,
 )
@@ -90,7 +89,7 @@ class TestScalingFit:
         points = []
         for n in (64, 128, 256, 512, 1024):
             cfg = NetworkConfig(n_relays=n, conferencing=Portion(0.5))
-            points.append((n, capacity_upper_asymptotic(cfg, moments(cfg))))
+            points.append((n, capacity_upper_asymptotic(cfg)))
         fit = scaling_fit(points)
         assert abs(fit.slope - 0.5) < 0.05
         assert fit.residual_rms < 5e-3
@@ -130,7 +129,7 @@ class TestConvergenceTrace:
         rel = []
         for n, gap in zip(tr.n_values, tr.gaps):
             c = NetworkConfig(n_relays=n, conferencing=Portion(0.2))
-            rel.append(gap / capacity_upper_asymptotic(c, moments(c)))
+            rel.append(gap / capacity_upper_asymptotic(c))
         assert rel[1] < rel[0]
 
     def test_df_gap_shrinks_for_iid(self):
@@ -239,9 +238,8 @@ class TestSharedDraw:
         trials = 1 if one_trial else trials
         for n, point in zip(sizes, trace_points(scheme, template, sizes, trials, 13)):
             cfg = asymptotics._config_for(template, n)
-            mom = moments(cfg)
-            rows = trial_rates(cfg, mom, trials, 13, (scheme, "upper"))
-            limit = asymptotics._fixed_limit(scheme, cfg, mom)
+            rows = trial_rates(cfg, trials, 13, (scheme, "upper"))
+            limit = asymptotics._fixed_limit(scheme, cfg)
             # Complete conferencing: AF's limit is the realized cut-set bound.
             assert (limit is None) == (case == "complete_conferencing" and scheme == "af")
             rate = rows[scheme]
@@ -252,8 +250,8 @@ class TestSharedDraw:
 
 class TestConferencingNoiseRatio:
     def test_fixture_value(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        ratio = conferencing_noise_ratio(real, cfg, mom)
+        cfg, real = two_relay_point_mass
+        ratio = conferencing_noise_ratio(real, cfg)
         assert isinstance(ratio, ConferencingNoiseRatio)
         assert math.isclose(ratio.realized, 0.5, rel_tol=1e-9)
         assert math.isclose(ratio.expected, 0.5, rel_tol=1e-9)
@@ -262,9 +260,8 @@ class TestConferencingNoiseRatio:
         means = []
         for n in (50, 400):
             cfg = NetworkConfig(n_relays=n, conferencing=Portion(0.2))
-            mom = moments(cfg)
             vals = [conferencing_noise_ratio(
-                sample_realization(cfg, derive_seed(4, t)), cfg, mom).realized
+                sample_realization(cfg, derive_seed(4, t)), cfg).realized
                 for t in range(100)]
             means.append(np.mean(vals))
         assert means[1] < means[0]
@@ -272,26 +269,23 @@ class TestConferencingNoiseRatio:
     def test_nonincreasing_in_conferencing_power(self):
         from dataclasses import replace
         cfg = NetworkConfig(n_relays=20, conferencing=Portion(0.3), p_c=0.2)
-        mom = moments(cfg)
         real = sample_realization(cfg, 44)
-        low = conferencing_noise_ratio(real, cfg, mom).realized
+        low = conferencing_noise_ratio(real, cfg).realized
         high_cfg = replace(cfg, p_c=20.0)
-        high = conferencing_noise_ratio(real, high_cfg, mom).realized
+        high = conferencing_noise_ratio(real, high_cfg).realized
         assert high <= low
         huge_cfg = replace(cfg, p_c=1e12)
-        assert conferencing_noise_ratio(real, huge_cfg, mom).realized < 1e-10
+        assert conferencing_noise_ratio(real, huge_cfg).realized < 1e-10
 
     def test_requires_conferencing(self):
         cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(0))
-        mom = moments(cfg)
         real = sample_realization(cfg, 0)
         with pytest.raises(PreconditionError):
-            conferencing_noise_ratio(real, cfg, mom)
+            conferencing_noise_ratio(real, cfg)
 
     def test_undefined_for_silent_network(self):
         cfg = NetworkConfig(n_relays=3, conferencing=Neighbors(1))
-        mom = moments(cfg)
         real = ChannelRealization(h=np.zeros(3, dtype=complex),
                                   g=np.ones(3, dtype=complex))
         with pytest.raises(UndefinedRatioError):
-            conferencing_noise_ratio(real, cfg, mom)
+            conferencing_noise_ratio(real, cfg)

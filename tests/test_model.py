@@ -23,8 +23,8 @@ from confrelay import (
     sample_channel,
     sample_realization,
 )
-from confrelay import derive_seed, model, montecarlo
-from confrelay.asymptotics import trace_points
+from confrelay import derive_seed, model, montecarlo, rates
+from confrelay.asymptotics import conferencing_noise_ratio, trace_points
 from confrelay.model import (
     MASK64,
     _PROBE_WORDS,
@@ -209,6 +209,18 @@ class TestMoments:
         assert len(builds) == 2
         for name in ("m2_h", "m4_h", "m2_g", "m4_g"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_config_keeps_one_read_only_moment_set(self, name):
+        cfg = NetworkConfig(n_relays=7, conferencing=Neighbors(2), h_dist=LAWS[name],
+                            g_dist=Cscg(0.8))
+        mom = moments(cfg)
+        assert moments(cfg) is mom
+        for field in ("m2_h", "m4_h", "m2_g", "m4_g"):
+            values = getattr(mom, field)
+            assert not values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
 
     def test_rejects_zero_point_mass(self):
         with pytest.raises(ConfigurationError):
@@ -447,7 +459,7 @@ class TestSeededNormals:
         _chunk_states.cache_clear()
         cfg = NetworkConfig(n_relays=3, conferencing=Neighbors(0))
         trials = 2 * _STATE_CHUNK + 5
-        montecarlo.trial_rates(cfg, moments(cfg), trials, 3, ("upper",))
+        montecarlo.trial_rates(cfg, trials, 3, ("upper",))
         # Blocks of 5461 trials at N = 3 stop at both chunk boundaries, and
         # each of the three chunks is derived once; the last one stays.
         info = _chunk_states.cache_info()
@@ -607,6 +619,47 @@ class TestLawResolution:
         for scheme in montecarlo.SCHEMES:
             trace_points(scheme, by_size.__getitem__, (7, 14), 3, 2)
         assert calls == []
+
+
+class TestMomentSetBuilds:
+    """A config builds its one moment set when it is built; nothing that
+    reads a config that is already built builds another."""
+
+    def test_one_moment_set_per_config(self, monkeypatch):
+        builds = []
+        init = model.MomentSet.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(model.MomentSet, "__init__", counting_init)
+        configs = [NetworkConfig(n_relays=7, conferencing=Neighbors(2), h_dist=law,
+                                 g_dist=LAWS["per_index_mixed"])
+                   for law in LAWS.values()]
+        configs.append(replace(configs[0], n_relays=14, g_dist=Cscg(0.8),
+                               conf_gain=np.full((14, 2), 0.6)))
+        assert len(builds) == len(configs)
+        builds.clear()
+        for cfg in configs:
+            real = sample_realization(cfg, 3)
+            moments(cfg)
+            montecarlo.run_point(cfg, 5, 1)
+            montecarlo.trial_rates(cfg, 5, 1, montecarlo.SCHEMES)
+            rates.rate_report(real, cfg)
+            rates.af_sinr(real, cfg)
+            rates.capacity_upper_asymptotic(cfg)
+            rates.df_rates_asymptotic(cfg)
+            rates.af_rate_asymptotic(cfg)
+            rates.af_rate_expected_q(cfg)
+            montecarlo.analytic_df_mac_snr(real, cfg)
+            montecarlo.signal_oracle_af(real, cfg, 10, 0)
+            montecarlo.signal_oracle_df_mac(real, cfg, 10, 0)
+            conferencing_noise_ratio(real, cfg)
+        by_size = {cfg.n_relays: cfg for cfg in (configs[0], configs[-1])}
+        for scheme in montecarlo.SCHEMES:
+            trace_points(scheme, by_size.__getitem__, (7, 14), 3, 2)
+        assert builds == []
 
 
 class TestConfigValidation:

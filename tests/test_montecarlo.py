@@ -20,7 +20,6 @@ from confrelay import (
     capacity_upper_bound,
     derive_seed,
     df_rate,
-    moments,
     run_point,
     sample_realization,
     signal_oracle_af,
@@ -109,11 +108,11 @@ class TestSeedDerivation:
 
 class TestRunPoint:
     def test_point_mass_mean_equals_single_shot(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
+        cfg, real = two_relay_point_mass
         res = run_point(cfg, trials=7, base_seed=3, schemes=("af", "df", "upper"))
         assert res.errors == {}
-        assert res.stats["af"].mean_rate == af_rate(real, cfg, mom)
-        assert res.stats["df"].mean_rate == df_rate(real, cfg, mom)
+        assert res.stats["af"].mean_rate == af_rate(real, cfg)
+        assert res.stats["df"].mean_rate == df_rate(real, cfg)
         assert res.stats["upper"].mean_rate == capacity_upper_bound(real, cfg)
         for st in res.stats.values():
             assert st.std_error == 0.0
@@ -127,12 +126,11 @@ class TestRunPoint:
 
     def test_dominance_over_trials(self):
         cfg = NetworkConfig(n_relays=30, conferencing=Portion(0.1))
-        mom = moments(cfg)
         for t in range(100):
             real = sample_realization(cfg, derive_seed(9, t))
             upper = capacity_upper_bound(real, cfg)
-            assert af_rate(real, cfg, mom) <= upper * (1 + 1e-9)
-            assert df_rate(real, cfg, mom) <= upper * (1 + 1e-9)
+            assert af_rate(real, cfg) <= upper * (1 + 1e-9)
+            assert df_rate(real, cfg) <= upper * (1 + 1e-9)
 
     def test_std_error_scales_with_trials(self):
         # Quadrupling the trial count roughly halves the standard error.
@@ -154,7 +152,7 @@ class TestRunPoint:
         cfg = ENGINE_CASES.get(name) or NetworkConfig(
             n_relays=6, conferencing=Neighbors(2), h_dist=PointMass(0.8 + 0.3j),
             g_dist=Cscg(1.1))
-        rows = trial_rates(cfg, moments(cfg), trials, 5, SCHEMES)
+        rows = trial_rates(cfg, trials, 5, SCHEMES)
         table = rows["af"].base
         assert table.shape == (len(SCHEMES), trials)
         assert all(row.base is table for row in rows.values())
@@ -192,36 +190,38 @@ class TestReduceRows:
         assert total.tolist() == [t for t, _ in want]
         assert m2.tolist() == [m for _, m in want]
 
-    @pytest.mark.parametrize("shape", [(3, 1001), (2, 1)])
-    def test_without_spread_leaves_the_table_as_it_is(self, shape):
-        v = self._table()[:shape[0], :shape[1]].copy()
+    @pytest.mark.parametrize("rows", [slice(1, 2), slice(0, 3)], ids=["constant", "one_trial"])
+    def test_nothing_to_spread_leaves_the_table_as_it_is(self, rows):
+        # A constant row alone, or every row cut to its first trial.
+        v = self._table()[rows]
+        if rows.stop == 3:
+            v = v[:, :1]
+        v = v.copy()
         kept = v.copy()
-        total, m2, first, constant = montecarlo._reduce_rows(v, spread=False)
+        total, m2, first, constant = montecarlo._reduce_rows(v)
         assert np.array_equal(v, kept)
-        assert m2.tolist() == [0.0] * shape[0]
-        want = montecarlo._reduce_rows(kept)
-        assert (total.tolist(), first.tolist(), constant.tolist()) == (
-            want[0].tolist(), want[2].tolist(), want[3].tolist())
+        assert m2.tolist() == [0.0] * len(v)
+        assert constant.all()
+        assert total.tolist() == np.add.reduce(kept, axis=1).tolist()
+        assert first.tolist() == kept[:, 0].tolist()
 
 
 class TestTrialEngine:
     @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
     def test_matches_per_realization_functions(self, name):
         cfg = ENGINE_CASES[name]
-        mom = moments(cfg)
-        got = trial_rates(cfg, mom, 11, 77, SCHEMES)
+        got = trial_rates(cfg, 11, 77, SCHEMES)
         for t in range(11):
             real = sample_realization(cfg, derive_seed(77, t))
             want = {"upper": capacity_upper_bound(real, cfg),
-                    "df": df_rate(real, cfg, mom),
-                    "af": af_rate(real, cfg, mom)}
+                    "df": df_rate(real, cfg),
+                    "af": af_rate(real, cfg)}
             for s in SCHEMES:
                 assert math.isclose(got[s][t], want[s], rel_tol=1e-12), (s, t)
 
     @pytest.mark.parametrize("name", ["uniform", "gain_matrix", "per_index"])
     def test_block_size_does_not_change_results(self, monkeypatch, name):
         cfg = ENGINE_CASES[name]
-        mom = moments(cfg)
         default = model._BLOCK_ELEMENTS
         assert default // cfg.n_relays > 23
         outcomes = []
@@ -231,7 +231,7 @@ class TestTrialEngine:
             for block in (1, 7, None):
                 budget = default if block is None else block * cfg.n_relays
                 monkeypatch.setattr(model, "_BLOCK_ELEMENTS", budget)
-                outcomes.append((trial_rates(cfg, mom, 23, 4, SCHEMES),
+                outcomes.append((trial_rates(cfg, 23, 4, SCHEMES),
                                  run_point(cfg, 23, 4, SCHEMES)))
         (want, point), rest = outcomes[0], outcomes[1:]
         for got, other in rest:
@@ -245,19 +245,11 @@ class TestTrialEngine:
     def test_upper_alone_equals_all_schemes_column(self, monkeypatch, name, block):
         # Alone, the cut-set bound draws only each trial's first-hop normals.
         cfg = ENGINE_CASES[name]
-        mom = moments(cfg)
         if block is not None:
             monkeypatch.setattr(model, "_BLOCK_ELEMENTS", block * cfg.n_relays)
-        alone = trial_rates(cfg, mom, 23, 4, ("upper",))
+        alone = trial_rates(cfg, 23, 4, ("upper",))
         assert list(alone) == ["upper"]
-        assert np.array_equal(alone["upper"], trial_rates(cfg, mom, 23, 4, SCHEMES)["upper"])
-
-    @pytest.mark.parametrize("schemes", [("upper",), SCHEMES], ids=["upper", "all"])
-    def test_moment_set_of_other_size_is_configuration_error(self, schemes):
-        cfg = NetworkConfig(n_relays=12, conferencing=Neighbors(2))
-        mom = moments(replace(cfg, n_relays=10))
-        with pytest.raises(ConfigurationError, match="moment set has 10 relays"):
-            trial_rates(cfg, mom, 3, 0, schemes)
+        assert np.array_equal(alone["upper"], trial_rates(cfg, 23, 4, SCHEMES)["upper"])
 
 
 class TestSweep:
@@ -331,65 +323,61 @@ class TestSweep:
 
 class TestSignalOracles:
     def test_af_fixture_sinr(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        res = signal_oracle_af(real, cfg, mom, 100_000, 7)
+        cfg, real = two_relay_point_mass
+        res = signal_oracle_af(real, cfg, 100_000, 7)
         assert math.isclose(res.sinr, 0.8, rel_tol=0.02)
         assert res.draws == 100_000
 
     def test_af_random_realization_within_tolerance(self):
         cfg = NetworkConfig(n_relays=5, conferencing=Portion(1.0))
-        mom = moments(cfg)
         real = sample_realization(cfg, 42)
-        ana = af_sinr(real, cfg, mom)
-        res = signal_oracle_af(real, cfg, mom, 100_000, 9)
+        ana = af_sinr(real, cfg)
+        res = signal_oracle_af(real, cfg, 100_000, 9)
         assert abs(res.sinr - ana) <= max(0.02 * ana, 3 * res.std_error)
 
     def test_df_mac_fixture_snr(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        res = signal_oracle_df_mac(real, cfg, mom, 100_000, 7)
+        cfg, real = two_relay_point_mass
+        res = signal_oracle_df_mac(real, cfg, 100_000, 7)
         assert math.isclose(res.sinr, 4.0, rel_tol=0.02)
-        assert analytic_df_mac_snr(real, cfg, mom) == 4.0
+        assert analytic_df_mac_snr(real, cfg) == 4.0
 
     def test_df_mac_single_relay(self):
         cfg = NetworkConfig(n_relays=1, conferencing=Neighbors(0),
                             h_dist=PointMass(1), g_dist=PointMass(1))
-        mom = moments(cfg)
         real = sample_realization(cfg, 0)
-        res = signal_oracle_df_mac(real, cfg, mom, 50_000, 3)
+        res = signal_oracle_df_mac(real, cfg, 50_000, 3)
         assert math.isclose(res.sinr, 1.0, rel_tol=0.02)
 
     def test_df_mac_zero_relay_power(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        res = signal_oracle_df_mac(real, replace(cfg, p_r=0.0), mom, 1000, 3)
+        cfg, real = two_relay_point_mass
+        res = signal_oracle_df_mac(real, replace(cfg, p_r=0.0), 1000, 3)
         assert res.sinr == 0.0
 
     def test_zero_noise_guard(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
+        cfg, real = two_relay_point_mass
         # Noise 1e-30 below a unit signal is under the chain's round-off.
-        res = signal_oracle_af(real, replace(cfg, n_0=1e-30), mom, 1000, 3)
+        res = signal_oracle_af(real, replace(cfg, n_0=1e-30), 1000, 3)
         assert res.sinr == math.inf and res.std_error == 0.0
 
     def test_deterministic_given_seed(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        a = signal_oracle_af(real, cfg, mom, 20_000, 5)
-        b = signal_oracle_af(real, cfg, mom, 20_000, 5)
+        cfg, real = two_relay_point_mass
+        a = signal_oracle_af(real, cfg, 20_000, 5)
+        b = signal_oracle_af(real, cfg, 20_000, 5)
         assert a == b
 
     def test_af_oracle_needs_conferencing_power(self):
         cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(2), p_c=0.0)
         mom_cfg = replace(cfg, p_c=1.0)
-        mom = moments(mom_cfg)
         real = sample_realization(cfg, 0)
         with pytest.raises(PreconditionError):
-            signal_oracle_af(real, cfg, mom, 100, 0)
+            signal_oracle_af(real, cfg, 100, 0)
 
     def test_af_oracle_with_pair_gain_matrix(self):
         rng = np.random.default_rng(31)
         cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(2),
                             conf_gain=rng.uniform(0.5, 1.5, (4, 2)),
                             h_dist=Cscg(1.0), g_dist=Cscg(1.0))
-        mom = moments(cfg)
         real = sample_realization(cfg, 13)
-        ana = af_sinr(real, cfg, mom)
-        res = signal_oracle_af(real, cfg, mom, 100_000, 2)
+        ana = af_sinr(real, cfg)
+        res = signal_oracle_af(real, cfg, 100_000, 2)
         assert abs(res.sinr - ana) <= max(0.02 * ana, 3 * res.std_error)

@@ -42,6 +42,7 @@ from confrelay import montecarlo, rates
 from confrelay.asymptotics import conferencing_noise_ratio
 from confrelay.montecarlo import (
     SCHEMES,
+    analytic_df_mac_snr,
     signal_oracle_af,
     signal_oracle_df_mac,
     trial_rates,
@@ -111,94 +112,88 @@ class TestCapacityUpperBound:
         assert relclose(capacity_upper_bound(real, cfg), 0.5)
 
     def test_two_unit_relays(self, two_relay_point_mass):
-        cfg, _, real = two_relay_point_mass
+        cfg, real = two_relay_point_mass
         assert relclose(capacity_upper_bound(real, cfg), 0.5 * math.log2(3))
 
     def test_zero_source_power(self, two_relay_point_mass):
-        cfg, _, real = two_relay_point_mass
+        cfg, real = two_relay_point_mass
         assert capacity_upper_bound(real, replace(cfg, p_s=0.0)) == 0.0
 
     def test_asymptotic_hundred_relays(self):
         cfg = NetworkConfig(n_relays=100, conferencing=Portion(0.1))
-        assert relclose(capacity_upper_asymptotic(cfg, moments(cfg)),
+        assert relclose(capacity_upper_asymptotic(cfg),
                         0.5 * math.log2(101))
 
     def test_asymptotic_matches_exact_for_point_mass(self):
         cfg = NetworkConfig(n_relays=1, conferencing=Neighbors(0),
                             h_dist=PointMass(1), g_dist=PointMass(1))
-        mom = moments(cfg)
         real = sample_realization(cfg, 0)
-        assert relclose(capacity_upper_asymptotic(cfg, mom), 0.5)
-        assert relclose(capacity_upper_asymptotic(cfg, mom),
+        assert relclose(capacity_upper_asymptotic(cfg), 0.5)
+        assert relclose(capacity_upper_asymptotic(cfg),
                         capacity_upper_bound(real, cfg))
 
     def test_asymptotic_zero_source_power(self):
         cfg = NetworkConfig(n_relays=10, conferencing=Portion(0.5), p_s=0.0)
-        assert capacity_upper_asymptotic(cfg, moments(cfg)) == 0.0
+        assert capacity_upper_asymptotic(cfg) == 0.0
 
 
 class TestDecodeForward:
     def test_fixture_relay_rate(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        assert relclose(df_relay_rates(real, cfg, mom)[0], 0.5 * math.log2(7 / 3))
-        assert relclose(df_relay_rates(real, cfg, mom)[1], 0.5 * math.log2(7 / 3))
+        cfg, real = two_relay_point_mass
+        assert relclose(df_relay_rates(real, cfg)[0], 0.5 * math.log2(7 / 3))
+        assert relclose(df_relay_rates(real, cfg)[1], 0.5 * math.log2(7 / 3))
 
     def test_no_conferencing_reduces_to_direct_link(self):
         cfg = NetworkConfig(n_relays=1, conferencing=Neighbors(0),
                             h_dist=PointMass(1), g_dist=PointMass(1))
-        mom = moments(cfg)
         real = sample_realization(cfg, 0)
-        assert relclose(df_relay_rates(real, cfg, mom)[0], 0.5)
+        assert relclose(df_relay_rates(real, cfg)[0], 0.5)
 
     def test_infinite_conferencing_power_limit(self):
         cfg = NetworkConfig(n_relays=6, conferencing=Neighbors(3), p_c=1e9)
-        mom = moments(cfg)
         real = sample_realization(cfg, 21)
         h2 = np.abs(real.h) ** 2
         for i in range(6):
             window = sum(h2[(i - k) % 6] for k in range(4))
             limit = 0.5 * math.log2(1 + window * cfg.p_s / cfg.n_0)
-            assert relclose(df_relay_rates(real, cfg, mom)[i], limit, tol=1e-6)
+            assert relclose(df_relay_rates(real, cfg)[i], limit, tol=1e-6)
 
     def test_degenerate_conferencing_rejected(self):
         cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(2), p_c=0.0)
-        mom = moments(cfg)
         real = sample_realization(cfg, 1)
         with pytest.raises(PreconditionError):
-            df_relay_rates(real, cfg, mom)
+            df_relay_rates(real, cfg)
 
     def test_mac_single_relay(self):
         cfg = NetworkConfig(n_relays=1, conferencing=Neighbors(0),
                             h_dist=PointMass(1), g_dist=PointMass(1))
-        mom = moments(cfg)
         real = sample_realization(cfg, 0)
-        assert relclose(df_mac_gain(real, cfg, mom), 1.0)
-        assert relclose(df_mac_rate(real, cfg, mom), 0.5)
+        assert relclose(df_mac_gain(real, cfg), 1.0)
+        assert relclose(df_mac_rate(real, cfg), 0.5)
 
     def test_mac_two_relays(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        assert relclose(df_mac_gain(real, cfg, mom), 2.0)
-        assert relclose(df_mac_rate(real, cfg, mom), 0.5 * math.log2(5))
+        cfg, real = two_relay_point_mass
+        assert relclose(df_mac_gain(real, cfg), 2.0)
+        assert relclose(df_mac_rate(real, cfg), 0.5 * math.log2(5))
 
     def test_mac_zero_relay_power(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        assert df_mac_rate(real, replace(cfg, p_r=0.0), mom) == 0.0
+        cfg, real = two_relay_point_mass
+        assert df_mac_rate(real, replace(cfg, p_r=0.0)) == 0.0
 
     def test_rate_is_min_of_hops(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        assert relclose(df_rate(real, cfg, mom),
+        cfg, real = two_relay_point_mass
+        assert relclose(df_rate(real, cfg),
                         min(0.5 * math.log2(7 / 3), 0.5 * math.log2(5)))
 
     def test_silent_relay_bottlenecks(self):
         cfg = NetworkConfig(n_relays=2, conferencing=Neighbors(0),
                             h_dist=PointMass(1), g_dist=PointMass(1))
-        mom = moments(cfg)
         real = ChannelRealization(h=np.array([0j, 1 + 0j]), g=np.ones(2))
-        assert df_rate(real, cfg, mom) == 0.0
+        assert df_rate(real, cfg) == 0.0
 
     def test_zero_source_power(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        assert df_rate(real, replace(cfg, p_s=0.0), mom) == 0.0
+        cfg, real = two_relay_point_mass
+        assert df_rate(real, replace(cfg, p_s=0.0)) == 0.0
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(5)
@@ -209,7 +204,7 @@ class TestDecodeForward:
                                 h_dist=Cscg(1.4), g_dist=Cscg(0.8))
             mom = moments(cfg)
             real = sample_realization(cfg, 50 + n)
-            fast = df_relay_rates(real, cfg, mom)
+            fast = df_relay_rates(real, cfg)
             for i in range(n):
                 assert relclose(fast[i], reference.df_relay_rate(i, real, cfg, mom),
                                 tol=1e-12)
@@ -217,14 +212,13 @@ class TestDecodeForward:
 
 class TestDecodeForwardAsymptotic:
     def test_fixture_equals_exact_for_deterministic_channels(self, two_relay_point_mass):
-        cfg, mom, _ = two_relay_point_mass
-        assert relclose(df_rates_asymptotic(cfg, mom)[0], 0.5 * math.log2(7 / 3))
-        assert relclose(df_rates_asymptotic(cfg, mom)[1], 0.5 * math.log2(7 / 3))
+        cfg, _ = two_relay_point_mass
+        assert relclose(df_rates_asymptotic(cfg)[0], 0.5 * math.log2(7 / 3))
+        assert relclose(df_rates_asymptotic(cfg)[1], 0.5 * math.log2(7 / 3))
 
     def test_symmetric_across_relays_for_iid(self):
         cfg = NetworkConfig(n_relays=8, conferencing=Portion(0.5))
-        mom = moments(cfg)
-        vals = [df_rates_asymptotic(cfg, mom)[i] for i in range(8)]
+        vals = [df_rates_asymptotic(cfg)[i] for i in range(8)]
         assert max(vals) - min(vals) < 1e-12
 
     def test_infinite_conferencing_power_limit(self):
@@ -234,30 +228,30 @@ class TestDecodeForwardAsymptotic:
         for i in range(5):
             window = sum(mom.m2_h[(i - k) % 5] for k in range(3))
             limit = 0.5 * math.log2(1 + window * cfg.p_s / cfg.n_0)
-            assert relclose(df_rates_asymptotic(cfg, mom)[i], limit, tol=1e-6)
+            assert relclose(df_rates_asymptotic(cfg)[i], limit, tol=1e-6)
 
 
 class TestAmplifyForwardPowerFactor:
     def test_no_conferencing_unit_channels(self):
         cfg = NetworkConfig(n_relays=1, conferencing=Neighbors(0),
                             h_dist=PointMass(1), g_dist=PointMass(1))
-        assert relclose(af_power_factors(cfg, moments(cfg))[0], 1 / math.sqrt(2))
+        assert relclose(af_power_factors(cfg)[0], 1 / math.sqrt(2))
 
     def test_fixture_value(self, two_relay_point_mass):
-        cfg, mom, _ = two_relay_point_mass
-        assert relclose(af_power_factors(cfg, mom)[0] ** 2, 1 / 8)
+        cfg, _ = two_relay_point_mass
+        assert relclose(af_power_factors(cfg)[0] ** 2, 1 / 8)
 
     def test_scales_inversely_with_second_hop_strength(self):
         base = NetworkConfig(n_relays=4, conferencing=Neighbors(1), g_dist=Cscg(1.0))
         quad = replace(base, g_dist=Cscg(4.0))
-        a1 = af_power_factors(base, moments(base))
-        a2 = af_power_factors(quad, moments(quad))
+        a1 = af_power_factors(base)
+        a2 = af_power_factors(quad)
         assert np.allclose(a2, a1 / 2.0, rtol=1e-12)
 
     def test_degenerate_conferencing_rejected(self):
         cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(1), p_c=0.0)
         with pytest.raises(PreconditionError):
-            af_power_factors(cfg, moments(cfg))
+            af_power_factors(cfg)
 
     def test_matches_loop_reference(self):
         cfg = NetworkConfig(n_relays=7, conferencing=Neighbors(4), p_s=2.2,
@@ -265,15 +259,15 @@ class TestAmplifyForwardPowerFactor:
                             h_dist=PerIndex(tuple(Cscg(0.4 + 0.2 * i) for i in range(7))),
                             g_dist=Cscg(1.1))
         mom = moments(cfg)
-        fast = af_power_factors(cfg, mom)
+        fast = af_power_factors(cfg)
         for i in range(7):
             assert relclose(fast[i], reference.af_power_factor(i, cfg, mom), tol=1e-12)
 
 
 class TestAmplifyForwardQTerms:
     def test_fixture_values(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        q1, q2, q3 = af_q_terms(real, cfg, mom)
+        cfg, real = two_relay_point_mass
+        q1, q2, q3 = af_q_terms(real, cfg)
         assert relclose(q1, math.sqrt(2))
         assert relclose(q2, 1.0)
         assert relclose(q3, 0.5)
@@ -281,19 +275,17 @@ class TestAmplifyForwardQTerms:
     def test_single_relay_no_conferencing(self):
         cfg = NetworkConfig(n_relays=1, conferencing=Neighbors(0),
                             h_dist=PointMass(1), g_dist=PointMass(1))
-        mom = moments(cfg)
         real = sample_realization(cfg, 0)
-        q1, q2, q3 = af_q_terms(real, cfg, mom)
+        q1, q2, q3 = af_q_terms(real, cfg)
         assert relclose(q1, 1 / math.sqrt(2))
         assert relclose(q2, 0.5)
         assert q3 == 0.0
 
     def test_all_silent_first_hop(self):
         cfg = NetworkConfig(n_relays=3, conferencing=Neighbors(1))
-        mom = moments(cfg)
         real = ChannelRealization(h=np.zeros(3, dtype=complex),
                                   g=np.ones(3, dtype=complex))
-        assert af_q_terms(real, cfg, mom) == (0.0, 0.0, 0.0)
+        assert af_q_terms(real, cfg) == (0.0, 0.0, 0.0)
 
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(8)
@@ -304,7 +296,7 @@ class TestAmplifyForwardQTerms:
                                 h_dist=Cscg(0.7), g_dist=Cscg(1.9))
             mom = moments(cfg)
             real = sample_realization(cfg, 200 + n)
-            for fast, slow in zip(af_q_terms(real, cfg, mom),
+            for fast, slow in zip(af_q_terms(real, cfg),
                                   reference.af_q_terms(real, cfg, mom)):
                 assert relclose(fast, slow, tol=1e-12)
 
@@ -314,39 +306,38 @@ class TestAmplifyForwardQTerms:
         cfg, seed = case
         mom = moments(cfg)
         real = sample_realization(cfg, seed)
-        q1, _, _ = af_q_terms(real, cfg, mom)
+        q1, _, _ = af_q_terms(real, cfg)
         assert relclose(q1, reference.af_q1_reindexed(real, cfg, mom), tol=1e-12)
 
 
 class TestAmplifyForwardRate:
     def test_fixture_value(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        assert relclose(af_sinr(real, cfg, mom), 0.8)
-        assert relclose(af_rate(real, cfg, mom), 0.5 * math.log2(1.8))
+        cfg, real = two_relay_point_mass
+        assert relclose(af_sinr(real, cfg), 0.8)
+        assert relclose(af_rate(real, cfg), 0.5 * math.log2(1.8))
 
     def test_single_relay(self):
         cfg = NetworkConfig(n_relays=1, conferencing=Neighbors(0),
                             h_dist=PointMass(1), g_dist=PointMass(1))
-        mom = moments(cfg)
         real = sample_realization(cfg, 0)
-        assert relclose(af_rate(real, cfg, mom), 0.5 * math.log2(4 / 3))
+        assert relclose(af_rate(real, cfg), 0.5 * math.log2(4 / 3))
 
     def test_zero_source_power(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        assert af_rate(real, replace(cfg, p_s=0.0), mom) == 0.0
+        cfg, real = two_relay_point_mass
+        assert af_rate(real, replace(cfg, p_s=0.0)) == 0.0
 
     def test_zero_relay_power(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        assert af_rate(real, replace(cfg, p_r=0.0), mom) == 0.0
+        cfg, real = two_relay_point_mass
+        assert af_rate(real, replace(cfg, p_r=0.0)) == 0.0
 
     def test_expected_q_form_matches_exact_for_point_mass(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        assert relclose(af_rate_expected_q(cfg, mom), af_rate(real, cfg, mom))
-        assert relclose(af_rate_expected_q(cfg, mom), 0.5 * math.log2(1.8))
+        cfg, real = two_relay_point_mass
+        assert relclose(af_rate_expected_q(cfg), af_rate(real, cfg))
+        assert relclose(af_rate_expected_q(cfg), 0.5 * math.log2(1.8))
 
     def test_mu_terms_positive(self):
         cfg = NetworkConfig(n_relays=10, conferencing=Portion(0.4), p_c=0.3)
-        mu1, mu2, mu3 = af_mu_terms(cfg, moments(cfg))
+        mu1, mu2, mu3 = af_mu_terms(cfg)
         assert mu1 > 0 and mu2 > 0 and mu3 > 0
 
     def test_asymptotic_approaches_upper_bound_for_iid(self):
@@ -355,9 +346,8 @@ class TestAmplifyForwardRate:
         gaps = []
         for n in (50, 200, 800):
             cfg = NetworkConfig(n_relays=n, conferencing=Portion(0.2))
-            mom = moments(cfg)
-            gaps.append(capacity_upper_asymptotic(cfg, mom)
-                        - af_rate_asymptotic(cfg, mom))
+            gaps.append(capacity_upper_asymptotic(cfg)
+                        - af_rate_asymptotic(cfg))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 0.02
 
@@ -382,7 +372,7 @@ class TestAmplifyForwardExpectedQTerms:
     @staticmethod
     def check(cfg):
         mom = moments(cfg)
-        for fast, slow in zip(af_expected_q_terms(cfg, mom),
+        for fast, slow in zip(af_expected_q_terms(cfg),
                               reference.af_expected_q_terms(cfg, mom)):
             assert relclose(fast, slow, tol=1e-12)
 
@@ -397,15 +387,14 @@ class TestAmplifyForwardChain:
         # that source's coefficient at the destination, row 0 the symbol's,
         # and the SINR follows exactly, without drawing anything.
         cfg, seed = case
-        mom = moments(cfg)
         real = sample_realization(cfg, seed)
         n, m = cfg.n_relays, cfg.m_conf
         unit = np.eye(2 + n + n * m, dtype=complex)
         c = montecarlo._af_destination(
-            real, cfg, mom, af_power_factors(cfg, mom), unit[:, 0], unit[:, 1:1 + n],
+            real, cfg, af_power_factors(cfg), unit[:, 0], unit[:, 1:1 + n],
             unit[:, 1 + n:1 + n + n * m].reshape(len(unit), n, m), unit[:, -1])
         sinr = abs(c[0]) ** 2 / (cfg.n_0 * float(np.sum(np.abs(c[1:]) ** 2)))
-        assert relclose(sinr, af_sinr(real, cfg, mom), tol=1e-12)
+        assert relclose(sinr, af_sinr(real, cfg), tol=1e-12)
 
 
 class TestRealizationLength:
@@ -413,7 +402,7 @@ class TestRealizationLength:
     is rejected, not evaluated as a 10-relay network."""
 
     EVALUATE = {
-        "capacity_upper_bound": lambda real, cfg, mom: capacity_upper_bound(real, cfg),
+        "capacity_upper_bound": capacity_upper_bound,
         "df_rate": df_rate,
         "df_relay_rates": df_relay_rates,
         "df_mac_gain": df_mac_gain,
@@ -422,10 +411,8 @@ class TestRealizationLength:
         "af_sinr": af_sinr,
         "af_rate": af_rate,
         "rate_report": rate_report,
-        "signal_oracle_af":
-            lambda real, cfg, mom: signal_oracle_af(real, cfg, mom, 10, 0),
-        "signal_oracle_df_mac":
-            lambda real, cfg, mom: signal_oracle_df_mac(real, cfg, mom, 10, 0),
+        "signal_oracle_af": lambda real, cfg: signal_oracle_af(real, cfg, 10, 0),
+        "signal_oracle_df_mac": lambda real, cfg: signal_oracle_df_mac(real, cfg, 10, 0),
     }
 
     @pytest.mark.parametrize("name", sorted(EVALUATE))
@@ -434,14 +421,15 @@ class TestRealizationLength:
         cfg = replace(drawn, n_relays=12)
         real = sample_realization(drawn, 1)
         with pytest.raises(ConfigurationError, match="10 relays"):
-            self.EVALUATE[name](real, cfg, moments(cfg))
+            self.EVALUATE[name](real, cfg)
 
 
-class TestMomentSetLength:
-    """A moment set computed for N=10 and used under an N=12 configuration is
-    rejected, not read as the moments of a 10-relay network."""
+class TestNoMomentArgument:
+    """Every function reads the moments its configuration built: a moment set
+    passed where one used to be taken is a TypeError, not a second source of
+    moments that could describe another network."""
 
-    EVALUATE = {
+    CALLS = {
         "capacity_upper_asymptotic":
             lambda real, cfg, mom: capacity_upper_asymptotic(cfg, mom),
         "df_rates_asymptotic": lambda real, cfg, mom: df_rates_asymptotic(cfg, mom),
@@ -450,31 +438,30 @@ class TestMomentSetLength:
         "af_mu_terms": lambda real, cfg, mom: af_mu_terms(cfg, mom),
         "af_rate_expected_q": lambda real, cfg, mom: af_rate_expected_q(cfg, mom),
         "af_rate_asymptotic": lambda real, cfg, mom: af_rate_asymptotic(cfg, mom),
-        "scheme_kernels_upper":
-            lambda real, cfg, mom: rates.scheme_kernels(cfg, mom, ("upper",)),
-        "scheme_kernels_all":
-            lambda real, cfg, mom: rates.scheme_kernels(cfg, mom, SCHEMES),
+        "scheme_kernels": lambda real, cfg, mom: rates.scheme_kernels(cfg, mom, SCHEMES),
         "df_relay_rates": df_relay_rates,
         "df_mac_gain": df_mac_gain,
         "df_mac_rate": df_mac_rate,
         "df_rate": df_rate,
         "af_q_terms": af_q_terms,
+        "af_sinr": af_sinr,
         "af_rate": af_rate,
         "rate_report": rate_report,
         "conferencing_noise_ratio": conferencing_noise_ratio,
+        "analytic_df_mac_snr": analytic_df_mac_snr,
+        "trial_rates": lambda real, cfg, mom: trial_rates(cfg, mom, 3, 0, SCHEMES),
         "signal_oracle_af":
             lambda real, cfg, mom: signal_oracle_af(real, cfg, mom, 10, 0),
         "signal_oracle_df_mac":
             lambda real, cfg, mom: signal_oracle_df_mac(real, cfg, mom, 10, 0),
     }
 
-    @pytest.mark.parametrize("name", sorted(EVALUATE))
-    def test_wrong_length_is_configuration_error(self, name):
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_moment_set_argument_is_type_error(self, name):
         cfg = NetworkConfig(n_relays=12, conferencing=Neighbors(2))
-        mom = moments(replace(cfg, n_relays=10))
         real = sample_realization(cfg, 1)
-        with pytest.raises(ConfigurationError, match="moment set has 10 relays"):
-            self.EVALUATE[name](real, cfg, mom)
+        with pytest.raises(TypeError, match="positional argument"):
+            self.CALLS[name](real, cfg, moments(cfg))
 
 
 class TestCyclicWindows:
@@ -497,9 +484,10 @@ class TestCyclicWindows:
         for lo in range(n + 1):
             for hi in range(lo, n + 1):
                 back = cs[..., n - lo + 1:2 * n - lo + 1] - cs[..., n - hi:2 * n - hi]
-                fwd = cs[..., hi + 1:n + hi + 1] - cs[..., lo:n + lo]
                 assert np.array_equal(rates._win_back(v, lo, hi), back), (lo, hi)
-                assert np.array_equal(rates._win_fwd(v, lo, hi), fwd), (lo, hi)
+        for hi in range(n + 1):
+            fwd = cs[..., hi + 1:n + hi + 1] - cs[..., :n]
+            assert np.array_equal(rates._win_fwd(v, hi), fwd), hi
 
 
 class TestLaggedSums:
@@ -541,13 +529,12 @@ class TestGainsFromConfiguration:
         cfg = NetworkConfig(n_relays=n, conferencing=Neighbors(m),
                             conf_gain=rng.uniform(0.5, 1.5, (n, m)) if matrix else 1.0)
         lowered = replace(cfg, conf_gain=rng.uniform(0.05, 0.2, (n, m)) if matrix else 0.1)
-        mom = moments(cfg)
-        want = trial_rates(lowered, mom, 4, 19, SCHEMES)
+        want = trial_rates(lowered, 4, 19, SCHEMES)
         for t in range(4):
             real = sample_realization(cfg, derive_seed(19, t))
-            rep = rate_report(real, lowered, mom)
-            for got, scheme in ((af_rate(real, lowered, mom), "af"),
-                                (df_rate(real, lowered, mom), "df"),
+            rep = rate_report(real, lowered)
+            for got, scheme in ((af_rate(real, lowered), "af"),
+                                (df_rate(real, lowered), "df"),
                                 (rep.af_rate, "af"), (rep.df_rate, "df"),
                                 (rep.c_upper, "upper")):
                 assert relclose(got, want[scheme][t], tol=1e-12), (scheme, t)
@@ -558,20 +545,19 @@ class TestInvariants:
     @given(random_networks())
     def test_rates_never_exceed_cut_set_bound(self, case):
         cfg, seed = case
-        mom = moments(cfg)
         real = sample_realization(cfg, seed)
         upper = capacity_upper_bound(real, cfg)
         slack = upper * (1 + 1e-9) + 1e-12
-        assert af_rate(real, cfg, mom) <= slack
-        assert float(np.min(df_relay_rates(real, cfg, mom))) <= slack
-        assert df_rate(real, cfg, mom) <= slack
+        assert af_rate(real, cfg) <= slack
+        assert float(np.min(df_relay_rates(real, cfg))) <= slack
+        assert df_rate(real, cfg) <= slack
 
     @settings(derandomize=True, max_examples=40)
     @given(random_networks())
     def test_trial_engine_matches_loop_reference(self, case):
         cfg, seed = case
         mom = moments(cfg)
-        got = trial_rates(cfg, mom, 3, seed, SCHEMES)
+        got = trial_rates(cfg, 3, seed, SCHEMES)
         for t in range(3):
             real = sample_realization(cfg, derive_seed(seed, t))
             upper = reference.capacity_upper_bound(real, cfg)
@@ -592,7 +578,7 @@ class TestInvariants:
         cfg = NetworkConfig(n_relays=8, conferencing=Neighbors(0), h_dist=PerIndex(
             tuple(Cscg(1e-4 if i % 2 == 0 else 1e4) for i in range(8))))
         mom = moments(cfg)
-        got = trial_rates(cfg, mom, 20, 3, ("af", "df"))
+        got = trial_rates(cfg, 20, 3, ("af", "df"))
         for t in range(20):
             real = sample_realization(cfg, derive_seed(3, t))
             assert relclose(got["df"][t], reference.df_rate(real, cfg, mom), tol=1e-12)
@@ -602,11 +588,10 @@ class TestInvariants:
     @given(random_networks())
     def test_df_nondecreasing_in_conferencing_power(self, case):
         cfg, seed = case
-        mom = moments(cfg)
         real = sample_realization(cfg, seed)
         boosted = replace(cfg, p_c=cfg.p_c * 3.0)
-        assert (df_relay_rates(real, boosted, mom)
-                >= df_relay_rates(real, cfg, mom) - 1e-12).all()
+        assert (df_relay_rates(real, boosted)
+                >= df_relay_rates(real, cfg) - 1e-12).all()
 
     @settings(derandomize=True, max_examples=30)
     @given(random_networks())
@@ -614,21 +599,19 @@ class TestInvariants:
         cfg, seed = case
         if cfg.m_conf >= cfg.n_relays - 1:
             return
-        mom = moments(cfg)
         real = sample_realization(cfg, seed)
         wider = with_neighbors(cfg, cfg.m_conf + 1)
-        assert (df_relay_rates(real, wider, mom)
-                >= df_relay_rates(real, cfg, mom) - 1e-12).all()
+        assert (df_relay_rates(real, wider)
+                >= df_relay_rates(real, cfg) - 1e-12).all()
 
     @settings(derandomize=True, max_examples=30)
     @given(random_networks())
     def test_complete_conferencing_factorizations(self, case):
         cfg, seed = case
         cfg = with_neighbors(cfg, cfg.n_relays - 1)
-        mom = moments(cfg)
         real = sample_realization(cfg, seed)
-        q1, q2, q3 = af_q_terms(real, cfg, mom)
-        a = af_power_factors(cfg, mom)
+        q1, q2, q3 = af_q_terms(real, cfg)
+        a = af_power_factors(cfg)
         sum_ag = float(np.sum(a * np.abs(real.g) ** 2))
         sum_h = float(np.sum(np.abs(real.h) ** 2))
         assert relclose(q1, sum_ag * sum_h, tol=1e-12)
@@ -636,7 +619,7 @@ class TestInvariants:
         if q2 > 0 and cfg.p_r > 0:
             rewritten = 0.5 * math.log2(
                 1 + cfg.p_s * sum_h / ((1 + (cfg.p_r * q3 + 1) / (cfg.p_r * q2)) * cfg.n_0))
-            assert relclose(af_rate(real, cfg, mom), rewritten, tol=1e-12)
+            assert relclose(af_rate(real, cfg), rewritten, tol=1e-12)
 
     @settings(derandomize=True, max_examples=50)
     @given(random_networks())
@@ -644,20 +627,19 @@ class TestInvariants:
         # The kernel takes the least relay SNR before its one log; that must
         # equal the least per-relay rate bit for bit.
         cfg, seed = case
-        mom = moments(cfg)
-        frac, w = rates._df_fractions(cfg, mom), rates._mac_weights(cfg, mom)
+        frac, w = rates._df_fractions(cfg), rates._mac_weights(cfg)
         reals = [sample_realization(cfg, derive_seed(seed, t)) for t in range(4)]
         block = rates._df_rates(np.abs([r.h for r in reals]) ** 2,
                                 np.abs([r.g for r in reals]) ** 2, cfg, frac, w)
         for r, real in enumerate(reals):
-            want = np.minimum(np.min(df_relay_rates(real, cfg, mom)),
-                              df_mac_rate(real, cfg, mom))
+            want = np.minimum(np.min(df_relay_rates(real, cfg)),
+                              df_mac_rate(real, cfg))
             assert block[r] == want
-            assert df_rate(real, cfg, mom) == want
+            assert df_rate(real, cfg) == want
 
     def test_report_consistency(self, two_relay_point_mass):
-        cfg, mom, real = two_relay_point_mass
-        rep = rate_report(real, cfg, mom)
+        cfg, real = two_relay_point_mass
+        rep = rate_report(real, cfg)
         assert rep.df_rate == min(float(np.min(rep.df_relay_rates)), rep.df_mac_rate)
         assert rep.af_rate <= rep.c_upper
         assert rep.af_q1 >= 0 and rep.af_q2 >= 0 and rep.af_q3 >= 0

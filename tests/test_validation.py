@@ -14,7 +14,6 @@ import pytest
 from confrelay import (
     ConfigurationError,
     Cscg,
-    MomentSet,
     Neighbors,
     NetworkConfig,
     PerIndex,
@@ -23,7 +22,6 @@ from confrelay import (
     SweepSpec,
     conferencing_size,
     derive_seed,
-    moments,
     run_point,
     sample_realization,
     signal_oracle_af,
@@ -39,7 +37,7 @@ BASE = NetworkConfig(n_relays=4, conferencing=Neighbors(1))
 
 def _oracle_with_seed(oracle, seed):
     real = sample_realization(BASE, 0)
-    oracle(real, BASE, moments(BASE), 100, seed)
+    oracle(real, BASE, 100, seed)
 
 
 def _oracle_without_draws(oracle, draws=0):
@@ -47,7 +45,7 @@ def _oracle_without_draws(oracle, draws=0):
     # the draw count is still the first thing rejected.
     cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(1), p_c=0.0)
     real = sample_realization(NetworkConfig(n_relays=3, conferencing=Neighbors(0)), 0)
-    oracle(real, cfg, moments(BASE), draws, 0)
+    oracle(real, cfg, draws, 0)
 
 
 LIBRARY_CASES = {
@@ -85,15 +83,6 @@ LIBRARY_CASES = {
                                       "trials"),
     "convergence_trace_negative_trials": (
         lambda: convergence_trace("upper", BASE, (4, 8), -2, 0), "trials"),
-    "moments_unequal_lengths": (lambda: MomentSet(np.ones(2), np.ones(3) * 2,
-                                                  np.ones(2), np.ones(2) * 2),
-                                "length"),
-    "moments_not_positive": (lambda: MomentSet(np.array([1.0, 0.0]), np.full(2, 2.0),
-                                               np.ones(2), np.full(2, 2.0)),
-                             "positive"),
-    "moments_m4_below_m2_squared": (lambda: MomentSet(np.full(2, 2.0), np.full(2, 3.0),
-                                                      np.ones(2), np.full(2, 2.0)),
-                                    "fourth moments"),
     "sweep_no_values": (lambda: SweepSpec(base=BASE, axis="portion", values=(),
                                           trials=1, base_seed=0),
                         "at least one"),
@@ -108,6 +97,10 @@ LIBRARY_CASES = {
     "sweep_infinite_n_relays": (lambda: apply_axis(BASE, "n_relays", float("inf")),
                                 "n_relays"),
     "sweep_nan_n_relays": (lambda: apply_axis(BASE, "n_relays", float("nan")), "n_relays"),
+    "portion_axis_text_value": (lambda: apply_axis(BASE, "portion", "0.5"),
+                                "sweep axis value must be a real number"),
+    "snr_axis_no_value": (lambda: apply_axis(BASE, "conf_snr_db", None),
+                          "sweep axis value must be a real number"),
     "snr_axis_power_overflows": (lambda: apply_axis(BASE, "conf_snr_db", 4000.0),
                                  "axis value 4000.0 dB"),
     "snr_axis_power_underflows": (lambda: apply_axis(BASE, "conf_snr_db", -4000.0),
@@ -133,8 +126,14 @@ LIBRARY_CASES = {
                                "at least 3 points"),
     "scaling_fit_repeated_sizes": (lambda: scaling_fit([(4, 1.0), (4, 2.0), (8, 3.0)]),
                                    "distinct network sizes"),
-    "scheme_kernels_unknown_scheme": (lambda: rates.scheme_kernels(BASE, moments(BASE),
-                                                                   ("cf",)),
+    # Rates are real numbers: text, even numeric text, and None are rejected.
+    "scaling_fit_word_rate": (lambda: scaling_fit([(4, "x"), (8, 1.0), (16, 2.0)]),
+                              "rate must be a real number"),
+    "scaling_fit_text_rate": (lambda: scaling_fit([(4, "0.5"), (8, 1.0), (16, 2.0)]),
+                              "rate must be a real number"),
+    "scaling_fit_no_rate": (lambda: scaling_fit([(4, None), (8, 1.0), (16, 2.0)]),
+                            "rate must be a real number"),
+    "scheme_kernels_unknown_scheme": (lambda: rates.scheme_kernels(BASE, ("cf",)),
                                       "unknown scheme"),
     "conf_gain_square_underflows": (lambda: NetworkConfig(n_relays=4, conferencing=Neighbors(1),
                                                           conf_gain=1e-200),
@@ -258,9 +257,8 @@ def test_whole_seeds_draw_what_their_value_modulo_2_64_draws(seed, reduced):
     assert derive_seed(seed, 3.0) == derive_seed(reduced, 3)
     assert SweepSpec(base=BASE, axis="portion", values=(0.5,), trials=1,
                      base_seed=seed).base_seed == reduced
-    mom = moments(BASE)
-    assert (signal_oracle_df_mac(real, BASE, mom, 100, seed)
-            == signal_oracle_df_mac(real, BASE, mom, 100, reduced))
+    assert (signal_oracle_df_mac(real, BASE, 100, seed)
+            == signal_oracle_df_mac(real, BASE, 100, reduced))
 
 
 CONFIG = "N=4\np=0.5\ntrials=2\n"
