@@ -400,8 +400,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
         sp.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility and ignored; trials "
-                             "run in one thread")
+                        help="a positive integer, accepted for compatibility and "
+                             "ignored; trials run in one thread")
         if name in _SWEEP_AXES or name == "diagnose":
             sp.add_argument("--axis", required=True,
                             help="comma-separated axis values")
@@ -414,6 +414,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _integer(args.workers, "--workers")
         axis = None
         if getattr(args, "axis", None) is not None:
             integral = args.command in ("sweep-n", "diagnose")

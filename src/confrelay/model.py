@@ -24,8 +24,9 @@ draws, first-hop gains before second-hop gains, and :func:`sample_realization`
 draws it with that generator.  Trial ``t`` of a run seeded with ``base_seed``
 draws the realization for :func:`derive_seed` ``(base_seed, t)``, a SplitMix64
 mixer.  This module owns the one path from a run's base seed and trial count
-to its normals: :func:`_trial_normals` walks a run chunk by chunk, then block
-by block, and :func:`_trial_squares` gives the trial engine each block's
+to its normals: :func:`_trial_blocks` walks a run chunk by chunk, then block
+by block, :func:`_trial_normals` draws each block's normals, and
+:func:`_trial_squares` gives the trial engine each block's
 ``|h|^2`` and ``|g|^2`` under each of the configs that share the walk.  Those
 configs (the network sizes of a trace) draw each trial's row once, at the
 widest config's count of normals, in blocks sized by their largest N, and
@@ -37,10 +38,29 @@ from 32-bit halves and carries from bit operations).  The last chunk is cached
 (:func:`_chunk_states`, at most 512 KiB of states), so the points and
 schemes of a run of up to 2**14 trials share it whatever their block sizes.
 A chunk's blocks of ``max(1, _BLOCK_ELEMENTS // N)`` trials draw from slices
-of its states and never span two chunks.  Each thread keeps one PCG64
-generator (:func:`_thread_generator`), and before each row the row's 128-bit
-state and increment are written as four 64-bit words straight into that
-generator's state memory (:func:`_seeded_normals`).  The words' memory order
+of its states and never span two chunks.
+
+Each thread also keeps one record of squared rows (:class:`_Kept`, on
+``_THREAD`` next to its generator).  After a walk of :func:`_trial_squares`
+draws, it holds the squared normals of whole rows, at the walk's width, for
+the first ``K = min(rows, _KEPT_ELEMENTS // width)`` trials of the walk's
+last chunk of ``rows`` trials: at most ``_KEPT_ELEMENTS`` = 2**18 float64
+(2 MiB) at any trial count and any N.  It is keyed by the base seed and the
+chunk.  A later walk over the same chunk, with rows no wider than the kept
+ones, reads its prefix of each kept row, which is bit for bit its own draw,
+and draws only trials ``K`` and up; so do the schemes of a ``diagnose``
+call after the first, and the points of a ``sweep-p`` or ``sweep-snr`` run.
+Only a walk that cannot read the record replaces it (another base seed or
+chunk, or wider rows).  The new record fills the old one's memory, so a
+thread allocates its 2 MiB once; but while another walk of the thread is
+under way, and may still read the old rows, the old record is dropped and
+the new one gets memory of its own.  Another thread's walks neither read
+nor replace it.
+
+Each thread keeps one PCG64 generator (:func:`_thread_generator`), and
+before each row the row's 128-bit state and increment are written as four
+64-bit words straight into that generator's state memory
+(:func:`_seeded_normals`).  The words' memory order
 depends on how NumPy was built (a native 128-bit integer or an emulated one,
 high word first); each thread's first draw reads it back from a probe state
 set through the public ``state`` setter and raises ``RuntimeError`` if the
@@ -753,18 +773,18 @@ def _seeded_normals(states: np.ndarray, count: int) -> np.ndarray:
     return z
 
 
-def _trial_normals(base_seed: int, trials: int, n: int, count: int):
-    """Yield ``(lo, hi, z)`` over the trials of a run, with ``z`` the
-    (hi - lo, count) normals whose row ``r`` is
-    ``np.random.default_rng(derive_seed(base_seed, lo + r)).standard_normal(count)``.
+def _trial_blocks(base_seed: int, trials: int, n: int):
+    """Yield ``(chunk, lo, hi, states)`` over the blocks of a run: the
+    block's trials ``lo <= t < hi``, their PCG64 states, and ``chunk``, the
+    ``(base_seed, start, end)`` of the state chunk that holds them.
 
     The run is walked chunk by chunk, then block by block.  Chunk ``k``
     holds the trials ``k * _STATE_CHUNK`` up to the next multiple or the
     run's end, whichever comes first, and its states are looked up once in
     :func:`_chunk_states`; its blocks of ``max(1, _BLOCK_ELEMENTS // n)``
-    trials draw from slices of them, so no block spans two chunks.  The
-    chunks depend on the base seed and the trial count only.  Every point
-    of a sweep, every scheme of a ``diagnose`` call and both portions of a
+    trials take slices of them, so no block spans two chunks.  The chunks
+    depend on the base seed and the trial count only.  Every point of a
+    sweep, every scheme of a ``diagnose`` call and both portions of a
     heterogeneous point run the same trials from the same base seed, one
     walk after another, and the sizes of a ``diagnose`` trace share one walk
     (:func:`_trial_squares`), so a run of at most 2**14 trials derives its
@@ -780,13 +800,86 @@ def _trial_normals(base_seed: int, trials: int, n: int, count: int):
         states = _chunk_states(base_seed, start, end, order)
         for lo in range(start, end, block):
             hi = min(lo + block, end)
-            yield lo, hi, _seeded_normals(states[lo - start:hi - start], count)
+            yield (base_seed, start, end), lo, hi, states[lo - start:hi - start]
+
+
+def _trial_normals(base_seed: int, trials: int, n: int, count: int):
+    """Yield ``(lo, hi, z)`` over the blocks of :func:`_trial_blocks`, with
+    ``z`` the (hi - lo, count) normals whose row ``r`` is
+    ``np.random.default_rng(derive_seed(base_seed, lo + r)).standard_normal(count)``,
+    each drawn afresh: this walk neither reads nor keeps kept rows.
+    """
+    for _, lo, hi, states in _trial_blocks(base_seed, trials, n):
+        yield lo, hi, _seeded_normals(states, count)
+
+
+# Squared normals each thread keeps of the rows it drew (2 MiB of float64).
+_KEPT_ELEMENTS = 2 ** 18
+
+
+class _Kept:
+    """A thread's kept rows: in ``rows[:filled]``, the squared normals of the
+    first ``filled`` trials of the state chunk ``chunk`` (base seed, start,
+    end), each row whole at its walk's width ``rows.shape[1]``.  ``rows``
+    has room for ``min(end - start, _KEPT_ELEMENTS // width)`` trials and
+    is a view of ``memory``, ``_KEPT_ELEMENTS`` float64."""
+
+    __slots__ = ("chunk", "rows", "filled", "memory")
+
+    def __init__(self, chunk: tuple, rows: int, width: int, memory: np.ndarray):
+        self.chunk, self.filled, self.memory = chunk, 0, memory
+        self.rows = memory[:rows * width].reshape(rows, width)
+
+
+def _kept_rows(local: dict, chunk: tuple, width: int) -> _Kept:
+    """The kept rows in ``local``, a thread's namespace, if they are of
+    ``chunk`` and at least ``width`` wide; otherwise an empty record for rows
+    of ``width``, which replaces them.
+
+    The new record takes over the old one's memory when the walk asking is
+    the thread's only walk under way (``local["walks"]``); otherwise another
+    walk may still read the old rows, so the old record is dropped and the
+    new one gets memory of its own.
+    """
+    kept = local.get("kept")
+    if kept is not None and kept.chunk == chunk and kept.rows.shape[1] >= width:
+        return kept
+    memory = (kept.memory if kept is not None and local["walks"] == 1
+              else np.empty(_KEPT_ELEMENTS))
+    _, start, end = chunk
+    rows = min(end - start, _KEPT_ELEMENTS // max(width, 1))
+    local["kept"] = kept = _Kept(chunk, rows, width, memory)
+    return kept
+
+
+def _block_squares(kept: _Kept, lo: int, hi: int, states: np.ndarray,
+                   width: int) -> np.ndarray:
+    """The (hi - lo, width) squared normals of trials ``lo <= t < hi``, whose
+    PCG64 states are ``states``, in the chunk of ``kept``.
+
+    Leading rows that ``kept`` holds are read from it: a block it holds
+    whole is a read-only view of it.  The others are drawn and squared, and
+    ``kept`` takes as many of them as it has room for, when they follow its
+    last row and are as wide as its rows.
+    """
+    first = lo - kept.chunk[1]
+    have = min(max(kept.filled - first, 0), hi - lo)
+    held = kept.rows[first:first + have, :width]
+    if have == hi - lo:
+        return held
+    drawn = _seeded_normals(states[have:], width)
+    np.square(drawn, out=drawn)
+    if kept.filled == first + have and kept.rows.shape[1] == width:
+        room = kept.rows[kept.filled:hi - kept.chunk[1]]
+        room[...] = drawn[:len(room)]
+        kept.filled += len(room)
+    return np.concatenate((held, drawn)) if have else drawn
 
 
 def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int,
                    second_hop: bool = True):
     """Yield ``(i, lo, hi, h2, g2)`` over the blocks of one
-    :func:`_trial_normals` walk shared by ``configs``: |h|^2 and |g|^2 of the
+    :func:`_trial_blocks` walk shared by ``configs``: |h|^2 and |g|^2 of the
     realizations :func:`sample_realization` draws under ``configs[i]`` for
     trials ``lo <= t < hi``, as (hi - lo, N_i) arrays squared straight from
     the normals.
@@ -796,9 +889,18 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     sequence, so that prefix is what the config's own draw gives.  Blocks
     hold ``max(1, _BLOCK_ELEMENTS // N)`` trials for the largest N of
     ``configs``.  A block's normals are squared once, in place; each config's
-    squares are built from them just before they are yielded, and the
-    normals are freed before the last config's are yielded, so the caller's
-    kernels for config ``i`` run before config ``i + 1``'s squares exist.
+    squares are built from them just before they are yielded, and the walk
+    lets go of the block before the last config's are yielded, so the
+    caller's kernels for config ``i`` run before config ``i + 1``'s squares
+    exist.  The block's memory is freed then, except for the rows this
+    thread keeps.
+
+    Each chunk's squared rows come through this thread's kept rows
+    (:func:`_kept_rows`, :func:`_block_squares`): the walk reads the rows
+    kept for its chunk, when they are at least as wide as its own, and
+    draws only the trials after them; otherwise it keeps its own first
+    ``min(trials in the chunk, _KEPT_ELEMENTS // width)`` rows in their
+    place.
 
     Without ``second_hop``, g is not drawn (``g2`` is None) and each row
     draws only its first-hop normals, a prefix of the full draw.
@@ -809,16 +911,26 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     width = max(h.count + (g.count if second_hop else 0) for h, g in laws)
     largest = max(c.n_relays for c in configs)
     last = len(configs) - 1
-    for lo, hi, z in _trial_normals(base_seed, trials, largest, width):
-        np.square(z, out=z)
-        for i, (h, g) in enumerate(laws):
-            h2 = _squares_from_normals(h, z[:, :h.count])
-            g2 = (_squares_from_normals(g, z[:, h.count:h.count + g.count])
-                  if second_hop else None)
-            if i == last:
-                # Free the block's normals before the last config's kernels.
-                del z
-            yield i, lo, hi, h2, g2
+    # This thread's namespace, held for the whole walk, whichever thread
+    # resumes or closes it; it counts the thread's walks under way.
+    local = _THREAD.__dict__
+    local["walks"] = local.get("walks", 0) + 1
+    try:
+        kept = None
+        for chunk, lo, hi, states in _trial_blocks(base_seed, trials, largest):
+            if kept is None or kept.chunk != chunk:
+                kept = _kept_rows(local, chunk, width)
+            z = _block_squares(kept, lo, hi, states, width)
+            for i, (h, g) in enumerate(laws):
+                h2 = _squares_from_normals(h, z[:, :h.count])
+                g2 = (_squares_from_normals(g, z[:, h.count:h.count + g.count])
+                      if second_hop else None)
+                if i == last:
+                    # Let go of the block before the last config's kernels.
+                    del z
+                yield i, lo, hi, h2, g2
+    finally:
+        local["walks"] -= 1
 
 
 def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:

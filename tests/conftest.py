@@ -1,6 +1,13 @@
 import pytest
 
-from confrelay import Neighbors, NetworkConfig, PointMass, sample_realization
+from confrelay import Neighbors, NetworkConfig, PointMass, model, sample_realization
+
+
+@pytest.fixture(autouse=True)
+def no_kept_rows():
+    """Each test starts with no kept rows on this thread, so what it draws
+    does not depend on the walks an earlier test left behind."""
+    model._THREAD.kept = None
 
 
 @pytest.fixture

@@ -82,22 +82,28 @@ def lag_weights(term, m2_sender, f, m):
     return w
 
 
+def rate(snr):
+    """Half-duplex Gaussian rate 0.5 * log2(1 + snr), taken through log1p,
+    which keeps the digits of a small snr that 1.0 + snr would round away."""
+    return np.log1p(snr) / (2.0 * math.log(2.0))
+
+
 def capacity_upper_bound(real, cfg) -> float:
     snr = cfg.p_s / cfg.n_0 * sum(abs(x) ** 2 for x in real.h)
-    return 0.5 * np.log2(1.0 + snr)
+    return rate(snr)
 
 
 def df_rate(real, cfg, mom) -> float:
     n = cfg.n_relays
     q0 = sum(np.sqrt(cfg.p_r / mom.m2_g[i]) * abs(real.g[i]) ** 2 for i in range(n))
-    mac = 0.5 * np.log2(1.0 + q0 * q0 / cfg.n_0)
+    mac = rate(q0 * q0 / cfg.n_0)
     return min(min(df_relay_rate(i, real, cfg, mom) for i in range(n)), mac)
 
 
 def af_rate(real, cfg, mom) -> float:
     q1, q2, q3 = af_q_terms(real, cfg, mom)
     sinr = cfg.p_s * cfg.p_r * q1 * q1 / ((cfg.p_r * (q2 + q3) + 1.0) * cfg.n_0)
-    return 0.5 * np.log2(1.0 + sinr)
+    return rate(sinr)
 
 
 def df_relay_rate(i, real, cfg, mom) -> float:
@@ -109,7 +115,7 @@ def df_relay_rate(i, real, cfg, mom) -> float:
         gamma = cfg.p_c / (cfg.p_s * mom.m2_h[j] + cfg.n_0)
         gf2 = gamma * pair_gain(cfg.conf_gain, j, k) ** 2
         snr += cfg.p_s / cfg.n_0 * gf2 * h2[j] / (gf2 + 1.0)
-    return 0.5 * np.log2(1.0 + snr)
+    return rate(snr)
 
 
 def af_power_factor(i, cfg, mom) -> float:

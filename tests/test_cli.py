@@ -244,6 +244,17 @@ class TestExitCodes:
         cfg = write(tmp_path, "c.cfg", "N=4\np=0.5\nM=2\n")
         assert main(["single", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_config_error(self, tmp_path, capsys, workers):
+        cfg = write(tmp_path, "c.cfg", "N=4\np=0.5\ntrials=3\n")
+        out = tmp_path / "out.csv"
+        assert main(["single", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert f"configuration error: --workers must be a positive integer, got {workers}" \
+            in captured.err
+
     @pytest.mark.parametrize("override", ["Ps=nan", "Pc=inf", "f=inf",
                                           "h_dist=cscg:inf"])
     def test_non_finite_input_is_config_error(self, tmp_path, capsys, override):

@@ -13,8 +13,10 @@ library's only use of ``ctypes`` (its word order helper,
 test fails when ``ctypes`` appears anywhere else.
 
 Which normals trial ``t`` of a run draws, and in which blocks, is decided in
-``model`` alone: no other module may name the run walk ``_trial_normals``,
-the block sampler ``_seeded_normals``, its generator, the chunk and block
+``model`` alone: no other module may name the run walk ``_trial_blocks`` or
+``_trial_normals``, the block sampler ``_seeded_normals``, its generator, the
+per-thread record ``_THREAD``, the kept rows (``_Kept``, ``_kept_rows``,
+``_block_squares`` and their bound ``_KEPT_ELEMENTS``), the chunk and block
 constants ``_STATE_CHUNK`` and ``_BLOCK_ELEMENTS`` or the SplitMix64 seed
 mixer's constants, by name or written out as numbers.
 """
@@ -75,10 +77,13 @@ def _is_ctypes(node):
 
 
 # What only ``model`` may refer to: the run walk, the block sampler and its
-# generator, the chunk and block sizes and the seed mixer's constants, by
-# name, and the constants' values.
-TRIAL_DRAW_NAMES = {"_trial_normals", "_seeded_normals", "_thread_generator",
-                    "_STATE_CHUNK", "_BLOCK_ELEMENTS", "_GOLDEN", "_MIX1", "_MIX2"}
+# generator, each thread's record and kept rows, the chunk, block and
+# kept-row sizes and the seed mixer's constants, by name, and the constants'
+# values.
+TRIAL_DRAW_NAMES = {"_trial_blocks", "_trial_normals", "_seeded_normals",
+                    "_thread_generator", "_THREAD", "_Kept", "_kept_rows",
+                    "_block_squares", "_KEPT_ELEMENTS", "_STATE_CHUNK",
+                    "_BLOCK_ELEMENTS", "_GOLDEN", "_MIX1", "_MIX2"}
 SPLITMIX64 = {0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
 
 
@@ -149,7 +154,8 @@ def test_trial_draw_internals_stay_in_model():
 
 def test_trial_draw_check_fails_on_a_copy_that_reads_them(tmp_path):
     added = {
-        "asymptotics": "\n\ndef _block(n):\n    return max(1, model._BLOCK_ELEMENTS // n)\n",
+        "asymptotics": ("\n\ndef _block(n):\n    return max(1, model._BLOCK_ELEMENTS // n)\n"
+                        "\n\ndef _room(width):\n    return model._KEPT_ELEMENTS // width\n"),
         "montecarlo": "\n\ndef _mix(z):\n    return z * 0xBF58476D1CE4E5B9 & MASK64\n",
         "rates": "\nfrom .model import _seeded_normals as _draw\n",
         "cli": ("\nfrom .model import _STATE_CHUNK\n\n\ndef _walk(seed):\n"
@@ -160,7 +166,8 @@ def test_trial_draw_check_fails_on_a_copy_that_reads_them(tmp_path):
                                           + added.get(path.stem, ""), encoding="utf-8")
     found = library_uses(_is_trial_draw_internal, tmp_path)
     assert {(m, owner) for m, owner in found if m != "model"} == {
-        ("asymptotics", "_block"), ("montecarlo", "_mix"), ("rates", None),
+        ("asymptotics", "_block"), ("asymptotics", "_room"), ("montecarlo", "_mix"),
+        ("rates", None),
         ("cli", None), ("cli", "_walk")}
 
 

@@ -23,11 +23,12 @@ from confrelay import (
     sample_channel,
     sample_realization,
 )
-from confrelay import derive_seed, model, montecarlo, rates
+from confrelay import cli, derive_seed, model, montecarlo, rates
 from confrelay.asymptotics import conferencing_noise_ratio, trace_points
 from confrelay.model import (
     MASK64,
     _PROBE_WORDS,
+    _KEPT_ELEMENTS,
     _STATE_CHUNK,
     _chunk_states,
     _law,
@@ -591,6 +592,208 @@ class TestSquaresFromNormals:
             h2, g2 = stacked_squares(cfg, 99, 5, second_hop=False)
             assert g2 is None
             assert np.array_equal(h2, stacked_squares(cfg, 99, 5)[0])
+
+
+class TestKeptRows:
+    """Each thread keeps the squared normals of the first rows of its last
+    walk's last chunk; a later walk over that chunk with rows no wider reads
+    them instead of drawing them again."""
+
+    # N = 4 under the default laws: 8 first-hop normals, 16 in all.
+    CFG = NetworkConfig(n_relays=4, conferencing=Neighbors(1))
+
+    @staticmethod
+    def _want(base, trials, width):
+        """Squared normals per trial: one generator per trial seed."""
+        return np.array([np.random.default_rng(derive_seed(base, t)).standard_normal(width) ** 2
+                         for t in range(trials)]).reshape(trials, width)
+
+    @staticmethod
+    def _walk(monkeypatch, base, trials, second_hop=True, cfg=CFG):
+        """One ``_trial_squares`` walk: the squared rows it read, stacked, the
+        rows of each ``_seeded_normals`` call it made, and what it yielded."""
+        rows, drawn = [], []
+        block_squares, seeded_normals = model._block_squares, model._seeded_normals
+
+        def read(kept, lo, hi, states, width):
+            z = block_squares(kept, lo, hi, states, width)
+            rows.append(z.copy())
+            return z
+
+        def draw(states, count):
+            drawn.append(len(states))
+            return seeded_normals(states, count)
+
+        with monkeypatch.context() as m:
+            m.setattr(model, "_block_squares", read)
+            m.setattr(model, "_seeded_normals", draw)
+            out = [(i, lo, hi, h2.copy(), None if g2 is None else g2.copy())
+                   for i, lo, hi, h2, g2 in _trial_squares([cfg], base, trials, second_hop)]
+        return np.concatenate(rows), drawn, out
+
+    @staticmethod
+    def _same_blocks(a, b):
+        return len(a) == len(b) and all(
+            x[:3] == y[:3] and np.array_equal(x[3], y[3])
+            and (x[4] is None if y[4] is None else np.array_equal(x[4], y[4]))
+            for x, y in zip(a, b))
+
+    def test_second_walk_of_the_same_width_reads_every_row(self, monkeypatch):
+        want = self._want(5, 10, 16)
+        first, drawn, out = self._walk(monkeypatch, 5, 10)
+        assert np.array_equal(first, want) and sum(drawn) == 10
+        kept = model._THREAD.kept
+        assert kept.chunk == (5, 0, 10) and kept.filled == 10
+        assert np.array_equal(kept.rows, want)
+        again, drawn, out_again = self._walk(monkeypatch, 5, 10)
+        assert np.array_equal(again, want) and drawn == []
+        assert self._same_blocks(out_again, out)
+
+    def test_narrower_walk_reads_a_prefix_of_each_row(self, monkeypatch):
+        self._walk(monkeypatch, 6, 10)
+        kept = model._THREAD.kept
+        rows, drawn, out = self._walk(monkeypatch, 6, 10, second_hop=False)
+        assert np.array_equal(rows, self._want(6, 10, 8)) and drawn == []
+        assert model._THREAD.kept is kept and kept.rows.shape == (10, 16)
+        model._THREAD.kept = None
+        assert self._same_blocks(out, self._walk(monkeypatch, 6, 10, second_hop=False)[2])
+
+    def test_wider_walk_draws_again_and_replaces_the_rows(self, monkeypatch):
+        self._walk(monkeypatch, 7, 10, second_hop=False)
+        assert model._THREAD.kept.rows.shape == (10, 8)
+        rows, drawn, _ = self._walk(monkeypatch, 7, 10)
+        assert np.array_equal(rows, self._want(7, 10, 16)) and sum(drawn) == 10
+        kept = model._THREAD.kept
+        assert kept.rows.shape == (10, 16) and kept.filled == 10
+        assert np.array_equal(kept.rows, self._want(7, 10, 16))
+        assert self._walk(monkeypatch, 7, 10, second_hop=False)[1] == []
+
+    @pytest.mark.parametrize("second_hop", [True, False], ids=["same_width", "narrower"])
+    def test_partial_rows_with_a_block_across_the_last_kept_trial(self, monkeypatch,
+                                                                  second_hop):
+        # Blocks of 3 trials at N = 4 and room for 5 rows of 16: the block of
+        # trials 3-5 holds kept trials 3 and 4 and drawn trial 5.
+        monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 12)
+        monkeypatch.setattr(model, "_KEPT_ELEMENTS", 80)
+        want = self._want(8, 11, 16)
+        first, drawn, out = self._walk(monkeypatch, 8, 11)
+        assert np.array_equal(first, want) and drawn == [3, 3, 3, 2]
+        kept = model._THREAD.kept
+        assert kept.rows.shape == (5, 16) and kept.filled == 5
+        assert np.array_equal(kept.rows, want[:5])
+        width = 16 if second_hop else 8
+        rows, drawn, out_again = self._walk(monkeypatch, 8, 11, second_hop)
+        assert np.array_equal(rows, want[:, :width]) and drawn == [1, 3, 2]
+        assert model._THREAD.kept is kept and kept.filled == 5
+        if second_hop:
+            assert self._same_blocks(out_again, out)
+
+    def test_run_across_two_chunks(self, monkeypatch):
+        # Chunks of 5 trials in blocks of 3: each chunk replaces the last
+        # one's rows, and the record ends on the run's last chunk.
+        monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 12)
+        monkeypatch.setattr(model, "_STATE_CHUNK", 5)
+        want = self._want(9, 12, 16)
+        for _ in range(2):
+            rows, drawn, _ = self._walk(monkeypatch, 9, 12)
+            assert np.array_equal(rows, want) and sum(drawn) == 12
+            kept = model._THREAD.kept
+            assert kept.chunk == (9, 10, 12) and kept.filled == 2
+            assert np.array_equal(kept.rows, want[10:])
+
+    @pytest.mark.parametrize("n,trials,second_hop", [
+        (1, 1, True), (3, _STATE_CHUNK + 3, True), (4000, 40, True), (4000, 40, False),
+        (2 ** 15, 3, True), (2 ** 16 + 1, 2, True)])
+    def test_kept_rows_stay_within_their_bound(self, n, trials, second_hop):
+        # 2**18 float64 is 2 MiB, whatever the trial count and N.
+        assert _KEPT_ELEMENTS * 8 == 2 * 2 ** 20
+        cfg = NetworkConfig(n_relays=n, conferencing=Neighbors(0))
+        width = 4 * n if second_hop else 2 * n
+        list(_trial_squares([cfg], 3, trials, second_hop))
+        kept = model._THREAD.kept
+        rows = trials - trials // _STATE_CHUNK * _STATE_CHUNK
+        assert kept.rows.shape == (min(rows, _KEPT_ELEMENTS // width), width)
+        assert kept.rows.size <= _KEPT_ELEMENTS and kept.filled == len(kept.rows)
+        assert kept.memory.size == _KEPT_ELEMENTS
+
+    def test_point_masses_keep_empty_rows(self):
+        cfg = NetworkConfig(n_relays=3, conferencing=Neighbors(1),
+                            h_dist=PointMass(1), g_dist=PointMass(2j))
+        for _ in range(2):
+            blocks = list(_trial_squares([cfg], 4, 6))
+            assert np.array_equal(np.concatenate([b[3] for b in blocks]), np.ones((6, 3)))
+        assert model._THREAD.kept.rows.shape == (6, 0)
+
+    def test_replacing_rows_while_another_walk_reads_them(self):
+        # A walk suspended with a kept block in hand, and a walk of another
+        # run started meanwhile: the second gets memory of its own, so the
+        # first still reads its rows; once it is the only walk, a walk takes
+        # over the memory of the rows it replaces.
+        wide = NetworkConfig(n_relays=8, conferencing=Neighbors(1))
+        want = [b[3:] for b in _trial_squares([self.CFG, wide], 12, 6)]
+        kept = model._THREAD.kept
+        suspended = _trial_squares([self.CFG, wide], 12, 6)
+        first = next(suspended)
+        assert model._THREAD.walks == 1
+        list(_trial_squares([self.CFG], 13, 6))
+        other = model._THREAD.kept
+        assert other.chunk == (13, 0, 6) and other.memory is not kept.memory
+        got = [first[3:]] + [b[3:] for b in suspended]
+        assert all(np.array_equal(a, b) for x, y in zip(got, want) for a, b in zip(x, y))
+        assert model._THREAD.walks == 0
+        list(_trial_squares([self.CFG], 14, 6))
+        assert model._THREAD.kept.memory is other.memory
+        with pytest.raises(ConfigurationError):
+            list(_trial_squares([self.CFG], "14", 6))
+        assert model._THREAD.walks == 0
+
+    def test_another_threads_walk_neither_reads_nor_replaces_them(self, monkeypatch):
+        self._walk(monkeypatch, 10, 10)
+        kept = model._THREAD.kept
+        drawn, errors = {}, []
+        seeded_normals = model._seeded_normals
+
+        def draw(states, count):
+            drawn.setdefault(threading.get_ident(), []).append(len(states))
+            return seeded_normals(states, count)
+
+        def other():
+            try:
+                for base in (10, 10, 11):
+                    list(_trial_squares([self.CFG], base, 10))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        monkeypatch.setattr(model, "_seeded_normals", draw)
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and errors == []
+        # The other thread draws its first walk of the run in full, reads its
+        # own rows on the second and replaces them with another run's.
+        assert sum(drawn.pop(thread.ident)) == 20 and drawn == {}
+        assert model._THREAD.kept is kept and kept.chunk == (10, 0, 10)
+        assert np.array_equal(kept.rows, self._want(10, 10, 16))
+        list(_trial_squares([self.CFG], 10, 10))
+        assert drawn == {}
+
+    def test_diagnose_pass_draws_only_rows_past_the_kept_ones(self, monkeypatch):
+        # AF keeps 16 rows of 16000 normals at N = 4000; DF reads them at the
+        # same width and the bound a prefix of them, so each draws the last
+        # 24 of 40 trials, in blocks of 4.
+        drawn = []
+        seeded_normals = model._seeded_normals
+
+        def draw(states, count):
+            drawn.append((len(states), count))
+            return seeded_normals(states, count)
+
+        monkeypatch.setattr(model, "_seeded_normals", draw)
+        cfg = NetworkConfig(n_relays=500, conferencing=Portion(0.2))
+        cli._diagnose_tables(cfg, cli.RunParams(trials=40, seed=11),
+                             (500, 1000, 2000, 4000))
+        assert drawn == [(4, 16000)] * 10 + [(4, 16000)] * 6 + [(4, 8000)] * 6
+        assert sum(rows for rows, _ in drawn) == 40 + 24 + 24
 
 
 class TestLawResolution:
