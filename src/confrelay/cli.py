@@ -415,6 +415,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         _integer(args.workers, "--workers")
+        draws = _integer(getattr(args, "draws", ORACLE_DRAWS), "--draws")
         axis = None
         if getattr(args, "axis", None) is not None:
             integral = args.command in ("sweep-n", "diagnose")
@@ -428,7 +429,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         overrides=tuple(args.overrides),
         output_path=args.out,
         axis=axis,
-        draws=getattr(args, "draws", ORACLE_DRAWS),
+        draws=draws,
     )
     return dispatch(manifest)
 

@@ -25,8 +25,8 @@ draws it with that generator.  Trial ``t`` of a run seeded with ``base_seed``
 draws the realization for :func:`derive_seed` ``(base_seed, t)``, a SplitMix64
 mixer.  This module owns the one path from a run's base seed and trial count
 to its normals: :func:`_trial_blocks` walks a run chunk by chunk, then block
-by block, :func:`_trial_normals` draws each block's normals, and
-:func:`_trial_squares` gives the trial engine each block's
+by block, :func:`_seeded_normals` draws a block's normals from its states,
+and :func:`_trial_squares` gives the trial engine each block's
 ``|h|^2`` and ``|g|^2`` under each of the configs that share the walk.  Those
 configs (the network sizes of a trace) draw each trial's row once, at the
 widest config's count of normals, in blocks sized by their largest N, and
@@ -51,7 +51,12 @@ ones, reads its prefix of each kept row, which is bit for bit its own draw,
 and draws only trials ``K`` and up; so do the schemes of a ``diagnose``
 call after the first, and the points of a ``sweep-p`` or ``sweep-snr`` run.
 Only a walk that cannot read the record replaces it (another base seed or
-chunk, or wider rows).  The new record fills the old one's memory, so a
+chunk, or wider rows).  So that the points of a sweep over N share it too,
+a sweep draws its first K trials once, before its first point, at its
+widest point's width (:func:`_draw_ahead`): a ``sweep-n`` over N = 25, 50,
+100 at 100 trials draws 100 rows of 400 normals (40,000), where one walk
+per point drew 300 rows (70,000 normals); a sweep of more than one chunk
+draws nothing ahead.  The new record fills the old one's memory, so a
 thread allocates its 2 MiB once; but while another walk of the thread is
 under way, and may still read the old rows, the old record is dropped and
 the new one gets memory of its own.  Another thread's walks neither read
@@ -96,6 +101,7 @@ import cmath
 import math
 import numbers
 import threading
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence, Union
@@ -803,16 +809,6 @@ def _trial_blocks(base_seed: int, trials: int, n: int):
             yield (base_seed, start, end), lo, hi, states[lo - start:hi - start]
 
 
-def _trial_normals(base_seed: int, trials: int, n: int, count: int):
-    """Yield ``(lo, hi, z)`` over the blocks of :func:`_trial_blocks`, with
-    ``z`` the (hi - lo, count) normals whose row ``r`` is
-    ``np.random.default_rng(derive_seed(base_seed, lo + r)).standard_normal(count)``,
-    each drawn afresh: this walk neither reads nor keeps kept rows.
-    """
-    for _, lo, hi, states in _trial_blocks(base_seed, trials, n):
-        yield lo, hi, _seeded_normals(states, count)
-
-
 # Squared normals each thread keeps of the rows it drew (2 MiB of float64).
 _KEPT_ELEMENTS = 2 ** 18
 
@@ -876,6 +872,65 @@ def _block_squares(kept: _Kept, lo: int, hi: int, states: np.ndarray,
     return np.concatenate((held, drawn)) if have else drawn
 
 
+def _row_width(configs: Sequence[NetworkConfig], second_hop: bool) -> int:
+    """Normals per trial row of a walk shared by ``configs``: the widest
+    config's count, of the first hop only without ``second_hop``."""
+    return max(h.count + (g.count if second_hop else 0)
+               for h, g in (c._laws for c in configs))
+
+
+def _kept_blocks(configs: Sequence[NetworkConfig], base_seed: int, trials: int,
+                 width: int):
+    """Yield ``(kept, lo, hi, states)`` over the blocks of one
+    :func:`_trial_blocks` walk shared by ``configs``, in blocks sized by
+    their largest N: the block's trials and PCG64 states, and this thread's
+    kept rows for the block's chunk and rows of ``width`` (:func:`_kept_rows`),
+    looked up once per chunk.
+
+    The walk holds this thread's namespace from its start, whichever thread
+    resumes or closes it, and counts itself among the thread's walks under
+    way until it ends.
+    """
+    local = _THREAD.__dict__
+    local["walks"] = local.get("walks", 0) + 1
+    try:
+        kept = None
+        for chunk, lo, hi, states in _trial_blocks(
+                base_seed, trials, max(c.n_relays for c in configs)):
+            if kept is None or kept.chunk != chunk:
+                kept = _kept_rows(local, chunk, width)
+            yield kept, lo, hi, states
+    finally:
+        local["walks"] -= 1
+
+
+def _draw_ahead(configs: Sequence[NetworkConfig], base_seed: int, trials: int,
+                second_hop: bool = True) -> None:
+    """Fill this thread's kept rows with the first trials of a run whose
+    ``configs`` will each walk it, one after another, at the widest
+    config's width (:func:`_row_width`).
+
+    The walk is the one :func:`_trial_squares` takes over all of
+    ``configs``, with the same chunks, so each config's own walk then reads
+    its prefix of every kept row.  It stops at the first block the record
+    has no room for and draws only the rows that fit: the first
+    ``min(trials in the chunk, _KEPT_ELEMENTS // width)`` of the first chunk,
+    or none when the record already holds the chunk's rows at this width or
+    wider.  A run of more than one chunk draws nothing ahead: each config's
+    walk ends on a later chunk, whose rows replace the record, so only the
+    first config would read it.
+    """
+    if trials > _STATE_CHUNK:
+        return
+    width = _row_width(configs, second_hop)
+    with closing(_kept_blocks(configs, base_seed, trials, width)) as blocks:
+        for kept, lo, hi, states in blocks:
+            room = kept.chunk[1] + len(kept.rows)
+            if lo >= room:
+                break
+            _block_squares(kept, lo, min(hi, room), states[:room - lo], width)
+
+
 def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int,
                    second_hop: bool = True):
     """Yield ``(i, lo, hi, h2, g2)`` over the blocks of one
@@ -908,18 +963,10 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     if not configs:
         return
     laws = [c._laws for c in configs]
-    width = max(h.count + (g.count if second_hop else 0) for h, g in laws)
-    largest = max(c.n_relays for c in configs)
+    width = _row_width(configs, second_hop)
     last = len(configs) - 1
-    # This thread's namespace, held for the whole walk, whichever thread
-    # resumes or closes it; it counts the thread's walks under way.
-    local = _THREAD.__dict__
-    local["walks"] = local.get("walks", 0) + 1
-    try:
-        kept = None
-        for chunk, lo, hi, states in _trial_blocks(base_seed, trials, largest):
-            if kept is None or kept.chunk != chunk:
-                kept = _kept_rows(local, chunk, width)
+    with closing(_kept_blocks(configs, base_seed, trials, width)) as blocks:
+        for kept, lo, hi, states in blocks:
             z = _block_squares(kept, lo, hi, states, width)
             for i, (h, g) in enumerate(laws):
                 h2 = _squares_from_normals(h, z[:, :h.count])
@@ -929,8 +976,6 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
                     # Let go of the block before the last config's kernels.
                     del z
                 yield i, lo, hi, h2, g2
-    finally:
-        local["walks"] -= 1
 
 
 def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:

@@ -10,7 +10,13 @@ one index-addressed (scheme, trial) array, and the aggregation reduces all of
 its rows at once, each in index order, to the bits ``np.mean`` and ``np.std``
 give row by row.  Trials are drawn by ``model._trial_squares`` and evaluated
 in one thread, in blocks whose size follows from the largest network size of
-the configurations that share the walk (one, for a point).
+the configurations that share the walk (one, for a point).  Each thread keeps
+the squared rows of the first K = min(trials, 2**18 // width) trials of its
+last walk, and a later walk of the same run with rows no wider reads them
+instead of drawing them again; :func:`sweep` draws its first K trials once,
+at its widest point, before its first point, so that every point reads them
+(a ``sweep-n`` over N = 25, 50, 100 at 100 trials: 100 rows of 400 normals,
+not 300 rows and 70,000 normals).
 
 A realization carries only the fading gains ``h`` and ``g``; every rate and
 oracle reads the conferencing gains and the channel moments
@@ -40,6 +46,7 @@ from .model import (
     NetworkConfig,
     Portion,
     _abs_squared,
+    _draw_ahead,
     _integer,
     _number,
     _seed,
@@ -260,10 +267,19 @@ def sweep_point(cfg: NetworkConfig, axis_value: float, trials: int,
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
-    """Run one point per axis value; all points share the same base seed."""
-    points = tuple(sweep_point(apply_axis(spec.base, spec.axis, v), v,
-                               spec.trials, spec.base_seed, spec.schemes)
-                   for v in spec.values)
+    """Run one point per axis value; all points share the same base seed.
+
+    Every point's configuration is built before any trial is drawn.  The
+    first trials of the run are then drawn once, at the widest point's
+    count of normals (``model._draw_ahead``), and each point's walk reads
+    its prefix of those rows: a ``sweep-n`` over N = 25, 50, 100 at 100
+    trials draws 100 rows of 400 normals, not 300 rows of 100, 200 and 400.
+    """
+    configs = [apply_axis(spec.base, spec.axis, v) for v in spec.values]
+    _draw_ahead(configs, spec.base_seed, spec.trials,
+                rates.reads_second_hop(spec.schemes))
+    points = tuple(sweep_point(cfg, v, spec.trials, spec.base_seed, spec.schemes)
+                   for cfg, v in zip(configs, spec.values))
     return SweepResult(axis=spec.axis, points=points,
                        trials=spec.trials, base_seed=spec.base_seed)
 

@@ -13,9 +13,9 @@ library's only use of ``ctypes`` (its word order helper,
 test fails when ``ctypes`` appears anywhere else.
 
 Which normals trial ``t`` of a run draws, and in which blocks, is decided in
-``model`` alone: no other module may name the run walk ``_trial_blocks`` or
-``_trial_normals``, the block sampler ``_seeded_normals``, its generator, the
-per-thread record ``_THREAD``, the kept rows (``_Kept``, ``_kept_rows``,
+``model`` alone: no other module may name the run walk ``_trial_blocks``,
+the block sampler ``_seeded_normals``, its generator, the per-thread record
+``_THREAD``, the kept rows (``_Kept``, ``_kept_rows``, ``_kept_blocks``,
 ``_block_squares`` and their bound ``_KEPT_ELEMENTS``), the chunk and block
 constants ``_STATE_CHUNK`` and ``_BLOCK_ELEMENTS`` or the SplitMix64 seed
 mixer's constants, by name or written out as numbers.
@@ -80,8 +80,8 @@ def _is_ctypes(node):
 # generator, each thread's record and kept rows, the chunk, block and
 # kept-row sizes and the seed mixer's constants, by name, and the constants'
 # values.
-TRIAL_DRAW_NAMES = {"_trial_blocks", "_trial_normals", "_seeded_normals",
-                    "_thread_generator", "_THREAD", "_Kept", "_kept_rows",
+TRIAL_DRAW_NAMES = {"_trial_blocks", "_seeded_normals", "_thread_generator",
+                    "_THREAD", "_Kept", "_kept_rows", "_kept_blocks",
                     "_block_squares", "_KEPT_ELEMENTS", "_STATE_CHUNK",
                     "_BLOCK_ELEMENTS", "_GOLDEN", "_MIX1", "_MIX2"}
 SPLITMIX64 = {0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
@@ -159,7 +159,7 @@ def test_trial_draw_check_fails_on_a_copy_that_reads_them(tmp_path):
         "montecarlo": "\n\ndef _mix(z):\n    return z * 0xBF58476D1CE4E5B9 & MASK64\n",
         "rates": "\nfrom .model import _seeded_normals as _draw\n",
         "cli": ("\nfrom .model import _STATE_CHUNK\n\n\ndef _walk(seed):\n"
-                "    return list(model._trial_normals(seed, 3, 4, 8))\n"),
+                "    return list(model._trial_blocks(seed, 3, 4))\n"),
     }
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8")

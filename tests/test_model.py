@@ -33,8 +33,9 @@ from confrelay.model import (
     _chunk_states,
     _law,
     _pcg64_states,
+    _seeded_normals,
     _squares_from_normals,
-    _trial_normals,
+    _trial_blocks,
     _trial_squares,
     _word_order,
     spec_moments,
@@ -80,11 +81,19 @@ def block_ranges(trials, n):
     return ranges
 
 
+def block_normals(base, trials, n, count):
+    """``(lo, hi, z)`` per block of the ``_trial_blocks`` walk of a run, with
+    ``z`` the block's ``count`` normals per trial, drawn afresh by
+    ``_seeded_normals`` from the block's states."""
+    for _, lo, hi, states in _trial_blocks(base, trials, n):
+        yield lo, hi, _seeded_normals(states, count)
+
+
 def stacked_normals(base, trials, n, count):
-    """The blocks ``_trial_normals`` yields for a run, stacked into one
+    """The blocks :func:`block_normals` yields for a run, stacked into one
     (trials, count) array, after checking that they are the run's
     consecutive trials in the blocks of :func:`block_ranges`."""
-    blocks = list(_trial_normals(base, trials, n, count))
+    blocks = list(block_normals(base, trials, n, count))
     assert [(lo, hi) for lo, hi, _ in blocks] == block_ranges(trials, n)
     assert all(z.shape == (hi - lo, count) for lo, hi, z in blocks)
     return np.concatenate([z for _, _, z in blocks]).reshape(trials, count)
@@ -307,8 +316,9 @@ class TestSampling:
 
 
 class TestSeededNormals:
-    """The normals ``_trial_normals`` draws for a run, chunk by chunk and
-    block by block, against one generator per trial seed."""
+    """The normals ``_seeded_normals`` draws over the ``_trial_blocks`` walk
+    of a run, chunk by chunk and block by block, against one generator per
+    trial seed."""
 
     # Edge cases of the lane arithmetic: the base seeds of the runs below
     # and the seeds test_states_equal_pcg64_seeding seeds PCG64 with.
@@ -335,7 +345,7 @@ class TestSeededNormals:
         assert np.array_equal(stacked_normals(2 ** 64 - 1, 1, 3, 9),
                               self._want(2 ** 64 - 1, 0, 1, 9))
         assert stacked_normals(1, 2, 3, 0).shape == (2, 0)
-        assert list(_trial_normals(1, 0, 3, 4)) == []
+        assert list(_trial_blocks(1, 0, 3)) == []
 
     @pytest.mark.parametrize("count", [1, 100, 16000])
     @pytest.mark.parametrize("block", [1, 163, 655])
@@ -347,7 +357,7 @@ class TestSeededNormals:
         end = block + min(block, 3)
         base = int(np.random.default_rng(block * 100003 + count).integers(
             0, 2 ** 64, dtype=np.uint64))
-        blocks = _trial_normals(base, end, n, count)
+        blocks = block_normals(base, end, n, count)
         lo, hi, got = next(blocks)
         assert (lo, hi) == (0, block) and got.shape == (block, count)
         assert np.array_equal(got, self._want(base, 0, block, count))
@@ -360,7 +370,7 @@ class TestSeededNormals:
     def test_sample_realization_between_blocks_changes_no_row(self):
         # Blocks of 2 trials, with a realization drawn after each.
         rows = []
-        for _, _, z in _trial_normals(12345, 6, model._BLOCK_ELEMENTS // 2, 50):
+        for _, _, z in block_normals(12345, 6, model._BLOCK_ELEMENTS // 2, 50):
             rows.append(z)
             sample_realization(NetworkConfig(n_relays=5, conferencing=Neighbors(1)), 99)
         first = np.concatenate(rows)
@@ -776,6 +786,32 @@ class TestKeptRows:
         assert np.array_equal(kept.rows, self._want(10, 10, 16))
         list(_trial_squares([self.CFG], 10, 10))
         assert drawn == {}
+
+    def test_draw_ahead_draws_only_the_rows_the_record_takes(self, monkeypatch):
+        # Blocks of 3 trials at N = 4 and room for 5 rows of 16: the walk
+        # draws 3 rows, then the 2 of the next block that fit, and stops.
+        monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 12)
+        monkeypatch.setattr(model, "_KEPT_ELEMENTS", 80)
+        drawn = []
+        seeded_normals = model._seeded_normals
+
+        def draw(states, count):
+            drawn.append((len(states), count))
+            return seeded_normals(states, count)
+
+        monkeypatch.setattr(model, "_seeded_normals", draw)
+        model._draw_ahead([self.CFG], 8, 11)
+        assert drawn == [(3, 16), (2, 16)] and model._THREAD.walks == 0
+        kept = model._THREAD.kept
+        assert kept.chunk == (8, 0, 11) and kept.filled == 5
+        assert np.array_equal(kept.rows, self._want(8, 5, 16))
+        # The record holds them, at this width or wider: nothing more is drawn.
+        model._draw_ahead([self.CFG], 8, 11)
+        model._draw_ahead([self.CFG], 8, 11, second_hop=False)
+        assert len(drawn) == 2 and model._THREAD.kept is kept
+        # A walk of the run reads them and draws only the trials after them.
+        rows, walk_drawn, _ = self._walk(monkeypatch, 8, 11)
+        assert np.array_equal(rows, self._want(8, 11, 16)) and walk_drawn == [1, 3, 2]
 
     def test_diagnose_pass_draws_only_rows_past_the_kept_ones(self, monkeypatch):
         # AF keeps 16 rows of 16000 normals at N = 4000; DF reads them at the

@@ -27,6 +27,7 @@ from confrelay import (
     sweep,
 )
 from confrelay import model, montecarlo
+from confrelay.model import _STATE_CHUNK
 from confrelay.montecarlo import SCHEMES, sweep_point, trial_rates
 
 
@@ -319,6 +320,109 @@ class TestSweep:
         with pytest.raises(ConfigurationError):
             SweepSpec(base=base, axis="powers", values=(1, 2), trials=1,
                       base_seed=0)
+
+
+class TestSweepDrawAhead:
+    """A sweep draws its first trials once, at its widest point, before its
+    first point; every point's walk reads its prefix of those rows, and its
+    statistics are those of the point run alone."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """(rows, normals per row) of every ``_seeded_normals`` call from now on."""
+        drawn = []
+        seeded_normals = model._seeded_normals
+
+        def draw(states, count):
+            drawn.append((len(states), count))
+            return seeded_normals(states, count)
+
+        monkeypatch.setattr(model, "_seeded_normals", draw)
+        return drawn
+
+    @staticmethod
+    def _one_by_one(spec):
+        """Each point's statistics from its own ``run_point``, with no kept rows."""
+        stats = []
+        for v in spec.values:
+            model._THREAD.kept = None
+            cfg = montecarlo.apply_axis(spec.base, spec.axis, v)
+            stats.append(run_point(cfg, spec.trials, spec.base_seed, spec.schemes).stats)
+        return stats
+
+    @pytest.mark.parametrize("schemes,width", [(SCHEMES, 400), (("upper",), 200)],
+                             ids=["all_schemes", "first_hop_only"])
+    def test_sweep_n_draws_each_row_once_at_the_widest_point(self, monkeypatch,
+                                                             schemes, width):
+        # N = 100 under the default laws: 200 first-hop normals, 400 in all.
+        drawn = self._count(monkeypatch)
+        base = NetworkConfig(n_relays=25, conferencing=Portion(0.2))
+        spec = SweepSpec(base=base, axis="n_relays", values=(25, 50, 100),
+                         trials=100, base_seed=11, schemes=schemes)
+        res = sweep(spec)
+        assert drawn == [(100, width)]
+        assert [p.result.stats for p in res.points] == self._one_by_one(spec)
+
+    def test_second_sweep_of_the_same_run_draws_nothing(self, monkeypatch):
+        base = NetworkConfig(n_relays=5, conferencing=Portion(0.4))
+        spec = SweepSpec(base=base, axis="n_relays", values=(5, 10), trials=30,
+                         base_seed=3)
+        first = sweep(spec)
+        drawn = self._count(monkeypatch)
+        again = sweep(spec)
+        assert drawn == []
+        assert [p.result.stats for p in again.points] == [
+            p.result.stats for p in first.points]
+
+    @pytest.mark.parametrize("axis,n,values,trials,rows", [
+        ("portion", 100, (0.1, 0.2, 0.5, 1.0), 100, 100),
+        ("portion", 100, (0.1, 0.2, 0.5, 1.0), 1000, 655 + 4 * 345),
+        ("n_relays", 2, (2, 3, 5), _STATE_CHUNK + 50, 3 * (_STATE_CHUNK + 50)),
+    ], ids=["portion", "portion_above_kept", "n_two_chunks"])
+    def test_draws_no_more_than_its_points_walked_alone(self, monkeypatch, axis, n,
+                                                        values, trials, rows):
+        # N = 100: room for 2**18 // 400 = 655 kept rows; past them each of
+        # the 4 points draws its last 345 trials.  Over two chunks, each
+        # point's walk ends on the second chunk, and each draws every row.
+        base = NetworkConfig(n_relays=n, conferencing=Portion(0.1))
+        spec = SweepSpec(base=base, axis=axis, values=values, trials=trials,
+                         base_seed=12)
+        drawn = self._count(monkeypatch)
+        res = sweep(spec)
+        shared = (sum(r for r, _ in drawn), sum(r * c for r, c in drawn))
+        model._THREAD.kept = None
+        del drawn[:]
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_draw_ahead", lambda *args: None)
+            alone = sweep(spec)
+        assert shared == (sum(r for r, _ in drawn), sum(r * c for r, c in drawn))
+        assert shared[0] == rows
+        assert [p.result.stats for p in res.points] == [
+            p.result.stats for p in alone.points]
+
+    @pytest.mark.parametrize("axis,n,values,trials", [
+        ("n_relays", 100, (100, 200, 400), 200),
+        ("portion", 60, (0.2, 0.5), 1200),
+        ("n_relays", 2, (2, 3, 5), _STATE_CHUNK + 50),
+        ("conf_snr_db", 4, (-5.0, 0.0, 5.0), _STATE_CHUNK + 50),
+    ], ids=["n_above_kept", "portion_above_kept", "n_two_chunks", "snr_two_chunks"])
+    def test_points_equal_the_points_run_one_by_one(self, axis, n, values, trials):
+        # Past the kept rows (room for 163 rows of 1600 and 1092 of 240
+        # normals), and over two chunks of states.
+        base = NetworkConfig(n_relays=n, conferencing=Portion(0.5))
+        spec = SweepSpec(base=base, axis=axis, values=values, trials=trials,
+                         base_seed=2 ** 64 - 9)
+        res = sweep(spec)
+        assert [p.result.stats for p in res.points] == self._one_by_one(spec)
+
+    def test_bad_axis_value_raises_before_any_draw(self, monkeypatch):
+        drawn = self._count(monkeypatch)
+        base = NetworkConfig(n_relays=4, conferencing=Neighbors(1))
+        spec = SweepSpec(base=base, axis="conf_snr_db", values=(0.0, 4000.0, 5000.0),
+                         trials=5, base_seed=0)
+        with pytest.raises(ConfigurationError, match="axis value 4000.0 dB"):
+            sweep(spec)
+        assert drawn == []
 
 
 class TestSignalOracles:

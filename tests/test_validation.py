@@ -270,7 +270,10 @@ CLI_CASES = {
     "line_without_equals": ("N=4\np=0.5\nbogus\n", ["single"], "key=value"),
     "axis_not_a_number": (CONFIG, ["sweep-n", "--axis", "1,x"], "--axis"),
     "axis_empty": (CONFIG, ["sweep-n", "--axis", ","], "--axis"),
-    "oracle_no_draws": (CONFIG, ["oracle", "--draws", "0"], "symbol_trials"),
+    "oracle_no_draws": (CONFIG, ["oracle", "--draws", "0"],
+                        "--draws must be a positive integer, got 0"),
+    "oracle_negative_draws": (CONFIG, ["oracle", "--draws", "-5"],
+                              "--draws must be a positive integer, got -5"),
     "oracle_upper_only": (CONFIG, ["oracle", "--set", "schemes=upper"], "oracle"),
     "diagnose_unordered_sizes": (CONFIG, ["diagnose", "--axis", "100,50,200"],
                                  "strictly increasing"),
