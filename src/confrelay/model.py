@@ -40,27 +40,11 @@ schemes of a run of up to 2**14 trials share it whatever their block sizes.
 A chunk's blocks of ``max(1, _BLOCK_ELEMENTS // N)`` trials draw from slices
 of its states and never span two chunks.
 
-Each thread also keeps one record of squared rows (:class:`_Kept`, on
-``_THREAD`` next to its generator).  After a walk of :func:`_trial_squares`
-draws, it holds the squared normals of whole rows, at the walk's width, for
-the first ``K = min(rows, _KEPT_ELEMENTS // width)`` trials of the walk's
-last chunk of ``rows`` trials: at most ``_KEPT_ELEMENTS`` = 2**18 float64
-(2 MiB) at any trial count and any N.  It is keyed by the base seed and the
-chunk.  A later walk over the same chunk, with rows no wider than the kept
-ones, reads its prefix of each kept row, which is bit for bit its own draw,
-and draws only trials ``K`` and up; so do the schemes of a ``diagnose``
-call after the first, and the points of a ``sweep-p`` or ``sweep-snr`` run.
-Only a walk that cannot read the record replaces it (another base seed or
-chunk, or wider rows).  So that the points of a sweep over N share it too,
-a sweep draws its first K trials once, before its first point, at its
-widest point's width (:func:`_draw_ahead`): a ``sweep-n`` over N = 25, 50,
-100 at 100 trials draws 100 rows of 400 normals (40,000), where one walk
-per point drew 300 rows (70,000 normals); a sweep of more than one chunk
-draws nothing ahead.  The new record fills the old one's memory, so a
-thread allocates its 2 MiB once; but while another walk of the thread is
-under way, and may still read the old rows, the old record is dropped and
-the new one gets memory of its own.  Another thread's walks neither read
-nor replace it.
+Each thread also keeps the squared normals of a run's first rows
+(:func:`_first_rows`): those of the first ``K = min(rows, 2**18 // width)``
+trials of the run's first chunk of ``rows`` trials, at most 2 MiB.  A
+later walk of the run with rows no wider reads a prefix of each of them and
+draws only the trials after them.
 
 Each thread keeps one PCG64 generator (:func:`_thread_generator`), and
 before each row the row's 128-bit state and increment are written as four
@@ -101,7 +85,6 @@ import cmath
 import math
 import numbers
 import threading
-from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence, Union
@@ -764,12 +747,13 @@ def _thread_generator():
     return _THREAD.draw
 
 
-def _seeded_normals(states: np.ndarray, count: int) -> np.ndarray:
+def _seeded_normals(states: np.ndarray, count: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """(len(states), count) standard normals whose row ``r`` is what PCG64
     started from ``states[r]`` draws, the state's words in this thread's
-    memory order.  Before each row its words are written straight into this
-    thread's generator."""
-    z = np.empty((len(states), count))
+    memory order, written into ``out`` when it is given.  Before each row
+    its words are written straight into this thread's generator."""
+    z = np.empty((len(states), count)) if out is None else out
     if not z.size:
         return z
     gen, memory, _ = _thread_generator()
@@ -782,7 +766,7 @@ def _seeded_normals(states: np.ndarray, count: int) -> np.ndarray:
 def _trial_blocks(base_seed: int, trials: int, n: int):
     """Yield ``(chunk, lo, hi, states)`` over the blocks of a run: the
     block's trials ``lo <= t < hi``, their PCG64 states, and ``chunk``, the
-    ``(base_seed, start, end)`` of the state chunk that holds them.
+    states of the whole state chunk that holds them.
 
     The run is walked chunk by chunk, then block by block.  Chunk ``k``
     holds the trials ``k * _STATE_CHUNK`` up to the next multiple or the
@@ -803,73 +787,41 @@ def _trial_blocks(base_seed: int, trials: int, n: int):
     block = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, trials, _STATE_CHUNK):
         end = min(start + _STATE_CHUNK, trials)
-        states = _chunk_states(base_seed, start, end, order)
+        chunk = _chunk_states(base_seed, start, end, order)
         for lo in range(start, end, block):
             hi = min(lo + block, end)
-            yield (base_seed, start, end), lo, hi, states[lo - start:hi - start]
+            yield chunk, lo, hi, chunk[lo - start:hi - start]
 
 
-# Squared normals each thread keeps of the rows it drew (2 MiB of float64).
+# Squared normals each thread keeps of a run's first rows (2 MiB of float64).
 _KEPT_ELEMENTS = 2 ** 18
 
 
-class _Kept:
-    """A thread's kept rows: in ``rows[:filled]``, the squared normals of the
-    first ``filled`` trials of the state chunk ``chunk`` (base seed, start,
-    end), each row whole at its walk's width ``rows.shape[1]``.  ``rows``
-    has room for ``min(end - start, _KEPT_ELEMENTS // width)`` trials and
-    is a view of ``memory``, ``_KEPT_ELEMENTS`` float64."""
+def _first_rows(base_seed: int, states: np.ndarray, width: int) -> np.ndarray:
+    """Read-only squared normals, at least ``width`` per row, of the first
+    ``K = min(len(states), _KEPT_ELEMENTS // width)`` trials of the run
+    seeded with ``base_seed`` (a :func:`_seed` value) whose first state
+    chunk is ``states``.
 
-    __slots__ = ("chunk", "rows", "filled", "memory")
-
-    def __init__(self, chunk: tuple, rows: int, width: int, memory: np.ndarray):
-        self.chunk, self.filled, self.memory = chunk, 0, memory
-        self.rows = memory[:rows * width].reshape(rows, width)
-
-
-def _kept_rows(local: dict, chunk: tuple, width: int) -> _Kept:
-    """The kept rows in ``local``, a thread's namespace, if they are of
-    ``chunk`` and at least ``width`` wide; otherwise an empty record for rows
-    of ``width``, which replaces them.
-
-    The new record takes over the old one's memory when the walk asking is
-    the thread's only walk under way (``local["walks"]``); otherwise another
-    walk may still read the old rows, so the old record is dropped and the
-    new one gets memory of its own.
+    Each thread keeps the last rows it built, keyed by the base seed and the
+    chunk's length, and hands them back to a caller whose rows are no
+    wider; that caller reads a prefix of each row, which is bit for bit its
+    own draw.  Any other caller gets new rows, drawn in one call and squared
+    in place.  The old rows are let go first and the new ones are a view of
+    a fresh ``_KEPT_ELEMENTS`` array, so a thread that holds no other
+    reference to the old rows reuses their 2 MiB.
     """
-    kept = local.get("kept")
-    if kept is not None and kept.chunk == chunk and kept.rows.shape[1] >= width:
-        return kept
-    memory = (kept.memory if kept is not None and local["walks"] == 1
-              else np.empty(_KEPT_ELEMENTS))
-    _, start, end = chunk
-    rows = min(end - start, _KEPT_ELEMENTS // max(width, 1))
-    local["kept"] = kept = _Kept(chunk, rows, width, memory)
-    return kept
-
-
-def _block_squares(kept: _Kept, lo: int, hi: int, states: np.ndarray,
-                   width: int) -> np.ndarray:
-    """The (hi - lo, width) squared normals of trials ``lo <= t < hi``, whose
-    PCG64 states are ``states``, in the chunk of ``kept``.
-
-    Leading rows that ``kept`` holds are read from it: a block it holds
-    whole is a read-only view of it.  The others are drawn and squared, and
-    ``kept`` takes as many of them as it has room for, when they follow its
-    last row and are as wide as its rows.
-    """
-    first = lo - kept.chunk[1]
-    have = min(max(kept.filled - first, 0), hi - lo)
-    held = kept.rows[first:first + have, :width]
-    if have == hi - lo:
-        return held
-    drawn = _seeded_normals(states[have:], width)
-    np.square(drawn, out=drawn)
-    if kept.filled == first + have and kept.rows.shape[1] == width:
-        room = kept.rows[kept.filled:hi - kept.chunk[1]]
-        room[...] = drawn[:len(room)]
-        kept.filled += len(room)
-    return np.concatenate((held, drawn)) if have else drawn
+    key = (base_seed, len(states))
+    kept = getattr(_THREAD, "first_rows", None)
+    if kept is not None and kept[0] == key and kept[1].shape[1] >= width:
+        return kept[1]
+    _THREAD.first_rows = kept = None
+    rows = min(len(states), _KEPT_ELEMENTS // max(width, 1))
+    z = np.empty(_KEPT_ELEMENTS)[:rows * width].reshape(rows, width)
+    np.square(_seeded_normals(states[:rows], width, z), out=z)
+    z.flags.writeable = False
+    _THREAD.first_rows = key, z
+    return z
 
 
 def _row_width(configs: Sequence[NetworkConfig], second_hop: bool) -> int:
@@ -879,56 +831,16 @@ def _row_width(configs: Sequence[NetworkConfig], second_hop: bool) -> int:
                for h, g in (c._laws for c in configs))
 
 
-def _kept_blocks(configs: Sequence[NetworkConfig], base_seed: int, trials: int,
-                 width: int):
-    """Yield ``(kept, lo, hi, states)`` over the blocks of one
-    :func:`_trial_blocks` walk shared by ``configs``, in blocks sized by
-    their largest N: the block's trials and PCG64 states, and this thread's
-    kept rows for the block's chunk and rows of ``width`` (:func:`_kept_rows`),
-    looked up once per chunk.
-
-    The walk holds this thread's namespace from its start, whichever thread
-    resumes or closes it, and counts itself among the thread's walks under
-    way until it ends.
-    """
-    local = _THREAD.__dict__
-    local["walks"] = local.get("walks", 0) + 1
-    try:
-        kept = None
-        for chunk, lo, hi, states in _trial_blocks(
-                base_seed, trials, max(c.n_relays for c in configs)):
-            if kept is None or kept.chunk != chunk:
-                kept = _kept_rows(local, chunk, width)
-            yield kept, lo, hi, states
-    finally:
-        local["walks"] -= 1
-
-
 def _draw_ahead(configs: Sequence[NetworkConfig], base_seed: int, trials: int,
                 second_hop: bool = True) -> None:
-    """Fill this thread's kept rows with the first trials of a run whose
+    """Draw this thread's first rows (:func:`_first_rows`) of a run whose
     ``configs`` will each walk it, one after another, at the widest
-    config's width (:func:`_row_width`).
-
-    The walk is the one :func:`_trial_squares` takes over all of
-    ``configs``, with the same chunks, so each config's own walk then reads
-    its prefix of every kept row.  It stops at the first block the record
-    has no room for and draws only the rows that fit: the first
-    ``min(trials in the chunk, _KEPT_ELEMENTS // width)`` of the first chunk,
-    or none when the record already holds the chunk's rows at this width or
-    wider.  A run of more than one chunk draws nothing ahead: each config's
-    walk ends on a later chunk, whose rows replace the record, so only the
-    first config would read it.
-    """
-    if trials > _STATE_CHUNK:
-        return
-    width = _row_width(configs, second_hop)
-    with closing(_kept_blocks(configs, base_seed, trials, width)) as blocks:
-        for kept, lo, hi, states in blocks:
-            room = kept.chunk[1] + len(kept.rows)
-            if lo >= room:
-                break
-            _block_squares(kept, lo, min(hi, room), states[:room - lo], width)
+    config's width (:func:`_row_width`), so that each config's walk reads
+    its prefix of them."""
+    base_seed = _seed(base_seed, "seed")
+    states = _chunk_states(base_seed, 0, min(trials, _STATE_CHUNK),
+                           _thread_generator()[2])
+    _first_rows(base_seed, states, _row_width(configs, second_hop))
 
 
 def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int,
@@ -947,35 +859,38 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     squares are built from them just before they are yielded, and the walk
     lets go of the block before the last config's are yielded, so the
     caller's kernels for config ``i`` run before config ``i + 1``'s squares
-    exist.  The block's memory is freed then, except for the rows this
-    thread keeps.
+    exist.
 
-    Each chunk's squared rows come through this thread's kept rows
-    (:func:`_kept_rows`, :func:`_block_squares`): the walk reads the rows
-    kept for its chunk, when they are at least as wide as its own, and
-    draws only the trials after them; otherwise it keeps its own first
-    ``min(trials in the chunk, _KEPT_ELEMENTS // width)`` rows in their
-    place.
+    The rows of the first K trials of the first chunk come from
+    :func:`_first_rows`; only the trials after them are drawn.
 
     Without ``second_hop``, g is not drawn (``g2`` is None) and each row
     draws only its first-hop normals, a prefix of the full draw.
     """
     if not configs:
         return
+    base_seed = _seed(base_seed, "seed")
     laws = [c._laws for c in configs]
     width = _row_width(configs, second_hop)
     last = len(configs) - 1
-    with closing(_kept_blocks(configs, base_seed, trials, width)) as blocks:
-        for kept, lo, hi, states in blocks:
-            z = _block_squares(kept, lo, hi, states, width)
-            for i, (h, g) in enumerate(laws):
-                h2 = _squares_from_normals(h, z[:, :h.count])
-                g2 = (_squares_from_normals(g, z[:, h.count:h.count + g.count])
-                      if second_hop else None)
-                if i == last:
-                    # Let go of the block before the last config's kernels.
-                    del z
-                yield i, lo, hi, h2, g2
+    for chunk, lo, hi, states in _trial_blocks(
+            base_seed, trials, max(c.n_relays for c in configs)):
+        if lo == 0:
+            first = _first_rows(base_seed, chunk, width)
+        z = first[lo:hi, :width]
+        if len(z) < hi - lo:
+            drawn = _seeded_normals(states[len(z):], width)
+            np.square(drawn, out=drawn)
+            z = np.concatenate((z, drawn)) if len(z) else drawn
+            del drawn
+        for i, (h, g) in enumerate(laws):
+            h2 = _squares_from_normals(h, z[:, :h.count])
+            g2 = (_squares_from_normals(g, z[:, h.count:h.count + g.count])
+                  if second_hop else None)
+            if i == last:
+                # Let go of the block before the last config's kernels.
+                del z
+            yield i, lo, hi, h2, g2
 
 
 def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:

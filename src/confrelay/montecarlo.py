@@ -11,12 +11,9 @@ its rows at once, each in index order, to the bits ``np.mean`` and ``np.std``
 give row by row.  Trials are drawn by ``model._trial_squares`` and evaluated
 in one thread, in blocks whose size follows from the largest network size of
 the configurations that share the walk (one, for a point).  Each thread keeps
-the squared rows of the first K = min(trials, 2**18 // width) trials of its
-last walk, and a later walk of the same run with rows no wider reads them
-instead of drawing them again; :func:`sweep` draws its first K trials once,
-at its widest point, before its first point, so that every point reads them
-(a ``sweep-n`` over N = 25, 50, 100 at 100 trials: 100 rows of 400 normals,
-not 300 rows and 70,000 normals).
+the squared rows of a run's first K = min(trials, 2**18 // width) trials,
+2 MiB at most, and a later walk of the run with rows no wider reads a prefix
+of each; :func:`sweep` draws them at its widest point before its first point.
 
 A realization carries only the fading gains ``h`` and ``g``; every rate and
 oracle reads the conferencing gains and the channel moments
@@ -270,10 +267,9 @@ def sweep(spec: SweepSpec) -> SweepResult:
     """Run one point per axis value; all points share the same base seed.
 
     Every point's configuration is built before any trial is drawn.  The
-    first trials of the run are then drawn once, at the widest point's
-    count of normals (``model._draw_ahead``), and each point's walk reads
-    its prefix of those rows: a ``sweep-n`` over N = 25, 50, 100 at 100
-    trials draws 100 rows of 400 normals, not 300 rows of 100, 200 and 400.
+    run's first rows are then drawn once, at the widest point's count of
+    normals (``model._draw_ahead``), and each point's walk reads its prefix
+    of them.
     """
     configs = [apply_axis(spec.base, spec.axis, v) for v in spec.values]
     _draw_ahead(configs, spec.base_seed, spec.trials,

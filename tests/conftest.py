@@ -4,10 +4,10 @@ from confrelay import Neighbors, NetworkConfig, PointMass, model, sample_realiza
 
 
 @pytest.fixture(autouse=True)
-def no_kept_rows():
-    """Each test starts with no kept rows on this thread, so what it draws
-    does not depend on the walks an earlier test left behind."""
-    model._THREAD.kept = None
+def no_first_rows():
+    """Each test starts with no first rows kept on this thread, so what it
+    draws does not depend on the walks an earlier test left behind."""
+    model._THREAD.first_rows = None
 
 
 @pytest.fixture

@@ -209,9 +209,9 @@ class TestSharedDraw:
         draws = []
         seeded_normals = model._seeded_normals
 
-        def counted(states, count):
+        def counted(states, count, out=None):
             draws.append((states.copy(), count))
-            return seeded_normals(states, count)
+            return seeded_normals(states, count, out)
 
         monkeypatch.setattr(model, "_seeded_normals", counted)
         trace_points(scheme, template, sizes, trials, 5)

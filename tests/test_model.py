@@ -605,9 +605,9 @@ class TestSquaresFromNormals:
 
 
 class TestKeptRows:
-    """Each thread keeps the squared normals of the first rows of its last
-    walk's last chunk; a later walk over that chunk with rows no wider reads
-    them instead of drawing them again."""
+    """Each thread keeps the squared normals of a run's first rows
+    (``_first_rows``); a later walk of the run with rows no wider reads a
+    prefix of each instead of drawing them again."""
 
     # N = 4 under the default laws: 8 first-hop normals, 16 in all.
     CFG = NetworkConfig(n_relays=4, conferencing=Neighbors(1))
@@ -619,112 +619,102 @@ class TestKeptRows:
                          for t in range(trials)]).reshape(trials, width)
 
     @staticmethod
-    def _walk(monkeypatch, base, trials, second_hop=True, cfg=CFG):
-        """One ``_trial_squares`` walk: the squared rows it read, stacked, the
-        rows of each ``_seeded_normals`` call it made, and what it yielded."""
-        rows, drawn = [], []
-        block_squares, seeded_normals = model._block_squares, model._seeded_normals
+    def _count(monkeypatch):
+        """(rows, normals per row) of every ``_seeded_normals`` call from now on."""
+        drawn = []
+        seeded_normals = model._seeded_normals
 
-        def read(kept, lo, hi, states, width):
-            z = block_squares(kept, lo, hi, states, width)
-            rows.append(z.copy())
-            return z
+        def draw(states, count, out=None):
+            drawn.append((len(states), count))
+            return seeded_normals(states, count, out)
 
-        def draw(states, count):
-            drawn.append(len(states))
-            return seeded_normals(states, count)
-
-        with monkeypatch.context() as m:
-            m.setattr(model, "_block_squares", read)
-            m.setattr(model, "_seeded_normals", draw)
-            out = [(i, lo, hi, h2.copy(), None if g2 is None else g2.copy())
-                   for i, lo, hi, h2, g2 in _trial_squares([cfg], base, trials, second_hop)]
-        return np.concatenate(rows), drawn, out
+        monkeypatch.setattr(model, "_seeded_normals", draw)
+        return drawn
 
     @staticmethod
-    def _same_blocks(a, b):
-        return len(a) == len(b) and all(
-            x[:3] == y[:3] and np.array_equal(x[3], y[3])
-            and (x[4] is None if y[4] is None else np.array_equal(x[4], y[4]))
-            for x, y in zip(a, b))
+    def _first(base, trials, width):
+        """``_first_rows`` of a run of ``trials`` trials, asked at ``width``."""
+        order = model._thread_generator()[2]
+        states = _chunk_states(base, 0, min(trials, model._STATE_CHUNK), order)
+        return model._first_rows(base, states, width)
 
-    def test_second_walk_of_the_same_width_reads_every_row(self, monkeypatch):
-        want = self._want(5, 10, 16)
-        first, drawn, out = self._walk(monkeypatch, 5, 10)
-        assert np.array_equal(first, want) and sum(drawn) == 10
-        kept = model._THREAD.kept
-        assert kept.chunk == (5, 0, 10) and kept.filled == 10
-        assert np.array_equal(kept.rows, want)
-        again, drawn, out_again = self._walk(monkeypatch, 5, 10)
-        assert np.array_equal(again, want) and drawn == []
-        assert self._same_blocks(out_again, out)
+    @classmethod
+    def _walk(cls, drawn, base, trials, second_hop=True, cfgs=(CFG,)):
+        """The rows drawn by one ``_trial_squares`` walk, after checking its
+        squares against one generator per trial seed."""
+        del drawn[:]
+        blocks = [(i, h2.copy(), None if g2 is None else g2.copy())
+                  for i, _, _, h2, g2 in _trial_squares(list(cfgs), base, trials, second_hop)]
+        z = cls._want(base, trials, model._row_width(cfgs, second_hop))
+        for i, (h, g) in enumerate(c._laws for c in cfgs):
+            h2 = np.concatenate([b[1] for b in blocks if b[0] == i])
+            assert np.array_equal(h2, _squares_from_normals(h, z[:, :h.count]))
+            if second_hop:
+                g2 = np.concatenate([b[2] for b in blocks if b[0] == i])
+                assert np.array_equal(
+                    g2, _squares_from_normals(g, z[:, h.count:h.count + g.count]))
+        return sum(rows for rows, _ in drawn)
+
+    @pytest.mark.parametrize("kept", [80, _KEPT_ELEMENTS], ids=["some", "all"])
+    def test_rows_equal_one_generator_per_seed(self, monkeypatch, kept):
+        # Room for 5 rows of 16 normals, or for all 10.
+        monkeypatch.setattr(model, "_KEPT_ELEMENTS", kept)
+        rows = self._first(5, 10, 16)
+        assert np.array_equal(rows, self._want(5, min(10, kept // 16), 16))
+        assert not rows.flags.writeable
+
+    def test_second_walk_of_the_same_width_draws_nothing(self, monkeypatch):
+        drawn = self._count(monkeypatch)
+        assert self._walk(drawn, 5, 10) == 10
+        assert self._walk(drawn, 5, 10) == 0
 
     def test_narrower_walk_reads_a_prefix_of_each_row(self, monkeypatch):
-        self._walk(monkeypatch, 6, 10)
-        kept = model._THREAD.kept
-        rows, drawn, out = self._walk(monkeypatch, 6, 10, second_hop=False)
-        assert np.array_equal(rows, self._want(6, 10, 8)) and drawn == []
-        assert model._THREAD.kept is kept and kept.rows.shape == (10, 16)
-        model._THREAD.kept = None
-        assert self._same_blocks(out, self._walk(monkeypatch, 6, 10, second_hop=False)[2])
+        drawn = self._count(monkeypatch)
+        self._walk(drawn, 6, 10)
+        assert self._walk(drawn, 6, 10, second_hop=False) == 0
+        assert self._walk(drawn, 6, 10) == 0
 
-    def test_wider_walk_draws_again_and_replaces_the_rows(self, monkeypatch):
-        self._walk(monkeypatch, 7, 10, second_hop=False)
-        assert model._THREAD.kept.rows.shape == (10, 8)
-        rows, drawn, _ = self._walk(monkeypatch, 7, 10)
-        assert np.array_equal(rows, self._want(7, 10, 16)) and sum(drawn) == 10
-        kept = model._THREAD.kept
-        assert kept.rows.shape == (10, 16) and kept.filled == 10
-        assert np.array_equal(kept.rows, self._want(7, 10, 16))
-        assert self._walk(monkeypatch, 7, 10, second_hop=False)[1] == []
+    def test_wider_walk_draws_again(self, monkeypatch):
+        drawn = self._count(monkeypatch)
+        assert self._walk(drawn, 7, 10, second_hop=False) == 10
+        assert self._walk(drawn, 7, 10) == 10
+        assert self._walk(drawn, 7, 10, second_hop=False) == 0
 
     @pytest.mark.parametrize("second_hop", [True, False], ids=["same_width", "narrower"])
-    def test_partial_rows_with_a_block_across_the_last_kept_trial(self, monkeypatch,
-                                                                  second_hop):
+    def test_block_across_the_last_kept_trial(self, monkeypatch, second_hop):
         # Blocks of 3 trials at N = 4 and room for 5 rows of 16: the block of
-        # trials 3-5 holds kept trials 3 and 4 and drawn trial 5.
+        # trials 3-5 reads kept trials 3 and 4 and draws trial 5.
         monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 12)
         monkeypatch.setattr(model, "_KEPT_ELEMENTS", 80)
-        want = self._want(8, 11, 16)
-        first, drawn, out = self._walk(monkeypatch, 8, 11)
-        assert np.array_equal(first, want) and drawn == [3, 3, 3, 2]
-        kept = model._THREAD.kept
-        assert kept.rows.shape == (5, 16) and kept.filled == 5
-        assert np.array_equal(kept.rows, want[:5])
-        width = 16 if second_hop else 8
-        rows, drawn, out_again = self._walk(monkeypatch, 8, 11, second_hop)
-        assert np.array_equal(rows, want[:, :width]) and drawn == [1, 3, 2]
-        assert model._THREAD.kept is kept and kept.filled == 5
-        if second_hop:
-            assert self._same_blocks(out_again, out)
+        drawn = self._count(monkeypatch)
+        assert self._walk(drawn, 8, 11) == 11
+        assert self._walk(drawn, 8, 11, second_hop) == 6
 
-    def test_run_across_two_chunks(self, monkeypatch):
-        # Chunks of 5 trials in blocks of 3: each chunk replaces the last
-        # one's rows, and the record ends on the run's last chunk.
+    def test_run_across_two_chunks_keeps_the_first_chunk(self, monkeypatch):
+        # Chunks of 5 trials in blocks of 3: later walks read the first
+        # chunk's rows and draw only the 7 trials of the later chunks.
         monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 12)
         monkeypatch.setattr(model, "_STATE_CHUNK", 5)
-        want = self._want(9, 12, 16)
-        for _ in range(2):
-            rows, drawn, _ = self._walk(monkeypatch, 9, 12)
-            assert np.array_equal(rows, want) and sum(drawn) == 12
-            kept = model._THREAD.kept
-            assert kept.chunk == (9, 10, 12) and kept.filled == 2
-            assert np.array_equal(kept.rows, want[10:])
+        drawn = self._count(monkeypatch)
+        assert self._walk(drawn, 9, 12) == 12
+        assert self._walk(drawn, 9, 12) == 7
+        assert self._walk(drawn, 9, 12, second_hop=False) == 7
 
     @pytest.mark.parametrize("n,trials,second_hop", [
         (1, 1, True), (3, _STATE_CHUNK + 3, True), (4000, 40, True), (4000, 40, False),
         (2 ** 15, 3, True), (2 ** 16 + 1, 2, True)])
-    def test_kept_rows_stay_within_their_bound(self, n, trials, second_hop):
+    def test_kept_rows_stay_within_their_bound(self, monkeypatch, n, trials, second_hop):
         # 2**18 float64 is 2 MiB, whatever the trial count and N.
         assert _KEPT_ELEMENTS * 8 == 2 * 2 ** 20
         cfg = NetworkConfig(n_relays=n, conferencing=Neighbors(0))
         width = 4 * n if second_hop else 2 * n
         list(_trial_squares([cfg], 3, trials, second_hop))
-        kept = model._THREAD.kept
-        rows = trials - trials // _STATE_CHUNK * _STATE_CHUNK
-        assert kept.rows.shape == (min(rows, _KEPT_ELEMENTS // width), width)
-        assert kept.rows.size <= _KEPT_ELEMENTS and kept.filled == len(kept.rows)
-        assert kept.memory.size == _KEPT_ELEMENTS
+        drawn = self._count(monkeypatch)
+        rows = self._first(3, trials, width)
+        assert drawn == []
+        rows_kept = min(trials, _STATE_CHUNK, _KEPT_ELEMENTS // width)
+        assert rows.shape == (rows_kept, width) and rows.size <= _KEPT_ELEMENTS
+        assert rows.base.size == _KEPT_ELEMENTS
 
     def test_point_masses_keep_empty_rows(self):
         cfg = NetworkConfig(n_relays=3, conferencing=Neighbors(1),
@@ -732,40 +722,32 @@ class TestKeptRows:
         for _ in range(2):
             blocks = list(_trial_squares([cfg], 4, 6))
             assert np.array_equal(np.concatenate([b[3] for b in blocks]), np.ones((6, 3)))
-        assert model._THREAD.kept.rows.shape == (6, 0)
+        assert self._first(4, 6, 0).shape == (6, 0)
 
-    def test_replacing_rows_while_another_walk_reads_them(self):
+    def test_suspended_walk_reads_its_rows_after_another_run_replaces_them(
+            self, monkeypatch):
         # A walk suspended with a kept block in hand, and a walk of another
-        # run started meanwhile: the second gets memory of its own, so the
-        # first still reads its rows; once it is the only walk, a walk takes
-        # over the memory of the rows it replaces.
+        # run started meanwhile, which replaces the thread's first rows.
         wide = NetworkConfig(n_relays=8, conferencing=Neighbors(1))
         want = [b[3:] for b in _trial_squares([self.CFG, wide], 12, 6)]
-        kept = model._THREAD.kept
         suspended = _trial_squares([self.CFG, wide], 12, 6)
         first = next(suspended)
-        assert model._THREAD.walks == 1
-        list(_trial_squares([self.CFG], 13, 6))
-        other = model._THREAD.kept
-        assert other.chunk == (13, 0, 6) and other.memory is not kept.memory
+        drawn = self._count(monkeypatch)
+        assert self._walk(drawn, 13, 6) == 6
         got = [first[3:]] + [b[3:] for b in suspended]
         assert all(np.array_equal(a, b) for x, y in zip(got, want) for a, b in zip(x, y))
-        assert model._THREAD.walks == 0
-        list(_trial_squares([self.CFG], 14, 6))
-        assert model._THREAD.kept.memory is other.memory
-        with pytest.raises(ConfigurationError):
-            list(_trial_squares([self.CFG], "14", 6))
-        assert model._THREAD.walks == 0
+        assert self._walk(drawn, 13, 6) == 0
+        assert self._walk(drawn, 12, 6, cfgs=(self.CFG, wide)) == 6
 
     def test_another_threads_walk_neither_reads_nor_replaces_them(self, monkeypatch):
-        self._walk(monkeypatch, 10, 10)
-        kept = model._THREAD.kept
-        drawn, errors = {}, []
+        drawn = self._count(monkeypatch)
+        self._walk(drawn, 10, 10)
+        per_thread, errors = {}, []
         seeded_normals = model._seeded_normals
 
-        def draw(states, count):
-            drawn.setdefault(threading.get_ident(), []).append(len(states))
-            return seeded_normals(states, count)
+        def draw(states, count, out=None):
+            per_thread.setdefault(threading.get_ident(), []).append(len(states))
+            return seeded_normals(states, count, out)
 
         def other():
             try:
@@ -781,55 +763,34 @@ class TestKeptRows:
         assert not thread.is_alive() and errors == []
         # The other thread draws its first walk of the run in full, reads its
         # own rows on the second and replaces them with another run's.
-        assert sum(drawn.pop(thread.ident)) == 20 and drawn == {}
-        assert model._THREAD.kept is kept and kept.chunk == (10, 0, 10)
-        assert np.array_equal(kept.rows, self._want(10, 10, 16))
+        assert sum(per_thread.pop(thread.ident)) == 20 and per_thread == {}
         list(_trial_squares([self.CFG], 10, 10))
-        assert drawn == {}
+        assert per_thread == {}
 
-    def test_draw_ahead_draws_only_the_rows_the_record_takes(self, monkeypatch):
-        # Blocks of 3 trials at N = 4 and room for 5 rows of 16: the walk
-        # draws 3 rows, then the 2 of the next block that fit, and stops.
+    def test_draw_ahead_draws_the_rows_each_walk_reads(self, monkeypatch):
+        # Blocks of 3 trials at N = 4 and room for 5 rows of 16.
         monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 12)
         monkeypatch.setattr(model, "_KEPT_ELEMENTS", 80)
-        drawn = []
-        seeded_normals = model._seeded_normals
-
-        def draw(states, count):
-            drawn.append((len(states), count))
-            return seeded_normals(states, count)
-
-        monkeypatch.setattr(model, "_seeded_normals", draw)
+        drawn = self._count(monkeypatch)
         model._draw_ahead([self.CFG], 8, 11)
-        assert drawn == [(3, 16), (2, 16)] and model._THREAD.walks == 0
-        kept = model._THREAD.kept
-        assert kept.chunk == (8, 0, 11) and kept.filled == 5
-        assert np.array_equal(kept.rows, self._want(8, 5, 16))
-        # The record holds them, at this width or wider: nothing more is drawn.
+        assert drawn == [(5, 16)]
+        # The thread holds them, at this width or wider: nothing more is drawn.
         model._draw_ahead([self.CFG], 8, 11)
         model._draw_ahead([self.CFG], 8, 11, second_hop=False)
-        assert len(drawn) == 2 and model._THREAD.kept is kept
+        assert drawn == [(5, 16)]
         # A walk of the run reads them and draws only the trials after them.
-        rows, walk_drawn, _ = self._walk(monkeypatch, 8, 11)
-        assert np.array_equal(rows, self._want(8, 11, 16)) and walk_drawn == [1, 3, 2]
+        assert self._walk(drawn, 8, 11) == 6
 
     def test_diagnose_pass_draws_only_rows_past_the_kept_ones(self, monkeypatch):
         # AF keeps 16 rows of 16000 normals at N = 4000; DF reads them at the
         # same width and the bound a prefix of them, so each draws the last
-        # 24 of 40 trials, in blocks of 4.
-        drawn = []
-        seeded_normals = model._seeded_normals
-
-        def draw(states, count):
-            drawn.append((len(states), count))
-            return seeded_normals(states, count)
-
-        monkeypatch.setattr(model, "_seeded_normals", draw)
+        # 24 of 40 trials.
+        drawn = self._count(monkeypatch)
         cfg = NetworkConfig(n_relays=500, conferencing=Portion(0.2))
         cli._diagnose_tables(cfg, cli.RunParams(trials=40, seed=11),
                              (500, 1000, 2000, 4000))
-        assert drawn == [(4, 16000)] * 10 + [(4, 16000)] * 6 + [(4, 8000)] * 6
         assert sum(rows for rows, _ in drawn) == 40 + 24 + 24
+        assert sum(r * c for r, c in drawn) == (40 + 24) * 16000 + 24 * 8000
 
 
 class TestLawResolution:

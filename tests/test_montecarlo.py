@@ -333,9 +333,9 @@ class TestSweepDrawAhead:
         drawn = []
         seeded_normals = model._seeded_normals
 
-        def draw(states, count):
+        def draw(states, count, out=None):
             drawn.append((len(states), count))
-            return seeded_normals(states, count)
+            return seeded_normals(states, count, out)
 
         monkeypatch.setattr(model, "_seeded_normals", draw)
         return drawn
@@ -345,7 +345,7 @@ class TestSweepDrawAhead:
         """Each point's statistics from its own ``run_point``, with no kept rows."""
         stats = []
         for v in spec.values:
-            model._THREAD.kept = None
+            model._THREAD.first_rows = None
             cfg = montecarlo.apply_axis(spec.base, spec.axis, v)
             stats.append(run_point(cfg, spec.trials, spec.base_seed, spec.schemes).stats)
         return stats
@@ -374,29 +374,36 @@ class TestSweepDrawAhead:
         assert [p.result.stats for p in again.points] == [
             p.result.stats for p in first.points]
 
-    @pytest.mark.parametrize("axis,n,values,trials,rows", [
-        ("portion", 100, (0.1, 0.2, 0.5, 1.0), 100, 100),
-        ("portion", 100, (0.1, 0.2, 0.5, 1.0), 1000, 655 + 4 * 345),
-        ("n_relays", 2, (2, 3, 5), _STATE_CHUNK + 50, 3 * (_STATE_CHUNK + 50)),
-    ], ids=["portion", "portion_above_kept", "n_two_chunks"])
+    @pytest.mark.parametrize("axis,n,values,trials,rows,normals", [
+        ("portion", 100, (0.1, 0.2, 0.5, 1.0), 100, 100, 100 * 400),
+        ("portion", 100, (0.1, 0.2, 0.5, 1.0), 1000, 655 + 4 * 345, 2035 * 400),
+        ("n_relays", 2, (2, 3, 5), _STATE_CHUNK + 50, 13107 + 3 * (3277 + 50),
+         13107 * 20 + 3327 * (8 + 12 + 20)),
+        ("n_relays", 4, (4, 9, 30), 17000, 2184 + 3 * (14200 + 616),
+         2184 * 120 + 14816 * (16 + 36 + 120)),
+    ], ids=["portion", "portion_above_kept", "n_two_chunks", "n_three_sizes_two_chunks"])
     def test_draws_no_more_than_its_points_walked_alone(self, monkeypatch, axis, n,
-                                                        values, trials, rows):
-        # N = 100: room for 2**18 // 400 = 655 kept rows; past them each of
+                                                        values, trials, rows, normals):
+        # N = 100: room for 2**18 // 400 = 655 first rows; past them each of
         # the 4 points draws its last 345 trials.  Over two chunks, each
-        # point's walk ends on the second chunk, and each draws every row.
+        # point draws the trials of the first chunk past the first rows and
+        # every trial of the second: at N = 5, past 2**18 // 20 = 13107 rows,
+        # 3277 and 50; at N = 30, past 2**18 // 120 = 2184 rows, 14200
+        # and 616.
         base = NetworkConfig(n_relays=n, conferencing=Portion(0.1))
         spec = SweepSpec(base=base, axis=axis, values=values, trials=trials,
                          base_seed=12)
         drawn = self._count(monkeypatch)
         res = sweep(spec)
         shared = (sum(r for r, _ in drawn), sum(r * c for r, c in drawn))
-        model._THREAD.kept = None
+        model._THREAD.first_rows = None
         del drawn[:]
         with monkeypatch.context() as m:
             m.setattr(montecarlo, "_draw_ahead", lambda *args: None)
             alone = sweep(spec)
-        assert shared == (sum(r for r, _ in drawn), sum(r * c for r, c in drawn))
-        assert shared[0] == rows
+        alone_drawn = (sum(r for r, _ in drawn), sum(r * c for r, c in drawn))
+        assert shared[0] <= alone_drawn[0] and shared[1] <= alone_drawn[1]
+        assert shared == (rows, normals)
         assert [p.result.stats for p in res.points] == [
             p.result.stats for p in alone.points]
 
