@@ -41,10 +41,13 @@ A chunk's blocks of ``max(1, _BLOCK_ELEMENTS // N)`` trials draw from slices
 of its states and never span two chunks.
 
 Each thread also keeps the squared normals of a run's first rows
-(:func:`_first_rows`): those of the first ``K = min(rows, 2**18 // width)``
-trials of the run's first chunk of ``rows`` trials, at most 2 MiB.  A
-later walk of the run with rows no wider reads a prefix of each of them and
-draws only the trials after them.
+(:func:`_first_rows`): those of the first ``K = min(rows, 2**20 // width)``
+trials of the run's first chunk of ``rows`` trials, at most 8 MiB per
+thread.  A later walk of the run with rows no wider reads a prefix of each
+of them and draws only the trials after them, so the three schemes of a
+``diagnose`` pass at N <= 4000 and 40 trials (65 rows of 16000 normals fit)
+draw each trial once.  The rows are allocated at their own size, never
+below 2 MiB (:func:`_first_rows` says why).
 
 Each thread keeps one PCG64 generator (:func:`_thread_generator`), and
 before each row the row's 128-bit state and increment are written as four
@@ -793,8 +796,10 @@ def _trial_blocks(base_seed: int, trials: int, n: int):
             yield chunk, lo, hi, chunk[lo - start:hi - start]
 
 
-# Squared normals each thread keeps of a run's first rows (2 MiB of float64).
-_KEPT_ELEMENTS = 2 ** 18
+# Squared normals each thread keeps of a run's first rows (8 MiB of float64
+# at most), and the fewest it allocates for them (2 MiB).
+_KEPT_ELEMENTS = 2 ** 20
+_KEPT_FLOOR = 2 ** 18
 
 
 def _first_rows(base_seed: int, states: np.ndarray, width: int) -> np.ndarray:
@@ -808,8 +813,12 @@ def _first_rows(base_seed: int, states: np.ndarray, width: int) -> np.ndarray:
     wider; that caller reads a prefix of each row, which is bit for bit its
     own draw.  Any other caller gets new rows, drawn in one call and squared
     in place.  The old rows are let go first and the new ones are a view of
-    a fresh ``_KEPT_ELEMENTS`` array, so a thread that holds no other
-    reference to the old rows reuses their 2 MiB.
+    a fresh array of ``max(K * width, _KEPT_FLOOR)`` float64.  Sized to the
+    rows, it reaches the 8 MiB cap only when they fill it: NumPy asks for
+    huge pages for arrays of 4 MiB or more, so a fixed 8 MiB array raises
+    the peak memory of every run.  The 2 MiB floor keeps small rows (a
+    ``sweep-n`` at N <= 100) from faulting in fresh pages on each pass, as
+    they do when sized exactly.
     """
     key = (base_seed, len(states))
     kept = getattr(_THREAD, "first_rows", None)
@@ -817,7 +826,7 @@ def _first_rows(base_seed: int, states: np.ndarray, width: int) -> np.ndarray:
         return kept[1]
     _THREAD.first_rows = kept = None
     rows = min(len(states), _KEPT_ELEMENTS // max(width, 1))
-    z = np.empty(_KEPT_ELEMENTS)[:rows * width].reshape(rows, width)
+    z = np.empty(max(rows * width, _KEPT_FLOOR))[:rows * width].reshape(rows, width)
     np.square(_seeded_normals(states[:rows], width, z), out=z)
     z.flags.writeable = False
     _THREAD.first_rows = key, z

@@ -1,8 +1,13 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import confrelay
 from confrelay import Cscg, ConfigurationError, Neighbors, PointMass, Portion
 from confrelay.cli import (
     CSV_HEADER,
@@ -290,3 +295,31 @@ class TestExitCodes:
                                output_path=str(out))
         assert dispatch(manifest) == 0
         assert out.read_text().splitlines()[0] == CSV_HEADER
+
+
+class TestModuleEntryPoint:
+    """``python -m confrelay`` runs ``cli.main`` and exits with its code."""
+
+    @staticmethod
+    def _run_module(args):
+        env = dict(os.environ)
+        src = str(Path(confrelay.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "confrelay", *args],
+                              capture_output=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("text,code", [(FIXTURE_CFG, 0), ("N=4\np=0.5\nM=2\n", 2)],
+                             ids=["fixture", "bad_config"])
+    def test_matches_main(self, tmp_path, capfd, text, code):
+        cfg = write(tmp_path, "c.cfg", text)
+        assert main(["single", "--config", cfg]) == code
+        want = capfd.readouterr()
+        got = self._run_module(["single", "--config", cfg])
+        assert got.returncode == code
+        assert got.stdout == want.out.encode()
+        assert got.stderr == want.err.encode()
+        if code == 0:
+            assert got.stdout.startswith(CSV_HEADER.encode())
+        else:
+            assert b"configuration error" in got.stderr

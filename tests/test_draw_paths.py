@@ -15,10 +15,10 @@ test fails when ``ctypes`` appears anywhere else.
 Which normals trial ``t`` of a run draws, and in which blocks, is decided in
 ``model`` alone: no other module may name the run walk ``_trial_blocks``,
 the block sampler ``_seeded_normals``, its generator, the per-thread record
-``_THREAD``, the first rows it keeps (``_first_rows`` and their bound
-``_KEPT_ELEMENTS``), the chunk and block constants ``_STATE_CHUNK`` and
-``_BLOCK_ELEMENTS`` or the SplitMix64 seed mixer's constants, by name or
-written out as numbers.
+``_THREAD``, the first rows it keeps (``_first_rows``, their bound
+``_KEPT_ELEMENTS`` and allocation floor ``_KEPT_FLOOR``), the chunk and
+block constants ``_STATE_CHUNK`` and ``_BLOCK_ELEMENTS`` or the SplitMix64
+seed mixer's constants, by name or written out as numbers.
 """
 
 import ast
@@ -81,8 +81,8 @@ def _is_ctypes(node):
 # first-row sizes and the seed mixer's constants, by name, and the constants'
 # values.
 TRIAL_DRAW_NAMES = {"_trial_blocks", "_seeded_normals", "_thread_generator",
-                    "_THREAD", "_first_rows", "_KEPT_ELEMENTS", "_STATE_CHUNK",
-                    "_BLOCK_ELEMENTS", "_GOLDEN", "_MIX1", "_MIX2"}
+                    "_THREAD", "_first_rows", "_KEPT_ELEMENTS", "_KEPT_FLOOR",
+                    "_STATE_CHUNK", "_BLOCK_ELEMENTS", "_GOLDEN", "_MIX1", "_MIX2"}
 SPLITMIX64 = {0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
 
 

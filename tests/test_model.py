@@ -29,6 +29,7 @@ from confrelay.model import (
     MASK64,
     _PROBE_WORDS,
     _KEPT_ELEMENTS,
+    _KEPT_FLOOR,
     _STATE_CHUNK,
     _chunk_states,
     _law,
@@ -700,21 +701,24 @@ class TestKeptRows:
         assert self._walk(drawn, 9, 12) == 7
         assert self._walk(drawn, 9, 12, second_hop=False) == 7
 
-    @pytest.mark.parametrize("n,trials,second_hop", [
-        (1, 1, True), (3, _STATE_CHUNK + 3, True), (4000, 40, True), (4000, 40, False),
-        (2 ** 15, 3, True), (2 ** 16 + 1, 2, True)])
-    def test_kept_rows_stay_within_their_bound(self, monkeypatch, n, trials, second_hop):
-        # 2**18 float64 is 2 MiB, whatever the trial count and N.
-        assert _KEPT_ELEMENTS * 8 == 2 * 2 ** 20
+    @pytest.mark.parametrize("n,trials,second_hop,rows_kept", [
+        (1, 1, True, 1), (3, _STATE_CHUNK + 3, True, _STATE_CHUNK),
+        (4000, 40, True, 40), (4000, 40, False, 40), (4000, 70, True, 65),
+        (2 ** 15, 9, True, 8), (2 ** 18 + 1, 2, True, 0)])
+    def test_kept_rows_stay_within_their_bound(self, monkeypatch, n, trials, second_hop,
+                                               rows_kept):
+        # 2**20 float64 is 8 MiB, whatever the trial count and N; the rows
+        # are allocated at their own size, never below 2**18 float64 (2 MiB).
+        assert _KEPT_ELEMENTS * 8 == 8 * 2 ** 20 and _KEPT_FLOOR * 8 == 2 * 2 ** 20
         cfg = NetworkConfig(n_relays=n, conferencing=Neighbors(0))
         width = 4 * n if second_hop else 2 * n
         list(_trial_squares([cfg], 3, trials, second_hop))
         drawn = self._count(monkeypatch)
         rows = self._first(3, trials, width)
         assert drawn == []
-        rows_kept = min(trials, _STATE_CHUNK, _KEPT_ELEMENTS // width)
+        assert rows_kept == min(trials, _STATE_CHUNK, 2 ** 20 // width)
         assert rows.shape == (rows_kept, width) and rows.size <= _KEPT_ELEMENTS
-        assert rows.base.size == _KEPT_ELEMENTS
+        assert rows.base.size == max(rows.size, 2 ** 18)
 
     def test_point_masses_keep_empty_rows(self):
         cfg = NetworkConfig(n_relays=3, conferencing=Neighbors(1),
@@ -781,16 +785,30 @@ class TestKeptRows:
         # A walk of the run reads them and draws only the trials after them.
         assert self._walk(drawn, 8, 11) == 6
 
-    def test_diagnose_pass_draws_only_rows_past_the_kept_ones(self, monkeypatch):
-        # AF keeps 16 rows of 16000 normals at N = 4000; DF reads them at the
-        # same width and the bound a prefix of them, so each draws the last
-        # 24 of 40 trials.
-        drawn = self._count(monkeypatch)
+    @pytest.mark.parametrize("trials,rows,normals", [
+        (40, 40, 40 * 16000), (70, 70 + 2 * 5, (70 + 5) * 16000 + 5 * 8000)],
+        ids=["all_kept", "straddles"])
+    def test_diagnose_pass_draws_only_rows_past_the_kept_ones(self, monkeypatch, trials,
+                                                              rows, normals):
+        # The bench's diagnose pass: AF keeps min(trials, 2**20 // 16000 = 65)
+        # rows of 16000 normals at N = 4000; DF reads them at the same width
+        # and the bound a prefix of them, so each draws only the trials past
+        # them (none of 40, the last 5 of 70).  Its tables are those of each
+        # scheme's trace run with no kept rows.
         cfg = NetworkConfig(n_relays=500, conferencing=Portion(0.2))
-        cli._diagnose_tables(cfg, cli.RunParams(trials=40, seed=11),
-                             (500, 1000, 2000, 4000))
-        assert sum(rows for rows, _ in drawn) == 40 + 24 + 24
-        assert sum(r * c for r, c in drawn) == (40 + 24) * 16000 + 24 * 8000
+        params, sizes = cli.RunParams(trials=trials, seed=11), (500, 1000, 2000, 4000)
+        drawn = self._count(monkeypatch)
+        shared = cli._diagnose_tables(cfg, params, sizes)
+        assert sum(r for r, _ in drawn) == rows
+        assert sum(r * c for r, c in drawn) == normals
+
+        def unshared(*args):
+            model._THREAD.first_rows = None
+            return trace_points(*args)
+
+        monkeypatch.setattr(cli, "trace_points", unshared)
+        # repr tells every float apart bit for bit.
+        assert repr(shared) == repr(cli._diagnose_tables(cfg, params, sizes))
 
 
 class TestLawResolution:

@@ -376,19 +376,19 @@ class TestSweepDrawAhead:
 
     @pytest.mark.parametrize("axis,n,values,trials,rows,normals", [
         ("portion", 100, (0.1, 0.2, 0.5, 1.0), 100, 100, 100 * 400),
-        ("portion", 100, (0.1, 0.2, 0.5, 1.0), 1000, 655 + 4 * 345, 2035 * 400),
-        ("n_relays", 2, (2, 3, 5), _STATE_CHUNK + 50, 13107 + 3 * (3277 + 50),
-         13107 * 20 + 3327 * (8 + 12 + 20)),
-        ("n_relays", 4, (4, 9, 30), 17000, 2184 + 3 * (14200 + 616),
-         2184 * 120 + 14816 * (16 + 36 + 120)),
+        ("portion", 100, (0.1, 0.2, 0.5, 1.0), 3000, 2621 + 4 * 379, 4137 * 400),
+        ("n_relays", 8, (8, 12, 20), _STATE_CHUNK + 50, 13107 + 3 * (3277 + 50),
+         13107 * 80 + 3327 * (32 + 48 + 80)),
+        ("n_relays", 4, (4, 9, 30), 17000, 8738 + 3 * (7646 + 616),
+         8738 * 120 + 8262 * (16 + 36 + 120)),
     ], ids=["portion", "portion_above_kept", "n_two_chunks", "n_three_sizes_two_chunks"])
     def test_draws_no_more_than_its_points_walked_alone(self, monkeypatch, axis, n,
                                                         values, trials, rows, normals):
-        # N = 100: room for 2**18 // 400 = 655 first rows; past them each of
-        # the 4 points draws its last 345 trials.  Over two chunks, each
+        # N = 100: room for 2**20 // 400 = 2621 first rows; past them each of
+        # the 4 points draws its last 379 trials.  Over two chunks, each
         # point draws the trials of the first chunk past the first rows and
-        # every trial of the second: at N = 5, past 2**18 // 20 = 13107 rows,
-        # 3277 and 50; at N = 30, past 2**18 // 120 = 2184 rows, 14200
+        # every trial of the second: at N = 20, past 2**20 // 80 = 13107
+        # rows, 3277 and 50; at N = 30, past 2**20 // 120 = 8738 rows, 7646
         # and 616.
         base = NetworkConfig(n_relays=n, conferencing=Portion(0.1))
         spec = SweepSpec(base=base, axis=axis, values=values, trials=trials,
@@ -408,13 +408,13 @@ class TestSweepDrawAhead:
             p.result.stats for p in alone.points]
 
     @pytest.mark.parametrize("axis,n,values,trials", [
-        ("n_relays", 100, (100, 200, 400), 200),
-        ("portion", 60, (0.2, 0.5), 1200),
+        ("n_relays", 100, (100, 200, 400), 700),
+        ("portion", 60, (0.2, 0.5), 4500),
         ("n_relays", 2, (2, 3, 5), _STATE_CHUNK + 50),
         ("conf_snr_db", 4, (-5.0, 0.0, 5.0), _STATE_CHUNK + 50),
     ], ids=["n_above_kept", "portion_above_kept", "n_two_chunks", "snr_two_chunks"])
     def test_points_equal_the_points_run_one_by_one(self, axis, n, values, trials):
-        # Past the kept rows (room for 163 rows of 1600 and 1092 of 240
+        # Past the kept rows (room for 655 rows of 1600 and 4369 of 240
         # normals), and over two chunks of states.
         base = NetworkConfig(n_relays=n, conferencing=Portion(0.5))
         spec = SweepSpec(base=base, axis=axis, values=values, trials=trials,
