@@ -35,6 +35,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .model import (
     Cscg,
     ConfigurationError,
@@ -431,7 +433,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         axis=axis,
         draws=draws,
     )
-    return dispatch(manifest)
+    # A configuration that drives the arithmetic out of floating-point
+    # range is reported once, by _require_finite, without NumPy's warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return dispatch(manifest)
 
 
 if __name__ == "__main__":

@@ -24,30 +24,26 @@ draws, first-hop gains before second-hop gains, and :func:`sample_realization`
 draws it with that generator.  Trial ``t`` of a run seeded with ``base_seed``
 draws the realization for :func:`derive_seed` ``(base_seed, t)``, a SplitMix64
 mixer.  This module owns the one path from a run's base seed and trial count
-to its normals: :func:`_trial_blocks` walks a run chunk by chunk, then block
-by block, :func:`_seeded_normals` draws a block's normals from its states,
-and :func:`_trial_squares` gives the trial engine each block's
-``|h|^2`` and ``|g|^2`` under each of the configs that share the walk.  Those
-configs (the network sizes of a trace) draw each trial's row once, at the
-widest config's count of normals, in blocks sized by their largest N, and
-each reads a prefix of the row.  The PCG64 states of a chunk of 2**14
-trials are derived without building a generator per trial: NumPy's
-SeedSequence hash and PCG64 seeding run over all seeds at once, in uint64
-lanes (a 128-bit number is a high and a low 64-bit word; products are built
-from 32-bit halves and carries from bit operations).  The last chunk is cached
-(:func:`_chunk_states`, at most 512 KiB of states), so the points and
-schemes of a run of up to 2**14 trials share it whatever their block sizes.
-A chunk's blocks of ``max(1, _BLOCK_ELEMENTS // N)`` trials draw from slices
-of its states and never span two chunks.
+to its normals: :func:`_trial_squares` walks a run block by block,
+:func:`_seeded_normals` draws a block's normals from their PCG64 states
+(:func:`_states`), and the trial engine reads each block's ``|h|^2`` and
+``|g|^2`` under each of the configs that share the walk.  Those configs (the
+network sizes of a trace) draw each trial's row once, at the widest config's
+count of normals, in blocks sized by their largest N, and each reads a
+prefix of the row.  The PCG64 states of many trials are derived at once,
+without building a generator per trial: NumPy's SeedSequence hash and PCG64
+seeding run over all seeds together, in uint64 lanes (a 128-bit number is a
+high and a low 64-bit word; products are built from 32-bit halves and
+carries from bit operations).
 
-Each thread also keeps the squared normals of a run's first rows
-(:func:`_first_rows`): those of the first ``K = min(rows, 2**20 // width)``
-trials of the run's first chunk of ``rows`` trials, at most 8 MiB per
-thread.  A later walk of the run with rows no wider reads a prefix of each
-of them and draws only the trials after them, so the three schemes of a
-``diagnose`` pass at N <= 4000 and 40 trials (65 rows of 16000 normals fit)
-draw each trial once.  The rows are allocated at their own size, never
-below 2 MiB (:func:`_first_rows` says why).
+The one thing walks share is each thread's squared normals of a run's first
+rows (:func:`_first_rows`): those of its first
+``K = min(trials, 2**14, 2**20 // width)`` trials, at most 8 MiB per thread.
+A walk of the run with rows no wider reads a prefix of each kept row, then
+derives the states of each chunk of 2**14 of the trials after them once and
+draws that chunk's blocks from them.  So the three schemes of a ``diagnose``
+pass at N <= 4000 and 40 trials (65 rows of 16000 normals fit) draw each
+trial once.
 
 Each thread keeps one PCG64 generator (:func:`_thread_generator`), and
 before each row the row's 128-bit state and increment are written as four
@@ -89,7 +85,7 @@ import math
 import numbers
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -710,18 +706,13 @@ def derive_seed(base_seed: int, trial: int) -> int:
     return int(_derive_seeds(base_seed, trial, trial + 1)[0])
 
 
-# Trials per chunk of PCG64 states; the cache keeps the last chunk.
+# Trials a walk derives PCG64 states for at once, past its kept rows; the
+# first rows are kept of at most this many trials.
 _STATE_CHUNK = 2 ** 14
 
 # Realizations times relays drawn at once by the trial engine; bounds its
 # working memory independently of the network size.
 _BLOCK_ELEMENTS = 2 ** 14
-
-
-@lru_cache(maxsize=1)
-def _chunk_states(base_seed: int, lo: int, hi: int, order: tuple[int, ...]) -> np.ndarray:
-    """:func:`_pcg64_states` of the seeds of trials ``lo <= t < hi``."""
-    return _pcg64_states(_derive_seeds(base_seed, lo, hi), order)
 
 
 def _thread_generator():
@@ -750,6 +741,12 @@ def _thread_generator():
     return _THREAD.draw
 
 
+def _states(base_seed: int, lo: int, hi: int) -> np.ndarray:
+    """:func:`_pcg64_states` of the seeds of trials ``lo <= t < hi``, in this
+    thread's memory order."""
+    return _pcg64_states(_derive_seeds(base_seed, lo, hi), _thread_generator()[2])
+
+
 def _seeded_normals(states: np.ndarray, count: int,
                     out: np.ndarray | None = None) -> np.ndarray:
     """(len(states), count) standard normals whose row ``r`` is what PCG64
@@ -766,68 +763,40 @@ def _seeded_normals(states: np.ndarray, count: int,
     return z
 
 
-def _trial_blocks(base_seed: int, trials: int, n: int):
-    """Yield ``(chunk, lo, hi, states)`` over the blocks of a run: the
-    block's trials ``lo <= t < hi``, their PCG64 states, and ``chunk``, the
-    states of the whole state chunk that holds them.
-
-    The run is walked chunk by chunk, then block by block.  Chunk ``k``
-    holds the trials ``k * _STATE_CHUNK`` up to the next multiple or the
-    run's end, whichever comes first, and its states are looked up once in
-    :func:`_chunk_states`; its blocks of ``max(1, _BLOCK_ELEMENTS // n)``
-    trials take slices of them, so no block spans two chunks.  The chunks
-    depend on the base seed and the trial count only.  Every point of a
-    sweep, every scheme of a ``diagnose`` call and both portions of a
-    heterogeneous point run the same trials from the same base seed, one
-    walk after another, and the sizes of a ``diagnose`` trace share one walk
-    (:func:`_trial_squares`), so a run of at most 2**14 trials derives its
-    one chunk once.  The cache keeps only the last chunk, at most
-    2**14 rows * 32 B = 512 KiB of states.  A longer run derives each chunk
-    once per walk.
-    """
-    base_seed = _seed(base_seed, "seed")
-    order = _thread_generator()[2]
-    block = max(1, _BLOCK_ELEMENTS // n)
-    for start in range(0, trials, _STATE_CHUNK):
-        end = min(start + _STATE_CHUNK, trials)
-        chunk = _chunk_states(base_seed, start, end, order)
-        for lo in range(start, end, block):
-            hi = min(lo + block, end)
-            yield chunk, lo, hi, chunk[lo - start:hi - start]
-
-
 # Squared normals each thread keeps of a run's first rows (8 MiB of float64
 # at most), and the fewest it allocates for them (2 MiB).
 _KEPT_ELEMENTS = 2 ** 20
 _KEPT_FLOOR = 2 ** 18
 
 
-def _first_rows(base_seed: int, states: np.ndarray, width: int) -> np.ndarray:
+def _first_rows(base_seed: int, trials: int, width: int) -> np.ndarray:
     """Read-only squared normals, at least ``width`` per row, of the first
-    ``K = min(len(states), _KEPT_ELEMENTS // width)`` trials of the run
-    seeded with ``base_seed`` (a :func:`_seed` value) whose first state
-    chunk is ``states``.
+    ``K = min(trials, _STATE_CHUNK, _KEPT_ELEMENTS // width)`` trials of the
+    run of ``trials`` trials seeded with ``base_seed`` (a :func:`_seed`
+    value); the one cache that the walks of a run share.
 
-    Each thread keeps the last rows it built, keyed by the base seed and the
-    chunk's length, and hands them back to a caller whose rows are no
-    wider; that caller reads a prefix of each row, which is bit for bit its
-    own draw.  Any other caller gets new rows, drawn in one call and squared
-    in place.  The old rows are let go first and the new ones are a view of
-    a fresh array of ``max(K * width, _KEPT_FLOOR)`` float64.  Sized to the
-    rows, it reaches the 8 MiB cap only when they fill it: NumPy asks for
-    huge pages for arrays of 4 MiB or more, so a fixed 8 MiB array raises
-    the peak memory of every run.  The 2 MiB floor keeps small rows (a
-    ``sweep-n`` at N <= 100) from faulting in fresh pages on each pass, as
-    they do when sized exactly.
+    Each thread keeps the last rows it built, keyed by the base seed and
+    ``min(trials, _STATE_CHUNK)``, and hands them back to a caller whose
+    rows are no wider; that caller reads a prefix of each row, which is bit
+    for bit its own draw, and draws only the trials after them.  Any other
+    caller gets new rows: the states of their K trials are derived, and the
+    rows drawn in one call and squared in place.  The old rows are let go
+    first and the new ones are a view of a fresh array of
+    ``max(K * width, _KEPT_FLOOR)`` float64.  Sized to the rows, it reaches
+    the 8 MiB cap only when they fill it: NumPy asks for huge pages for
+    arrays of 4 MiB or more, so a fixed 8 MiB array raises the peak memory
+    of every run.  The 2 MiB floor keeps small rows (a ``sweep-n`` at
+    N <= 100) from faulting in fresh pages on each pass, as they do when
+    sized exactly.
     """
-    key = (base_seed, len(states))
+    key = (base_seed, min(trials, _STATE_CHUNK))
     kept = getattr(_THREAD, "first_rows", None)
     if kept is not None and kept[0] == key and kept[1].shape[1] >= width:
         return kept[1]
     _THREAD.first_rows = kept = None
-    rows = min(len(states), _KEPT_ELEMENTS // max(width, 1))
+    rows = min(key[1], _KEPT_ELEMENTS // max(width, 1))
     z = np.empty(max(rows * width, _KEPT_FLOOR))[:rows * width].reshape(rows, width)
-    np.square(_seeded_normals(states[:rows], width, z), out=z)
+    np.square(_seeded_normals(_states(base_seed, 0, rows), width, z), out=z)
     z.flags.writeable = False
     _THREAD.first_rows = key, z
     return z
@@ -846,60 +815,61 @@ def _draw_ahead(configs: Sequence[NetworkConfig], base_seed: int, trials: int,
     ``configs`` will each walk it, one after another, at the widest
     config's width (:func:`_row_width`), so that each config's walk reads
     its prefix of them."""
-    base_seed = _seed(base_seed, "seed")
-    states = _chunk_states(base_seed, 0, min(trials, _STATE_CHUNK),
-                           _thread_generator()[2])
-    _first_rows(base_seed, states, _row_width(configs, second_hop))
+    _first_rows(_seed(base_seed, "seed"), trials, _row_width(configs, second_hop))
 
 
 def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int,
                    second_hop: bool = True):
-    """Yield ``(i, lo, hi, h2, g2)`` over the blocks of one
-    :func:`_trial_blocks` walk shared by ``configs``: |h|^2 and |g|^2 of the
-    realizations :func:`sample_realization` draws under ``configs[i]`` for
-    trials ``lo <= t < hi``, as (hi - lo, N_i) arrays squared straight from
-    the normals.
+    """Yield ``(i, lo, hi, h2, g2)`` over the blocks of one walk of a run
+    shared by ``configs``: |h|^2 and |g|^2 of the realizations
+    :func:`sample_realization` draws under ``configs[i]`` for trials
+    ``lo <= t < hi``, as (hi - lo, N_i) arrays squared straight from the
+    normals.
 
     Each trial's row is drawn once, at the widest config's count of normals,
     and every config reads a prefix of it: a generator draws normals in
-    sequence, so that prefix is what the config's own draw gives.  Blocks
-    hold ``max(1, _BLOCK_ELEMENTS // N)`` trials for the largest N of
-    ``configs``.  A block's normals are squared once, in place; each config's
+    sequence, so that prefix is what the config's own draw gives.  The walk
+    reads the rows of the run's first K trials from :func:`_first_rows`,
+    then derives the states of each ``_STATE_CHUNK`` trials after them once
+    and draws that chunk's blocks from them.  Blocks hold at most
+    ``max(1, _BLOCK_ELEMENTS // N)`` trials for the largest N of ``configs``
+    and restart at K and at each chunk, so none spans kept and drawn rows.
+    A drawn block's normals are squared once, in place; each config's
     squares are built from them just before they are yielded, and the walk
     lets go of the block before the last config's are yielded, so the
     caller's kernels for config ``i`` run before config ``i + 1``'s squares
     exist.
 
-    The rows of the first K trials of the first chunk come from
-    :func:`_first_rows`; only the trials after them are drawn.
-
     Without ``second_hop``, g is not drawn (``g2`` is None) and each row
     draws only its first-hop normals, a prefix of the full draw.
     """
-    if not configs:
+    if not configs or not trials:
         return
     base_seed = _seed(base_seed, "seed")
     laws = [c._laws for c in configs]
     width = _row_width(configs, second_hop)
+    block = max(1, _BLOCK_ELEMENTS // max(c.n_relays for c in configs))
     last = len(configs) - 1
-    for chunk, lo, hi, states in _trial_blocks(
-            base_seed, trials, max(c.n_relays for c in configs)):
-        if lo == 0:
-            first = _first_rows(base_seed, chunk, width)
-        z = first[lo:hi, :width]
-        if len(z) < hi - lo:
-            drawn = _seeded_normals(states[len(z):], width)
-            np.square(drawn, out=drawn)
-            z = np.concatenate((z, drawn)) if len(z) else drawn
-            del drawn
-        for i, (h, g) in enumerate(laws):
-            h2 = _squares_from_normals(h, z[:, :h.count])
-            g2 = (_squares_from_normals(g, z[:, h.count:h.count + g.count])
-                  if second_hop else None)
-            if i == last:
-                # Let go of the block before the last config's kernels.
-                del z
-            yield i, lo, hi, h2, g2
+    first = _first_rows(base_seed, trials, width)
+    # The kept rows, then the chunks of the trials after them.
+    bounds = [0, *range(len(first), trials, _STATE_CHUNK), trials]
+    for start, end in zip(bounds, bounds[1:]):
+        states = None if end <= len(first) else _states(base_seed, start, end)
+        for lo in range(start, end, block):
+            hi = min(lo + block, end)
+            if states is None:
+                z = first[lo:hi, :width]
+            else:
+                z = _seeded_normals(states[lo - start:hi - start], width)
+                np.square(z, out=z)
+            for i, (h, g) in enumerate(laws):
+                h2 = _squares_from_normals(h, z[:, :h.count])
+                g2 = (_squares_from_normals(g, z[:, h.count:h.count + g.count])
+                      if second_hop else None)
+                if i == last:
+                    # Let go of the block before the last config's kernels.
+                    del z
+                yield i, lo, hi, h2, g2
 
 
 def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:

@@ -10,11 +10,10 @@ one index-addressed (scheme, trial) array, and the aggregation reduces all of
 its rows at once, each in index order, to the bits ``np.mean`` and ``np.std``
 give row by row.  Trials are drawn by ``model._trial_squares`` and evaluated
 in one thread, in blocks whose size follows from the largest network size of
-the configurations that share the walk (one, for a point).  Each thread keeps
-the squared rows of a run's first K = min(trials, 2**20 // width) trials,
-8 MiB at most and allocated at no less than 2 MiB, and a later walk of the
-run with rows no wider reads a prefix of each; :func:`sweep` draws them at
-its widest point before its first point.
+the configurations that share the walk (one, for a point).  Walks of the
+same run share the squared rows each thread keeps of its first trials
+(``model._first_rows``); :func:`sweep` draws them at its widest point before
+its first point.
 
 A realization carries only the fading gains ``h`` and ``g``; every rate and
 oracle reads the conferencing gains and the channel moments

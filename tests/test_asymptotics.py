@@ -172,7 +172,7 @@ SHARED_DRAW_CASES = {
     # Blocks of 3 trials at N = 16, 6 at N = 8 and 12 at N = 4.
     "blocks": (NetworkConfig(n_relays=4, conferencing=Portion(0.25)), (4, 8, 16),
                29, 3 * 16, None),
-    # State chunks of 4 trials: every walk looks up 5 chunks.
+    # State chunks of 4 trials: 4 kept trials, then 4 chunks past them.
     "chunks": (NetworkConfig(n_relays=4, conferencing=Portion(0.25)), (4, 8, 16),
                19, None, 4),
 }

@@ -13,7 +13,7 @@ library's only use of ``ctypes`` (its word order helper,
 test fails when ``ctypes`` appears anywhere else.
 
 Which normals trial ``t`` of a run draws, and in which blocks, is decided in
-``model`` alone: no other module may name the run walk ``_trial_blocks``,
+``model`` alone: no other module may name the state derivation ``_states``,
 the block sampler ``_seeded_normals``, its generator, the per-thread record
 ``_THREAD``, the first rows it keeps (``_first_rows``, their bound
 ``_KEPT_ELEMENTS`` and allocation floor ``_KEPT_FLOOR``), the chunk and
@@ -76,11 +76,11 @@ def _is_ctypes(node):
     return False
 
 
-# What only ``model`` may refer to: the run walk, the block sampler and its
-# generator, each thread's record and first rows, the chunk, block and
+# What only ``model`` may refer to: the state derivation, the block sampler
+# and its generator, each thread's record and first rows, the chunk, block and
 # first-row sizes and the seed mixer's constants, by name, and the constants'
 # values.
-TRIAL_DRAW_NAMES = {"_trial_blocks", "_seeded_normals", "_thread_generator",
+TRIAL_DRAW_NAMES = {"_states", "_seeded_normals", "_thread_generator",
                     "_THREAD", "_first_rows", "_KEPT_ELEMENTS", "_KEPT_FLOOR",
                     "_STATE_CHUNK", "_BLOCK_ELEMENTS", "_GOLDEN", "_MIX1", "_MIX2"}
 SPLITMIX64 = {0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
@@ -158,7 +158,7 @@ def test_trial_draw_check_fails_on_a_copy_that_reads_them(tmp_path):
         "montecarlo": "\n\ndef _mix(z):\n    return z * 0xBF58476D1CE4E5B9 & MASK64\n",
         "rates": "\nfrom .model import _seeded_normals as _draw\n",
         "cli": ("\nfrom .model import _STATE_CHUNK\n\n\ndef _walk(seed):\n"
-                "    return list(model._trial_blocks(seed, 3, 4))\n"),
+                "    return model._states(seed, 0, 3)\n"),
     }
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8")

@@ -31,12 +31,11 @@ from confrelay.model import (
     _KEPT_ELEMENTS,
     _KEPT_FLOOR,
     _STATE_CHUNK,
-    _chunk_states,
     _law,
     _pcg64_states,
     _seeded_normals,
     _squares_from_normals,
-    _trial_blocks,
+    _states,
     _trial_squares,
     _word_order,
     spec_moments,
@@ -71,31 +70,39 @@ def stacked_realizations(cfg, seeds):
     return np.array([r.h for r in reals]), np.array([r.g for r in reals])
 
 
-def block_ranges(trials, n):
-    """(lo, hi) of each block of a run: every chunk of ``_STATE_CHUNK`` trials
-    in blocks of ``max(1, _BLOCK_ELEMENTS // n)``."""
+def block_ranges(trials, n, kept=0):
+    """(lo, hi) of each block of a run whose first ``kept`` trials are kept
+    rows: those trials, then every chunk of ``_STATE_CHUNK`` trials after
+    them, each in blocks of ``max(1, _BLOCK_ELEMENTS // n)``."""
     size = max(1, model._BLOCK_ELEMENTS // n)
-    ranges = []
-    for start in range(0, trials, model._STATE_CHUNK):
+    ranges = [(lo, min(lo + size, kept)) for lo in range(0, kept, size)]
+    for start in range(kept, trials, model._STATE_CHUNK):
         end = min(start + model._STATE_CHUNK, trials)
         ranges += [(lo, min(lo + size, end)) for lo in range(start, end, size)]
     return ranges
 
 
+def kept_rows():
+    """How many first rows this thread keeps."""
+    return len(model._THREAD.first_rows[1])
+
+
 def block_normals(base, trials, n, count):
-    """``(lo, hi, z)`` per block of the ``_trial_blocks`` walk of a run, with
-    ``z`` the block's ``count`` normals per trial, drawn afresh by
-    ``_seeded_normals`` from the block's states."""
-    for _, lo, hi, states in _trial_blocks(base, trials, n):
-        yield lo, hi, _seeded_normals(states, count)
+    """``(lo, hi, z)`` per block of :func:`block_ranges` of a run with no kept
+    rows, with ``z`` the block's ``count`` normals per trial, drawn afresh by
+    ``_seeded_normals`` from a slice of the states ``_states`` derives for
+    the block's chunk."""
+    chunk = model._STATE_CHUNK
+    for lo, hi in block_ranges(trials, n):
+        start = lo - lo % chunk
+        states = _states(base, start, min(start + chunk, trials))
+        yield lo, hi, _seeded_normals(states[lo - start:hi - start], count)
 
 
 def stacked_normals(base, trials, n, count):
     """The blocks :func:`block_normals` yields for a run, stacked into one
-    (trials, count) array, after checking that they are the run's
-    consecutive trials in the blocks of :func:`block_ranges`."""
+    (trials, count) array, after checking their shapes."""
     blocks = list(block_normals(base, trials, n, count))
-    assert [(lo, hi) for lo, hi, _ in blocks] == block_ranges(trials, n)
     assert all(z.shape == (hi - lo, count) for lo, hi, z in blocks)
     return np.concatenate([z for _, _, z in blocks]).reshape(trials, count)
 
@@ -103,10 +110,11 @@ def stacked_normals(base, trials, n, count):
 def stacked_squares(cfg, base, trials, second_hop=True):
     """The blocks ``_trial_squares`` yields for a run, stacked into (trials, N)
     h2 and g2 (None without ``second_hop``), after checking that the blocks
-    are the run's consecutive trials in the blocks of :func:`block_ranges`."""
+    are the run's consecutive trials in the blocks of :func:`block_ranges`
+    past the rows the thread keeps."""
     blocks = list(_trial_squares([cfg], base, trials, second_hop))
     assert [(i, lo, hi) for i, lo, hi, _, _ in blocks] == [
-        (0, lo, hi) for lo, hi in block_ranges(trials, cfg.n_relays)]
+        (0, lo, hi) for lo, hi in block_ranges(trials, cfg.n_relays, kept_rows())]
     assert all((b[4] is None) == (not second_hop) for b in blocks)
     h2 = np.concatenate([b[3] for b in blocks])
     return h2, np.concatenate([b[4] for b in blocks]) if second_hop else None
@@ -317,9 +325,9 @@ class TestSampling:
 
 
 class TestSeededNormals:
-    """The normals ``_seeded_normals`` draws over the ``_trial_blocks`` walk
-    of a run, chunk by chunk and block by block, against one generator per
-    trial seed."""
+    """The normals ``_seeded_normals`` draws from the states ``_states``
+    derives for a run, chunk by chunk and block by block, against one
+    generator per trial seed."""
 
     # Edge cases of the lane arithmetic: the base seeds of the runs below
     # and the seeds test_states_equal_pcg64_seeding seeds PCG64 with.
@@ -346,7 +354,10 @@ class TestSeededNormals:
         assert np.array_equal(stacked_normals(2 ** 64 - 1, 1, 3, 9),
                               self._want(2 ** 64 - 1, 0, 1, 9))
         assert stacked_normals(1, 2, 3, 0).shape == (2, 0)
-        assert list(_trial_blocks(1, 0, 3)) == []
+        # A walk of no trials yields nothing and keeps no rows.
+        cfg = NetworkConfig(n_relays=3, conferencing=Neighbors(1))
+        assert list(_trial_squares([cfg], 1, 0)) == []
+        assert model._THREAD.first_rows is None
 
     @pytest.mark.parametrize("count", [1, 100, 16000])
     @pytest.mark.parametrize("block", [1, 163, 655])
@@ -440,69 +451,6 @@ class TestSeededNormals:
                      st["inc"] >> 64, st["inc"] & MASK64)
             want.append([words[i] for i in order])
         assert got.tolist() == want
-
-    @pytest.mark.parametrize("trials,n,lo,hi", [
-        (7, 1, 0, 7), (40, model._BLOCK_ELEMENTS // 6, 3, 9),
-        (_STATE_CHUNK + 10, 7, _STATE_CHUNK - 3, _STATE_CHUNK + 4)],
-        ids=["whole_run", "inside_a_chunk", "across_two_chunks"])
-    def test_trial_seeds_miss_and_hit_give_the_same_rows(self, trials, n, lo, hi):
-        # Rows lo <= t < hi of the run are checked against one generator per
-        # trial: in one block, across blocks of 6 trials, across two chunks.
-        base = 2 ** 64 - 5
-        want = self._want(base, lo, hi, 6)
-        chunks = len(range(0, trials, _STATE_CHUNK))
-        _chunk_states.cache_clear()
-        first = stacked_normals(base, trials, n, 6)
-        assert _chunk_states.cache_info()[:2] == (0, chunks)  # (hits, misses)
-        again = stacked_normals(base, trials, n, 6)
-        # One lookup per chunk per run; the cache keeps one chunk, so a run
-        # of two derives both again.
-        hits = 1 if chunks == 1 else 0
-        assert _chunk_states.cache_info()[:2] == (hits, 2 * chunks - hits)
-        assert np.array_equal(first[lo:hi], want)
-        assert np.array_equal(again, first)
-
-    def test_cache_bound(self):
-        # A chunk holds at most _STATE_CHUNK trials and the cache keeps one,
-        # so it holds at most _STATE_CHUNK * 32 B = 512 KiB of states,
-        # whatever the network size.
-        assert _chunk_states.cache_info().maxsize == 1
-        assert _STATE_CHUNK * 32 == 512 * 2 ** 10
-        _chunk_states.cache_clear()
-        cfg = NetworkConfig(n_relays=3, conferencing=Neighbors(0))
-        trials = 2 * _STATE_CHUNK + 5
-        montecarlo.trial_rates(cfg, trials, 3, ("upper",))
-        # Blocks of 5461 trials at N = 3 stop at both chunk boundaries, and
-        # each of the three chunks is derived once; the last one stays.
-        info = _chunk_states.cache_info()
-        assert info[1:] == (3, 1, 1)  # (misses, maxsize, currsize)
-        order = model._thread_generator()[2]
-        last = _chunk_states(3, 2 * _STATE_CHUNK, trials, order)
-        assert _chunk_states.cache_info().hits == info.hits + 1
-        assert last.shape == (5, 4)
-        first = _chunk_states(3, 0, _STATE_CHUNK, order)
-        assert first.nbytes == _STATE_CHUNK * 32
-
-    @pytest.mark.parametrize("run,sizes,trials,lookups", [
-        # diagnose over N = 500..4000 with 40 trials: one walk per scheme,
-        # shared by every size.
-        (lambda cfg, sizes, trials: [trace_points(s, cfg, sizes, trials, 11)
-                                     for s in ("af", "df", "upper")],
-         (500, 1000, 2000, 4000), 40, 3),
-        # sweep-n over N = 25, 50, 100 with more trials than a block at
-        # N = 100 (163): one walk per point.
-        (lambda cfg, sizes, trials: [montecarlo.run_point(replace(cfg, n_relays=n),
-                                                          trials, 11, ("upper",))
-                                     for n in sizes],
-         (25, 50, 100), 300, 3),
-    ], ids=["diagnose", "sweep_n"])
-    def test_cache_is_shared_across_sizes_and_schemes(self, run, sizes, trials, lookups):
-        # Chunks follow the trials, not the block sizes, and a walk looks up
-        # each of its chunks once, so every walk draws from the one chunk
-        # the first walk derived.
-        _chunk_states.cache_clear()
-        run(NetworkConfig(n_relays=sizes[0], conferencing=Portion(0.2)), sizes, trials)
-        assert _chunk_states.cache_info()[:2] == (lookups - 1, 1)
 
     @pytest.mark.parametrize("h_dist,g_dist", [
         (Cscg(1.3), Cscg(0.4)),
@@ -632,20 +580,18 @@ class TestKeptRows:
         monkeypatch.setattr(model, "_seeded_normals", draw)
         return drawn
 
-    @staticmethod
-    def _first(base, trials, width):
-        """``_first_rows`` of a run of ``trials`` trials, asked at ``width``."""
-        order = model._thread_generator()[2]
-        states = _chunk_states(base, 0, min(trials, model._STATE_CHUNK), order)
-        return model._first_rows(base, states, width)
-
     @classmethod
     def _walk(cls, drawn, base, trials, second_hop=True, cfgs=(CFG,)):
         """The rows drawn by one ``_trial_squares`` walk, after checking its
-        squares against one generator per trial seed."""
+        squares against one generator per trial seed and its blocks against
+        :func:`block_ranges` past the rows the thread keeps."""
         del drawn[:]
-        blocks = [(i, h2.copy(), None if g2 is None else g2.copy())
-                  for i, _, _, h2, g2 in _trial_squares(list(cfgs), base, trials, second_hop)]
+        blocks = [(i, lo, hi, h2.copy(), None if g2 is None else g2.copy())
+                  for i, lo, hi, h2, g2 in _trial_squares(list(cfgs), base, trials,
+                                                          second_hop)]
+        assert [b[1:3] for b in blocks if b[0] == 0] == block_ranges(
+            trials, max(c.n_relays for c in cfgs), kept_rows())
+        blocks = [(i, h2, g2) for i, _, _, h2, g2 in blocks]
         z = cls._want(base, trials, model._row_width(cfgs, second_hop))
         for i, (h, g) in enumerate(c._laws for c in cfgs):
             h2 = np.concatenate([b[1] for b in blocks if b[0] == i])
@@ -660,7 +606,7 @@ class TestKeptRows:
     def test_rows_equal_one_generator_per_seed(self, monkeypatch, kept):
         # Room for 5 rows of 16 normals, or for all 10.
         monkeypatch.setattr(model, "_KEPT_ELEMENTS", kept)
-        rows = self._first(5, 10, 16)
+        rows = model._first_rows(5, 10, 16)
         assert np.array_equal(rows, self._want(5, min(10, kept // 16), 16))
         assert not rows.flags.writeable
 
@@ -683,8 +629,9 @@ class TestKeptRows:
 
     @pytest.mark.parametrize("second_hop", [True, False], ids=["same_width", "narrower"])
     def test_block_across_the_last_kept_trial(self, monkeypatch, second_hop):
-        # Blocks of 3 trials at N = 4 and room for 5 rows of 16: the block of
-        # trials 3-5 reads kept trials 3 and 4 and draws trial 5.
+        # Blocks of 3 trials at N = 4 and room for 5 rows of 16: the blocks
+        # stop at the last kept trial (0-2, 3-4) and restart after it, so
+        # the walk draws trials 5-7 and 8-10.
         monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 12)
         monkeypatch.setattr(model, "_KEPT_ELEMENTS", 80)
         drawn = self._count(monkeypatch)
@@ -692,8 +639,9 @@ class TestKeptRows:
         assert self._walk(drawn, 8, 11, second_hop) == 6
 
     def test_run_across_two_chunks_keeps_the_first_chunk(self, monkeypatch):
-        # Chunks of 5 trials in blocks of 3: later walks read the first
-        # chunk's rows and draw only the 7 trials of the later chunks.
+        # Chunks of 5 trials in blocks of 3: at most a chunk's trials are
+        # kept, so later walks read those 5 rows and draw only the 7 trials
+        # past them, in chunks of 5 and 2.
         monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 12)
         monkeypatch.setattr(model, "_STATE_CHUNK", 5)
         drawn = self._count(monkeypatch)
@@ -714,7 +662,7 @@ class TestKeptRows:
         width = 4 * n if second_hop else 2 * n
         list(_trial_squares([cfg], 3, trials, second_hop))
         drawn = self._count(monkeypatch)
-        rows = self._first(3, trials, width)
+        rows = model._first_rows(3, trials, width)
         assert drawn == []
         assert rows_kept == min(trials, _STATE_CHUNK, 2 ** 20 // width)
         assert rows.shape == (rows_kept, width) and rows.size <= _KEPT_ELEMENTS
@@ -726,7 +674,7 @@ class TestKeptRows:
         for _ in range(2):
             blocks = list(_trial_squares([cfg], 4, 6))
             assert np.array_equal(np.concatenate([b[3] for b in blocks]), np.ones((6, 3)))
-        assert self._first(4, 6, 0).shape == (6, 0)
+        assert model._first_rows(4, 6, 0).shape == (6, 0)
 
     def test_suspended_walk_reads_its_rows_after_another_run_replaces_them(
             self, monkeypatch):
@@ -809,6 +757,63 @@ class TestKeptRows:
         monkeypatch.setattr(cli, "trace_points", unshared)
         # repr tells every float apart bit for bit.
         assert repr(shared) == repr(cli._diagnose_tables(cfg, params, sizes))
+
+
+class TestStateDerivations:
+    """The PCG64 states each command derives, as the number of trial seeds
+    of each ``_pcg64_states`` call: the first rows' K trials once, then per
+    walk each chunk of the trials past them, once."""
+
+    CONFIG = ("N={n}\np=0.2\nPs=1\nPr=1\nPc=1\nN0=1\nh_dist=cscg:1\ng_dist=cscg:1\n"
+              "trials={trials}\nschemes=af,df,upper\nseed=11\n")
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Seeds per ``_pcg64_states`` call from now on."""
+        derived = []
+        pcg64_states = model._pcg64_states
+
+        def counted(seeds, order):
+            derived.append(len(seeds))
+            return pcg64_states(seeds, order)
+
+        monkeypatch.setattr(model, "_pcg64_states", counted)
+        return derived
+
+    @pytest.mark.parametrize("command,sizes,trials,calls", [
+        # K = 2**20 // 16000 = 65 rows at N = 4000: the AF walk keeps all
+        # 40 trials, or 65 of 70 and each scheme's walk derives the last 5.
+        ("diagnose", (500, 1000, 2000, 4000), 40, [40]),
+        ("diagnose", (500, 1000, 2000, 4000), 70, [65, 5, 5, 5]),
+        # The sweep draws its first rows at N = 100 (K = 2**20 // 400 = 2621)
+        # before its three points walk.
+        ("sweep-n", (25, 50, 100), 100, [100]),
+        ("sweep-n", (25, 50, 100), 3000, [2621, 379, 379, 379]),
+        # K = 2**20 // 256000 = 4 at N = 64000.
+        ("diagnose", (16000, 32000, 64000), 20, [4, 16, 16, 16]),
+    ], ids=["diagnose_40", "diagnose_70", "sweep_n_100", "sweep_n_3000",
+            "diagnose_large_n"])
+    def test_each_command_derives_its_pinned_states(self, monkeypatch, tmp_path, capsys,
+                                                    command, sizes, trials, calls):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(self.CONFIG.format(n=sizes[0], trials=trials))
+        derived = self._count(monkeypatch)
+        axis = ",".join(str(n) for n in sizes)
+        assert cli.main([command, "--config", str(cfg), "--axis", axis]) == 0
+        assert capsys.readouterr().err == ""
+        assert derived == calls
+
+    def test_each_walk_derives_each_chunk_past_the_kept_rows_once(self, monkeypatch):
+        # Chunks of 5 trials: the first walk derives the 5 kept trials'
+        # states, then each walk those of 5, 5 and 2 trials past them.  No
+        # call derives more than a chunk: 2**14 states of 32 B, 512 KiB.
+        assert _STATE_CHUNK * 32 == 512 * 2 ** 10
+        monkeypatch.setattr(model, "_STATE_CHUNK", 5)
+        derived = self._count(monkeypatch)
+        cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(1))
+        for _ in range(2):
+            assert len(stacked_squares(cfg, 3, 17)[0]) == 17
+        assert derived == [5, 5, 5, 2, 5, 5, 2]
 
 
 class TestLawResolution:

@@ -330,9 +330,9 @@ CLI_CASES = {
 }
 
 
-# The overflow cases drive NumPy past its float range on purpose.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+# The overflow cases drive NumPy past its float range on purpose; the CLI
+# reports that in its one error line, with no NumPy warning before it (the
+# suite turns a RuntimeWarning into an error).
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_rejects(name, tmp_path, capsys):
     text, argv, message = CLI_CASES[name]
@@ -344,6 +344,7 @@ def test_cli_rejects(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("confrelay: configuration error:")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert message in captured.err
     assert out.read_text() == "earlier output\n"
 
