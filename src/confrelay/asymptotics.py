@@ -109,6 +109,14 @@ def _config_for(template: ConfigSource, n: int) -> NetworkConfig:
     return replace(template, n_relays=n)
 
 
+def _trace_configs(template: ConfigSource, n_values: Sequence[int]) -> list[NetworkConfig]:
+    """The config of each size of a trace; the sizes must strictly increase."""
+    configs = [_config_for(template, n) for n in n_values]
+    if any(b.n_relays <= a.n_relays for a, b in zip(configs, configs[1:])):
+        raise ConfigurationError("network sizes must be strictly increasing")
+    return configs
+
+
 def _fixed_limit(scheme: str, cfg: NetworkConfig):
     """Moment-form limit of the scheme's rate, or None when the limit is the
     per-realization cut-set bound."""
@@ -136,9 +144,7 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
     """
     rates.scheme_names((scheme,))
     trials = _integer(trials, "trials")
-    configs = [_config_for(template, n) for n in n_values]
-    if any(b.n_relays <= a.n_relays for a, b in zip(configs, configs[1:])):
-        raise ConfigurationError("network sizes must be strictly increasing")
+    configs = _trace_configs(template, n_values)
     targets = [_fixed_limit(scheme, cfg) for cfg in configs]
     points = [(cfg, (scheme,) if target is not None else (scheme, "upper"))
               for cfg, target in zip(configs, targets)]

@@ -61,8 +61,8 @@ from .montecarlo import (
     sweep,
     sweep_point,
 )
-from .asymptotics import scaling_fit, trace_points
-from .rates import af_sinr, scheme_names
+from .asymptotics import _trace_configs, scaling_fit, trace_points
+from .rates import _scheme_errors, af_sinr, scheme_names
 
 CONFIG_KEYS = ("N", "p", "M", "Ps", "Pr", "Pc", "N0", "f", "trials", "seed",
                "h_dist", "g_dist", "schemes")
@@ -217,16 +217,24 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[NetworkConfi
 # A table is a header line and its rows; a row is a tuple of str, int and
 # float values in the header's column order.
 
+def _require_runnable(errors: Sequence[dict]) -> None:
+    """Raise :class:`PreconditionError` naming, in one line sorted by scheme,
+    each scheme that failed at any point of ``errors`` (a scheme -> reason
+    map per point, in point order) as ``scheme: reason``, with the reason of
+    the first point it failed at."""
+    # Walked backwards, the first point's reason is the one left.
+    failed = {s: msg for point in reversed(errors) for s, msg in point.items()}
+    if failed:
+        raise PreconditionError("; ".join(f"{s}: {m}" for s, m in sorted(failed.items())))
+
+
 def _sweep_tables(result: SweepResult) -> list:
     """One row per (point, scheme), ordered by axis value then scheme name.
 
     Raises :class:`PreconditionError` when a scheme failed its preconditions
     at any point.
     """
-    for pt in result.points:
-        if pt.result.errors:
-            raise PreconditionError("; ".join(f"{s}: {msg}" for s, msg in
-                                              sorted(pt.result.errors.items())))
+    _require_runnable([pt.result.errors for pt in result.points])
     return [(CSV_HEADER, [
         (result.axis, pt.axis_value, pt.n_relays, pt.m_conf, pt.p_effective,
          pt.pc_over_n0_db, scheme, st.mean_rate, st.std_error, st.trials,
@@ -237,12 +245,14 @@ def _sweep_tables(result: SweepResult) -> list:
 def _oracle_tables(cfg: NetworkConfig, params: RunParams, draws: int) -> list:
     """Closed-form against empirical SINR of the AF chain and of the DF
     second hop, on realization 0 of the run's seed."""
-    real = sample_realization(cfg, derive_seed(params.seed, 0))
-    symbol_seed = derive_seed(params.seed, 1)
     oracles = {"af": (af_sinr, signal_oracle_af),
                "df": (analytic_df_mac_snr, signal_oracle_df_mac)}
+    schemes = [s for s in params.schemes if s in oracles]
+    _require_runnable([_scheme_errors(cfg, schemes)])
+    real = sample_realization(cfg, derive_seed(params.seed, 0))
+    symbol_seed = derive_seed(params.seed, 1)
     rows = []
-    for scheme in (s for s in params.schemes if s in oracles):
+    for scheme in schemes:
         closed_form, oracle = oracles[scheme]
         ana = closed_form(real, cfg)
         emp = oracle(real, cfg, draws, symbol_seed)
@@ -258,7 +268,11 @@ def _diagnose_tables(cfg: NetworkConfig, params: RunParams, axis: tuple) -> list
     """Per-size trace rows of every scheme, then one log2(N) fit per scheme."""
     if len(axis) < 3:
         raise ConfigurationError("diagnose needs at least 3 network sizes")
-    traces = {s: trace_points(s, cfg, axis, params.trials, params.seed)
+    # Every size's config is built once, and its preconditions checked
+    # before any trial is drawn.
+    configs = {c.n_relays: c for c in _trace_configs(cfg, axis)}
+    _require_runnable([_scheme_errors(c, params.schemes) for c in configs.values()])
+    traces = {s: trace_points(s, configs.__getitem__, axis, params.trials, params.seed)
               for s in params.schemes}
     fits = {s: scaling_fit([(tp.n_relays, tp.mean_rate) for tp in pts])
             for s, pts in traces.items()}

@@ -29,8 +29,9 @@ to its normals: :func:`_trial_squares` walks a run block by block,
 (:func:`_states`), and the trial engine reads each block's ``|h|^2`` and
 ``|g|^2`` under each of the configs that share the walk.  Those configs (the
 network sizes of a trace) draw each trial's row once, at the widest config's
-count of normals, in blocks sized by their largest N, and each reads a
-prefix of the row.  The PCG64 states of many trials are derived at once,
+count of normals, and each reads a prefix of the row: the kept first rows
+(below) in blocks sized by its own N, and the rows drawn after them in
+blocks sized by their largest N.  The PCG64 states of many trials are derived at once,
 without building a generator per trial: NumPy's SeedSequence hash and PCG64
 seeding run over all seeds together, in uint64 lanes (a 128-bit number is a
 high and a low 64-bit word; products are built from 32-bit halves and
@@ -829,16 +830,19 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     Each trial's row is drawn once, at the widest config's count of normals,
     and every config reads a prefix of it: a generator draws normals in
     sequence, so that prefix is what the config's own draw gives.  The walk
-    reads the rows of the run's first K trials from :func:`_first_rows`,
-    then derives the states of each ``_STATE_CHUNK`` trials after them once
-    and draws that chunk's blocks from them.  Blocks hold at most
-    ``max(1, _BLOCK_ELEMENTS // N)`` trials for the largest N of ``configs``
-    and restart at K and at each chunk, so none spans kept and drawn rows.
-    A drawn block's normals are squared once, in place; each config's
-    squares are built from them just before they are yielded, and the walk
-    lets go of the block before the last config's are yielded, so the
-    caller's kernels for config ``i`` run before config ``i + 1``'s squares
-    exist.
+    reads the rows of the run's first K trials from :func:`_first_rows` as
+    one piece, then derives the states of each ``_STATE_CHUNK`` trials after
+    them once and draws that chunk's rows in blocks of
+    ``max(1, _BLOCK_ELEMENTS // N)`` trials for the largest N of
+    ``configs``.  Within each piece or drawn block, config ``i`` reads its
+    squares in blocks of ``max(1, _BLOCK_ELEMENTS // N_i)`` trials, so no
+    yielded block holds more than ``max(_BLOCK_ELEMENTS, N_i)`` squares, a
+    drawn block is one block of every config, and a smaller config reads
+    the kept rows in fewer, larger blocks.  A drawn block's normals are
+    squared once, in place; each config's squares are built from them just
+    before they are yielded, and the walk lets go of the block before the
+    last config's last squares of it are yielded, so the caller's kernels
+    for config ``i`` run before config ``i + 1``'s squares exist.
 
     Without ``second_hop``, g is not drawn (``g2`` is None) and each row
     draws only its first-hop normals, a prefix of the full draw.
@@ -848,28 +852,34 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     base_seed = _seed(base_seed, "seed")
     laws = [c._laws for c in configs]
     width = _row_width(configs, second_hop)
-    block = max(1, _BLOCK_ELEMENTS // max(c.n_relays for c in configs))
+    sizes = [max(1, _BLOCK_ELEMENTS // c.n_relays) for c in configs]
     last = len(configs) - 1
     first = _first_rows(base_seed, trials, width)
     # The kept rows, then the chunks of the trials after them.
     bounds = [0, *range(len(first), trials, _STATE_CHUNK), trials]
     for start, end in zip(bounds, bounds[1:]):
         states = None if end <= len(first) else _states(base_seed, start, end)
-        for lo in range(start, end, block):
-            hi = min(lo + block, end)
+        # The kept rows are one piece (none when K = 0); drawn rows come in
+        # blocks no larger than any config's.
+        step = (end - start or 1) if states is None else min(sizes)
+        for lo in range(start, end, step):
+            hi = min(lo + step, end)
             if states is None:
                 z = first[lo:hi, :width]
             else:
                 z = _seeded_normals(states[lo - start:hi - start], width)
                 np.square(z, out=z)
-            for i, (h, g) in enumerate(laws):
-                h2 = _squares_from_normals(h, z[:, :h.count])
-                g2 = (_squares_from_normals(g, z[:, h.count:h.count + g.count])
-                      if second_hop else None)
-                if i == last:
-                    # Let go of the block before the last config's kernels.
-                    del z
-                yield i, lo, hi, h2, g2
+            for i, ((h, g), size) in enumerate(zip(laws, sizes)):
+                for sub in range(lo, hi, size):
+                    top = min(sub + size, hi)
+                    rows = slice(sub - lo, top - lo)
+                    h2 = _squares_from_normals(h, z[rows, :h.count])
+                    g2 = (_squares_from_normals(g, z[rows, h.count:h.count + g.count])
+                          if second_hop else None)
+                    if i == last and top == hi:
+                        # Let go of the block before the last config's kernels.
+                        del z
+                    yield i, sub, top, h2, g2
 
 
 def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:

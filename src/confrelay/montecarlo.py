@@ -203,10 +203,9 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
     """
     trials = _integer(trials, "trials")
     base_seed = _seed(base_seed, "base_seed")
-    reasons = {s: rates.scheme_precondition_error(cfg, s)
-               for s in rates.scheme_names(schemes)}
-    errors = {s: msg for s, msg in reasons.items() if msg is not None}
-    runnable = [s for s, msg in reasons.items() if msg is None]
+    names = rates.scheme_names(schemes)
+    errors = rates._scheme_errors(cfg, names)
+    runnable = [s for s in names if s not in errors]
     if not runnable:
         return PointResult(stats={}, errors=errors)
     [(names, v)] = _rate_table([(cfg, runnable)], trials, base_seed)

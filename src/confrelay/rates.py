@@ -77,16 +77,20 @@ def _cumsum2(v: np.ndarray, count: int) -> np.ndarray:
     n = v.shape[-1]
     cs = np.empty(v.shape[:-1] + (count + 1,))
     cs[..., 0] = 0.0
-    cs[..., 1:n + 1] = v
+    # Running sums straight into place, then on from entry n over the
+    # repeated entries: the additions of one pass over the doubled array, in
+    # its order (0 + v[0] is v[0], since no entry is -0.0).
+    np.add.accumulate(v, axis=-1, out=cs[..., 1:n + 1])
     cs[..., n + 1:] = v[..., :count - n]
-    return np.cumsum(cs, axis=-1, out=cs)
+    np.add.accumulate(cs[..., n:], axis=-1, out=cs[..., n:])
+    return cs
 
 
-def _win_back(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _win_back(v: np.ndarray, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
     """out[..., i] = sum_{k=lo..hi} v[..., (i - k) mod n], for 0 <= lo <= hi <= n."""
     n = v.shape[-1]
     cs = _cumsum2(v, 2 * n - lo)
-    return cs[..., n - lo + 1:2 * n - lo + 1] - cs[..., n - hi:2 * n - hi]
+    return np.subtract(cs[..., n - lo + 1:2 * n - lo + 1], cs[..., n - hi:2 * n - hi], out=out)
 
 
 def _win_fwd(v: np.ndarray, hi: int) -> np.ndarray:
@@ -141,7 +145,8 @@ def _lagged(w, v: np.ndarray, m: int) -> np.ndarray:
     if m == 0:
         return np.zeros(v.shape)
     if w.ndim == 1:
-        return _win_back(w * v, 1, m)
+        wv = w * v
+        return _win_back(wv, 1, m, out=wv)
     return np.einsum("...ki,ki->...i", _lag_view(v, m), w)
 
 
@@ -199,7 +204,8 @@ def _df_fractions(cfg: NetworkConfig):
 
 def _df_relay_snr(h2: np.ndarray, cfg: NetworkConfig, frac) -> np.ndarray:
     """Per-relay first-hop SNR: the direct plus the conferenced observations."""
-    return cfg.p_s / cfg.n_0 * (h2 + _lagged(frac, h2, cfg.m_conf))
+    snr = _lagged(frac, h2, cfg.m_conf)
+    return np.multiply(np.add(snr, h2, out=snr), cfg.p_s / cfg.n_0, out=snr)
 
 
 def _mac_weights(cfg: NetworkConfig) -> np.ndarray:
@@ -278,13 +284,17 @@ def af_power_factors(cfg: NetworkConfig) -> np.ndarray:
 
 
 def _af_q_terms(h2: np.ndarray, g2: np.ndarray, m: int, a: np.ndarray, q3w):
-    # q1, grouped by first-hop index, shares q2's forward window.
+    # q1, grouped by first-hop index, shares q2's forward window, which then
+    # holds (fwd*fwd)*h2; ag2 is squared in place for q3.
     ag2 = a * g2
     fwd = _win_fwd(ag2, m)
-    q1 = np.sum(fwd * h2, axis=-1)
-    q2 = np.sum(fwd * fwd * h2, axis=-1)
-    q3 = np.sum(ag2 * ag2 * _lagged(q3w, h2, m), axis=-1)
-    return q1, q2, q3
+    q1 = np.add.reduce(fwd * h2, axis=-1)
+    fwd *= fwd
+    fwd *= h2
+    q2 = np.add.reduce(fwd, axis=-1)
+    ag2 *= ag2
+    ag2 *= _lagged(q3w, h2, m)
+    return q1, q2, np.add.reduce(ag2, axis=-1)
 
 
 def _af_sinr(q1, q2, q3, cfg: NetworkConfig):
@@ -413,6 +423,12 @@ def scheme_precondition_error(cfg: NetworkConfig, scheme: str) -> Optional[str]:
         return (f"scheme {scheme!r} needs p_c > 0 when conferencing is "
                 f"enabled (M = {cfg.m_conf})")
     return None
+
+
+def _scheme_errors(cfg: NetworkConfig, schemes: Sequence[str]) -> dict:
+    """:func:`scheme_precondition_error` of each of ``schemes`` that cannot
+    run under ``cfg``, by scheme."""
+    return {s: msg for s in schemes if (msg := scheme_precondition_error(cfg, s))}
 
 
 def _require_scheme(cfg: NetworkConfig, scheme: str) -> None:

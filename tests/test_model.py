@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import weakref
 from dataclasses import fields, replace
 from functools import cached_property
 
@@ -70,15 +71,22 @@ def stacked_realizations(cfg, seeds):
     return np.array([r.h for r in reals]), np.array([r.g for r in reals])
 
 
-def block_ranges(trials, n, kept=0):
-    """(lo, hi) of each block of a run whose first ``kept`` trials are kept
-    rows: those trials, then every chunk of ``_STATE_CHUNK`` trials after
-    them, each in blocks of ``max(1, _BLOCK_ELEMENTS // n)``."""
-    size = max(1, model._BLOCK_ELEMENTS // n)
+def block_size(n):
+    """Trials per block of a config of ``n`` relays."""
+    return max(1, model._BLOCK_ELEMENTS // n)
+
+
+def block_ranges(trials, n, kept=0, widest=None):
+    """(lo, hi) of each block a config of ``n`` relays reads in a walk whose
+    largest config has ``widest`` relays (default ``n``), of a run whose
+    first ``kept`` trials are kept rows: those trials in blocks of
+    :func:`block_size` ``(n)``, then every chunk of ``_STATE_CHUNK`` trials
+    after them in the drawn blocks of :func:`block_size` ``(widest)``."""
+    size, drawn = block_size(n), block_size(widest or n)
     ranges = [(lo, min(lo + size, kept)) for lo in range(0, kept, size)]
     for start in range(kept, trials, model._STATE_CHUNK):
         end = min(start + model._STATE_CHUNK, trials)
-        ranges += [(lo, min(lo + size, end)) for lo in range(start, end, size)]
+        ranges += [(lo, min(lo + drawn, end)) for lo in range(start, end, drawn)]
     return ranges
 
 
@@ -111,10 +119,12 @@ def stacked_squares(cfg, base, trials, second_hop=True):
     """The blocks ``_trial_squares`` yields for a run, stacked into (trials, N)
     h2 and g2 (None without ``second_hop``), after checking that the blocks
     are the run's consecutive trials in the blocks of :func:`block_ranges`
-    past the rows the thread keeps."""
+    with the rows the thread keeps, none larger than
+    ``max(_BLOCK_ELEMENTS, N)``."""
     blocks = list(_trial_squares([cfg], base, trials, second_hop))
     assert [(i, lo, hi) for i, lo, hi, _, _ in blocks] == [
         (0, lo, hi) for lo, hi in block_ranges(trials, cfg.n_relays, kept_rows())]
+    assert all(b[3].size <= max(model._BLOCK_ELEMENTS, cfg.n_relays) for b in blocks)
     assert all((b[4] is None) == (not second_hop) for b in blocks)
     h2 = np.concatenate([b[3] for b in blocks])
     return h2, np.concatenate([b[4] for b in blocks]) if second_hop else None
@@ -583,14 +593,19 @@ class TestKeptRows:
     @classmethod
     def _walk(cls, drawn, base, trials, second_hop=True, cfgs=(CFG,)):
         """The rows drawn by one ``_trial_squares`` walk, after checking its
-        squares against one generator per trial seed and its blocks against
-        :func:`block_ranges` past the rows the thread keeps."""
+        squares against one generator per trial seed, each config's blocks
+        against :func:`block_ranges` with the rows the thread keeps, and
+        their sizes against ``max(_BLOCK_ELEMENTS, N_i)``."""
         del drawn[:]
         blocks = [(i, lo, hi, h2.copy(), None if g2 is None else g2.copy())
                   for i, lo, hi, h2, g2 in _trial_squares(list(cfgs), base, trials,
                                                           second_hop)]
-        assert [b[1:3] for b in blocks if b[0] == 0] == block_ranges(
-            trials, max(c.n_relays for c in cfgs), kept_rows())
+        widest = max(c.n_relays for c in cfgs)
+        for i, cfg in enumerate(cfgs):
+            assert [b[1:3] for b in blocks if b[0] == i] == block_ranges(
+                trials, cfg.n_relays, kept_rows(), widest)
+            assert all(b[3].size <= max(model._BLOCK_ELEMENTS, cfg.n_relays)
+                       for b in blocks if b[0] == i)
         blocks = [(i, h2, g2) for i, _, _, h2, g2 in blocks]
         z = cls._want(base, trials, model._row_width(cfgs, second_hop))
         for i, (h, g) in enumerate(c._laws for c in cfgs):
@@ -637,6 +652,45 @@ class TestKeptRows:
         drawn = self._count(monkeypatch)
         assert self._walk(drawn, 8, 11) == 11
         assert self._walk(drawn, 8, 11, second_hop) == 6
+
+    @pytest.mark.parametrize("kept", [48, _KEPT_ELEMENTS], ids=["some", "all"])
+    def test_each_size_reads_the_kept_rows_in_its_own_blocks(self, monkeypatch, kept):
+        # Blocks of 6 trials at N = 2 and of 3 at N = 4, and room for 3 rows
+        # of 16 normals or for all 14: the narrower config reads the kept
+        # rows in blocks twice as large as the wider one, and both read the
+        # drawn rows in blocks of 3.
+        monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 12)
+        monkeypatch.setattr(model, "_KEPT_ELEMENTS", kept)
+        narrow = NetworkConfig(n_relays=2, conferencing=Neighbors(1))
+        drawn = self._count(monkeypatch)
+        assert self._walk(drawn, 14, 14, cfgs=(narrow, self.CFG)) == 14
+        assert block_ranges(14, 2, kept_rows(), 4) == (
+            [(0, 6), (6, 12), (12, 14)] if kept_rows() == 14 else
+            [(0, 3), (3, 6), (6, 9), (9, 12), (12, 14)])
+        assert self._walk(drawn, 14, 14, cfgs=(narrow, self.CFG)) == 14 - kept_rows()
+
+    def test_drawn_block_is_let_go_before_the_last_configs_kernels(self, monkeypatch):
+        # No kept rows: every block is drawn.  At each block of the last
+        # config the walk yields, the block its squares came from is gone,
+        # so at most one drawn block and one config's squares are alive.
+        monkeypatch.setattr(model, "_KEPT_ELEMENTS", 0)
+        refs = []
+        seeded_normals = model._seeded_normals
+
+        def draw(states, count, out=None):
+            z = seeded_normals(states, count, out)
+            if z.size:  # not the K = 0 kept rows
+                refs.append(weakref.ref(z))
+            return z
+
+        monkeypatch.setattr(model, "_seeded_normals", draw)
+        cfgs = [NetworkConfig(n_relays=n, conferencing=Neighbors(1)) for n in (50, 200)]
+        last = 0
+        for i, lo, hi, h2, g2 in _trial_squares(cfgs, 15, 300):
+            if i == 1:
+                assert refs[-1]() is None
+                last += 1
+        assert kept_rows() == 0 and last == len(refs) == len(block_ranges(300, 200))
 
     def test_run_across_two_chunks_keeps_the_first_chunk(self, monkeypatch):
         # Chunks of 5 trials in blocks of 3: at most a chunk's trials are
@@ -757,6 +811,27 @@ class TestKeptRows:
         monkeypatch.setattr(cli, "trace_points", unshared)
         # repr tells every float apart bit for bit.
         assert repr(shared) == repr(cli._diagnose_tables(cfg, params, sizes))
+
+
+def test_diagnose_pass_makes_one_kernel_call_per_block(monkeypatch):
+    # The bench's diagnose pass keeps all 40 trials, and each size reads
+    # them in its own blocks of 32, 16, 8 and 4 trials: 2 + 3 + 5 + 10
+    # calls per scheme.  The limits add a moment-form cut-set bound per size
+    # for ``upper`` and for ``af``.
+    calls = {"_af_rates": 0, "_df_rates": 0, "_upper_rates": 0}
+    kernels = {name: getattr(rates, name) for name in calls}
+
+    def counted(name):
+        def kernel(*args):
+            calls[name] += 1
+            return kernels[name](*args)
+        return kernel
+
+    for name in calls:
+        monkeypatch.setattr(rates, name, counted(name))
+    cfg = NetworkConfig(n_relays=500, conferencing=Portion(0.2))
+    cli._diagnose_tables(cfg, cli.RunParams(trials=40, seed=11), (500, 1000, 2000, 4000))
+    assert calls == {"_af_rates": 20, "_df_rates": 20, "_upper_rates": 20 + 8}
 
 
 class TestStateDerivations:

@@ -26,7 +26,7 @@ from confrelay import (
     signal_oracle_df_mac,
     sweep,
 )
-from confrelay import model, montecarlo
+from confrelay import model, montecarlo, rates
 from confrelay.model import _STATE_CHUNK
 from confrelay.montecarlo import SCHEMES, sweep_point, trial_rates
 
@@ -219,6 +219,20 @@ class TestTrialEngine:
                     "af": af_rate(real, cfg)}
             for s in SCHEMES:
                 assert math.isclose(got[s][t], want[s], rel_tol=1e-12), (s, t)
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+    def test_kernels_never_write_their_inputs(self, name):
+        # A point's kernels all read the same |h|^2 and |g|^2: on read-only
+        # squares each runs and gives the bits it gives on writable copies.
+        cfg = ENGINE_CASES[name]
+        rng = np.random.default_rng(8)
+        for shape in ((cfg.n_relays,), (5, cfg.n_relays)):
+            h2, g2 = rng.exponential(size=shape), rng.exponential(size=shape)
+            h2.flags.writeable = g2.flags.writeable = False
+            for scheme, kernel in rates.scheme_kernels(cfg, SCHEMES).items():
+                got = np.asarray(kernel(h2, g2))
+                want = np.asarray(kernel(h2.copy(), g2.copy()))
+                assert got.tobytes() == want.tobytes(), scheme
 
     @pytest.mark.parametrize("name", ["uniform", "gain_matrix", "per_index"])
     def test_block_size_does_not_change_results(self, monkeypatch, name):

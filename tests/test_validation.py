@@ -2,7 +2,9 @@
 
 One table of library calls, each of which raises ``ConfigurationError``, and
 one of command lines, each of which exits with code 2, reports a configuration
-error on stderr and leaves an existing ``--out`` file alone.
+error on stderr and leaves an existing ``--out`` file alone.  A scheme that
+cannot run under a valid configuration exits with code 3 instead, and every
+command reports it in the same one line.
 """
 
 import warnings
@@ -27,7 +29,7 @@ from confrelay import (
     signal_oracle_af,
     signal_oracle_df_mac,
 )
-from confrelay import rates
+from confrelay import model, rates
 from confrelay.asymptotics import convergence_trace, lemma1_gap, scaling_fit, trace_points
 from confrelay.cli import main
 from confrelay.montecarlo import apply_axis
@@ -373,3 +375,55 @@ def test_cli_law_error_in_a_config_line_names_the_line(tmp_path, capsys):
     line = len(CONFIG.splitlines()) + 1
     assert (f"line {line}: point_mass value to the fourth power"
             in capsys.readouterr().err)
+
+
+def _needs_pc(scheme, m):
+    return f"{scheme}: scheme {scheme!r} needs p_c > 0 when conferencing is enabled (M = {m})"
+
+
+# Pc = 0 with conferencing: AF and DF cannot run.  Under p = 0.5, N = 2 and
+# p = 0.25 at N = 4 have M = 0, so each axis fails from its second point on.
+BOTH = f"{_needs_pc('af', 1)}; {_needs_pc('df', 1)}"
+PRECONDITION_CASES = {
+    "single": (["single"], BOTH),
+    "sweep_n": (["sweep-n", "--axis", "2,4,8"], BOTH),
+    "sweep_p": (["sweep-p", "--axis", "0.25,0.5"], BOTH),
+    "sweep_snr": (["sweep-snr", "--axis=-inf,0"], BOTH),
+    "oracle": (["oracle", "--draws", "100"], BOTH),
+    "diagnose": (["diagnose", "--axis", "2,4,8"], BOTH),
+    "diagnose_large_m_first": (["diagnose", "--axis", "8,16,32"],
+                               f"{_needs_pc('af', 3)}; {_needs_pc('df', 3)}"),
+    "diagnose_df_upper": (["diagnose", "--axis", "2,4,8", "--set", "schemes=upper,df"],
+                          _needs_pc("df", 1)),
+    "oracle_df": (["oracle", "--draws", "100", "--set", "schemes=df"], _needs_pc("df", 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECONDITION_CASES))
+def test_cli_reports_every_failing_scheme_in_one_line(name, tmp_path, capsys, monkeypatch):
+    argv, reasons = PRECONDITION_CASES[name]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG)
+    derived = []
+    pcg64_states = model._pcg64_states
+
+    def counted(seeds, order):
+        derived.append(len(seeds))
+        return pcg64_states(seeds, order)
+
+    monkeypatch.setattr(model, "_pcg64_states", counted)
+    assert main(argv + ["--config", str(cfg), "--set", "Pc=0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"confrelay: precondition error: {reasons}\n"
+    if argv[0] == "diagnose":
+        # Checked at every size before any trial is drawn.
+        assert derived == []
+
+
+def test_cli_configuration_error_comes_before_precondition_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG)
+    assert main(["diagnose", "--axis", "8,4,16", "--config", str(cfg), "--set", "Pc=0"]) == 2
+    assert capsys.readouterr().err == (
+        "confrelay: configuration error: network sizes must be strictly increasing\n")
