@@ -103,15 +103,10 @@ def scaling_fit(points: Sequence[tuple[int, float]]) -> ScalingFit:
 ConfigSource = Union[NetworkConfig, Callable[[int], NetworkConfig]]
 
 
-def _config_for(template: ConfigSource, n: int) -> NetworkConfig:
-    if callable(template):
-        return template(n)
-    return replace(template, n_relays=n)
-
-
 def _trace_configs(template: ConfigSource, n_values: Sequence[int]) -> list[NetworkConfig]:
     """The config of each size of a trace; the sizes must strictly increase."""
-    configs = [_config_for(template, n) for n in n_values]
+    configs = [template(n) if callable(template) else replace(template, n_relays=n)
+               for n in n_values]
     if any(b.n_relays <= a.n_relays for a, b in zip(configs, configs[1:])):
         raise ConfigurationError("network sizes must be strictly increasing")
     return configs

@@ -20,9 +20,10 @@ e.g. ``1`` or ``0.6+0.8j``).
 All output is CSV and byte-stable: rerunning the same command with the same
 inputs reproduces it exactly.  Every command builds its rows as typed values,
 and one check runs over all of them before anything is written: every float
-field must be finite, except ``Pc_over_N0_db``, which is ``-inf`` exactly when
-Pc = 0.  Exit codes: 0 success, 2 configuration error (a non-finite result
-included), 3 runtime precondition error.
+field must be finite, except ``Pc_over_N0_db`` and the ``axis_value`` of a
+``sweep-snr`` row, which are ``-inf`` exactly when Pc = 0.  Exit codes: 0
+success, 2 configuration error (a non-finite result included), 3 runtime
+precondition error.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .model import (
 )
 from .montecarlo import (
     SCHEMES,
-    SweepResult,
     SweepSpec,
     analytic_df_mac_snr,
     signal_oracle_af,
@@ -157,21 +157,23 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[NetworkConfi
         _parse_entry(raw, f"override {pos} ({raw})", entries, origins,
                      allow_replace=True)
 
-    def take(key, conv, default=None):
-        if key not in entries:
-            return default
-        where = origins[key]
+    def take(key, conv):
         try:
             return conv(entries[key])
         except ConfigurationError:
             raise
         except ValueError as exc:
             raise ConfigurationError(
-                f"{where}: bad value for {key}: {entries[key]!r}") from exc
+                f"{origins[key]}: bad value for {key}: {entries[key]!r}") from exc
 
-    n = take("N", int)
-    if n is None:
+    def given(fields):
+        """By name, the value of each ``(key, name, conv)`` the config sets:
+        what it leaves out keeps the default of the class it is passed to."""
+        return {name: take(key, conv) for key, name, conv in fields if key in entries}
+
+    if "N" not in entries:
         raise ConfigurationError("config: missing required key 'N'")
+    n = take("N", int)
     if "p" in entries and "M" in entries:
         raise ConfigurationError(
             f"{origins['M']}: both p and M specified; exactly one is allowed")
@@ -183,19 +185,13 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[NetworkConfi
         raise ConfigurationError(
             "config: exactly one of p or M must specify the conferencing size")
 
-    cfg = NetworkConfig(
-        n_relays=n,
-        conferencing=conferencing,
-        p_s=take("Ps", float, 1.0),
-        p_r=take("Pr", float, 1.0),
-        p_c=take("Pc", float, 1.0),
-        n_0=take("N0", float, 1.0),
-        conf_gain=take("f", float, 1.0),
-        h_dist=take("h_dist", lambda v: parse_distribution(v, origins["h_dist"]),
-                    Cscg(1.0)),
-        g_dist=take("g_dist", lambda v: parse_distribution(v, origins["g_dist"]),
-                    Cscg(1.0)),
-    )
+    def law(key):
+        return lambda value: parse_distribution(value, origins[key])
+
+    cfg = NetworkConfig(n, conferencing, **given((
+        ("Ps", "p_s", float), ("Pr", "p_r", float), ("Pc", "p_c", float),
+        ("N0", "n_0", float), ("f", "conf_gain", float),
+        ("h_dist", "h_dist", law("h_dist")), ("g_dist", "g_dist", law("g_dist")))))
 
     def parse_schemes(value):
         try:
@@ -203,11 +199,10 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[NetworkConfi
         except ConfigurationError as exc:
             raise ConfigurationError(f"{origins['schemes']}: {exc}") from exc
 
-    params = RunParams(
-        trials=_integer(take("trials", int, 1000), f"{origins.get('trials', 'config')}: trials"),
-        seed=_seed(take("seed", int, 0), "seed"),
-        schemes=take("schemes", parse_schemes, SCHEMES),
-    )
+    params = RunParams(**given((
+        ("trials", "trials", lambda v: _integer(int(v), f"{origins['trials']}: trials")),
+        ("seed", "seed", lambda v: _seed(int(v), "seed")),
+        ("schemes", "schemes", parse_schemes))))
     return cfg, params
 
 
@@ -228,18 +223,17 @@ def _require_runnable(errors: Sequence[dict]) -> None:
         raise PreconditionError("; ".join(f"{s}: {m}" for s, m in sorted(failed.items())))
 
 
-def _sweep_tables(result: SweepResult) -> list:
+def _sweep_tables(axis: str, points: Sequence, base_seed: int) -> list:
     """One row per (point, scheme), ordered by axis value then scheme name.
 
     Raises :class:`PreconditionError` when a scheme failed its preconditions
     at any point.
     """
-    _require_runnable([pt.result.errors for pt in result.points])
+    _require_runnable([pt.result.errors for pt in points])
     return [(CSV_HEADER, [
-        (result.axis, pt.axis_value, pt.n_relays, pt.m_conf, pt.p_effective,
-         pt.pc_over_n0_db, scheme, st.mean_rate, st.std_error, st.trials,
-         result.base_seed)
-        for pt in result.points for scheme, st in sorted(pt.result.stats.items())])]
+        (axis, pt.axis_value, pt.n_relays, pt.m_conf, pt.p_effective,
+         pt.pc_over_n0_db, scheme, st.mean_rate, st.std_error, st.trials, base_seed)
+        for pt in points for scheme, st in sorted(pt.result.stats.items())])]
 
 
 def _oracle_tables(cfg: NetworkConfig, params: RunParams, draws: int) -> list:
@@ -288,8 +282,9 @@ _KEY_COLUMNS = ("axis", "axis_value", "scheme", "n_relays")
 
 
 def _require_finite(tables: list) -> None:
-    """The one output rule: every float field is finite, except
-    ``Pc_over_N0_db``, which is ``-inf`` exactly when Pc = 0.
+    """The one output rule: every float field is finite, except the dB
+    values of Pc / N0, ``Pc_over_N0_db`` and a ``conf_snr_db`` row's
+    ``axis_value``, which are ``-inf`` exactly when Pc = 0.
 
     A row that breaks it comes from a configuration that drove the arithmetic
     out of floating-point range; the error names the row by its key fields
@@ -298,11 +293,14 @@ def _require_finite(tables: list) -> None:
     for header, rows in tables:
         columns = header.split(",")
         for row in rows:
-            bad = [f"{name}={value}" for name, value in zip(columns, row)
+            fields = dict(zip(columns, row))
+            db = (("Pc_over_N0_db", "axis_value") if fields.get("axis") == "conf_snr_db"
+                  else ("Pc_over_N0_db",))
+            bad = [f"{name}={value}" for name, value in fields.items()
                    if isinstance(value, float) and not math.isfinite(value)
-                   and not (name == "Pc_over_N0_db" and value == -math.inf)]
+                   and not (name in db and value == -math.inf)]
             if bad:
-                key = ", ".join(f"{name}={value}" for name, value in zip(columns, row)
+                key = ", ".join(f"{name}={value}" for name, value in fields.items()
                                 if name in _KEY_COLUMNS)
                 raise ConfigurationError(
                     f"{key}: not finite ({', '.join(bad)}); the configuration "
@@ -339,15 +337,14 @@ def dispatch(manifest: RunManifest) -> int:
         cfg, params = parse_config(text, manifest.overrides)
         if manifest.command == "single":
             point = sweep_point(cfg, 0.0, params.trials, params.seed, params.schemes)
-            tables = _sweep_tables(SweepResult(axis="single", points=(point,),
-                                               trials=params.trials,
-                                               base_seed=params.seed))
+            tables = _sweep_tables("single", (point,), params.seed)
         elif manifest.command in _SWEEP_AXES:
             if not manifest.axis:
                 raise ConfigurationError("sweep commands need --axis")
-            tables = _sweep_tables(sweep(SweepSpec(
+            result = sweep(SweepSpec(
                 base=cfg, axis=_SWEEP_AXES[manifest.command], values=manifest.axis,
-                trials=params.trials, base_seed=params.seed, schemes=params.schemes)))
+                trials=params.trials, base_seed=params.seed, schemes=params.schemes))
+            tables = _sweep_tables(result.axis, result.points, result.base_seed)
         elif manifest.command == "oracle":
             tables = _oracle_tables(cfg, params, manifest.draws)
         elif manifest.command == "diagnose":

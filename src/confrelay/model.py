@@ -199,14 +199,13 @@ class _Law(NamedTuple):
     """A fading law over ``n`` relays, as the moments and both samplers read
     it.  One draw takes ``count`` standard normals ``z``; the Gaussian entry
     ``gauss[j]`` (relay ``j`` when ``gauss`` is None) is
-    ``scale[j] * (z[re][j] + 1j * z[im][j])`` and the point mass ``mass[k]``
+    ``sqrt(half[j]) * (z[re][j] + 1j * z[im][j])`` and the point mass ``mass[k]``
     is ``values[k]``."""
 
     count: int                 # standard normals one draw consumes
     re: slice                  # the draw's real parts of the Gaussian entries
     im: slice                  # and their imaginary parts
     half: np.ndarray | float   # variance / 2 of the Gaussian entries
-    scale: np.ndarray | float  # their sqrt(variance / 2)
     gauss: np.ndarray | None   # relay indices of the Gaussian entries
     mass: np.ndarray           # relay indices of the point masses
     values: np.ndarray         # their values
@@ -256,8 +255,7 @@ class PerIndex:
         m2.flags.writeable = m4.flags.writeable = False
         # One (real, imaginary) pair of normals per Gaussian entry.
         return _Law(2 * len(gauss), slice(0, None, 2), slice(1, None, 2), half,
-                    np.sqrt(half), gauss if len(mass) else None, mass, values,
-                    _abs2(values), m2, m4)
+                    gauss if len(mass) else None, mass, values, _abs2(values), m2, m4)
 
 
 DistributionSpec = Union[Cscg, PointMass, PerIndex]
@@ -284,13 +282,13 @@ def _law(spec: DistributionSpec, n: int) -> _Law:
     if isinstance(spec, Cscg):
         # E|h|^4 is (2 * variance) * variance, rounded as PerIndex._table rounds it.
         v = float(spec.variance)
-        return _Law(2 * n, slice(0, n), slice(n, 2 * n), v / 2.0, math.sqrt(v / 2.0), None,
-                    _NONE, _NONE, _NONE, np.full(n, v), np.full(n, 2.0 * v * v))
+        return _Law(2 * n, slice(0, n), slice(n, 2 * n), v / 2.0, None, _NONE, _NONE,
+                    _NONE, np.full(n, v), np.full(n, 2.0 * v * v))
     if isinstance(spec, PointMass):
         values = np.full(n, spec.value)
         m2 = np.full(n, abs(spec.value) ** 2)
-        return _Law(0, slice(0, 0), slice(0, 0), _NONE, _NONE, _NONE, np.arange(n),
-                    values, _abs2(values), m2, m2 * m2)
+        return _Law(0, slice(0, 0), slice(0, 0), _NONE, _NONE, np.arange(n), values,
+                    _abs2(values), m2, m2 * m2)
     raise ConfigurationError(f"unsupported distribution spec: {spec!r}")
 
 
@@ -349,8 +347,9 @@ def _draw(law: _Law, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal(law.count)
     out = np.empty(len(law.m2), dtype=complex)
     gauss = slice(None) if law.gauss is None else law.gauss
-    out.real[gauss] = law.scale * z[law.re]
-    out.imag[gauss] = law.scale * z[law.im]
+    scale = np.sqrt(law.half)
+    out.real[gauss] = scale * z[law.re]
+    out.imag[gauss] = scale * z[law.im]
     out[law.mass] = law.values
     return out
 

@@ -9,9 +9,8 @@ trial sees never depends on how trials are grouped: per-trial rates land in
 one index-addressed (scheme, trial) array, and the aggregation reduces all of
 its rows at once, each in index order, to the bits ``np.mean`` and ``np.std``
 give row by row.  Trials are drawn by ``model._trial_squares`` and evaluated
-in one thread, in blocks whose size follows from the largest network size of
-the configurations that share the walk (one, for a point).  Walks of the
-same run share the squared rows each thread keeps of its first trials
+in one thread, in the blocks its docstring describes.  Walks of the same run
+share the squared rows each thread keeps of its first trials
 (``model._first_rows``); :func:`sweep` draws them at its widest point before
 its first point.
 
@@ -197,8 +196,8 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
     on their array (:func:`_reduce_rows`); each mean and standard error equals
     ``np.mean`` and ``np.std(ddof=1) / sqrt(trials)`` of the scheme's own
     rates, bit for bit.
-    Scheme precondition failures (:func:`rates.scheme_precondition_error`)
-    are reported in ``errors`` and do not stop the remaining schemes; an
+    Scheme precondition failures (AF and DF need p_c > 0 when M >= 1) are
+    reported in ``errors`` and do not stop the remaining schemes; an
     unknown scheme name raises :class:`ConfigurationError`.
     """
     trials = _integer(trials, "trials")

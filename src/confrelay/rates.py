@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -416,25 +416,20 @@ def reads_second_hop(schemes: Sequence[str]) -> bool:
     return any(s != "upper" for s in schemes)
 
 
-def scheme_precondition_error(cfg: NetworkConfig, scheme: str) -> Optional[str]:
-    """Reason ``scheme`` cannot run under ``cfg``, or None.  AF and DF combine
-    the conferenced copies, so they need p_c > 0 whenever M >= 1."""
-    if scheme != "upper" and cfg.m_conf >= 1 and cfg.p_c == 0:
-        return (f"scheme {scheme!r} needs p_c > 0 when conferencing is "
-                f"enabled (M = {cfg.m_conf})")
-    return None
-
-
 def _scheme_errors(cfg: NetworkConfig, schemes: Sequence[str]) -> dict:
-    """:func:`scheme_precondition_error` of each of ``schemes`` that cannot
-    run under ``cfg``, by scheme."""
-    return {s: msg for s in schemes if (msg := scheme_precondition_error(cfg, s))}
+    """The reason of each of ``schemes`` that cannot run under ``cfg``, by
+    scheme.  AF and DF combine the conferenced copies, so they need p_c > 0
+    whenever M >= 1."""
+    if cfg.m_conf >= 1 and cfg.p_c == 0:
+        return {s: f"scheme {s!r} needs p_c > 0 when conferencing is enabled "
+                   f"(M = {cfg.m_conf})" for s in schemes if s != "upper"}
+    return {}
 
 
 def _require_scheme(cfg: NetworkConfig, scheme: str) -> None:
-    msg = scheme_precondition_error(cfg, scheme)
-    if msg is not None:
-        raise PreconditionError(msg)
+    errors = _scheme_errors(cfg, (scheme,))
+    if errors:
+        raise PreconditionError(errors[scheme])
 
 
 def scheme_kernels(cfg: NetworkConfig, schemes: Sequence[str]) -> dict:

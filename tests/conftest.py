@@ -17,3 +17,32 @@ def two_relay_point_mass():
                         h_dist=PointMass(1), g_dist=PointMass(1))
     real = sample_realization(cfg, 0)
     return cfg, real
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """(rows, normals per row) of every ``model._seeded_normals`` call the
+    test makes."""
+    drawn = []
+    seeded_normals = model._seeded_normals
+
+    def draw(states, count, out=None):
+        drawn.append((len(states), count))
+        return seeded_normals(states, count, out)
+
+    monkeypatch.setattr(model, "_seeded_normals", draw)
+    return drawn
+
+
+@pytest.fixture
+def derived(monkeypatch):
+    """Seeds per ``model._pcg64_states`` call the test makes."""
+    derived = []
+    pcg64_states = model._pcg64_states
+
+    def counted(seeds, order):
+        derived.append(len(seeds))
+        return pcg64_states(seeds, order)
+
+    monkeypatch.setattr(model, "_pcg64_states", counted)
+    return derived

@@ -217,7 +217,7 @@ class TestSharedDraw:
         trace_points(scheme, template, sizes, trials, 5)
         widest = 0
         for n in sizes:
-            cfg = asymptotics._config_for(template, n)
+            cfg = asymptotics._trace_configs(template, (n,))[0]
             count = model._law(cfg.h_dist, n).count
             if scheme != "upper":
                 count += model._law(cfg.g_dist, n).count
@@ -237,7 +237,7 @@ class TestSharedDraw:
         self._patch(monkeypatch, block, chunk)
         trials = 1 if one_trial else trials
         for n, point in zip(sizes, trace_points(scheme, template, sizes, trials, 13)):
-            cfg = asymptotics._config_for(template, n)
+            cfg = asymptotics._trace_configs(template, (n,))[0]
             rows = trial_rates(cfg, trials, 13, (scheme, "upper"))
             limit = asymptotics._fixed_limit(scheme, cfg)
             # Complete conferencing: AF's limit is the realized cut-set bound.

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -8,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import confrelay
-from confrelay import Cscg, ConfigurationError, Neighbors, PointMass, Portion
+from confrelay import Cscg, ConfigurationError, Neighbors, NetworkConfig, PointMass, Portion
 from confrelay.cli import (
     CSV_HEADER,
     RunManifest,
+    RunParams,
     dispatch,
     main,
     parse_config,
@@ -38,6 +40,13 @@ class TestParseConfig:
         assert cfg.h_dist == Cscg(1.0) and cfg.g_dist == Cscg(1.0)
         assert params.trials == 1000 and params.seed == 0
         assert params.schemes == ("af", "df", "upper")
+
+    def test_defaults_are_the_library_defaults(self):
+        cfg, params = parse_config("N=4\np=0.5\n")
+        want = NetworkConfig(4, Portion(0.5))
+        assert ({f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+                == {f.name: getattr(want, f.name) for f in dataclasses.fields(want)})
+        assert params == RunParams()
 
     def test_empty_file_requires_n(self):
         with pytest.raises(ConfigurationError, match="N"):
@@ -182,6 +191,21 @@ class TestCsvOutput:
         assert main(["single", "--config", cfg]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[5] == "-inf"
+
+    @pytest.mark.parametrize("text", ["N=4\nM=0\ntrials=2\n",
+                                      "N=4\np=0.5\nschemes=upper\ntrials=2\n"],
+                             ids=["no_conferencing", "bound_only"])
+    def test_snr_sweep_at_minus_inf_db(self, tmp_path, capsys, text):
+        # -inf dB sets Pc = 0, which none of these schemes needs: both dB
+        # columns read -inf on those rows, and the run succeeds.
+        cfg = write(tmp_path, "c.cfg", text)
+        assert main(["sweep-snr", "--config", cfg, "--axis=-inf,0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [ln.split(",") for ln in captured.out.splitlines()[1:]]
+        assert [(r[1], r[5]) for r in rows] == (
+            [("-inf", "-inf")] * (len(rows) // 2)
+            + [("0.000000000000e+00", "0.000000000000e+00")] * (len(rows) // 2))
 
     def test_significant_digits(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.cfg", FIXTURE_CFG)

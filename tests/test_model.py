@@ -577,19 +577,6 @@ class TestKeptRows:
         return np.array([np.random.default_rng(derive_seed(base, t)).standard_normal(width) ** 2
                          for t in range(trials)]).reshape(trials, width)
 
-    @staticmethod
-    def _count(monkeypatch):
-        """(rows, normals per row) of every ``_seeded_normals`` call from now on."""
-        drawn = []
-        seeded_normals = model._seeded_normals
-
-        def draw(states, count, out=None):
-            drawn.append((len(states), count))
-            return seeded_normals(states, count, out)
-
-        monkeypatch.setattr(model, "_seeded_normals", draw)
-        return drawn
-
     @classmethod
     def _walk(cls, drawn, base, trials, second_hop=True, cfgs=(CFG,)):
         """The rows drawn by one ``_trial_squares`` walk, after checking its
@@ -625,36 +612,32 @@ class TestKeptRows:
         assert np.array_equal(rows, self._want(5, min(10, kept // 16), 16))
         assert not rows.flags.writeable
 
-    def test_second_walk_of_the_same_width_draws_nothing(self, monkeypatch):
-        drawn = self._count(monkeypatch)
+    def test_second_walk_of_the_same_width_draws_nothing(self, drawn):
         assert self._walk(drawn, 5, 10) == 10
         assert self._walk(drawn, 5, 10) == 0
 
-    def test_narrower_walk_reads_a_prefix_of_each_row(self, monkeypatch):
-        drawn = self._count(monkeypatch)
+    def test_narrower_walk_reads_a_prefix_of_each_row(self, drawn):
         self._walk(drawn, 6, 10)
         assert self._walk(drawn, 6, 10, second_hop=False) == 0
         assert self._walk(drawn, 6, 10) == 0
 
-    def test_wider_walk_draws_again(self, monkeypatch):
-        drawn = self._count(monkeypatch)
+    def test_wider_walk_draws_again(self, drawn):
         assert self._walk(drawn, 7, 10, second_hop=False) == 10
         assert self._walk(drawn, 7, 10) == 10
         assert self._walk(drawn, 7, 10, second_hop=False) == 0
 
     @pytest.mark.parametrize("second_hop", [True, False], ids=["same_width", "narrower"])
-    def test_block_across_the_last_kept_trial(self, monkeypatch, second_hop):
+    def test_block_across_the_last_kept_trial(self, monkeypatch, drawn, second_hop):
         # Blocks of 3 trials at N = 4 and room for 5 rows of 16: the blocks
         # stop at the last kept trial (0-2, 3-4) and restart after it, so
         # the walk draws trials 5-7 and 8-10.
         monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 12)
         monkeypatch.setattr(model, "_KEPT_ELEMENTS", 80)
-        drawn = self._count(monkeypatch)
         assert self._walk(drawn, 8, 11) == 11
         assert self._walk(drawn, 8, 11, second_hop) == 6
 
     @pytest.mark.parametrize("kept", [48, _KEPT_ELEMENTS], ids=["some", "all"])
-    def test_each_size_reads_the_kept_rows_in_its_own_blocks(self, monkeypatch, kept):
+    def test_each_size_reads_the_kept_rows_in_its_own_blocks(self, monkeypatch, drawn, kept):
         # Blocks of 6 trials at N = 2 and of 3 at N = 4, and room for 3 rows
         # of 16 normals or for all 14: the narrower config reads the kept
         # rows in blocks twice as large as the wider one, and both read the
@@ -662,7 +645,6 @@ class TestKeptRows:
         monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 12)
         monkeypatch.setattr(model, "_KEPT_ELEMENTS", kept)
         narrow = NetworkConfig(n_relays=2, conferencing=Neighbors(1))
-        drawn = self._count(monkeypatch)
         assert self._walk(drawn, 14, 14, cfgs=(narrow, self.CFG)) == 14
         assert block_ranges(14, 2, kept_rows(), 4) == (
             [(0, 6), (6, 12), (12, 14)] if kept_rows() == 14 else
@@ -692,13 +674,12 @@ class TestKeptRows:
                 last += 1
         assert kept_rows() == 0 and last == len(refs) == len(block_ranges(300, 200))
 
-    def test_run_across_two_chunks_keeps_the_first_chunk(self, monkeypatch):
+    def test_run_across_two_chunks_keeps_the_first_chunk(self, monkeypatch, drawn):
         # Chunks of 5 trials in blocks of 3: at most a chunk's trials are
         # kept, so later walks read those 5 rows and draw only the 7 trials
         # past them, in chunks of 5 and 2.
         monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 12)
         monkeypatch.setattr(model, "_STATE_CHUNK", 5)
-        drawn = self._count(monkeypatch)
         assert self._walk(drawn, 9, 12) == 12
         assert self._walk(drawn, 9, 12) == 7
         assert self._walk(drawn, 9, 12, second_hop=False) == 7
@@ -707,7 +688,7 @@ class TestKeptRows:
         (1, 1, True, 1), (3, _STATE_CHUNK + 3, True, _STATE_CHUNK),
         (4000, 40, True, 40), (4000, 40, False, 40), (4000, 70, True, 65),
         (2 ** 15, 9, True, 8), (2 ** 18 + 1, 2, True, 0)])
-    def test_kept_rows_stay_within_their_bound(self, monkeypatch, n, trials, second_hop,
+    def test_kept_rows_stay_within_their_bound(self, drawn, n, trials, second_hop,
                                                rows_kept):
         # 2**20 float64 is 8 MiB, whatever the trial count and N; the rows
         # are allocated at their own size, never below 2**18 float64 (2 MiB).
@@ -715,7 +696,7 @@ class TestKeptRows:
         cfg = NetworkConfig(n_relays=n, conferencing=Neighbors(0))
         width = 4 * n if second_hop else 2 * n
         list(_trial_squares([cfg], 3, trials, second_hop))
-        drawn = self._count(monkeypatch)
+        drawn.clear()
         rows = model._first_rows(3, trials, width)
         assert drawn == []
         assert rows_kept == min(trials, _STATE_CHUNK, 2 ** 20 // width)
@@ -731,22 +712,20 @@ class TestKeptRows:
         assert model._first_rows(4, 6, 0).shape == (6, 0)
 
     def test_suspended_walk_reads_its_rows_after_another_run_replaces_them(
-            self, monkeypatch):
+            self, drawn):
         # A walk suspended with a kept block in hand, and a walk of another
         # run started meanwhile, which replaces the thread's first rows.
         wide = NetworkConfig(n_relays=8, conferencing=Neighbors(1))
         want = [b[3:] for b in _trial_squares([self.CFG, wide], 12, 6)]
         suspended = _trial_squares([self.CFG, wide], 12, 6)
         first = next(suspended)
-        drawn = self._count(monkeypatch)
         assert self._walk(drawn, 13, 6) == 6
         got = [first[3:]] + [b[3:] for b in suspended]
         assert all(np.array_equal(a, b) for x, y in zip(got, want) for a, b in zip(x, y))
         assert self._walk(drawn, 13, 6) == 0
         assert self._walk(drawn, 12, 6, cfgs=(self.CFG, wide)) == 6
 
-    def test_another_threads_walk_neither_reads_nor_replaces_them(self, monkeypatch):
-        drawn = self._count(monkeypatch)
+    def test_another_threads_walk_neither_reads_nor_replaces_them(self, monkeypatch, drawn):
         self._walk(drawn, 10, 10)
         per_thread, errors = {}, []
         seeded_normals = model._seeded_normals
@@ -773,11 +752,10 @@ class TestKeptRows:
         list(_trial_squares([self.CFG], 10, 10))
         assert per_thread == {}
 
-    def test_draw_ahead_draws_the_rows_each_walk_reads(self, monkeypatch):
+    def test_draw_ahead_draws_the_rows_each_walk_reads(self, monkeypatch, drawn):
         # Blocks of 3 trials at N = 4 and room for 5 rows of 16.
         monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 12)
         monkeypatch.setattr(model, "_KEPT_ELEMENTS", 80)
-        drawn = self._count(monkeypatch)
         model._draw_ahead([self.CFG], 8, 11)
         assert drawn == [(5, 16)]
         # The thread holds them, at this width or wider: nothing more is drawn.
@@ -790,7 +768,7 @@ class TestKeptRows:
     @pytest.mark.parametrize("trials,rows,normals", [
         (40, 40, 40 * 16000), (70, 70 + 2 * 5, (70 + 5) * 16000 + 5 * 8000)],
         ids=["all_kept", "straddles"])
-    def test_diagnose_pass_draws_only_rows_past_the_kept_ones(self, monkeypatch, trials,
+    def test_diagnose_pass_draws_only_rows_past_the_kept_ones(self, monkeypatch, drawn, trials,
                                                               rows, normals):
         # The bench's diagnose pass: AF keeps min(trials, 2**20 // 16000 = 65)
         # rows of 16000 normals at N = 4000; DF reads them at the same width
@@ -799,7 +777,6 @@ class TestKeptRows:
         # scheme's trace run with no kept rows.
         cfg = NetworkConfig(n_relays=500, conferencing=Portion(0.2))
         params, sizes = cli.RunParams(trials=trials, seed=11), (500, 1000, 2000, 4000)
-        drawn = self._count(monkeypatch)
         shared = cli._diagnose_tables(cfg, params, sizes)
         assert sum(r for r, _ in drawn) == rows
         assert sum(r * c for r, c in drawn) == normals
@@ -842,19 +819,6 @@ class TestStateDerivations:
     CONFIG = ("N={n}\np=0.2\nPs=1\nPr=1\nPc=1\nN0=1\nh_dist=cscg:1\ng_dist=cscg:1\n"
               "trials={trials}\nschemes=af,df,upper\nseed=11\n")
 
-    @staticmethod
-    def _count(monkeypatch):
-        """Seeds per ``_pcg64_states`` call from now on."""
-        derived = []
-        pcg64_states = model._pcg64_states
-
-        def counted(seeds, order):
-            derived.append(len(seeds))
-            return pcg64_states(seeds, order)
-
-        monkeypatch.setattr(model, "_pcg64_states", counted)
-        return derived
-
     @pytest.mark.parametrize("command,sizes,trials,calls", [
         # K = 2**20 // 16000 = 65 rows at N = 4000: the AF walk keeps all
         # 40 trials, or 65 of 70 and each scheme's walk derives the last 5.
@@ -868,23 +832,21 @@ class TestStateDerivations:
         ("diagnose", (16000, 32000, 64000), 20, [4, 16, 16, 16]),
     ], ids=["diagnose_40", "diagnose_70", "sweep_n_100", "sweep_n_3000",
             "diagnose_large_n"])
-    def test_each_command_derives_its_pinned_states(self, monkeypatch, tmp_path, capsys,
+    def test_each_command_derives_its_pinned_states(self, derived, tmp_path, capsys,
                                                     command, sizes, trials, calls):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(self.CONFIG.format(n=sizes[0], trials=trials))
-        derived = self._count(monkeypatch)
         axis = ",".join(str(n) for n in sizes)
         assert cli.main([command, "--config", str(cfg), "--axis", axis]) == 0
         assert capsys.readouterr().err == ""
         assert derived == calls
 
-    def test_each_walk_derives_each_chunk_past_the_kept_rows_once(self, monkeypatch):
+    def test_each_walk_derives_each_chunk_past_the_kept_rows_once(self, monkeypatch, derived):
         # Chunks of 5 trials: the first walk derives the 5 kept trials'
         # states, then each walk those of 5, 5 and 2 trials past them.  No
         # call derives more than a chunk: 2**14 states of 32 B, 512 KiB.
         assert _STATE_CHUNK * 32 == 512 * 2 ** 10
         monkeypatch.setattr(model, "_STATE_CHUNK", 5)
-        derived = self._count(monkeypatch)
         cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(1))
         for _ in range(2):
             assert len(stacked_squares(cfg, 3, 17)[0]) == 17

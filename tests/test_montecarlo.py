@@ -342,19 +342,6 @@ class TestSweepDrawAhead:
     statistics are those of the point run alone."""
 
     @staticmethod
-    def _count(monkeypatch):
-        """(rows, normals per row) of every ``_seeded_normals`` call from now on."""
-        drawn = []
-        seeded_normals = model._seeded_normals
-
-        def draw(states, count, out=None):
-            drawn.append((len(states), count))
-            return seeded_normals(states, count, out)
-
-        monkeypatch.setattr(model, "_seeded_normals", draw)
-        return drawn
-
-    @staticmethod
     def _one_by_one(spec):
         """Each point's statistics from its own ``run_point``, with no kept rows."""
         stats = []
@@ -366,10 +353,9 @@ class TestSweepDrawAhead:
 
     @pytest.mark.parametrize("schemes,width", [(SCHEMES, 400), (("upper",), 200)],
                              ids=["all_schemes", "first_hop_only"])
-    def test_sweep_n_draws_each_row_once_at_the_widest_point(self, monkeypatch,
+    def test_sweep_n_draws_each_row_once_at_the_widest_point(self, drawn,
                                                              schemes, width):
         # N = 100 under the default laws: 200 first-hop normals, 400 in all.
-        drawn = self._count(monkeypatch)
         base = NetworkConfig(n_relays=25, conferencing=Portion(0.2))
         spec = SweepSpec(base=base, axis="n_relays", values=(25, 50, 100),
                          trials=100, base_seed=11, schemes=schemes)
@@ -377,12 +363,12 @@ class TestSweepDrawAhead:
         assert drawn == [(100, width)]
         assert [p.result.stats for p in res.points] == self._one_by_one(spec)
 
-    def test_second_sweep_of_the_same_run_draws_nothing(self, monkeypatch):
+    def test_second_sweep_of_the_same_run_draws_nothing(self, drawn):
         base = NetworkConfig(n_relays=5, conferencing=Portion(0.4))
         spec = SweepSpec(base=base, axis="n_relays", values=(5, 10), trials=30,
                          base_seed=3)
         first = sweep(spec)
-        drawn = self._count(monkeypatch)
+        drawn.clear()
         again = sweep(spec)
         assert drawn == []
         assert [p.result.stats for p in again.points] == [
@@ -396,7 +382,7 @@ class TestSweepDrawAhead:
         ("n_relays", 4, (4, 9, 30), 17000, 8738 + 3 * (7646 + 616),
          8738 * 120 + 8262 * (16 + 36 + 120)),
     ], ids=["portion", "portion_above_kept", "n_two_chunks", "n_three_sizes_two_chunks"])
-    def test_draws_no_more_than_its_points_walked_alone(self, monkeypatch, axis, n,
+    def test_draws_no_more_than_its_points_walked_alone(self, monkeypatch, drawn, axis, n,
                                                         values, trials, rows, normals):
         # N = 100: room for 2**20 // 400 = 2621 first rows; past them each of
         # the 4 points draws its last 379 trials.  Over two chunks, each
@@ -407,7 +393,6 @@ class TestSweepDrawAhead:
         base = NetworkConfig(n_relays=n, conferencing=Portion(0.1))
         spec = SweepSpec(base=base, axis=axis, values=values, trials=trials,
                          base_seed=12)
-        drawn = self._count(monkeypatch)
         res = sweep(spec)
         shared = (sum(r for r, _ in drawn), sum(r * c for r, c in drawn))
         model._THREAD.first_rows = None
@@ -436,8 +421,7 @@ class TestSweepDrawAhead:
         res = sweep(spec)
         assert [p.result.stats for p in res.points] == self._one_by_one(spec)
 
-    def test_bad_axis_value_raises_before_any_draw(self, monkeypatch):
-        drawn = self._count(monkeypatch)
+    def test_bad_axis_value_raises_before_any_draw(self, drawn):
         base = NetworkConfig(n_relays=4, conferencing=Neighbors(1))
         spec = SweepSpec(base=base, axis="conf_snr_db", values=(0.0, 4000.0, 5000.0),
                          trials=5, base_seed=0)

@@ -29,7 +29,7 @@ from confrelay import (
     signal_oracle_af,
     signal_oracle_df_mac,
 )
-from confrelay import model, rates
+from confrelay import rates
 from confrelay.asymptotics import convergence_trace, lemma1_gap, scaling_fit, trace_points
 from confrelay.cli import main
 from confrelay.montecarlo import apply_axis
@@ -400,18 +400,10 @@ PRECONDITION_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(PRECONDITION_CASES))
-def test_cli_reports_every_failing_scheme_in_one_line(name, tmp_path, capsys, monkeypatch):
+def test_cli_reports_every_failing_scheme_in_one_line(name, tmp_path, capsys, derived):
     argv, reasons = PRECONDITION_CASES[name]
     cfg = tmp_path / "c.cfg"
     cfg.write_text(CONFIG)
-    derived = []
-    pcg64_states = model._pcg64_states
-
-    def counted(seeds, order):
-        derived.append(len(seeds))
-        return pcg64_states(seeds, order)
-
-    monkeypatch.setattr(model, "_pcg64_states", counted)
     assert main(argv + ["--config", str(cfg), "--set", "Pc=0"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
