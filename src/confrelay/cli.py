@@ -283,8 +283,9 @@ _KEY_COLUMNS = ("axis", "axis_value", "scheme", "n_relays")
 
 def _require_finite(tables: list) -> None:
     """The one output rule: every float field is finite, except the dB
-    values of Pc / N0, ``Pc_over_N0_db`` and a ``conf_snr_db`` row's
-    ``axis_value``, which are ``-inf`` exactly when Pc = 0.
+    values of Pc / N0, ``Pc_over_N0_db`` and ``axis_value``, which are
+    ``-inf`` exactly when Pc = 0 (only a ``conf_snr_db`` row's axis value
+    is in dB; other axes are counts or validated portions).
 
     A row that breaks it comes from a configuration that drove the arithmetic
     out of floating-point range; the error names the row by its key fields
@@ -293,14 +294,12 @@ def _require_finite(tables: list) -> None:
     for header, rows in tables:
         columns = header.split(",")
         for row in rows:
-            fields = dict(zip(columns, row))
-            db = (("Pc_over_N0_db", "axis_value") if fields.get("axis") == "conf_snr_db"
-                  else ("Pc_over_N0_db",))
-            bad = [f"{name}={value}" for name, value in fields.items()
+            bad = [f"{name}={value}" for name, value in zip(columns, row)
                    if isinstance(value, float) and not math.isfinite(value)
-                   and not (name in db and value == -math.inf)]
+                   and not (name in ("Pc_over_N0_db", "axis_value")
+                            and value == -math.inf)]
             if bad:
-                key = ", ".join(f"{name}={value}" for name, value in fields.items()
+                key = ", ".join(f"{name}={value}" for name, value in zip(columns, row)
                                 if name in _KEY_COLUMNS)
                 raise ConfigurationError(
                     f"{key}: not finite ({', '.join(bad)}); the configuration "

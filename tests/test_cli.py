@@ -32,21 +32,15 @@ def write(tmp_path, name, text):
 class TestParseConfig:
     def test_figure_style_parameters(self):
         cfg, params = parse_config("N=100\np=0.1\ntrials=1000\n")
-        assert cfg.n_relays == 100
-        assert cfg.conferencing == Portion(0.1)
         assert cfg.m_conf == 9
-        assert cfg.p_s == cfg.p_r == cfg.p_c == cfg.n_0 == 1.0
-        assert cfg.conf_gain == 1.0
+        assert cfg.p_s == cfg.p_r == cfg.p_c == cfg.n_0 == cfg.conf_gain == 1.0
         assert cfg.h_dist == Cscg(1.0) and cfg.g_dist == Cscg(1.0)
-        assert params.trials == 1000 and params.seed == 0
         assert params.schemes == ("af", "df", "upper")
-
-    def test_defaults_are_the_library_defaults(self):
-        cfg, params = parse_config("N=4\np=0.5\n")
-        want = NetworkConfig(4, Portion(0.5))
+        # Every default is the library's: NetworkConfig's fields and RunParams().
+        want = NetworkConfig(100, Portion(0.1))
         assert ({f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
                 == {f.name: getattr(want, f.name) for f in dataclasses.fields(want)})
-        assert params == RunParams()
+        assert params == RunParams(trials=1000)
 
     def test_empty_file_requires_n(self):
         with pytest.raises(ConfigurationError, match="N"):

@@ -5,8 +5,7 @@ of a docstring (the leading string of a module, class or function body).
 Blank lines, comment lines and docstring lines are left out; a line that
 ends in a comment counts.
 
-    python3 tools/code_lines.py            # per module, then the total
-    python3 tools/code_lines.py some/dir   # the same for another package
+    python3 tools/code_lines.py    # per module, then the total
 """
 
 from __future__ import annotations
@@ -44,10 +43,9 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else PACKAGE
+def main() -> int:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{path.name:20} {count:6d}")
@@ -56,4 +54,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
