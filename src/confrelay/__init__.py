@@ -53,10 +53,8 @@ from .montecarlo import (
 )
 from .asymptotics import (
     ConferencingNoiseRatio,
-    ConvergenceTrace,
     ScalingFit,
     conferencing_noise_ratio,
-    convergence_trace,
     lemma1_gap,
     scaling_fit,
     trace_points,

@@ -40,16 +40,8 @@ class ScalingFit:
 
 
 @dataclass(frozen=True)
-class ConvergenceTrace:
-    """Trial-averaged |rate - limit| per network size."""
-
-    n_values: tuple
-    gaps: tuple
-
-
-@dataclass(frozen=True)
 class TracePoint:
-    """Per-size summary backing a convergence trace."""
+    """Mean rate and trial-averaged |rate - limit| at one network size."""
 
     n_relays: int
     mean_rate: float
@@ -155,17 +147,6 @@ def trace_points(scheme: str, template: ConfigSource, n_values: Sequence[int],
         out.append(TracePoint(n_relays=cfg.n_relays, mean_rate=float(rate_sum) / trials,
                               mean_abs_gap=float(np.add.reduce(gap)) / trials))
     return out
-
-
-def convergence_trace(scheme: str, template: ConfigSource,
-                      n_values: Sequence[int], trials: int,
-                      seed: int) -> ConvergenceTrace:
-    """Trial-averaged gap to the scheme's limit across increasing sizes."""
-    pts = trace_points(scheme, template, n_values, trials, seed)
-    return ConvergenceTrace(
-        n_values=tuple(p.n_relays for p in pts),
-        gaps=tuple(p.mean_abs_gap for p in pts),
-    )
 
 
 def conferencing_noise_ratio(real: ChannelRealization,

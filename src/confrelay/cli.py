@@ -53,7 +53,6 @@ from .model import (
     sample_realization,
 )
 from .montecarlo import (
-    SCHEMES,
     SweepSpec,
     analytic_df_mac_snr,
     signal_oracle_af,
@@ -62,7 +61,7 @@ from .montecarlo import (
     sweep_point,
 )
 from .asymptotics import _trace_configs, scaling_fit, trace_points
-from .rates import _scheme_errors, af_sinr, scheme_names
+from .rates import SCHEMES, _scheme_errors, af_sinr, scheme_names
 
 CONFIG_KEYS = ("N", "p", "M", "Ps", "Pr", "Pc", "N0", "f", "trials", "seed",
                "h_dist", "g_dist", "schemes")

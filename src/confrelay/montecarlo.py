@@ -3,16 +3,15 @@
 Determinism contract
 --------------------
 Every result is a pure function of its arguments.  The realization used for
-trial ``t`` is seeded with ``derive_seed(base_seed, t)``, a SplitMix64 mixer
-defined in :mod:`confrelay.model` and exported here, so which realization a
-trial sees never depends on how trials are grouped: per-trial rates land in
-one index-addressed (scheme, trial) array, and the aggregation reduces all of
-its rows at once, each in index order, to the bits ``np.mean`` and ``np.std``
-give row by row.  Trials are drawn by ``model._trial_squares`` and evaluated
-in one thread, in the blocks its docstring describes.  Walks of the same run
-share the squared rows each thread keeps of its first trials
-(``model._first_rows``); :func:`sweep` draws them at its widest point before
-its first point.
+trial ``t`` is seeded with ``model.derive_seed(base_seed, t)``, a SplitMix64
+mixer, so which realization a trial sees never depends on how trials are
+grouped: per-trial rates land in one index-addressed (scheme, trial) array,
+and the aggregation reduces all of its rows at once, each in index order, to
+the bits ``np.mean`` and ``np.std`` give row by row.  Trials are drawn by
+``model._trial_squares`` and evaluated in one thread, in the blocks its
+docstring describes.  Walks of the same run share the squared rows each
+thread keeps of its first trials (``model._first_rows``); :func:`sweep` draws
+them at its widest point before its first point.
 
 A realization carries only the fading gains ``h`` and ``g``; every rate and
 oracle reads the conferencing gains and the channel moments
@@ -47,12 +46,10 @@ from .model import (
     _number,
     _seed,
     _trial_squares,
-    derive_seed,  # re-exported: confrelay.montecarlo.derive_seed
     moments,
 )
 from . import rates
 
-SCHEMES = rates.SCHEMES
 AXES = ("n_relays", "portion", "conf_snr_db")
 
 _ORACLE_CHUNK = 16384
@@ -92,7 +89,7 @@ class SweepSpec:
     values: tuple
     trials: int
     base_seed: int
-    schemes: tuple = SCHEMES
+    schemes: tuple = rates.SCHEMES
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -134,11 +131,13 @@ def _rate_table(points: Sequence[tuple[NetworkConfig, Sequence[str]]],
                 trials: int, base_seed: int) -> list[tuple[tuple, np.ndarray]]:
     """Per ``(cfg, schemes)`` point, its distinct schemes in order and one
     float64 array of shape (schemes, trials) whose row ``i`` holds the rates
-    of scheme ``i``; see :func:`trial_rates`.
+    of scheme ``i``: entry ``t`` is the rate on
+    ``sample_realization(cfg, derive_seed(base_seed, t))``.
 
     The points share one walk of ``model._trial_squares``: each block's
     normals are drawn once for all of them, and each point's kernels run on
-    its squares before the next point's are built.
+    its squares before the next point's are built.  A trial's rate does not
+    depend on the block it falls in or on the other points of the walk.
     """
     kernels = [rates.scheme_kernels(cfg, schemes) for cfg, schemes in points]
     tables = [np.empty((len(k), trials)) for k in kernels]
@@ -172,24 +171,8 @@ def _reduce_rows(v: np.ndarray) -> tuple:
     return total, m2, first, constant
 
 
-def trial_rates(cfg: NetworkConfig, trials: int, base_seed: int,
-                schemes: Sequence[str]) -> dict:
-    """Rate of each scheme in every trial, as a float64[trials] row per scheme.
-
-    The rows are those of one (schemes, trials) array.  Entry ``t`` is
-    the rate on ``sample_realization(cfg, derive_seed(base_seed, t))``.  The
-    per-configuration invariants are computed once; realizations are drawn
-    by ``model._trial_squares`` and evaluated in its blocks, and each
-    trial's rate does not depend on the block it falls in or on the other
-    configurations that share the walk.
-    """
-    [(names, values)] = _rate_table([(cfg, schemes)],
-                                    _integer(trials, "trials"), base_seed)
-    return dict(zip(names, values))
-
-
 def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
-              schemes: Sequence[str] = SCHEMES) -> PointResult:
+              schemes: Sequence[str] = rates.SCHEMES) -> PointResult:
     """Monte Carlo statistics of the requested schemes at one configuration.
 
     All schemes are reduced in one stacked pass over the trial rates, in place
@@ -236,8 +219,8 @@ def apply_axis(base: NetworkConfig, axis: str, value: float) -> NetworkConfig:
             p_c = base.n_0 * 10.0 ** (db / 10.0)
         except OverflowError:
             p_c = math.inf
-        # -inf dB is Pc = 0; a finite dB must give a positive, finite Pc.
-        if math.isfinite(db) and not 0.0 < p_c < math.inf:
+        # -inf dB is Pc = 0; any other dB must give a positive, finite Pc.
+        if db != -math.inf and not 0.0 < p_c < math.inf:
             raise ConfigurationError(
                 f"conf_snr_db axis value {value} dB puts p_c = n_0 * 10^(dB/10) "
                 "out of floating-point range")

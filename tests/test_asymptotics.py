@@ -17,7 +17,6 @@ from confrelay import (
     UndefinedRatioError,
     capacity_upper_asymptotic,
     conferencing_noise_ratio,
-    convergence_trace,
     derive_seed,
     lemma1_gap,
     sample_realization,
@@ -26,7 +25,7 @@ from confrelay import (
 from confrelay import asymptotics, model
 from confrelay.asymptotics import trace_points
 from confrelay.model import ChannelRealization
-from confrelay.montecarlo import trial_rates
+from confrelay.montecarlo import _rate_table
 
 
 class TestLemma1Gap:
@@ -105,13 +104,17 @@ class TestScalingFit:
         assert [p[0] for p in fit.points] == [4, 8, 16]
 
 
+def _gaps(pts):
+    return tuple(p.mean_abs_gap for p in pts)
+
+
 class TestConvergenceTrace:
     def test_point_mass_upper_gap_is_zero_everywhere(self):
         def make(n):
             return NetworkConfig(n_relays=n, conferencing=Portion(0.5),
                                  h_dist=PointMass(1), g_dist=PointMass(1))
-        tr = convergence_trace("upper", make, (4, 8, 16), 10, 3)
-        assert tr.gaps == (0.0, 0.0, 0.0)
+        gaps = _gaps(trace_points("upper", make, (4, 8, 16), 10, 3))
+        assert gaps == (0.0, 0.0, 0.0)
 
     def test_complete_conferencing_af_gap_shrinks(self):
         def make(n):
@@ -120,32 +123,31 @@ class TestConvergenceTrace:
             g = PerIndex(tuple(Cscg(0.6 + 0.8 * i / (n - 1)) for i in range(n)))
             return NetworkConfig(n_relays=n, conferencing=Portion(1.0),
                                  h_dist=h, g_dist=g)
-        tr = convergence_trace("af", make, (8, 32, 128), 200, 31)
-        assert tr.gaps[0] > tr.gaps[1] > tr.gaps[2]
+        gaps = _gaps(trace_points("af", make, (8, 32, 128), 200, 31))
+        assert gaps[0] > gaps[1] > gaps[2]
 
     def test_iid_af_relative_gap_shrinks(self):
         cfg = NetworkConfig(n_relays=50, conferencing=Portion(0.2))
-        tr = convergence_trace("af", cfg, (50, 400), 500, 12)
         rel = []
-        for n, gap in zip(tr.n_values, tr.gaps):
-            c = NetworkConfig(n_relays=n, conferencing=Portion(0.2))
-            rel.append(gap / capacity_upper_asymptotic(c))
+        for p in trace_points("af", cfg, (50, 400), 500, 12):
+            c = NetworkConfig(n_relays=p.n_relays, conferencing=Portion(0.2))
+            rel.append(p.mean_abs_gap / capacity_upper_asymptotic(c))
         assert rel[1] < rel[0]
 
     def test_df_gap_shrinks_for_iid(self):
         cfg = NetworkConfig(n_relays=25, conferencing=Portion(0.2))
-        tr = convergence_trace("df", cfg, (25, 100, 400), 200, 9)
-        assert tr.gaps[2] < tr.gaps[0]
+        gaps = _gaps(trace_points("df", cfg, (25, 100, 400), 200, 9))
+        assert gaps[2] < gaps[0]
 
     def test_rejects_unordered_sizes(self):
         cfg = NetworkConfig(n_relays=4, conferencing=Portion(0.5))
         with pytest.raises(ValueError):
-            convergence_trace("upper", cfg, (8, 4), 5, 0)
+            trace_points("upper", cfg, (8, 4), 5, 0)
 
     def test_rejects_unknown_scheme(self):
         cfg = NetworkConfig(n_relays=4, conferencing=Portion(0.5))
         with pytest.raises(ValueError):
-            convergence_trace("cf", cfg, (4, 8), 5, 0)
+            trace_points("cf", cfg, (4, 8), 5, 0)
 
 
 def _uneven_draw(n):
@@ -238,7 +240,8 @@ class TestSharedDraw:
         trials = 1 if one_trial else trials
         for n, point in zip(sizes, trace_points(scheme, template, sizes, trials, 13)):
             cfg = asymptotics._trace_configs(template, (n,))[0]
-            rows = trial_rates(cfg, trials, 13, (scheme, "upper"))
+            [(names, table)] = _rate_table([(cfg, (scheme, "upper"))], trials, 13)
+            rows = dict(zip(names, table))
             limit = asymptotics._fixed_limit(scheme, cfg)
             # Complete conferencing: AF's limit is the realized cut-set bound.
             assert (limit is None) == (case == "complete_conferencing" and scheme == "af")

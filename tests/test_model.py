@@ -876,7 +876,7 @@ class TestLawResolution:
             sample_realization(cfg, 3)
             montecarlo.run_point(cfg, 5, 1)
         by_size = {cfg.n_relays: cfg for cfg in (configs[0], configs[-1])}
-        for scheme in montecarlo.SCHEMES:
+        for scheme in rates.SCHEMES:
             trace_points(scheme, by_size.__getitem__, (7, 14), 3, 2)
         assert calls == []
 
@@ -905,7 +905,7 @@ class TestMomentSetBuilds:
             real = sample_realization(cfg, 3)
             moments(cfg)
             montecarlo.run_point(cfg, 5, 1)
-            montecarlo.trial_rates(cfg, 5, 1, montecarlo.SCHEMES)
+            montecarlo._rate_table([(cfg, rates.SCHEMES)], 5, 1)
             rates.rate_report(real, cfg)
             rates.af_sinr(real, cfg)
             rates.capacity_upper_asymptotic(cfg)
@@ -917,7 +917,7 @@ class TestMomentSetBuilds:
             montecarlo.signal_oracle_df_mac(real, cfg, 10, 0)
             conferencing_noise_ratio(real, cfg)
         by_size = {cfg.n_relays: cfg for cfg in (configs[0], configs[-1])}
-        for scheme in montecarlo.SCHEMES:
+        for scheme in rates.SCHEMES:
             trace_points(scheme, by_size.__getitem__, (7, 14), 3, 2)
         assert builds == []
 

@@ -28,7 +28,8 @@ from confrelay import (
 )
 from confrelay import model, montecarlo, rates
 from confrelay.model import _STATE_CHUNK
-from confrelay.montecarlo import SCHEMES, sweep_point, trial_rates
+from confrelay.montecarlo import _rate_table, sweep_point
+from confrelay.rates import SCHEMES
 
 
 def _engine_cases():
@@ -125,6 +126,15 @@ class TestRunPoint:
         assert set(res.errors) == {"af", "df"}
         assert set(res.stats) == {"upper"}
 
+    def test_no_runnable_scheme_returns_only_errors(self, drawn):
+        cfg = NetworkConfig(n_relays=6, conferencing=Neighbors(2), p_c=0.0)
+        res = run_point(cfg, 4, 0, ("af", "df"))
+        assert res.stats == {}
+        assert res.errors == {
+            s: f"scheme {s!r} needs p_c > 0 when conferencing is enabled (M = 2)"
+            for s in ("af", "df")}
+        assert drawn == []
+
     def test_dominance_over_trials(self):
         cfg = NetworkConfig(n_relays=30, conferencing=Portion(0.1))
         for t in range(100):
@@ -153,10 +163,9 @@ class TestRunPoint:
         cfg = ENGINE_CASES.get(name) or NetworkConfig(
             n_relays=6, conferencing=Neighbors(2), h_dist=PointMass(0.8 + 0.3j),
             g_dist=Cscg(1.1))
-        rows = trial_rates(cfg, trials, 5, SCHEMES)
-        table = rows["af"].base
-        assert table.shape == (len(SCHEMES), trials)
-        assert all(row.base is table for row in rows.values())
+        [(names, table)] = _rate_table([(cfg, SCHEMES)], trials, 5)
+        assert names == SCHEMES and table.shape == (len(SCHEMES), trials)
+        rows = dict(zip(names, table))
         point = run_point(cfg, trials, 5, SCHEMES)
         for s in SCHEMES:
             row, st = rows[s], point.stats[s]
@@ -211,7 +220,8 @@ class TestTrialEngine:
     @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
     def test_matches_per_realization_functions(self, name):
         cfg = ENGINE_CASES[name]
-        got = trial_rates(cfg, 11, 77, SCHEMES)
+        [(names, table)] = _rate_table([(cfg, SCHEMES)], 11, 77)
+        got = dict(zip(names, table))
         for t in range(11):
             real = sample_realization(cfg, derive_seed(77, t))
             want = {"upper": capacity_upper_bound(real, cfg),
@@ -246,8 +256,8 @@ class TestTrialEngine:
             for block in (1, 7, None):
                 budget = default if block is None else block * cfg.n_relays
                 monkeypatch.setattr(model, "_BLOCK_ELEMENTS", budget)
-                outcomes.append((trial_rates(cfg, 23, 4, SCHEMES),
-                                 run_point(cfg, 23, 4, SCHEMES)))
+                [(names, table)] = _rate_table([(cfg, SCHEMES)], 23, 4)
+                outcomes.append((dict(zip(names, table)), run_point(cfg, 23, 4, SCHEMES)))
         (want, point), rest = outcomes[0], outcomes[1:]
         for got, other in rest:
             for s in SCHEMES:
@@ -262,9 +272,10 @@ class TestTrialEngine:
         cfg = ENGINE_CASES[name]
         if block is not None:
             monkeypatch.setattr(model, "_BLOCK_ELEMENTS", block * cfg.n_relays)
-        alone = trial_rates(cfg, 23, 4, ("upper",))
-        assert list(alone) == ["upper"]
-        assert np.array_equal(alone["upper"], trial_rates(cfg, 23, 4, SCHEMES)["upper"])
+        [(names, alone)] = _rate_table([(cfg, ("upper",))], 23, 4)
+        assert names == ("upper",)
+        [(names, table)] = _rate_table([(cfg, SCHEMES)], 23, 4)
+        assert np.array_equal(alone[0], table[names.index("upper")])
 
 
 class TestSweep:

@@ -41,12 +41,12 @@ from confrelay import (
 from confrelay import montecarlo, rates
 from confrelay.asymptotics import conferencing_noise_ratio
 from confrelay.montecarlo import (
-    SCHEMES,
+    _rate_table,
     analytic_df_mac_snr,
     signal_oracle_af,
     signal_oracle_df_mac,
-    trial_rates,
 )
+from confrelay.rates import SCHEMES
 
 REL = 1e-9
 
@@ -449,7 +449,6 @@ class TestNoMomentArgument:
         "rate_report": rate_report,
         "conferencing_noise_ratio": conferencing_noise_ratio,
         "analytic_df_mac_snr": analytic_df_mac_snr,
-        "trial_rates": lambda real, cfg, mom: trial_rates(cfg, mom, 3, 0, SCHEMES),
         "signal_oracle_af":
             lambda real, cfg, mom: signal_oracle_af(real, cfg, mom, 10, 0),
         "signal_oracle_df_mac":
@@ -529,7 +528,8 @@ class TestGainsFromConfiguration:
         cfg = NetworkConfig(n_relays=n, conferencing=Neighbors(m),
                             conf_gain=rng.uniform(0.5, 1.5, (n, m)) if matrix else 1.0)
         lowered = replace(cfg, conf_gain=rng.uniform(0.05, 0.2, (n, m)) if matrix else 0.1)
-        want = trial_rates(lowered, 4, 19, SCHEMES)
+        [(names, table)] = _rate_table([(lowered, SCHEMES)], 4, 19)
+        want = dict(zip(names, table))
         for t in range(4):
             real = sample_realization(cfg, derive_seed(19, t))
             rep = rate_report(real, lowered)
@@ -557,7 +557,8 @@ class TestInvariants:
     def test_trial_engine_matches_loop_reference(self, case):
         cfg, seed = case
         mom = moments(cfg)
-        got = trial_rates(cfg, 3, seed, SCHEMES)
+        [(names, table)] = _rate_table([(cfg, SCHEMES)], 3, seed)
+        got = dict(zip(names, table))
         for t in range(3):
             real = sample_realization(cfg, derive_seed(seed, t))
             upper = reference.capacity_upper_bound(real, cfg)
@@ -574,7 +575,8 @@ class TestInvariants:
         and DF rates over 20 trials."""
         cfg = NetworkConfig(n_relays=8, conferencing=Neighbors(0), h_dist=PerIndex(
             tuple(Cscg(1e-4 if i % 2 == 0 else 1e4) for i in range(8))))
-        return cfg, moments(cfg), trial_rates(cfg, 20, 3, ("af", "df"))
+        [(names, table)] = _rate_table([(cfg, ("af", "df"))], 20, 3)
+        return cfg, moments(cfg), dict(zip(names, table))
 
     def test_df_matches_loop_reference_across_eight_decades(self):
         cfg, mom, got = self._eight_decades()

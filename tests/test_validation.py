@@ -30,8 +30,8 @@ from confrelay import (
     signal_oracle_df_mac,
 )
 from confrelay import rates
-from confrelay.asymptotics import convergence_trace, lemma1_gap, scaling_fit, trace_points
-from confrelay.cli import main
+from confrelay.asymptotics import lemma1_gap, scaling_fit, trace_points
+from confrelay.cli import RunManifest, dispatch, main
 from confrelay.montecarlo import apply_axis
 
 BASE = NetworkConfig(n_relays=4, conferencing=Neighbors(1))
@@ -81,10 +81,6 @@ LIBRARY_CASES = {
                                      "trials"),
     "trace_points_fractional_size": (lambda: trace_points("upper", BASE, (4.5, 8), 1, 0),
                                      "n_relays"),
-    "convergence_trace_zero_trials": (lambda: convergence_trace("upper", BASE, (4, 8), 0, 0),
-                                      "trials"),
-    "convergence_trace_negative_trials": (
-        lambda: convergence_trace("upper", BASE, (4, 8), -2, 0), "trials"),
     "sweep_no_values": (lambda: SweepSpec(base=BASE, axis="portion", values=(),
                                           trials=1, base_seed=0),
                         "at least one"),
@@ -99,6 +95,8 @@ LIBRARY_CASES = {
     "sweep_infinite_n_relays": (lambda: apply_axis(BASE, "n_relays", float("inf")),
                                 "n_relays"),
     "sweep_nan_n_relays": (lambda: apply_axis(BASE, "n_relays", float("nan")), "n_relays"),
+    "sweep_point_unknown_axis": (lambda: apply_axis(BASE, "p_c", 1.0),
+                                 "unknown sweep axis 'p_c'"),
     "portion_axis_text_value": (lambda: apply_axis(BASE, "portion", "0.5"),
                                 "sweep axis value must be a real number"),
     "snr_axis_no_value": (lambda: apply_axis(BASE, "conf_snr_db", None),
@@ -110,6 +108,13 @@ LIBRARY_CASES = {
     "snr_axis_power_overflows_with_noise": (
         lambda: apply_axis(replace(BASE, n_0=1e300), "conf_snr_db", 100.0),
         "axis value 100.0 dB"),
+    # Only -inf dB (Pc = 0) is exempt from the range check.
+    "snr_axis_infinite": (lambda: apply_axis(BASE, "conf_snr_db", float("inf")),
+                          "conf_snr_db axis value inf dB puts p_c"),
+    "snr_axis_nan": (lambda: apply_axis(BASE, "conf_snr_db", float("nan")),
+                     "conf_snr_db axis value nan dB puts p_c"),
+    "snr_axis_beyond_double": (lambda: apply_axis(BASE, "conf_snr_db", float("1e400")),
+                               "conf_snr_db axis value inf dB puts p_c"),
     "af_oracle_no_draws": (lambda: _oracle_without_draws(signal_oracle_af),
                            "symbol_trials"),
     "df_oracle_no_draws": (lambda: _oracle_without_draws(signal_oracle_df_mac),
@@ -265,6 +270,14 @@ def test_whole_seeds_draw_what_their_value_modulo_2_64_draws(seed, reduced):
 
 CONFIG = "N=4\np=0.5\ntrials=2\n"
 
+
+def _snr_out_of_range(db):
+    """The whole stderr of a sweep-snr dB value whose Pc leaves the range of
+    a double."""
+    return (f"confrelay: configuration error: conf_snr_db axis value {db} dB puts "
+            "p_c = n_0 * 10^(dB/10) out of floating-point range\n")
+
+
 CLI_CASES = {
     "zero_trials": (CONFIG, ["single", "--set", "trials=0"], "trials"),
     "bad_point_mass": (CONFIG, ["single", "--set", "h_dist=point_mass:abc"],
@@ -325,6 +338,13 @@ CLI_CASES = {
                                  "axis value 4000.0 dB"),
     "snr_axis_power_underflows": (CONFIG, ["sweep-snr", "--axis=-4000"],
                                   "axis value -4000.0 dB"),
+    # Only -inf dB (Pc = 0) is exempt; 1e400 parses as inf.
+    "snr_axis_infinite": (CONFIG, ["sweep-snr", "--axis=inf"], _snr_out_of_range("inf")),
+    "snr_axis_nan": (CONFIG, ["sweep-snr", "--axis=nan"], _snr_out_of_range("nan")),
+    "snr_axis_beyond_double": (CONFIG, ["sweep-snr", "--axis=1e400"],
+                               _snr_out_of_range("inf")),
+    "snr_axis_nan_after_zero": (CONFIG, ["sweep-snr", "--axis=0,nan"],
+                                _snr_out_of_range("nan")),
     "sweep_rate_overflows": (CONFIG, ["sweep-n", "--axis", "4,8", "--set", "N0=1e-320"],
                              "not finite"),
     "diagnose_trace_overflows": (CONFIG, ["diagnose", "--axis", "4,8,16",
@@ -375,6 +395,24 @@ def test_cli_law_error_in_a_config_line_names_the_line(tmp_path, capsys):
     line = len(CONFIG.splitlines()) + 1
     assert (f"line {line}: point_mass value to the fourth power"
             in capsys.readouterr().err)
+
+
+# Manifests the argument parser never builds: only a direct dispatch call
+# reaches these guards.
+DISPATCH_CASES = {
+    "sweep_without_axis": ("sweep-p", "sweep commands need --axis"),
+    "diagnose_without_axis": ("diagnose", "diagnose needs --axis"),
+    "unknown_command": ("sweep-q", "unknown command 'sweep-q'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCH_CASES))
+def test_dispatch_rejects_manifests_the_parser_never_builds(name, tmp_path, capsys):
+    command, message = DISPATCH_CASES[name]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG)
+    assert dispatch(RunManifest(command=command, config_path=str(cfg))) == 2
+    assert capsys.readouterr() == ("", f"confrelay: configuration error: {message}\n")
 
 
 def _needs_pc(scheme, m):
