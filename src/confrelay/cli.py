@@ -337,8 +337,6 @@ def dispatch(manifest: RunManifest) -> int:
             point = sweep_point(cfg, 0.0, params.trials, params.seed, params.schemes)
             tables = _sweep_tables("single", (point,), params.seed)
         elif manifest.command in _SWEEP_AXES:
-            if not manifest.axis:
-                raise ConfigurationError("sweep commands need --axis")
             result = sweep(SweepSpec(
                 base=cfg, axis=_SWEEP_AXES[manifest.command], values=manifest.axis,
                 trials=params.trials, base_seed=params.seed, schemes=params.schemes))
@@ -346,8 +344,6 @@ def dispatch(manifest: RunManifest) -> int:
         elif manifest.command == "oracle":
             tables = _oracle_tables(cfg, params, manifest.draws)
         elif manifest.command == "diagnose":
-            if not manifest.axis:
-                raise ConfigurationError("diagnose needs --axis")
             tables = _diagnose_tables(cfg, params, manifest.axis)
         else:
             raise ConfigurationError(f"unknown command {manifest.command!r}")

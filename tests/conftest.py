@@ -1,6 +1,13 @@
 import pytest
 
-from confrelay import Neighbors, NetworkConfig, PointMass, model, sample_realization
+from confrelay import Neighbors, NetworkConfig, PointMass, model, montecarlo, sample_realization
+
+
+def rate_rows(cfg, trials, seed, schemes):
+    """Each scheme's per-trial rates at ``cfg``, by name: the rows of
+    ``montecarlo._rate_table``'s table."""
+    [(names, table)] = montecarlo._rate_table([(cfg, schemes)], trials, seed)
+    return dict(zip(names, table))
 
 
 @pytest.fixture(autouse=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference
+from conftest import rate_rows
 
 from confrelay import (
     ConferencingNoiseRatio,
@@ -25,7 +26,6 @@ from confrelay import (
 from confrelay import asymptotics, model
 from confrelay.asymptotics import trace_points
 from confrelay.model import ChannelRealization
-from confrelay.montecarlo import _rate_table
 
 
 class TestLemma1Gap:
@@ -240,8 +240,7 @@ class TestSharedDraw:
         trials = 1 if one_trial else trials
         for n, point in zip(sizes, trace_points(scheme, template, sizes, trials, 13)):
             cfg = asymptotics._trace_configs(template, (n,))[0]
-            [(names, table)] = _rate_table([(cfg, (scheme, "upper"))], trials, 13)
-            rows = dict(zip(names, table))
+            rows = rate_rows(cfg, trials, 13, (scheme, "upper"))
             limit = asymptotics._fixed_limit(scheme, cfg)
             # Complete conferencing: AF's limit is the realized cut-set bound.
             assert (limit is None) == (case == "complete_conferencing" and scheme == "af")

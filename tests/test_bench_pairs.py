@@ -1,7 +1,7 @@
 """``tools/bench_pairs.py`` summarizes alternating bench pairs: each side's
-median and quartiles, the pairs the change wins (ties for neither side), a
-``gain``, ``worse`` or ``level`` verdict per metric, and a flag for every run
-that failed.  Fed canned result lines; nothing is run."""
+median and quartiles, the pairs the change wins out of all pairs run (ties
+for neither side), a ``gain``, ``worse``, ``unresolved`` or ``level`` verdict
+per metric, and a flag for every run that failed.  Fed canned result lines; nothing is run."""
 
 import importlib.util
 import json
@@ -28,7 +28,7 @@ def _record(pair, side, rate, ms, correct=True, returncode=0, line=None):
 
 def _records():
     # Pair 1 ties on trials_per_s; pair 5's change run crashed before its
-    # result line, so pair 5 is left out of every metric.
+    # result line, so pair 5 is a win for neither side.
     rates = [(100, 120), (102, 102), (98, 118), (101, 121), (99, 119), (100, None)]
     out = []
     for pair, (parent, change) in enumerate(rates):
@@ -44,12 +44,12 @@ def test_summary_counts_ties_for_neither_side_and_flags_the_failed_run():
     assert lines == [
         "FLAGGED pair 5 change seed 105: exit 1, no result line",
         "workload w",
-        "  trials_per_s (1/s, higher is better, bound 0.25): 100 [98.5, 101.5] -> "
-        "119 [110, 120.5]; change better in 4/5: level",
-        "    pairs parent/change: 100/120, 102/102, 98/118, 101/121, 99/119",
+        "  trials_per_s (1/s, higher is better, bound 0.25): 100 [98.75, 101.25] -> "
+        "119 [110, 120.5]; change better in 4/6: level",
+        "    pairs parent/change: 100/120, 102/102, 98/118, 101/121, 99/119, 100/-",
         "  call_ms_p50 (ms, lower is better, bound 0.25): 1 [1, 1] -> 1.3 [1.3, 1.3]; "
-        "change better in 0/5: worse",
-        "    pairs parent/change: 1/1.3, 1/1.3, 1/1.3, 1/1.3, 1/1.3",
+        "change better in 0/6: worse",
+        "    pairs parent/change: 1/1.3, 1/1.3, 1/1.3, 1/1.3, 1/1.3, 1/-",
     ]
 
 
@@ -59,15 +59,39 @@ def test_a_run_that_is_not_correct_is_flagged():
         "FLAGGED pair 0 parent seed 100: not correct (failed 2 of 40)"]
 
 
-@pytest.mark.parametrize("shift,want", [(6, "gain"), (5, "level"), (-2.8, "level"),
-                                        (-3, "worse")])
-def test_gain_needs_the_parent_quartile_distance_and_worse_the_bound(shift, want):
-    # Parent 10..19: median 14.5, quartiles 11.75 and 17.25 (distance 5.5);
-    # with a bound of 0.2 the change is worse when its median falls below 11.6.
-    parent = [float(v) for v in range(10, 20)]
-    change = [v + shift for v in parent]
-    assert bench_pairs.verdict(parent, change, "higher", 0.2) == (
-        10 if shift > 0 else 0, want)
+# Parent 10..19: median 14.5, quartiles 11.75 and 17.25 (distance 5.5).  With
+# a bound of 0.4 (5.8 of the median) the change is worse when its median
+# falls below 8.7; with a bound of 0.2 the quartile distance is wider than
+# the bound.
+PARENT = [float(v) for v in range(10, 20)]
+
+
+def _shifted(shift, lost=()):
+    return [(p, None if i in lost else p + shift) for i, p in enumerate(PARENT)]
+
+
+VERDICT_CASES = {
+    "gain": (_shifted(6), 0.4, (10, "gain")),
+    "level_within_the_quartile_distance": (_shifted(5), 0.4, (10, "level")),
+    "level_within_the_bound": (_shifted(-5.5), 0.4, (0, "level")),
+    "worse": (_shifted(-6), 0.4, (0, "worse")),
+    "unresolved_when_the_spread_is_wider_than_the_bound": (_shifted(5), 0.2,
+                                                           (10, "unresolved")),
+    # Median 5, quartiles 0 and 10: every change run beats every parent run.
+    "level_when_every_change_run_is_better": ([(0.0, 10.5)] * 5 + [(10.0, 10.5)] * 5,
+                                              0.2, (10, "level")),
+    # 8 of 8 complete pairs, but 8 of the 10 pairs run: no gain.
+    "wins_count_every_pair_run": (_shifted(6, lost=(3, 7)), 0.4, (8, "level")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_CASES))
+def test_gain_needs_the_parent_quartile_distance_and_worse_the_bound(name):
+    pairs, bound, want = VERDICT_CASES[name]
+    assert bench_pairs.verdict(pairs, "higher", bound) == want
+    # The same pairs negated read the same for a lower-is-better metric.
+    negated = [tuple(None if v is None else -v for v in pair) for pair in pairs]
+    assert bench_pairs.verdict(negated, "lower", bound) == want
 
 
 def test_summarize_option_reads_a_log_without_running(tmp_path, capsys):
@@ -78,7 +102,7 @@ def test_summarize_option_reads_a_log_without_running(tmp_path, capsys):
     assert bench_pairs.main(["--summarize", str(log)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "FLAGGED" not in "".join(out)
-    assert "  setup_s: no complete pair" in out
+    assert "  setup_s: no value from a side" in out
     assert any(line.startswith("  call_ms_p50 ") and line.endswith(": worse") for line in out)
     assert any(line.startswith("  trials_per_s ") and line.endswith("4/5: level")
                for line in out)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import rate_rows
 from confrelay import (
     ConfigurationError,
     Cscg,
@@ -165,10 +166,9 @@ class TestRunPoint:
             g_dist=Cscg(1.1))
         [(names, table)] = _rate_table([(cfg, SCHEMES)], trials, 5)
         assert names == SCHEMES and table.shape == (len(SCHEMES), trials)
-        rows = dict(zip(names, table))
         point = run_point(cfg, trials, 5, SCHEMES)
-        for s in SCHEMES:
-            row, st = rows[s], point.stats[s]
+        for s, row in zip(names, table):
+            st = point.stats[s]
             assert st.trials == trials
             if np.all(row == row[0]):
                 assert st.mean_rate == float(row[0]) and st.std_error == 0.0
@@ -220,8 +220,7 @@ class TestTrialEngine:
     @pytest.mark.parametrize("name", sorted(ENGINE_CASES))
     def test_matches_per_realization_functions(self, name):
         cfg = ENGINE_CASES[name]
-        [(names, table)] = _rate_table([(cfg, SCHEMES)], 11, 77)
-        got = dict(zip(names, table))
+        got = rate_rows(cfg, 11, 77, SCHEMES)
         for t in range(11):
             real = sample_realization(cfg, derive_seed(77, t))
             want = {"upper": capacity_upper_bound(real, cfg),
@@ -256,8 +255,8 @@ class TestTrialEngine:
             for block in (1, 7, None):
                 budget = default if block is None else block * cfg.n_relays
                 monkeypatch.setattr(model, "_BLOCK_ELEMENTS", budget)
-                [(names, table)] = _rate_table([(cfg, SCHEMES)], 23, 4)
-                outcomes.append((dict(zip(names, table)), run_point(cfg, 23, 4, SCHEMES)))
+                outcomes.append((rate_rows(cfg, 23, 4, SCHEMES),
+                                 run_point(cfg, 23, 4, SCHEMES)))
         (want, point), rest = outcomes[0], outcomes[1:]
         for got, other in rest:
             for s in SCHEMES:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from conftest import rate_rows
 from confrelay import (
     ChannelRealization,
     ConfigurationError,
@@ -41,7 +42,6 @@ from confrelay import (
 from confrelay import montecarlo, rates
 from confrelay.asymptotics import conferencing_noise_ratio
 from confrelay.montecarlo import (
-    _rate_table,
     analytic_df_mac_snr,
     signal_oracle_af,
     signal_oracle_df_mac,
@@ -528,8 +528,7 @@ class TestGainsFromConfiguration:
         cfg = NetworkConfig(n_relays=n, conferencing=Neighbors(m),
                             conf_gain=rng.uniform(0.5, 1.5, (n, m)) if matrix else 1.0)
         lowered = replace(cfg, conf_gain=rng.uniform(0.05, 0.2, (n, m)) if matrix else 0.1)
-        [(names, table)] = _rate_table([(lowered, SCHEMES)], 4, 19)
-        want = dict(zip(names, table))
+        want = rate_rows(lowered, 4, 19, SCHEMES)
         for t in range(4):
             real = sample_realization(cfg, derive_seed(19, t))
             rep = rate_report(real, lowered)
@@ -557,8 +556,7 @@ class TestInvariants:
     def test_trial_engine_matches_loop_reference(self, case):
         cfg, seed = case
         mom = moments(cfg)
-        [(names, table)] = _rate_table([(cfg, SCHEMES)], 3, seed)
-        got = dict(zip(names, table))
+        got = rate_rows(cfg, 3, seed, SCHEMES)
         for t in range(3):
             real = sample_realization(cfg, derive_seed(seed, t))
             upper = reference.capacity_upper_bound(real, cfg)
@@ -575,8 +573,7 @@ class TestInvariants:
         and DF rates over 20 trials."""
         cfg = NetworkConfig(n_relays=8, conferencing=Neighbors(0), h_dist=PerIndex(
             tuple(Cscg(1e-4 if i % 2 == 0 else 1e4) for i in range(8))))
-        [(names, table)] = _rate_table([(cfg, ("af", "df"))], 20, 3)
-        return cfg, moments(cfg), dict(zip(names, table))
+        return cfg, moments(cfg), rate_rows(cfg, 20, 3, ("af", "df"))
 
     def test_df_matches_loop_reference_across_eight_decades(self):
         cfg, mom, got = self._eight_decades()

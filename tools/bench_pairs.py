@@ -1,48 +1,60 @@
 """Run and summarize alternating benchmark pairs of two checkouts.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \\
-        --pairs N --seed S [--seconds 15] [--log FILE]
+        --pairs N --seed S [--log FILE]
     python3 tools/bench_pairs.py --summarize FILE
 
 ``DIR`` is a checkout of the repository, for example a ``git worktree`` of
 the parent commit.  Pair ``i`` runs the command of the change's
 ``BENCHMARK.json`` (``bench/run.py``) with ``--workload W --seed S+i
---seconds X --trace 0`` once in each checkout, one run at a time: the parent
-first in even pairs, the change first in odd ones.  Each run's last line of
-standard output (the result line) and exit code are kept; ``--log`` appends
-them to FILE as JSON lines, and ``--summarize`` re-reads such a file without
-running anything (the metrics are then those of the ``BENCHMARK.json`` next
-to this script).
+--seconds R --trace 0`` once in each checkout, one run at a time: the parent
+first in even pairs, the change first in odd ones.  ``R`` is the
+``run_seconds`` of the change's ``BENCHMARK.json``, so both sides run as
+long.  Each run's last line of standard output (the result line) and exit
+code are kept; ``--log`` appends them to FILE as JSON lines, and
+``--summarize`` re-reads such a file without running anything (the metrics
+are then those of the ``BENCHMARK.json`` next to this script).
 
 For every end-to-end metric the summary prints each side's median and
-quartiles (``statistics.quantiles(values, n=4)``), the pairs in which the
-change is better (``k/N``; a tie counts for neither side) and every pair's
-values.  A metric reads ``gain`` when k >= 0.9 N and the change's median is
-better than the parent's by more than the parent's quartile distance, and
-``worse`` when the change's median is worse than the parent's by more than
-the metric's ``bound`` times the parent's median; otherwise ``level``.  Any
-run that exits non-zero or whose result is not ``correct`` is flagged.  The
-exit code is 1 when a run is flagged or a metric reads ``worse``, else 0.
+quartiles over its own runs (``summarize`` of ``bench/repeat.py``), the pairs
+in which the change is better out of all N pairs run (``k/N``; a tie, or a
+pair with a run that gave no value, counts for neither side) and every
+pair's values.  A metric reads
+``gain``        when k >= 0.9 N and the change's median is better than the
+                parent's by more than the parent's quartile distance;
+``worse``       when the change's median is worse than the parent's by more
+                than the metric's ``bound`` times the parent's median;
+``unresolved``  when the parent's quartile distance is wider than that bound
+                and some run of the change is not better than every run of
+                the parent: the runs spread too widely to tell;
+``level``       otherwise.
+Any run that exits non-zero or whose result is not ``correct`` is flagged.
+The exit code is 1 when a run is flagged or a metric reads ``worse`` or
+``unresolved``, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import json
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
 ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("repeat", ROOT / "bench" / "repeat.py")
+repeat = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(repeat)
 
 
-def benchmark(checkout: Path) -> tuple[list, list[dict]]:
-    """The benchmark command and end-to-end metrics of ``checkout``."""
+def benchmark(checkout: Path) -> tuple[list, float, list[dict]]:
+    """The benchmark command, run length and end-to-end metrics of
+    ``checkout``."""
     bench = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return bench["command"], bench["end_to_end"]
+    return bench["command"], bench["run_seconds"], bench["end_to_end"]
 
 
 def run_pairs(dirs: dict, command: list, workload: str, pairs: int, seed: int,
@@ -94,30 +106,36 @@ def flagged(records: list[dict]) -> list[str]:
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """Median, lower and upper quartile."""
+    """Median, lower and upper quartile; a single value is all three."""
     if len(values) == 1:
         return values[0], values[0], values[0]
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return statistics.median(values), q1, q3
+    s = repeat.summarize(values)
+    return s["median"], s["q1"], s["q3"]
 
 
-def verdict(parent: list[float], change: list[float], better: str,
-            bound: float) -> tuple[int, str]:
-    """Pairs the change wins, and ``gain``, ``worse`` or ``level``."""
+def verdict(pairs: list[tuple], better: str, bound: float) -> tuple[int, str]:
+    """Pairs the change wins, and ``gain``, ``worse``, ``unresolved`` or
+    ``level``.  ``pairs`` holds one (parent, change) value per pair run,
+    None where that run gave none; each side needs at least one value."""
+    # Signed values: the better of two is the higher one for either metric.
     sign = 1.0 if better == "higher" else -1.0
-    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    parent = [sign * p for p, _ in pairs if p is not None]
+    change = [sign * c for _, c in pairs if c is not None]
+    wins = sum(p is not None and c is not None and sign * (c - p) > 0 for p, c in pairs)
     p_med, p_q1, p_q3 = quartiles(parent)
     c_med = quartiles(change)[0]
-    if wins >= 0.9 * len(parent) and sign * (c_med - p_med) > p_q3 - p_q1:
+    if wins >= 0.9 * len(pairs) and c_med - p_med > p_q3 - p_q1:
         return wins, "gain"
-    if sign * (p_med - c_med) > bound * abs(p_med):
+    if p_med - c_med > bound * abs(p_med):
         return wins, "worse"
+    if p_q3 - p_q1 > bound * abs(p_med) and min(change) <= max(parent):
+        return wins, "unresolved"
     return wins, "level"
 
 
 def summarize(records: list[dict], metrics: list[dict]) -> tuple[list[str], bool]:
-    """Summary lines per workload, and whether no run is flagged and no
-    metric is worse."""
+    """Summary lines per workload, and whether no run is flagged and every
+    metric reads ``gain`` or ``level``."""
     lines = flagged(records)
     ok = not lines
     for workload in dict.fromkeys(r["workload"] for r in records):
@@ -130,7 +148,7 @@ def summarize(records: list[dict], metrics: list[dict]) -> tuple[list[str], bool
 def _summarize_workload(records: list[dict], metrics: list[dict],
                         lines: list[str]) -> bool:
     """Append one workload's metric lines to ``lines``; False when a metric
-    is worse."""
+    reads ``worse`` or ``unresolved``."""
     results = {(r["pair"], r["side"]): _result(r) for r in records}
     pairs = sorted({r["pair"] for r in records})
     ok = True
@@ -140,20 +158,19 @@ def _summarize_workload(records: list[dict], metrics: list[dict],
         for i in pairs:
             got = [(results.get((i, side)) or {}).get("metrics", {}).get(name)
                    for side in SIDES]
-            if all(isinstance(g, dict) for g in got):
-                values.append(tuple(float(g["value"]) for g in got))
-        if not values:
-            lines.append(f"  {name}: no complete pair")
+            values.append(tuple(float(g["value"]) if isinstance(g, dict) else None
+                                for g in got))
+        sides = [[v[k] for v in values if v[k] is not None] for k in (0, 1)]
+        if not all(sides):
+            lines.append(f"  {name}: no value from a side")
             continue
-        parent, change = [v[0] for v in values], [v[1] for v in values]
-        wins, word = verdict(parent, change, m["better"], m["bound"])
-        ok = ok and word != "worse"
-        sides = " -> ".join("{:.6g} [{:.6g}, {:.6g}]".format(*quartiles(v))
-                            for v in (parent, change))
+        wins, word = verdict(values, m["better"], m["bound"])
+        ok = ok and word in ("gain", "level")
+        text = " -> ".join("{:.6g} [{:.6g}, {:.6g}]".format(*quartiles(v)) for v in sides)
         lines.append(f"  {name} ({m['unit']}, {m['better']} is better, bound {m['bound']}): "
-                     f"{sides}; change better in {wins}/{len(values)}: {word}")
-        lines.append("    pairs parent/change: "
-                     + ", ".join(f"{p:.6g}/{c:.6g}" for p, c in values))
+                     f"{text}; change better in {wins}/{len(values)}: {word}")
+        lines.append("    pairs parent/change: " + ", ".join(
+            "/".join("-" if v is None else f"{v:.6g}" for v in pair) for pair in values))
     return ok
 
 
@@ -164,7 +181,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload")
     parser.add_argument("--pairs", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--log", type=Path, help="append each run's record to FILE")
     parser.add_argument("--summarize", type=Path, metavar="FILE",
                         help="summarize the records of FILE without running")
@@ -172,7 +188,7 @@ def main(argv=None) -> int:
     if args.summarize is not None:
         records = [json.loads(line) for line in
                    args.summarize.read_text(encoding="utf-8").splitlines() if line.strip()]
-        _, metrics = benchmark(ROOT)
+        _, _, metrics = benchmark(ROOT)
     else:
         missing = [f"--{k}" for k in ("parent", "change", "workload", "pairs", "seed")
                    if getattr(args, k) is None]
@@ -180,12 +196,12 @@ def main(argv=None) -> int:
             parser.error("running pairs needs " + ", ".join(missing))
         if args.pairs < 1:
             parser.error("--pairs must be at least 1")
-        command, metrics = benchmark(args.change)
+        command, seconds, metrics = benchmark(args.change)
         dirs = {"parent": args.parent, "change": args.change}
         with (contextlib.nullcontext() if args.log is None
               else open(args.log, "a", encoding="utf-8")) as log:
             records = run_pairs(dirs, command, args.workload, args.pairs, args.seed,
-                                args.seconds, log)
+                                seconds, log)
     lines, ok = summarize(records, metrics)
     print("\n".join(lines))
     return 0 if ok else 1
