@@ -1,13 +1,9 @@
 """Command-line front end.
 
-Commands
---------
-single     one Monte Carlo point at the configured parameters
-sweep-n    sweep the number of relays (``--axis 10,20,40``)
-sweep-p    sweep the conferencing portion
-sweep-snr  sweep the conferencing link SNR in dB (sets p_c = n_0*10^(dB/10))
-oracle     signal-level SINR simulation vs. the closed forms
-diagnose   convergence-gap and log2(N) scaling-fit tables
+``_COMMANDS`` lists the commands, each with its help line and the sweep axis
+its ``--axis`` sets (``--axis 10,20,40``); ``sweep-snr`` sets
+p_c = n_0*10^(dB/10) from its dB values, and ``diagnose`` prints
+convergence-gap and log2(N) scaling-fit tables over its network sizes.
 
 Configuration files are line-based ``key=value`` text; ``#`` starts a
 comment.  Recognized keys: N, p, M, Ps, Pr, Pc, N0, f, trials, seed, h_dist,
@@ -84,18 +80,6 @@ class RunParams:
     trials: int = 1000
     seed: int = 0
     schemes: tuple = SCHEMES
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """One fully parsed invocation."""
-
-    command: str
-    config_path: str
-    overrides: tuple = ()
-    output_path: Optional[str] = None
-    axis: Optional[tuple] = None
-    draws: int = ORACLE_DRAWS
 
 
 # ---------------------------------------------------------------------------
@@ -320,42 +304,56 @@ def emit_csv(tables: list, sink) -> None:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-_SWEEP_AXES = {"sweep-n": "n_relays", "sweep-p": "portion",
-               "sweep-snr": "conf_snr_db"}
+# Each command's help line, and the sweep axis its --axis sets (None for a
+# command without --axis); an axis of network sizes is read as integers.
+_COMMANDS = {
+    "single": ("one Monte Carlo point", None),
+    "sweep-n": ("sweep the number of relays", "n_relays"),
+    "sweep-p": ("sweep the conferencing portion", "portion"),
+    "sweep-snr": ("sweep the conferencing link SNR (dB)", "conf_snr_db"),
+    "oracle": ("signal-level SINR check against the closed forms", None),
+    "diagnose": ("convergence and scaling diagnostics", "n_relays"),
+}
 
 
-def dispatch(manifest: RunManifest) -> int:
-    """Execute one manifest; returns the process exit code."""
+def dispatch(args: argparse.Namespace) -> int:
+    """Execute one command line as :func:`_parser` parses it; returns the
+    process exit code.  The flags are checked before the config is read."""
     try:
+        _integer(args.workers, "--workers")
+        draws = _integer(args.draws, "--draws")
+        if args.command not in _COMMANDS:
+            raise ConfigurationError(f"unknown command {args.command!r}")
+        sweep_axis = _COMMANDS[args.command][1]
+        axis = (None if args.axis is None else
+                _parse_axis(args.axis, integral=sweep_axis == "n_relays"))
         try:
-            with open(manifest.config_path, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigurationError(f"cannot read config: {exc}") from exc
-        cfg, params = parse_config(text, manifest.overrides)
-        if manifest.command == "single":
+        cfg, params = parse_config(text, args.overrides)
+        if args.command == "single":
             point = sweep_point(cfg, 0.0, params.trials, params.seed, params.schemes)
             tables = _sweep_tables("single", (point,), params.seed)
-        elif manifest.command in _SWEEP_AXES:
-            result = sweep(SweepSpec(
-                base=cfg, axis=_SWEEP_AXES[manifest.command], values=manifest.axis,
-                trials=params.trials, base_seed=params.seed, schemes=params.schemes))
-            tables = _sweep_tables(result.axis, result.points, result.base_seed)
-        elif manifest.command == "oracle":
-            tables = _oracle_tables(cfg, params, manifest.draws)
-        elif manifest.command == "diagnose":
-            tables = _diagnose_tables(cfg, params, manifest.axis)
+        elif args.command == "oracle":
+            tables = _oracle_tables(cfg, params, draws)
+        elif args.command == "diagnose":
+            tables = _diagnose_tables(cfg, params, axis)
         else:
-            raise ConfigurationError(f"unknown command {manifest.command!r}")
+            result = sweep(SweepSpec(
+                base=cfg, axis=sweep_axis, values=axis, trials=params.trials,
+                base_seed=params.seed, schemes=params.schemes))
+            tables = _sweep_tables(result.axis, result.points, result.base_seed)
         _require_finite(tables)
         # Written in full before --out is opened: a failed run leaves it alone.
         sink = io.StringIO()
         emit_csv(tables, sink)
-        if manifest.output_path is None:
+        if args.out is None:
             sys.stdout.write(sink.getvalue())
             return 0
         try:
-            with open(manifest.output_path, "w", encoding="utf-8", newline="") as fh:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(sink.getvalue())
         except OSError as exc:
             raise ConfigurationError(f"cannot write output: {exc}") from exc
@@ -393,15 +391,9 @@ def _parser() -> argparse.ArgumentParser:
         description="Rate simulator for two-hop relay networks with "
                     "inter-relay conferencing links.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("single", "one Monte Carlo point"),
-        ("sweep-n", "sweep the number of relays"),
-        ("sweep-p", "sweep the conferencing portion"),
-        ("sweep-snr", "sweep the conferencing link SNR (dB)"),
-        ("oracle", "signal-level SINR check against the closed forms"),
-        ("diagnose", "convergence and scaling diagnostics"),
-    ):
+    for name, (doc, sweep_axis) in _COMMANDS.items():
         sp = sub.add_parser(name, help=doc)
+        sp.set_defaults(axis=None, draws=ORACLE_DRAWS)
         sp.add_argument("--config", required=True, help="configuration file")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--set", dest="overrides", action="append", default=[],
@@ -409,39 +401,20 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=1,
                         help="a positive integer, accepted for compatibility and "
                              "ignored; trials run in one thread")
-        if name in _SWEEP_AXES or name == "diagnose":
+        if sweep_axis is not None:
             sp.add_argument("--axis", required=True,
                             help="comma-separated axis values")
         if name == "oracle":
-            sp.add_argument("--draws", type=int, default=ORACLE_DRAWS,
-                            help="symbol draws for the oracle")
+            sp.add_argument("--draws", type=int, help="symbol draws for the oracle")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        _integer(args.workers, "--workers")
-        draws = _integer(getattr(args, "draws", ORACLE_DRAWS), "--draws")
-        axis = None
-        if getattr(args, "axis", None) is not None:
-            integral = args.command in ("sweep-n", "diagnose")
-            axis = _parse_axis(args.axis, integral)
-    except ConfigurationError as exc:
-        print(f"confrelay: configuration error: {exc}", file=sys.stderr)
-        return 2
-    manifest = RunManifest(
-        command=args.command,
-        config_path=args.config,
-        overrides=tuple(args.overrides),
-        output_path=args.out,
-        axis=axis,
-        draws=draws,
-    )
     # A configuration that drives the arithmetic out of floating-point
     # range is reported once, by _require_finite, without NumPy's warnings.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return dispatch(manifest)
+        return dispatch(args)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ import confrelay
 from confrelay import Cscg, ConfigurationError, Neighbors, NetworkConfig, PointMass, Portion
 from confrelay.cli import (
     CSV_HEADER,
-    RunManifest,
     RunParams,
+    _parser,
     dispatch,
     main,
     parse_config,
@@ -306,34 +306,35 @@ class TestExitCodes:
         assert captured.out == ""
         assert "cannot write output" in captured.err
 
-    def test_dispatch_manifest_directly(self, tmp_path):
+    def test_dispatch_parsed_args_directly(self, tmp_path):
         path = write(tmp_path, "c.cfg", FIXTURE_CFG)
         out = tmp_path / "out.csv"
-        manifest = RunManifest(command="single", config_path=path,
-                               output_path=str(out))
-        assert dispatch(manifest) == 0
+        args = _parser().parse_args(["single", "--config", path, "--out", str(out)])
+        assert dispatch(args) == 0
         assert out.read_text().splitlines()[0] == CSV_HEADER
 
 
 class TestModuleEntryPoint:
-    """``python -m confrelay`` runs ``cli.main`` and exits with its code."""
+    """``python -m confrelay`` and ``python -m confrelay.cli`` run
+    ``cli.main`` and exit with its code."""
 
     @staticmethod
-    def _run_module(args):
+    def _run_module(module, args):
         env = dict(os.environ)
         src = str(Path(confrelay.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
-        return subprocess.run([sys.executable, "-m", "confrelay", *args],
+        return subprocess.run([sys.executable, "-m", module, *args],
                               capture_output=True, env=env, timeout=120)
 
+    @pytest.mark.parametrize("module", ["confrelay", "confrelay.cli"])
     @pytest.mark.parametrize("text,code", [(FIXTURE_CFG, 0), ("N=4\np=0.5\nM=2\n", 2)],
                              ids=["fixture", "bad_config"])
-    def test_matches_main(self, tmp_path, capfd, text, code):
+    def test_matches_main(self, tmp_path, capfd, module, text, code):
         cfg = write(tmp_path, "c.cfg", text)
         assert main(["single", "--config", cfg]) == code
         want = capfd.readouterr()
-        got = self._run_module(["single", "--config", cfg])
+        got = self._run_module(module, ["single", "--config", cfg])
         assert got.returncode == code
         assert got.stdout == want.out.encode()
         assert got.stderr == want.err.encode()

@@ -7,6 +7,7 @@ cannot run under a valid configuration exits with code 3 instead, and every
 command reports it in the same one line.
 """
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -31,7 +32,7 @@ from confrelay import (
 )
 from confrelay import rates
 from confrelay.asymptotics import lemma1_gap, scaling_fit, trace_points
-from confrelay.cli import RunManifest, dispatch, main
+from confrelay.cli import _parser, dispatch, main
 from confrelay.montecarlo import apply_axis
 
 BASE = NetworkConfig(n_relays=4, conferencing=Neighbors(1))
@@ -397,11 +398,34 @@ def test_cli_law_error_in_a_config_line_names_the_line(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+# (key, field, config): a power given as -0.0 is stored as +0.0, so its
+# rates, and every byte the CLI prints, are those of a power of 0.  Pc is
+# set at M = 0, where AF and DF run without it.
+NEGATIVE_ZERO_POWERS = [("Ps", "p_s", CONFIG), ("Pr", "p_r", CONFIG),
+                        ("Pc", "p_c", "N=4\nM=0\ntrials=2\n")]
+
+
+@pytest.mark.parametrize("key, field, text", NEGATIVE_ZERO_POWERS,
+                         ids=[key for key, _, _ in NEGATIVE_ZERO_POWERS])
+def test_a_power_of_negative_zero_reads_as_zero(key, field, text, tmp_path, capsys):
+    cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(0), **{field: -0.0})
+    assert math.copysign(1.0, getattr(cfg, field)) == 1.0
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    printed = []
+    for value in ("0", "-0.0"):
+        assert main(["single", "--config", str(path), "--set", f"{key}={value}"]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0].err == "" and printed[1] == printed[0]
+
+
 def test_dispatch_rejects_an_unknown_command(tmp_path, capsys):
-    # The argument parser never builds this manifest; only a direct call does.
+    # The argument parser never gives this command; only a direct call does.
     cfg = tmp_path / "c.cfg"
     cfg.write_text(CONFIG)
-    assert dispatch(RunManifest(command="sweep-q", config_path=str(cfg))) == 2
+    args = _parser().parse_args(["single", "--config", str(cfg)])
+    args.command = "sweep-q"
+    assert dispatch(args) == 2
     assert capsys.readouterr() == (
         "", "confrelay: configuration error: unknown command 'sweep-q'\n")
 
