@@ -781,15 +781,15 @@ def _first_rows(base_seed: int, trials: int, width: int) -> np.ndarray:
     ``min(trials, _STATE_CHUNK)``, and hands them back to a caller whose
     rows are no wider; that caller reads a prefix of each row, which is bit
     for bit its own draw, and draws only the trials after them.  Any other
-    caller gets new rows: the states of their K trials are derived (none for
-    rows 0 normals wide), and the rows drawn in one call and squared in
-    place.  The old rows are let go first and the new ones are a view of a
-    fresh array of ``max(K * width, _KEPT_FLOOR)`` float64.  Sized to the
-    rows, it reaches the 8 MiB cap only when they fill it: NumPy asks for
-    huge pages for arrays of 4 MiB or more, so a fixed 8 MiB array raises
-    the peak memory of every run.  The 2 MiB floor keeps small rows (a
-    ``sweep-n`` at N <= 100) from faulting in fresh pages on each pass, as
-    they do when sized exactly.
+    caller gets new rows: the states of their K trials are derived, and the
+    rows drawn in one call and squared in place.  The old rows are let go
+    first and the new ones are a view of a fresh array of
+    ``max(K * width, _KEPT_FLOOR)`` float64.  Sized to the rows, it reaches
+    the 8 MiB cap only when they fill it: NumPy asks for huge pages for
+    arrays of 4 MiB or more, so a fixed 8 MiB array raises the peak memory
+    of every run.  The 2 MiB floor keeps small rows (a ``sweep-n`` at
+    N <= 100) from faulting in fresh pages on each pass, as they do when
+    sized exactly.
     """
     key = (base_seed, min(trials, _STATE_CHUNK))
     kept = getattr(_THREAD, "first_rows", None)
@@ -798,8 +798,7 @@ def _first_rows(base_seed: int, trials: int, width: int) -> np.ndarray:
     _THREAD.first_rows = kept = None
     rows = min(key[1], _KEPT_ELEMENTS // max(width, 1))
     z = np.empty(max(rows * width, _KEPT_FLOOR))[:rows * width].reshape(rows, width)
-    if width:  # rows 0 normals wide draw nothing, so no state is derived
-        np.square(_seeded_normals(_states(base_seed, 0, rows), width, z), out=z)
+    np.square(_seeded_normals(_states(base_seed, 0, rows), width, z), out=z)
     z.flags.writeable = False
     _THREAD.first_rows = key, z
     return z
@@ -847,9 +846,7 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     for config ``i`` run before config ``i + 1``'s squares exist.
 
     Without ``second_hop``, g is not drawn (``g2`` is None) and each row
-    draws only its first-hop normals, a prefix of the full draw.  Rows 0
-    normals wide (point masses on every hop the walk reads) draw nothing,
-    and no PCG64 state is derived for them.
+    draws only its first-hop normals, a prefix of the full draw.
     """
     if not configs or not trials:
         return
@@ -862,9 +859,7 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     # The kept rows, then the chunks of the trials after them.
     bounds = [0, *range(len(first), trials, _STATE_CHUNK), trials]
     for start, end in zip(bounds, bounds[1:]):
-        # Rows 0 normals wide need only their count, not their states.
-        states = (None if end <= len(first) else _states(base_seed, start, end)
-                  if width else np.empty((end - start, 0)))
+        states = None if end <= len(first) else _states(base_seed, start, end)
         # The kept rows are one piece (none when K = 0); drawn rows come in
         # blocks no larger than any config's.
         step = (end - start or 1) if states is None else min(sizes)

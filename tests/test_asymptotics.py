@@ -224,11 +224,6 @@ class TestSharedDraw:
             if scheme != "upper":
                 count += model._law(cfg.g_dist, n).count
             widest = max(widest, count)
-        if not widest:
-            # Rows 0 normals wide (upper over a point-mass h) draw nothing,
-            # so no state is derived for them.
-            assert draws == []
-            return
         # One row per trial, in trial order, each at the widest count.
         assert {count for _, count in draws} == {widest}
         order = model._thread_generator()[2]

@@ -841,25 +841,6 @@ class TestStateDerivations:
         assert capsys.readouterr().err == ""
         assert derived == calls
 
-    @pytest.mark.parametrize("h_dist,g_dist,schemes", [
-        (PointMass(1), PointMass(1), rates.SCHEMES), (PointMass(1), Cscg(1.0), ("upper",))],
-        ids=["point_masses", "upper_over_point_mass_h"])
-    def test_rows_zero_normals_wide_derive_no_states(self, derived, h_dist, g_dist, schemes):
-        # 20000 trials: 2**14 first rows and a chunk of 3616 past them.
-        cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(1), h_dist=h_dist,
-                            g_dist=g_dist)
-        stats = montecarlo.run_point(cfg, 20000, 3, schemes).stats
-        assert derived == []
-        # Walked with a config whose rows hold normals, the point's states are
-        # derived, and its rates and statistics are the same bit for bit.
-        wide = replace(cfg, h_dist=Cscg(1.0), g_dist=Cscg(1.0))
-        [(names, table), _] = montecarlo._rate_table([(cfg, schemes), (wide, schemes)],
-                                                     20000, 3)
-        assert derived == [_STATE_CHUNK, 20000 - _STATE_CHUNK]
-        for s, row in zip(names, table):
-            assert np.all(row == row[0])
-            assert stats[s] == montecarlo.SchemeStats(float(row[0]), 0.0, 20000)
-
     def test_each_walk_derives_each_chunk_past_the_kept_rows_once(self, monkeypatch, derived):
         # Chunks of 5 trials: the first walk derives the 5 kept trials'
         # states, then each walk those of 5, 5 and 2 trials past them.  No
