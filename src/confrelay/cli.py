@@ -400,7 +400,10 @@ def _parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE", help="override a config key")
         sp.add_argument("--workers", type=int, default=1,
                         help="a positive integer, accepted for compatibility and "
-                             "ignored; trials run in one thread")
+                             "ignored; a block of at least 2^16 normals is drawn in "
+                             "row slices on up to the usable CPUs, each by its own "
+                             "thread's generator, and output is bit-identical for "
+                             "any split and any value")
         if sweep_axis is not None:
             sp.add_argument("--axis", required=True,
                             help="comma-separated axis values")

@@ -46,10 +46,15 @@ draws that chunk's blocks from them.  So the three schemes of a ``diagnose``
 pass at N <= 4000 and 40 trials (65 rows of 16000 normals fit) draw each
 trial once.
 
-Each thread keeps one PCG64 generator (:func:`_thread_generator`), and
-before each row the row's 128-bit state and increment are written as four
-64-bit words straight into that generator's state memory
-(:func:`_seeded_normals`).  The words' memory order
+Each thread that draws keeps one PCG64 generator (:func:`_thread_generator`),
+and before each row the row's 128-bit state and increment are written as
+four 64-bit words straight into that generator's state memory
+(:func:`_seeded_normals`).  A block of at least 2**16 normals is drawn in
+contiguous row slices on up to the usable CPUs: the caller draws the first
+slice, and one short-lived thread per other slice draws it with that
+thread's own generator.  Every row is seeded on its own, so which thread
+draws it never changes it: the output is bit-identical for any split and
+any ``--workers`` value.  The words' memory order
 depends on how NumPy was built (a native 128-bit integer or an emulated one,
 high word first); each thread's first draw reads it back from a probe state
 set through the public ``state`` setter and raises ``RuntimeError`` if the
@@ -84,6 +89,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import os
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -716,6 +722,16 @@ _STATE_CHUNK = 2 ** 14
 # working memory independently of the network size.
 _BLOCK_ELEMENTS = 2 ** 14
 
+# Normals each thread's slice of a block holds at least (:func:`_seeded_normals`).
+# Starting a thread and its generator costs about 170 us, about 12k normals'
+# draw at 14 ns each, so a block split in two first draws faster at about
+# 2**15 normals (measured on a 2-CPU host).
+_SLICE_NORMALS = 2 ** 15
+
+# CPUs this process may run on, read once: the most slices a block is drawn in.
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
 
 def _thread_generator():
     """This thread's PCG64 generator, a ctypes view of the four 64-bit words
@@ -749,19 +765,57 @@ def _states(base_seed: int, lo: int, hi: int) -> np.ndarray:
     return _pcg64_states(_derive_seeds(base_seed, lo, hi), _thread_generator()[2])
 
 
-def _seeded_normals(states: np.ndarray, count: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """(len(states), count) standard normals whose row ``r`` is what PCG64
-    started from ``states[r]`` draws, the state's words in this thread's
-    memory order, written into ``out`` when it is given.  Before each row
-    its words are written straight into this thread's generator."""
-    z = np.empty((len(states), count)) if out is None else out
-    if not z.size:
-        return z
+def _draw_rows(z: np.ndarray, states: np.ndarray) -> None:
+    """Draw each row of ``z`` from its state in ``states`` with this thread's
+    generator, the state's words written straight into it first."""
     gen, memory, _ = _thread_generator()
     for row, state in zip(z, states.tolist()):
         memory[:] = state
         gen.standard_normal(out=row)
+
+
+def _seeded_normals(states: np.ndarray, count: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """(len(states), count) standard normals whose row ``r`` is what PCG64
+    started from ``states[r]`` draws, the state's words in this thread's
+    memory order, written into ``out`` when it is given (:func:`_draw_rows`).
+
+    A block of at least ``2 * _SLICE_NORMALS`` normals and two rows is drawn
+    in ``min(_CPUS, rows, normals // _SLICE_NORMALS)`` contiguous row
+    slices: the caller draws the first, and one thread per other slice draws
+    it with its own generator while NumPy fills rows without the GIL.  Each
+    row is seeded on its own, so the split never changes a bit.  The
+    helpers are joined before this returns or raises, and an exception a
+    helper raised is raised here.
+    """
+    z = np.empty((len(states), count)) if out is None else out
+    if not z.size:
+        return z
+    slices = min(_CPUS, len(z), z.size // _SLICE_NORMALS)
+    if slices < 2:
+        _draw_rows(z, states)
+        return z
+    bounds = [len(z) * k // slices for k in range(slices + 1)]
+    errors = []
+
+    def helper(lo: int, hi: int) -> None:
+        try:
+            _draw_rows(z[lo:hi], states[lo:hi])
+        except BaseException as exc:  # raised again by the caller
+            errors.append(exc)
+
+    started = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            thread = threading.Thread(target=helper, args=(lo, hi))
+            thread.start()
+            started.append(thread)
+        _draw_rows(z[:bounds[1]], states[:bounds[1]])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
     return z
 
 

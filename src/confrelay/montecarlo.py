@@ -8,10 +8,13 @@ mixer, so which realization a trial sees never depends on how trials are
 grouped: per-trial rates land in one index-addressed (scheme, trial) array,
 and the aggregation reduces all of its rows at once, each in index order, to
 the bits ``np.mean`` and ``np.std`` give row by row.  Trials are drawn by
-``model._trial_squares`` and evaluated in one thread, in the blocks its
-docstring describes.  Walks of the same run share the squared rows each
-thread keeps of its first trials (``model._first_rows``); :func:`sweep` draws
-them at its widest point before its first point.
+``model._trial_squares``, in the blocks its docstring describes, and
+evaluated in the calling thread.  A block of at least 2**16 normals is drawn
+in row slices on up to the usable CPUs, each slice by its own thread's
+generator (``model._seeded_normals``); the output is bit-identical for any
+split and any ``--workers`` value.  Walks of the same run share the squared
+rows each thread keeps of its first trials (``model._first_rows``);
+:func:`sweep` draws them at its widest point before its first point.
 
 A realization carries only the fading gains ``h`` and ``g``; every rate and
 oracle reads the conferencing gains and the channel moments

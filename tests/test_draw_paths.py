@@ -12,13 +12,19 @@ library's only use of ``ctypes`` (its word order helper,
 ``model._word_order``, is a pure function of the words read back), and a
 test fails when ``ctypes`` appears anywhere else.
 
+``model._seeded_normals`` draws a large block's row slices on short-lived
+threads, which it joins before it returns.  It is the only place that
+starts a thread, and a test fails when a thread or a pool of them is
+started anywhere else.
+
 Which normals trial ``t`` of a run draws, and in which blocks, is decided in
 ``model`` alone: no other module may name the state derivation ``_states``,
-the block sampler ``_seeded_normals``, its generator, the per-thread record
+the block sampler ``_seeded_normals``, its row loop ``_draw_rows``, its generator, the per-thread record
 ``_THREAD``, the first rows it keeps (``_first_rows``, their bound
 ``_KEPT_ELEMENTS`` and allocation floor ``_KEPT_FLOOR``), the chunk and
-block constants ``_STATE_CHUNK`` and ``_BLOCK_ELEMENTS`` or the SplitMix64
-seed mixer's constants, by name or written out as numbers.
+block constants ``_STATE_CHUNK`` and ``_BLOCK_ELEMENTS``, the row slice
+size ``_SLICE_NORMALS``, the CPU count ``_CPUS`` or the SplitMix64 seed
+mixer's constants, by name or written out as numbers.
 """
 
 import ast
@@ -76,13 +82,31 @@ def _is_ctypes(node):
     return False
 
 
-# What only ``model`` may refer to: the state derivation, the block sampler
-# and its generator, each thread's record and first rows, the chunk, block and
-# first-row sizes and the seed mixer's constants, by name, and the constants'
-# values.
-TRIAL_DRAW_NAMES = {"_states", "_seeded_normals", "_thread_generator",
+def _is_thread_start(node):
+    """A ``Thread``, a pool of threads or processes, ``start_new_thread``, or
+    an import of ``_thread``, ``concurrent`` or ``multiprocessing``."""
+    names = ("Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "start_new_thread")
+    if isinstance(node, ast.Name):
+        return node.id in names
+    if isinstance(node, ast.Attribute):
+        return node.attr in names
+    modules = ("_thread", "concurrent", "multiprocessing")
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] in modules for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return ((node.module or "").split(".")[0] in modules
+                or any(a.name in names for a in node.names))
+    return False
+
+
+# What only ``model`` may refer to: the state derivation, the block sampler,
+# its row loop and its generator, each thread's record and first rows, the chunk, block,
+# first-row and row-slice sizes, the CPU count and the seed mixer's
+# constants, by name, and the constants' values.
+TRIAL_DRAW_NAMES = {"_states", "_seeded_normals", "_draw_rows", "_thread_generator",
                     "_THREAD", "_first_rows", "_KEPT_ELEMENTS", "_KEPT_FLOOR",
-                    "_STATE_CHUNK", "_BLOCK_ELEMENTS", "_GOLDEN", "_MIX1", "_MIX2"}
+                    "_STATE_CHUNK", "_BLOCK_ELEMENTS", "_SLICE_NORMALS", "_CPUS",
+                    "_GOLDEN", "_MIX1", "_MIX2"}
 SPLITMIX64 = {0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
 
 
@@ -147,6 +171,24 @@ def test_ctypes_check_fails_on_a_copy_with_ctypes_elsewhere(tmp_path):
                                                   ("rates", "_peek")}
 
 
+def test_threads_start_only_in_the_seeded_normals():
+    assert library_uses(_is_thread_start) == {("model", "_seeded_normals")}
+
+
+def test_thread_check_fails_on_a_copy_that_starts_threads(tmp_path):
+    added = {
+        "rates": "\n\ndef _spawn(f):\n    threading.Thread(target=f).start()\n",
+        "montecarlo": "\nfrom concurrent.futures import ThreadPoolExecutor\n",
+        "cli": "\n\ndef _pool(f):\n    return ThreadPoolExecutor(2).submit(f)\n",
+    }
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8")
+                                          + added.get(path.stem, ""), encoding="utf-8")
+    assert library_uses(_is_thread_start, tmp_path) == {
+        ("model", "_seeded_normals"), ("rates", "_spawn"), ("montecarlo", None),
+        ("cli", "_pool")}
+
+
 def test_trial_draw_internals_stay_in_model():
     assert {module for module, _ in library_uses(_is_trial_draw_internal)} == {"model"}
 
@@ -158,7 +200,8 @@ def test_trial_draw_check_fails_on_a_copy_that_reads_them(tmp_path):
         "montecarlo": "\n\ndef _mix(z):\n    return z * 0xBF58476D1CE4E5B9 & MASK64\n",
         "rates": "\nfrom .model import _seeded_normals as _draw\n",
         "cli": ("\nfrom .model import _STATE_CHUNK\n\n\ndef _walk(seed):\n"
-                "    return model._states(seed, 0, 3)\n"),
+                "    return model._states(seed, 0, 3)\n"
+                "\n\ndef _split(z):\n    return min(model._CPUS, z.size // _SLICE_NORMALS)\n"),
     }
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8")
@@ -167,7 +210,7 @@ def test_trial_draw_check_fails_on_a_copy_that_reads_them(tmp_path):
     assert {(m, owner) for m, owner in found if m != "model"} == {
         ("asymptotics", "_block"), ("asymptotics", "_room"), ("montecarlo", "_mix"),
         ("rates", None),
-        ("cli", None), ("cli", "_walk")}
+        ("cli", None), ("cli", "_walk"), ("cli", "_split")}
 
 
 def test_detector_sees_calls_aliases_and_imports_but_not_annotations():

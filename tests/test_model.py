@@ -429,6 +429,96 @@ class TestSeededNormals:
             want = self._want(bases[k], 0, 30, 3000)
             assert all(np.array_equal(z, want) for z in got[k])
 
+    @staticmethod
+    def _thread_starts(monkeypatch):
+        """The threads started from now on, through a counting
+        ``threading.Thread``."""
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        return started
+
+    @pytest.mark.parametrize("cpus,rows,count,slices", [
+        (4, 3, (2 ** 16 - 1) // 3, 1),   # 2**16 - 1 normals: one slice
+        (4, 2, 2 ** 15, 2),              # exactly 2**16 normals
+        (4, 4, 2 ** 14, 2),              # the same, in four rows
+        (2, 3, 2 ** 15, 2),              # an odd row count
+        (3, 7, 2 ** 14, 3),              # three slices of 2, 2 and 3 rows
+        (4, 1, 2 ** 17, 1),              # one row is never split
+        (1, 4, 2 ** 15, 1),              # nor a block on one CPU
+    ], ids=["below_two_slices", "two_slices", "two_slices_four_rows", "odd_rows",
+            "three_cpus", "one_row", "one_cpu"])
+    def test_split_rows_equal_one_generator_per_seed(self, monkeypatch, cpus, rows,
+                                                     count, slices):
+        monkeypatch.setattr(model, "_CPUS", cpus)
+        base = 977 * rows + cpus
+        states = _states(base, 0, rows)
+        want = self._want(base, 0, rows, count)
+        started = self._thread_starts(monkeypatch)
+        before = threading.active_count()
+        assert np.array_equal(_seeded_normals(states, count), want)
+        # Into a view of a larger array, as the kept first rows are drawn.
+        out = np.empty(rows * count + 5)[:rows * count].reshape(rows, count)
+        assert _seeded_normals(states, count, out) is out
+        assert np.array_equal(out, want)
+        assert len(started) == 2 * (slices - 1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("error", [RuntimeError, MemoryError])
+    @pytest.mark.parametrize("helper", [True, False], ids=["helper", "caller"])
+    def test_a_failed_slice_raises_in_the_caller(self, monkeypatch, error, helper):
+        monkeypatch.setattr(model, "_CPUS", 2)
+        states = _states(31, 0, 2)
+        caller, made = threading.get_ident(), model._thread_generator
+
+        def generator():
+            if (threading.get_ident() != caller) == helper:
+                raise error("no generator")
+            return made()
+
+        monkeypatch.setattr(model, "_thread_generator", generator)
+        before = threading.active_count()
+        with pytest.raises(error, match="no generator"):
+            _seeded_normals(states, 2 ** 15)
+        assert threading.active_count() == before
+
+    def test_callers_splitting_at_once_get_their_own_rows(self, monkeypatch):
+        # Two callers each split blocks of 6 rows of 2**14 normals in two:
+        # up to four threads draw at once, each into its own generator.
+        monkeypatch.setattr(model, "_CPUS", 2)
+        bases = {k: 104729 * (k + 1) for k in range(2)}
+        start = threading.Barrier(2)
+        got, errors = {}, []
+
+        def draw(k):
+            try:
+                start.wait(timeout=10)
+                states = _states(bases[k], 0, 6)
+                got[k] = [_seeded_normals(states, 2 ** 14) for _ in range(4)]
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(k,)) for k in bases]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for k in bases:
+            want = self._want(bases[k], 0, 6, 2 ** 14)
+            assert all(np.array_equal(z, want) for z in got[k])
+
     def test_word_order_native_128_bit(self):
         hi_s, lo_s, hi_inc, lo_inc = _PROBE_WORDS
         assert _word_order([lo_s, hi_s, lo_inc, hi_inc]) == (1, 0, 3, 2)
