@@ -43,6 +43,7 @@ from .model import (
     PointMass,
     Portion,
     PreconditionError,
+    UndefinedRatioError,
     _integer,
     _seed,
     derive_seed,
@@ -195,15 +196,15 @@ def parse_config(text: str, overrides: Sequence[str] = ()) -> tuple[NetworkConfi
 # A table is a header line and its rows; a row is a tuple of str, int and
 # float values in the header's column order.
 
-def _require_runnable(errors: Sequence[dict]) -> None:
-    """Raise :class:`PreconditionError` naming, in one line sorted by scheme,
-    each scheme that failed at any point of ``errors`` (a scheme -> reason
-    map per point, in point order) as ``scheme: reason``, with the reason of
-    the first point it failed at."""
+def _require_runnable(errors: Sequence[dict], error: type = PreconditionError) -> None:
+    """Raise ``error`` naming, in one line sorted by scheme, each scheme that
+    failed at any point of ``errors`` (a scheme -> reason map per point, in
+    point order) as ``scheme: reason``, with the reason of the first point it
+    failed at."""
     # Walked backwards, the first point's reason is the one left.
     failed = {s: msg for point in reversed(errors) for s, msg in point.items()}
     if failed:
-        raise PreconditionError("; ".join(f"{s}: {m}" for s, m in sorted(failed.items())))
+        raise error("; ".join(f"{s}: {m}" for s, m in sorted(failed.items())))
 
 
 def _sweep_tables(axis: str, points: Sequence, base_seed: int) -> list:
@@ -221,23 +222,27 @@ def _sweep_tables(axis: str, points: Sequence, base_seed: int) -> list:
 
 def _oracle_tables(cfg: NetworkConfig, params: RunParams, draws: int) -> list:
     """Closed-form against empirical SINR of the AF chain and of the DF
-    second hop, on realization 0 of the run's seed."""
+    second hop, on realization 0 of the run's seed.
+
+    Raises :class:`UndefinedRatioError` before any symbol draw when a
+    closed-form SINR is 0, since the relative gap divides by it.
+    """
     oracles = {"af": (af_sinr, signal_oracle_af),
                "df": (analytic_df_mac_snr, signal_oracle_df_mac)}
     schemes = [s for s in params.schemes if s in oracles]
+    if not schemes:
+        raise ConfigurationError("oracle needs 'af' or 'df' among the schemes")
     _require_runnable([_scheme_errors(cfg, schemes)])
     real = sample_realization(cfg, derive_seed(params.seed, 0))
+    closed = {s: oracles[s][0](real, cfg) for s in schemes}
+    _require_runnable([{s: "the closed-form SINR is 0, so the relative gap is undefined"
+                        for s, ana in closed.items() if ana == 0}], UndefinedRatioError)
     symbol_seed = derive_seed(params.seed, 1)
     rows = []
-    for scheme in schemes:
-        closed_form, oracle = oracles[scheme]
-        ana = closed_form(real, cfg)
-        emp = oracle(real, cfg, draws, symbol_seed)
-        gap = abs(emp.sinr - ana) / ana if ana > 0 else math.nan
-        rows.append((scheme, ana, emp.sinr, gap, emp.std_error, emp.draws,
-                     params.seed))
-    if not rows:
-        raise ConfigurationError("oracle needs 'af' or 'df' among the schemes")
+    for scheme, ana in closed.items():
+        emp = oracles[scheme][1](real, cfg, draws, symbol_seed)
+        rows.append((scheme, ana, emp.sinr, abs(emp.sinr - ana) / ana, emp.std_error,
+                     emp.draws, params.seed))
     return [(ORACLE_HEADER, rows)]
 
 

@@ -374,5 +374,5 @@ def signal_oracle_df_mac(real: ChannelRealization, cfg: NetworkConfig,
 
 def analytic_df_mac_snr(real: ChannelRealization, cfg: NetworkConfig) -> float:
     """Closed-form second-hop SNR the oracle is compared against."""
-    q0 = rates.df_mac_gain(real, cfg)
-    return q0 * q0 / cfg.n_0
+    return float(rates._mac_snr(rates._squared_gains(real, cfg)[1], cfg,
+                                rates._mac_weights(cfg)))

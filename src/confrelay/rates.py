@@ -23,10 +23,11 @@ uses the second moment of the *sending* relay's source link, which is what
 makes the forwarded signal respect the conferencing power budget.
 
 Every formula is written once, as a kernel over the last axis of arrays of
-squared gains ``|h|^2`` and ``|g|^2``: leading axes index realizations.  The
-per-realization functions call the kernels on one realization, the moment
-forms call them on the second moments, and :func:`scheme_kernels` binds the
-per-configuration invariants once for the batched Monte Carlo engine.  Every
+squared gains ``|h|^2`` and ``|g|^2``: leading axes index realizations.
+:func:`scheme_kernels` binds the per-configuration invariants once for the
+batched Monte Carlo engine.  Each per-realization rate is its scheme's kernel
+at one realization, through the one helper ``_realized``, with no second
+formula; the moment forms call the formulas on the second moments.  Every
 function reads the moments of the configuration it is given,
 ``model.moments(cfg)``, which the configuration built; none takes a moment set.
 """
@@ -164,6 +165,13 @@ def _squared_gains(real: ChannelRealization, cfg: NetworkConfig):
     return np.abs(real.h) ** 2, np.abs(real.g) ** 2
 
 
+def _realized(real: ChannelRealization, cfg: NetworkConfig, scheme: str) -> float:
+    """``scheme``'s rate kernel, as :func:`scheme_kernels` binds it, at one
+    realization; a realization of another size is rejected first."""
+    h2, g2 = _squared_gains(real, cfg)
+    return float(scheme_kernels(cfg, (scheme,))[scheme](h2, g2))
+
+
 # ---------------------------------------------------------------------------
 # Cut-set upper bound
 # ---------------------------------------------------------------------------
@@ -174,7 +182,7 @@ def _upper_rates(h2: np.ndarray, cfg: NetworkConfig) -> np.ndarray:
 
 def capacity_upper_bound(real: ChannelRealization, cfg: NetworkConfig) -> float:
     """Broadcast cut-set bound 0.5*log2(1 + (p_s/n_0) * sum_i |h_i|^2)."""
-    return float(_upper_rates(_squared_gains(real, cfg)[0], cfg))
+    return _realized(real, cfg, "upper")
 
 
 def capacity_upper_asymptotic(cfg: NetworkConfig) -> float:
@@ -216,9 +224,14 @@ def _mac_gain(g2: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.sum(w * g2, axis=-1)
 
 
-def _mac_rates(g2: np.ndarray, cfg: NetworkConfig, w: np.ndarray) -> np.ndarray:
+def _mac_snr(g2: np.ndarray, cfg: NetworkConfig, w: np.ndarray) -> np.ndarray:
+    """Received SNR q0^2/n_0 of the coherent second hop."""
     q0 = _mac_gain(g2, w)
-    return _rate(q0 * q0 / cfg.n_0)
+    return q0 * q0 / cfg.n_0
+
+
+def _mac_rates(g2: np.ndarray, cfg: NetworkConfig, w: np.ndarray) -> np.ndarray:
+    return _rate(_mac_snr(g2, cfg, w))
 
 
 def _df_rates(h2: np.ndarray, g2: np.ndarray, cfg: NetworkConfig, frac,
@@ -249,8 +262,7 @@ def df_mac_rate(real: ChannelRealization, cfg: NetworkConfig) -> float:
 def df_rate(real: ChannelRealization, cfg: NetworkConfig) -> float:
     """DF rate: every relay must decode, so the minimum relay rate and the
     second-hop rate both bound it."""
-    return float(_df_rates(*_squared_gains(real, cfg), cfg,
-                           _df_fractions(cfg), _mac_weights(cfg)))
+    return _realized(real, cfg, "df")
 
 
 def df_rates_asymptotic(cfg: NetworkConfig) -> np.ndarray:
@@ -338,7 +350,7 @@ def af_sinr(real: ChannelRealization, cfg: NetworkConfig) -> float:
 
 def af_rate(real: ChannelRealization, cfg: NetworkConfig) -> float:
     """AF rate 0.5*log2(1 + SINR) for one realization."""
-    return float(_af_rates(*_squared_gains(real, cfg), cfg, *_af_invariants(cfg)))
+    return _realized(real, cfg, "af")
 
 
 def af_expected_q_terms(cfg: NetworkConfig) -> tuple[float, float, float]:
@@ -455,18 +467,9 @@ def scheme_kernels(cfg: NetworkConfig, schemes: Sequence[str]) -> dict:
 
 
 def rate_report(real: ChannelRealization, cfg: NetworkConfig) -> RateReport:
-    """Evaluate every scheme on one realization."""
-    h2, g2 = _squared_gains(real, cfg)
-    relay_rates = _rate(_df_relay_snr(h2, cfg, _df_fractions(cfg)))
-    mac = _mac_rates(g2, cfg, _mac_weights(cfg))
-    q1, q2, q3 = _af_q_terms(h2, g2, cfg.m_conf, *_af_invariants(cfg))
-    return RateReport(
-        c_upper=float(_upper_rates(h2, cfg)),
-        df_relay_rates=relay_rates,
-        df_mac_rate=float(mac),
-        df_rate=float(np.minimum(np.min(relay_rates), mac)),
-        af_q1=float(q1),
-        af_q2=float(q2),
-        af_q3=float(q3),
-        af_rate=float(_rate(_af_sinr(q1, q2, q3, cfg))),
-    )
+    """Evaluate every scheme on one realization.  The fields are, in order,
+    the values of :func:`capacity_upper_bound`, :func:`df_relay_rates`,
+    :func:`df_mac_rate`, :func:`df_rate`, :func:`af_q_terms` and :func:`af_rate`."""
+    return RateReport(capacity_upper_bound(real, cfg), df_relay_rates(real, cfg),
+                      df_mac_rate(real, cfg), df_rate(real, cfg), *af_q_terms(real, cfg),
+                      af_rate(real, cfg))

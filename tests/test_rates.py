@@ -415,9 +415,14 @@ class TestRealizationLength:
         "signal_oracle_df_mac": lambda real, cfg: signal_oracle_df_mac(real, cfg, 10, 0),
     }
 
-    @pytest.mark.parametrize("name", sorted(EVALUATE))
-    def test_wrong_length_is_configuration_error(self, name):
-        drawn = NetworkConfig(n_relays=10, conferencing=Neighbors(2))
+    # At p_c = 0 with M >= 1 AF and DF cannot run, but the length is checked
+    # first: a ConfigurationError, not a PreconditionError.
+    CASES = [(n, 1.0) for n in sorted(EVALUATE)] + [(n, 0.0) for n in sorted(EVALUATE)]
+
+    @pytest.mark.parametrize("name, p_c", CASES,
+                             ids=[n if p_c else f"{n}-p_c_0" for n, p_c in CASES])
+    def test_wrong_length_is_configuration_error(self, name, p_c):
+        drawn = NetworkConfig(n_relays=10, conferencing=Neighbors(2), p_c=p_c)
         cfg = replace(drawn, n_relays=12)
         real = sample_realization(drawn, 1)
         with pytest.raises(ConfigurationError, match="10 relays"):

@@ -4,7 +4,8 @@ One table of library calls, each of which raises ``ConfigurationError``, and
 one of command lines, each of which exits with code 2, reports a configuration
 error on stderr and leaves an existing ``--out`` file alone.  A scheme that
 cannot run under a valid configuration exits with code 3 instead, and every
-command reports it in the same one line.
+command reports it in the same one line; so does an ``oracle`` scheme whose
+closed-form SINR is 0.
 """
 
 import math
@@ -30,7 +31,7 @@ from confrelay import (
     signal_oracle_af,
     signal_oracle_df_mac,
 )
-from confrelay import rates
+from confrelay import montecarlo, rates
 from confrelay.asymptotics import lemma1_gap, scaling_fit, trace_points
 from confrelay.cli import _parser, dispatch, main
 from confrelay.montecarlo import apply_axis
@@ -322,14 +323,9 @@ CLI_CASES = {
                                                "--set", "N0=1e-320"], "not finite"),
     "oracle_relay_power_overflows": (CONFIG, ["oracle", "--draws", "2000",
                                               "--set", "Pr=1e308"], "not finite"),
-    # The oracle's round-off guard reports an infinite SINR, and the relative
-    # gap to a zero closed form is nan: neither is a row.
+    # The oracle's round-off guard reports an infinite SINR, which is not a row.
     "oracle_noise_below_round_off": (CONFIG, ["oracle", "--draws", "2000",
                                               "--set", "N0=1e-30"], "not finite"),
-    "oracle_source_power_zero": (CONFIG, ["oracle", "--draws", "2000",
-                                          "--set", "Ps=0"], "not finite"),
-    "oracle_relay_power_zero": (CONFIG, ["oracle", "--draws", "2000",
-                                         "--set", "Pr=0"], "not finite"),
     # Pc/N0 underflows a double (it used to crash math.log10); the AF rate
     # has no finite value there.
     "conf_snr_ratio_underflows": (CONFIG, ["single", "--set", "Pc=1e-300",
@@ -464,6 +460,39 @@ def test_cli_reports_every_failing_scheme_in_one_line(name, tmp_path, capsys, de
     if argv[0] == "diagnose":
         # Checked at every size before any trial is drawn.
         assert derived == []
+
+
+ZERO_SINR = "the closed-form SINR is 0, so the relative gap is undefined"
+# The DF second-hop SNR does not read Ps, so only AF's closed form is 0 there.
+ZERO_SINR_CASES = {
+    "oracle_source_power_zero": ("Ps=0", f"af: {ZERO_SINR}"),
+    "oracle_relay_power_zero": ("Pr=0", f"af: {ZERO_SINR}; df: {ZERO_SINR}"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_SINR_CASES))
+def test_oracle_zero_closed_form_exits_3_before_any_symbol_draw(name, tmp_path, capsys,
+                                                                monkeypatch):
+    override, reasons = ZERO_SINR_CASES[name]
+    symbol_draws = []
+    monkeypatch.setattr(montecarlo, "_oracle", lambda *args: symbol_draws.append(args))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG)
+    assert main(["oracle", "--draws", "2000", "--config", str(cfg), "--set", override]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"confrelay: precondition error: {reasons}\n"
+    assert symbol_draws == []
+
+
+def test_oracle_df_alone_runs_without_source_power(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(CONFIG)
+    assert main(["oracle", "--draws", "2000", "--config", str(cfg),
+                 "--set", "Ps=0", "--set", "schemes=df"]) == 0
+    [header, row] = capsys.readouterr().out.splitlines()
+    assert row.startswith("df,")
+    assert all(math.isfinite(float(v)) for v in row.split(",")[1:])
 
 
 def test_cli_configuration_error_comes_before_precondition_error(tmp_path, capsys):
