@@ -405,10 +405,10 @@ def _parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE", help="override a config key")
         sp.add_argument("--workers", type=int, default=1,
                         help="a positive integer, accepted for compatibility and "
-                             "ignored; a block of at least 2^16 normals is drawn in "
-                             "row slices on up to the usable CPUs, each by its own "
-                             "thread's generator, and output is bit-identical for "
-                             "any split and any value")
+                             "ignored; rows of at least 800 normals are drawn on up "
+                             "to the usable CPUs, each thread with its own "
+                             "generator, and output is bit-identical on any number "
+                             "of CPUs and at any value")
         if sweep_axis is not None:
             sp.add_argument("--axis", required=True,
                             help="comma-separated axis values")

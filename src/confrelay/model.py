@@ -49,21 +49,29 @@ trial once.
 Each thread that draws keeps one PCG64 generator (:func:`_thread_generator`),
 and before each row the row's 128-bit state and increment are written as
 four 64-bit words straight into that generator's state memory
-(:func:`_seeded_normals`).  A block of at least 2**16 normals is drawn in
-contiguous row slices on up to the usable CPUs: the caller draws the first
-slice, and one short-lived thread per other slice draws it with that
-thread's own generator.  Every row is seeded on its own, so which thread
-draws it never changes it: the output is bit-identical for any split and
-any ``--workers`` value.  The words' memory order
-depends on how NumPy was built (a native 128-bit integer or an emulated one,
-high word first); each thread's first draw reads it back from a probe state
-set through the public ``state`` setter and raises ``RuntimeError`` if the
-words read back are not the ones written.  This relies on NumPy's fixed
-SeedSequence/PCG64 seeding algorithm and its PCG64 state layout;
-``TestSeededNormals`` checks the states against ``PCG64`` and the rows against
-``default_rng(derive_seed(base_seed, t))`` trial by trial, and
-``test_sampled_squares_match_sampled_gains`` checks the engine's squares
-against ``sample_realization``.
+(:func:`_draw_rows`).  Every row goes through one fill (:class:`_Fill`).
+Rows of at least 800 normals, more than one slab of them, are drawn on up
+to the usable CPUs: the fill's slabs are claimed in row order by the caller
+and by at most ``_CPUS - 1`` daemon helper threads, which start once per
+process and keep their own generators for its life.  Whenever the caller
+would wait for a row, it draws the next unclaimed slab below it instead,
+so it waits only on rows that a helper is drawing, and a fill completes
+even when no helper takes a slab of it.  Narrower rows are drawn by
+the caller alone.  The kept first rows are handed back before they are
+drawn, and a walk reads each of their blocks as soon as its last row is
+drawn, so the first walk's kernels run while the helpers draw.  Every row
+is seeded on its own, so which thread draws it never changes it: the output
+is bit-identical on any number of CPUs and at any ``--workers`` value.
+
+The state words' memory order depends on how NumPy was built (a native
+128-bit integer or an emulated one, high word first); each thread's first
+draw reads it back from a probe state set through the public ``state``
+setter and raises ``RuntimeError`` if the words read back are not the ones
+written.  This relies on NumPy's fixed SeedSequence/PCG64 seeding algorithm
+and its PCG64 state layout; ``TestSeededNormals`` checks the states against
+``PCG64`` and the rows against ``default_rng(derive_seed(base_seed, t))``
+trial by trial, and ``test_sampled_squares_match_sampled_gains`` checks the
+engine's squares against ``sample_realization``.
 
 How a fading law lays out its normals is written in one place, :func:`_law`:
 a ``Cscg`` draw is its N real parts, then its N imaginary parts, a
@@ -722,13 +730,20 @@ _STATE_CHUNK = 2 ** 14
 # working memory independently of the network size.
 _BLOCK_ELEMENTS = 2 ** 14
 
-# Normals each thread's slice of a block holds at least (:func:`_seeded_normals`).
-# Starting a thread and its generator costs about 170 us, about 12k normals'
-# draw at 14 ns each, so a block split in two first draws faster at about
-# 2**15 normals (measured on a 2-CPU host).
-_SLICE_NORMALS = 2 ** 15
+# Normals a row holds at least for helper threads to draw rows of its fill
+# (:class:`_Fill`).  Each row costs one GIL handoff between the threads that
+# draw it: measured on a 2-CPU host, two threads drew rows of 400 normals
+# 1.5-1.8x slower than the caller alone, rows of 600 about as fast, and rows
+# of 800 or more normals in 0.5-0.85 of its time.
+_HELPED_ROW_NORMALS = 800
 
-# CPUs this process may run on, read once: the most slices a block is drawn in.
+# Normals of one slab, the rows a thread claims of a fill at once: one row of
+# 2**14 normals or more, so the first rows a walk needs are drawn by two
+# threads at once, and 2**14 // width narrower rows, which share one claim.
+_SLAB_NORMALS = 2 ** 14
+
+# CPUs this process may run on, read once: a fill is drawn by the caller and
+# at most _CPUS - 1 helper threads.
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
@@ -765,57 +780,143 @@ def _states(base_seed: int, lo: int, hi: int) -> np.ndarray:
     return _pcg64_states(_derive_seeds(base_seed, lo, hi), _thread_generator()[2])
 
 
-def _draw_rows(z: np.ndarray, states: np.ndarray) -> None:
+def _draw_rows(z: np.ndarray, states: np.ndarray, square: bool = False) -> None:
     """Draw each row of ``z`` from its state in ``states`` with this thread's
-    generator, the state's words written straight into it first."""
+    generator, the state's words written straight into it first; square the
+    rows in place after with ``square``."""
     gen, memory, _ = _thread_generator()
     for row, state in zip(z, states.tolist()):
         memory[:] = state
         gen.standard_normal(out=row)
+    if square:
+        np.square(z, out=z)
+
+
+# One ticket per helper that may draw slabs of a posted fill, the helpers
+# started, and the one condition under which every fill's slabs are claimed
+# and counted.
+_POSTED: list = []
+_HELPERS: list = []
+_BOARD = threading.Condition()
+
+
+class _Fill:
+    """The rows of ``z`` drawn from their ``states`` (:func:`_draw_rows`),
+    squared in place with ``square``: the one way the trial engine draws.
+
+    A fill of rows narrower than ``_HELPED_ROW_NORMALS``, of one slab, or on
+    one CPU is drawn here, in one :func:`_draw_rows` call.  Any other is
+    posted to at most ``_CPUS - 1`` helper threads (:func:`_post`), and its
+    slabs of ``max(1, _SLAB_NORMALS // width)`` rows are claimed in row
+    order by those helpers and by the caller of :meth:`wait`, each drawing
+    its slab with its own thread's generator.  Every row is seeded on its
+    own, so which thread draws it never changes a bit.
+    """
+
+    def __init__(self, z: np.ndarray, states: np.ndarray, square: bool = False):
+        self.rows = len(z)
+        slab = max(1, _SLAB_NORMALS // max(z.shape[1], 1))
+        if z.shape[1] < _HELPED_ROW_NORMALS or self.rows <= slab or _CPUS < 2:
+            _draw_rows(z, states, square)
+            self.ready = self.rows
+            return
+        self.z, self.states, self.square, self.slab = z, states, square, slab
+        # Rows claimed, rows of the drawn prefix, which slabs are drawn, the
+        # helpers' slabs in flight and the first error raised drawing one.
+        self.claimed = self.ready = self.helping = 0
+        self.drawn = [False] * -(-self.rows // slab)
+        self.error = None
+        _post(self, _CPUS - 1)
+
+    def _claim(self, helper: bool) -> tuple[int, int] | None:
+        """The rows of the next slab, or None when every slab is claimed."""
+        with _BOARD:
+            lo = self.claimed
+            if lo == self.rows:
+                return None
+            self.claimed = hi = min(lo + self.slab, self.rows)
+            self.helping += helper
+            return lo, hi
+
+    def _draw(self, lo: int, hi: int, helper: bool) -> None:
+        """Draw the claimed rows ``lo:hi``; an error is kept for the caller
+        and ends the claims."""
+        try:
+            _draw_rows(self.z[lo:hi], self.states[lo:hi], self.square)
+            error = None
+        except BaseException as exc:  # raised again by the caller's wait
+            error = exc
+        with _BOARD:
+            self.helping -= helper
+            if error is None:
+                self.drawn[lo // self.slab] = True
+                while self.ready < self.rows and self.drawn[self.ready // self.slab]:
+                    self.ready = min(self.ready + self.slab, self.rows)
+            elif self.error is None:
+                self.error, self.claimed = error, self.rows
+            if self.ready == self.rows or self.error is not None and not self.helping:
+                # Nothing is left to draw: let go of the rows.
+                self.z = self.states = None
+            _BOARD.notify_all()
+
+    def wait(self, end: int) -> None:
+        """Return once rows ``0:end`` are drawn.  Until then the caller draws
+        the next unclaimed slab below ``end`` whenever there is one, so it
+        waits only on slabs that a helper is drawing, and a fill completes
+        without any helper.  An error raised drawing a slab is raised here
+        once no helper draws for the fill, which is then no longer kept as
+        this thread's first rows (:func:`_first_rows`)."""
+        while self.ready < end:
+            with _BOARD:
+                while self.error is None and self.ready < end <= self.claimed:
+                    _BOARD.wait()
+                if self.error is not None:
+                    while self.helping:
+                        _BOARD.wait()
+                    kept = getattr(_THREAD, "first_rows", None)
+                    if kept is not None and kept[2] is self:
+                        _THREAD.first_rows = None
+                    raise self.error
+                slab = self._claim(False) if self.ready < end else None
+            if slab is not None:
+                self._draw(*slab, False)
+
+
+def _post(fill: _Fill, helpers: int) -> None:
+    """Let ``helpers`` helper threads draw slabs of ``fill``, first starting
+    helpers until that many are alive: daemon threads that live as long as
+    the process, each drawing with its own generator."""
+    with _BOARD:
+        _HELPERS[:] = [t for t in _HELPERS if t.is_alive()]
+        while len(_HELPERS) < helpers:
+            helper = threading.Thread(target=_help, name="confrelay-draw", daemon=True)
+            helper.start()
+            _HELPERS.append(helper)
+        _POSTED.extend([fill] * helpers)
+        _BOARD.notify_all()
+
+
+def _help() -> None:
+    """A helper thread's life: take a posted fill's ticket and draw the
+    fill's slabs while any is unclaimed, again and again."""
+    while True:
+        with _BOARD:
+            while not _POSTED:
+                _BOARD.wait()
+            fill = _POSTED.pop(0)
+        while (slab := fill._claim(True)) is not None:
+            fill._draw(*slab, True)
+        del fill
 
 
 def _seeded_normals(states: np.ndarray, count: int,
                     out: np.ndarray | None = None) -> np.ndarray:
     """(len(states), count) standard normals whose row ``r`` is what PCG64
     started from ``states[r]`` draws, the state's words in this thread's
-    memory order, written into ``out`` when it is given (:func:`_draw_rows`).
-
-    A block of at least ``2 * _SLICE_NORMALS`` normals and two rows is drawn
-    in ``min(_CPUS, rows, normals // _SLICE_NORMALS)`` contiguous row
-    slices: the caller draws the first, and one thread per other slice draws
-    it with its own generator while NumPy fills rows without the GIL.  Each
-    row is seeded on its own, so the split never changes a bit.  The
-    helpers are joined before this returns or raises, and an exception a
-    helper raised is raised here.
-    """
+    memory order, written into ``out`` when it is given, and drawn through
+    one :class:`_Fill` before this returns."""
     z = np.empty((len(states), count)) if out is None else out
-    if not z.size:
-        return z
-    slices = min(_CPUS, len(z), z.size // _SLICE_NORMALS)
-    if slices < 2:
-        _draw_rows(z, states)
-        return z
-    bounds = [len(z) * k // slices for k in range(slices + 1)]
-    errors = []
-
-    def helper(lo: int, hi: int) -> None:
-        try:
-            _draw_rows(z[lo:hi], states[lo:hi])
-        except BaseException as exc:  # raised again by the caller
-            errors.append(exc)
-
-    started = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            thread = threading.Thread(target=helper, args=(lo, hi))
-            thread.start()
-            started.append(thread)
-        _draw_rows(z[:bounds[1]], states[:bounds[1]])
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
+    _Fill(z, states).wait(len(z))
     return z
 
 
@@ -825,19 +926,21 @@ _KEPT_ELEMENTS = 2 ** 20
 _KEPT_FLOOR = 2 ** 18
 
 
-def _first_rows(base_seed: int, trials: int, width: int) -> np.ndarray:
+def _first_rows(base_seed: int, trials: int, width: int) -> tuple[np.ndarray, _Fill]:
     """Read-only squared normals, at least ``width`` per row, of the first
     ``K = min(trials, _STATE_CHUNK, _KEPT_ELEMENTS // width)`` trials of the
     run of ``trials`` trials seeded with ``base_seed`` (a :func:`_seed`
-    value); the one cache that the walks of a run share.
+    value), and the :class:`_Fill` that draws them, whose ``wait`` tells
+    when a prefix of them is drawn; the one cache that the walks of a run
+    share.  The rows may be handed back before they are drawn.
 
     Each thread keeps the last rows it built, keyed by the base seed and
     ``min(trials, _STATE_CHUNK)``, and hands them back to a caller whose
     rows are no wider; that caller reads a prefix of each row, which is bit
     for bit its own draw, and draws only the trials after them.  Any other
     caller gets new rows: the states of their K trials are derived, and the
-    rows drawn in one call and squared in place.  The old rows are let go
-    first and the new ones are a view of a fresh array of
+    rows drawn through one fill, each squared in place.  The old rows are
+    let go first and the new ones are a view of a fresh array of
     ``max(K * width, _KEPT_FLOOR)`` float64.  Sized to the rows, it reaches
     the 8 MiB cap only when they fill it: NumPy asks for huge pages for
     arrays of 4 MiB or more, so a fixed 8 MiB array raises the peak memory
@@ -848,14 +951,15 @@ def _first_rows(base_seed: int, trials: int, width: int) -> np.ndarray:
     key = (base_seed, min(trials, _STATE_CHUNK))
     kept = getattr(_THREAD, "first_rows", None)
     if kept is not None and kept[0] == key and kept[1].shape[1] >= width:
-        return kept[1]
+        return kept[1:]
     _THREAD.first_rows = kept = None
     rows = min(key[1], _KEPT_ELEMENTS // max(width, 1))
     z = np.empty(max(rows * width, _KEPT_FLOOR))[:rows * width].reshape(rows, width)
-    np.square(_seeded_normals(_states(base_seed, 0, rows), width, z), out=z)
+    fill = _Fill(z, _states(base_seed, 0, rows), square=True)
+    z = z.view()
     z.flags.writeable = False
-    _THREAD.first_rows = key, z
-    return z
+    _THREAD.first_rows = key, z, fill
+    return z, fill
 
 
 def _row_width(configs: Sequence[NetworkConfig], second_hop: bool) -> int:
@@ -867,7 +971,7 @@ def _row_width(configs: Sequence[NetworkConfig], second_hop: bool) -> int:
 
 def _draw_ahead(configs: Sequence[NetworkConfig], base_seed: int, trials: int,
                 second_hop: bool = True) -> None:
-    """Draw this thread's first rows (:func:`_first_rows`) of a run whose
+    """Start this thread's first rows (:func:`_first_rows`) of a run whose
     ``configs`` will each walk it, one after another, at the widest
     config's width (:func:`_row_width`), so that each config's walk reads
     its prefix of them."""
@@ -893,11 +997,16 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     squares in blocks of ``max(1, _BLOCK_ELEMENTS // N_i)`` trials, so no
     yielded block holds more than ``max(_BLOCK_ELEMENTS, N_i)`` squares, a
     drawn block is one block of every config, and a smaller config reads
-    the kept rows in fewer, larger blocks.  A drawn block's normals are
-    squared once, in place; each config's squares are built from them just
-    before they are yielded, and the walk lets go of the block before the
-    last config's last squares of it are yielded, so the caller's kernels
-    for config ``i`` run before config ``i + 1``'s squares exist.
+    the kept rows in fewer, larger blocks.
+
+    The kept piece's blocks come in the order of their last row (configs in
+    order where two end together), each as soon as the fill has drawn that
+    row, so the caller's kernels run on the first rows while the rest are
+    drawn.  A drawn block's normals are squared once, in place; each
+    config's squares are built from them just before they are yielded, and
+    the walk lets go of the block before the last config's last squares of
+    it are yielded, so the caller's kernels for config ``i`` run before
+    config ``i + 1``'s squares exist.
 
     Without ``second_hop``, g is not drawn (``g2`` is None) and each row
     draws only its first-hop normals, a prefix of the full draw.
@@ -909,28 +1018,31 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     width = _row_width(configs, second_hop)
     sizes = [max(1, _BLOCK_ELEMENTS // c.n_relays) for c in configs]
     last = len(configs) - 1
-    first = _first_rows(base_seed, trials, width)
-    # The kept rows, then the chunks of the trials after them.
-    bounds = [0, *range(len(first), trials, _STATE_CHUNK), trials]
-    for start, end in zip(bounds, bounds[1:]):
-        states = None if end <= len(first) else _states(base_seed, start, end)
-        # The kept rows are one piece (none when K = 0); drawn rows come in
-        # blocks no larger than any config's.
-        step = (end - start or 1) if states is None else min(sizes)
+
+    def squares(i: int, z: np.ndarray) -> tuple:
+        h, g = laws[i]
+        return (_squares_from_normals(h, z[:, :h.count]),
+                _squares_from_normals(g, z[:, h.count:h.count + g.count])
+                if second_hop else None)
+
+    first, kept = _first_rows(base_seed, trials, width)
+    for top, i, lo in sorted((min(lo + size, len(first)), i, lo)
+                             for i, size in enumerate(sizes)
+                             for lo in range(0, len(first), size)):
+        kept.wait(top)
+        yield i, lo, top, *squares(i, first[lo:top])
+    step = min(sizes)
+    for start in range(len(first), trials, _STATE_CHUNK):
+        end = min(start + _STATE_CHUNK, trials)
+        states = _states(base_seed, start, end)
         for lo in range(start, end, step):
             hi = min(lo + step, end)
-            if states is None:
-                z = first[lo:hi, :width]
-            else:
-                z = _seeded_normals(states[lo - start:hi - start], width)
-                np.square(z, out=z)
-            for i, ((h, g), size) in enumerate(zip(laws, sizes)):
+            z = _seeded_normals(states[lo - start:hi - start], width)
+            np.square(z, out=z)
+            for i, size in enumerate(sizes):
                 for sub in range(lo, hi, size):
                     top = min(sub + size, hi)
-                    rows = slice(sub - lo, top - lo)
-                    h2 = _squares_from_normals(h, z[rows, :h.count])
-                    g2 = (_squares_from_normals(g, z[rows, h.count:h.count + g.count])
-                          if second_hop else None)
+                    h2, g2 = squares(i, z[sub - lo:top - lo])
                     if i == last and top == hi:
                         # Let go of the block before the last config's kernels.
                         del z

@@ -26,18 +26,23 @@ def two_relay_point_mass():
     return cfg, real
 
 
+def record_fills(monkeypatch, record):
+    """Call ``record(z, states)`` at every ``model._Fill`` the test makes:
+    each row the trial engine draws goes through one."""
+
+    class Recorded(model._Fill):
+        def __init__(self, z, states, square=False):
+            record(z, states)
+            super().__init__(z, states, square)
+
+    monkeypatch.setattr(model, "_Fill", Recorded)
+
+
 @pytest.fixture
 def drawn(monkeypatch):
-    """(rows, normals per row) of every ``model._seeded_normals`` call the
-    test makes."""
+    """(rows, normals per row) of every ``model._Fill`` the test makes."""
     drawn = []
-    seeded_normals = model._seeded_normals
-
-    def draw(states, count, out=None):
-        drawn.append((len(states), count))
-        return seeded_normals(states, count, out)
-
-    monkeypatch.setattr(model, "_seeded_normals", draw)
+    record_fills(monkeypatch, lambda z, states: drawn.append((len(states), z.shape[1])))
     return drawn
 
 

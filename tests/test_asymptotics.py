@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import rate_rows
+from conftest import rate_rows, record_fills
 
 from confrelay import (
     ConferencingNoiseRatio,
@@ -209,13 +209,7 @@ class TestSharedDraw:
         template, sizes, trials, block, chunk = SHARED_DRAW_CASES[case]
         self._patch(monkeypatch, block, chunk)
         draws = []
-        seeded_normals = model._seeded_normals
-
-        def counted(states, count, out=None):
-            draws.append((states.copy(), count))
-            return seeded_normals(states, count, out)
-
-        monkeypatch.setattr(model, "_seeded_normals", counted)
+        record_fills(monkeypatch, lambda z, states: draws.append((states.copy(), z.shape[1])))
         trace_points(scheme, template, sizes, trials, 5)
         widest = 0
         for n in sizes:

@@ -5,6 +5,7 @@ per metric, and a flag for every run that failed.  Fed canned result lines; noth
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -106,3 +107,37 @@ def test_summarize_option_reads_a_log_without_running(tmp_path, capsys):
     assert any(line.startswith("  call_ms_p50 ") and line.endswith(": worse") for line in out)
     assert any(line.startswith("  trials_per_s ") and line.endswith("4/5: level")
                for line in out)
+
+
+def test_repeated_workload_runs_the_pairs_of_each_and_summarizes_each(tmp_path, monkeypatch,
+                                                                      capsys):
+    # Two workloads of two pairs each, run by a stand-in for the benchmark
+    # command: the change runs 20% faster on "fast" and as fast on "same".
+    dirs = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for d in dirs.values():
+        d.mkdir()
+        (d / "BENCHMARK.json").write_text(json.dumps(
+            {"command": ["bench"], "run_seconds": 3, "end_to_end": METRICS}))
+    runs = []
+
+    def run(argv, cwd, capture_output, text):
+        side, workload = Path(cwd).name, argv[argv.index("--workload") + 1]
+        runs.append((workload, argv[argv.index("--seed") + 1], side))
+        rate = 120 if (side, workload) == ("change", "fast") else 100
+        line = json.loads(_record(0, side, rate, 1.0)["line"])
+        return subprocess.CompletedProcess(argv, 0, stdout="report\n" + json.dumps(line) + "\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.main(["--parent", str(dirs["parent"]), "--change", str(dirs["change"]),
+                             "--workload", "fast", "--workload", "same",
+                             "--pairs", "2", "--seed", "7"]) == 0
+    assert runs == [("fast", "7", "parent"), ("fast", "7", "change"),
+                    ("fast", "8", "change"), ("fast", "8", "parent"),
+                    ("same", "7", "parent"), ("same", "7", "change"),
+                    ("same", "8", "change"), ("same", "8", "parent")]
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("workload ")] == [
+        "workload fast", "workload same"]
+    rates = [line for line in out if line.startswith("  trials_per_s ")]
+    assert rates[0].endswith("change better in 2/2: gain")
+    assert rates[1].endswith("change better in 0/2: level")

@@ -12,19 +12,23 @@ library's only use of ``ctypes`` (its word order helper,
 ``model._word_order``, is a pure function of the words read back), and a
 test fails when ``ctypes`` appears anywhere else.
 
-``model._seeded_normals`` draws a large block's row slices on short-lived
-threads, which it joins before it returns.  It is the only place that
-starts a thread, and a test fails when a thread or a pool of them is
-started anywhere else.
+Rows of at least ``model._HELPED_ROW_NORMALS`` normals are drawn in slabs
+by the caller and by at most ``_CPUS - 1`` daemon helper threads, which
+``model._post`` starts once per process and which live as long as it.
+``_post`` is the only place that starts a thread, and a test fails when a
+thread or a pool of them is started anywhere else.
 
 Which normals trial ``t`` of a run draws, and in which blocks, is decided in
 ``model`` alone: no other module may name the state derivation ``_states``,
-the block sampler ``_seeded_normals``, its row loop ``_draw_rows``, its generator, the per-thread record
-``_THREAD``, the first rows it keeps (``_first_rows``, their bound
-``_KEPT_ELEMENTS`` and allocation floor ``_KEPT_FLOOR``), the chunk and
-block constants ``_STATE_CHUNK`` and ``_BLOCK_ELEMENTS``, the row slice
-size ``_SLICE_NORMALS``, the CPU count ``_CPUS`` or the SplitMix64 seed
-mixer's constants, by name or written out as numbers.
+the block sampler ``_seeded_normals``, its row loop ``_draw_rows``, its
+generator, the per-thread record ``_THREAD``, the first rows it keeps
+(``_first_rows``, their bound ``_KEPT_ELEMENTS`` and allocation floor
+``_KEPT_FLOOR``), the chunk and block constants ``_STATE_CHUNK`` and
+``_BLOCK_ELEMENTS``, the fills and their helpers (``_Fill``, ``_post``,
+``_help``, ``_POSTED``, ``_HELPERS``, ``_BOARD``, the helper threshold
+``_HELPED_ROW_NORMALS`` and slab size ``_SLAB_NORMALS``), the CPU count
+``_CPUS`` or the SplitMix64 seed mixer's constants, by name or written out
+as numbers.
 """
 
 import ast
@@ -100,13 +104,15 @@ def _is_thread_start(node):
 
 
 # What only ``model`` may refer to: the state derivation, the block sampler,
-# its row loop and its generator, each thread's record and first rows, the chunk, block,
-# first-row and row-slice sizes, the CPU count and the seed mixer's
-# constants, by name, and the constants' values.
+# its row loop and its generator, each thread's record and first rows, the
+# fills and their helpers, the chunk, block, first-row, helper-threshold and
+# slab sizes, the CPU count and the seed mixer's constants, by name, and the
+# constants' values.
 TRIAL_DRAW_NAMES = {"_states", "_seeded_normals", "_draw_rows", "_thread_generator",
                     "_THREAD", "_first_rows", "_KEPT_ELEMENTS", "_KEPT_FLOOR",
-                    "_STATE_CHUNK", "_BLOCK_ELEMENTS", "_SLICE_NORMALS", "_CPUS",
-                    "_GOLDEN", "_MIX1", "_MIX2"}
+                    "_STATE_CHUNK", "_BLOCK_ELEMENTS", "_Fill", "_post", "_help",
+                    "_POSTED", "_HELPERS", "_BOARD", "_HELPED_ROW_NORMALS",
+                    "_SLAB_NORMALS", "_CPUS", "_GOLDEN", "_MIX1", "_MIX2"}
 SPLITMIX64 = {0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
 
 
@@ -172,7 +178,7 @@ def test_ctypes_check_fails_on_a_copy_with_ctypes_elsewhere(tmp_path):
 
 
 def test_threads_start_only_in_the_seeded_normals():
-    assert library_uses(_is_thread_start) == {("model", "_seeded_normals")}
+    assert library_uses(_is_thread_start) == {("model", "_post")}
 
 
 def test_thread_check_fails_on_a_copy_that_starts_threads(tmp_path):
@@ -185,7 +191,7 @@ def test_thread_check_fails_on_a_copy_that_starts_threads(tmp_path):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8")
                                           + added.get(path.stem, ""), encoding="utf-8")
     assert library_uses(_is_thread_start, tmp_path) == {
-        ("model", "_seeded_normals"), ("rates", "_spawn"), ("montecarlo", None),
+        ("model", "_post"), ("rates", "_spawn"), ("montecarlo", None),
         ("cli", "_pool")}
 
 
@@ -201,7 +207,7 @@ def test_trial_draw_check_fails_on_a_copy_that_reads_them(tmp_path):
         "rates": "\nfrom .model import _seeded_normals as _draw\n",
         "cli": ("\nfrom .model import _STATE_CHUNK\n\n\ndef _walk(seed):\n"
                 "    return model._states(seed, 0, 3)\n"
-                "\n\ndef _split(z):\n    return min(model._CPUS, z.size // _SLICE_NORMALS)\n"),
+                "\n\ndef _split(z):\n    return min(model._CPUS, z.size // _HELPED_ROW_NORMALS)\n"),
     }
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8")

@@ -1,12 +1,14 @@
-"""The per-realization rates, ``rate_report`` and the loop reference against
-the exact-arithmetic arbiter (``tests/exact.py``).
+"""The per-realization rates, ``rate_report``, the batched engine's rate
+tables and the loop reference against the exact-arithmetic arbiter
+(``tests/exact.py``).
 
 Relative budgets per scheme, each about ten times the largest error measured
 over 1,500 derandomized ``random_networks()`` examples with no power below
 1e-100:
 
-* the engine: 4e-15 for ``upper`` (measured 4.8e-16), 1e-13 for DF and AF
-  (measured 1.5e-14 and 1.2e-14).  Its DF and AF windows are differences of
+* the engine, per realization and per trial of a rate table: 4e-15 for
+  ``upper`` (measured 4.8e-16), 1e-13 for DF and AF (measured 1.5e-14 and
+  1.2e-14).  Its DF and AF windows are differences of
   running sums (``rates._cumsum2``), which lose digits to cancellation when
   the entries of a window differ in size;
 * the loop reference: 1e-14 for every scheme (measured 1.4e-15).
@@ -18,6 +20,7 @@ of a double, where no relative budget holds; such examples are left out.
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
@@ -42,6 +45,7 @@ from confrelay import (
     rate_report,
     sample_realization,
 )
+from confrelay import model, montecarlo, rates
 from confrelay.montecarlo import analytic_df_mac_snr
 from test_rates import random_networks
 
@@ -152,6 +156,77 @@ def test_single_realization_rates_meet_their_budgets(case):
     loop_q = reference.af_q_terms(real, cfg, mom)
     for value, w in zip(loop_q, exact.af_q_terms(real, cfg)):
         assert within(value, w, LOOP)
+
+
+# Trials per batched table: the first 4 kept, the other 5 drawn after them.
+TRIALS, KEPT = 9, 4
+
+
+def _batched_table(cfg, seed, block):
+    """``montecarlo._rate_table``'s rows of every scheme at ``cfg``, read in
+    blocks of ``block`` trials (the default blocks when None), with the
+    first ``KEPT`` rows kept and every fill of more than one row posted to
+    the helper threads; and the number of fills posted."""
+    posted = []
+    post = model._post
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(model, "_HELPED_ROW_NORMALS", 1)
+        m.setattr(model, "_SLAB_NORMALS", 1)
+        m.setattr(model, "_CPUS", max(model._CPUS, 2))
+        m.setattr(model, "_KEPT_ELEMENTS", KEPT * model._row_width([cfg], True))
+        m.setattr(model, "_post", lambda fill, helpers: post(posted.append(fill) or fill,
+                                                             helpers))
+        if block is not None:
+            m.setattr(model, "_BLOCK_ELEMENTS", block * cfg.n_relays)
+        model._THREAD.first_rows = None
+        [(names, table)] = montecarlo._rate_table([(cfg, rates.SCHEMES)], TRIALS, seed)
+        model._THREAD.first_rows = None
+    return dict(zip(names, table)), len(posted)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(random_networks())
+def test_batched_rate_tables_meet_their_budgets(case):
+    # Each trial's rate in the batched engine's table, in blocks of 1 and 7
+    # trials and the default, against the arbiter on that trial's
+    # realization.  Helpers draw the kept rows and every drawn block of more
+    # than one row.
+    cfg, seed = case
+    assume(not any(0 < p < 1e-100 for p in (cfg.p_s, cfg.p_r)))
+    want = {"upper": [], "df": [], "af": []}
+    for t in range(TRIALS):
+        real = sample_realization(cfg, derive_seed(seed, t))
+        want["upper"].append(exact.capacity_upper_bound(real, cfg))
+        want["df"].append(exact.df_rate(real, cfg))
+        want["af"].append(exact.af_rate(real, cfg))
+    for block in (1, 7, None):
+        table, posted = _batched_table(cfg, seed, block)
+        # The kept rows, and with blocks of 7 or more the 5 rows after them,
+        # unless point masses leave the rows empty.
+        assert posted == (0 if not model._row_width([cfg], True) else
+                          1 if block == 1 else 2)
+        for scheme, rows in table.items():
+            for got, w in zip(rows.tolist(), want[scheme]):
+                assert within(got, w, ENGINE[scheme]), (scheme, block)
+
+
+def test_batched_rate_tables_meet_their_budgets_at_sixteen_relays():
+    # The arbiter's largest size, with an (N, M) gain matrix and mixed laws.
+    n, m = 16, 5
+    cfg = NetworkConfig(
+        n_relays=n, conferencing=Neighbors(m), p_s=1.7, p_r=0.6, p_c=2.5, n_0=0.8,
+        conf_gain=np.linspace(0.3, 2.9, n * m).reshape(n, m),
+        h_dist=PerIndex(tuple(PointMass(0.5 + 0.25j) if i % 5 == 0 else Cscg(0.3 + 0.2 * i)
+                              for i in range(n))),
+        g_dist=Cscg(1.4))
+    for block in (1, 7, None):
+        table, _ = _batched_table(cfg, 97, block)
+        for t in range(TRIALS):
+            real = sample_realization(cfg, derive_seed(97, t))
+            for scheme, value in (("upper", exact.capacity_upper_bound(real, cfg)),
+                                  ("df", exact.df_rate(real, cfg)),
+                                  ("af", exact.af_rate(real, cfg))):
+                assert within(table[scheme][t], value, ENGINE[scheme]), (scheme, block, t)
 
 
 def test_loop_reference_meets_its_budget_across_eight_decades():

@@ -1,15 +1,19 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import weakref
 from dataclasses import fields, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from conftest import record_fills
 from confrelay import (
     ChannelRealization,
     ConfigurationError,
@@ -443,49 +447,136 @@ class TestSeededNormals:
         monkeypatch.setattr(threading, "Thread", Counted)
         return started
 
-    @pytest.mark.parametrize("cpus,rows,count,slices", [
-        (4, 3, (2 ** 16 - 1) // 3, 1),   # 2**16 - 1 normals: one slice
-        (4, 2, 2 ** 15, 2),              # exactly 2**16 normals
-        (4, 4, 2 ** 14, 2),              # the same, in four rows
-        (2, 3, 2 ** 15, 2),              # an odd row count
-        (3, 7, 2 ** 14, 3),              # three slices of 2, 2 and 3 rows
-        (4, 1, 2 ** 17, 1),              # one row is never split
-        (1, 4, 2 ** 15, 1),              # nor a block on one CPU
-    ], ids=["below_two_slices", "two_slices", "two_slices_four_rows", "odd_rows",
-            "three_cpus", "one_row", "one_cpu"])
+    @staticmethod
+    def _drawers(monkeypatch):
+        """The thread of each ``_draw_rows`` call from now on."""
+        drawers = []
+        draw_rows = model._draw_rows
+
+        def recorded(z, states, square=False):
+            drawers.append(threading.current_thread())
+            draw_rows(z, states, square)
+
+        monkeypatch.setattr(model, "_draw_rows", recorded)
+        return drawers
+
+    @pytest.mark.parametrize("cpus,rows,count,helped", [
+        (4, 3, (2 ** 16 - 1) // 3, True),  # one row per slab
+        (4, 2, 2 ** 15, True),
+        (4, 4, 2 ** 14, True),
+        (2, 3, 2 ** 15, True),             # an odd row count
+        (3, 7, 2 ** 14, True),             # up to two helpers
+        (2, 21, 800, True),                # two slabs, of 20 rows and of 1
+        (2, 20, 800, False),               # one slab of 20 rows
+        (2, 41, 799, False),               # rows below the helper threshold
+        (4, 1, 2 ** 17, False),            # one row is one slab
+        (1, 4, 2 ** 15, False),            # one CPU
+    ], ids=["wide_rows", "two_rows", "four_rows", "odd_rows", "three_cpus", "two_slabs", "one_slab",
+            "narrow_rows", "one_row", "one_cpu"])
     def test_split_rows_equal_one_generator_per_seed(self, monkeypatch, cpus, rows,
-                                                     count, slices):
+                                                     count, helped):
         monkeypatch.setattr(model, "_CPUS", cpus)
         base = 977 * rows + cpus
         states = _states(base, 0, rows)
         want = self._want(base, 0, rows, count)
+        alive = [t for t in model._HELPERS if t.is_alive()]
         started = self._thread_starts(monkeypatch)
+        drawers = self._drawers(monkeypatch)
         before = threading.active_count()
         assert np.array_equal(_seeded_normals(states, count), want)
+        first_call, first_drawers = list(started), drawers[:]
         # Into a view of a larger array, as the kept first rows are drawn.
         out = np.empty(rows * count + 5)[:rows * count].reshape(rows, count)
+        del drawers[:]
         assert _seeded_normals(states, count, out) is out
         assert np.array_equal(out, want)
-        assert len(started) == 2 * (slices - 1)
-        assert threading.active_count() == before
+        # Only a helped first call starts threads: the daemon helpers that
+        # bring those alive to _CPUS - 1.  No call after it starts one.
+        assert started == first_call
+        assert len(started) == (max(0, cpus - 1 - len(alive)) if helped else 0)
+        assert all(t.daemon and t in model._HELPERS for t in started)
+        assert threading.active_count() == before + len(started)
+        assert sum(t.is_alive() for t in model._HELPERS) <= max(cpus - 1, len(alive))
+        # At most _CPUS - 1 daemon helpers draw beside the caller; an unhelped
+        # block is one _draw_rows call in the caller.
+        for call in (first_drawers, drawers):
+            helpers = set(call) - {threading.current_thread()}
+            assert len(helpers) <= cpus - 1
+            assert all(t.daemon and t in model._HELPERS for t in helpers)
+            if not helped:
+                assert call == [threading.current_thread()]
 
     @pytest.mark.parametrize("error", [RuntimeError, MemoryError])
     @pytest.mark.parametrize("helper", [True, False], ids=["helper", "caller"])
     def test_a_failed_slice_raises_in_the_caller(self, monkeypatch, error, helper):
         monkeypatch.setattr(model, "_CPUS", 2)
         states = _states(31, 0, 2)
-        caller, made = threading.get_ident(), model._thread_generator
+        _seeded_normals(states, 2 ** 15)  # the helper is alive from here on
+        caller, draw_rows = threading.current_thread(), model._draw_rows
+        failed = threading.Event()
 
-        def generator():
-            if (threading.get_ident() != caller) == helper:
-                raise error("no generator")
-            return made()
+        def draw(z, states, square=False):
+            # The failing side fails at once; the other draws once it has.
+            if (threading.current_thread() is not caller) == helper:
+                failed.set()
+                raise error("no rows")
+            assert failed.wait(timeout=10)
+            draw_rows(z, states, square)
 
-        monkeypatch.setattr(model, "_thread_generator", generator)
+        monkeypatch.setattr(model, "_draw_rows", draw)
         before = threading.active_count()
-        with pytest.raises(error, match="no generator"):
+        with pytest.raises(error, match="no rows"):
             _seeded_normals(states, 2 ** 15)
+        # A failed fill of first rows is raised by the walk's wait, once no
+        # helper draws for it, and is no longer kept.
+        failed.clear()
+        rows, fill = model._first_rows(31, 2, 2 ** 15)
+        assert model._THREAD.first_rows[2] is fill
+        with pytest.raises(error, match="no rows"):
+            fill.wait(len(rows))
+        assert fill.helping == 0 and model._THREAD.first_rows is None
         assert threading.active_count() == before
+
+    def test_a_fill_completes_when_no_helper_runs_its_slabs(self, monkeypatch):
+        # As in a forked child, whose helpers are gone: the fills are posted,
+        # no helper takes a slab, and the caller draws them all, bit for bit.
+        monkeypatch.setattr(model, "_CPUS", 2)
+        posted = []
+        monkeypatch.setattr(model, "_post", lambda fill, helpers: posted.append(fill))
+        drawers = self._drawers(monkeypatch)
+        want = self._want(41, 0, 6, 2 ** 14)
+        assert np.array_equal(_seeded_normals(_states(41, 0, 6), 2 ** 14), want)
+        rows, fill = model._first_rows(41, 6, 2 ** 14)
+        fill.wait(len(rows))
+        assert np.array_equal(rows, want ** 2)
+        assert len(posted) == 2 and posted[1] is fill
+        # One slab per row of 2**14 normals, each drawn by the caller.
+        assert drawers == [threading.current_thread()] * 12
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_process_keeps_cpus_minus_one_helpers_and_a_forked_child_draws(self):
+        code = (
+            "import os, threading\n"
+            "import numpy as np\n"
+            "from confrelay import model\n"
+            "model._CPUS = 3\n"
+            "for base in range(3):\n"
+            "    model._seeded_normals(model._states(base, 0, 8), 2 ** 14)\n"
+            "helpers = [t for t in threading.enumerate() if t is not threading.main_thread()]\n"
+            "assert helpers == model._HELPERS and len(helpers) == 2, helpers\n"
+            "assert all(t.daemon for t in helpers)\n"
+            "want = model._seeded_normals(model._states(7, 0, 8), 2 ** 14)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    got = model._seeded_normals(model._states(7, 0, 8), 2 ** 14)\n"
+            "    os._exit(0 if np.array_equal(got, want) else 1)\n"
+            "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0\n"
+            "assert threading.active_count() == 3\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(model.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_callers_splitting_at_once_get_their_own_rows(self, monkeypatch):
         # Two callers each split blocks of 6 rows of 2**14 normals in two:
@@ -698,7 +789,8 @@ class TestKeptRows:
     def test_rows_equal_one_generator_per_seed(self, monkeypatch, kept):
         # Room for 5 rows of 16 normals, or for all 10.
         monkeypatch.setattr(model, "_KEPT_ELEMENTS", kept)
-        rows = model._first_rows(5, 10, 16)
+        rows, fill = model._first_rows(5, 10, 16)
+        fill.wait(len(rows))
         assert np.array_equal(rows, self._want(5, min(10, kept // 16), 16))
         assert not rows.flags.writeable
 
@@ -751,8 +843,7 @@ class TestKeptRows:
 
         def draw(states, count, out=None):
             z = seeded_normals(states, count, out)
-            if z.size:  # not the K = 0 kept rows
-                refs.append(weakref.ref(z))
+            refs.append(weakref.ref(z))
             return z
 
         monkeypatch.setattr(model, "_seeded_normals", draw)
@@ -787,7 +878,7 @@ class TestKeptRows:
         width = 4 * n if second_hop else 2 * n
         list(_trial_squares([cfg], 3, trials, second_hop))
         drawn.clear()
-        rows = model._first_rows(3, trials, width)
+        rows, _ = model._first_rows(3, trials, width)
         assert drawn == []
         assert rows_kept == min(trials, _STATE_CHUNK, 2 ** 20 // width)
         assert rows.shape == (rows_kept, width) and rows.size <= _KEPT_ELEMENTS
@@ -799,7 +890,7 @@ class TestKeptRows:
         for _ in range(2):
             blocks = list(_trial_squares([cfg], 4, 6))
             assert np.array_equal(np.concatenate([b[3] for b in blocks]), np.ones((6, 3)))
-        assert model._first_rows(4, 6, 0).shape == (6, 0)
+        assert model._first_rows(4, 6, 0)[0].shape == (6, 0)
 
     def test_suspended_walk_reads_its_rows_after_another_run_replaces_them(
             self, drawn):
@@ -818,11 +909,6 @@ class TestKeptRows:
     def test_another_threads_walk_neither_reads_nor_replaces_them(self, monkeypatch, drawn):
         self._walk(drawn, 10, 10)
         per_thread, errors = {}, []
-        seeded_normals = model._seeded_normals
-
-        def draw(states, count, out=None):
-            per_thread.setdefault(threading.get_ident(), []).append(len(states))
-            return seeded_normals(states, count, out)
 
         def other():
             try:
@@ -831,7 +917,8 @@ class TestKeptRows:
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
-        monkeypatch.setattr(model, "_seeded_normals", draw)
+        record_fills(monkeypatch, lambda z, states: per_thread.setdefault(
+            threading.get_ident(), []).append(len(states)))
         thread = threading.Thread(target=other)
         thread.start()
         thread.join(timeout=60)
@@ -899,6 +986,58 @@ def test_diagnose_pass_makes_one_kernel_call_per_block(monkeypatch):
     cfg = NetworkConfig(n_relays=500, conferencing=Portion(0.2))
     cli._diagnose_tables(cfg, cli.RunParams(trials=40, seed=11), (500, 1000, 2000, 4000))
     assert calls == {"_af_rates": 20, "_df_rates": 20, "_upper_rates": 20 + 8}
+
+
+def test_diagnose_pass_reads_the_kept_rows_by_their_last_row(monkeypatch, drawn, tmp_path,
+                                                             capsys):
+    # The bench's diagnose pass on one CPU and on two: its 40 rows of 16000
+    # normals are one fill, and each of its three walks yields the kept
+    # blocks of 32, 16, 8 and 4 trials (N = 500 .. 4000) in the order of
+    # their last row, sizes in order where two end together.  The blocks,
+    # and so the 20 kernel calls per scheme, are those of a walk in size
+    # order, and stdout is the same bytes.
+    sizes = {500: 32, 1000: 16, 2000: 8, 4000: 4}
+    order = [(i, lo, top) for top, i, lo in sorted(
+        (min(lo + size, 40), i, lo) for i, size in enumerate(sizes.values())
+        for lo in range(0, 40, size))]
+    assert sorted(order) == [(i, lo, min(lo + size, 40))
+                             for i, size in enumerate(sizes.values())
+                             for lo in range(0, 40, size)]
+    walks, calls = [], {"_af_rates": 0, "_df_rates": 0, "_upper_rates": 0}
+    trial_squares = montecarlo._trial_squares
+
+    def recorded(*args):
+        walks.append([])
+        for block in trial_squares(*args):
+            walks[-1].append(block[:3])
+            yield block
+
+    def counted(name, kernel):
+        def call(h2, *args):
+            # Trial blocks only, not the limits' moment-form bound.
+            calls[name] += np.ndim(h2) == 2
+            return kernel(h2, *args)
+        return call
+
+    monkeypatch.setattr(montecarlo, "_trial_squares", recorded)
+    for name in calls:
+        monkeypatch.setattr(rates, name, counted(name, getattr(rates, name)))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TestStateDerivations.CONFIG.format(n=500, trials=40))
+    out = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(model, "_CPUS", cpus)
+        model._THREAD.first_rows = None
+        del walks[:], drawn[:]
+        calls.update(dict.fromkeys(calls, 0))
+        assert cli.main(["diagnose", "--config", str(cfg), "--axis",
+                         ",".join(map(str, sizes))]) == 0
+        out[cpus] = capsys.readouterr()
+        assert out[cpus].err == ""
+        assert walks == [order] * 3
+        assert calls == {"_af_rates": 20, "_df_rates": 20, "_upper_rates": 20}
+        assert drawn == [(40, 16000)]
+    assert out[1].out == out[2].out
 
 
 class TestStateDerivations:

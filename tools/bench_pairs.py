@@ -1,11 +1,13 @@
 """Run and summarize alternating benchmark pairs of two checkouts.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \\
-        --pairs N --seed S [--log FILE]
+        [--workload W ...] --pairs N --seed S [--log FILE]
     python3 tools/bench_pairs.py --summarize FILE
 
 ``DIR`` is a checkout of the repository, for example a ``git worktree`` of
-the parent commit.  Pair ``i`` runs the command of the change's
+the parent commit.  ``--workload`` may be repeated: the pairs of each
+workload run in turn, all of one before the next, and the summary has one
+section per workload.  Pair ``i`` runs the command of the change's
 ``BENCHMARK.json`` (``bench/run.py``) with ``--workload W --seed S+i
 --seconds R --trace 0`` once in each checkout, one run at a time: the parent
 first in even pairs, the change first in odd ones.  ``R`` is the
@@ -178,7 +180,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
-    parser.add_argument("--workload")
+    parser.add_argument("--workload", action="append",
+                        help="a workload to run pairs of; repeat for more")
     parser.add_argument("--pairs", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--log", type=Path, help="append each run's record to FILE")
@@ -200,8 +203,9 @@ def main(argv=None) -> int:
         dirs = {"parent": args.parent, "change": args.change}
         with (contextlib.nullcontext() if args.log is None
               else open(args.log, "a", encoding="utf-8")) as log:
-            records = run_pairs(dirs, command, args.workload, args.pairs, args.seed,
-                                seconds, log)
+            records = [r for workload in args.workload
+                       for r in run_pairs(dirs, command, workload, args.pairs, args.seed,
+                                          seconds, log)]
     lines, ok = summarize(records, metrics)
     print("\n".join(lines))
     return 0 if ok else 1
