@@ -405,10 +405,11 @@ def _parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE", help="override a config key")
         sp.add_argument("--workers", type=int, default=1,
                         help="a positive integer, accepted for compatibility and "
-                             "ignored; rows of at least 800 normals are drawn on up "
-                             "to the usable CPUs, each thread with its own "
-                             "generator, and output is bit-identical on any number "
-                             "of CPUs and at any value")
+                             "ignored; rows of at least 800 normals are drawn in "
+                             "slabs by a pool of at most one thread per other "
+                             "usable CPU and by the waiting caller, each thread "
+                             "with its own generator, and output is bit-identical "
+                             "on any number of CPUs and at any value")
         if sweep_axis is not None:
             sp.add_argument("--axis", required=True,
                             help="comma-separated axis values")

@@ -51,17 +51,17 @@ and before each row the row's 128-bit state and increment are written as
 four 64-bit words straight into that generator's state memory
 (:func:`_draw_rows`).  Every row goes through one fill (:class:`_Fill`).
 Rows of at least 800 normals, more than one slab of them, are drawn on up
-to the usable CPUs: the fill's slabs are claimed in row order by the caller
-and by at most ``_CPUS - 1`` daemon helper threads, which start once per
-process and keep their own generators for its life.  Whenever the caller
-would wait for a row, it draws the next unclaimed slab below it instead,
-so it waits only on rows that a helper is drawing, and a fill completes
-even when no helper takes a slab of it.  Narrower rows are drawn by
-the caller alone.  The kept first rows are handed back before they are
-drawn, and a walk reads each of their blocks as soon as its last row is
-drawn, so the first walk's kernels run while the helpers draw.  Every row
-is seeded on its own, so which thread draws it never changes it: the output
-is bit-identical on any number of CPUs and at any ``--workers`` value.
+to the usable CPUs: the fill hands its slabs, in row order, to one thread
+pool of at most ``_CPUS - 1`` threads, made by the first fill that needs
+it, and the caller waiting for a row draws each slab below it that no pool
+thread has started.  So it waits only on slabs that a pool thread is
+drawing, and a fill completes even when no pool thread runs (for example
+in a forked child).  Narrower rows are drawn by the caller alone.  The
+kept first rows are handed back before they are drawn, and a walk reads
+each of their blocks as soon as its last row is drawn, so the first walk's
+kernels run while the pool draws.  Every row is seeded on its own, so which
+thread draws it never changes it: the output is bit-identical on any number
+of CPUs and at any ``--workers`` value.
 
 The state words' memory order depends on how NumPy was built (a native
 128-bit integer or an emulated one, high word first); each thread's first
@@ -730,20 +730,20 @@ _STATE_CHUNK = 2 ** 14
 # working memory independently of the network size.
 _BLOCK_ELEMENTS = 2 ** 14
 
-# Normals a row holds at least for helper threads to draw rows of its fill
+# Normals a row holds at least for pool threads to draw rows of its fill
 # (:class:`_Fill`).  Each row costs one GIL handoff between the threads that
 # draw it: measured on a 2-CPU host, two threads drew rows of 400 normals
 # 1.5-1.8x slower than the caller alone, rows of 600 about as fast, and rows
 # of 800 or more normals in 0.5-0.85 of its time.
 _HELPED_ROW_NORMALS = 800
 
-# Normals of one slab, the rows a thread claims of a fill at once: one row of
-# 2**14 normals or more, so the first rows a walk needs are drawn by two
-# threads at once, and 2**14 // width narrower rows, which share one claim.
+# Normals of one slab, the rows one job of a fill draws: one row of 2**14
+# normals or more, so the first rows a walk needs are drawn by two threads
+# at once, and 2**14 // width narrower rows, which share one job.
 _SLAB_NORMALS = 2 ** 14
 
 # CPUs this process may run on, read once: a fill is drawn by the caller and
-# at most _CPUS - 1 helper threads.
+# at most _CPUS - 1 pool threads.
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
@@ -792,12 +792,9 @@ def _draw_rows(z: np.ndarray, states: np.ndarray, square: bool = False) -> None:
         np.square(z, out=z)
 
 
-# One ticket per helper that may draw slabs of a posted fill, the helpers
-# started, and the one condition under which every fill's slabs are claimed
-# and counted.
-_POSTED: list = []
-_HELPERS: list = []
-_BOARD = threading.Condition()
+# The thread pool that draws posted fills' slabs, made by the first fill
+# that posts any (:class:`_Fill`).
+_POOL = None
 
 
 class _Fill:
@@ -805,117 +802,68 @@ class _Fill:
     squared in place with ``square``: the one way the trial engine draws.
 
     A fill of rows narrower than ``_HELPED_ROW_NORMALS``, of one slab, or on
-    one CPU is drawn here, in one :func:`_draw_rows` call.  Any other is
-    posted to at most ``_CPUS - 1`` helper threads (:func:`_post`), and its
-    slabs of ``max(1, _SLAB_NORMALS // width)`` rows are claimed in row
-    order by those helpers and by the caller of :meth:`wait`, each drawing
-    its slab with its own thread's generator.  Every row is seeded on its
-    own, so which thread draws it never changes a bit.
+    one CPU is drawn here, in one :func:`_draw_rows` call.  Any other
+    submits one :func:`_draw_rows` job per slab of ``max(1, _SLAB_NORMALS //
+    width)`` rows, in row order, to ``_POOL``, a thread pool of at most
+    ``_CPUS - 1`` threads, each drawing with its own thread's generator;
+    the caller of :meth:`wait` draws the slabs no pool thread has started.
+    Every row is seeded on its own, so which thread draws it never changes
+    a bit.
     """
 
     def __init__(self, z: np.ndarray, states: np.ndarray, square: bool = False):
-        self.rows = len(z)
-        slab = max(1, _SLAB_NORMALS // max(z.shape[1], 1))
-        if z.shape[1] < _HELPED_ROW_NORMALS or self.rows <= slab or _CPUS < 2:
+        self.slab = slab = max(1, _SLAB_NORMALS // max(z.shape[1], 1))
+        # Each slab's job, None once the caller has drawn it, and how many
+        # leading jobs wait has seen through.
+        self.jobs, self.done = [], 0
+        if z.shape[1] < _HELPED_ROW_NORMALS or len(z) <= slab or _CPUS < 2:
             _draw_rows(z, states, square)
-            self.ready = self.rows
             return
-        self.z, self.states, self.square, self.slab = z, states, square, slab
-        # Rows claimed, rows of the drawn prefix, which slabs are drawn, the
-        # helpers' slabs in flight and the first error raised drawing one.
-        self.claimed = self.ready = self.helping = 0
-        self.drawn = [False] * -(-self.rows // slab)
-        self.error = None
-        _post(self, _CPUS - 1)
-
-    def _claim(self, helper: bool) -> tuple[int, int] | None:
-        """The rows of the next slab, or None when every slab is claimed."""
-        with _BOARD:
-            lo = self.claimed
-            if lo == self.rows:
-                return None
-            self.claimed = hi = min(lo + self.slab, self.rows)
-            self.helping += helper
-            return lo, hi
-
-    def _draw(self, lo: int, hi: int, helper: bool) -> None:
-        """Draw the claimed rows ``lo:hi``; an error is kept for the caller
-        and ends the claims."""
-        try:
-            _draw_rows(self.z[lo:hi], self.states[lo:hi], self.square)
-            error = None
-        except BaseException as exc:  # raised again by the caller's wait
-            error = exc
-        with _BOARD:
-            self.helping -= helper
-            if error is None:
-                self.drawn[lo // self.slab] = True
-                while self.ready < self.rows and self.drawn[self.ready // self.slab]:
-                    self.ready = min(self.ready + self.slab, self.rows)
-            elif self.error is None:
-                self.error, self.claimed = error, self.rows
-            if self.ready == self.rows or self.error is not None and not self.helping:
-                # Nothing is left to draw: let go of the rows.
-                self.z = self.states = None
-            _BOARD.notify_all()
+        global _POOL
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="confrelay-draw")
+        self.z, self.states, self.square = z, states, square
+        self.jobs = [_POOL.submit(_draw_rows, z[lo:lo + slab], states[lo:lo + slab], square)
+                     for lo in range(0, len(z), slab)]
 
     def wait(self, end: int) -> None:
-        """Return once rows ``0:end`` are drawn.  Until then the caller draws
-        the next unclaimed slab below ``end`` whenever there is one, so it
-        waits only on slabs that a helper is drawing, and a fill completes
-        without any helper.  An error raised drawing a slab is raised here
-        once no helper draws for the fill, which is then no longer kept as
-        this thread's first rows (:func:`_first_rows`)."""
-        while self.ready < end:
-            with _BOARD:
-                while self.error is None and self.ready < end <= self.claimed:
-                    _BOARD.wait()
-                if self.error is not None:
-                    while self.helping:
-                        _BOARD.wait()
-                    kept = getattr(_THREAD, "first_rows", None)
-                    if kept is not None and kept[2] is self:
-                        _THREAD.first_rows = None
-                    raise self.error
-                slab = self._claim(False) if self.ready < end else None
-            if slab is not None:
-                self._draw(*slab, False)
+        """Return once rows ``0:end`` are drawn.  The caller first draws
+        each slab below ``end`` whose job it can still cancel, then waits
+        for the others, so it waits only on slabs that a pool thread is
+        drawing, and a fill completes without any pool thread.  On an error
+        raised drawing a slab, the fill's pending jobs are cancelled, its
+        running ones waited out and the fill is no longer kept as this
+        thread's first rows (:func:`_first_rows`); then the error is raised
+        here."""
+        if self.done == len(self.jobs):
+            return
+        ahead = range(self.done, min(-(-end // self.slab), len(self.jobs)))
+        try:
+            for i in ahead:
+                if self.jobs[i].cancel():
+                    rows = slice(i * self.slab, (i + 1) * self.slab)
+                    _draw_rows(self.z[rows], self.states[rows], self.square)
+                    self.jobs[i] = None
+            for i in ahead:
+                if self.jobs[i] is not None:
+                    self.jobs[i].result()
+        except BaseException:
+            for job in self.jobs:
+                if job is not None and not job.cancel():
+                    job.exception()
+            kept = getattr(_THREAD, "first_rows", None)
+            if kept is not None and kept[2] is self:
+                _THREAD.first_rows = None
+            raise
+        self.done = max(self.done, ahead.stop)
 
 
-def _post(fill: _Fill, helpers: int) -> None:
-    """Let ``helpers`` helper threads draw slabs of ``fill``, first starting
-    helpers until that many are alive: daemon threads that live as long as
-    the process, each drawing with its own generator."""
-    with _BOARD:
-        _HELPERS[:] = [t for t in _HELPERS if t.is_alive()]
-        while len(_HELPERS) < helpers:
-            helper = threading.Thread(target=_help, name="confrelay-draw", daemon=True)
-            helper.start()
-            _HELPERS.append(helper)
-        _POSTED.extend([fill] * helpers)
-        _BOARD.notify_all()
-
-
-def _help() -> None:
-    """A helper thread's life: take a posted fill's ticket and draw the
-    fill's slabs while any is unclaimed, again and again."""
-    while True:
-        with _BOARD:
-            while not _POSTED:
-                _BOARD.wait()
-            fill = _POSTED.pop(0)
-        while (slab := fill._claim(True)) is not None:
-            fill._draw(*slab, True)
-        del fill
-
-
-def _seeded_normals(states: np.ndarray, count: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def _seeded_normals(states: np.ndarray, count: int) -> np.ndarray:
     """(len(states), count) standard normals whose row ``r`` is what PCG64
     started from ``states[r]`` draws, the state's words in this thread's
-    memory order, written into ``out`` when it is given, and drawn through
-    one :class:`_Fill` before this returns."""
-    z = np.empty((len(states), count)) if out is None else out
+    memory order, drawn through one :class:`_Fill` before this returns."""
+    z = np.empty((len(states), count))
     _Fill(z, states).wait(len(z))
     return z
 

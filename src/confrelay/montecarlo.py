@@ -10,14 +10,15 @@ and the aggregation reduces all of its rows at once, each in index order, to
 the bits ``np.mean`` and ``np.std`` give row by row.  Trials are drawn by
 ``model._trial_squares``, in the blocks its docstring describes, and
 evaluated in the calling thread.  Rows of at least 800 normals are drawn in
-slabs by the calling thread and by at most one daemon helper thread per
-other usable CPU, each with its own generator (``model._Fill``); the caller
-never waits on a row that no thread is drawing, and the output is
-bit-identical on any number of CPUs and at any ``--workers`` value.  Walks
-of the same run share the squared rows each thread keeps of its first
-trials (``model._first_rows``), and the first walk computes each block of
-them as soon as its rows are drawn; :func:`sweep` starts drawing them at
-its widest point before its first point.
+slabs by a thread pool of at most one thread per other usable CPU, each
+thread with its own generator (``model._Fill``), and the waiting caller
+draws the slabs no pool thread has started; every row is seeded on its
+own, so the output is bit-identical on any number of CPUs and at any
+``--workers`` value.  Walks of the same run share the squared rows each
+thread keeps of its first trials (``model._first_rows``), and the first
+walk computes each block of them as soon as its rows are drawn;
+:func:`sweep` starts drawing them at its widest point before its first
+point.
 
 A realization carries only the fading gains ``h`` and ``g``; every rate and
 oracle reads the conferencing gains and the channel moments

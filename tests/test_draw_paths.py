@@ -13,10 +13,10 @@ library's only use of ``ctypes`` (its word order helper,
 test fails when ``ctypes`` appears anywhere else.
 
 Rows of at least ``model._HELPED_ROW_NORMALS`` normals are drawn in slabs
-by the caller and by at most ``_CPUS - 1`` daemon helper threads, which
-``model._post`` starts once per process and which live as long as it.
-``_post`` is the only place that starts a thread, and a test fails when a
-thread or a pool of them is started anywhere else.
+by a thread pool of at most ``_CPUS - 1`` threads and by the waiting caller,
+which draws the slabs no pool thread has started.  ``model._Fill`` makes
+that pool, ``_POOL``, in the library's one ``ThreadPoolExecutor(`` call, and
+a test fails when a thread or a pool of them is started anywhere else.
 
 Which normals trial ``t`` of a run draws, and in which blocks, is decided in
 ``model`` alone: no other module may name the state derivation ``_states``,
@@ -24,11 +24,10 @@ the block sampler ``_seeded_normals``, its row loop ``_draw_rows``, its
 generator, the per-thread record ``_THREAD``, the first rows it keeps
 (``_first_rows``, their bound ``_KEPT_ELEMENTS`` and allocation floor
 ``_KEPT_FLOOR``), the chunk and block constants ``_STATE_CHUNK`` and
-``_BLOCK_ELEMENTS``, the fills and their helpers (``_Fill``, ``_post``,
-``_help``, ``_POSTED``, ``_HELPERS``, ``_BOARD``, the helper threshold
-``_HELPED_ROW_NORMALS`` and slab size ``_SLAB_NORMALS``), the CPU count
-``_CPUS`` or the SplitMix64 seed mixer's constants, by name or written out
-as numbers.
+``_BLOCK_ELEMENTS``, the fills and their pool (``_Fill``, ``_POOL``, the
+helper threshold ``_HELPED_ROW_NORMALS`` and slab size ``_SLAB_NORMALS``),
+the CPU count ``_CPUS`` or the SplitMix64 seed mixer's constants, by name or
+written out as numbers.
 """
 
 import ast
@@ -105,14 +104,14 @@ def _is_thread_start(node):
 
 # What only ``model`` may refer to: the state derivation, the block sampler,
 # its row loop and its generator, each thread's record and first rows, the
-# fills and their helpers, the chunk, block, first-row, helper-threshold and
+# fills and their pool, the chunk, block, first-row, helper-threshold and
 # slab sizes, the CPU count and the seed mixer's constants, by name, and the
 # constants' values.
 TRIAL_DRAW_NAMES = {"_states", "_seeded_normals", "_draw_rows", "_thread_generator",
                     "_THREAD", "_first_rows", "_KEPT_ELEMENTS", "_KEPT_FLOOR",
-                    "_STATE_CHUNK", "_BLOCK_ELEMENTS", "_Fill", "_post", "_help",
-                    "_POSTED", "_HELPERS", "_BOARD", "_HELPED_ROW_NORMALS",
-                    "_SLAB_NORMALS", "_CPUS", "_GOLDEN", "_MIX1", "_MIX2"}
+                    "_STATE_CHUNK", "_BLOCK_ELEMENTS", "_Fill", "_POOL",
+                    "_HELPED_ROW_NORMALS", "_SLAB_NORMALS", "_CPUS", "_GOLDEN", "_MIX1",
+                    "_MIX2"}
 SPLITMIX64 = {0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB}
 
 
@@ -131,13 +130,14 @@ def _is_trial_draw_internal(node):
 
 
 def uses(source, detect):
-    """Top-level function (None outside one) of each node of ``source`` that
-    ``detect`` flags, type annotations aside."""
+    """Top-level function or class (None outside one) of each node of
+    ``source`` that ``detect`` flags, type annotations aside."""
     tree = ast.parse(source)
     skip = _annotation_ids(tree)
     found = []
     for stmt in tree.body:
-        owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        owner = (stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                ast.ClassDef)) else None)
         found += [owner for node in ast.walk(stmt)
                   if id(node) not in skip and detect(node)]
     return found
@@ -177,12 +177,21 @@ def test_ctypes_check_fails_on_a_copy_with_ctypes_elsewhere(tmp_path):
                                                   ("rates", "_peek")}
 
 
-def test_threads_start_only_in_the_seeded_normals():
-    assert library_uses(_is_thread_start) == {("model", "_post")}
+def thread_starts(src=SRC):
+    """``library_uses`` of thread starts, and the number of
+    ``ThreadPoolExecutor(`` and of ``Thread(`` calls in ``src``."""
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py")))
+    return (library_uses(_is_thread_start, src), text.count("ThreadPoolExecutor("),
+            text.count("Thread("))
+
+
+def test_threads_start_only_in_the_fill_pool():
+    assert thread_starts() == ({("model", "_Fill")}, 1, 0)
 
 
 def test_thread_check_fails_on_a_copy_that_starts_threads(tmp_path):
     added = {
+        "model": "\n\ndef _helper(f):\n    threading.Thread(target=f).start()\n",
         "rates": "\n\ndef _spawn(f):\n    threading.Thread(target=f).start()\n",
         "montecarlo": "\nfrom concurrent.futures import ThreadPoolExecutor\n",
         "cli": "\n\ndef _pool(f):\n    return ThreadPoolExecutor(2).submit(f)\n",
@@ -190,9 +199,9 @@ def test_thread_check_fails_on_a_copy_that_starts_threads(tmp_path):
     for path in SRC.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8")
                                           + added.get(path.stem, ""), encoding="utf-8")
-    assert library_uses(_is_thread_start, tmp_path) == {
-        ("model", "_post"), ("rates", "_spawn"), ("montecarlo", None),
-        ("cli", "_pool")}
+    assert thread_starts(tmp_path) == ({
+        ("model", "_Fill"), ("model", "_helper"), ("rates", "_spawn"), ("montecarlo", None),
+        ("cli", "_pool")}, 2, 2)
 
 
 def test_trial_draw_internals_stay_in_model():

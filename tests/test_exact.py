@@ -166,16 +166,21 @@ def _batched_table(cfg, seed, block):
     """``montecarlo._rate_table``'s rows of every scheme at ``cfg``, read in
     blocks of ``block`` trials (the default blocks when None), with the
     first ``KEPT`` rows kept and every fill of more than one row posted to
-    the helper threads; and the number of fills posted."""
+    the thread pool; and the number of fills posted."""
     posted = []
-    post = model._post
+
+    class Posted(model._Fill):
+        def __init__(self, z, states, square=False):
+            super().__init__(z, states, square)
+            if self.jobs:
+                posted.append(self)
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(model, "_HELPED_ROW_NORMALS", 1)
         m.setattr(model, "_SLAB_NORMALS", 1)
         m.setattr(model, "_CPUS", max(model._CPUS, 2))
         m.setattr(model, "_KEPT_ELEMENTS", KEPT * model._row_width([cfg], True))
-        m.setattr(model, "_post", lambda fill, helpers: post(posted.append(fill) or fill,
-                                                             helpers))
+        m.setattr(model, "_Fill", Posted)
         if block is not None:
             m.setattr(model, "_BLOCK_ELEMENTS", block * cfg.n_relays)
         model._THREAD.first_rows = None
@@ -189,8 +194,8 @@ def _batched_table(cfg, seed, block):
 def test_batched_rate_tables_meet_their_budgets(case):
     # Each trial's rate in the batched engine's table, in blocks of 1 and 7
     # trials and the default, against the arbiter on that trial's
-    # realization.  Helpers draw the kept rows and every drawn block of more
-    # than one row.
+    # realization.  The pool draws the kept rows and every drawn block of
+    # more than one row.
     cfg, seed = case
     assume(not any(0 < p < 1e-100 for p in (cfg.p_s, cfg.p_r)))
     want = {"upper": [], "df": [], "af": []}

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import weakref
+from concurrent.futures import Future
 from dataclasses import fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -433,6 +434,20 @@ class TestSeededNormals:
             want = self._want(bases[k], 0, 30, 3000)
             assert all(np.array_equal(z, want) for z in got[k])
 
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """``use(cpus)`` sets ``model._CPUS`` to ``cpus`` with no pool made
+        yet, so the next posted fill makes a pool of ``cpus - 1`` threads;
+        that pool is shut down after the test."""
+
+        def use(cpus):
+            monkeypatch.setattr(model, "_CPUS", cpus)
+            monkeypatch.setattr(model, "_POOL", None)
+
+        yield use
+        if model._POOL is not None:
+            model._POOL.shutdown()
+
     @staticmethod
     def _thread_starts(monkeypatch):
         """The threads started from now on, through a counting
@@ -460,12 +475,21 @@ class TestSeededNormals:
         monkeypatch.setattr(model, "_draw_rows", recorded)
         return drawers
 
+    @staticmethod
+    def _python(code):
+        """Run ``code`` in a new interpreter that imports this checkout's
+        ``confrelay``; a minute at most."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(model.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+
     @pytest.mark.parametrize("cpus,rows,count,helped", [
         (4, 3, (2 ** 16 - 1) // 3, True),  # one row per slab
         (4, 2, 2 ** 15, True),
         (4, 4, 2 ** 14, True),
         (2, 3, 2 ** 15, True),             # an odd row count
-        (3, 7, 2 ** 14, True),             # up to two helpers
+        (3, 7, 2 ** 14, True),             # up to two pool threads
         (2, 21, 800, True),                # two slabs, of 20 rows and of 1
         (2, 20, 800, False),               # one slab of 20 rows
         (2, 41, 799, False),               # rows below the helper threshold
@@ -473,98 +497,110 @@ class TestSeededNormals:
         (1, 4, 2 ** 15, False),            # one CPU
     ], ids=["wide_rows", "two_rows", "four_rows", "odd_rows", "three_cpus", "two_slabs", "one_slab",
             "narrow_rows", "one_row", "one_cpu"])
-    def test_split_rows_equal_one_generator_per_seed(self, monkeypatch, cpus, rows,
+    def test_split_rows_equal_one_generator_per_seed(self, monkeypatch, pool, cpus, rows,
                                                      count, helped):
-        monkeypatch.setattr(model, "_CPUS", cpus)
+        pool(cpus)
         base = 977 * rows + cpus
         states = _states(base, 0, rows)
         want = self._want(base, 0, rows, count)
-        alive = [t for t in model._HELPERS if t.is_alive()]
         started = self._thread_starts(monkeypatch)
         drawers = self._drawers(monkeypatch)
         before = threading.active_count()
         assert np.array_equal(_seeded_normals(states, count), want)
-        first_call, first_drawers = list(started), drawers[:]
+        first_drawers = drawers[:]
         # Into a view of a larger array, as the kept first rows are drawn.
         out = np.empty(rows * count + 5)[:rows * count].reshape(rows, count)
         del drawers[:]
-        assert _seeded_normals(states, count, out) is out
+        model._Fill(out, states).wait(rows)
         assert np.array_equal(out, want)
-        # Only a helped first call starts threads: the daemon helpers that
-        # bring those alive to _CPUS - 1.  No call after it starts one.
-        assert started == first_call
-        assert len(started) == (max(0, cpus - 1 - len(alive)) if helped else 0)
-        assert all(t.daemon and t in model._HELPERS for t in started)
+        # Only a helped fill makes the pool and starts threads: its threads,
+        # at most _CPUS - 1 over both fills, none a daemon.
+        assert (model._POOL is not None) == helped
+        assert len(started) <= (cpus - 1 if helped else 0)
+        assert all(t.name.startswith("confrelay-draw") and not t.daemon for t in started)
         assert threading.active_count() == before + len(started)
-        assert sum(t.is_alive() for t in model._HELPERS) <= max(cpus - 1, len(alive))
-        # At most _CPUS - 1 daemon helpers draw beside the caller; an unhelped
-        # block is one _draw_rows call in the caller.
+        # Only the pool's threads draw beside the caller; an unhelped block
+        # is one _draw_rows call in the caller.
         for call in (first_drawers, drawers):
-            helpers = set(call) - {threading.current_thread()}
-            assert len(helpers) <= cpus - 1
-            assert all(t.daemon and t in model._HELPERS for t in helpers)
+            assert set(call) - {threading.current_thread()} <= set(started)
             if not helped:
                 assert call == [threading.current_thread()]
 
     @pytest.mark.parametrize("error", [RuntimeError, MemoryError])
     @pytest.mark.parametrize("helper", [True, False], ids=["helper", "caller"])
-    def test_a_failed_slice_raises_in_the_caller(self, monkeypatch, error, helper):
-        monkeypatch.setattr(model, "_CPUS", 2)
+    def test_a_failed_slice_raises_in_the_caller(self, monkeypatch, pool, error, helper):
+        pool(2)
         states = _states(31, 0, 2)
-        _seeded_normals(states, 2 ** 15)  # the helper is alive from here on
+        _seeded_normals(states, 2 ** 15)  # the pool thread is alive from here on
         caller, draw_rows = threading.current_thread(), model._draw_rows
-        failed = threading.Event()
+        running, failed = threading.Event(), threading.Event()
 
         def draw(z, states, square=False):
             # The failing side fails at once; the other draws once it has.
+            if threading.current_thread() is not caller:
+                running.set()
             if (threading.current_thread() is not caller) == helper:
                 failed.set()
                 raise error("no rows")
             assert failed.wait(timeout=10)
             draw_rows(z, states, square)
 
+        def fails(fill, rows):
+            # The pool thread has started the fill's first slab before the
+            # caller waits; the error is raised once no slab is drawing.
+            assert running.wait(timeout=10)
+            with pytest.raises(error, match="no rows"):
+                fill.wait(rows)
+            assert all(job is None or job.done() for job in fill.jobs)
+            running.clear()
+            failed.clear()
+
         monkeypatch.setattr(model, "_draw_rows", draw)
         before = threading.active_count()
-        with pytest.raises(error, match="no rows"):
-            _seeded_normals(states, 2 ** 15)
-        # A failed fill of first rows is raised by the walk's wait, once no
-        # helper draws for it, and is no longer kept.
-        failed.clear()
+        fails(model._Fill(np.empty((2, 2 ** 15)), states), 2)
+        # A failed fill of first rows is raised by the walk's wait and is no
+        # longer kept.
         rows, fill = model._first_rows(31, 2, 2 ** 15)
         assert model._THREAD.first_rows[2] is fill
-        with pytest.raises(error, match="no rows"):
-            fill.wait(len(rows))
-        assert fill.helping == 0 and model._THREAD.first_rows is None
+        fails(fill, len(rows))
+        assert model._THREAD.first_rows is None
         assert threading.active_count() == before
 
     def test_a_fill_completes_when_no_helper_runs_its_slabs(self, monkeypatch):
-        # As in a forked child, whose helpers are gone: the fills are posted,
-        # no helper takes a slab, and the caller draws them all, bit for bit.
+        # As in a forked child, whose pool threads are gone: the fills submit
+        # their jobs, none starts, and the caller draws them all, bit for bit.
         monkeypatch.setattr(model, "_CPUS", 2)
-        posted = []
-        monkeypatch.setattr(model, "_post", lambda fill, helpers: posted.append(fill))
+        submitted = []
+
+        class Idle:
+            def submit(self, fn, *args):
+                submitted.append(Future())
+                return submitted[-1]
+
+        monkeypatch.setattr(model, "_POOL", Idle())
         drawers = self._drawers(monkeypatch)
         want = self._want(41, 0, 6, 2 ** 14)
         assert np.array_equal(_seeded_normals(_states(41, 0, 6), 2 ** 14), want)
         rows, fill = model._first_rows(41, 6, 2 ** 14)
         fill.wait(len(rows))
         assert np.array_equal(rows, want ** 2)
-        assert len(posted) == 2 and posted[1] is fill
-        # One slab per row of 2**14 normals, each drawn by the caller.
+        # One slab per row of 2**14 normals, each cancelled and drawn by the
+        # caller.
+        assert len(submitted) == 12 and all(job.cancelled() for job in submitted)
         assert drawers == [threading.current_thread()] * 12
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_process_keeps_cpus_minus_one_helpers_and_a_forked_child_draws(self):
-        code = (
+        done = self._python(
             "import os, threading\n"
             "import numpy as np\n"
             "from confrelay import model\n"
             "model._CPUS = 3\n"
             "for base in range(3):\n"
             "    model._seeded_normals(model._states(base, 0, 8), 2 ** 14)\n"
-            "helpers = [t for t in threading.enumerate() if t is not threading.main_thread()]\n"
-            "assert helpers == model._HELPERS and len(helpers) == 2, helpers\n"
-            "assert all(t.daemon for t in helpers)\n"
+            "pool = [t for t in threading.enumerate() if t is not threading.main_thread()]\n"
+            "assert len(pool) == 2, pool\n"
+            "assert all(t.name.startswith('confrelay-draw') and not t.daemon for t in pool)\n"
             "want = model._seeded_normals(model._states(7, 0, 8), 2 ** 14)\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
@@ -572,10 +608,18 @@ class TestSeededNormals:
             "    os._exit(0 if np.array_equal(got, want) else 1)\n"
             "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0\n"
             "assert threading.active_count() == 3\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(model.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_a_process_exits_while_its_pool_draws(self):
+        # The pool's threads are not daemons: the interpreter lets them
+        # finish the posted slabs at exit, and the process ends.
+        done = self._python(
+            "import threading\n"
+            "from confrelay import model\n"
+            "model._CPUS = 2\n"
+            "model._first_rows(5, 40, 16000)\n"
+            "pool = [t for t in threading.enumerate() if t is not threading.main_thread()]\n"
+            "assert len(pool) == 1 and not pool[0].daemon, pool\n")
         assert done.returncode == 0, done.stderr
 
     def test_callers_splitting_at_once_get_their_own_rows(self, monkeypatch):
@@ -841,8 +885,8 @@ class TestKeptRows:
         refs = []
         seeded_normals = model._seeded_normals
 
-        def draw(states, count, out=None):
-            z = seeded_normals(states, count, out)
+        def draw(states, count):
+            z = seeded_normals(states, count)
             refs.append(weakref.ref(z))
             return z
 
