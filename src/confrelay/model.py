@@ -24,25 +24,26 @@ draws, first-hop gains before second-hop gains, and :func:`sample_realization`
 draws it with that generator.  Trial ``t`` of a run seeded with ``base_seed``
 draws the realization for :func:`derive_seed` ``(base_seed, t)``, a SplitMix64
 mixer.  This module owns the one path from a run's base seed and trial count
-to its normals: :func:`_trial_squares` walks a run block by block,
-:func:`_seeded_normals` draws a block's normals from their PCG64 states
-(:func:`_states`), and the trial engine reads each block's ``|h|^2`` and
-``|g|^2`` under each of the configs that share the walk.  Those configs (the
-network sizes of a trace) draw each trial's row once, at the widest config's
-count of normals, and each reads a prefix of the row: the kept first rows
-(below) in blocks sized by its own N, and the rows drawn after them in
-blocks sized by their largest N.  The PCG64 states of many trials are derived at once,
-without building a generator per trial: NumPy's SeedSequence hash and PCG64
-seeding run over all seeds together, in uint64 lanes (a 128-bit number is a
-high and a low 64-bit word; products are built from 32-bit halves and
-carries from bit operations).
+to its normals: :func:`_trial_squares` walks a run piece by piece, a fill
+(:class:`_Fill`) draws each piece's squared normals from their PCG64 states
+(:func:`_states`), and the trial engine reads each piece's ``|h|^2`` and
+``|g|^2`` in blocks under each of the configs that share the walk.  Those
+configs (the network sizes of a trace) draw each trial's row once, at the
+widest config's count of normals, and each reads a prefix of the row in
+blocks sized by its own N.  The first piece is the kept first rows (below);
+each later one is one block of the largest N, drawn into a fresh array.  The
+PCG64 states of many trials are derived at once, without building a
+generator per trial: NumPy's SeedSequence hash and PCG64 seeding run over
+all seeds together, in uint64 lanes (a 128-bit number is a high and a low
+64-bit word; products are built from 32-bit halves and carries from bit
+operations).
 
 The one thing walks share is each thread's squared normals of a run's first
 rows (:func:`_first_rows`): those of its first
 ``K = min(trials, 2**14, 2**20 // width)`` trials, at most 8 MiB per thread.
 A walk of the run with rows no wider reads a prefix of each kept row, then
 derives the states of each chunk of 2**14 of the trials after them once and
-draws that chunk's blocks from them.  So the three schemes of a ``diagnose``
+draws that chunk's pieces from them.  So the three schemes of a ``diagnose``
 pass at N <= 4000 and 40 trials (65 rows of 16000 normals fit) draw each
 trial once.
 
@@ -56,9 +57,9 @@ pool of at most ``_CPUS - 1`` threads, made by the first fill that needs
 it, and the caller waiting for a row draws each slab below it that no pool
 thread has started.  So it waits only on slabs that a pool thread is
 drawing, and a fill completes even when no pool thread runs (for example
-in a forked child).  Narrower rows are drawn by the caller alone.  The
-kept first rows are handed back before they are drawn, and a walk reads
-each of their blocks as soon as its last row is drawn, so the first walk's
+in a forked child).  Narrower rows are drawn by the caller alone.  A walk
+reads each block of a piece as soon as its last row is drawn, and the kept
+first rows are handed back before they are drawn, so the first walk's
 kernels run while the pool draws.  Every row is seeded on its own, so which
 thread draws it never changes it: the output is bit-identical on any number
 of CPUs and at any ``--workers`` value.
@@ -859,15 +860,6 @@ class _Fill:
         self.done = max(self.done, ahead.stop)
 
 
-def _seeded_normals(states: np.ndarray, count: int) -> np.ndarray:
-    """(len(states), count) standard normals whose row ``r`` is what PCG64
-    started from ``states[r]`` draws, the state's words in this thread's
-    memory order, drawn through one :class:`_Fill` before this returns."""
-    z = np.empty((len(states), count))
-    _Fill(z, states).wait(len(z))
-    return z
-
-
 # Squared normals each thread keeps of a run's first rows (8 MiB of float64
 # at most), and the fewest it allocates for them (2 MiB).
 _KEPT_ELEMENTS = 2 ** 20
@@ -879,7 +871,8 @@ def _first_rows(base_seed: int, trials: int, width: int) -> tuple[np.ndarray, _F
     ``K = min(trials, _STATE_CHUNK, _KEPT_ELEMENTS // width)`` trials of the
     run of ``trials`` trials seeded with ``base_seed`` (a :func:`_seed`
     value), and the :class:`_Fill` that draws them, whose ``wait`` tells
-    when a prefix of them is drawn; the one cache that the walks of a run
+    when a prefix of them is drawn: the first piece of a walk
+    (:func:`_trial_squares`), and the one cache that the walks of a run
     share.  The rows may be handed back before they are drawn.
 
     Each thread keeps the last rows it built, keyed by the base seed and
@@ -937,24 +930,23 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     Each trial's row is drawn once, at the widest config's count of normals,
     and every config reads a prefix of it: a generator draws normals in
     sequence, so that prefix is what the config's own draw gives.  The walk
-    reads the rows of the run's first K trials from :func:`_first_rows` as
-    one piece, then derives the states of each ``_STATE_CHUNK`` trials after
-    them once and draws that chunk's rows in blocks of
-    ``max(1, _BLOCK_ELEMENTS // N)`` trials for the largest N of
-    ``configs``.  Within each piece or drawn block, config ``i`` reads its
-    squares in blocks of ``max(1, _BLOCK_ELEMENTS // N_i)`` trials, so no
-    yielded block holds more than ``max(_BLOCK_ELEMENTS, N_i)`` squares, a
-    drawn block is one block of every config, and a smaller config reads
-    the kept rows in fewer, larger blocks.
+    reads its rows in pieces, each the squared rows of a :class:`_Fill`:
+    first the run's first K trials from :func:`_first_rows`, then one piece
+    of ``max(1, _BLOCK_ELEMENTS // N)`` trials at a time for the largest N of
+    ``configs``, drawn into a fresh array from the states of its chunk of
+    ``_STATE_CHUNK`` trials, which are derived once per chunk.  Within each
+    piece config ``i`` reads its squares in blocks of ``max(1,
+    _BLOCK_ELEMENTS // N_i)`` trials, so no yielded block holds more than
+    ``max(_BLOCK_ELEMENTS, N_i)`` squares, a drawn piece is one block of
+    every config, and a smaller config reads the kept rows in fewer, larger
+    blocks.
 
-    The kept piece's blocks come in the order of their last row (configs in
-    order where two end together), each as soon as the fill has drawn that
-    row, so the caller's kernels run on the first rows while the rest are
-    drawn.  A drawn block's normals are squared once, in place; each
-    config's squares are built from them just before they are yielded, and
-    the walk lets go of the block before the last config's last squares of
-    it are yielded, so the caller's kernels for config ``i`` run before
-    config ``i + 1``'s squares exist.
+    A piece's blocks come in the order of their last row (configs in order
+    where two end together), each as soon as the fill has drawn that row, so
+    the caller's kernels run on the first rows while the rest are drawn.
+    Each config's squares are built just before they are yielded, and the
+    walk lets go of the piece before its last block is yielded, so a drawn
+    piece is gone before the last config's kernels run on it.
 
     Without ``second_hop``, g is not drawn (``g2`` is None) and each row
     draws only its first-hop normals, a prefix of the full draw.
@@ -965,7 +957,6 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
     laws = [c._laws for c in configs]
     width = _row_width(configs, second_hop)
     sizes = [max(1, _BLOCK_ELEMENTS // c.n_relays) for c in configs]
-    last = len(configs) - 1
 
     def squares(i: int, z: np.ndarray) -> tuple:
         h, g = laws[i]
@@ -973,28 +964,29 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
                 _squares_from_normals(g, z[:, h.count:h.count + g.count])
                 if second_hop else None)
 
-    first, kept = _first_rows(base_seed, trials, width)
-    for top, i, lo in sorted((min(lo + size, len(first)), i, lo)
-                             for i, size in enumerate(sizes)
-                             for lo in range(0, len(first), size)):
-        kept.wait(top)
-        yield i, lo, top, *squares(i, first[lo:top])
-    step = min(sizes)
-    for start in range(len(first), trials, _STATE_CHUNK):
-        end = min(start + _STATE_CHUNK, trials)
-        states = _states(base_seed, start, end)
-        for lo in range(start, end, step):
-            hi = min(lo + step, end)
-            z = _seeded_normals(states[lo - start:hi - start], width)
-            np.square(z, out=z)
-            for i, size in enumerate(sizes):
-                for sub in range(lo, hi, size):
-                    top = min(sub + size, hi)
-                    h2, g2 = squares(i, z[sub - lo:top - lo])
-                    if i == last and top == hi:
-                        # Let go of the block before the last config's kernels.
-                        del z
-                    yield i, sub, top, h2, g2
+    def drawn(states: np.ndarray) -> tuple[np.ndarray, _Fill]:
+        z = np.empty((len(states), width))
+        return z, _Fill(z, states, square=True)
+
+    def pieces():
+        # (first trial, rows, fill) per piece; a drawn piece's rows are
+        # held by the caller alone.
+        first = _first_rows(base_seed, trials, width)
+        yield 0, *first
+        for start in range(len(first[0]), trials, _STATE_CHUNK):
+            states = _states(base_seed, start, min(start + _STATE_CHUNK, trials))
+            for lo in range(0, len(states), min(sizes)):
+                yield start + lo, *drawn(states[lo:lo + min(sizes)])
+
+    for start, z, fill in pieces():
+        ends = sorted((min(lo + size, len(z)), i, lo) for i, size in enumerate(sizes)
+                      for lo in range(0, len(z), size))
+        for n, (top, i, lo) in enumerate(ends, 1):
+            fill.wait(top)
+            h2, g2 = squares(i, z[lo:top])
+            if n == len(ends):
+                del z, fill  # Let go of the piece before its last block's kernels.
+            yield i, start + lo, start + top, h2, g2
 
 
 def sample_realization(config: NetworkConfig, seed: int) -> ChannelRealization:

@@ -14,11 +14,12 @@ slabs by a thread pool of at most one thread per other usable CPU, each
 thread with its own generator (``model._Fill``), and the waiting caller
 draws the slabs no pool thread has started; every row is seeded on its
 own, so the output is bit-identical on any number of CPUs and at any
-``--workers`` value.  Walks of the same run share the squared rows each
-thread keeps of its first trials (``model._first_rows``), and the first
-walk computes each block of them as soon as its rows are drawn;
-:func:`sweep` starts drawing them at its widest point before its first
-point.
+``--workers`` value.  A walk reads its rows in pieces, each the rows of
+one fill, in one loop: first the squared rows each thread keeps of a run's
+first trials (``model._first_rows``), which walks of the same run share,
+then one drawn block at a time.  It computes each block of a piece as soon
+as its rows are drawn; :func:`sweep` starts drawing the first rows at its
+widest point before its first point.
 
 A realization carries only the fading gains ``h`` and ``g``; every rate and
 oracle reads the conferencing gains and the channel moments

@@ -71,8 +71,13 @@ def df_relay_snrs(real, cfg):
     where g = p_c / (p_s*E|h_{i-k}|^2 + n_0) is the sending relay's
     conferencing normalization and f the gain of the link i-k -> i."""
     with mpmath.workdps(DIGITS):
+        return _relay_snrs(_squares(real.h), cfg)
+
+
+def _relay_snrs(h2, cfg):
+    """:func:`df_relay_snrs` with the first-hop squares ``h2`` (mpf)."""
+    with mpmath.workdps(DIGITS):
         n, m, p_s, _, p_c, n_0, link, mom = _setup(cfg)
-        h2 = _squares(real.h)
         snrs = []
         for i in range(n):
             total = h2[i]
@@ -88,6 +93,14 @@ def df_relay_rates(real, cfg):
     """First-hop decoding rate of every relay."""
     with mpmath.workdps(DIGITS):
         return [rate(snr) for snr in df_relay_snrs(real, cfg)]
+
+
+def df_rates_asymptotic(cfg):
+    """Moment form of every relay's first-hop rate: the rate of the relay
+    SNR of :func:`df_relay_snrs` with each |h_j|^2 replaced by E|h_j|^2."""
+    with mpmath.workdps(DIGITS):
+        m2_h = _setup(cfg)[-1]["m2_h"]
+        return [rate(snr) for snr in _relay_snrs(m2_h, cfg)]
 
 
 def df_mac_snr(real, cfg):
@@ -159,6 +172,32 @@ def af_q_terms(real, cfg):
             / (p_c * link((i - k) % n, k) ** 2) * h2[(i - k) % n]
             for i in range(n) for k in range(1, m + 1))
         return q1, q2, q3
+
+
+def af_expected_q_terms(cfg):
+    """(E q1, E q2, E q3) of :func:`af_q_terms` over the fading laws, every
+    gain drawn independently.  E q1 = sum_i a_i E|g_i|^2 * sum_k E|h_{i-k}|^2;
+    E q2 = sum_j E|h_j|^2 * E(sum_k a_{j+k}|g_{j+k}|^2)^2, whose square takes
+    a_u^2 E|g_u|^4 on the diagonal and a_u E|g_u|^2 * a_v E|g_v|^2 off it, so
+    it holds the window's variance term sum_k a^2 (E|g|^4 - (E|g|^2)^2);
+    E q3 = sum_i a_i^2 E|g_i|^4 * sum_{k>=1} (p_s*E|h_j|^2 + n_0) / (p_c*f^2)
+    * E|h_j|^2 with j = i-k."""
+    with mpmath.workdps(DIGITS):
+        n, m, p_s, _, p_c, n_0, link, mom = _setup(cfg)
+        a = af_power_factors(cfg)
+        m2_h, m2_g, m4_g = mom["m2_h"], mom["m2_g"], mom["m4_g"]
+        eq1 = mpmath.fsum(a[i] * m2_g[i] * m2_h[(i - k) % n]
+                          for i in range(n) for k in range(m + 1))
+        eq2 = mpmath.fsum(
+            m2_h[j] * mpmath.fsum(a[u] ** 2 * m4_g[u] if u == v else
+                                  a[u] * m2_g[u] * a[v] * m2_g[v]
+                                  for u in window for v in window)
+            for j in range(n) for window in [[(j + k) % n for k in range(m + 1)]])
+        eq3 = mpmath.fsum(
+            a[i] ** 2 * m4_g[i] * (p_s * m2_h[(i - k) % n] + n_0)
+            / (p_c * link((i - k) % n, k) ** 2) * m2_h[(i - k) % n]
+            for i in range(n) for k in range(1, m + 1))
+        return eq1, eq2, eq3
 
 
 def af_sinr(real, cfg):

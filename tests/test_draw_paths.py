@@ -20,14 +20,13 @@ a test fails when a thread or a pool of them is started anywhere else.
 
 Which normals trial ``t`` of a run draws, and in which blocks, is decided in
 ``model`` alone: no other module may name the state derivation ``_states``,
-the block sampler ``_seeded_normals``, its row loop ``_draw_rows``, its
-generator, the per-thread record ``_THREAD``, the first rows it keeps
-(``_first_rows``, their bound ``_KEPT_ELEMENTS`` and allocation floor
-``_KEPT_FLOOR``), the chunk and block constants ``_STATE_CHUNK`` and
-``_BLOCK_ELEMENTS``, the fills and their pool (``_Fill``, ``_POOL``, the
-helper threshold ``_HELPED_ROW_NORMALS`` and slab size ``_SLAB_NORMALS``),
-the CPU count ``_CPUS`` or the SplitMix64 seed mixer's constants, by name or
-written out as numbers.
+the row loop ``_draw_rows``, its generator, the per-thread record
+``_THREAD``, the first rows it keeps (``_first_rows``, their bound
+``_KEPT_ELEMENTS`` and allocation floor ``_KEPT_FLOOR``), the chunk and
+block constants ``_STATE_CHUNK`` and ``_BLOCK_ELEMENTS``, the fills and their
+pool (``_Fill``, ``_POOL``, the helper threshold ``_HELPED_ROW_NORMALS`` and
+slab size ``_SLAB_NORMALS``), the CPU count ``_CPUS`` or the SplitMix64 seed
+mixer's constants, by name or written out as numbers.
 """
 
 import ast
@@ -102,13 +101,12 @@ def _is_thread_start(node):
     return False
 
 
-# What only ``model`` may refer to: the state derivation, the block sampler,
-# its row loop and its generator, each thread's record and first rows, the
-# fills and their pool, the chunk, block, first-row, helper-threshold and
-# slab sizes, the CPU count and the seed mixer's constants, by name, and the
-# constants' values.
-TRIAL_DRAW_NAMES = {"_states", "_seeded_normals", "_draw_rows", "_thread_generator",
-                    "_THREAD", "_first_rows", "_KEPT_ELEMENTS", "_KEPT_FLOOR",
+# What only ``model`` may refer to: the state derivation, the row loop and
+# its generator, each thread's record and first rows, the fills and their
+# pool, the chunk, block, first-row, helper-threshold and slab sizes, the CPU
+# count and the seed mixer's constants, by name, and the constants' values.
+TRIAL_DRAW_NAMES = {"_states", "_draw_rows", "_thread_generator", "_THREAD",
+                    "_first_rows", "_KEPT_ELEMENTS", "_KEPT_FLOOR",
                     "_STATE_CHUNK", "_BLOCK_ELEMENTS", "_Fill", "_POOL",
                     "_HELPED_ROW_NORMALS", "_SLAB_NORMALS", "_CPUS", "_GOLDEN", "_MIX1",
                     "_MIX2"}
@@ -213,7 +211,7 @@ def test_trial_draw_check_fails_on_a_copy_that_reads_them(tmp_path):
         "asymptotics": ("\n\ndef _block(n):\n    return max(1, model._BLOCK_ELEMENTS // n)\n"
                         "\n\ndef _room(width):\n    return model._KEPT_ELEMENTS // width\n"),
         "montecarlo": "\n\ndef _mix(z):\n    return z * 0xBF58476D1CE4E5B9 & MASK64\n",
-        "rates": "\nfrom .model import _seeded_normals as _draw\n",
+        "rates": "\nfrom .model import _first_rows as _draw\n",
         "cli": ("\nfrom .model import _STATE_CHUNK\n\n\ndef _walk(seed):\n"
                 "    return model._states(seed, 0, 3)\n"
                 "\n\ndef _split(z):\n    return min(model._CPUS, z.size // _HELPED_ROW_NORMALS)\n"),

@@ -13,6 +13,12 @@ over 1,500 derandomized ``random_networks()`` examples with no power below
   the entries of a window differ in size;
 * the loop reference: 1e-14 for every scheme (measured 1.4e-15).
 
+The seed-free moment forms have budgets of their own, about ten times the
+largest error measured over 300 ``random_networks()`` examples: 4e-15 for
+``df_rates_asymptotic`` (measured 8.1e-16) and 6e-14 for each of
+``af_expected_q_terms`` (measured 8.9e-16, 5.0e-15 and 7.1e-16 for E q1,
+E q2 and E q3).
+
 A power below 1e-100 takes products such as p_s*p_r out of the normal range
 of a double, where no relative budget holds; such examples are left out.
 """
@@ -32,6 +38,7 @@ from confrelay import (
     NetworkConfig,
     PerIndex,
     PointMass,
+    af_expected_q_terms,
     af_power_factors,
     af_q_terms,
     af_rate,
@@ -40,6 +47,7 @@ from confrelay import (
     derive_seed,
     df_mac_rate,
     df_rate,
+    df_rates_asymptotic,
     df_relay_rates,
     moments,
     rate_report,
@@ -51,6 +59,7 @@ from test_rates import random_networks
 
 ENGINE = {"upper": 4e-15, "df": 1e-13, "af": 1e-13}
 LOOP = 1e-14
+MOMENT_FORMS = {"df": 4e-15, "af": 6e-14}
 # The arbiter's own values at 50 digits against the hand-derived ones.
 HAND = 1e-45
 
@@ -83,6 +92,11 @@ class TestArbiterByHand:
                 "a": (exact.af_power_factors(cfg), [1 / mpmath.sqrt(8)] * 2),
                 "q": (exact.af_q_terms(real, cfg),
                       (mpmath.sqrt(2), 1, mpmath.mpf(1) / 2)),
+                # Point masses: the moment forms are the realization's values.
+                "relay_limit": (exact.df_rates_asymptotic(cfg),
+                                [half_log2(mpmath.mpf(7) / 3)] * 2),
+                "expected_q": (exact.af_expected_q_terms(cfg),
+                               (mpmath.sqrt(2), 1, mpmath.mpf(1) / 2)),
                 "sinr": (exact.af_sinr(real, cfg), mpmath.mpf(4) / 5),
                 "af": (exact.af_rate(real, cfg), half_log2(mpmath.mpf(9) / 5)),
             }
@@ -156,6 +170,21 @@ def test_single_realization_rates_meet_their_budgets(case):
     loop_q = reference.af_q_terms(real, cfg, mom)
     for value, w in zip(loop_q, exact.af_q_terms(real, cfg)):
         assert within(value, w, LOOP)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(random_networks())
+def test_moment_forms_meet_their_budgets(case):
+    # Seed-free: every relay's moment-form DF rate and the expected AF
+    # q-terms against the arbiter's, from the same moments.
+    cfg, _ = case
+    assume(not any(0 < p < 1e-100 for p in (cfg.p_s, cfg.p_r)))
+    for got, want in zip(df_rates_asymptotic(cfg), exact.df_rates_asymptotic(cfg),
+                         strict=True):
+        assert within(got, want, MOMENT_FORMS["df"])
+    for got, want in zip(af_expected_q_terms(cfg), exact.af_expected_q_terms(cfg),
+                         strict=True):
+        assert within(got, want, MOMENT_FORMS["af"])
 
 
 # Trials per batched table: the first 4 kept, the other 5 drawn after them.

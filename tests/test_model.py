@@ -39,7 +39,6 @@ from confrelay.model import (
     _STATE_CHUNK,
     _law,
     _pcg64_states,
-    _seeded_normals,
     _squares_from_normals,
     _states,
     _trial_squares,
@@ -100,16 +99,25 @@ def kept_rows():
     return len(model._THREAD.first_rows[1])
 
 
+def seeded_normals(states, count):
+    """(len(states), count) normals whose row ``r`` is what PCG64 started
+    from ``states[r]`` draws, drawn into a fresh array through one
+    ``model._Fill`` before this returns."""
+    z = np.empty((len(states), count))
+    model._Fill(z, states).wait(len(z))
+    return z
+
+
 def block_normals(base, trials, n, count):
     """``(lo, hi, z)`` per block of :func:`block_ranges` of a run with no kept
     rows, with ``z`` the block's ``count`` normals per trial, drawn afresh by
-    ``_seeded_normals`` from a slice of the states ``_states`` derives for
-    the block's chunk."""
+    :func:`seeded_normals` from a slice of the states ``_states`` derives
+    for the block's chunk."""
     chunk = model._STATE_CHUNK
     for lo, hi in block_ranges(trials, n):
         start = lo - lo % chunk
         states = _states(base, start, min(start + chunk, trials))
-        yield lo, hi, _seeded_normals(states[lo - start:hi - start], count)
+        yield lo, hi, seeded_normals(states[lo - start:hi - start], count)
 
 
 def stacked_normals(base, trials, n, count):
@@ -340,9 +348,9 @@ class TestSampling:
 
 
 class TestSeededNormals:
-    """The normals ``_seeded_normals`` draws from the states ``_states``
-    derives for a run, chunk by chunk and block by block, against one
-    generator per trial seed."""
+    """The normals a ``_Fill`` draws (:func:`seeded_normals`) from the states
+    ``_states`` derives for a run, chunk by chunk and block by block, against
+    one generator per trial seed."""
 
     # Edge cases of the lane arithmetic: the base seeds of the runs below
     # and the seeds test_states_equal_pcg64_seeding seeds PCG64 with.
@@ -506,7 +514,7 @@ class TestSeededNormals:
         started = self._thread_starts(monkeypatch)
         drawers = self._drawers(monkeypatch)
         before = threading.active_count()
-        assert np.array_equal(_seeded_normals(states, count), want)
+        assert np.array_equal(seeded_normals(states, count), want)
         first_drawers = drawers[:]
         # Into a view of a larger array, as the kept first rows are drawn.
         out = np.empty(rows * count + 5)[:rows * count].reshape(rows, count)
@@ -531,7 +539,7 @@ class TestSeededNormals:
     def test_a_failed_slice_raises_in_the_caller(self, monkeypatch, pool, error, helper):
         pool(2)
         states = _states(31, 0, 2)
-        _seeded_normals(states, 2 ** 15)  # the pool thread is alive from here on
+        seeded_normals(states, 2 ** 15)  # the pool thread is alive from here on
         caller, draw_rows = threading.current_thread(), model._draw_rows
         running, failed = threading.Event(), threading.Event()
 
@@ -580,7 +588,7 @@ class TestSeededNormals:
         monkeypatch.setattr(model, "_POOL", Idle())
         drawers = self._drawers(monkeypatch)
         want = self._want(41, 0, 6, 2 ** 14)
-        assert np.array_equal(_seeded_normals(_states(41, 0, 6), 2 ** 14), want)
+        assert np.array_equal(seeded_normals(_states(41, 0, 6), 2 ** 14), want)
         rows, fill = model._first_rows(41, 6, 2 ** 14)
         fill.wait(len(rows))
         assert np.array_equal(rows, want ** 2)
@@ -596,15 +604,19 @@ class TestSeededNormals:
             "import numpy as np\n"
             "from confrelay import model\n"
             "model._CPUS = 3\n"
+            "def seeded_normals(states, count):\n"
+            "    z = np.empty((len(states), count))\n"
+            "    model._Fill(z, states).wait(len(z))\n"
+            "    return z\n"
             "for base in range(3):\n"
-            "    model._seeded_normals(model._states(base, 0, 8), 2 ** 14)\n"
+            "    seeded_normals(model._states(base, 0, 8), 2 ** 14)\n"
             "pool = [t for t in threading.enumerate() if t is not threading.main_thread()]\n"
             "assert len(pool) == 2, pool\n"
             "assert all(t.name.startswith('confrelay-draw') and not t.daemon for t in pool)\n"
-            "want = model._seeded_normals(model._states(7, 0, 8), 2 ** 14)\n"
+            "want = seeded_normals(model._states(7, 0, 8), 2 ** 14)\n"
             "pid = os.fork()\n"
             "if pid == 0:\n"
-            "    got = model._seeded_normals(model._states(7, 0, 8), 2 ** 14)\n"
+            "    got = seeded_normals(model._states(7, 0, 8), 2 ** 14)\n"
             "    os._exit(0 if np.array_equal(got, want) else 1)\n"
             "assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0\n"
             "assert threading.active_count() == 3\n")
@@ -634,7 +646,7 @@ class TestSeededNormals:
             try:
                 start.wait(timeout=10)
                 states = _states(bases[k], 0, 6)
-                got[k] = [_seeded_normals(states, 2 ** 14) for _ in range(4)]
+                got[k] = [seeded_normals(states, 2 ** 14) for _ in range(4)]
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -878,26 +890,66 @@ class TestKeptRows:
         assert self._walk(drawn, 14, 14, cfgs=(narrow, self.CFG)) == 14 - kept_rows()
 
     def test_drawn_block_is_let_go_before_the_last_configs_kernels(self, monkeypatch):
-        # No kept rows: every block is drawn.  At each block of the last
-        # config the walk yields, the block its squares came from is gone,
-        # so at most one drawn block and one config's squares are alive.
+        # No kept rows: every trial is read from a drawn piece.  At each block
+        # of the last config the walk yields, the array of the piece its
+        # squares came from is gone, so at most one drawn piece and one
+        # config's squares are alive.  On one CPU: a pool thread may still
+        # hold a slab of a posted fill for a moment after the fill's wait
+        # has returned, while it drops its cancelled or finished jobs.
         monkeypatch.setattr(model, "_KEPT_ELEMENTS", 0)
+        monkeypatch.setattr(model, "_CPUS", 1)
         refs = []
-        seeded_normals = model._seeded_normals
-
-        def draw(states, count):
-            z = seeded_normals(states, count)
-            refs.append(weakref.ref(z))
-            return z
-
-        monkeypatch.setattr(model, "_seeded_normals", draw)
+        record_fills(monkeypatch, lambda z, states: refs.append(weakref.ref(z)))
         cfgs = [NetworkConfig(n_relays=n, conferencing=Neighbors(1)) for n in (50, 200)]
         last = 0
         for i, lo, hi, h2, g2 in _trial_squares(cfgs, 15, 300):
             if i == 1:
                 assert refs[-1]() is None
                 last += 1
-        assert kept_rows() == 0 and last == len(refs) == len(block_ranges(300, 200))
+        # The first fill is of the kept rows, none here.
+        assert kept_rows() == 0 and last == len(refs) - 1 == len(block_ranges(300, 200))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_walk_past_the_kept_rows_reads_each_piece_by_its_last_row(self, monkeypatch,
+                                                                      cpus):
+        # Blocks of 6 trials at N = 2 and of 3 at N = 4, chunks of 5 trials
+        # and room for 4 rows of 16: the pieces are the 4 kept trials, then
+        # 4-7, 7-9, 9-12 and 12-14 from two chunks.  Every fill of more than
+        # one row is posted on two CPUs, one row per slab.
+        monkeypatch.setattr(model, "_BLOCK_ELEMENTS", 12)
+        monkeypatch.setattr(model, "_STATE_CHUNK", 5)
+        monkeypatch.setattr(model, "_KEPT_ELEMENTS", 64)
+        monkeypatch.setattr(model, "_HELPED_ROW_NORMALS", 1)
+        monkeypatch.setattr(model, "_SLAB_NORMALS", 1)
+        monkeypatch.setattr(model, "_CPUS", cpus)
+        monkeypatch.setattr(model, "_POOL", None)
+        fills = []
+
+        class Posted(model._Fill):
+            def __init__(self, z, states, square=False):
+                super().__init__(z, states, square)
+                fills.append((len(z), bool(self.jobs)))
+
+        monkeypatch.setattr(model, "_Fill", Posted)
+        narrow = NetworkConfig(n_relays=2, conferencing=Neighbors(1))
+        cfgs = (narrow, self.CFG)
+        try:
+            blocks = list(_trial_squares(list(cfgs), 21, 14))
+        finally:
+            if model._POOL is not None:
+                model._POOL.shutdown()
+        pieces = [(0, 4), (4, 7), (7, 9), (9, 12), (12, 14)]
+        assert fills == [(hi - lo, cpus == 2) for lo, hi in pieces]
+        assert [b[:3] for b in blocks] == [
+            (i, a + lo, a + top) for a, b in pieces for top, i, lo in sorted(
+                (min(lo + size, b - a), i, lo) for i, size in enumerate((6, 3))
+                for lo in range(0, b - a, size))]
+        z = self._want(21, 14, 16)
+        for i, lo, hi, h2, g2 in blocks:
+            h, g = cfgs[i]._laws
+            assert np.array_equal(h2, _squares_from_normals(h, z[lo:hi, :h.count]))
+            assert np.array_equal(
+                g2, _squares_from_normals(g, z[lo:hi, h.count:h.count + g.count]))
 
     def test_run_across_two_chunks_keeps_the_first_chunk(self, monkeypatch, drawn):
         # Chunks of 5 trials in blocks of 3: at most a chunk's trials are

@@ -7,8 +7,11 @@ parent commit.  Each checkout runs the same fixed list of cases (``CASES``)
 in one subprocess, with its own ``src`` first on ``PYTHONPATH``, inside an
 empty temporary directory that holds the case's config as ``run.cfg``.  The
 cases are all six commands on three configs and three seeds, each with
-``model._CPUS`` at 1 and at 2; a ``diagnose`` at N = 16000, 32000 and 64000
-with 20 trials at both CPU counts; and inputs that exit with code 2
+``model._CPUS`` at 1 and at 2; three runs that read trials past the kept
+first rows, at both CPU counts: a ``diagnose`` at N = 16000, 32000 and 64000
+with 20 trials, a ``single`` at N = 4 with 40000 trials (16384 kept, then two
+state chunks) and a ``sweep-n`` at N = 25, 50 and 100 with 3000 trials (2621
+kept); and inputs that exit with code 2
 (configuration error) and 3 (precondition error).  A case is one
 ``confrelay.cli.main`` call, an ``argparse`` exit counting with its code;
 its exit code and the sha256 of its stdout and of its stderr (their first
@@ -45,7 +48,13 @@ COMMANDS = {
 }
 SEEDS = (0, 7, 2 ** 64 - 1)
 CPUS = (1, 2)
-LARGE_N = "N=16000\np=0.01\ntrials=20\n"
+# Runs past the kept first rows: name, config text and argv.
+PAST_KEPT = {
+    "diagnose/large_n": ("N=16000\np=0.01\ntrials=20\n",
+                         ["diagnose", "--axis", "16000,32000,64000"]),
+    "single/past_kept": ("N=4\nM=1\ntrials=40000\n", ["single"]),
+    "sweep-n/past_kept": ("N=25\np=0.2\ntrials=3000\n", ["sweep-n", "--axis", "25,50,100"]),
+}
 # Inputs that exit with code 2 or 3, each run on the cscg config at one CPU.
 ERRORS = {
     "workers_zero": ["single", "--workers", "0"],
@@ -68,8 +77,8 @@ def _cases() -> list:
               [command, *args, "--set", f"seed={seed}"])
              for command, args in COMMANDS.items() for config in CONFIGS
              for seed in SEEDS for cpus in CPUS]
-    cases += [(f"diagnose/large_n/cpus={cpus}", cpus, LARGE_N,
-               ["diagnose", "--axis", "16000,32000,64000"]) for cpus in CPUS]
+    cases += [(f"{name}/cpus={cpus}", cpus, config, argv)
+              for name, (config, argv) in PAST_KEPT.items() for cpus in CPUS]
     cases += [(f"error/{name}", 1, CONFIGS["cscg"], argv) for name, argv in ERRORS.items()]
     return [(name, cpus, config, argv if "--config" in argv else [*argv, "--config", "run.cfg"])
             for name, cpus, config, argv in cases]
@@ -100,13 +109,14 @@ def run_cases(cases: list) -> dict:
     return results
 
 
-def checkout_results(checkout: Path, cases: list) -> dict:
-    """:func:`run_cases` of ``cases`` in one subprocess that imports the
-    ``confrelay`` of ``checkout``."""
+def checkout_results(checkout: Path, cases, tool: Path = Path(__file__)):
+    """What ``tool --worker`` prints as JSON for ``cases`` (sent as JSON on
+    its stdin), run in one subprocess that imports the ``confrelay`` of
+    ``checkout``: for this tool, :func:`run_cases` of ``cases``."""
     src = str(Path(checkout).resolve() / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--worker"],
+    proc = subprocess.run([sys.executable, str(Path(tool).resolve()), "--worker"],
                           input=json.dumps(cases), env=env, capture_output=True, text=True)
     if proc.returncode:
         raise SystemExit(f"cases failed to run in {checkout}:\n{proc.stderr}")
