@@ -793,6 +793,15 @@ def _draw_rows(z: np.ndarray, states: np.ndarray, square: bool = False) -> None:
         np.square(z, out=z)
 
 
+def _draw_slab(slab: list) -> None:
+    """Draw a fill's slab ``[z, states, square]`` (:func:`_draw_rows`),
+    emptying the list first: once this returns, no job that ran it, or
+    was cancelled before, holds a view of the fill's rows."""
+    z, states, square = slab
+    slab.clear()
+    _draw_rows(z, states, square)
+
+
 # The thread pool that draws posted fills' slabs, made by the first fill
 # that posts any (:class:`_Fill`).
 _POOL = None
@@ -804,7 +813,7 @@ class _Fill:
 
     A fill of rows narrower than ``_HELPED_ROW_NORMALS``, of one slab, or on
     one CPU is drawn here, in one :func:`_draw_rows` call.  Any other
-    submits one :func:`_draw_rows` job per slab of ``max(1, _SLAB_NORMALS //
+    submits one :func:`_draw_slab` job per slab of ``max(1, _SLAB_NORMALS //
     width)`` rows, in row order, to ``_POOL``, a thread pool of at most
     ``_CPUS - 1`` threads, each drawing with its own thread's generator;
     the caller of :meth:`wait` draws the slabs no pool thread has started.
@@ -824,9 +833,9 @@ class _Fill:
         if _POOL is None:
             from concurrent.futures import ThreadPoolExecutor
             _POOL = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="confrelay-draw")
-        self.z, self.states, self.square = z, states, square
-        self.jobs = [_POOL.submit(_draw_rows, z[lo:lo + slab], states[lo:lo + slab], square)
-                     for lo in range(0, len(z), slab)]
+        self.slabs = [[z[lo:lo + slab], states[lo:lo + slab], square]
+                      for lo in range(0, len(z), slab)]
+        self.jobs = [_POOL.submit(_draw_slab, s) for s in self.slabs]
 
     def wait(self, end: int) -> None:
         """Return once rows ``0:end`` are drawn.  The caller first draws
@@ -843,8 +852,7 @@ class _Fill:
         try:
             for i in ahead:
                 if self.jobs[i].cancel():
-                    rows = slice(i * self.slab, (i + 1) * self.slab)
-                    _draw_rows(self.z[rows], self.states[rows], self.square)
+                    _draw_slab(self.slabs[i])
                     self.jobs[i] = None
             for i in ahead:
                 if self.jobs[i] is not None:
@@ -969,8 +977,9 @@ def _trial_squares(configs: Sequence[NetworkConfig], base_seed: int, trials: int
         return z, _Fill(z, states, square=True)
 
     def pieces():
-        # (first trial, rows, fill) per piece; a drawn piece's rows are
-        # held by the caller alone.
+        # (first trial, rows, fill) per piece.  A drawn piece is made in
+        # drawn(), not here: a name bound here would hold its rows while
+        # the walk runs the kernels of its last block.
         first = _first_rows(base_seed, trials, width)
         yield 0, *first
         for start in range(len(first[0]), trials, _STATE_CHUNK):

@@ -20,9 +20,9 @@ a test fails when a thread or a pool of them is started anywhere else.
 
 Which normals trial ``t`` of a run draws, and in which blocks, is decided in
 ``model`` alone: no other module may name the state derivation ``_states``,
-the row loop ``_draw_rows``, its generator, the per-thread record
-``_THREAD``, the first rows it keeps (``_first_rows``, their bound
-``_KEPT_ELEMENTS`` and allocation floor ``_KEPT_FLOOR``), the chunk and
+the row loop ``_draw_rows``, its slab job ``_draw_slab``, its generator,
+the per-thread record ``_THREAD``, the first rows it keeps (``_first_rows``,
+their bound ``_KEPT_ELEMENTS`` and allocation floor ``_KEPT_FLOOR``), the chunk and
 block constants ``_STATE_CHUNK`` and ``_BLOCK_ELEMENTS``, the fills and their
 pool (``_Fill``, ``_POOL``, the helper threshold ``_HELPED_ROW_NORMALS`` and
 slab size ``_SLAB_NORMALS``), the CPU count ``_CPUS`` or the SplitMix64 seed
@@ -101,12 +101,13 @@ def _is_thread_start(node):
     return False
 
 
-# What only ``model`` may refer to: the state derivation, the row loop and
-# its generator, each thread's record and first rows, the fills and their
-# pool, the chunk, block, first-row, helper-threshold and slab sizes, the CPU
-# count and the seed mixer's constants, by name, and the constants' values.
-TRIAL_DRAW_NAMES = {"_states", "_draw_rows", "_thread_generator", "_THREAD",
-                    "_first_rows", "_KEPT_ELEMENTS", "_KEPT_FLOOR",
+# What only ``model`` may refer to: the state derivation, the row loop, its
+# slab job and its generator, each thread's record and first rows, the fills
+# and their pool, the chunk, block, first-row, helper-threshold and slab
+# sizes, the CPU count and the seed mixer's constants, by name, and the
+# constants' values.
+TRIAL_DRAW_NAMES = {"_states", "_draw_rows", "_draw_slab", "_thread_generator",
+                    "_THREAD", "_first_rows", "_KEPT_ELEMENTS", "_KEPT_FLOOR",
                     "_STATE_CHUNK", "_BLOCK_ELEMENTS", "_Fill", "_POOL",
                     "_HELPED_ROW_NORMALS", "_SLAB_NORMALS", "_CPUS", "_GOLDEN", "_MIX1",
                     "_MIX2"}

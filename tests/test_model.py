@@ -889,23 +889,30 @@ class TestKeptRows:
             [(0, 3), (3, 6), (6, 9), (9, 12), (12, 14)])
         assert self._walk(drawn, 14, 14, cfgs=(narrow, self.CFG)) == 14 - kept_rows()
 
-    def test_drawn_block_is_let_go_before_the_last_configs_kernels(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_drawn_block_is_let_go_before_the_last_configs_kernels(self, monkeypatch, cpus):
         # No kept rows: every trial is read from a drawn piece.  At each block
         # of the last config the walk yields, the array of the piece its
         # squares came from is gone, so at most one drawn piece and one
-        # config's squares are alive.  On one CPU: a pool thread may still
-        # hold a slab of a posted fill for a moment after the fill's wait
-        # has returned, while it drops its cancelled or finished jobs.
+        # config's squares are alive.  Rows of 800 normals: on two CPUs each
+        # piece of 81 rows is posted in slabs of 20, and no pool thread's
+        # finished or cancelled job still holds one.
         monkeypatch.setattr(model, "_KEPT_ELEMENTS", 0)
-        monkeypatch.setattr(model, "_CPUS", 1)
+        monkeypatch.setattr(model, "_CPUS", cpus)
+        monkeypatch.setattr(model, "_POOL", None)
         refs = []
         record_fills(monkeypatch, lambda z, states: refs.append(weakref.ref(z)))
         cfgs = [NetworkConfig(n_relays=n, conferencing=Neighbors(1)) for n in (50, 200)]
         last = 0
-        for i, lo, hi, h2, g2 in _trial_squares(cfgs, 15, 300):
-            if i == 1:
-                assert refs[-1]() is None
-                last += 1
+        try:
+            for i, lo, hi, h2, g2 in _trial_squares(cfgs, 15, 300):
+                if i == 1:
+                    assert refs[-1]() is None
+                    last += 1
+        finally:
+            if model._POOL is not None:
+                model._POOL.shutdown()
+        assert (model._POOL is not None) == (cpus == 2)
         # The first fill is of the kept rows, none here.
         assert kept_rows() == 0 and last == len(refs) - 1 == len(block_ranges(300, 200))
 
