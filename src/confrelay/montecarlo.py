@@ -164,19 +164,14 @@ def _reduce_rows(v: np.ndarray) -> tuple:
     deviations from the row means, the first values, and whether every value
     of a row equals its first.
 
-    The squared deviations are taken in place on ``v``; when every row is
-    constant or holds one value, ``m2`` is zero and ``v`` is left as it is.
+    The squared deviations are taken in place on ``v``.
     """
-    n = v.shape[1]
     total = np.add.reduce(v, axis=1)
     first = v[:, 0].copy()
     constant = (v == first[:, None]).all(axis=1)
-    m2 = np.zeros(len(v))
-    if n > 1 and not constant.all():
-        v -= (total / n)[:, None]
-        np.square(v, out=v)
-        m2 = np.add.reduce(v, axis=1)
-    return total, m2, first, constant
+    v -= (total / v.shape[1])[:, None]
+    np.square(v, out=v)
+    return total, np.add.reduce(v, axis=1), first, constant
 
 
 def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
@@ -186,7 +181,8 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
     All schemes are reduced in one stacked pass over the trial rates, in place
     on their array (:func:`_reduce_rows`); each mean and standard error equals
     ``np.mean`` and ``np.std(ddof=1) / sqrt(trials)`` of the scheme's own
-    rates, bit for bit.
+    rates, bit for bit, except that a scheme whose every trial gives one rate
+    has that rate as its mean and a standard error of 0.
     Scheme precondition failures (AF and DF need p_c > 0 when M >= 1) are
     reported in ``errors`` and do not stop the remaining schemes; an
     unknown scheme name raises :class:`ConfigurationError`.
@@ -200,17 +196,13 @@ def run_point(cfg: NetworkConfig, trials: int, base_seed: int,
         return PointResult(stats={}, errors=errors)
     [(names, v)] = _rate_table([(cfg, runnable)], trials, base_seed)
     total, m2, first, constant = _reduce_rows(v)
-    # np.std's last steps: the sum over trials - 1 degrees of freedom, the
-    # square root (m2 is zero when a single trial or constant rows leave
-    # nothing to spread).
-    se = np.sqrt(m2 / max(trials - 1, 1)) / math.sqrt(trials)
-    stats = {}
-    for s, f, c, m, e in zip(names, first.tolist(), constant.tolist(),
-                             (total / trials).tolist(), se.tolist()):
-        # Deterministic configurations reproduce the single-shot rate
-        # exactly, without summation round-off.
-        stats[s] = SchemeStats(mean_rate=f if c else m,
-                               std_error=0.0 if c else e, trials=trials)
+    # Deterministic configurations reproduce the single-shot rate exactly,
+    # without summation round-off.  Otherwise np.std's last steps: the sum
+    # over trials - 1 degrees of freedom, the square root.
+    mean = np.where(constant, first, total / trials)
+    se = np.where(constant, 0.0, np.sqrt(m2 / max(trials - 1, 1)) / math.sqrt(trials))
+    stats = {s: SchemeStats(mean_rate=m, std_error=e, trials=trials)
+             for s, m, e in zip(names, mean.tolist(), se.tolist())}
     return PointResult(stats=stats, errors=errors)
 
 
@@ -299,19 +291,13 @@ def _oracle(chain, noise_shapes: Sequence[tuple], symbol_trials: int,
     scale = math.sqrt(level / 2.0)
     rng = np.random.default_rng(_seed(seed, "seed"))
 
-    def normals(shape):
-        # rng.normal(0.0, scale, shape) bit for bit, without its loc + scale * z
-        # per element: standard normals, scaled in place.
-        z = rng.standard_normal(shape)
-        z *= scale
-        return z
-
     w_sum = 0.0
     w_sq_sum = 0.0
     for lo in range(0, symbol_trials, _ORACLE_CHUNK):
         c = min(_ORACLE_CHUNK, symbol_trials - lo)
         x = np.exp(2j * np.pi * rng.random(c))
-        noises = [normals((c,) + s) + 1j * normals((c,) + s) for s in noise_shapes]
+        noises = [rng.normal(0.0, scale, (c,) + s) + 1j * rng.normal(0.0, scale, (c,) + s)
+                  for s in noise_shapes]
         w = np.abs(chain(x, *noises) - coef * x) ** 2
         w_sum += float(np.sum(w))
         w_sq_sum += float(np.sum(w * w))

@@ -37,7 +37,7 @@ def test_identical_checkouts_agree_and_one_printed_digit_differs(tmp_path):
 
 def test_the_fixed_cases_cover_every_command_both_cpu_counts_and_both_error_codes():
     names = [name for name, *_ in cli_bytes.CASES]
-    assert len(names) == len(set(names)) == 6 * 3 * 3 * 2 + 3 * 2 + len(cli_bytes.ERRORS)
+    assert len(names) == len(set(names)) == 6 * 4 * 3 * 2 + 3 * 2 + len(cli_bytes.ERRORS)
     assert {name.split("/")[0] for name in names} == {*cli_bytes.COMMANDS, "error"}
     assert {cpus for _, cpus, _, _ in cli_bytes.CASES} == {1, 2}
     assert all(argv.count("--config") == 1 for *_, argv in cli_bytes.CASES)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -179,6 +180,24 @@ class TestRunPoint:
         constant = name == "point_mass_h" or trials == 1
         assert constant == (point.stats["upper"].std_error == 0.0)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "aim 3: run_point keeps a (schemes, trials) float64 table and its "
+        "(schemes, trials) compare, so its peak grows by about 616 kB from "
+        "2**14 to 2**15 trials; ROADMAP item 16 reduces the table as the walk "
+        "goes"))
+    def test_peak_memory_stays_flat_as_trials_double(self):
+        cfg = NetworkConfig(n_relays=4, conferencing=Neighbors(1))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for trials, seed in ((2 ** 14, 1), (2 ** 15, 2)):
+                tracemalloc.reset_peak()
+                run_point(cfg, trials, seed, SCHEMES)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 64 * 1024, peaks
+
 
 class TestReduceRows:
     """``montecarlo._reduce_rows``, the one reduction of a rate table."""
@@ -201,7 +220,7 @@ class TestReduceRows:
         assert m2.tolist() == [m for _, m in want]
 
     @pytest.mark.parametrize("rows", [slice(1, 2), slice(0, 3)], ids=["constant", "one_trial"])
-    def test_nothing_to_spread_leaves_the_table_as_it_is(self, rows):
+    def test_nothing_to_spread_gives_zero_spread(self, rows):
         # A constant row alone, or every row cut to its first trial.
         v = self._table()[rows]
         if rows.stop == 3:
@@ -209,7 +228,6 @@ class TestReduceRows:
         v = v.copy()
         kept = v.copy()
         total, m2, first, constant = montecarlo._reduce_rows(v)
-        assert np.array_equal(v, kept)
         assert m2.tolist() == [0.0] * len(v)
         assert constant.all()
         assert total.tolist() == np.add.reduce(kept, axis=1).tolist()

@@ -351,6 +351,19 @@ class TestAmplifyForwardRate:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 0.02
 
+    @pytest.mark.parametrize("p", [0.2, 1.0])
+    @pytest.mark.parametrize("p_c", [0.1, 1.0, 10.0])
+    def test_shortfall_times_m_plus_one_meets_the_frontier_constant(self, p, p_c):
+        # At unit Cscg and Ps = Pr = N0 = 1 the moment-form AF shortfall
+        # below the cut-set bound is (2/(Pc ln 2) + (1+p)/(2 ln 2)) / (M+1)
+        # to first order (ROADMAP item 17 keeps the derivation); at N = 2**18
+        # the worst point, p = 0.2 and Pc = 0.1, is off by 4.1e-4.
+        cfg = NetworkConfig(n_relays=2 ** 18, conferencing=Portion(p), p_c=p_c,
+                            h_dist=Cscg(1.0), g_dist=Cscg(1.0))
+        shortfall = capacity_upper_asymptotic(cfg) - af_rate_expected_q(cfg)
+        frontier = 2.0 / (p_c * math.log(2)) + (1.0 + p) / (2.0 * math.log(2))
+        assert (cfg.m_conf + 1) * shortfall == pytest.approx(frontier, rel=1e-3)
+
 
 class TestAmplifyForwardExpectedQTerms:
     @settings(derandomize=True, max_examples=30)

@@ -6,7 +6,8 @@
 parent commit.  Each checkout runs the same fixed list of cases (``CASES``)
 in one subprocess, with its own ``src`` first on ``PYTHONPATH``, inside an
 empty temporary directory that holds the case's config as ``run.cfg``.  The
-cases are all six commands on three configs and three seeds, each with
+cases are all six commands on four configs (the last with both hops point
+masses, so every row is constant) and three seeds, each with
 ``model._CPUS`` at 1 and at 2; three runs that read trials past the kept
 first rows, at both CPU counts: a ``diagnose`` at N = 16000, 32000 and 64000
 with 20 trials, a ``single`` at N = 4 with 40000 trials (16384 kept, then two
@@ -37,6 +38,7 @@ CONFIGS = {
     "cscg": "N=50\np=0.2\ntrials=30\n",
     "point_mass": "N=12\nM=4\ntrials=30\nh_dist=cscg:0.7\ng_dist=point_mass:0.6+0.8j\n",
     "wide": "N=400\np=0.05\ntrials=10\n",
+    "point_masses": "N=12\nM=4\ntrials=30\nh_dist=point_mass:0.6+0.8j\ng_dist=point_mass:1\n",
 }
 COMMANDS = {
     "single": [],
@@ -67,6 +69,7 @@ ERRORS = {
     "single_pc_zero": ["single", "--set", "Pc=0"],
     "oracle_ps_zero": ["oracle", "--draws", "100", "--set", "Ps=0"],
     "diagnose_pc_zero": ["diagnose", "--axis", "8,16,32", "--set", "Pc=0"],
+    "single_ps_overflow": ["single", "--set", "Ps=1e308"],
 }
 
 
